@@ -8,17 +8,16 @@ how much of batch-1 latency is one-time overhead.
 
 import pytest
 
-from repro.core.simulator import ChipSimulator
 from repro.errors import MappingError
 from repro.nn.workloads import resnet18_spec
+from repro.sim import simulate
 
 
 def test_batch_scaling(benchmark):
-    sim = ChipSimulator()
     net = resnet18_spec()
 
     def run():
-        return {b: sim.run(net, "heuristic", batch=b) for b in (1, 2, 8, 32)}
+        return {b: simulate(net, batch=b) for b in (1, 2, 8, 32)}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     thr = {b: r.throughput_samples_s for b, r in results.items()}
@@ -39,14 +38,13 @@ def test_batch_scaling(benchmark):
 
 
 def test_total_latency_scales_with_batch():
-    sim = ChipSimulator()
     net = resnet18_spec()
-    one = sim.run(net, "heuristic", batch=1)
-    four = sim.run(net, "heuristic", batch=4)
+    one = simulate(net, batch=1)
+    four = simulate(net, batch=4)
     assert four.latency_ms > 3 * one.latency_ms
     assert four.latency_ms < 4.2 * one.latency_ms
 
 
 def test_invalid_batch_rejected():
     with pytest.raises(MappingError):
-        ChipSimulator().run(resnet18_spec(), "heuristic", batch=0)
+        simulate(resnet18_spec(), batch=0)

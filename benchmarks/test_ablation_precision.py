@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.cmem.cmem import CMem
-from repro.core.simulator import ChipSimulator
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec
+from repro.sim import simulate
 
 
 def resnet_at_precision(n_bits: int) -> NetworkSpec:
@@ -50,9 +50,8 @@ def test_chip_level_precision_sweep(benchmark):
     # slots per slice), which is itself a finding: the paper's design point
     # assumes int8.  Sweep 2/4/8 at chip level.
     def run():
-        sim = ChipSimulator()
         return {
-            n: sim.run(resnet_at_precision(n), "heuristic").latency_ms
+            n: simulate(resnet_at_precision(n)).latency_ms
             for n in (2, 4, 8)
         }
 

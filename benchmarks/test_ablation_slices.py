@@ -10,18 +10,18 @@ with more slices and the capacity minimums should shrink.
 import pytest
 
 from repro.core.node import table4_workload
-from repro.core.simulator import ChipSimulator
 from repro.core.perfmodel import TimingParams
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import resnet18_spec
+from repro.sim import SimConfig, simulate
 
 
 def chip_latency_ms(compute_slices: int) -> float:
-    sim = ChipSimulator(
+    config = SimConfig(
         params=TimingParams(slice_parallel_cmem=True),
         capacity=CapacityModel(compute_slices=compute_slices),
     )
-    return sim.run(resnet18_spec(), "heuristic").latency_ms
+    return simulate(resnet18_spec(), config=config).latency_ms
 
 
 def test_slice_count_sweep(benchmark):

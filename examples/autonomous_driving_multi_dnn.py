@@ -17,6 +17,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import MultiDNNScheduler
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
+from repro.serving import PeriodicArrivals, ServingSimulator, TenantSpec
+from repro.serving.scenarios import build_policy
 
 
 def camera_perception() -> NetworkSpec:
@@ -51,24 +53,28 @@ def planner() -> NetworkSpec:
     return NetworkSpec(name="planner", layers=layers)
 
 
-def serve_sensor_streams() -> None:
+def serve_streams(scheduler: MultiDNNScheduler) -> None:
     """Arrival-driven serving: frames at sensor rates, spatial vs shared."""
-    from repro.core.sensor_stream import SensorStreamSimulator, StreamSpec
-
     streams = [
-        StreamSpec(camera_perception(), period_ms=4.0),   # 250 fps camera rig
-        StreamSpec(lidar_segmentation(), period_ms=2.0),  # high-rate LiDAR
-        StreamSpec(planner(), period_ms=1.0),             # 1 kHz control loop
+        (camera_perception(), 4.0),   # 250 fps camera rig
+        (lidar_segmentation(), 2.0),  # high-rate LiDAR
+        (planner(), 1.0),             # 1 kHz control loop
     ]
-    simulator = SensorStreamSimulator()
+    tenants = [
+        TenantSpec(net.name, net, PeriodicArrivals(period_ms))
+        for net, period_ms in streams
+    ]
     print("\nserving sensor streams for 200 ms "
           "(latency = queueing + inference):")
-    for policy in ("spatial", "time-shared"):
-        result = simulator.run(streams, duration_ms=200, policy=policy)
+    for policy in ("static", "time-shared"):
+        simulator = ServingSimulator(
+            build_policy(policy, scheduler), discipline="fifo"
+        )
+        result = simulator.run(tenants, duration_ms=200)
         print(f"  policy: {policy}")
-        for stream in streams:
-            report = result.reports[stream.label]
-            print(f"    {stream.label:20s} {report.completed:4d} frames, "
+        for tenant in tenants:
+            report = result.reports[tenant.name]
+            print(f"    {tenant.name:20s} {report.completed:4d} frames, "
                   f"mean {report.mean_latency_ms:7.3f} ms, "
                   f"max {report.max_latency_ms:7.3f} ms")
 
@@ -95,7 +101,7 @@ def main() -> None:
     print(f"aggregate throughput         : {result.aggregate_throughput:8.1f} samples/s "
           f"(time-shared: {result.time_shared_throughput:.1f})")
 
-    serve_sensor_streams()
+    serve_streams(scheduler)
 
 
 if __name__ == "__main__":

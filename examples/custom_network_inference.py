@@ -21,7 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from repro import ChipSimulator, quantize_graph, simulate_quantized_graph
+from repro import quantize_graph, simulate, simulate_quantized_graph
 from repro.nn.models import build_residual_cnn
 from repro.nn.reference import quantization_error
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
@@ -60,7 +60,7 @@ def main() -> None:
                       padding=0, kind="linear"),
     )
     network = NetworkSpec(name="residual-cnn", layers=layers)
-    result = ChipSimulator().run(network, "heuristic")
+    result = simulate(network)
     print(f"\nmapped onto MAICC ({result.plan.strategy} strategy):")
     print(f"  latency    : {result.latency_ms * 1000:.1f} us")
     print(f"  throughput : {result.throughput_samples_s:.0f} samples/s")

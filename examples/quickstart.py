@@ -11,11 +11,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import ChipSimulator, resnet18_spec
+from repro import resnet18_spec, simulate
 
 
 def main() -> None:
-    simulator = ChipSimulator()
     network = resnet18_spec()
 
     print(f"workload: {network.name}, {len(network)} mapped layers, "
@@ -24,7 +23,7 @@ def main() -> None:
     print(f"{'strategy':14s} {'latency':>10s} {'throughput':>12s} "
           f"{'power':>8s} {'samples/s/W':>12s}")
     for strategy in ("single-layer", "greedy", "heuristic"):
-        result = simulator.run(network, strategy)
+        result = simulate(network, strategy=strategy)
         print(
             f"{strategy:14s} {result.latency_ms:8.2f} ms "
             f"{result.throughput_samples_s:10.1f}/s "
@@ -32,7 +31,7 @@ def main() -> None:
             f"{result.throughput_per_watt:10.2f}"
         )
 
-    best = simulator.run(network, "heuristic")
+    best = simulate(network, strategy="heuristic")
     print("\nheuristic mapping (paper Table 6 shape):")
     for run in best.runs:
         layers = ", ".join(spec.name for spec in run.segment.layers)

@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro import ChipSimulator
+from repro import simulate
 from repro.nn.workloads import (
     lstm_cell_spec,
     mlp_spec,
@@ -25,7 +25,6 @@ from repro.nn.workloads import (
 
 
 def main() -> None:
-    simulator = ChipSimulator()
     workloads = [
         resnet18_spec(),
         vgg11_spec(),
@@ -38,8 +37,8 @@ def main() -> None:
           f"{'latency':>10s} {'batch16/s':>10s} {'s/s/W':>7s} {'note'}")
     for net in workloads:
         weights_mb = sum(s.weight_count for s in net) / 1e6
-        single = simulator.run(net, "heuristic")
-        batched = simulator.run(net, "heuristic", batch=16)
+        single = simulate(net)
+        batched = simulate(net, batch=16)
         tiled = any("@" in s.name for s in single.network)
         load_share = sum(r.filter_load_cycles for r in single.runs) / single.total_cycles
         note = []

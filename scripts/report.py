@@ -62,30 +62,10 @@ from repro.obs.report import (  # noqa: E402
     build_xcheck_report,
     validate_report,
 )
-from repro.serving import (  # noqa: E402
-    ElasticPolicy,
-    ServiceModel,
-    ServingPolicy,
-    ServingSimulator,
-    StaticPartitionPolicy,
-    TimeSharedPolicy,
-)
-from repro.serving.scenarios import SCENARIOS  # noqa: E402
+from repro.serving import ServingSimulator  # noqa: E402
+from repro.serving.scenarios import POLICIES, SCENARIOS, build_policy  # noqa: E402
 from repro.sim import available_backends, cross_check, simulate  # noqa: E402
 from repro.sim.report import RunReport  # noqa: E402
-
-POLICIES = ("static", "time-shared", "elastic")
-
-
-def build_policy(name: str, scheduler: MultiDNNScheduler) -> ServingPolicy:
-    if name == "static":
-        return StaticPartitionPolicy(scheduler)
-    if name == "time-shared":
-        return TimeSharedPolicy(scheduler)
-    if name == "elastic":
-        return ElasticPolicy(ServiceModel(scheduler), control_interval_ms=10.0)
-    raise SystemExit(f"unknown policy {name!r}")
-
 
 def serving_report(args: argparse.Namespace) -> Dict[str, object]:
     tenant_factory, default_duration = SCENARIOS[args.scenario]

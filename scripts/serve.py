@@ -35,37 +35,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import telemetry
 from repro.core.multi_dnn import MultiDNNScheduler
-from repro.serving import (
-    ElasticPolicy,
-    ServiceModel,
-    ServingPolicy,
-    ServingRunResult,
-    ServingSimulator,
-    StaticPartitionPolicy,
-    TimeSharedPolicy,
-)
-from repro.serving.scenarios import SCENARIOS
-
-POLICIES = ("static", "time-shared", "elastic")
-
-
-def build_policy(
-    name: str,
-    scheduler: MultiDNNScheduler,
-    *,
-    decision_backend: str = None,
-) -> ServingPolicy:
-    if name == "static":
-        return StaticPartitionPolicy(scheduler)
-    if name == "time-shared":
-        return TimeSharedPolicy(scheduler)
-    if name == "elastic":
-        return ElasticPolicy(
-            ServiceModel(scheduler),
-            control_interval_ms=10.0,
-            decision_backend=decision_backend,
-        )
-    raise SystemExit(f"unknown policy {name!r}")
+from repro.serving import ServingRunResult, ServingSimulator
+from repro.serving.scenarios import POLICIES, SCENARIOS, build_policy
 
 
 def print_report(result: ServingRunResult) -> None:

@@ -44,7 +44,6 @@ from repro.noc.packet import Packet, PacketKind
 from repro.riscv.core import Core
 from repro.riscv.memory import DRAM_BASE
 from repro.sim import available_backends, simulate
-from repro.telemetry.hooks import publish_noc
 from repro.telemetry.trace import validate_chrome_trace
 from repro.utils.events import EventQueue
 
@@ -97,7 +96,7 @@ def run_tiny(sink: telemetry.Telemetry, backend: str = "streaming") -> dict:
             Packet(src=(0, 0), dst=(2, 1), kind=PacketKind.ROW_TRANSFER),
             inject_time=i,
         )
-    publish_noc(sink, "noc", noc)
+    noc.publish_stats()
 
     # 4. DRAM: a row-hit/miss sweep (bank spans + counters).
     dram = DRAMController()

@@ -10,8 +10,8 @@ the paper's evaluation.
 
 Quickstart::
 
-    from repro import ChipSimulator, resnet18_spec
-    result = ChipSimulator().run(resnet18_spec(), "heuristic")
+    from repro import resnet18_spec, simulate
+    result = simulate(resnet18_spec())
     print(result.latency_ms, result.throughput_per_watt)
 """
 
@@ -23,7 +23,6 @@ from repro.cmem import CMem, CMemConfig
 # would re-enter repro.sim.config mid-initialization.
 from repro.core import (
     ChipConfig,
-    ChipSimulator,
     MAICCChip,
     MAICCNode,
     MultiDNNScheduler,
@@ -34,6 +33,7 @@ from repro.core import (
     static_schedule,
     table4_workload,
 )
+from repro.sim import SimConfig, simulate
 from repro.analysis import lint_text, schedule_kernel, verify_program
 from repro.energy import ChipConstants, area_breakdown
 from repro.mapping import (
@@ -58,13 +58,14 @@ __all__ = [
     "CMem",
     "CMemConfig",
     "ChipConfig",
-    "ChipSimulator",
     "MAICCChip",
     "MAICCNode",
     "MultiDNNScheduler",
     "PerformanceModel",
     "SegmentSimulator",
+    "SimConfig",
     "TimingParams",
+    "simulate",
     "simulate_quantized_graph",
     "static_schedule",
     "table4_workload",

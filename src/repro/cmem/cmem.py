@@ -20,7 +20,7 @@ from repro.cmem.isa import CMemOp, cmem_op_cycles
 from repro.cmem.slice import CMemSlice, TransposeBuffer
 from repro.sram.energy import EnergyAccumulator, SRAMEnergy
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.telemetry.hooks import publish_cmem_stats
+from repro.telemetry.hooks import publish_stats
 from repro.utils.bitops import pack_transposed_cached, unpack_transposed
 
 
@@ -366,7 +366,7 @@ class CMem:
         accumulate, so repeated publication double-counts by design only
         if the caller re-publishes the same tally.
         """
-        publish_cmem_stats(self._telemetry, prefix or self.track, self.stats)
+        publish_stats(self._telemetry, prefix or self.track, self.stats)
 
     # -- data staging helpers ----------------------------------------------------
 

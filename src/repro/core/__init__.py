@@ -14,7 +14,8 @@ This package is the paper's primary contribution:
 * :mod:`repro.core.perfmodel` — the Eq. (1) timing model;
 * :mod:`repro.core.streaming` — iteration-granularity simulation of node
   groups (pipeline fill, waiting, Fig. 9 breakdowns);
-* :mod:`repro.core.chip` / :mod:`repro.core.simulator` — whole-chip runs;
+* :mod:`repro.core.chip` — the whole-chip model (whole-chip runs go
+  through :func:`repro.sim.simulate`);
 * :mod:`repro.core.multi_dnn` — spatial multi-DNN parallel inference.
 """
 
@@ -32,10 +33,8 @@ from repro.core.functional import FunctionalNodeGroup, simulate_quantized_graph
 from repro.core.streaming import CoreBreakdown, SegmentSimulator
 from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.traffic import TrafficResult, simulate_segment_traffic
-from repro.core.simulator import ChipSimulator, NetworkRunResult
 from repro.core.chip import ChipConfig, MAICCChip
 from repro.core.multi_dnn import MultiDNNResult, MultiDNNScheduler
-from repro.core.sensor_stream import SensorStreamSimulator, StreamSpec
 from repro.core.runtime import DeployedModel, InferenceResult, MAICCRuntime, network_spec_of
 from repro.core.functional_streaming import StreamedSegmentExecutor
 from repro.core.weight_staging import StagingResult, WeightStager, stage_node
@@ -59,14 +58,10 @@ __all__ = [
     "EventDrivenSegmentSimulator",
     "TrafficResult",
     "simulate_segment_traffic",
-    "ChipSimulator",
-    "NetworkRunResult",
     "ChipConfig",
     "MAICCChip",
     "MultiDNNResult",
     "MultiDNNScheduler",
-    "SensorStreamSimulator",
-    "StreamSpec",
     "DeployedModel",
     "InferenceResult",
     "MAICCRuntime",

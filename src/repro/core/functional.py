@@ -33,7 +33,7 @@ from repro.mapping.capacity import CapacityModel
 from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput
 from repro.nn.workloads import ConvLayerSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.telemetry.hooks import publish_cmem_stats, publish_group_stats
+from repro.telemetry.hooks import publish_stats, stats_delta
 
 
 @dataclass
@@ -273,14 +273,8 @@ class FunctionalNodeGroup:
         assert telemetry.registry is not None and telemetry.trace is not None
         trace = telemetry.trace
         spec = self.spec
-        stats = self.stats
-        delta = GroupRunStats(
-            vectors_streamed=stats.vectors_streamed - group_before.vectors_streamed,
-            row_transfers=stats.row_transfers - group_before.row_transfers,
-            macs=stats.macs - group_before.macs,
-            cmem_energy_pj=stats.cmem_energy_pj - group_before.cmem_energy_pj,
-        )
-        publish_group_stats(telemetry, f"group/{spec.name}", delta)
+        delta = stats_delta(self.stats, group_before)
+        publish_stats(telemetry, f"group/{spec.name}", delta)
         durations: List[int] = []
         for k in range(self.num_computing):
             if self.bit_true:
@@ -289,18 +283,9 @@ class FunctionalNodeGroup:
                     continue
                 before = cmem_before[k]
                 assert before is not None
-                after = node[2].stats
-                dur = after.busy_cycles - before.busy_cycles
-                cmem_delta = CMemStats(
-                    macs=after.macs - before.macs,
-                    moves=after.moves - before.moves,
-                    set_rows=after.set_rows - before.set_rows,
-                    shift_rows=after.shift_rows - before.shift_rows,
-                    remote_rows=after.remote_rows - before.remote_rows,
-                    vertical_writes=after.vertical_writes - before.vertical_writes,
-                    busy_cycles=dur,
-                )
-                publish_cmem_stats(telemetry, f"core/{k}/cmem", cmem_delta)
+                cmem_delta = stats_delta(node[2].stats, before)
+                publish_stats(telemetry, f"core/{k}/cmem", cmem_delta)
+                dur = cmem_delta.busy_cycles
             else:
                 dur = self._node_macs[k] - node_macs_before[k]
                 if dur == 0:

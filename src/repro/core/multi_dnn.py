@@ -9,12 +9,17 @@ the whole array — so the benefit of spatial co-location can be quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
-from repro.core.simulator import ChipSimulator, NetworkRunResult
 from repro.errors import MappingError, SimulationError
-from repro.sim import SimConfig, simulate
+from repro.sim import (
+    DEFAULT_ARRAY_SIZE,
+    DEFAULT_BACKEND,
+    RunReport,
+    SimConfig,
+    simulate,
+)
 from repro.mapping.allocation import proportional_shares
 from repro.mapping.placement import NodePlacement, zigzag_placement
 from repro.nn.workloads import NetworkSpec
@@ -26,7 +31,7 @@ class ModelRun:
 
     network: NetworkSpec
     partition_cores: int
-    result: NetworkRunResult
+    result: RunReport
     region_start: int = 0
     placements: List[NodePlacement] = field(default_factory=list)
 
@@ -90,22 +95,25 @@ class MultiDNNScheduler:
 
     def __init__(
         self,
-        simulator: Optional[ChipSimulator] = None,
         *,
-        array_size: int = 208,
+        array_size: int = DEFAULT_ARRAY_SIZE,
         backend: Optional[str] = None,
     ) -> None:
-        """``backend`` selects the fidelity tier partitions are simulated
-        on (``repro.sim`` name); ``None`` follows the simulator's tier."""
-        self.array_size = array_size
-        self.simulator = simulator or ChipSimulator(array_size=array_size)
-        self.backend = backend or self.simulator.backend
-        self.capacity = self.simulator.capacity
+        """``backend`` selects the fidelity tier partitions and the
+        time-shared baseline are simulated on (``repro.sim`` name);
+        ``None`` is the default ``streaming`` tier."""
+        self.config = SimConfig(array_size=array_size)
+        self.backend = backend or DEFAULT_BACKEND
+
+    @property
+    def array_size(self) -> int:
+        return self.config.array_size
 
     def minimum_cores(self, network: NetworkSpec) -> int:
         """Smallest partition that still fits the model's largest layer."""
         return max(
-            self.capacity.min_nodes(spec, max_nodes=self.array_size - 1) + 1
+            self.config.capacity.min_nodes(spec, max_nodes=self.array_size - 1)
+            + 1
             for spec in network
         )
 
@@ -139,7 +147,7 @@ class MultiDNNScheduler:
         *,
         backend: Optional[str] = None,
         batch_requests: int = 1,
-    ) -> NetworkRunResult:
+    ) -> RunReport:
         """Run one model inside a ``cores``-sized slice of the array.
 
         The shared entry point for both the static schedule below and the
@@ -152,10 +160,8 @@ class MultiDNNScheduler:
         weight-stationary request batch through the partition
         (``SimConfig.batch_requests``).
         """
-        config = SimConfig(
-            chip=self.simulator.chip,
-            params=self.simulator.params,
-            capacity=self.capacity,
+        config = replace(
+            self.config,
             array_size=cores,
             strategy=strategy,
             batch_requests=batch_requests,
@@ -194,6 +200,10 @@ class MultiDNNScheduler:
         # Baseline: whole array, one model at a time, repeated round-robin.
         time_shared = 0.0
         for net in networks:
-            result = self.simulator.run(net, strategy, backend=self.backend)
+            result = simulate(
+                net,
+                backend=self.backend,
+                config=self.config.with_run(strategy=strategy),
+            )
             time_shared += result.latency_ms
         return MultiDNNResult(runs=runs, time_shared_latency_ms=time_shared)

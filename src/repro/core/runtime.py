@@ -23,12 +23,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.functional import simulate_quantized_graph
-from repro.core.simulator import ChipSimulator, NetworkRunResult
 from repro.errors import MappingError
 from repro.mapping.placement import NodePlacement, zigzag_placement
 from repro.nn.graph import Graph
 from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, quantize_graph
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
+from repro.sim import RunReport, SimConfig, simulate
 
 
 def network_spec_of(qgraph: QuantizedGraph, name: str = "model") -> NetworkSpec:
@@ -112,7 +112,7 @@ class DeployedModel:
     name: str
     qgraph: QuantizedGraph
     network: NetworkSpec
-    performance: NetworkRunResult
+    performance: RunReport
     placements: List[NodePlacement] = field(default_factory=list)
 
     @property
@@ -157,15 +157,13 @@ class MAICCRuntime:
 
     def __init__(
         self,
-        simulator: Optional[ChipSimulator] = None,
         *,
         strategy: str = "heuristic",
         backend: Optional[str] = None,
     ) -> None:
         """``backend`` selects the performance-estimate fidelity tier
-        (``repro.sim`` name); ``None`` keeps the simulator's own tier."""
-        self.simulator = simulator or ChipSimulator()
-        self.strategy = strategy
+        (``repro.sim`` name); ``None`` is the default ``streaming`` tier."""
+        self.config = SimConfig(strategy=strategy)
         self.backend = backend
 
     def deploy(
@@ -179,9 +177,7 @@ class MAICCRuntime:
         """Quantize, map, and place a float model."""
         qgraph = quantize_graph(graph, calibration_inputs, n_bits=n_bits)
         network = network_spec_of(qgraph, name)
-        performance = self.simulator.run(
-            network, self.strategy, backend=self.backend
-        )
+        performance = simulate(network, backend=self.backend, config=self.config)
         placements = [
             zigzag_placement(run.segment) for run in performance.runs
         ]

@@ -108,10 +108,6 @@ def completion_source_index(
     return y * producer.w + x
 
 
-#: Historical (pre-public) name, kept for back-compat.
-_completion_source_index = completion_source_index
-
-
 class SegmentSimulator:
     """Simulates one segment of chained node groups."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from repro.errors import DRAMError
 from repro.riscv.memory import DRAM_BASE, DRAM_CHANNELS, DRAM_END
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.telemetry.hooks import publish_dram_stats
+from repro.telemetry.hooks import publish_stats
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,12 @@ class DRAMController:
 
     def publish_stats(self, prefix: str = "dram") -> None:
         """Publish access/row/energy counters into the metrics registry."""
-        publish_dram_stats(self._telemetry, prefix, self.stats)
+        sink = self._telemetry
+        if not sink.enabled:
+            return
+        assert sink.registry is not None
+        publish_stats(sink, prefix, self.stats)
+        sink.registry.gauge(f"{prefix}/row_hit_rate").set(self.stats.row_hit_rate)
 
     # -- functional storage ---------------------------------------------------
 

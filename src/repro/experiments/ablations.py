@@ -14,7 +14,6 @@ from repro.baselines.neural_cache import NeuralCacheModel
 from repro.cmem.cmem import CMem
 from repro.core.node import table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
-from repro.core.simulator import ChipSimulator
 from repro.core.traffic import simulate_segment_traffic
 from repro.errors import CapacityError
 from repro.experiments.report import ExperimentResult
@@ -26,6 +25,7 @@ from repro.mapping.placement import (
 )
 from repro.mapping.segmentation import HeuristicStrategy
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec
+from repro.sim import SimConfig, simulate
 
 
 def run_slices() -> ExperimentResult:
@@ -41,10 +41,10 @@ def run_slices() -> ExperimentResult:
         fits = True
         latency = None
         try:
-            sim = ChipSimulator(
+            config = SimConfig(
                 params=TimingParams(slice_parallel_cmem=True), capacity=capacity
             )
-            latency = round(sim.run(resnet18_spec(), "heuristic").latency_ms, 3)
+            latency = round(simulate(resnet18_spec(), config=config).latency_ms, 3)
         except CapacityError:
             fits = False
         result.add_row(
@@ -81,7 +81,7 @@ def run_precision() -> ExperimentResult:
         )
         net = NetworkSpec(name=f"resnet18_int{n}", layers=layers)
         try:
-            latency = round(ChipSimulator().run(net, "heuristic").latency_ms, 3)
+            latency = round(simulate(net).latency_ms, 3)
         except CapacityError:
             latency = "does not fit"
         result.add_row(
@@ -153,7 +153,6 @@ def run_placement() -> ExperimentResult:
 
 def run_batch() -> ExperimentResult:
     """Batch streaming: throughput toward the steady-state pipeline rate."""
-    sim = ChipSimulator()
     net = resnet18_spec()
     result = ExperimentResult(
         experiment="ablation-batch",
@@ -161,7 +160,7 @@ def run_batch() -> ExperimentResult:
         columns=["batch", "total_ms", "samples_per_s", "samples_per_s_per_w"],
     )
     for b in (1, 2, 4, 8, 32):
-        run = sim.run(net, "heuristic", batch=b)
+        run = simulate(net, batch=b)
         result.add_row(
             batch=b,
             total_ms=round(run.latency_ms, 2),

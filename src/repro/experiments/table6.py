@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.simulator import NetworkRunResult
 from repro.dse.engine import run_sweep
 from repro.dse.spec import SweepSpec
 from repro.experiments.report import ExperimentResult
 from repro.nn.workloads import resnet18_spec
 from repro.sim.backends import DEFAULT_BACKEND
+from repro.sim.report import RunReport
 
 PAPER_TOTAL_MS = {"single-layer": 24.078, "greedy": 10.410, "heuristic": 5.138}
 PAPER_NODES = {
@@ -51,7 +51,7 @@ def run(*, backend: Optional[str] = None, workers: int = 0) -> ExperimentResult:
     dse = run_sweep(
         sweep(backend), workers=workers, keep_reports=True, baselines=False
     )
-    runs: Dict[str, NetworkRunResult] = {
+    runs: Dict[str, RunReport] = {
         pr.point.strategy: pr.report for pr in dse.points
     }
 

@@ -24,7 +24,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import SimulationError
 from repro.fleet.autoscale import ScaleEvent
 from repro.fleet.router import RecoveryEvent
 from repro.serving.slo import SLO_LATENCY_BUCKETS_MS, ServingRunResult
@@ -35,18 +34,7 @@ def merge_latency_histograms(histograms: List[Histogram]) -> Histogram:
     """Bucket-by-bucket fold of per-replica latency histograms."""
     out = Histogram(bounds=SLO_LATENCY_BUCKETS_MS)
     for h in histograms:
-        if h.bounds != out.bounds:
-            raise SimulationError(
-                "cannot merge latency histograms with differing buckets"
-            )
-        out.count += h.count
-        out.total += h.total
-        for i, n in enumerate(h.bucket_counts):
-            out.bucket_counts[i] += n
-        if h.min is not None:
-            out.min = h.min if out.min is None else min(out.min, h.min)
-        if h.max is not None:
-            out.max = h.max if out.max is None else max(out.max, h.max)
+        out.merge(h)
     return out
 
 

@@ -24,6 +24,7 @@ from repro.errors import NoCError
 from repro.noc.packet import Packet
 from repro.noc.router import hop_count, xy_route
 from repro.telemetry import TelemetrySink, current as _current_telemetry
+from repro.telemetry.hooks import publish_stats
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
@@ -213,6 +214,26 @@ class MeshNoC:
             return None
         link = min(self.link_stats, key=lambda k: (-self.link_stats[k].packets, k))
         return link, self.link_stats[link]
+
+    def publish_stats(self, prefix: str = "noc") -> None:
+        """Publish traffic counters plus per-link occupancy into the
+        metrics registry (no-op on a disabled sink)."""
+        sink = self._telemetry
+        if not sink.enabled:
+            return
+        assert sink.registry is not None
+        reg = sink.registry
+        publish_stats(sink, prefix, self.stats)
+        reg.gauge(f"{prefix}/avg_latency").set(self.stats.avg_latency)
+        reg.gauge(f"{prefix}/max_queue_depth").max(self.max_queue_depth)
+        for (a, b), link in sorted(self.link_stats.items()):
+            leg = f"{prefix}/link/{a[0]},{a[1]}->{b[0]},{b[1]}"
+            reg.counter(f"{leg}/packets").add(link.packets)
+            reg.counter(f"{leg}/busy_cycles").add(link.busy_cycles)
+            reg.gauge(f"{leg}/max_wait").max(link.max_wait)
+        busiest = self.busiest_link()
+        if busiest is not None:
+            reg.gauge(f"{prefix}/busiest_link_packets").max(busiest[1].packets)
 
     def reset_contention(self) -> None:
         self._link_free.clear()

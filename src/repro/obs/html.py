@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.obs.monitor import CLUSTER
 from repro.obs.timeline import PHASE_CATEGORIES
+from repro.telemetry.windows import bucket_percentile
 
 #: Categorical slots (light, dark) in the palette's validated order; the
 #: order is the CVD-safety mechanism — assign by position, never cycle.
@@ -218,41 +219,6 @@ def _stacked_bar_svg(
 
 
 # -- time-series panels -------------------------------------------------------
-
-
-def _cell_percentile(
-    bounds: Sequence[float], cell: Mapping[str, object], q: float
-) -> float:
-    """Bucket-interpolated percentile of one exported window cell (same
-    estimator as ``Histogram.percentile``, read from the JSON shape)."""
-    count = int(cell["count"])  # type: ignore[arg-type]
-    if count == 0:
-        return 0.0
-    counts = cell["bucket_counts"]
-    assert isinstance(counts, list)
-    lo_obs = float(cell["min"])  # type: ignore[arg-type]
-    hi_obs = float(cell["max"])  # type: ignore[arg-type]
-    rank = q / 100.0 * count
-    cumulative = 0
-    for i, n in enumerate(counts):
-        if n == 0:
-            continue
-        below = cumulative
-        cumulative += n
-        if cumulative >= rank:
-            lo = bounds[i - 1] if i > 0 else lo_obs
-            hi = bounds[i] if i < len(bounds) else hi_obs
-            lo = max(float(lo), lo_obs)
-            hi = min(float(hi), hi_obs)
-            if hi <= lo:
-                return float(lo)
-            # Mirrors Histogram.percentile: span ends are exact,
-            # interior rounding stays inside the span.
-            fraction = (rank - below) / n
-            if fraction >= 1.0:
-                return float(hi)
-            return float(min(lo + (hi - lo) * fraction, hi))
-    return hi_obs
 
 
 def _line_panel(
@@ -454,8 +420,13 @@ def _render_serving(doc: Mapping[str, object]) -> List[str]:
         n: _series_points(
             doc_series,
             f"serving/tenant/{n}/latency_windowed",
-            lambda data, cell: _cell_percentile(
-                data["bounds"] or [], cell, 99.0
+            lambda data, cell: bucket_percentile(
+                data["bounds"] or [],
+                cell.get("bucket_counts") or [],
+                int(cell["count"]),
+                cell["min"],
+                cell["max"],
+                99.0,
             ),
         )
         for n in names

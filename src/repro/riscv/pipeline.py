@@ -17,8 +17,8 @@ until the CMem itself is free — the baseline column of Table 5.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, Iterable, List, Optional
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.riscv.executor import Executor
@@ -26,7 +26,7 @@ from repro.riscv.isa import FunctionalUnit, Instruction
 from repro.riscv.memory import AddressRegion
 from repro.riscv.scoreboard import Scoreboard
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.telemetry.hooks import publish_pipeline_stats
+from repro.telemetry.hooks import publish_stats
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,10 @@ class PipelineStats:
     branch_flush_cycles: int = 0
     cmem_instructions: int = 0
     cmem_busy_cycles: int = 0
-    category_cycles: Dict[str, int] = field(default_factory=dict)
+    #: Published as ``<prefix>/category/<category>`` counters.
+    category_cycles: Dict[str, int] = field(
+        default_factory=dict, metadata={"metric": "category"}
+    )
 
     @property
     def ipc(self) -> float:
@@ -73,47 +76,6 @@ class PipelineStats:
         key = category or "other"
         self.category_cycles[key] = self.category_cycles.get(key, 0) + cycles
 
-    def merge(self, other: "PipelineStats") -> "PipelineStats":
-        """Field-wise sum of two stat sets; returns a new object.
-
-        Aggregation across cores (or across split runs of one core) is a
-        plain sum of every counter, including the per-category breakdown;
-        derived quantities (``ipc``) recompute from the sums.  Merging is
-        associative and commutative, so merging per-core splits equals
-        the whole — pinned by a property test.
-        """
-        merged = replace(self, category_cycles=dict(self.category_cycles))
-        for name in (
-            "cycles",
-            "instructions",
-            "raw_stall_cycles",
-            "waw_stall_cycles",
-            "structural_stall_cycles",
-            "wb_stall_cycles",
-            "branch_flush_cycles",
-            "cmem_instructions",
-            "cmem_busy_cycles",
-        ):
-            setattr(merged, name, getattr(self, name) + getattr(other, name))
-        for category, cycles in other.category_cycles.items():
-            merged.category_cycles[category] = (
-                merged.category_cycles.get(category, 0) + cycles
-            )
-        return merged
-
-    @classmethod
-    def merge_all(cls, stats: Iterable["PipelineStats"]) -> "PipelineStats":
-        """Aggregate many cores' stats into one chip-level total.
-
-        An empty iterable yields all-zero stats (the identity element) —
-        callers summing over a variable number of cores or shards rely
-        on this and must not special-case the empty case.
-        """
-        total = cls()
-        for s in stats:
-            total = total.merge(s)
-        return total
-
 
 def instr_slices(instr: Instruction) -> tuple:
     """Target slice indices of a CMem instruction, known at decode."""
@@ -121,10 +83,6 @@ def instr_slices(instr: Instruction) -> tuple:
     if instr.opcode == "move.c":
         return (cm["src_slice"], cm["dst_slice"])
     return (cm.get("slice", 0),)
-
-
-# Back-compat alias (pre-analysis-subsystem name).
-_instr_slices = instr_slices
 
 
 class CMemIssueQueue:
@@ -172,10 +130,6 @@ class CMemIssueQueue:
 
     def all_free_time(self) -> int:
         return max(self.slice_free)
-
-
-# Back-compat alias (pre-analysis-subsystem name).
-_CMemUnit = CMemIssueQueue
 
 
 class Pipeline:
@@ -287,7 +241,10 @@ class Pipeline:
                     "ipc": self.stats.ipc,
                 },
             )
-            publish_pipeline_stats(telemetry, f"{self.track}/pipeline", self.stats)
+            prefix = f"{self.track}/pipeline"
+            publish_stats(telemetry, prefix, self.stats)
+            assert telemetry.registry is not None
+            telemetry.registry.gauge(f"{prefix}/ipc").set(self.stats.ipc)
         return self.stats
 
     def _issue_time(self, instr: Instruction) -> int:

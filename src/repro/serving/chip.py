@@ -14,10 +14,10 @@ Two driving modes share every line of the service path:
   completion) and schedules the policy's control ticks.  This is exactly
   the historical ``ServingSimulator.run`` behaviour, pinned byte-identical
   by ``tests/serving/test_chip_handle.py``.
-* **router-driven** — the caller schedules :meth:`inject` calls on the
-  shared event queue (or pre-routes arrivals into per-tenant
-  :class:`~repro.serving.arrivals.TraceArrivals`); the handle never
-  generates open-loop arrivals of its own.
+* **router-driven** — the fleet router pre-routes arrivals into
+  per-tenant :class:`~repro.serving.arrivals.TraceArrivals` and shares
+  one event queue across chips; :meth:`start` then replays exactly the
+  arrivals each chip was routed.
 
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
@@ -458,56 +458,6 @@ class ChipHandle:
         self.dispatch(self.policy.server_of(tenant.name))
         if not tenant.arrivals.closed_loop:
             self.schedule_arrival(tenant, tenant.arrivals.next_ms(t))
-
-    def inject(self, tenant: str, t: float) -> None:
-        """Router-driven admission: one arrival of ``tenant`` at ``t``.
-
-        Identical to a self-driven arrival except that no open-loop chain
-        advances — the external router owns the arrival stream.  Call
-        from an event scheduled on the shared queue (so ``queue.now`` is
-        ``t``) or schedule directly via :meth:`schedule_injection`.
-        """
-        spec = self.specs[tenant]
-        if spec.arrivals.closed_loop:
-            self.arrive(spec, t)
-            return
-        report = self.reports[tenant]
-        report.arrivals += 1
-        self.window_arrivals[tenant] += 1
-        self._count(f"serving/tenant/{tenant}/arrivals")
-        if self.halted:
-            report.failed += 1
-            self._count(f"serving/tenant/{tenant}/failed")
-            return
-        request = Request(
-            tenant=tenant,
-            index=self.arrival_index[tenant],
-            arrival_ms=t,
-            deadline_ms=t + spec.deadline_ms,
-            priority=spec.priority,
-            seq=next(self.admission_seq),
-        )
-        self.arrival_index[tenant] += 1
-        victim = self.queues[tenant].offer(request)
-        if victim is None or victim is not request:
-            report.admitted += 1
-        if victim is not None:
-            self.reports[victim.tenant].shed += 1
-            self._count(f"serving/tenant/{victim.tenant}/shed")
-        if self.monitor is not None:
-            self.monitor.record_queue_depth(
-                tenant, t, self.queues[tenant].depth
-            )
-        self._poll_monitor(t)
-        self.dispatch(self.policy.server_of(tenant))
-
-    def schedule_injection(self, tenant: str, t: float) -> None:
-        """Schedule a router-driven arrival on the shared event queue."""
-        self.queue.schedule(
-            t, lambda: self.inject(tenant, t), tag="serving/arrival",
-            actor=f"tenant/{tenant}",
-            writes=(f"queue/{tenant}",),
-        )
 
     # -- elastic control -------------------------------------------------------
 

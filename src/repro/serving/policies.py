@@ -7,12 +7,12 @@ should change in response to observed load:
 
 * :class:`StaticPartitionPolicy` — MAICC's MIMD mode with the offline
   partitioner: each tenant owns a fixed slice of the array sized by
-  :meth:`repro.core.multi_dnn.MultiDNNScheduler.partition`.  This is the
-  policy :class:`repro.core.sensor_stream.SensorStreamSimulator` runs,
-  bit-identical to the pre-serving implementation.
+  :meth:`repro.core.multi_dnn.MultiDNNScheduler.partition`.  Under
+  periodic arrivals and FIFO it reproduces the original inline
+  sensor-stream loop bit for bit (pinned by a differential oracle).
 * :class:`TimeSharedPolicy` — the whole array serves everyone from one
   queue, reloading weights between models (the whole-array latency
-  includes the filter-load phase).
+  includes the filter-load phase), billed on the scheduler's tier.
 * :class:`ElasticPolicy` — starts from the static partition and resizes
   it online: every control interval it re-derives shares from observed
   demand through :func:`repro.mapping.allocation.proportional_shares`,
@@ -32,12 +32,12 @@ from repro.analysis.diagnostics import LintReport
 from repro.analysis.plan import ResidentPlan
 from repro.analysis.system import analyze_plan
 from repro.core.multi_dnn import MultiDNNScheduler
-from repro.core.simulator import NetworkRunResult
 from repro.errors import SimulationError
 from repro.mapping.allocation import proportional_shares
 from repro.obs.timeline import PhaseSpec, report_phases
 from repro.serving.service import ServiceModel
 from repro.serving.tenancy import TenantSpec
+from repro.sim import RunReport, simulate
 from repro.sim.config import SimConfig
 
 if TYPE_CHECKING:
@@ -171,7 +171,7 @@ class StaticPartitionPolicy(ServingPolicy):
         self.scheduler = scheduler or MultiDNNScheduler()
         self._networks: Dict[str, object] = {}
         self._residents: List[ResidentPlan] = []
-        self._reports: Dict[str, NetworkRunResult] = {}
+        self._reports: Dict[str, RunReport] = {}
 
     def prepare(self, tenants: Sequence[TenantSpec]) -> None:
         run = self.scheduler.run([t.network for t in tenants])
@@ -233,12 +233,16 @@ class TimeSharedPolicy(ServingPolicy):
     def __init__(self, scheduler: Optional[MultiDNNScheduler] = None) -> None:
         super().__init__()
         self.scheduler = scheduler or MultiDNNScheduler()
-        self._reports: Dict[str, NetworkRunResult] = {}
+        self._reports: Dict[str, RunReport] = {}
 
     def prepare(self, tenants: Sequence[TenantSpec]) -> None:
         for tenant in tenants:
             self._servers[tenant.name] = SHARED_SERVER
-            run = self.scheduler.simulator.run(tenant.network, "heuristic")
+            run = simulate(
+                tenant.network,
+                backend=self.scheduler.backend,
+                config=self.scheduler.config.with_run(strategy="heuristic"),
+            )
             self._reports[tenant.name] = run
             self._service_ms[tenant.name] = run.latency_ms
 

@@ -1,11 +1,13 @@
 """Canonical serving load scenarios, shared by scripts and CI.
 
-``scripts/serve.py`` replays these against the serving policies and
+``scripts/serve.py`` and ``scripts/report.py`` replay these against the
+serving policies (built by name through :func:`build_policy`) and
 ``scripts/lint_plan.py`` statically analyzes their partition layouts;
-both must see *exactly* the same tenants, so the builders live here
-rather than in either script.  The CI ``serving-smoke`` job diffs two
-runs of the ``smoke`` scenario byte-for-byte and the ``analysis-smoke``
-job does the same for lint JSON — keep every seed and rate stable.
+all must see *exactly* the same tenants and policies, so the builders
+live here rather than in any script.  The CI ``serving-smoke`` job diffs
+two runs of the ``smoke`` scenario byte-for-byte and the
+``analysis-smoke`` job does the same for lint JSON — keep every seed and
+rate stable.
 
 * ``mixed-rate`` — three sensor-fusion tenants (camera / lidar / radar)
   with Poisson arrivals whose rates are mismatched with their models'
@@ -21,10 +23,19 @@ job does the same for lint JSON — keep every seed and rate stable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.multi_dnn import MultiDNNScheduler
+from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 from repro.serving.arrivals import PoissonArrivals, TraceArrivals
+from repro.serving.policies import (
+    ElasticPolicy,
+    ServingPolicy,
+    StaticPartitionPolicy,
+    TimeSharedPolicy,
+)
+from repro.serving.service import ServiceModel
 from repro.serving.tenancy import TenantSpec
 
 
@@ -94,3 +105,33 @@ SCENARIOS: Dict[str, Tuple[Callable[[], List[TenantSpec]], float]] = {
     "smoke": (smoke_tenants, 80.0),
     "bursty": (bursty_tenants, 100.0),
 }
+
+#: Chip-model-backed policy names :func:`build_policy` accepts.
+POLICIES = ("static", "time-shared", "elastic")
+
+
+def build_policy(
+    name: str,
+    scheduler: MultiDNNScheduler,
+    *,
+    decision_backend: Optional[str] = None,
+) -> ServingPolicy:
+    """The named serving policy over ``scheduler`` (the CLIs' switch).
+
+    ``decision_backend`` gates elastic resizes on a cheap tier (see
+    :class:`~repro.serving.policies.ElasticPolicy`); the other policies
+    ignore it.
+    """
+    if name == "static":
+        return StaticPartitionPolicy(scheduler)
+    if name == "time-shared":
+        return TimeSharedPolicy(scheduler)
+    if name == "elastic":
+        return ElasticPolicy(
+            ServiceModel(scheduler),
+            control_interval_ms=10.0,
+            decision_backend=decision_backend,
+        )
+    raise SimulationError(
+        f"unknown serving policy {name!r}; choose from {list(POLICIES)}"
+    )

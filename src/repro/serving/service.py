@@ -33,9 +33,9 @@ from typing import List, Optional, Tuple
 
 from repro import telemetry
 from repro.core.multi_dnn import MultiDNNScheduler
-from repro.core.simulator import NetworkRunResult
 from repro.mapping.placement import NodePlacement, zigzag_placement
 from repro.nn.workloads import NetworkSpec
+from repro.sim import RunReport
 
 #: Default bound on memoized (network, cores, backend) simulations.  A
 #: serving scenario revisits a few share sizes per tenant; 256 entries is
@@ -60,7 +60,7 @@ class ServiceModel:
         #: unset — ``streaming`` on the default path).
         self.backend = backend or self.scheduler.backend
         self.cache_size = cache_size
-        self._runs: "OrderedDict[_CacheKey, NetworkRunResult]" = OrderedDict()
+        self._runs: "OrderedDict[_CacheKey, RunReport]" = OrderedDict()
 
     @property
     def array_size(self) -> int:
@@ -76,7 +76,7 @@ class ServiceModel:
         *,
         backend: Optional[str] = None,
         batch_requests: int = 1,
-    ) -> NetworkRunResult:
+    ) -> RunReport:
         """The memoized simulation of ``network`` on ``cores`` cores.
 
         ``backend`` overrides the service's authoritative tier for this
@@ -136,9 +136,9 @@ class ServiceModel:
 
     def restage_ms(self, network: NetworkSpec) -> float:
         """Sim-time to re-stage the model's weights after a resize."""
-        sim = self.scheduler.simulator
+        config = self.scheduler.config
         weight_bytes = sum(
             spec.weight_count * spec.n_bits / 8 for spec in network
         )
-        cycles = weight_bytes / sim.params.filter_load_bw
-        return cycles * sim.chip.constants.cycle_seconds * 1e3
+        cycles = weight_bytes / config.params.filter_load_bw
+        return cycles * config.chip.constants.cycle_seconds * 1e3

@@ -113,10 +113,9 @@ class ServingSimulator:
     ) -> ChipHandle:
         """Validate, prepare the policy, and bind a :class:`ChipHandle`.
 
-        The handle is inert until :meth:`ChipHandle.start` (self-driven
-        arrivals) or external :meth:`ChipHandle.schedule_injection`
-        calls populate the event queue.  Pass ``queue`` to share one
-        event queue across chips (the fleet router does); pass
+        The handle is inert until :meth:`ChipHandle.start` seeds the
+        event queue with the tenants' arrivals.  Pass ``queue`` to share
+        one event queue across chips (the fleet router does); pass
         ``halt_ms`` to crash the chip mid-run.
         """
         if not tenants:

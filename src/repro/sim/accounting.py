@@ -7,9 +7,9 @@ fidelity tier that simulates it.  Factoring them here is what makes the
 tiers comparable: an ``analytic`` and an ``event`` run of the same plan
 differ only in the per-segment compute cycles their tier produced.
 
-All functions here are verbatim moves of the historical
-``ChipSimulator`` internals; the streaming backend's results are pinned
-byte-identical to the pre-refactor output (``tests/sim/test_differential_pins.py``).
+All functions here are verbatim moves of the original chip simulator's
+internals; the streaming backend's results are pinned byte-identical to
+the pre-refactor output (``tests/sim/test_differential_pins.py``).
 """
 
 from __future__ import annotations

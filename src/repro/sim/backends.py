@@ -5,7 +5,7 @@ Every backend answers the same query —
     run(network, plan, config) -> RunReport
 
 — at a different fidelity/cost point, and is selectable *by name*
-everywhere a simulation is requested (``ChipSimulator``, ``MAICCRuntime``,
+everywhere a simulation is requested (:func:`simulate`, ``MAICCRuntime``,
 ``MultiDNNScheduler``, ``serving.ServiceModel``, the experiment drivers,
 and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
 / ``scripts/xcheck.py``):
@@ -18,7 +18,7 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
 ``streaming``
     The tandem-queue segment simulator — the production default, and the
     tier all historical results were produced on.  Byte-identical to the
-    pre-backend ``ChipSimulator`` output.
+    pre-backend chip simulator's output.
 ``event``
     Every core of every chain as its own actor on the discrete-event
     kernel; validates the streaming approximation and exposes the
@@ -68,7 +68,7 @@ from repro.sim.accounting import (
 from repro.sim.config import SimConfig
 from repro.sim.report import LayerReport, RunReport, SegmentReport
 
-#: The production default tier (the historical ``ChipSimulator`` path).
+#: The production default tier (the pre-backend chip simulator's path).
 DEFAULT_BACKEND = "streaming"
 
 
@@ -122,7 +122,7 @@ class ModeledBackend:
 
     Subclasses implement one hook — :meth:`_simulate_segment` — producing
     the tier's compute cycles and per-layer flow view.  The loop structure
-    (and float evaluation order) mirrors the pre-backend ``ChipSimulator.run``
+    (and float evaluation order) mirrors the pre-backend chip simulator
     exactly, which is what keeps the streaming tier byte-identical.
     """
 

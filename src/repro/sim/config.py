@@ -3,11 +3,11 @@
 One :class:`SimConfig` fully describes *what machine* a network is
 simulated on (chip geometry, timing constants, capacity model, partition
 size) and *how* the selected backend should run it (batch, mapping
-strategy, tier-specific knobs).  Front doors that historically carried
-their own constructor parameters (``ChipSimulator``, ``MAICCRuntime``,
-``MultiDNNScheduler``, ``serving.ServiceModel``) all reduce their state
-to a ``SimConfig`` before entering the backend layer, so every tier
-answers the same fully-specified query.
+strategy, tier-specific knobs).  The callers that hold machine state
+(``MAICCRuntime``, ``MultiDNNScheduler`` and, through it,
+``serving.ServiceModel``) keep it as a ``SimConfig`` and hand it to
+:func:`repro.sim.simulate`, so every tier answers the same
+fully-specified query.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.mapping.capacity import CapacityModel
 
 #: Compute cores available to the mapper by default (the paper's 210-core
 #: array minus the two cores reserved for the streaming DC of the widest
-#: segment — the historical ``ChipSimulator`` default).
+#: segment).
 DEFAULT_ARRAY_SIZE = 208
 
 

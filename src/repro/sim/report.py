@@ -1,17 +1,16 @@
 """The canonical result schema every simulation backend returns.
 
-Before the backend layer existed the five tiers each had their own result
-shape (``NetworkRunResult`` from the chip simulator, ``SegmentResult``
-from the tandem-queue tier, ``EventSegmentResult`` from the event tier,
-raw stats objects from the functional tiers).  :class:`RunReport` and
+Before the backend layer existed the tiers each had their own result
+shape (the chip simulator's run result, ``SegmentResult`` from the
+tandem-queue tier, ``EventSegmentResult`` from the event tier, raw stats
+objects from the functional tiers).  :class:`RunReport` and
 :class:`SegmentReport` subsume all of them:
 
-* ``RunReport`` carries everything ``NetworkRunResult`` did (plan, op
-  counts, energy, the latency/throughput/power derivations) plus the name
-  of the backend that produced it.  ``repro.core.simulator`` aliases
-  ``NetworkRunResult = RunReport`` so existing call sites keep working.
-* ``SegmentReport`` carries everything ``SegmentRun`` did (segment,
-  timings, filter-load and staging cycles) plus the per-layer flow view
+* ``RunReport`` carries the plan, op counts, energy, and the
+  latency/throughput/power derivations, plus the name of the backend
+  that produced it.
+* ``SegmentReport`` carries the segment, its timings, and the
+  filter-load and staging cycles, plus the per-layer flow view
   (:class:`LayerReport`, subsuming ``LayerFlow``), the event tier's
   ``events_processed``, and the cycle tier's numerics evidence.
 
@@ -72,11 +71,8 @@ class LayerReport:
 class SegmentReport:
     """One mapped segment's simulated execution (any backend).
 
-    Subsumes the historical ``SegmentRun``: ``segment``, ``timings``,
-    ``filter_load_cycles``, ``staging_cycles`` and the ``cycles`` property
-    are unchanged; ``compute_cycles`` generalizes what used to be
-    ``result.total_cycles`` so the total no longer requires the
-    streaming-tier result object.
+    ``compute_cycles`` is the tier's per-segment compute time, so the
+    ``cycles`` total does not require the streaming-tier result object.
     """
 
     segment: Segment
@@ -138,9 +134,8 @@ class SegmentReport:
 class RunReport:
     """Everything one network run produced, whatever the backend.
 
-    Field-compatible superset of the historical ``NetworkRunResult``
-    (which is now an alias of this class): ``runs`` keeps its name so the
-    experiment drivers and serving stack read segments the same way.
+    ``runs`` holds one :class:`SegmentReport` per mapped segment, in
+    execution order.
     """
 
     network: NetworkSpec

@@ -60,11 +60,6 @@ class SRAMStats:
     writes: int = 0
     compute_activations: int = 0
 
-    def merge(self, other: "SRAMStats") -> None:
-        self.reads += other.reads
-        self.writes += other.writes
-        self.compute_activations += other.compute_activations
-
 
 class SRAMArray:
     """Bit-true SRAM array with single-row access and dual-row computing."""

@@ -1,113 +1,56 @@
-"""Publication hooks: legacy ad-hoc stats objects -> the metrics registry.
+"""Publication hooks: statistics dataclasses -> the metrics registry.
 
-Each publisher copies an existing statistics dataclass into registry
-counters **without transforming the numbers** — the differential tests in
+The ``*Stats`` dataclasses stay the store — hot loops increment their
+fields directly.  :func:`publish_stats` copies every field of one into
+registry counters under a path prefix **without transforming the
+numbers** — the differential tests in
 ``tests/telemetry/test_instrumentation.py`` pin that the registry values
-are bit-identical to the legacy fields.  Publishers are duck-typed on the
-stats objects so this module imports no simulator code (no import
-cycles); the simulators import *us*.
+are bit-identical to the fields.  A mapping field (a per-category tally)
+publishes one counter per key, under the name its ``metric`` field
+metadata gives.  Derived gauges (``ipc``, ``avg_latency``,
+``row_hit_rate``, ...) are set explicitly at the call site.
 
-All publishers are no-ops on a disabled sink, so call sites need no
-guard of their own at end-of-run granularity.
+:func:`stats_delta` is the matching field-wise difference, for publishing
+one run's share of a cumulative tally.
+
+Both are driven by :func:`dataclasses.fields`, so this module imports no
+simulator code (no import cycles); the simulators import *us*.  The
+publisher is a no-op on a disabled sink, so call sites need no guard of
+their own at end-of-run granularity.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import fields
+from typing import Any, TypeVar
 
 from repro.telemetry import TelemetrySink
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.dram.controller import DRAMStats
-    from repro.noc.mesh import MeshNoC
-    from repro.riscv.pipeline import PipelineStats
+S = TypeVar("S")
 
 
-def publish_pipeline_stats(
-    sink: TelemetrySink, prefix: str, stats: "PipelineStats"
-) -> None:
-    """Publish one core's :class:`PipelineStats` under ``prefix``."""
+def publish_stats(sink: TelemetrySink, prefix: str, stats: Any) -> None:
+    """Publish every field of the stats dataclass ``stats`` under ``prefix``."""
     if not sink.enabled:
         return
     assert sink.registry is not None
     reg = sink.registry
-    for name in (
-        "cycles",
-        "instructions",
-        "raw_stall_cycles",
-        "waw_stall_cycles",
-        "structural_stall_cycles",
-        "wb_stall_cycles",
-        "branch_flush_cycles",
-        "cmem_instructions",
-        "cmem_busy_cycles",
-    ):
-        reg.counter(f"{prefix}/{name}").add(getattr(stats, name))
-    for category, cycles in stats.category_cycles.items():
-        reg.counter(f"{prefix}/category/{category}").add(cycles)
-    reg.gauge(f"{prefix}/ipc").set(stats.ipc)
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if isinstance(value, dict):
+            name = f.metadata.get("metric", f.name)
+            for key, n in value.items():
+                reg.counter(f"{prefix}/{name}/{key}").add(n)
+        else:
+            reg.counter(f"{prefix}/{f.name}").add(value)
 
 
-def publish_cmem_stats(sink: TelemetrySink, prefix: str, stats) -> None:
-    """Publish one CMem's :class:`~repro.cmem.cmem.CMemStats`."""
-    if not sink.enabled:
-        return
-    assert sink.registry is not None
-    reg = sink.registry
-    for name in (
-        "macs",
-        "moves",
-        "set_rows",
-        "shift_rows",
-        "remote_rows",
-        "vertical_writes",
-        "busy_cycles",
-    ):
-        reg.counter(f"{prefix}/{name}").add(getattr(stats, name))
-
-
-def publish_noc(sink: TelemetrySink, prefix: str, noc: "MeshNoC") -> None:
-    """Publish mesh traffic counters plus per-link occupancy."""
-    if not sink.enabled:
-        return
-    assert sink.registry is not None
-    reg = sink.registry
-    stats = noc.stats
-    reg.counter(f"{prefix}/packets").add(stats.packets)
-    reg.counter(f"{prefix}/flit_hops").add(stats.flit_hops)
-    reg.counter(f"{prefix}/total_latency").add(stats.total_latency)
-    reg.gauge(f"{prefix}/avg_latency").set(stats.avg_latency)
-    reg.gauge(f"{prefix}/max_queue_depth").max(noc.max_queue_depth)
-    for (a, b), link in sorted(noc.link_stats.items()):
-        leg = f"{prefix}/link/{a[0]},{a[1]}->{b[0]},{b[1]}"
-        reg.counter(f"{leg}/packets").add(link.packets)
-        reg.counter(f"{leg}/busy_cycles").add(link.busy_cycles)
-        reg.gauge(f"{leg}/max_wait").max(link.max_wait)
-    busiest = noc.busiest_link()
-    if busiest is not None:
-        (a, b), link = busiest
-        reg.gauge(f"{prefix}/busiest_link_packets").max(link.packets)
-
-
-def publish_dram_stats(sink: TelemetrySink, prefix: str, stats: "DRAMStats") -> None:
-    """Publish the DRAM controller's access/row/energy counters."""
-    if not sink.enabled:
-        return
-    assert sink.registry is not None
-    reg = sink.registry
-    for name in ("reads", "writes", "row_hits", "row_misses"):
-        reg.counter(f"{prefix}/{name}").add(getattr(stats, name))
-    reg.counter(f"{prefix}/energy_pj").add(stats.energy_pj)
-    reg.gauge(f"{prefix}/row_hit_rate").set(stats.row_hit_rate)
-
-
-def publish_group_stats(sink: TelemetrySink, prefix: str, stats) -> None:
-    """Publish a node group's :class:`~repro.core.functional.GroupRunStats`."""
-    if not sink.enabled:
-        return
-    assert sink.registry is not None
-    reg = sink.registry
-    reg.counter(f"{prefix}/vectors_streamed").add(stats.vectors_streamed)
-    reg.counter(f"{prefix}/row_transfers").add(stats.row_transfers)
-    reg.counter(f"{prefix}/macs").add(stats.macs)
-    reg.counter(f"{prefix}/cmem_energy_pj").add(stats.cmem_energy_pj)
+def stats_delta(after: S, before: S) -> S:
+    """Field-wise ``after - before`` of two tallies of one stats type."""
+    cls: Any = type(after)
+    return cls(
+        **{
+            f.name: getattr(after, f.name) - getattr(before, f.name)
+            for f in fields(cls)
+        }
+    )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TelemetryError
-from repro.telemetry.windows import WindowedSeries
+from repro.telemetry.windows import WindowedSeries, bucket_percentile
 
 Number = Union[int, float]
 
@@ -103,45 +103,31 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """Bucket-interpolated percentile estimate (``q`` in [0, 100]).
+        """Bucket-interpolated percentile estimate (``q`` in [0, 100]);
+        see :func:`~repro.telemetry.windows.bucket_percentile`.  Returns
+        0.0 on an empty histogram."""
+        return bucket_percentile(
+            self.bounds, self.bucket_counts, self.count, self.min, self.max, q
+        )
 
-        Walks the cumulative bucket counts to the bucket containing the
-        ``q``-th percentile rank and interpolates linearly inside it —
-        the standard Prometheus-style estimator.  The first bucket's
-        lower edge and the overflow bucket's upper edge come from the
-        recorded ``min``/``max`` moments, so an estimate never leaves
-        the observed value range.  Returns 0.0 on an empty histogram.
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` into this histogram in place; returns self.
+
+        Counts, totals and bucket tallies add; min/max fold.  Percentiles
+        of the merged histogram come from the same estimator, so a fleet
+        or chip-level p99 is read exactly like a per-replica one.
         """
-        if not 0.0 <= q <= 100.0:
-            raise TelemetryError(f"percentile must be in [0, 100], got {q}")
-        if self.count == 0:
-            return 0.0
-        assert self.min is not None and self.max is not None
-        rank = q / 100.0 * self.count
-        cumulative = 0
-        for i, n in enumerate(self.bucket_counts):
-            if n == 0:
-                continue
-            below = cumulative
-            cumulative += n
-            if cumulative >= rank:
-                # Bucket i spans (bounds[i-1], bounds[i]]; the edge
-                # buckets are clipped to the observed min/max.
-                lo = self.bounds[i - 1] if i > 0 else float(self.min)
-                hi = self.bounds[i] if i < len(self.bounds) else float(self.max)
-                lo = max(lo, float(self.min))
-                hi = min(hi, float(self.max))
-                if hi <= lo:
-                    return float(lo)
-                fraction = (rank - below) / n
-                # The ends of the span are exact — `lo + (hi - lo) *
-                # fraction` can round an ulp off at fraction 1.0, and
-                # p100 must be exactly the observed max.  The min()
-                # keeps interior rounding inside the span too.
-                if fraction >= 1.0:
-                    return float(hi)
-                return float(min(lo + (hi - lo) * fraction, hi))
-        return float(self.max)
+        if other.bounds != self.bounds:
+            raise TelemetryError("cannot merge histograms: bucket bounds differ")
+        self.count += other.count
+        self.total += other.total
+        for i, n in enumerate(other.bucket_counts):
+            self.bucket_counts[i] += n
+        if other.min is not None:
+            self.min = other.min if self.min is None else min(self.min, other.min)
+        if other.max is not None:
+            self.max = other.max if self.max is None else max(self.max, other.max)
+        return self
 
 
 @dataclass
@@ -326,21 +312,7 @@ class MetricsRegistry:
             mine_h = self.histograms.get(path)
             if mine_h is None:
                 mine_h = self.histograms[path] = Histogram(bounds=h.bounds)
-            if mine_h.bounds != h.bounds:
-                raise TelemetryError(
-                    f"cannot merge histogram {path!r}: bucket bounds differ"
-                )
-            mine_h.count += h.count
-            mine_h.total += h.total
-            for i, n in enumerate(h.bucket_counts):
-                mine_h.bucket_counts[i] += n
-            for attr in ("min", "max"):
-                theirs = getattr(h, attr)
-                if theirs is None:
-                    continue
-                mine_v = getattr(mine_h, attr)
-                pick = min if attr == "min" else max
-                setattr(mine_h, attr, theirs if mine_v is None else pick(mine_v, theirs))
+            mine_h.merge(h)
         for path, s in other.series.items():
             mine_s = self.series.get(path)
             if mine_s is None:

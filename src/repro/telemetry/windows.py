@@ -12,8 +12,8 @@ same per-window cell:
 
 * **observations** (:meth:`observe`) — count / total / min / max per
   window, plus bucket counts when the series was created with histogram
-  ``bounds`` (so per-window percentiles use the same bucket-interpolated
-  estimator as :class:`~repro.telemetry.registry.Histogram`);
+  ``bounds`` (per-window percentiles use :func:`bucket_percentile`, the
+  estimator :class:`~repro.telemetry.registry.Histogram` uses too);
 * **gauge samples** (:meth:`set`) — the last sampled value per window
   (queue depth, shares), with the sample time kept so merges are
   order-independent;
@@ -37,6 +37,56 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import TelemetryError
 
 Number = Union[int, float]
+
+
+def bucket_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    count: int,
+    lo_obs: Optional[Number],
+    hi_obs: Optional[Number],
+    q: float,
+) -> float:
+    """Bucket-interpolated percentile estimate (``q`` in [0, 100]).
+
+    ``counts`` holds one tally per bucket: bucket ``i`` spans
+    ``(bounds[i-1], bounds[i]]`` and the last one is the overflow bucket.
+    Walks the cumulative counts to the bucket containing the ``q``-th
+    percentile rank and interpolates linearly inside it — the standard
+    Prometheus-style estimator.  The first bucket's lower edge and the
+    overflow bucket's upper edge come from the observed ``lo_obs`` /
+    ``hi_obs`` (min/max), so an estimate never leaves the observed value
+    range.  Returns 0.0 when ``count`` is 0.  The one estimator behind
+    :class:`~repro.telemetry.registry.Histogram`, :class:`WindowedSeries`
+    and the dashboard's per-window panels.
+    """
+    if not 0.0 <= q <= 100.0:
+        raise TelemetryError(f"percentile must be in [0, 100], got {q}")
+    if count == 0:
+        return 0.0
+    assert lo_obs is not None and hi_obs is not None
+    lo_obs, hi_obs = float(lo_obs), float(hi_obs)
+    rank = q / 100.0 * count
+    cumulative = 0
+    for i, n in enumerate(counts):
+        if n == 0:
+            continue
+        below = cumulative
+        cumulative += n
+        if cumulative >= rank:
+            lo = max(bounds[i - 1] if i > 0 else lo_obs, lo_obs)
+            hi = min(bounds[i] if i < len(bounds) else hi_obs, hi_obs)
+            if hi <= lo:
+                return float(lo)
+            fraction = (rank - below) / n
+            # The ends of the span are exact — `lo + (hi - lo) *
+            # fraction` can round an ulp off at fraction 1.0, and p100
+            # must be exactly the observed max.  The min() keeps
+            # interior rounding inside the span too.
+            if fraction >= 1.0:
+                return float(hi)
+            return float(min(lo + (hi - lo) * fraction, hi))
+    return hi_obs
 
 
 @dataclass
@@ -181,46 +231,16 @@ class WindowedSeries:
         return cell.busy / self.window if cell is not None else 0.0
 
     def percentile(self, index: int, q: float) -> float:
-        """Bucket-interpolated percentile of one window's observations.
-
-        Same estimator as :meth:`Histogram.percentile
-        <repro.telemetry.registry.Histogram.percentile>`; requires the
-        series to carry ``bounds``.  Returns 0.0 for an empty window.
-        """
+        """Bucket-interpolated percentile of one window's observations
+        (:func:`bucket_percentile`); requires the series to carry
+        ``bounds``.  Returns 0.0 for an empty window."""
         if self.bounds is None:
             raise TelemetryError("percentile needs a series with bounds")
-        if not 0.0 <= q <= 100.0:
-            raise TelemetryError(f"percentile must be in [0, 100], got {q}")
-        cell = self.cells.get(index)
-        if cell is None or cell.count == 0:
-            return 0.0
-        assert cell.min is not None and cell.max is not None
-        assert cell.bucket_counts is not None
-        rank = q / 100.0 * cell.count
-        cumulative = 0
-        for i, n in enumerate(cell.bucket_counts):
-            if n == 0:
-                continue
-            below = cumulative
-            cumulative += n
-            if cumulative >= rank:
-                lo = self.bounds[i - 1] if i > 0 else float(cell.min)
-                hi = (
-                    self.bounds[i]
-                    if i < len(self.bounds)
-                    else float(cell.max)
-                )
-                lo = max(lo, float(cell.min))
-                hi = min(hi, float(cell.max))
-                if hi <= lo:
-                    return float(lo)
-                fraction = (rank - below) / n
-                # Mirrors Histogram.percentile: span ends are exact,
-                # interior rounding stays inside the span.
-                if fraction >= 1.0:
-                    return float(hi)
-                return float(min(lo + (hi - lo) * fraction, hi))
-        return float(cell.max)
+        cell = self.cells.get(index) or WindowCell()
+        return bucket_percentile(
+            self.bounds, cell.bucket_counts or (), cell.count,
+            cell.min, cell.max, q,
+        )
 
     # -- export / aggregation ----------------------------------------------------
 
@@ -284,4 +304,9 @@ def series_bounds_ms() -> Tuple[float, ...]:
     return SLO_LATENCY_BUCKETS_MS
 
 
-__all__ = ["WindowCell", "WindowedSeries", "series_bounds_ms"]
+__all__ = [
+    "WindowCell",
+    "WindowedSeries",
+    "bucket_percentile",
+    "series_bounds_ms",
+]

@@ -15,9 +15,8 @@ same way — and inherit the same determinism guarantee:
 Because every ``fn`` in this repo is a pure function of its item (all
 randomness is seeded per item, nothing reads the wall clock), the two
 paths return element-wise identical results, and any deterministic
-fold over them — :meth:`repro.telemetry.MetricsRegistry.merged`,
-:meth:`repro.riscv.pipeline.PipelineStats.merge_all`, or a plain list
-— produces byte-identical artifacts.  The fleet tests and the CI
+fold over them — :meth:`repro.telemetry.MetricsRegistry.merged` or a
+plain list — produces byte-identical artifacts.  The fleet tests and the CI
 ``fleet-smoke`` / ``dse-smoke`` jobs pin exactly that.
 
 Requirements on ``fn`` and ``items`` when ``workers > 0``: ``fn`` must

@@ -1,18 +1,29 @@
-"""Arrival-driven multi-DNN serving."""
+"""Arrival-driven multi-DNN serving of periodic sensor streams.
+
+The paper's autonomous-driving scenario (Sec. 1): cameras, radars and
+LiDARs produce frames at different rates that feed different networks at
+once.  Each stream is a tenant with :class:`PeriodicArrivals`, served
+FIFO by :class:`ServingSimulator` under a spatial (static-partition) or
+time-shared policy, and checked against the original inline serving
+loop, kept here as a differential oracle.
+"""
+
+import math
+from dataclasses import dataclass, field
+from typing import List
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.core.sensor_stream import (
-    SensorStreamSimulator,
-    ServingResult,
-    StreamReport,
-    StreamSpec,
-)
+from repro.core.multi_dnn import MultiDNNScheduler
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
+from repro.serving import PeriodicArrivals, ServingSimulator, TenantSpec
+from repro.serving.scenarios import build_policy
+from repro.sim import simulate
 from repro.utils.events import EventQueue
+
+#: The oracle's policy names -> the serving policy names.
+POLICIES = {"spatial": "static", "time-shared": "time-shared"}
 
 
 def net(name, m=32, h=14, layers=2):
@@ -23,164 +34,160 @@ def net(name, m=32, h=14, layers=2):
     return NetworkSpec(name=name, layers=specs)
 
 
-@pytest.fixture(scope="module")
-def streams():
+def stream(network, period_ms, deadline_ms=math.inf):
+    return TenantSpec(
+        network.name, network, PeriodicArrivals(period_ms),
+        deadline_ms=deadline_ms,
+    )
+
+
+def driving_streams(deadline_ms=math.inf):
     # Rates chosen near chip saturation: each stream fits comfortably in
     # its spatial partition, but their combined demand oversubscribes a
     # single time-shared array — the regime the MIMD argument targets.
     return [
-        StreamSpec(net("camera", m=64, h=28), period_ms=1.2),
-        StreamSpec(net("lidar", m=32, h=14), period_ms=0.5),
-        StreamSpec(small_cnn_spec(), period_ms=0.4),
+        stream(net("camera", m=64, h=28), 1.2, deadline_ms),
+        stream(net("lidar", m=32, h=14), 0.5, deadline_ms),
+        stream(small_cnn_spec(), 0.4, deadline_ms),
     ]
 
 
 @pytest.fixture(scope="module")
-def simulator():
-    return SensorStreamSimulator()
+def streams():
+    return driving_streams()
+
+
+@pytest.fixture(scope="module")
+def scheduler():
+    return MultiDNNScheduler()
+
+
+def serve(scheduler, streams, duration_ms, policy="spatial"):
+    serving_policy = build_policy(POLICIES[policy], scheduler)
+    return ServingSimulator(serving_policy, discipline="fifo").run(
+        streams, duration_ms
+    )
+
+
+def worst_mean_latency_ms(result):
+    return max(r.mean_latency_ms for r in result.reports.values())
 
 
 class TestServing:
-    def test_all_frames_served_under_spatial(self, simulator, streams):
-        result = simulator.run(streams, duration_ms=100)
-        for stream in streams:
-            report = result.reports[stream.label]
-            assert report.completed >= report.frames - 1  # last may overrun
+    def test_all_frames_served_under_spatial(self, scheduler, streams):
+        result = serve(scheduler, streams, 100)
+        for tenant in streams:
+            report = result.reports[tenant.name]
+            assert report.completed >= report.arrivals - 1  # last may overrun
 
-    def test_latency_includes_queueing(self, simulator, streams):
-        result = simulator.run(streams, duration_ms=100)
+    def test_latency_includes_queueing(self, scheduler, streams):
+        result = serve(scheduler, streams, 100)
         for report in result.reports.values():
             assert report.mean_latency_ms > 0
             assert report.max_latency_ms >= report.mean_latency_ms
 
-    def test_spatial_beats_time_shared(self, simulator, streams):
-        spatial = simulator.run(streams, duration_ms=100, policy="spatial")
-        shared = simulator.run(streams, duration_ms=100, policy="time-shared")
-        assert spatial.worst_mean_latency_ms < shared.worst_mean_latency_ms
+    def test_spatial_beats_time_shared(self, scheduler, streams):
+        spatial = serve(scheduler, streams, 100, "spatial")
+        shared = serve(scheduler, streams, 100, "time-shared")
+        assert worst_mean_latency_ms(spatial) < worst_mean_latency_ms(shared)
         assert spatial.total_completed >= shared.total_completed
 
-    def test_deadline_accounting(self, simulator, streams):
-        result = simulator.run(streams, duration_ms=100)
-        camera = result.reports["camera"]
+    def test_deadline_accounting(self, scheduler):
         # Misses against an impossible deadline = all frames; against a
         # generous one = none.
-        assert camera.deadline_misses(0.0001) == camera.completed
-        assert camera.deadline_misses(1e9) == 0
+        tight = serve(scheduler, driving_streams(0.0001), 100)
+        camera = tight.reports["camera"]
+        assert camera.deadline_misses == camera.completed
+        loose = serve(scheduler, driving_streams(1e9), 100)
+        assert loose.reports["camera"].deadline_misses == 0
 
-    def test_unknown_policy(self, simulator, streams):
+    def test_unknown_policy(self, scheduler):
         with pytest.raises(SimulationError):
-            simulator.run(streams, duration_ms=10, policy="magic")
+            build_policy("magic", scheduler)
 
     def test_rates(self):
-        stream = StreamSpec(small_cnn_spec(), period_ms=40.0)
-        assert stream.rate_hz == pytest.approx(25.0)
-        assert stream.label == "small_cnn"
+        assert PeriodicArrivals(40.0).rate_hz == pytest.approx(25.0)
+
+
+@dataclass
+class LegacyReport:
+    frames: int = 0
+    completed: int = 0
+    latencies_ms: List[float] = field(default_factory=list)
 
 
 def legacy_run(scheduler, streams, duration_ms, policy):
-    """The pre-serving `sensor_stream` loop, replicated verbatim.
+    """The original inline serving loop, replicated verbatim.
 
-    Before the :mod:`repro.serving` subsystem, this module tracked one
-    ``server_free`` float per server and folded each arrival inline:
-    ``start = max(t, free); done = start + service``.  The queue-based
-    simulator must reproduce those floats *bit for bit* — same arithmetic,
-    same operation order — which this differential oracle pins.
+    Before the :mod:`repro.serving` subsystem, the sensor-stream serving
+    loop tracked one ``server_free`` float per server and folded each
+    arrival inline: ``start = max(t, free); done = start + service``.  The
+    queue-based simulator must reproduce those floats *bit for bit* —
+    same arithmetic, same operation order — which this differential
+    oracle pins.
     """
     if policy == "spatial":
         run = scheduler.run([s.network for s in streams])
         service = {
-            stream.label: model_run.latency_ms
-            for stream, model_run in zip(streams, run.runs)
+            s.name: model_run.latency_ms
+            for s, model_run in zip(streams, run.runs)
         }
-        servers = {stream.label: stream.label for stream in streams}
+        servers = {s.name: s.name for s in streams}
     else:
-        service = {
-            stream.label: scheduler.simulator.run(
-                stream.network, "heuristic"
-            ).latency_ms
-            for stream in streams
-        }
-        servers = {stream.label: "chip" for stream in streams}
+        service = {s.name: simulate(s.network).latency_ms for s in streams}
+        servers = {s.name: "chip" for s in streams}
 
     queue = EventQueue()
     server_free = {}
-    reports = {s.label: StreamReport(label=s.label) for s in streams}
+    reports = {s.name: LegacyReport() for s in streams}
 
     def arrive(stream, t):
-        report = reports[stream.label]
+        report = reports[stream.name]
         report.frames += 1
-        server = servers[stream.label]
+        server = servers[stream.name]
         start = max(t, server_free.get(server, 0.0))
-        done = start + service[stream.label]
+        done = start + service[stream.name]
         server_free[server] = done
         if done <= duration_ms:
             report.completed += 1
             report.latencies_ms.append(done - t)
-        next_t = t + stream.period_ms
+        next_t = t + stream.arrivals.period_ms
         if next_t < duration_ms:
             queue.schedule(next_t, lambda: arrive(stream, next_t))
 
-    for stream in streams:
-        queue.schedule(0.0, lambda s=stream: arrive(s, 0.0))
+    for s in streams:
+        queue.schedule(0.0, lambda s=s: arrive(s, 0.0))
     queue.run()
-    return ServingResult(reports=reports)
+    return reports
 
 
 class TestDifferentialAgainstLegacyLoop:
     """The serving-backed paths are bit-identical to the old inline loop."""
 
     @pytest.mark.parametrize("policy", ["spatial", "time-shared"])
-    def test_latencies_bit_identical(self, simulator, streams, policy):
-        new = simulator.run(streams, duration_ms=100, policy=policy)
-        old = legacy_run(simulator.scheduler, streams, 100, policy)
-        assert set(new.reports) == set(old.reports)
-        for label, old_report in old.reports.items():
+    def test_latencies_bit_identical(self, scheduler, streams, policy):
+        new = serve(scheduler, streams, 100, policy)
+        old = legacy_run(scheduler, streams, 100, policy)
+        assert set(new.reports) == set(old)
+        for label, old_report in old.items():
             new_report = new.reports[label]
-            assert new_report.frames == old_report.frames
+            assert new_report.arrivals == old_report.frames
             assert new_report.completed == old_report.completed
-            # Exact float equality, not approx: the refactor must not
+            # Exact float equality, not approx: the serving loop must not
             # perturb a single ULP of the old arithmetic.
             assert new_report.latencies_ms == old_report.latencies_ms
 
-    def test_awkward_periods_and_ties(self, simulator):
+    def test_awkward_periods_and_ties(self, scheduler):
         # Colliding arrival times (4.2 has no exact binary representation;
         # 0.7 vs 1.4 collide every other frame) exercise the equal-time
         # ordering, where bit-identity is easiest to lose.
         streams = [
-            StreamSpec(net("x", m=32, h=14), period_ms=0.7),
-            StreamSpec(net("y", m=32, h=14, layers=1), period_ms=1.4),
-            StreamSpec(small_cnn_spec(), period_ms=4.2),
+            stream(net("x", m=32, h=14), 0.7),
+            stream(net("y", m=32, h=14, layers=1), 1.4),
+            stream(small_cnn_spec(), 4.2),
         ]
         for policy in ("spatial", "time-shared"):
-            new = simulator.run(streams, duration_ms=50, policy=policy)
-            old = legacy_run(simulator.scheduler, streams, 50, policy)
-            for label, old_report in old.reports.items():
+            new = serve(scheduler, streams, 50, policy)
+            old = legacy_run(scheduler, streams, 50, policy)
+            for label, old_report in old.items():
                 assert new.reports[label].latencies_ms == old_report.latencies_ms
-
-
-class TestDeadlineMissProperties:
-    @given(
-        latencies=st.lists(
-            st.floats(min_value=0.0, max_value=1e4,
-                      allow_nan=False, allow_infinity=False),
-            max_size=50,
-        ),
-        deadlines=st.lists(
-            st.floats(min_value=0.0, max_value=1.2e4,
-                      allow_nan=False, allow_infinity=False),
-            min_size=2, max_size=10,
-        ),
-    )
-    def test_monotone_and_consistent_with_latency_list(self, latencies, deadlines):
-        report = StreamReport(
-            label="s", frames=len(latencies), completed=len(latencies),
-            latencies_ms=latencies,
-        )
-        for d in deadlines:
-            assert report.deadline_misses(d) == sum(
-                1 for lat in latencies if lat > d
-            )
-        # Relaxing the deadline never increases the miss count.
-        misses = [report.deadline_misses(d) for d in sorted(deadlines)]
-        assert misses == sorted(misses, reverse=True)
-        assert report.deadline_misses(float("inf")) == 0

@@ -2,21 +2,16 @@
 
 import pytest
 
-from repro.core.simulator import ChipSimulator
 from repro.errors import MappingError
 from repro.nn.workloads import resnet18_spec, small_cnn_spec
+from repro.sim import simulate
 
 
 @pytest.fixture(scope="module")
-def sim():
-    return ChipSimulator()
-
-
-@pytest.fixture(scope="module")
-def resnet_runs(sim):
+def resnet_runs():
     net = resnet18_spec()
     return {
-        name: sim.run(net, name)
+        name: simulate(net, strategy=name)
         for name in ("single-layer", "greedy", "heuristic")
     }
 
@@ -85,9 +80,9 @@ class TestEnergyAccounting:
 
 
 class TestPlans:
-    def test_unknown_strategy(self, sim):
+    def test_unknown_strategy(self):
         with pytest.raises(MappingError):
-            sim.plan(resnet18_spec(), "random")
+            simulate(resnet18_spec(), strategy="random")
 
     def test_segment_latency_lookup(self, resnet_runs):
         run = resnet_runs["heuristic"]
@@ -95,8 +90,8 @@ class TestPlans:
         with pytest.raises(MappingError):
             run.segment_latency_ms(999)
 
-    def test_small_network_runs(self, sim):
-        result = sim.run(small_cnn_spec(), "heuristic")
+    def test_small_network_runs(self):
+        result = simulate(small_cnn_spec())
         assert result.latency_ms > 0
         assert result.total_cycles > 0
 

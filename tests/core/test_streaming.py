@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.perfmodel import PerformanceModel
-from repro.core.streaming import (
-    SegmentSimulator,
-    _completion_source_index,
-    completion_source_index,
-)
+from repro.core.streaming import SegmentSimulator, completion_source_index
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
 
@@ -154,6 +150,3 @@ class TestCompletionSourceIndex:
         ]
         assert ranks == sorted(ranks)
         assert max(ranks) <= producer.h * producer.w - 1
-
-    def test_private_alias_kept_for_back_compat(self):
-        assert _completion_source_index is completion_source_index

@@ -17,11 +17,12 @@ import pytest
 from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.node import MAICCNode, table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
-from repro.core.simulator import ChipSimulator
 from repro.core.streaming import SegmentSimulator
 from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.nn.workloads import resnet18_spec
+from repro.sim import SimConfig
+from repro.sim.accounting import performance_model, plan_network, segment_timings
 
 
 class TestNodeVsAnalyticModel:
@@ -55,10 +56,10 @@ class TestNodeVsAnalyticModel:
 
 class TestEventVsTandem:
     def test_agreement_on_mapped_segment(self):
-        sim = ChipSimulator()
-        plan = sim.plan(resnet18_spec(), "heuristic")
+        config = SimConfig()
+        plan = plan_network(resnet18_spec(), "heuristic", config)
         segment = plan.segments[2]  # layers 12-15
-        timings = sim._segment_timings(segment)
+        timings = segment_timings(performance_model(config), segment)
         tandem = SegmentSimulator(timings).run().total_cycles
         event = EventDrivenSegmentSimulator(
             timings, forward_policy="eager"

@@ -10,10 +10,10 @@ import pytest
 
 from repro.core.functional import simulate_quantized_graph
 from repro.core.node import MAICCNode
-from repro.core.simulator import ChipSimulator
 from repro.nn.models import build_residual_cnn, build_small_cnn
 from repro.nn.quantize import QConv2d, quantize_graph
 from repro.nn.workloads import ConvLayerSpec, small_cnn_spec
+from repro.sim import simulate
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +63,8 @@ class TestCycleLevelStack:
 
 class TestChipStack:
     def test_small_cnn_maps_and_runs(self):
-        sim = ChipSimulator()
         for strategy in ("single-layer", "greedy", "heuristic"):
-            result = sim.run(small_cnn_spec(), strategy)
+            result = simulate(small_cnn_spec(), strategy=strategy)
             assert result.total_cycles > 0
             assert 0 < result.average_power_w < 50
 

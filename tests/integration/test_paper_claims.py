@@ -10,16 +10,16 @@ import pytest
 from repro.baselines.cpu_gpu import CPU_I9_13900K, GPU_RTX_4090
 from repro.baselines.neural_cache import NeuralCacheModel
 from repro.core.node import MAICCNode, table4_workload
-from repro.core.simulator import ChipSimulator
 from repro.energy.area import area_breakdown
 from repro.nn.workloads import resnet18_spec
+from repro.sim import simulate
 
 import numpy as np
 
 
 @pytest.fixture(scope="module")
 def maicc_run():
-    return ChipSimulator().run(resnet18_spec(), "heuristic")
+    return simulate(resnet18_spec())
 
 
 class TestAbstractClaims:

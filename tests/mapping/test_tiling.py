@@ -65,11 +65,11 @@ class TestTileNetwork:
 
 class TestEndToEnd:
     def test_vgg_runs_on_the_chip(self):
-        from repro.core.simulator import ChipSimulator
+        from repro.sim import simulate
 
-        result = ChipSimulator().run(vgg11_spec(), "heuristic")
+        result = simulate(vgg11_spec())
         assert result.latency_ms > 0
         # FC-heavy VGG is weight-load-bound: much slower than ResNet18
         # despite comparable conv work.
-        resnet = ChipSimulator().run(resnet18_spec(), "heuristic")
+        resnet = simulate(resnet18_spec())
         assert result.latency_ms > resnet.latency_ms

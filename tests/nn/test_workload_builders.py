@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.simulator import ChipSimulator
 from repro.nn.workloads import (
     lstm_cell_spec,
     mlp_spec,
     transformer_block_spec,
     vgg11_spec,
 )
+from repro.sim import simulate
 
 
 class TestVGG11:
@@ -36,7 +36,7 @@ class TestMLP:
         assert [(s.c, s.m) for s in net] == [(10, 20), (20, 30)]
 
     def test_runs_on_chip(self):
-        result = ChipSimulator().run(mlp_spec(), "heuristic")
+        result = simulate(mlp_spec())
         assert result.latency_ms > 0
 
 
@@ -48,7 +48,7 @@ class TestLSTM:
         assert net.layer(2).c == 256
 
     def test_runs_on_chip(self):
-        result = ChipSimulator().run(lstm_cell_spec(), "heuristic")
+        result = simulate(lstm_cell_spec())
         assert result.latency_ms > 0
 
 
@@ -65,7 +65,7 @@ class TestTransformer:
         assert ffn > attn
 
     def test_runs_on_chip(self):
-        result = ChipSimulator().run(transformer_block_spec(), "heuristic")
+        result = simulate(transformer_block_spec())
         assert result.latency_ms > 0
 
 

@@ -1,8 +1,6 @@
 """Timing-model tests: hazards, CMem issue queue, write-back ports."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.riscv.core import Core, CoreConfig
 from repro.riscv.pipeline import PipelineConfig
@@ -134,95 +132,3 @@ class TestCategoryAttribution:
         assert pipeline_stats.category_cycles["setup"] >= 1
         assert "compute" in pipeline_stats.category_cycles
         assert "other" in pipeline_stats.category_cycles
-
-
-class TestStatsMerge:
-    COUNTERS = (
-        "cycles", "instructions", "raw_stall_cycles", "waw_stall_cycles",
-        "structural_stall_cycles", "wb_stall_cycles", "branch_flush_cycles",
-        "cmem_instructions", "cmem_busy_cycles",
-    )
-
-    def test_merge_sums_counters_and_categories(self):
-        from repro.riscv.pipeline import PipelineStats
-
-        a = PipelineStats(cycles=10, instructions=8,
-                          category_cycles={"setup": 4, "compute": 6})
-        b = PipelineStats(cycles=5, instructions=3, raw_stall_cycles=2,
-                          category_cycles={"compute": 5})
-        merged = a.merge(b)
-        assert merged.cycles == 15
-        assert merged.instructions == 11
-        assert merged.raw_stall_cycles == 2
-        assert merged.category_cycles == {"setup": 4, "compute": 11}
-        assert merged.ipc == pytest.approx(11 / 15)
-
-    def test_merge_does_not_mutate_inputs(self):
-        from repro.riscv.pipeline import PipelineStats
-
-        a = PipelineStats(cycles=10, category_cycles={"x": 1})
-        b = PipelineStats(cycles=5, category_cycles={"x": 2})
-        a.merge(b)
-        assert a.cycles == 10 and a.category_cycles == {"x": 1}
-        assert b.cycles == 5 and b.category_cycles == {"x": 2}
-
-    def test_merge_all_of_nothing_is_all_zero(self):
-        """Zero shards is a legal aggregation input (identity element) —
-        sharding callers must not have to special-case it."""
-        from repro.riscv.pipeline import PipelineStats
-
-        total = PipelineStats.merge_all([])
-        for name in self.COUNTERS:
-            assert getattr(total, name) == 0
-        assert total.category_cycles == {}
-
-    def test_merge_all_of_real_runs_equals_sums(self):
-        from repro.riscv.pipeline import PipelineStats
-
-        programs = [
-            "li a0, 1\nmul a1, a0, a0\nadd a2, a1, a1\nhalt",
-            "\n".join(f"addi x{5 + (i % 8)}, zero, {i}" for i in range(16))
-            + "\nhalt",
-        ]
-        runs = [Core().run(p) for p in programs]
-        total = PipelineStats.merge_all(runs)
-        for name in self.COUNTERS:
-            assert getattr(total, name) == sum(getattr(r, name) for r in runs)
-
-    @given(
-        values=st.lists(
-            st.tuples(*[st.integers(0, 10_000)] * 9), min_size=1, max_size=6
-        ),
-        categories=st.lists(
-            st.dictionaries(
-                st.sampled_from(["alu", "cmem", "setup", "other"]),
-                st.integers(1, 1_000),
-                max_size=4,
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        splits=st.data(),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_of_splits_equals_the_whole(self, values, categories, splits):
-        """Splitting each counter across k parts and merging re-forms the whole."""
-        from repro.riscv.pipeline import PipelineStats
-
-        n = min(len(values), len(categories))
-        parts = [
-            PipelineStats(
-                **dict(zip(self.COUNTERS, values[i])),
-                category_cycles=dict(categories[i]),
-            )
-            for i in range(n)
-        ]
-        order = splits.draw(st.permutations(range(n)))
-        whole = PipelineStats.merge_all(parts)
-        reordered = PipelineStats.merge_all(parts[i] for i in order)
-        for name in self.COUNTERS:
-            assert getattr(whole, name) == sum(
-                getattr(p, name) for p in parts
-            )
-            assert getattr(reordered, name) == getattr(whole, name)
-        assert reordered.category_cycles == whole.category_cycles

@@ -142,32 +142,3 @@ def test_halt_rerun_byte_identical():
         return chip.finish().to_json()
 
     assert run_once() == run_once()
-
-
-def test_injection_drives_chip_headless():
-    """Router-style injections land exactly like self-driven arrivals."""
-    net = _stub_net()
-    from repro.serving import TraceArrivals
-
-    times = [0.5 * k for k in range(1, 21)]
-    tenants = [
-        TenantSpec("t", net, TraceArrivals(times), deadline_ms=50.0),
-    ]
-    policy = FixedServicePolicy({"t": 0.3}, staging_ms={"t": 0.1})
-
-    # Self-driven: the trace chains itself through next_ms.
-    auto = ServingSimulator(policy).run(tenants, 20.0)
-
-    # Router-driven: empty trace, every arrival injected externally.
-    tenants2 = [
-        TenantSpec("t", net, TraceArrivals([]), deadline_ms=50.0),
-    ]
-    sim = ServingSimulator(policy)
-    chip = sim.open(tenants2, 20.0)
-    chip.start()
-    for t in times:
-        chip.schedule_injection("t", t)
-    chip.queue.run()
-    manual = chip.finish()
-
-    assert manual.to_json() == auto.to_json()

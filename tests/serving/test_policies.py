@@ -12,8 +12,10 @@ from repro.serving.policies import (
     TenantObservation,
     TimeSharedPolicy,
 )
+from repro.serving.scenarios import mixed_rate_overloaded_tenants
 from repro.serving.service import ServiceModel
 from repro.serving.tenancy import TenantSpec
+from repro.sim import simulate
 
 
 def net(name, m=32, h=14, layers=2):
@@ -53,10 +55,18 @@ class TestTimeShared:
         policy = TimeSharedPolicy(scheduler)
         policy.prepare(tenants)
         for tenant in tenants:
-            expected = scheduler.simulator.run(tenant.network, "heuristic").latency_ms
+            expected = simulate(tenant.network).latency_ms
             assert policy.service_ms(tenant.name) == expected
             assert policy.server_of(tenant.name) == "chip"
         assert policy.shares() == {}
+
+    def test_bills_the_scheduler_tier(self):
+        tenants = mixed_rate_overloaded_tenants()
+        policy = TimeSharedPolicy(MultiDNNScheduler(backend="analytic"))
+        policy.prepare(tenants)
+        for tenant in tenants:
+            expected = simulate(tenant.network, backend="analytic").latency_ms
+            assert policy.service_ms(tenant.name) == expected
 
 
 class TestElastic:

@@ -1,7 +1,7 @@
 """Differential pins: the backend layer changed nothing on the default path.
 
 Every literal in this file was recorded from the pre-backend simulator
-(``ChipSimulator`` calling the streaming tier directly) and is asserted
+(the chip front door calling the streaming tier directly) and is asserted
 with exact ``==`` — not approx — because the refactor's contract is
 byte-identical results, and the backend loop replicates the historical
 float evaluation order to keep it.  If one of these moves, the default
@@ -12,7 +12,6 @@ path changed, which is a regression regardless of which number is
 import pytest
 
 from repro.core.multi_dnn import MultiDNNScheduler
-from repro.core.simulator import ChipSimulator
 from repro.nn.workloads import (
     ConvLayerSpec,
     NetworkSpec,
@@ -45,7 +44,7 @@ NETWORKS = {"resnet18": resnet18_spec, "small_cnn": small_cnn_spec}
 class TestDefaultPathCycles:
     @pytest.mark.parametrize("network,strategy", sorted(CYCLE_PINS))
     def test_total_cycles_byte_identical(self, network, strategy):
-        result = ChipSimulator().run(NETWORKS[network](), strategy)
+        result = simulate(NETWORKS[network](), strategy=strategy)
         assert result.total_cycles == CYCLE_PINS[(network, strategy)]
 
     def test_simulate_front_door_matches_chip_simulator(self):
@@ -54,12 +53,12 @@ class TestDefaultPathCycles:
             assert report.total_cycles == pin
 
     def test_headline_energy_and_latency(self):
-        result = ChipSimulator().run(resnet18_spec(), "heuristic")
+        result = simulate(resnet18_spec())
         assert result.energy.total == 0.12000990729695662
         assert result.latency_ms == 5.004113056004866
 
     def test_batch_streaming(self):
-        result = ChipSimulator().run(resnet18_spec(), "heuristic", batch=4)
+        result = simulate(resnet18_spec(), batch=4)
         assert result.total_cycles == 18608956.43940407
         assert result.throughput_samples_s == 214.95025865771197
 

@@ -1,13 +1,12 @@
-"""RunReport/SegmentReport: schema, aliases, derivations, determinism."""
+"""RunReport/SegmentReport: schema, derivations, determinism."""
 
 import json
 
 import pytest
 
-from repro.core.simulator import NetworkRunResult, SegmentRun
 from repro.errors import MappingError
 from repro.nn.workloads import small_cnn_spec
-from repro.sim import RunReport, SegmentReport, simulate
+from repro.sim import SegmentReport, simulate
 
 
 @pytest.fixture(scope="module")
@@ -16,10 +15,6 @@ def report():
 
 
 class TestAliases:
-    def test_historical_names_are_the_canonical_classes(self):
-        assert NetworkRunResult is RunReport
-        assert SegmentRun is SegmentReport
-
     def test_segments_aliases_runs(self, report):
         assert report.segments is report.runs
 

@@ -26,7 +26,6 @@ from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.riscv.core import Core
 from repro.riscv.memory import DRAM_BASE
-from repro.telemetry.hooks import publish_noc
 from repro.telemetry.trace import validate_chrome_trace
 from repro.utils.events import EventQueue
 
@@ -167,7 +166,7 @@ class TestNoCInstrumentation:
                     Packet(src=(0, 0), dst=(2, 1), kind=PacketKind.ROW_TRANSFER),
                     inject_time=i,
                 )
-            publish_noc(sink, "noc", noc)
+            noc.publish_stats()
         counters = {p: c.value for p, c in sink.registry.counters.items()}
         assert counters["noc/packets"] == noc.stats.packets
         assert counters["noc/flit_hops"] == noc.stats.flit_hops

@@ -17,9 +17,9 @@ class TestPublicAPI:
 
     def test_quickstart_snippet(self):
         """The README's four-line quickstart works verbatim."""
-        from repro import ChipSimulator, resnet18_spec
+        from repro import resnet18_spec, simulate
 
-        result = ChipSimulator().run(resnet18_spec(), "heuristic")
+        result = simulate(resnet18_spec())
         assert result.latency_ms > 0
 
 
