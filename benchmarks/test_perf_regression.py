@@ -1,10 +1,11 @@
 """Perf regression guard for the vectorized bit-plane MAC engine.
 
-The full benchmark (``scripts/bench.py``) records ~40x on the 256-wide
-int8 ``CMem.mac`` workload; this test asserts a deliberately conservative
-floor so it stays green on slow or noisy CI machines while still catching
-a genuine regression (e.g. the fast path silently falling back to the
-per-pair loop, which would read as ~1x).
+The full benchmark (``scripts/bench.py``, ``macc/mac`` in ``BENCH.json``)
+records ~40x on the 256-wide int8 ``CMem.mac`` workload; this test
+asserts a deliberately conservative floor so it stays green on slow or
+noisy CI machines while still catching a genuine regression (e.g. the
+fast path silently falling back to the per-pair loop, which would read
+as ~1x).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 Perf work on the simulation tiers starts from data, not guesses: this
 script runs ``simulate(network, backend=...)`` under :mod:`cProfile` and
 prints the top functions by cumulative time, plus a one-line wall-clock
-summary that matches what ``scripts/bench.py`` records in
-``BENCH_backends.json``.
+summary that matches what ``scripts/bench.py`` records in the
+``backends`` section of ``BENCH.json``.
 
 Examples:
 

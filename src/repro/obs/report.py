@@ -5,8 +5,8 @@ design-space-exploration run into two artifacts sharing one source of
 truth:
 
 * a **JSON document** under the ``maicc-obs-report/1`` schema — the
-  machine-readable record ``scripts/bench.py --check`` and the CI
-  ``obs-smoke`` job consume, validated by :func:`validate_report`;
+  machine-readable record, validated by :func:`validate_report`, which
+  the CI ``obs-smoke`` and ``dse-smoke`` jobs run on generated reports;
 * a **self-contained HTML dashboard** (:mod:`repro.obs.html`) rendered
   as a pure function of that document.
 

@@ -480,9 +480,10 @@ class ElasticPolicy(ServingPolicy):
 class FixedServicePolicy(ServingPolicy):
     """Scripted service times; no chip model behind it.
 
-    Used by unit tests and by ``scripts/bench.py`` to measure the event
-    loop's own overhead.  ``shared_server`` puts every tenant on one
-    queue; otherwise each tenant gets a dedicated server.
+    Used by unit tests and by the ``serving`` and ``obs`` cases of
+    ``scripts/bench.py`` to measure the event loop's own overhead.
+    ``shared_server`` puts every tenant on one queue; otherwise each
+    tenant gets a dedicated server.
     """
 
     name = "fixed"

@@ -5,7 +5,8 @@ with one batched event per layer (see :mod:`repro.core.event_streaming`).
 Its correctness claim is *exact* equality — every timestamp, not an
 approximation — so these tests compare the two engines with ``==`` on
 cycles, per-layer finish times, and event counts, and pin the end-to-end
-event-backend totals that ``BENCH_backends.json`` tracks.
+event-backend totals that the ``backends`` section of ``BENCH.json``
+tracks.
 """
 
 import dataclasses
@@ -122,7 +123,7 @@ class TestBackendPins:
     """End-to-end event-backend totals, pinned to the tracked baselines.
 
     These are the exact cycle totals the event tier produced *before*
-    the vectorization (BENCH_backends.json at the seed), so any drift in
+    the vectorization (the backends bench at the seed), so any drift in
     the batched engine — or in the mapping underneath it — fails here
     rather than surfacing as a silent benchmark shift.
     """

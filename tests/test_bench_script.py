@@ -1,0 +1,115 @@
+"""The ``scripts/bench.py`` harness: its case registry, gate and op counter.
+
+Loads the script as a module and runs none of its cases; the gate is
+checked on synthetic ``BENCH.json`` documents.
+"""
+
+import importlib.util
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location("bench_script", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def green_doc() -> dict:
+    """A BENCH.json-shaped document in which every gate passes."""
+    return {
+        "meta": {"python": "3.11", "numpy": "2.0", "machine": "x86_64", "cpu_count": 2},
+        "macc": {"mac": {"speedup": 40.0}},
+        "telemetry": {"counters": {"core/0/cmem/macs": 1442}, "trace_events": 3609},
+        "serving": {"serving_batched": {"throughput_gain": 1.66}},
+        "backends": {
+            "resnet18": {
+                "event": {"wall_s": 0.05, "budget_s": 0.6, "within_budget": True},
+                "cycle": {"skipped": "pass --full to include it"},
+            },
+            "small_cnn": {
+                "cycle": {"wall_s": 0.02, "budget_s": 1.5, "within_budget": True},
+            },
+        },
+        "obs": {
+            "attribution": {
+                "overhead_ratio": 1.0097, "budget_ratio": 1.02, "within_budget": True,
+            },
+        },
+        "fleet": {
+            "scales": {
+                chips: {"wall_s_per_run": 0.1, "budget_s": 3.5, "within_budget": True}
+                for chips in ("1", "4", "16")
+            },
+        },
+        "dse": {
+            "identical_bytes": True,
+            "scales": {
+                workers: {"executor": "serial", "budget_s": 2.5, "within_budget": True}
+                for workers in ("0", "4")
+            },
+        },
+    }
+
+
+def test_cases_registry(bench):
+    assert list(bench.CASES) == [
+        "macc", "telemetry", "serving", "backends", "obs", "fleet", "dse",
+    ]
+    gated = {name for name, case in bench.CASES.items() if case.check}
+    assert gated == {"backends", "obs", "fleet", "dse"}
+
+
+def test_all_green_document_has_no_failures(bench):
+    assert bench.failures(green_doc()) == []
+
+
+@pytest.mark.parametrize(
+    "path, flag",
+    [
+        ("backends/small_cnn/cycle", "within_budget"),
+        ("obs/attribution", "within_budget"),
+        ("fleet/scales/1", "within_budget"),
+        ("dse/scales/4", "within_budget"),
+        ("dse", "identical_bytes"),
+    ],
+)
+def test_failures_names_exactly_the_breached_row(bench, path, flag):
+    doc = green_doc()
+    row = doc
+    for key in path.split("/"):
+        row = row[key]
+    row[flag] = False
+    assert bench.failures(doc) == [path]
+
+
+@dataclass
+class First:
+    x: int = 0
+
+
+@dataclass
+class Second:
+    y: int = 0
+
+
+def test_op_count_keeps_dataclass_inits_with_colliding_labels(bench):
+    labels = {
+        (code.co_filename, code.co_firstlineno, code.co_name)
+        for code in (First.__init__.__code__, Second.__init__.__code__)
+    }
+    assert len(labels) == 1  # pstats would merge the two __init__ entries
+
+    def build():
+        return [First(), First(), Second(), Second(), Second()]
+
+    def nothing():
+        return []
+
+    assert bench.op_count(build) - bench.op_count(nothing) == 5
