@@ -28,7 +28,7 @@ harness difference on identical numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import ObservabilityError
 
@@ -45,6 +45,19 @@ PHASE_CATEGORIES: Tuple[str, ...] = (
     "compute",    # CMem / node-group compute inside the segments
     "drain",      # steady-state streaming residual (extra samples/requests)
 )
+
+
+def fold_by_category(phases: Iterable[Tuple[str, float]]) -> Dict[str, float]:
+    """Sum ``(category, duration)`` pairs per category, left to right.
+
+    The result is in taxonomy order and holds only the taxonomy
+    categories that occur (zero-valued ones included).  Request
+    timelines and the dashboard's attribution panels fold through here.
+    """
+    totals: Dict[str, float] = {}
+    for category, duration in phases:
+        totals[category] = totals.get(category, 0.0) + duration
+    return {c: totals[c] for c in PHASE_CATEGORIES if c in totals}
 
 
 @dataclass(frozen=True)
@@ -122,17 +135,7 @@ class RequestTimeline:
 
     def by_category(self) -> Dict[str, float]:
         """Phase durations folded by category (taxonomy order)."""
-        out: Dict[str, float] = {}
-        for category in PHASE_CATEGORIES:
-            acc = 0.0
-            seen = False
-            for phase in self.phases:
-                if phase.category == category:
-                    acc += phase.duration
-                    seen = True
-            if seen:
-                out[category] = acc
-        return out
+        return fold_by_category((p.category, p.duration) for p in self.phases)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -422,6 +425,7 @@ __all__ = [
     "PhaseSpec",
     "RequestTimeline",
     "fit_durations",
+    "fold_by_category",
     "report_phases",
     "scale_phases",
     "timeline_from_report",
