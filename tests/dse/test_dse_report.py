@@ -74,6 +74,12 @@ class TestRender:
         assert "<script" not in html
         assert "http://" not in html and "https://" not in html
 
+    def test_block_bars_have_their_own_accessible_names(self, doc):
+        html = render_html(doc)
+        assert 'aria-label="energy by block stacked bars"' in html
+        assert 'aria-label="area by block stacked bars"' in html
+        assert "per-chip load" not in html
+
     def test_every_frontier_point_has_a_marker(self, doc):
         html = render_html(doc)
         frontier = [pid for members in doc["dse"]["pareto"].values()
