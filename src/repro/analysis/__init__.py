@@ -13,7 +13,7 @@ the program:
   ``docs/ANALYSIS.md``);
 * :func:`schedule_kernel` / :func:`estimate_cycles` — the static list
   scheduler plus an exact (for branch-free kernels) cycle predictor that
-  mirrors :mod:`repro.riscv.pipeline`;
+  runs :mod:`repro.riscv.pipeline` on statically decoded results;
 * ``scripts/lint_kernel.py`` — the command-line front end.
 
 Since PR 7 the package also checks *whole systems*, not just kernels

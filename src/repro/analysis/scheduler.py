@@ -7,13 +7,13 @@ reorder itself is the dependence-safe list scheduler of
 :func:`repro.core.scheduler.static_schedule`; this module adds what a
 compiler needs to *trust* it:
 
-* :func:`estimate_cycles` — a symbolic replay of the
-  :class:`repro.riscv.pipeline.Pipeline` issue rules (scoreboard RAW/WAW,
-  the shared :class:`~repro.riscv.pipeline.CMemIssueQueue`, the
-  unpipelined divider, write-back ports) that needs no executor and no
-  data.  For branch-free programs with statically resolvable addresses —
-  every unrolled Algorithm-1 kernel — the prediction is *exact*: it
-  reproduces the simulated cycle count bit-for-bit, which
+* :func:`estimate_cycles` — the :class:`repro.riscv.pipeline.Pipeline`
+  itself (scoreboard RAW/WAW, the CMem issue queue, the unpipelined
+  divider, write-back ports, the drain) run on statically decoded
+  results, so it needs no executor and no data.  For branch-free
+  programs with statically resolvable addresses — every unrolled
+  Algorithm-1 kernel — the prediction is *exact*: it reproduces the
+  simulated cycle count bit-for-bit, which
   ``tests/analysis/test_scheduler.py`` pins against the pipeline.
 * :func:`schedule_kernel` — reorder, re-verify (the scheduled program
   must introduce no new lint errors), and report predicted stall savings.
@@ -27,10 +27,11 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.verifier import AnalysisConfig, verify_program
 from repro.core.scheduler import static_schedule
 from repro.errors import MemoryMapError, SchedulingError
+from repro.riscv.executor import ExecResult
 from repro.riscv.isa import FunctionalUnit, Instruction
 from repro.riscv.memory import AddressRegion, MemoryMap
-from repro.riscv.pipeline import CMemIssueQueue, PipelineConfig, instr_slices
-from repro.riscv.scoreboard import Scoreboard
+from repro.riscv.pipeline import Pipeline, PipelineConfig, instr_slices
+from repro.telemetry import NULL_SINK
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,33 @@ def _static_region(instr: Instruction) -> Optional[AddressRegion]:
     return None
 
 
+class _StaticDecode:
+    """Stands in for the executor: each instruction's result from decode
+    alone.  Branches fall through, memory regions come from
+    :func:`_static_region` (unknown addresses count as local), and CMem
+    slices from :func:`instr_slices`.  ``exact`` turns False on a branch
+    or an unknown address."""
+
+    def __init__(self) -> None:
+        self.exact = True
+
+    def execute(self, instr: Instruction, pc: int) -> ExecResult:
+        spec = instr.spec
+        region: Optional[AddressRegion] = None
+        if spec.unit is FunctionalUnit.MEM:
+            region = _static_region(instr)
+            if region is None and instr.rs1 not in (None, 0):
+                self.exact = False
+        if spec.is_branch:
+            self.exact = False
+        return ExecResult(
+            next_pc=pc + 1,
+            mem_region=region,
+            halted=instr.opcode == "halt",
+            cmem_slices=instr_slices(instr) if spec.unit is FunctionalUnit.CMEM else (),
+        )
+
+
 def estimate_cycles(
     program: Sequence[Instruction],
     config: Optional[PipelineConfig] = None,
@@ -77,110 +105,26 @@ def estimate_cycles(
 ) -> TimingEstimate:
     """Predict the pipeline cycle count of a program without executing it.
 
-    Mirrors :meth:`repro.riscv.pipeline.Pipeline.run` rule for rule —
-    in-order issue, scoreboard RAW/WAW, the CMem issue queue and per-slice
-    occupancy, the unpipelined divider, write-back port arbitration, and
-    the final drain — but walks the instruction list linearly.  Branches
+    Runs :class:`repro.riscv.pipeline.Pipeline` itself — its issue,
+    retire and drain rules — on statically decoded results instead of
+    executed ones, walking the instruction list once in order.  Branches
     are assumed not taken and unknown-address memory accesses local, and
     either assumption marks the estimate inexact.
     """
-    cfg = config or PipelineConfig()
-    sb = Scoreboard()
-    cmem = CMemIssueQueue(cfg.cmem_queue_size, num_cmem_slices)
-    wb_slots: Dict[int, int] = {}
-    muldiv_free = 0
-    next_fetch = 0
-    raw = waw = structural = wb_stall = 0
-    executed = 0
-    exact = True
-
-    def reserve_wb(completion: int) -> int:
-        cycle = completion
-        while wb_slots.get(cycle, 0) >= cfg.writeback_ports:
-            cycle += 1
-        wb_slots[cycle] = wb_slots.get(cycle, 0) + 1
-        return cycle
-
-    for instr in program:
-        spec = instr.spec
-        executed += 1
-        issue = next_fetch
-
-        source_ready = 0
-        if spec.reads_rs1 and instr.rs1:
-            source_ready = max(source_ready, sb.ready_time(instr.rs1))
-        if spec.reads_rs2 and instr.rs2:
-            source_ready = max(source_ready, sb.ready_time(instr.rs2))
-        if source_ready > issue:
-            raw += source_ready - issue
-            issue = source_ready
-
-        if spec.writes_rd and instr.rd:
-            waw_ready = sb.write_time(instr.rd)
-            if waw_ready > issue:
-                waw += waw_ready - issue
-                issue = waw_ready
-
-        if spec.unit is FunctionalUnit.MULDIV:
-            if muldiv_free > issue:
-                structural += muldiv_free - issue
-                issue = muldiv_free
-        elif spec.unit is FunctionalUnit.CMEM:
-            gated = cmem.earliest_issue(issue)
-            if cmem.queue_size == 0:
-                for s in instr_slices(instr):
-                    gated = max(gated, cmem.slice_free[s] - 1)
-                gated = max(gated, cmem.last_start)
-            if gated > issue:
-                structural += gated - issue
-                issue = gated
-
-        latency = instr.latency()
-        if spec.unit is FunctionalUnit.CMEM:
-            start = cmem.dispatch(issue + 1, instr_slices(instr), latency)
-            completion = start + latency
-            if instr.opcode == "loadrow.rc":
-                completion += cfg.remote_latency
-            elif instr.opcode == "storerow.rc":
-                completion += cfg.remote_store_latency
-        else:
-            if spec.unit is FunctionalUnit.MEM:
-                region = _static_region(instr)
-                if region is None and instr.rs1 not in (None, 0):
-                    exact = False  # unknown address: assume local
-                if region is AddressRegion.REMOTE_CORE:
-                    latency = (
-                        cfg.remote_latency
-                        if (spec.is_load or spec.is_atomic)
-                        else cfg.remote_store_latency
-                    )
-                elif region is AddressRegion.DRAM:
-                    latency = cfg.dram_latency
-            completion = issue + latency
-            if spec.unit is FunctionalUnit.MULDIV:
-                muldiv_free = completion
-
-        if spec.writes_rd and instr.rd:
-            wb_cycle = reserve_wb(completion)
-            if wb_cycle > completion:
-                wb_stall += wb_cycle - completion
-            sb.set_ready(instr.rd, wb_cycle)
-
-        if instr.opcode == "halt":
-            break
-        if spec.is_branch:
-            exact = False  # assumed not taken
-        next_fetch = issue + 1
-
-    cycles = max(next_fetch, cmem.all_free_time(), sb.horizon())
+    decode = _StaticDecode()
+    pipeline = Pipeline(
+        list(program), decode, config or PipelineConfig(), num_cmem_slices,
+        telemetry=NULL_SINK,
+    )
+    stats = pipeline.run(max_instructions=len(program)) if program else pipeline.stats
     return TimingEstimate(
-        cycles=cycles,
-        instructions=executed,
-        raw_stall_cycles=raw,
-        waw_stall_cycles=waw,
-        structural_stall_cycles=structural,
-        wb_stall_cycles=wb_stall,
-        exact=exact,
+        cycles=stats.cycles,
+        instructions=stats.instructions,
+        raw_stall_cycles=stats.raw_stall_cycles,
+        waw_stall_cycles=stats.waw_stall_cycles,
+        structural_stall_cycles=stats.structural_stall_cycles,
+        wb_stall_cycles=stats.wb_stall_cycles,
+        exact=decode.exact,
     )
 
 

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
-from repro.riscv.executor import Executor
+from repro.riscv.executor import ExecResult
 from repro.riscv.isa import FunctionalUnit, Instruction
 from repro.riscv.memory import AddressRegion
 from repro.riscv.scoreboard import Scoreboard
@@ -88,9 +88,9 @@ def instr_slices(instr: Instruction) -> tuple:
 class CMemIssueQueue:
     """Issue-queue + per-slice occupancy model of the CMem.
 
-    Shared between :class:`Pipeline` (execution-driven timing) and the
-    static timing predictor of :mod:`repro.analysis.scheduler`, so the two
-    models cannot drift apart.
+    The pipeline's only CMem model: the static timing predictor of
+    :mod:`repro.analysis.scheduler` runs :class:`Pipeline` itself on
+    statically decoded results, so the two cannot drift apart.
     """
 
     def __init__(self, queue_size: int, num_slices: int) -> None:
@@ -132,13 +132,20 @@ class CMemIssueQueue:
         return max(self.slice_free)
 
 
+class ResultSource(Protocol):
+    """Where the pipeline gets each instruction's timing-relevant result:
+    an :class:`~repro.riscv.executor.Executor`, or static decode."""
+
+    def execute(self, instr: Instruction, pc: int) -> ExecResult: ...
+
+
 class Pipeline:
     """Executes a program and reports cycle-accurate-style timing."""
 
     def __init__(
         self,
         program: List[Instruction],
-        executor: Executor,
+        executor: ResultSource,
         config: PipelineConfig = PipelineConfig(),
         num_cmem_slices: int = 8,
         *,

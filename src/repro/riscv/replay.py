@@ -9,7 +9,8 @@ statically resolvable addresses is identical on every run.  The
 :class:`ReplayCache` memoizes the second kind:
 
 * On first sight of a program it asks the static predictor of
-  :mod:`repro.analysis.scheduler` whether the kernel's timing is provably
+  :mod:`repro.analysis.scheduler` (the same pipeline run on statically
+  decoded results) whether the kernel's timing is provably
   data-independent (``TimingEstimate.exact``: no branches, every memory
   region statically known), runs the full pipeline once, and — only if
   the measured cycle count equals the prediction bit-for-bit — caches a
