@@ -83,7 +83,6 @@ class FunctionalNodeGroup:
         *,
         bit_true: bool = False,
         capacity: Optional[CapacityModel] = None,
-        fast_path: bool = True,
         telemetry: Optional[TelemetrySink] = None,
     ) -> None:
         self.spec = spec
@@ -91,7 +90,6 @@ class FunctionalNodeGroup:
         self.bias = np.asarray(bias, dtype=np.int64)
         self.num_computing = num_computing
         self.bit_true = bit_true
-        self.fast_path = fast_path
         self.capacity = capacity or CapacityModel()
         self.stats = GroupRunStats()
         self.telemetry = telemetry if telemetry is not None else _current_telemetry()
@@ -114,11 +112,7 @@ class FunctionalNodeGroup:
                     stride=spec.stride, padding=spec.padding, n_bits=spec.n_bits,
                 )
                 layout = plan_node_layout(node_spec, count, self.capacity)
-                cmem = CMem(
-                    fast_path=fast_path,
-                    telemetry=self.telemetry,
-                    track=f"core/{k}/cmem",
-                )
+                cmem = CMem(telemetry=self.telemetry, track=f"core/{k}/cmem")
                 load_filters_into_cmem(
                     cmem, layout, self.weights[start : start + count]
                 )
@@ -135,7 +129,7 @@ class FunctionalNodeGroup:
         acc = np.zeros((spec.m, oh, ow), dtype=np.int64)
         acc += self.bias[:, None, None]
         # DC CMem: slice 0 transposes.
-        dc_buffer = CMem(fast_path=self.fast_path, telemetry=self.telemetry, track="dc/slice0")
+        dc_buffer = CMem(telemetry=self.telemetry, track="dc/slice0")
         for y in range(spec.h):
             for x in range(spec.w):
                 vector = q_in[:, y, x]
@@ -319,7 +313,6 @@ def simulate_quantized_graph(
     nodes_per_layer: Optional[Dict[str, int]] = None,
     bit_true: bool = False,
     capacity: Optional[CapacityModel] = None,
-    fast_path: bool = True,
     telemetry: Optional[TelemetrySink] = None,
 ) -> Dict[str, np.ndarray]:
     """Run a quantized network with every conv/FC on a functional node group.
@@ -348,8 +341,7 @@ def simulate_quantized_graph(
             num = nodes_per_layer.get(name, default)
             group = FunctionalNodeGroup(
                 spec, layer.weight_q, layer.bias_q, num,
-                bit_true=bit_true, capacity=capacity, fast_path=fast_path,
-                telemetry=telemetry,
+                bit_true=bit_true, capacity=capacity, telemetry=telemetry,
             )
             acc = group.run(q_in)
             from repro.nn.quantize import _requant
@@ -375,7 +367,6 @@ def simulate_quantized_graph(
                 num,
                 bit_true=bit_true,
                 capacity=capacity,
-                fast_path=fast_path,
                 telemetry=telemetry,
             )
             acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)

@@ -123,7 +123,6 @@ class MAICCNode:
         pipeline: Optional[PipelineConfig] = None,
         requant: Optional[RequantParams] = None,
         include_forward: bool = False,
-        fast_path: bool = True,
         replay: bool = True,
         telemetry: Optional[TelemetrySink] = None,
         node_id: int = 0,
@@ -141,7 +140,6 @@ class MAICCNode:
             else np.asarray(bias, dtype=np.int64)
         )
         self.pipeline_config = pipeline or PipelineConfig()
-        self.fast_path = fast_path
         self.telemetry = telemetry if telemetry is not None else _current_telemetry()
         self.node_id = node_id
         self.requant = requant or RequantParams(mult=1, shift=8)
@@ -200,10 +198,7 @@ class MAICCNode:
         program = self.build_program(static=static)
         dc = _VirtualDC(self.spec, np.asarray(ifmap, dtype=np.int64), self.spec.n_bits)
         core = Core(
-            CoreConfig(
-                pipeline=pipeline or self.pipeline_config,
-                cmem_fast_path=self.fast_path,
-            ),
+            CoreConfig(pipeline=pipeline or self.pipeline_config),
             remote_handler=dc,
             node_id=self.node_id,
             telemetry=self.telemetry,

@@ -32,9 +32,6 @@ class CoreConfig:
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     cmem: CMemConfig = field(default_factory=CMemConfig)
-    # Vectorized bit-plane MAC engine (functionally and stats-identical to
-    # the per-pair reference path, which remains for differential testing).
-    cmem_fast_path: bool = True
     # Area/power of one core at 28 nm / 1 GHz (paper Sec. 5).
     area_mm2: float = 0.014
     power_w: float = 0.008
@@ -63,7 +60,6 @@ class Core:
             if cmem is not None
             else CMem(
                 self.config.cmem,
-                fast_path=self.config.cmem_fast_path,
                 telemetry=self.telemetry,
                 track=f"{self.track}/cmem-array",
             )
