@@ -155,11 +155,6 @@ class RunReport:
     backend: str = "streaming"
 
     @property
-    def segments(self) -> List[SegmentReport]:
-        """Alias of ``runs`` under the canonical name."""
-        return self.runs
-
-    @property
     def latency_ms(self) -> float:
         """Whole-run latency (all ``batch * batch_requests`` samples)."""
         return self.total_cycles * self.constants.cycle_seconds * 1e3

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TelemetryError
-from repro.telemetry.windows import WindowedSeries, bucket_percentile
+from repro.telemetry.windows import WindowedSeries, bucket_percentile, merge_moments
 
 Number = Union[int, float]
 
@@ -119,14 +119,7 @@ class Histogram:
         """
         if other.bounds != self.bounds:
             raise TelemetryError("cannot merge histograms: bucket bounds differ")
-        self.count += other.count
-        self.total += other.total
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
+        merge_moments(self, other)
         return self
 
 

@@ -32,9 +32,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TelemetryError
+
+if TYPE_CHECKING:
+    from repro.telemetry.registry import Histogram
 
 Number = Union[int, float]
 
@@ -87,6 +90,23 @@ def bucket_percentile(
                 return float(hi)
             return float(min(lo + (hi - lo) * fraction, hi))
     return hi_obs
+
+
+def merge_moments(
+    into: Union[WindowCell, Histogram], other: Union[WindowCell, Histogram]
+) -> None:
+    """Fold ``other``'s count, total, min, max and bucket tallies into
+    ``into`` — the one merge rule of histograms and window cells."""
+    into.count += other.count
+    into.total += other.total
+    if other.min is not None:
+        into.min = other.min if into.min is None else min(into.min, other.min)
+    if other.max is not None:
+        into.max = other.max if into.max is None else max(into.max, other.max)
+    if other.bucket_counts is not None:
+        assert into.bucket_counts is not None
+        for i, n in enumerate(other.bucket_counts):
+            into.bucket_counts[i] += n
 
 
 @dataclass
@@ -257,11 +277,12 @@ class WindowedSeries:
     def merge(self, other: "WindowedSeries") -> "WindowedSeries":
         """Fold ``other`` into this series in place; returns self.
 
-        Counts/totals/busy add, min/max fold, bucket tallies add, and the
-        gauge sample with the later ``last_t`` wins — so merging a run
-        split at any point reproduces the whole-run series: every
-        discrete field bit-exactly, the running float sums up to
-        summation-order ulps (pinned by the split/merge property test).
+        Each window's moments fold as a histogram's do
+        (:func:`merge_moments`), busy time adds, and the gauge sample
+        with the later ``last_t`` wins — so merging a run split at any
+        point reproduces the whole-run series: every discrete field
+        bit-exactly, the running float sums up to summation-order ulps
+        (pinned by the split/merge property test).
         """
         if other.window != self.window:
             raise TelemetryError(
@@ -273,24 +294,11 @@ class WindowedSeries:
             )
         for k, theirs in other.cells.items():
             mine = self.cell(k)
-            mine.count += theirs.count
-            mine.total += theirs.total
+            merge_moments(mine, theirs)
             mine.busy += theirs.busy
-            for attr, pick in (("min", min), ("max", max)):
-                value = getattr(theirs, attr)
-                if value is None:
-                    continue
-                current = getattr(mine, attr)
-                setattr(
-                    mine, attr, value if current is None else pick(current, value)
-                )
             if theirs.last_t >= mine.last_t:
                 mine.last = theirs.last
                 mine.last_t = theirs.last_t
-            if theirs.bucket_counts is not None:
-                assert mine.bucket_counts is not None
-                for i, n in enumerate(theirs.bucket_counts):
-                    mine.bucket_counts[i] += n
         return self
 
 
@@ -308,5 +316,6 @@ __all__ = [
     "WindowCell",
     "WindowedSeries",
     "bucket_percentile",
+    "merge_moments",
     "series_bounds_ms",
 ]

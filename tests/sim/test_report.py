@@ -15,9 +15,6 @@ def report():
 
 
 class TestAliases:
-    def test_segments_aliases_runs(self, report):
-        assert report.segments is report.runs
-
     def test_every_run_is_a_segment_report(self, report):
         assert report.runs
         assert all(isinstance(run, SegmentReport) for run in report.runs)
