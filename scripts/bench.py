@@ -19,7 +19,7 @@ only the gated cases and writes nothing; the CI ``bench-budget`` job
 runs it, so a regression such as the event tier falling back to
 per-event dispatch fails the build.
 
-Run:  python scripts/bench.py [--out BENCH.json] [--full]
+Run:  python scripts/bench.py [--out BENCH.json]
       python scripts/bench.py --check
 """
 
@@ -322,33 +322,28 @@ def bench_serving_batched() -> dict:
 #: the wall time measured on the reference machine after the event-engine
 #: vectorization (see docs/SIMULATORS.md), so CI noise never trips them
 #: but a regression back to per-event Python dispatch (resnet18 event
-#: tier: 2.54 s before, ~0.05 s after) blows through immediately.
+#: tier: 2.54 s before, ~0.05 s after) blows through immediately.  The
+#: resnet18 cycle budget is only ~4x its ~5 s so that a fall back to a
+#: per-pixel functional loop (~40 s) fails it.
 BACKEND_BUDGETS: dict = {
-    "resnet18": {"analytic": 0.10, "streaming": 0.50, "event": 0.60},
+    "resnet18": {"analytic": 0.10, "streaming": 0.50, "event": 0.60, "cycle": 20.0},
     "small_cnn": {"analytic": 0.05, "streaming": 0.05, "event": 0.10, "cycle": 1.50},
 }
 
 
-def bench_backends(full: bool) -> dict:
+def bench_backends() -> dict:
     """Wall-clock cost and cycle totals of every repro.sim backend.
 
-    ResNet18 (heuristic mapping) runs the analytic, streaming and event
-    tiers, the small CNN all four.  The cycle tier executes every mapped
-    kernel, so on ResNet18 it runs only under ``--full``; otherwise its
-    row records the skip, so the artifact never implies coverage it does
-    not have.  Cycle totals and ratios are simulation state; each wall
-    time carries its ``budget_s`` from ``BACKEND_BUDGETS``.
+    ResNet18 (heuristic mapping) and the small CNN each run all four
+    tiers.  Cycle totals and ratios are simulation state; each wall time
+    carries its ``budget_s`` from ``BACKEND_BUDGETS``.
     """
     tiers = ("analytic", "streaming", "event", "cycle")
-    jobs = {
-        "resnet18": (resnet18_spec(), tiers if full else tiers[:3]),
-        "small_cnn": (small_cnn_spec(), tiers),
-    }
     out: dict = {}
-    for name, (network, backends) in jobs.items():
+    for name, network in (("resnet18", resnet18_spec()), ("small_cnn", small_cnn_spec())):
         rows = {}
         reference = None
-        for backend in backends:
+        for backend in tiers:
             t0 = time.perf_counter()
             report = simulate(network, backend=backend)
             wall = time.perf_counter() - t0
@@ -365,11 +360,6 @@ def bench_backends(full: bool) -> dict:
             if budget is not None:
                 row["budget_s"] = budget
                 row["within_budget"] = row["wall_s"] <= budget
-        if name == "resnet18" and not full:
-            rows["cycle"] = {"skipped": (
-                "cycle tier executes every mapped kernel (minutes of wall clock "
-                "on resnet18); pass --full to include it"
-            )}
         out[name] = rows
     return out
 
@@ -571,28 +561,28 @@ def bench_dse() -> dict:
 class Case(NamedTuple):
     """One section of ``BENCH.json``.
 
-    ``run(full)`` returns the section; ``--check`` runs it when ``check``.
+    ``run()`` returns the section; ``--check`` runs it when ``check``.
     """
 
-    run: Callable[[bool], dict]
+    run: Callable[[], dict]
     check: bool
 
 
 CASES: dict = {
-    "macc": Case(lambda full: {
+    "macc": Case(lambda: {
         "mac": bench_mac(),
         "mac_many": bench_mac_many(),
         "resnet18_segment": bench_resnet18_segment(),
     }, check=False),
-    "telemetry": Case(lambda full: bench_telemetry(), check=False),
-    "serving": Case(lambda full: {
+    "telemetry": Case(bench_telemetry, check=False),
+    "serving": Case(lambda: {
         "serving_loop": bench_serving(),
         "serving_batched": bench_serving_batched(),
     }, check=False),
     "backends": Case(bench_backends, check=True),
-    "obs": Case(lambda full: {"attribution": bench_obs()}, check=True),
-    "fleet": Case(lambda full: bench_fleet(), check=True),
-    "dse": Case(lambda full: bench_dse(), check=True),
+    "obs": Case(lambda: {"attribution": bench_obs()}, check=True),
+    "fleet": Case(bench_fleet, check=True),
+    "dse": Case(bench_dse, check=True),
 }
 
 #: Row flags that fail the run when false.
@@ -615,9 +605,6 @@ def main() -> None:
     )
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH.json"))
     parser.add_argument(
-        "--full", action="store_true", help="include the cycle tier on resnet18 (minutes)"
-    )
-    parser.add_argument(
         "--check", action="store_true", help="run only the gated cases and write no JSON"
     )
     args = parser.parse_args()
@@ -630,7 +617,7 @@ def main() -> None:
         if args.check and not case.check:
             continue
         t0 = time.perf_counter()
-        doc[name] = case.run(args.full)
+        doc[name] = case.run()
         print(f"{name}: {time.perf_counter() - t0:.1f} s")
 
     if not args.check:

@@ -7,9 +7,13 @@ Two fidelity levels, selected per layer:
   core-to-core exactly as LoadRow.RC/StoreRow.RC would, and every MAC is a
   real bit-line computation.  Tractable for small layers; used by the
   end-to-end correctness tests.
-* **fast** — identical data placement, filter splitting, sub-vector
-  handling and accumulation order, but the per-vector dot products are
-  computed with NumPy.  Used for ResNet18-scale functional runs.
+* **fast** — the same layer on the same node allocation, computed in
+  NumPy: the accumulators come from one contraction per filter tap over
+  all filters and every ofmap pixel the tap reaches, and the operation
+  counts (vectors streamed, row transfers, per-core MAC.Cs) from closed
+  forms over the same tap ranges.  Integer sums do not depend on order,
+  so both equal what the per-vector streaming would produce.  Used for
+  ResNet18-scale functional runs.
 
 Either way the result must equal the quantized reference engine exactly.
 """
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +34,7 @@ from repro.core.datalayout import (
 )
 from repro.errors import ConfigurationError
 from repro.mapping.capacity import CapacityModel
-from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput
+from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput, _requant
 from repro.nn.workloads import ConvLayerSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats, stats_delta
@@ -60,6 +64,21 @@ def bit_true_min_nodes(spec: ConvLayerSpec, capacity: CapacityModel) -> int:
             f"{spec.name}: one filter does not fit a node without packing"
         )
     return max(1, math.ceil(spec.m / fpn))
+
+
+def _tap_span(
+    offset: int, size: int, out: int, stride: int, padding: int
+) -> Tuple[slice, slice]:
+    """Where a filter tap at ``offset`` lands along one axis.
+
+    Ofmap index ``o`` reads ifmap index ``o*stride + offset - padding``;
+    returns the contiguous ofmap slice whose reads fall inside the
+    ``size`` ifmap indices, and the strided ifmap slice they read.
+    """
+    shift = offset - padding
+    lo = max(0, -(shift // stride))
+    hi = max(lo, min(out, (size - 1 - shift) // stride + 1))
+    return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
 
 
 def _spec_of_qconv(name: str, layer: QConv2d, in_shape) -> ConvLayerSpec:
@@ -134,7 +153,7 @@ class FunctionalNodeGroup:
             for x in range(spec.w):
                 vector = q_in[:, y, x]
                 # DC: vertical byte writes into slice 0, then row reads.
-                dc_buffer.slice0.store_vector(0, [int(v) & 0xFF for v in vector], n)
+                dc_buffer.slice0.store_vector(0, vector, n)
                 rows = [dc_buffer.slice0.read_row(r) for r in range(n)]
                 self.stats.vectors_streamed += 1
                 for k, (node, (start, count)) in enumerate(
@@ -183,47 +202,30 @@ class FunctionalNodeGroup:
     def _run_fast(self, q_in: np.ndarray) -> np.ndarray:
         spec = self.spec
         oh, ow = spec.ofmap_hw
-        cols = self.capacity.cols
-        sub_vectors = max(1, math.ceil(spec.c / cols))
+        sub_vectors = max(1, math.ceil(spec.c / self.capacity.cols))
         acc = np.zeros((spec.m, oh, ow), dtype=np.int64)
         acc += self.bias[:, None, None]
-        padded_c = sub_vectors * cols
-        padded = np.zeros((padded_c, spec.h, spec.w), dtype=np.int64)
-        padded[: spec.c] = q_in
-        for y in range(spec.h):
-            for x in range(spec.w):
-                self.stats.vectors_streamed += 1
-                vector = padded[:, y, x]
-                for k, (start, count) in enumerate(self.ranges):
-                    if count == 0:
-                        continue
-                    self.stats.row_transfers += spec.n_bits * sub_vectors
-                    for fr in range(spec.r):
-                        oy_num = y + spec.padding - fr
-                        if oy_num % spec.stride:
-                            continue
-                        oy = oy_num // spec.stride
-                        if not 0 <= oy < oh:
-                            continue
-                        for fs in range(spec.s):
-                            ox_num = x + spec.padding - fs
-                            if ox_num % spec.stride:
-                                continue
-                            ox = ox_num // spec.stride
-                            if not 0 <= ox < ow:
-                                continue
-                            w_slab = np.zeros((count, padded_c), dtype=np.int64)
-                            w_slab[:, : spec.c] = self.weights[
-                                start : start + count, :, fr, fs
-                            ]
-                            # One MAC.C per held filter per 256-lane
-                            # sub-vector, exactly as the CMem would issue.
-                            for sub in range(sub_vectors):
-                                lo, hi = sub * cols, (sub + 1) * cols
-                                psums = w_slab[:, lo:hi] @ vector[lo:hi]
-                                self.stats.macs += count
-                                self._node_macs[k] += count
-                                acc[start : start + count, oy, ox] += psums
+        # Tap (fr, fs) meets a strided block of ifmap pixels at a contiguous
+        # block of ofmap pixels, so one contraction adds it into every filter.
+        reached = 0
+        for fr in range(spec.r):
+            oys, ys = _tap_span(fr, spec.h, oh, spec.stride, spec.padding)
+            for fs in range(spec.s):
+                oxs, xs = _tap_span(fs, spec.w, ow, spec.stride, spec.padding)
+                acc[:, oys, oxs] += np.tensordot(
+                    self.weights[:, :, fr, fs], q_in[:, ys, xs], axes=1
+                )
+                reached += (oys.stop - oys.start) * (oxs.stop - oxs.start)
+        # Every ifmap vector is sent down the chain once; each core holding
+        # a filter loads it as n_bits rows per 256-lane sub-vector and
+        # issues one MAC.C per held filter, sub-vector and reached tap.
+        pixels = spec.h * spec.w
+        active = sum(1 for _, count in self.ranges if count)
+        self.stats.vectors_streamed += pixels
+        self.stats.row_transfers += pixels * active * spec.n_bits * sub_vectors
+        for k, (_, count) in enumerate(self.ranges):
+            self._node_macs[k] += count * sub_vectors * reached
+            self.stats.macs += count * sub_vectors * reached
         return acc
 
     def run(self, q_in: np.ndarray) -> np.ndarray:
@@ -344,8 +346,6 @@ def simulate_quantized_graph(
                 bit_true=bit_true, capacity=capacity, telemetry=telemetry,
             )
             acc = group.run(q_in)
-            from repro.nn.quantize import _requant
-
             acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
         elif isinstance(layer, QLinear):
             q_in = acts[node.inputs[0]].reshape(-1)
@@ -370,8 +370,6 @@ def simulate_quantized_graph(
                 telemetry=telemetry,
             )
             acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)
-            from repro.nn.quantize import _requant
-
             acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
         else:
             acts[name] = layer.forward(*[acts[i] for i in node.inputs])

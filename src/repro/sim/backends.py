@@ -29,8 +29,9 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
     :class:`FunctionalNodeGroup` and verifies every accumulator against
     an independent NumPy convolution — bit-identical, or the run raises.
     Timing totals reuse the analytic roll-up; what this tier adds is
-    executed-numerics evidence and exact operation counts.  Expensive;
-    meant for small networks and cross-checks (``repro.sim.xcheck``).
+    executed-numerics evidence and exact operation counts.  The costliest
+    tier (seconds on full-size ResNet18); used for numerics checks and
+    cross-checks (``repro.sim.xcheck``).
 
 The cross-tier agreement envelope is asserted by :mod:`repro.sim.xcheck`
 and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
@@ -328,8 +329,9 @@ def _reference_conv(
     """Independent integer convolution (the quantized-reference path).
 
     Deliberately a different computation from the functional node group
-    (whole-patch tensordot per ofmap pixel vs. per-ifmap-vector scatter),
-    so agreement is evidence, not tautology.
+    (a whole-patch tensordot per ofmap pixel vs. one filter-tap
+    contraction scattered over a plane of ofmap pixels), so agreement is
+    evidence, not tautology.
     """
     m, c, r, s = weights.shape
     _, h, w = q_in.shape

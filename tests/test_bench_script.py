@@ -31,7 +31,7 @@ def green_doc() -> dict:
         "backends": {
             "resnet18": {
                 "event": {"wall_s": 0.05, "budget_s": 0.6, "within_budget": True},
-                "cycle": {"skipped": "pass --full to include it"},
+                "cycle": {"wall_s": 4.9, "budget_s": 20.0, "within_budget": True},
             },
             "small_cnn": {
                 "cycle": {"wall_s": 0.02, "budget_s": 1.5, "within_budget": True},
@@ -64,6 +64,13 @@ def test_cases_registry(bench):
     ]
     gated = {name for name, case in bench.CASES.items() if case.check}
     assert gated == {"backends", "obs", "fleet", "dse"}
+
+
+def test_every_backend_row_is_budgeted(bench):
+    tiers = {"analytic", "streaming", "event", "cycle"}
+    assert {name: set(rows) for name, rows in bench.BACKEND_BUDGETS.items()} == {
+        "resnet18": tiers, "small_cnn": tiers,
+    }
 
 
 def test_all_green_document_has_no_failures(bench):
