@@ -323,10 +323,10 @@ def bench_serving_batched() -> dict:
 #: vectorization (see docs/SIMULATORS.md), so CI noise never trips them
 #: but a regression back to per-event Python dispatch (resnet18 event
 #: tier: 2.54 s before, ~0.05 s after) blows through immediately.  The
-#: resnet18 cycle budget is only ~4x its ~5 s so that a fall back to a
-#: per-pixel functional loop (~40 s) fails it.
+#: resnet18 cycle budget is only ~3x its ~0.6 s so that a fall back to
+#: int64 contractions off BLAS (~5 s) fails it.
 BACKEND_BUDGETS: dict = {
-    "resnet18": {"analytic": 0.10, "streaming": 0.50, "event": 0.60, "cycle": 20.0},
+    "resnet18": {"analytic": 0.10, "streaming": 0.50, "event": 0.60, "cycle": 2.0},
     "small_cnn": {"analytic": 0.05, "streaming": 0.05, "event": 0.10, "cycle": 1.50},
 }
 

@@ -8,12 +8,15 @@ Two fidelity levels, selected per layer:
   real bit-line computation.  Tractable for small layers; used by the
   end-to-end correctness tests.
 * **fast** — the same layer on the same node allocation, computed in
-  NumPy: the accumulators come from one contraction per filter tap over
-  all filters and every ofmap pixel the tap reaches, and the operation
-  counts (vectors streamed, row transfers, per-core MAC.Cs) from closed
-  forms over the same tap ranges.  Integer sums do not depend on order,
-  so both equal what the per-vector streaming would produce.  Used for
-  ResNet18-scale functional runs.
+  NumPy: the accumulators come from one contraction per filter tap (and
+  cache-sized block of filters) over every ofmap pixel the tap reaches,
+  and the operation counts (vectors streamed, row transfers, per-core
+  MAC.Cs) from closed forms over the same tap ranges.  The contractions
+  run on float64 BLAS through :func:`~repro.utils.fixedpoint.exact_matmul`,
+  which is exact while ``max|w| * max|x| * C < 2**53`` and raises past
+  it; integer sums do not depend on order, so both equal what the
+  per-vector streaming would produce.  Used for ResNet18-scale
+  functional runs.
 
 Either way the result must equal the quantized reference engine exactly.
 """
@@ -38,6 +41,7 @@ from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput, _requant
 from repro.nn.workloads import ConvLayerSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats, stats_delta
+from repro.utils.fixedpoint import EXACT_BLOCK, exact_matmul
 
 
 @dataclass
@@ -206,16 +210,29 @@ class FunctionalNodeGroup:
         acc = np.zeros((spec.m, oh, ow), dtype=np.int64)
         acc += self.bias[:, None, None]
         # Tap (fr, fs) meets a strided block of ifmap pixels at a contiguous
-        # block of ofmap pixels, so one contraction adds it into every filter.
+        # block of ofmap pixels, so one contraction adds it into a block of
+        # filters at once.
+        taps = []
         reached = 0
         for fr in range(spec.r):
             oys, ys = _tap_span(fr, spec.h, oh, spec.stride, spec.padding)
             for fs in range(spec.s):
                 oxs, xs = _tap_span(fs, spec.w, ow, spec.stride, spec.padding)
-                acc[:, oys, oxs] += np.tensordot(
-                    self.weights[:, :, fr, fs], q_in[:, ys, xs], axes=1
-                )
-                reached += (oys.stop - oys.start) * (oxs.stop - oxs.start)
+                reach = (oys.stop - oys.start) * (oxs.stop - oxs.start)
+                if reach:
+                    patch = q_in[:, ys, xs].reshape(spec.c, reach)
+                    taps.append((fr, fs, oys, oxs, patch))
+                    reached += reach
+        # Filters go in blocks of at most EXACT_BLOCK weights, which stay in
+        # cache across the block's taps: a tap's weights are a strided slice,
+        # so tap-major order over all filters would read each weight's cache
+        # line once per tap.
+        step = max(1, EXACT_BLOCK // (spec.c * spec.r * spec.s))
+        for lo in range(0, spec.m, step):
+            block = self.weights[lo : lo + step]
+            for fr, fs, oys, oxs, patch in taps:
+                out = acc[lo : lo + step, oys, oxs]
+                out += exact_matmul(block[:, :, fr, fs], patch).reshape(out.shape)
         # Every ifmap vector is sent down the chain once; each core holding
         # a filter loads it as n_bits rows per 256-lane sub-vector and
         # issues one MAC.C per held filter, sub-vector and reached tap.
@@ -229,7 +246,7 @@ class FunctionalNodeGroup:
         return acc
 
     def run(self, q_in: np.ndarray) -> np.ndarray:
-        """Stream the quantized ifmap through the group; returns int32 acc."""
+        """Stream the quantized ifmap through the group; returns int64 acc."""
         q_in = np.asarray(q_in, dtype=np.int64)
         if q_in.shape != (self.spec.c, self.spec.h, self.spec.w):
             raise ConfigurationError(

@@ -31,6 +31,7 @@ from repro.riscv.pipeline import PipelineConfig, PipelineStats
 from repro.riscv.replay import ReplayCache
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.utils.bitops import to_twos_complement
+from repro.utils.fixedpoint import exact_matmul
 
 
 def table4_workload() -> ConvLayerSpec:
@@ -47,10 +48,14 @@ def reference_accumulators(
     bias: np.ndarray,
     ifmap: np.ndarray,
 ) -> np.ndarray:
-    """Int32 conv accumulators: the oracle for the node simulation."""
-    m, c = weights.shape[0], weights.shape[1]
-    cols = _im2col(ifmap.astype(np.int64), spec.r, spec.s, spec.stride, spec.padding)
-    acc = weights.reshape(m, c * spec.r * spec.s).astype(np.int64) @ cols
+    """Int64 conv accumulators: the oracle for the node and group simulations.
+
+    One whole-layer im2col GEMM, exact on float64 BLAS
+    (:func:`~repro.utils.fixedpoint.exact_matmul`).
+    """
+    m = weights.shape[0]
+    cols = _im2col(ifmap, spec.r, spec.s, spec.stride, spec.padding)
+    acc = exact_matmul(weights.reshape(m, -1), cols)
     acc += np.asarray(bias, dtype=np.int64)[:, None]
     oh, ow = spec.ofmap_hw
     return acc.reshape(m, oh, ow)

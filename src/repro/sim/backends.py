@@ -25,13 +25,14 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
     forwarding-policy ablation (``SimConfig.forward_policy``).
 ``cycle``
     The functional node-group tier: actually executes the mapped layers
-    (synthesized int8 weights/ifmaps, seeded) through
-    :class:`FunctionalNodeGroup` and verifies every accumulator against
-    an independent NumPy convolution — bit-identical, or the run raises.
+    (synthesized weights/ifmaps at each layer's ``n_bits``, seeded)
+    through :class:`FunctionalNodeGroup` and verifies every accumulator
+    against :func:`~repro.core.node.reference_accumulators`, an
+    independent whole-layer GEMM — bit-identical, or the run raises.
     Timing totals reuse the analytic roll-up; what this tier adds is
     executed-numerics evidence and exact operation counts.  The costliest
-    tier (seconds on full-size ResNet18); used for numerics checks and
-    cross-checks (``repro.sim.xcheck``).
+    tier (about half a second on full-size ResNet18); used for numerics
+    checks and cross-checks (``repro.sim.xcheck``).
 
 The cross-tier agreement envelope is asserted by :mod:`repro.sim.xcheck`
 and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
@@ -68,6 +69,7 @@ from repro.sim.accounting import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.report import LayerReport, RunReport, SegmentReport
+from repro.utils.fixedpoint import fixed_range
 
 #: The production default tier (the pre-backend chip simulator's path).
 DEFAULT_BACKEND = "streaming"
@@ -319,43 +321,17 @@ class EventBackend(ModeledBackend):
         )
 
 
-def _reference_conv(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    q_in: np.ndarray,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Independent integer convolution (the quantized-reference path).
-
-    Deliberately a different computation from the functional node group
-    (a whole-patch tensordot per ofmap pixel vs. one filter-tap
-    contraction scattered over a plane of ofmap pixels), so agreement is
-    evidence, not tautology.
-    """
-    m, c, r, s = weights.shape
-    _, h, w = q_in.shape
-    oh = (h + 2 * padding - r) // stride + 1
-    ow = (w + 2 * padding - s) // stride + 1
-    padded = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=np.int64)
-    padded[:, padding : padding + h, padding : padding + w] = q_in
-    acc = np.tile(bias.astype(np.int64)[:, None, None], (1, oh, ow))
-    for oy in range(oh):
-        for ox in range(ow):
-            patch = padded[:, oy * stride : oy * stride + r,
-                           ox * stride : ox * stride + s]
-            acc[:, oy, ox] += np.tensordot(weights, patch, axes=3)
-    return acc
-
-
 class CycleBackend(ModeledBackend):
     """Functional node-group execution with bit-exact numerics checking.
 
-    Synthesizes a deterministic int8 workload per layer (seeded by
-    ``SimConfig.seed`` and the layer index), streams it through
+    Synthesizes a deterministic workload per layer (seeded by
+    ``SimConfig.seed`` and the layer index; weights and ifmap span the
+    layer's full signed ``n_bits`` range), streams it through
     :class:`FunctionalNodeGroup` with the plan's node allocation, and
-    asserts the executed accumulators equal an independent NumPy
-    convolution — raising :class:`SimulationError` on any mismatch.
+    asserts the executed accumulators equal
+    :func:`~repro.core.node.reference_accumulators` — one im2col GEMM
+    against the group's per-tap scatter, so agreement is evidence, not
+    tautology — raising :class:`SimulationError` on any mismatch.
     Cycle totals reuse the analytic roll-up; this tier is authoritative
     for *numerics* and executed op counts, not queueing behaviour.
     """
@@ -370,16 +346,18 @@ class CycleBackend(ModeledBackend):
         config: SimConfig,
     ) -> _SegmentOutcome:
         from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
+        from repro.core.node import reference_accumulators
 
         finish, layers = _analytic_layers(model, timings)
         macs = 0
         checksum = 0
         for lt in timings:
             spec = lt.spec
+            lo, hi = fixed_range(spec.n_bits)
             rng = np.random.default_rng((config.seed, spec.index))
-            weights = rng.integers(-128, 128, (spec.m, spec.c, spec.r, spec.s))
+            weights = rng.integers(lo, hi + 1, (spec.m, spec.c, spec.r, spec.s))
             bias = rng.integers(-1000, 1000, spec.m)
-            q_in = rng.integers(-128, 128, (spec.c, spec.h, spec.w))
+            q_in = rng.integers(lo, hi + 1, (spec.c, spec.h, spec.w))
             num = (
                 bit_true_min_nodes(spec, config.capacity)
                 if config.bit_true
@@ -390,9 +368,7 @@ class CycleBackend(ModeledBackend):
                 bit_true=config.bit_true, capacity=config.capacity,
             )
             acc = group.run(q_in)
-            expected = _reference_conv(
-                weights, bias, q_in, spec.stride, spec.padding
-            )
+            expected = reference_accumulators(spec, weights, bias, q_in)
             if not np.array_equal(acc, expected):
                 raise SimulationError(
                     f"cycle tier: layer {spec.name!r} diverged from the "

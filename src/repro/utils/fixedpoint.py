@@ -8,6 +8,51 @@ import numpy as np
 
 from repro.errors import QuantizationError
 
+#: float64 holds every integer of magnitude below 2**53 exactly.
+_EXACT_LIMIT = 1 << 53
+#: Elements of ``a`` that :func:`exact_matmul` converts to float64 at a
+#: time: a block stays in cache while it is bound-checked and multiplied.
+EXACT_BLOCK = 1 << 17
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact integer ``a @ b`` as int64, computed on float64 BLAS.
+
+    ``a`` is ``(m, k)`` and ``b`` is ``(k, n)``, of any integer dtype and
+    any strides.  When ``max|a| * max|b| * k < 2**53`` every product and
+    every partial sum is an integer float64 represents exactly, so the
+    result does not depend on the BLAS summation order.  ``a`` is
+    converted in row blocks of at most :data:`EXACT_BLOCK` elements, each
+    checked against the bound before it is multiplied; past the bound
+    this raises :class:`QuantizationError` rather than round.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
+        raise QuantizationError(
+            f"exact_matmul takes integer operands, got {a.dtype} and {b.dtype}"
+        )
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise QuantizationError(
+            f"exact_matmul cannot multiply {a.shape} by {b.shape}"
+        )
+    m, k = a.shape
+    out = np.zeros((m, b.shape[1]), dtype=np.int64)
+    if out.size == 0 or k == 0:
+        return out
+    fb = b.astype(np.float64)
+    b_max = int(max(-fb.min(), fb.max()))
+    rows = max(1, EXACT_BLOCK // k)
+    for lo in range(0, m, rows):
+        fa = a[lo : lo + rows].astype(np.float64)
+        bound = int(max(-fa.min(), fa.max())) * b_max * k
+        if bound >= _EXACT_LIMIT:
+            raise QuantizationError(
+                f"exact_matmul: max|a| * max|b| * k = {bound} reaches 2**53; "
+                "float64 sums would round"
+            )
+        out[lo : lo + rows] = fa @ fb
+    return out
+
 
 def clamp(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Clamp an integer array into ``[lo, hi]``."""

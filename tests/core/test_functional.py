@@ -18,6 +18,7 @@ from repro.mapping.capacity import CapacityModel
 from repro.nn.models import build_residual_cnn, build_small_cnn
 from repro.nn.quantize import quantize_graph
 from repro.nn.workloads import ConvLayerSpec
+from repro.utils.fixedpoint import EXACT_BLOCK
 
 
 def group_setup(spec, num_nodes, seed=0, group_cls=FunctionalNodeGroup, **kw):
@@ -148,6 +149,17 @@ class TestFastModeMatchesPerPixelLoop:
         assert np.array_equal(fast.run(q_in), loop.run(q_in))
         assert fast.stats == loop.stats
         assert fast._node_macs == loop._node_macs
+
+    def test_filters_span_several_cache_blocks(self):
+        # The fast path contracts EXACT_BLOCK // (c*r*s) filters at a time;
+        # 60 filters of 512x3x3 make three blocks, the last one partial.
+        spec = ConvLayerSpec(0, "t", h=3, w=4, c=512, m=60, padding=1)
+        assert spec.m > 2 * (EXACT_BLOCK // (spec.c * spec.r * spec.s))
+        fast, q_in, ref = group_setup(spec, 7)
+        loop, _, _ = group_setup(spec, 7, group_cls=PerPixelGroup)
+        assert np.array_equal(fast.run(q_in), ref)
+        assert np.array_equal(loop.run(q_in), ref)
+        assert fast.stats == loop.stats
 
     def test_published_counters_and_spans(self):
         spec = ConvLayerSpec(0, "t", h=6, w=5, c=300, m=5, r=3, s=1,

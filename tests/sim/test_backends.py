@@ -7,12 +7,22 @@ Tier-specific evidence (event counts, cycle-tier numerics) is asserted
 where the tier produces it.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.nn.workloads import small_cnn_spec
+from repro.errors import CMemError
+from repro.nn.workloads import NetworkSpec, small_cnn_spec
 from repro.sim import DEFAULT_ENVELOPE, SimConfig, available_backends, simulate
 
 STRATEGIES = ("heuristic", "greedy")
+
+
+def at_precision(network, n_bits):
+    return NetworkSpec(
+        name=network.name,
+        layers=tuple(replace(layer, n_bits=n_bits) for layer in network.layers),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +78,26 @@ class TestTierEvidence:
             small_cnn_spec(), backend="cycle", config=SimConfig(seed=1)
         )
         assert [r.checksum for r in c.runs] != [r.checksum for r in a.runs]
+
+    def test_cycle_tier_operands_span_the_layer_precision(self):
+        network = small_cnn_spec(h=4, c=4)
+        int8 = simulate(network, backend="cycle")
+        fast = simulate(at_precision(network, 16), backend="cycle")
+        true = simulate(
+            at_precision(network, 16), backend="cycle",
+            config=SimConfig(bit_true=True),
+        )
+        assert [r.checksum for r in fast.runs] != [r.checksum for r in int8.runs]
+        assert [r.checksum for r in true.runs] == [r.checksum for r in fast.runs]
+        assert all(run.numerics_verified for run in true.runs)
+
+    @pytest.mark.parametrize("n_bits", [2, 4])
+    def test_cycle_tier_bit_true_rejects_sub_byte_operands(self, n_bits):
+        with pytest.raises(CMemError, match="byte-granular"):
+            simulate(
+                at_precision(small_cnn_spec(h=4, c=4), n_bits), backend="cycle",
+                config=SimConfig(bit_true=True),
+            )
 
     def test_analytic_matches_streaming_on_single_layer_segments(self):
         # With one layer per segment there is no pipelining for the

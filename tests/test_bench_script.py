@@ -31,7 +31,7 @@ def green_doc() -> dict:
         "backends": {
             "resnet18": {
                 "event": {"wall_s": 0.05, "budget_s": 0.6, "within_budget": True},
-                "cycle": {"wall_s": 4.9, "budget_s": 20.0, "within_budget": True},
+                "cycle": {"wall_s": 0.6, "budget_s": 2.0, "within_budget": True},
             },
             "small_cnn": {
                 "cycle": {"wall_s": 0.02, "budget_s": 1.5, "within_budget": True},
