@@ -11,7 +11,8 @@ fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
 The last four are gated.  Each gated row carries its ``budget_s`` or
 ``budget_ratio`` (from ``BACKEND_BUDGETS``, ``OBS_OVERHEAD_BUDGET``,
-``FLEET_BUDGETS`` or ``DSE_BUDGETS``) and a ``within_budget`` flag; the
+``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a
+``within_budget`` flag; the
 ``dse`` section also records whether its serial and fork-pool JSON are
 ``identical_bytes``.  A row with either flag false is printed by its
 path, e.g. ``fleet/scales/1``, and the run exits 1.  ``--check`` runs
@@ -449,6 +450,13 @@ def bench_obs() -> dict:
 #: per-request Python overhead blows through immediately.
 FLEET_BUDGETS: dict = {1: 0.20, 4: 0.80, 16: 3.50}
 
+#: Per-request cost ceiling of the fleet path as it grows: a generated
+#: request may make at most 10% more calls (:func:`op_count`) at 16
+#: chips than at 4.  The base is 4 chips, not 1, because with a single
+#: candidate p2c skips its two RNG draws.
+FLEET_OP_BUDGET = 1.10
+FLEET_OP_CHIPS = (4, 16)
+
 
 def bench_fleet() -> dict:
     """Throughput of the multi-chip fleet loop at N = 1 / 4 / 16 chips.
@@ -459,6 +467,9 @@ def bench_fleet() -> dict:
     traffic generation, cluster routing, per-chip event loops, and the
     fleet rollup.  Request counts are simulation state (deterministic);
     the wall-clock rows carry their ``budget_s`` from ``FLEET_BUDGETS``.
+    Each scale also records its operation count per generated request,
+    and the ``op_count`` row gates how that grows from 4 to 16 chips
+    (``FLEET_OP_BUDGET``); unlike wall clock, it repeats exactly.
     """
     def models(chips: int) -> list:
         return [
@@ -495,12 +506,15 @@ def bench_fleet() -> dict:
             "requests": result.total_generated,
             "completed": result.total_completed,
             "shed": result.total_shed,
+            "calls_per_request": op_count(run) / result.total_generated,
             "wall_s_per_run": t,
             "requests_per_sec": result.total_generated / t,
             "sim_ms_per_wall_s": duration_ms / t,
             "budget_s": FLEET_BUDGETS[chips],
             "within_budget": t <= FLEET_BUDGETS[chips],
         }
+    base, top = (scales[str(c)]["calls_per_request"] for c in FLEET_OP_CHIPS)
+    ratio = top / base
     return {
         "workload": (
             f"2-model fleet loop, {duration_ms:g} ms sim window, offered "
@@ -508,6 +522,12 @@ def bench_fleet() -> dict:
             "serial chip execution)"
         ),
         "scales": scales,
+        "op_count": {
+            "chips": list(FLEET_OP_CHIPS),
+            "ratio": ratio,
+            "budget_ratio": FLEET_OP_BUDGET,
+            "within_budget": ratio <= FLEET_OP_BUDGET,
+        },
     }
 
 

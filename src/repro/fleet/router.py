@@ -31,6 +31,7 @@ their sessions are split across the model's initial replica chips once
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -103,6 +104,10 @@ class ClusterRouter:
         #: ``(model, chip) -> ready_ms`` for replicas still staging their
         #: weights (new placements and crash recoveries).
         self._ready_ms: Dict[Tuple[str, int], float] = {}
+        #: ``model -> (candidates, valid_from, valid_until)``: the live
+        #: candidates of :meth:`live_candidates`, good for any ``now_ms``
+        #: in ``[valid_from, valid_until)``.  Every replica move clears it.
+        self._candidates: Dict[str, Tuple[Tuple[int, ...], float, float]] = {}
         self._update_speeds(0.0)
 
     # -- state ------------------------------------------------------------------
@@ -116,14 +121,32 @@ class ClusterRouter:
             factor = self.failures.degradation_factor(chip, now_ms)
             self.tracker.speed[chip] = replicas / factor
 
-    def live_candidates(self, model: str, now_ms: float) -> List[int]:
-        """Chips with a live, weight-ready replica of ``model`` at ``now_ms``."""
-        return [
-            chip
-            for chip in self.placement.chips_of(model)
-            if chip not in self._crashed
-            and self._ready_ms.get((model, chip), 0.0) <= now_ms
-        ]
+    def live_candidates(self, model: str, now_ms: float) -> Tuple[int, ...]:
+        """Chips with a live, weight-ready replica of ``model`` at ``now_ms``.
+
+        Ascending chip order.  The answer is cached per model and holds
+        until ``now_ms`` reaches the ready time of a replica that was
+        still staging, so a routed request costs one lookup, not a scan
+        of the placement.  Replica moves go through :meth:`add_replica`,
+        :meth:`remove_replica` and :meth:`crash_chip`, which clear it.
+        """
+        cached = self._candidates.get(model)
+        if cached is not None and cached[1] <= now_ms < cached[2]:
+            return cached[0]
+        live: List[int] = []
+        valid_from, valid_until = -math.inf, math.inf
+        for chip in self.placement.chips_of(model):
+            if chip in self._crashed:
+                continue
+            ready = self._ready_ms.get((model, chip), 0.0)
+            if ready <= now_ms:
+                live.append(chip)
+                valid_from = max(valid_from, ready)
+            else:
+                valid_until = min(valid_until, ready)
+        candidates = tuple(live)
+        self._candidates[model] = (candidates, valid_from, valid_until)
+        return candidates
 
     def add_replica(
         self, model: str, chip: int, now_ms: float
@@ -133,12 +156,14 @@ class ClusterRouter:
         self.placement.add(model, chip, profile.cores)
         ready = now_ms + profile.restage_ms
         self._ready_ms[(model, chip)] = ready
+        self._candidates.clear()
         self._update_speeds(now_ms)
         return ready
 
     def remove_replica(self, model: str, chip: int, now_ms: float) -> None:
         self.placement.remove(model, chip)
         self._ready_ms.pop((model, chip), None)
+        self._candidates.clear()
         self._update_speeds(now_ms)
 
     def crash_chip(
@@ -146,6 +171,7 @@ class ClusterRouter:
     ) -> None:
         """Evict a crashed chip and re-place its replicas on survivors."""
         self._crashed.add(chip)
+        self._candidates.clear()
         lost = self.placement.evict_chip(chip)
         self.tracker.reset_chip(chip)
         self._update_speeds(now_ms)
@@ -197,7 +223,6 @@ class ClusterRouter:
         result = RoutingResult()
         result.routed = {c: 0 for c in range(self.placement.n_chips)}
         model_names = sorted(streams)
-        merged: List[Tuple[float, int, int, float]] = []
         # Event ranks: 0 = crash, 1 = epoch tick, 2 = arrival.
         heap: List[Tuple[float, int, int, int]] = []
         for crash in self.failures.crashes:
@@ -214,7 +239,6 @@ class ClusterRouter:
             times = streams[model]
             if times:
                 heapq.heappush(heap, (times[0], 2, mi, 0))
-        del merged
 
         while heap:
             t, rank, a, _ = heapq.heappop(heap)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.monitor import DEFAULT_WINDOW_MS, AlertEvent, SLOMonitor
 from repro.obs.timeline import AttributionTable
@@ -42,16 +42,32 @@ from repro.telemetry import TelemetrySink
 from repro.utils.events import EventQueue
 
 
-@dataclass
+@dataclass(slots=True)
+class _TenantState:
+    """One tenant's queue and report, with its event annotations formatted once."""
+
+    spec: TenantSpec
+    report: TenantReport
+    queue: AdmissionQueue
+    server: str
+    actor: str                 # "tenant/<name>"
+    writes: Tuple[str, ...]    # ("queue/<name>",)
+    window_arrivals: int = 0   # arrivals since the last control tick
+    arrival_index: int = 0     # next per-tenant request index
+
+
+@dataclass(slots=True)
 class _ServerState:
     """One server's occupancy, resize gate, and accumulated busy time."""
 
+    actor: str                 # "server/<name>"
+    writes: Tuple[str, ...]    # ("server/<name>",)
     busy: bool = False
     free_at_ms: float = 0.0       # completion time of the in-flight request
     stall_until_ms: float = 0.0   # weight re-staging gate after a resize
     busy_ms: float = 0.0
     retry_scheduled: bool = False  # a post-stall dispatch is already queued
-    tenants: List[str] = field(default_factory=list)
+    tenants: List[_TenantState] = field(default_factory=list)
 
 
 class ChipHandle:
@@ -86,32 +102,43 @@ class ChipHandle:
         self.batch_requests = batch_requests
         self.halt_ms = halt_ms
         self.halted = False
-        self.specs: Dict[str, TenantSpec] = {t.name: t for t in tenants}
         self.names: List[str] = [t.name for t in tenants]
         self.reports: Dict[str, TenantReport] = {
             t.name: TenantReport(tenant=t.name) for t in tenants
         }
-        self.queues: Dict[str, AdmissionQueue] = {
-            t.name: AdmissionQueue(
-                capacity=t.queue_capacity, discipline=discipline
-            )
-            for t in tenants
-        }
+        #: Per-tenant state in declaration order.  The event annotations
+        #: and the tenant's server are resolved here, once, not per event.
+        self.tenants: Dict[str, _TenantState] = {}
         self.servers: Dict[str, _ServerState] = {}
-        for tenant in tenants:
-            server = policy.server_of(tenant.name)
-            state = self.servers.setdefault(server, _ServerState())
-            state.tenants.append(tenant.name)
+        for spec in tenants:
+            server = policy.server_of(spec.name)
+            state = self.servers.get(server)
+            if state is None:
+                state = self.servers[server] = _ServerState(
+                    actor=f"server/{server}", writes=(f"server/{server}",)
+                )
+            tenant = self.tenants[spec.name] = _TenantState(
+                spec=spec,
+                report=self.reports[spec.name],
+                queue=AdmissionQueue(
+                    capacity=spec.queue_capacity, discipline=discipline
+                ),
+                server=server,
+                actor=f"tenant/{spec.name}",
+                writes=(f"queue/{spec.name}",),
+            )
+            state.tenants.append(tenant)
         self.resizes: List[ResizeEvent] = []
-        self.window_arrivals: Dict[str, int] = {t.name: 0 for t in tenants}
-        self.arrival_index: Dict[str, int] = {t.name: 0 for t in tenants}
         self.admission_seq = itertools.count()
         self.sink = telemetry
+        #: The sink's ``enabled`` flag, read once: with it false (and no
+        #: monitor) the per-request path formats no metric path.
+        self._enabled = telemetry.enabled
         self.table: Optional[AttributionTable] = (
             AttributionTable() if attribution else None
         )
         self.collect = self.table is not None and (
-            collect_timelines or self.sink.enabled
+            collect_timelines or self._enabled
         )
         #: Dispatch-side attribution cache: tenant -> list indexed by
         #: batch size of ``[(key, template), billed_dispatches]`` slots
@@ -130,9 +157,9 @@ class ChipHandle:
     # -- telemetry helpers -----------------------------------------------------
 
     def _count(self, path: str) -> None:
-        if self.sink.enabled:
-            assert self.sink.registry is not None
-            self.sink.registry.counter(path).inc()
+        """Bump one counter; callers check ``self._enabled`` first."""
+        assert self.sink.registry is not None
+        self.sink.registry.counter(path).inc()
 
     def _poll_monitor(self, now: float) -> None:
         monitor = self.monitor
@@ -143,7 +170,7 @@ class ChipHandle:
             return
         self.alerts.extend(fresh)
         self.pending_alerts.extend(fresh)
-        if self.sink.enabled:
+        if self._enabled:
             assert self.sink.trace is not None
             for alert in fresh:
                 self.sink.trace.instant(
@@ -166,20 +193,20 @@ class ChipHandle:
 
     # -- service ---------------------------------------------------------------
 
-    def _pick(self, server: str) -> Optional[Request]:
-        best_name: Optional[str] = None
+    @staticmethod
+    def _pick(state: _ServerState) -> Optional[_TenantState]:
+        """The tenant whose queue head ``state`` serves next, if any."""
+        best: Optional[_TenantState] = None
         best_rank: Optional[tuple] = None
-        for name in self.servers[server].tenants:
-            key = self.queues[name].peek_key()
+        for tenant in state.tenants:
+            key = tenant.queue.peek_key()
             if key is None:
                 continue
-            rank = (-self.specs[name].priority, key)
+            rank = (-tenant.spec.priority, key)
             if best_rank is None or rank < best_rank:
                 best_rank = rank
-                best_name = name
-        if best_name is None:
-            return None
-        return self.queues[best_name].pop()
+                best = tenant
+        return best
 
     def dispatch(self, server: str) -> None:
         """Serve the best queued request of ``server``'s tenants, if free."""
@@ -203,19 +230,20 @@ class ChipHandle:
 
                 queue.schedule(
                     state.stall_until_ms, resume, tag="serving/resume",
-                    actor=f"server/{server}",
-                    writes=(f"server/{server}",),
+                    actor=state.actor,
+                    writes=state.writes,
                 )
             return
-        request = self._pick(server)
-        if request is None:
+        tenant = self._pick(state)
+        if tenant is None:
             return
+        tenant_queue = tenant.queue
+        request = tenant_queue.pop()
         # Weight-stationary batching: pull further queued requests of
         # the *same tenant* (same weights) into this dispatch, up to
         # the batch limit; they serve back to back with staging paid
         # once.  batch_requests=1 keeps the historical loop exactly.
         batch = [request]
-        tenant_queue = self.queues[request.tenant]
         while (
             len(batch) < self.batch_requests
             and tenant_queue.peek_key() is not None
@@ -280,7 +308,7 @@ class ChipHandle:
             finish = now + service
         state.busy = True
         state.free_at_ms = finish
-        if self.sink.enabled:
+        if self._enabled:
             assert self.sink.trace is not None
             args: Dict[str, object] = {"request": request.index}
             if len(batch) > 1:
@@ -294,105 +322,108 @@ class ChipHandle:
             )
         queue.schedule(
             finish,
-            lambda: self.complete(server, batch, service, finish, attr),
+            lambda: self.complete(server, tenant, batch, service, finish, attr),
             tag="serving/completion",
-            actor=f"server/{server}",
-            writes=(f"server/{server}",),
+            actor=state.actor,
+            writes=state.writes,
         )
 
     def complete(
         self,
         server: str,
+        tenant: _TenantState,
         batch: List[Request],
         service: float,
         finish: float,
         attr: Optional[tuple],
     ) -> None:
-        """Account one finished batch and re-arm the server."""
+        """Account one finished batch of ``tenant`` and re-arm the server."""
         state = self.servers[server]
         state.busy = False
+        report = tenant.report
+        name = tenant.spec.name
+        enabled = self._enabled
         if self.halted:
             # The chip crashed mid-service: the batch never finished.
             # Every request of it is accounted as failed (not completed,
             # not silently dropped) and closed-loop chains end here.
             for request in batch:
-                self.reports[request.tenant].failed += 1
-                self._count(f"serving/tenant/{request.tenant}/failed")
+                report.failed += 1
+                if enabled:
+                    self._count(f"serving/tenant/{name}/failed")
             return
         state.busy_ms += service
         # Every request of the batch finishes when the batch does;
         # the per-request service share is what SLO accounting bills.
         share = service / len(batch)
-        duration_ms = self.duration_ms
         monitor = self.monitor
         sink = self.sink
+        arrivals = tenant.spec.arrivals
+        closed_loop = arrivals.closed_loop
+        in_window = finish <= self.duration_ms
         for request in batch:
             request.finish_ms = finish
-            report = self.reports[request.tenant]
-            if finish <= duration_ms:
+            if in_window:
+                latency = finish - request.arrival_ms
+                met_deadline = finish <= request.deadline_ms
                 report.record_completion(
-                    request.latency_ms,
-                    request.queue_wait_ms,
+                    latency,
+                    request.start_ms - request.arrival_ms,
                     share,
-                    met_deadline=request.met_deadline,
+                    met_deadline=met_deadline,
                 )
                 if self.collect and attr is not None:
                     assert self.table is not None
                     report.timelines.append(
                         self.table.timeline(
-                            request.tenant,
+                            name,
                             request.index,
                             request.arrival_ms,
                             request.start_ms,
-                            request.latency_ms,
+                            latency,
                             attr[1],
                         )
                     )
                 if monitor is not None:
                     monitor.record_completion(
-                        request.tenant,
-                        finish,
-                        request.latency_ms,
-                        request.met_deadline,
+                        name, finish, latency, met_deadline
                     )
-                self._count(f"serving/tenant/{request.tenant}/completed")
-                if not request.met_deadline:
-                    self._count(
-                        f"serving/tenant/{request.tenant}/deadline_misses"
-                    )
-                if sink.enabled:
+                if enabled:
                     assert sink.registry is not None
+                    self._count(f"serving/tenant/{name}/completed")
+                    if not met_deadline:
+                        self._count(f"serving/tenant/{name}/deadline_misses")
                     sink.registry.histogram(
-                        f"serving/tenant/{request.tenant}/latency_ms",
+                        f"serving/tenant/{name}/latency_ms",
                         bounds=report.histogram.bounds,
-                    ).observe(request.latency_ms)
+                    ).observe(latency)
                     sink.registry.windowed(
-                        f"serving/tenant/{request.tenant}/throughput",
+                        f"serving/tenant/{name}/throughput",
                         self.window,
                     ).observe(finish, 1.0)
                     sink.registry.windowed(
-                        f"serving/tenant/{request.tenant}/latency_windowed",
+                        f"serving/tenant/{name}/latency_windowed",
                         self.window,
                         bounds=report.histogram.bounds,
-                    ).observe(finish, request.latency_ms)
+                    ).observe(finish, latency)
             else:
                 report.overrun += 1
-            spec = self.specs[request.tenant]
-            if spec.arrivals.closed_loop:
+            if closed_loop:
                 self.schedule_arrival(
-                    spec, spec.arrivals.after_completion_ms(finish)
+                    tenant, arrivals.after_completion_ms(finish)
                 )
-        if sink.enabled:
+        if enabled:
             assert sink.registry is not None
             sink.registry.windowed(
                 f"serving/server/{server}/busy", self.window
             ).add_range(finish - service, finish)
-        self._poll_monitor(finish)
+        if monitor is not None:
+            self._poll_monitor(finish)
         self.dispatch(server)
 
     # -- arrivals --------------------------------------------------------------
 
-    def schedule_arrival(self, tenant: TenantSpec, t: Optional[float]) -> None:
+    def schedule_arrival(self, tenant: _TenantState, t: Optional[float]) -> None:
         """Schedule one future arrival of ``tenant`` (drops past-window)."""
         if t is None or t >= self.duration_ms:
             return
@@ -402,62 +433,67 @@ class ChipHandle:
         # exactly this).
         self.queue.schedule(
             t, lambda: self.arrive(tenant, t), tag="serving/arrival",
-            actor=f"tenant/{tenant.name}",
-            writes=(f"queue/{tenant.name}",),
+            actor=tenant.actor,
+            writes=tenant.writes,
         )
 
-    def arrive(self, tenant: TenantSpec, t: float) -> None:
+    def arrive(self, tenant: _TenantState, t: float) -> None:
         """Admit one arrival of ``tenant`` at ``t`` and chain the next."""
-        report = self.reports[tenant.name]
+        spec = tenant.spec
+        name = spec.name
+        report = tenant.report
         report.arrivals += 1
-        self.window_arrivals[tenant.name] += 1
-        self._count(f"serving/tenant/{tenant.name}/arrivals")
+        tenant.window_arrivals += 1
+        enabled = self._enabled
+        if enabled:
+            self._count(f"serving/tenant/{name}/arrivals")
         if self.halted:
             # The chip is dead: the arrival is accounted as failed and
             # the open-loop chain keeps producing (the router owns
             # whether traffic still lands here; normally it does not).
             report.failed += 1
-            self._count(f"serving/tenant/{tenant.name}/failed")
-            if not tenant.arrivals.closed_loop:
-                self.schedule_arrival(tenant, tenant.arrivals.next_ms(t))
+            if enabled:
+                self._count(f"serving/tenant/{name}/failed")
+            if not spec.arrivals.closed_loop:
+                self.schedule_arrival(tenant, spec.arrivals.next_ms(t))
             return
         request = Request(
-            tenant=tenant.name,
-            index=self.arrival_index[tenant.name],
+            tenant=name,
+            index=tenant.arrival_index,
             arrival_ms=t,
-            deadline_ms=t + tenant.deadline_ms,
-            priority=tenant.priority,
+            deadline_ms=t + spec.deadline_ms,
+            priority=spec.priority,
             seq=next(self.admission_seq),
         )
-        self.arrival_index[tenant.name] += 1
-        victim = self.queues[tenant.name].offer(request)
+        tenant.arrival_index += 1
+        queue = tenant.queue
+        victim = queue.offer(request)
         if victim is None or victim is not request:
             report.admitted += 1
         if victim is not None:
             self.reports[victim.tenant].shed += 1
-            self._count(f"serving/tenant/{victim.tenant}/shed")
-            if self.sink.enabled:
+            if enabled:
                 assert self.sink.registry is not None
+                self._count(f"serving/tenant/{victim.tenant}/shed")
                 self.sink.registry.windowed(
                     f"serving/tenant/{victim.tenant}/shed_windowed",
                     self.window,
                 ).observe(t, 1.0)
-        if self.sink.enabled:
+        if enabled:
             assert self.sink.registry is not None
             self.sink.registry.gauge(
-                f"serving/tenant/{tenant.name}/max_queue_depth"
-            ).max(self.queues[tenant.name].depth)
+                f"serving/tenant/{name}/max_queue_depth"
+            ).max(queue.depth)
             self.sink.registry.windowed(
-                f"serving/tenant/{tenant.name}/queue_depth", self.window
-            ).set(t, float(self.queues[tenant.name].depth))
-        if self.monitor is not None:
-            self.monitor.record_queue_depth(
-                tenant.name, t, self.queues[tenant.name].depth
-            )
-        self._poll_monitor(t)
-        self.dispatch(self.policy.server_of(tenant.name))
-        if not tenant.arrivals.closed_loop:
-            self.schedule_arrival(tenant, tenant.arrivals.next_ms(t))
+                f"serving/tenant/{name}/queue_depth", self.window
+            ).set(t, float(queue.depth))
+        monitor = self.monitor
+        if monitor is not None:
+            monitor.record_queue_depth(name, t, queue.depth)
+            self._poll_monitor(t)
+        self.dispatch(tenant.server)
+        if not spec.arrivals.closed_loop:
+            self.schedule_arrival(tenant, spec.arrivals.next_ms(t))
 
     # -- elastic control -------------------------------------------------------
 
@@ -469,14 +505,14 @@ class ChipHandle:
             self.pending_alerts.clear()
         observations = {
             name: TenantObservation(
-                arrivals=self.window_arrivals[name],
-                queue_depth=self.queues[name].depth,
-                busy=self.servers[self.policy.server_of(name)].busy,
+                arrivals=tenant.window_arrivals,
+                queue_depth=tenant.queue.depth,
+                busy=self.servers[tenant.server].busy,
             )
-            for name in self.names
+            for name, tenant in self.tenants.items()
         }
-        for name in self.names:
-            self.window_arrivals[name] = 0
+        for tenant in self.tenants.values():
+            tenant.window_arrivals = 0
         if self.halted:
             return
         action = self.policy.on_interval(t, observations)
@@ -496,8 +532,7 @@ class ChipHandle:
         if self.monitor is not None:
             self.monitor.record_resize(t)
         for name, stall in action.stall_ms.items():
-            server = self.policy.server_of(name)
-            state = self.servers[server]
+            state = self.servers[self.tenants[name].server]
             # Re-staging begins once the in-flight request drains.
             begin = state.free_at_ms if state.busy else t
             state.stall_until_ms = max(
@@ -512,9 +547,9 @@ class ChipHandle:
                 placements_recomputed=action.placements_recomputed,
             )
         )
-        self._count("serving/resizes")
-        if self.sink.enabled:
+        if self._enabled:
             assert self.sink.registry is not None and self.sink.trace is not None
+            self._count("serving/resizes")
             for name, share in action.shares.items():
                 self.sink.registry.gauge(
                     f"serving/partition/{name}/cores"
@@ -531,7 +566,7 @@ class ChipHandle:
         # Wake idle resized servers so their queues re-arm behind the
         # stall gate instead of sleeping until the next arrival.
         for name in action.stall_ms:
-            self.dispatch(self.policy.server_of(name))
+            self.dispatch(self.tenants[name].server)
 
     # -- crash -----------------------------------------------------------------
 
@@ -546,14 +581,14 @@ class ChipHandle:
         order.
         """
         self.halted = True
-        for name in self.names:
-            queue = self.queues[name]
-            report = self.reports[name]
+        for name, tenant in self.tenants.items():
+            queue = tenant.queue
             while queue.depth:
                 queue.pop()
-                report.failed += 1
-                self._count(f"serving/tenant/{name}/failed")
-        if self.sink.enabled:
+                tenant.report.failed += 1
+                if self._enabled:
+                    self._count(f"serving/tenant/{name}/failed")
+        if self._enabled:
             assert self.sink.trace is not None
             self.sink.trace.instant(
                 "serving/chip", "halt", t, args={"halt_ms": t}
@@ -563,9 +598,8 @@ class ChipHandle:
 
     def start(self) -> None:
         """Seed self-driven arrivals, control ticks, and the halt event."""
-        for name in self.names:
-            tenant = self.specs[name]
-            for t in tenant.arrivals.initial_arrivals():
+        for tenant in self.tenants.values():
+            for t in tenant.spec.arrivals.initial_arrivals():
                 self.schedule_arrival(tenant, t)
         interval = self.policy.control_interval_ms
         if interval is not None:
@@ -615,7 +649,7 @@ class ChipHandle:
             duration_ms=self.duration_ms,
             reports=self.reports,
             resizes=self.resizes,
-            servers={n: self.policy.server_of(n) for n in self.names},
+            servers={n: t.server for n, t in self.tenants.items()},
             server_busy_ms={
                 s: st.busy_ms for s, st in sorted(self.servers.items())
             },

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 from repro.analysis.determinism import accesses_from_queue, check_batches
 from repro.errors import PlanVerificationError, SimulationError
 from repro.obs.monitor import SLOMonitor
-from repro.serving.chip import ChipHandle, _ServerState  # noqa: F401  (re-export)
+from repro.serving.chip import ChipHandle
 from repro.serving.queues import DISCIPLINES
 from repro.serving.policies import ServingPolicy
 from repro.serving.slo import ServingRunResult

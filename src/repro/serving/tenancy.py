@@ -36,7 +36,7 @@ class TenantSpec:
     queue_capacity: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One inference request moving through admission, queue, and service."""
 

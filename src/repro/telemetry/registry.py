@@ -94,8 +94,12 @@ class Histogram:
     def observe(self, v: Number) -> None:
         self.count += 1
         self.total += v
-        self.min = v if self.min is None else min(self.min, v)
-        self.max = v if self.max is None else max(self.max, v)
+        # Comparisons, not the min/max builtins: this runs once per
+        # served request.  Same fold: a tie keeps the earlier value.
+        if self.min is None or v < self.min:
+            self.min = v
+        if self.max is None or v > self.max:
+            self.max = v
         self.bucket_counts[bisect_right(self.bounds, v)] += 1
 
     @property

@@ -7,12 +7,21 @@ Tagged events are surfaced to the telemetry recorder as instant events on
 the ``events`` track (one counter per tag), so a queue-driven simulation
 gets a timeline for free.
 
-Hot-path notes: the heap stores plain ``(time, seq, event)`` tuples, so
-ordering is resolved by tuple comparison on two floats/ints instead of a
-generated dataclass ``__lt__`` (which dominated profiles of event-tier
-runs), and the telemetry sink's ``enabled`` flag is read once per
-dispatch (or once per batch in :meth:`EventQueue.step_batch`) so runs
-against the default ``NullSink`` pay no per-event tag or formatting cost.
+Hot-path notes:
+
+* The heap holds each pending event as the plain tuple
+  ``(time, seq, action, tag, actor, reads, writes)``.  Heap order is
+  resolved by tuple comparison on the first two fields; ``seq`` is
+  unique, so the comparison never reaches the callback.
+* An :class:`Event` is built only where a caller asks for one:
+  :meth:`EventQueue.pending`, :meth:`EventQueue.step`,
+  :meth:`EventQueue.step_batch`, and telemetry emission.
+  :meth:`EventQueue.schedule` returns nothing, and
+  :meth:`EventQueue.run` drains the heap without building any.
+* The telemetry sink's ``enabled`` flag is read once per :meth:`run`
+  (once per dispatch in :meth:`step`, once per batch in
+  :meth:`step_batch`), so runs against the default ``NullSink`` pay no
+  per-event tag or formatting cost.
 """
 
 from __future__ import annotations
@@ -25,10 +34,14 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 
+#: One pending event on the heap: ``(time, seq, action, tag, actor,
+#: reads, writes)``, the field order of :class:`Event`.
+_Entry = Tuple[float, int, Callable[[], Any], str, str, Tuple[str, ...], Tuple[str, ...]]
+
 
 @dataclass
 class Event:
-    """A scheduled callback.  Queue ordering is (time, seq).
+    """A dispatched or pending callback.  Queue ordering is (time, seq).
 
     ``actor``/``reads``/``writes`` are optional happens-before
     annotations consumed by :mod:`repro.analysis.determinism`: the actor
@@ -47,26 +60,22 @@ class Event:
     reads: Tuple[str, ...] = field(default=(), compare=False)
     writes: Tuple[str, ...] = field(default=(), compare=False)
 
-    def __lt__(self, other: "Event") -> bool:
-        # Events rarely meet a comparison (the heap orders tuples), but
-        # keep the historical (time, seq) ordering for external sorts.
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class EventQueue:
     """Deterministic discrete-event queue.
 
     >>> q = EventQueue()
     >>> hits = []
-    >>> _ = q.schedule(5, lambda: hits.append("b"))
-    >>> _ = q.schedule(1, lambda: hits.append("a"))
+    >>> q.schedule(5, lambda: hits.append("b"))
+    >>> q.schedule(1, lambda: hits.append("a"))
     >>> q.run()
+    5
     >>> hits
     ['a', 'b']
     """
 
     def __init__(self, telemetry: Optional[TelemetrySink] = None) -> None:
-        self._heap: list[Tuple[float, int, Event]] = []
+        self._heap: List[_Entry] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._processed = 0
@@ -92,7 +101,7 @@ class EventQueue:
         pending same-timestamp batches before a run); the heap itself is
         untouched.
         """
-        return [entry[2] for entry in sorted(self._heap)]
+        return [Event(*entry) for entry in sorted(self._heap)]
 
     def schedule(
         self,
@@ -103,28 +112,24 @@ class EventQueue:
         actor: str = "",
         reads: Tuple[str, ...] = (),
         writes: Tuple[str, ...] = (),
-    ) -> Event:
-        """Schedule ``action`` at absolute ``time``; returns the Event.
+    ) -> None:
+        """Schedule ``action`` at absolute ``time``.
 
-        ``actor``/``reads``/``writes`` annotate the event for the
-        determinism checker (see :class:`Event`); they cost nothing on
-        the dispatch hot path.
+        ``time`` must not precede :attr:`now`; a NaN time is rejected
+        too, since it would compare false against every other time and
+        silently misorder the heap.  ``actor``/``reads``/``writes``
+        annotate the event for the determinism checker (see
+        :class:`Event`); they cost nothing on the dispatch hot path.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before current time {self._now}"
+                f"cannot schedule event at t={time}: not at or after "
+                f"current time {self._now}"
             )
-        event = Event(
-            time=time,
-            seq=next(self._counter),
-            action=action,
-            tag=tag,
-            actor=actor,
-            reads=reads,
-            writes=writes,
+        heapq.heappush(
+            self._heap,
+            (time, next(self._counter), action, tag, actor, reads, writes),
         )
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        return event
 
     def schedule_in(
         self,
@@ -135,11 +140,11 @@ class EventQueue:
         actor: str = "",
         reads: Tuple[str, ...] = (),
         writes: Tuple[str, ...] = (),
-    ) -> Event:
+    ) -> None:
         """Schedule ``action`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.schedule(
+        self.schedule(
             self._now + delay, action, tag,
             actor=actor, reads=reads, writes=writes,
         )
@@ -154,13 +159,30 @@ class EventQueue:
         """Dispatch the next event; returns it, or None when empty."""
         if not self._heap:
             return None
-        _, _, event = heapq.heappop(self._heap)
+        event = Event(*heapq.heappop(self._heap))
         self._now = event.time
         self._processed += 1
         if self._telemetry.enabled and event.tag:
             self._emit(event)
         event.action()
         return event
+
+    def _dispatch_batch(self) -> List[_Entry]:
+        """Pop and dispatch the earliest same-timestamp batch (non-empty heap)."""
+        heap = self._heap
+        when = heap[0][0]
+        batch: List[_Entry] = []
+        while heap and heap[0][0] == when:
+            batch.append(heapq.heappop(heap))
+        self._now = when
+        self._processed += len(batch)
+        if self._telemetry.enabled:  # one flag read per batch, not per event
+            for entry in batch:
+                if entry[3]:
+                    self._emit(Event(*entry))
+        for entry in batch:
+            entry[2]()
+        return batch
 
     def step_batch(self) -> List[Event]:
         """Dispatch every pending event sharing the earliest timestamp.
@@ -174,22 +196,9 @@ class EventQueue:
         (still at the same ``now``), preserving the global (time, seq)
         dispatch order.  Returns the dispatched events, ``[]`` when empty.
         """
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             return []
-        when = heap[0][0]
-        batch: List[Event] = []
-        while heap and heap[0][0] == when:
-            batch.append(heapq.heappop(heap)[2])
-        self._now = when
-        self._processed += len(batch)
-        if self._telemetry.enabled:  # one flag read per batch, not per event
-            for event in batch:
-                if event.tag:
-                    self._emit(event)
-        for event in batch:
-            event.action()
-        return batch
+        return [Event(*entry) for entry in self._dispatch_batch()]
 
     def run(
         self,
@@ -207,23 +216,31 @@ class EventQueue:
         the last dispatched event because pending events before ``until``
         have not happened yet.
 
-        ``batched=True`` drains same-timestamp batches through
-        :meth:`step_batch` — identical dispatch order, fewer Python-level
-        steps.  Batches are atomic: ``until`` and ``max_events`` are
-        checked between batches, so ``max_events`` may overshoot by at
-        most one batch's worth of same-timestamp events.
+        ``batched=True`` drains same-timestamp batches in one step each —
+        identical dispatch order, fewer Python-level steps.  Batches are
+        atomic: ``until`` and ``max_events`` are checked between batches,
+        so ``max_events`` may overshoot by at most one batch's worth of
+        same-timestamp events.
         """
+        heap = self._heap
+        pop = heapq.heappop
+        emit = self._telemetry.enabled
         dispatched = 0
-        while self._heap:
-            if until is not None and self._heap[0][0] > until:
+        while heap:
+            if until is not None and heap[0][0] > until:
                 break
             if max_events is not None and dispatched >= max_events:
                 return self._now
             if batched:
-                dispatched += len(self.step_batch())
-            else:
-                self.step()
-                dispatched += 1
+                dispatched += len(self._dispatch_batch())
+                continue
+            entry = pop(heap)
+            self._now = entry[0]
+            self._processed += 1
+            if emit and entry[3]:
+                self._emit(Event(*entry))
+            entry[2]()
+            dispatched += 1
         if until is not None and until > self._now:
             self._now = until
         return self._now

@@ -8,9 +8,13 @@ same way — and inherit the same determinism guarantee:
 
 * ``workers=0`` (the default) runs ``[fn(x) for x in items]`` in the
   calling process — no pool, no pickling, trivially deterministic.
-* ``workers=N`` forks ``min(N, len(items))`` worker processes and maps
-  ``fn`` over ``items`` with :meth:`multiprocessing.pool.Pool.map`,
-  which **preserves input order** regardless of completion order.
+* ``workers=N`` forks ``min(N, len(items), os.cpu_count())`` worker
+  processes and maps ``fn`` over ``items`` with
+  :meth:`multiprocessing.pool.Pool.map`, which **preserves input order**
+  regardless of completion order.  When that minimum is 1 — one item,
+  or one CPU — the call runs serially instead: a lone worker process
+  would only add fork and pickling cost (docs/DSE.md records the
+  measured crossover).
 
 Because every ``fn`` in this repo is a pure function of its item (all
 randomness is seeded per item, nothing reads the wall clock), the two
@@ -31,6 +35,7 @@ rather than changing results.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from typing import Callable, List, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
@@ -57,18 +62,20 @@ def run_sharded(
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally sharded across processes.
 
-    Returns results in input order on both paths.  ``workers=0`` (or a
-    single item, or a fork-less platform) runs serially in-process;
-    ``workers=N`` forks ``min(N, len(items))`` processes.  The caller's
-    merge therefore folds results in the same order either way — the
-    serial==parallel byte-identity guarantee documented in docs/DSE.md.
+    Returns results in input order on both paths.  ``workers=N`` forks
+    ``min(N, len(items), os.cpu_count())`` processes; when that is 1 (or
+    ``workers=0``, or the platform lacks fork) the map runs serially
+    in-process.  The caller's merge therefore folds results in the same
+    order either way — the serial==parallel byte-identity guarantee
+    documented in docs/DSE.md.
     """
     if workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
     items = list(items)
-    if workers and len(items) > 1 and fork_available():
+    processes = min(workers, len(items), os.cpu_count() or 1)
+    if processes > 1 and fork_available():
         ctx = multiprocessing.get_context(START_METHOD)
-        with ctx.Pool(processes=min(workers, len(items))) as pool:
+        with ctx.Pool(processes=processes) as pool:
             # Pool.map preserves input order, so downstream merges fold
             # shards in index order — identical to the serial path.
             return pool.map(fn, items)

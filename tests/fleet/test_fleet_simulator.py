@@ -1,5 +1,7 @@
 """End-to-end fleet runs: conservation, parallel identity, autoscaling."""
 
+import json
+
 import pytest
 
 from repro.fleet import FleetSimulator, build_scenario
@@ -86,6 +88,25 @@ class TestCollectedMetrics:
 
     def test_metrics_off_by_default(self):
         assert run_scenario("fleet-smoke").metrics is None
+
+    @pytest.mark.parametrize(
+        "name, duration_ms",
+        [("fleet-smoke", None), ("chip-crash", None), ("mixed-rate-fleet", 500.0)],
+    )
+    def test_collecting_metrics_leaves_the_result_unchanged(self, name, duration_ms):
+        """The chips' telemetry-on path bills exactly what the lean path does.
+
+        chip-crash runs past its crash, so the halted branches count too.
+        """
+        docs = []
+        for collect in (False, True):
+            doc = json.loads(
+                run_scenario(name, duration_ms=duration_ms, collect_metrics=collect)
+                .to_json()
+            )
+            doc.pop("metrics", None)
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
 
 
 class TestBalancerSeparation:

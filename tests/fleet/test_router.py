@@ -1,6 +1,8 @@
 """Router sweep: tracing, shedding, crash re-placement, autoscale epochs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler
@@ -8,7 +10,7 @@ from repro.fleet.balancing import FluidLoadTracker, make_balancer
 from repro.fleet.failures import ChipCrash, ChipDegradation, FailureScenario
 from repro.fleet.placement import place_replicas
 from repro.fleet.profiles import fixed_profile
-from repro.fleet.router import ClusterRouter, split_user_groups
+from repro.fleet.router import ClusterRouter, RoutingResult, split_user_groups
 
 PROFILES = {
     "vision": fixed_profile("vision", 0.8, cores=64, restage_ms=4.0),
@@ -114,6 +116,71 @@ class TestCrashHandling:
         # candidate chip (chip 0); the tracker bills est * factor.
         est = PROFILES["vision"].est_ms
         assert router.tracker.load_ms(0, 0.0) == pytest.approx(3.0 * est)
+
+
+# Replica moves and time advances: add/remove (model, chip), crash chip,
+# or advance the clock by half-ms steps (restaging takes 4 or 6 ms, so
+# the clock lands on ready times exactly as well as between them).
+_MODELS = sorted(PROFILES)
+_CHIPS = st.integers(min_value=0, max_value=3)
+_ROUTER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.sampled_from(_MODELS), _CHIPS),
+        st.tuples(st.just("remove"), st.sampled_from(_MODELS), _CHIPS),
+        st.tuples(st.just("crash"), _CHIPS),
+        st.tuples(
+            st.just("advance"),
+            st.integers(min_value=0, max_value=14).map(lambda k: k / 2),
+        ),
+    ),
+    max_size=30,
+)
+
+
+class TestCandidateCache:
+    @staticmethod
+    def fresh_scan(router, model, now):
+        return [
+            chip
+            for chip in router.placement.chips_of(model)
+            if chip not in router._crashed
+            and router._ready_ms.get((model, chip), 0.0) <= now
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_ROUTER_OPS)
+    def test_cached_candidates_equal_a_fresh_scan(self, ops):
+        router = build_router()
+        result = RoutingResult()
+        now = 0.0
+
+        def check():
+            for model in _MODELS:
+                fresh = self.fresh_scan(router, model, now)
+                for _ in range(2):  # a fill, then a cache hit
+                    assert list(router.live_candidates(model, now)) == fresh
+
+        check()
+        for op in ops:
+            if op[0] == "add":
+                _, model, chip = op
+                if (
+                    chip not in router._crashed
+                    and chip not in router.placement.chips_of(model)
+                    and router.placement.free_cores(chip)
+                    >= PROFILES[model].cores
+                ):
+                    router.add_replica(model, chip, now)
+            elif op[0] == "remove":
+                _, model, chip = op
+                if chip in router.placement.chips_of(model):
+                    router.remove_replica(model, chip, now)
+            elif op[0] == "crash":
+                if op[1] not in router._crashed:
+                    router.crash_chip(op[1], now, result)
+            else:
+                now += op[1]
+            check()
 
 
 class TestAutoscaleEpochs:

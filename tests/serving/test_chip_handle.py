@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+import pytest
+
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.serving import (
     ChipHandle,
@@ -23,6 +25,7 @@ from repro.serving import (
     TenantSpec,
 )
 from repro.serving.scenarios import SCENARIOS
+from repro.telemetry import Telemetry
 
 GOLDEN = {
     "fixed_batched": "64ba882245493810befe5f86d73dc3a85f49b13d965c03a6db98d8789559641d",
@@ -57,37 +60,70 @@ def _fixed_tenants():
     ]
 
 
-def test_fixed_batched_pinned():
+def _run_fixed_batched(telemetry=None):
     policy = FixedServicePolicy(
         {"a": 0.8, "b": 1.1}, staging_ms={"a": 0.6, "b": 0.8}
     )
-    result = ServingSimulator(policy, batch_requests=8).run(
-        _fixed_tenants(), 2000.0
-    )
+    return ServingSimulator(
+        policy, batch_requests=8, telemetry=telemetry
+    ).run(_fixed_tenants(), 2000.0)
+
+
+def _run_smoke_static(telemetry=None):
+    build, duration = SCENARIOS["smoke"]
+    return ServingSimulator(
+        StaticPartitionPolicy(), telemetry=telemetry
+    ).run(build(), duration)
+
+
+def _run_smoke_elastic(telemetry=None):
+    build, duration = SCENARIOS["smoke"]
+    return ServingSimulator(
+        ElasticPolicy(ServiceModel(), control_interval_ms=10.0),
+        telemetry=telemetry,
+    ).run(build(), duration)
+
+
+def _run_bursty_edf(telemetry=None):
+    build, duration = SCENARIOS["bursty"]
+    return ServingSimulator(
+        StaticPartitionPolicy(), discipline="edf", telemetry=telemetry
+    ).run(build(), duration)
+
+
+#: Pin name -> the run it pins.
+RUNS = {
+    "fixed_batched": _run_fixed_batched,
+    "smoke/static": _run_smoke_static,
+    "smoke/elastic": _run_smoke_elastic,
+    "bursty/edf": _run_bursty_edf,
+}
+
+
+def test_fixed_batched_pinned():
+    result = _run_fixed_batched()
     assert _pin(result) == GOLDEN["fixed_batched"]
     assert result.total_failed == 0
 
 
 def test_smoke_static_pinned():
-    build, duration = SCENARIOS["smoke"]
-    result = ServingSimulator(StaticPartitionPolicy()).run(build(), duration)
-    assert _pin(result) == GOLDEN["smoke/static"]
+    assert _pin(_run_smoke_static()) == GOLDEN["smoke/static"]
 
 
 def test_smoke_elastic_pinned():
-    build, duration = SCENARIOS["smoke"]
-    result = ServingSimulator(
-        ElasticPolicy(ServiceModel(), control_interval_ms=10.0)
-    ).run(build(), duration)
-    assert _pin(result) == GOLDEN["smoke/elastic"]
+    assert _pin(_run_smoke_elastic()) == GOLDEN["smoke/elastic"]
 
 
 def test_bursty_edf_pinned():
-    build, duration = SCENARIOS["bursty"]
-    result = ServingSimulator(StaticPartitionPolicy(), discipline="edf").run(
-        build(), duration
-    )
-    assert _pin(result) == GOLDEN["bursty/edf"]
+    assert _pin(_run_bursty_edf()) == GOLDEN["bursty/edf"]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_pins_hold_under_an_enabled_sink(name):
+    """The telemetry-on path bills exactly what the lean path does."""
+    sink = Telemetry()
+    assert _pin(RUNS[name](sink)) == GOLDEN[name]
+    assert sink.registry.counters  # the sink really recorded the run
 
 
 def test_open_start_drain_matches_run():

@@ -254,3 +254,15 @@ class TestValidation:
             [tenant("a", TraceArrivals([0.0]), deadline_ms=math.inf)], 1e7
         )
         assert result.reports["a"].deadline_misses == 0
+
+    def test_nan_service_time_raises(self):
+        # A NaN service time gives a NaN completion time.  The event
+        # kernel must refuse it: accepted, every request of tenant a
+        # would be billed as an overrun and its busy time as NaN.
+        policy = FixedServicePolicy({"a": math.nan, "b": 1.0})
+        tenants = [
+            tenant("a", PoissonArrivals(500, seed=1)),
+            tenant("b", PoissonArrivals(500, seed=2)),
+        ]
+        with pytest.raises(SimulationError, match="t=nan"):
+            ServingSimulator(policy).run(tenants, 100.0)

@@ -44,8 +44,15 @@ def green_doc() -> dict:
         },
         "fleet": {
             "scales": {
-                chips: {"wall_s_per_run": 0.1, "budget_s": 3.5, "within_budget": True}
+                chips: {
+                    "calls_per_request": 89.0, "wall_s_per_run": 0.1,
+                    "budget_s": 3.5, "within_budget": True,
+                }
                 for chips in ("1", "4", "16")
+            },
+            "op_count": {
+                "chips": [4, 16], "ratio": 0.997, "budget_ratio": 1.1,
+                "within_budget": True,
             },
         },
         "dse": {
@@ -66,6 +73,12 @@ def test_cases_registry(bench):
     assert gated == {"backends", "obs", "fleet", "dse"}
 
 
+def test_fleet_op_gate_compares_four_and_sixteen_chips(bench):
+    assert bench.FLEET_OP_CHIPS == (4, 16)
+    assert set(bench.FLEET_OP_CHIPS) <= set(bench.FLEET_BUDGETS)
+    assert bench.FLEET_OP_BUDGET == 1.10
+
+
 def test_every_backend_row_is_budgeted(bench):
     tiers = {"analytic", "streaming", "event", "cycle"}
     assert {name: set(rows) for name, rows in bench.BACKEND_BUDGETS.items()} == {
@@ -83,6 +96,7 @@ def test_all_green_document_has_no_failures(bench):
         ("backends/small_cnn/cycle", "within_budget"),
         ("obs/attribution", "within_budget"),
         ("fleet/scales/1", "within_budget"),
+        ("fleet/op_count", "within_budget"),
         ("dse/scales/4", "within_budget"),
         ("dse", "identical_bytes"),
     ],

@@ -1,10 +1,14 @@
 """Tests for the discrete-event kernel."""
 
+import collections
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
+from repro.telemetry import Telemetry
 from repro.utils.events import EventQueue
 
 
@@ -41,6 +45,30 @@ class TestEventQueue:
     def test_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().schedule_in(-1, lambda: None)
+
+    def test_nan_time_rejected(self):
+        # NaN compares false against every time: accepted, it would sort
+        # arbitrarily and leave `now` NaN, disarming the past-time guard.
+        q = EventQueue()
+        with pytest.raises(SimulationError, match="nan"):
+            q.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            q.schedule_in(math.nan, lambda: None)
+        assert len(q) == 0
+
+    def test_nan_never_reaches_dispatch_order(self):
+        q = EventQueue()
+        seen = []
+        for t in (5.0, math.nan, 1.0, 3.0, 2.0):
+            try:
+                q.schedule(t, lambda t=t: seen.append(t))
+            except SimulationError:
+                pass
+        q.run()
+        assert seen == [1.0, 2.0, 3.0, 5.0]
+        assert q.now == 5.0
+        with pytest.raises(SimulationError):
+            q.schedule(0.0, lambda: None)
 
     def test_run_until_leaves_future_events(self):
         q = EventQueue()
@@ -181,7 +209,7 @@ class TestRunUntilMaxEventsInteraction:
 
 
 # Strategy for a deterministic event program: each top-level entry is
-# (time, [child delays]); firing an event appends its tag and schedules
+# (time, [child delays]); firing an event appends its label and schedules
 # its children at now + delay, so equal-time ties, nested scheduling,
 # and same-timestamp children (delay 0) are all exercised.
 _PROGRAMS = st.lists(
@@ -192,21 +220,70 @@ _PROGRAMS = st.lists(
     max_size=12,
 )
 
+#: The ways to drain a queue; all must dispatch in one order.
+_DRAINS = ("run", "batched", "step")
 
-def _run_program(program, *, batched):
-    q = EventQueue()
+
+def _top_event(i, t):
+    """Tag and happens-before annotations of top-level event ``i``.
+
+    Odd events are untagged, so telemetry must skip them.
+    """
+    return {
+        "tag": "" if i % 2 else "top",
+        "actor": f"actor{i % 3}",
+        "reads": (f"r{i % 2}",),
+        "writes": (f"w{t}",),
+    }
+
+
+def _reference(program):
+    """``(label, time, seq, tag)`` in dispatch order, without a heap.
+
+    An independent model of the kernel contract: ``seq`` counts schedule
+    calls, and the next event is always the pending ``(time, seq)``
+    minimum, found by sorting.
+    """
+    pending = [
+        (t, i, f"e{i}", children, _top_event(i, t)["tag"])
+        for i, (t, children) in enumerate(program)
+    ]
+    seq = len(pending)
+    dispatched = []
+    while pending:
+        pending.sort(key=lambda entry: entry[:2])
+        time, s, label, children, tag = pending.pop(0)
+        dispatched.append((label, time, s, tag))
+        for j, delay in enumerate(children):
+            pending.append((time + delay, seq, f"{label}.{j}", (), "child"))
+            seq += 1
+    return dispatched
+
+
+def _build_program(program, sink=None):
+    """A queue with ``program``'s top-level events scheduled, and its log."""
+    q = EventQueue(telemetry=sink)
     order = []
 
-    def fire(tag, children):
+    def fire(label, children):
         def action():
-            order.append(tag)
+            order.append(label)
             for j, delay in enumerate(children):
-                q.schedule_in(delay, fire(f"{tag}.{j}", ()))
+                q.schedule_in(delay, fire(f"{label}.{j}", ()), tag="child")
         return action
 
     for i, (t, children) in enumerate(program):
-        q.schedule(t, fire(f"e{i}", children))
-    q.run(batched=batched)
+        q.schedule(t, fire(f"e{i}", children), **_top_event(i, t))
+    return q, order
+
+
+def _run_program(program, *, drain, sink=None):
+    q, order = _build_program(program, sink)
+    if drain == "step":
+        while q.step() is not None:
+            pass
+    else:
+        q.run(batched=drain == "batched")
     return order, q.now, q.processed
 
 
@@ -250,8 +327,8 @@ class TestBatchDraining:
 
     def test_batched_run_matches_stepped_run_on_nested_program(self):
         program = [(2, [0, 3]), (2, []), (0, [2, 2]), (5, [0])]
-        assert _run_program(program, batched=True) == _run_program(
-            program, batched=False
+        assert _run_program(program, drain="batched") == _run_program(
+            program, drain="run"
         )
 
     def test_batched_until_and_max_events_between_batches(self):
@@ -270,13 +347,57 @@ class TestBatchDraining:
     @settings(max_examples=200, deadline=None)
     @given(program=_PROGRAMS)
     def test_batched_dispatch_order_equals_stepped_order(self, program):
-        """Property: batch draining is observationally identical.
+        """Property: every drain follows the (time, seq) contract.
 
         For any program of (time, children) schedules — including
         equal-time ties and handlers that schedule at the current
-        timestamp — ``run(batched=True)`` dispatches the exact sequence
-        ``run()`` does, and lands on the same ``now``/``processed``.
+        timestamp — ``run()``, ``run(batched=True)`` and a ``step()``
+        loop each dispatch exactly the order of an independent
+        ``(time, seq)``-sorted reference, and land on its
+        ``now``/``processed``.  ``pending()`` lists the annotated
+        top-level events in that order, and under an enabled sink the
+        ``events`` instants and ``events/by_tag/*`` counters are the
+        reference's tagged events.
         """
-        assert _run_program(program, batched=True) == _run_program(
-            program, batched=False
+        reference = _reference(program)
+        expected = (
+            [label for label, *_ in reference],
+            reference[-1][1] if reference else 0.0,
+            len(reference),
         )
+        for drain in _DRAINS:
+            assert _run_program(program, drain=drain) == expected, drain
+
+        q, _ = _build_program(program)
+        top = sorted(
+            (t, i, _top_event(i, t)) for i, (t, _) in enumerate(program)
+        )
+        assert [
+            (e.time, e.seq, e.tag, e.actor, e.reads, e.writes)
+            for e in q.pending()
+        ] == [
+            (t, i, a["tag"], a["actor"], a["reads"], a["writes"])
+            for t, i, a in top
+        ]
+
+        tagged = [(tag, time, seq) for _, time, seq, tag in reference if tag]
+        for drain in _DRAINS:
+            sink = Telemetry()
+            assert _run_program(program, drain=drain, sink=sink) == expected
+            instants = [
+                (e.name, e.ts, e.args["seq"])
+                for e in sink.trace.events
+                if e.track == "events"
+            ]
+            assert instants == tagged, drain
+            counters = {
+                path: counter.value
+                for path, counter in sink.registry.counters.items()
+                if path.startswith("events/by_tag/")
+            }
+            assert counters == {
+                f"events/by_tag/{tag}": n
+                for tag, n in collections.Counter(
+                    tag for tag, _, _ in tagged
+                ).items()
+            }, drain

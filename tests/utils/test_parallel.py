@@ -1,5 +1,7 @@
 """The shared executor: serial == parallel, in order, every time."""
 
+import os
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +16,10 @@ def boom(x):
     raise ValueError(f"boom {x}")
 
 
+def pid(_):
+    return os.getpid()
+
+
 def test_serial_maps_in_order():
     assert run_sharded(square, [3, 1, 2]) == [9, 1, 4]
 
@@ -26,6 +32,19 @@ def test_single_item_skips_the_pool():
     # len(items) == 1 must not pay fork overhead — and must still work
     # with a non-picklable closure, proving the pool was skipped.
     assert run_sharded(lambda x: x + 1, [41], workers=8) == [42]
+
+
+def test_one_cpu_runs_in_the_calling_process(monkeypatch):
+    # A pool is capped at the CPU count; capped to one process it would
+    # only add fork cost, so the map runs serially right here.
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_sharded(pid, [1, 2, 3], workers=4) == [os.getpid()] * 3
+
+
+@pytest.mark.skipif(not fork_available(), reason="platform lacks fork")
+def test_two_cpus_still_fork(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert os.getpid() not in run_sharded(pid, [1, 2, 3], workers=4)
 
 
 def test_negative_workers_rejected():
