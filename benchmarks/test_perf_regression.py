@@ -108,13 +108,13 @@ def test_null_sink_keeps_fast_path_speedup():
     )
 
 
-def test_event_tier_stays_vectorized_under_null_sink():
+def test_event_tier_stays_vectorized_under_null_sink(monkeypatch):
     """The event backend's NullSink run must take the vectorized engine.
 
-    The vectorized event engine only engages when telemetry is disabled
-    (an enabled sink needs one span per event, so those runs fall back
-    to the per-event reference engine).  This guard pins two things on
-    the small CNN: (a) the default ambient sink really is the disabled
+    The vectorized event engine runs whenever every service time is
+    strictly positive, and the per-event reference engine otherwise,
+    whatever the telemetry sink.  This guard pins two things on the
+    small CNN: (a) the default ambient sink really is the disabled
     NullSink, and (b) the vectorized run matches the reference engine's
     cycles exactly while beating a conservative wall-clock ceiling.
     A regression that silently reroutes the default path through the
@@ -124,8 +124,9 @@ def test_event_tier_stays_vectorized_under_null_sink():
     import time
 
     from repro import telemetry
+    from repro.core.event_streaming import EventDrivenSegmentSimulator
     from repro.nn.workloads import small_cnn_spec
-    from repro.sim import SimConfig, simulate
+    from repro.sim import simulate
 
     assert telemetry.current() is telemetry.NULL_SINK
 
@@ -134,11 +135,11 @@ def test_event_tier_stays_vectorized_under_null_sink():
     t0 = time.perf_counter()
     vectorized = simulate(network, backend="event")
     wall = time.perf_counter() - t0
-    reference = simulate(
-        network,
-        backend="event",
-        config=SimConfig(event_engine="reference"),
+    monkeypatch.setattr(
+        EventDrivenSegmentSimulator, "run",
+        EventDrivenSegmentSimulator.run_reference,
     )
+    reference = simulate(network, backend="event")
 
     assert vectorized.total_cycles == reference.total_cycles
     # ~1 ms on the reference machine; the reference engine costs several

@@ -61,13 +61,6 @@ def main() -> None:
         default=None,
         help="weight-stationary request batching factor (SimConfig.batch_requests)",
     )
-    parser.add_argument(
-        "--event-engine",
-        default=None,
-        choices=("auto", "vectorized", "reference"),
-        help="event-tier engine override (SimConfig.event_engine); "
-        "'reference' reproduces the pre-vectorization profile",
-    )
     parser.add_argument("--top", type=int, default=20, help="rows to print")
     parser.add_argument("--sort", default="cumulative", choices=SORTS)
     parser.add_argument(
@@ -89,12 +82,6 @@ def main() -> None:
     )
     if args.batch_requests is not None:
         kwargs["batch_requests"] = args.batch_requests
-    if args.event_engine is not None:
-        from repro.sim import SimConfig
-
-        # strategy/batch/batch_requests kwargs override config fields
-        # inside simulate(), so only the engine needs to be set here.
-        kwargs["config"] = SimConfig(event_engine=args.event_engine)
 
     # Untimed warm-up run so one-time costs (imports, memoized planning)
     # don't pollute the profile of the steady-state hot path.

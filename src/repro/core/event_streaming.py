@@ -14,18 +14,20 @@ own actor on the discrete-event kernel, serving two purposes:
   policies differ exactly by the chain-fill term, which dominates the
   single-layer strategy's long chains.
 
-Two engines produce byte-identical results:
+Two engines produce byte-identical results, and :meth:`run
+<EventDrivenSegmentSimulator.run>` picks one from the input:
 
-* **vectorized** (default) — one batched :class:`~repro.utils.events.EventQueue`
+* **vectorized** — one batched :class:`~repro.utils.events.EventQueue`
   event per layer whose handler advances *all* of the layer's
   (core, vector) hops with NumPy scans.  The per-event heap is collapsed
   into per-station recurrences; see :func:`_station_scan` for why the
-  float evaluation order (and hence every timestamp) is unchanged.
+  float evaluation order (and hence every timestamp) is unchanged.  Runs
+  whenever every service time is strictly positive.
 * **reference** — the historical per-event engine: one heap callback per
   (core, vector) hop.  Kept as the differential oracle
-  (``tests/core/test_event_vectorized.py`` pins the two equal) and as the
-  fallback for degenerate timings (zero-cycle stations) where heap
-  tie-breaking is the only defined order.
+  (``tests/core/test_event_vectorized.py`` pins the two equal) and run
+  for degenerate timings (zero-cycle stations), where heap tie-breaking
+  is the only defined order.
 
 Why the decomposition is exact: layers share no stations — a layer's DC
 and chain cores are touched only by that layer's events — so the global
@@ -52,10 +54,6 @@ from repro.core.streaming import completion_source_index
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec
 from repro.utils.events import EventQueue
-
-#: Engine selection values accepted by :class:`EventDrivenSegmentSimulator`.
-ENGINES = ("auto", "vectorized", "reference")
-
 
 @dataclass
 class EventSegmentResult:
@@ -151,7 +149,6 @@ class EventDrivenSegmentSimulator:
         *,
         forward_policy: str = "eager",
         requests: int = 1,
-        engine: str = "auto",
     ) -> None:
         if not timings:
             raise SimulationError("empty segment")
@@ -159,14 +156,9 @@ class EventDrivenSegmentSimulator:
             raise SimulationError(f"unknown forward policy {forward_policy!r}")
         if requests < 1:
             raise SimulationError(f"requests must be >= 1, got {requests}")
-        if engine not in ENGINES:
-            raise SimulationError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
-            )
         self.timings = list(timings)
         self.forward_policy = forward_policy
         self.requests = requests
-        self.engine = engine
 
     # -- engine selection ------------------------------------------------------
 
@@ -181,9 +173,7 @@ class EventDrivenSegmentSimulator:
         return True
 
     def run(self) -> EventSegmentResult:
-        if self.engine == "reference":
-            return self.run_reference()
-        if self.engine == "vectorized" or self._vectorizable():
+        if self._vectorizable():
             return self.run_vectorized()
         return self.run_reference()
 

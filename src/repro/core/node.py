@@ -28,7 +28,6 @@ from repro.nn.workloads import ConvLayerSpec
 from repro.riscv.core import Core, CoreConfig
 from repro.riscv.isa import Instruction
 from repro.riscv.pipeline import PipelineConfig, PipelineStats
-from repro.riscv.replay import ReplayCache
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.utils.bitops import to_twos_complement
 from repro.utils.fixedpoint import exact_matmul
@@ -128,7 +127,6 @@ class MAICCNode:
         pipeline: Optional[PipelineConfig] = None,
         requant: Optional[RequantParams] = None,
         include_forward: bool = False,
-        replay: bool = True,
         telemetry: Optional[TelemetrySink] = None,
         node_id: int = 0,
     ) -> None:
@@ -153,14 +151,6 @@ class MAICCNode:
         self._plan: Optional[KernelPlan] = None
         self._program: Optional[List[Instruction]] = None
         self._program_static: Optional[List[Instruction]] = None
-        #: Memoized pipeline timing for repeated runs of the (cached)
-        #: kernel: eligible only when the static predictor proves the
-        #: timing data-independent and the first measured run confirms
-        #: it (see :mod:`repro.riscv.replay`).  ``replay=False`` forces
-        #: full interpretation on every run.
-        self.replay_cache: Optional[ReplayCache] = (
-            ReplayCache() if replay else None
-        )
 
     # -- program construction -------------------------------------------------
 
@@ -211,11 +201,7 @@ class MAICCNode:
         load_filters_into_cmem(core.cmem, self.layout, self.weights)
         for s in self.layout.slices_used:
             core.cmem.slice(s).csr_mask = self.layout.csr_mask
-        # A custom pipeline config changes the timing the cache verified
-        # against, so only the node's own config hits the replay cache
-        # (the cache also keys on config, but skip the lookup entirely).
-        cache = self.replay_cache if pipeline is None else None
-        stats = core.run(program, replay_cache=cache)
+        stats = core.run(program)
         plan = self.plan
         oh, ow = self.spec.ofmap_hw
         psums = np.zeros((self.spec.m, oh, ow), dtype=np.int64)

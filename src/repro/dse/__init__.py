@@ -10,8 +10,6 @@ extracts the Pareto frontier.  ``scripts/dse.py`` is the CLI;
 from repro.dse.engine import (
     evaluate_point,
     network_baselines,
-    register_grid_evaluator,
-    run_grid,
     run_sweep,
 )
 from repro.dse.presets import SWEEPS
@@ -36,7 +34,5 @@ __all__ = [
     "evaluate_point",
     "network_baselines",
     "pareto_frontier",
-    "register_grid_evaluator",
-    "run_grid",
     "run_sweep",
 ]

@@ -23,18 +23,13 @@ Non-simulable points do not abort the sweep: mapping failures become
 ``infeasible`` rows, verifier rejections become ``rejected`` rows with
 their rule IDs, and backend failures become ``error`` rows.  The JSON
 artifact therefore always accounts for every expanded point.
-
-The module also hosts the *grid evaluator* registry — the same
-executor applied to non-network experiments (the Table 4/5 node-level
-comparisons): a registered evaluator name plus a list of plain-dict
-cells shards exactly like design points do.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.analysis.system import analyze_plan
 from repro.baselines.neural_cache import NeuralCacheModel
@@ -177,57 +172,8 @@ def run_sweep(
     return DSEResult(spec=spec, points=results, baselines=base)
 
 
-# -- grid evaluators: the executor for non-network experiments ---------------------
-
-GridCell = Mapping[str, object]
-
-_GRID_EVALUATORS: Dict[str, Callable[[GridCell], Mapping[str, object]]] = {}
-
-
-def register_grid_evaluator(
-    name: str,
-    fn: Callable[[GridCell], Mapping[str, object]],
-    *,
-    replace: bool = False,
-) -> None:
-    """Register a named cell evaluator (a pure top-level function).
-
-    Registration happens at import time in the parent; worker processes
-    inherit the registry through ``fork`` (the only start method
-    :func:`run_sharded` parallelizes under).
-    """
-    if name in _GRID_EVALUATORS and not replace:
-        raise ConfigurationError(
-            f"grid evaluator {name!r} is already registered"
-        )
-    _GRID_EVALUATORS[name] = fn
-
-
-def _evaluate_cell(job: Tuple[str, Dict[str, object]]) -> Mapping[str, object]:
-    name, cell = job
-    return _GRID_EVALUATORS[name](cell)
-
-
-def run_grid(
-    evaluator: str,
-    cells: Sequence[GridCell],
-    *,
-    workers: int = 0,
-) -> List[Mapping[str, object]]:
-    """Shard ``cells`` through the named evaluator, preserving order."""
-    if evaluator not in _GRID_EVALUATORS:
-        raise ConfigurationError(
-            f"unknown grid evaluator {evaluator!r}; "
-            f"registered: {sorted(_GRID_EVALUATORS)}"
-        )
-    jobs = [(evaluator, dict(cell)) for cell in cells]
-    return run_sharded(_evaluate_cell, jobs, workers=workers)
-
-
 __all__ = [
     "evaluate_point",
     "network_baselines",
-    "register_grid_evaluator",
-    "run_grid",
     "run_sweep",
 ]

@@ -6,8 +6,8 @@ accumulators are checked against NumPy); the scalar column measures the
 software inner loop on the same pipeline; Neural Cache is the calibrated
 primitive-cost model.
 
-The three columns are cells of the ``table4-node`` grid evaluator on the
-shared sweep executor (:func:`repro.dse.run_grid`) — each cell is a pure
+The three columns are cells sharded through the shared executor
+(:func:`repro.utils.parallel.run_sharded`) — each cell is a pure
 function of ``(node, seed, check)``, so ``workers`` shards the columns
 across processes with byte-identical output.
 """
@@ -21,10 +21,10 @@ import numpy as np
 from repro.baselines.neural_cache import NeuralCacheModel
 from repro.baselines.scalar_core import ScalarConvBaseline
 from repro.core.node import MAICCNode, table4_workload
-from repro.dse.engine import register_grid_evaluator, run_grid
 from repro.energy.area import node_area_mm2
 from repro.energy.constants import ChipConstants
 from repro.experiments.report import ExperimentResult
+from repro.utils.parallel import run_sharded
 
 PAPER = {
     "scalar": {"memory_kb": 20, "area_mm2": 0.052, "energy_j": 1.03e-4, "cycles": 1.24e7},
@@ -36,7 +36,7 @@ NODES = ("scalar", "maicc", "neural_cache")
 
 
 def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
-    """One Table 4 column (pure; picklable; registered at import time)."""
+    """One Table 4 column (pure; picklable; top-level)."""
     spec = table4_workload()
     constants = ChipConstants()
     node_kind = cell["node"]
@@ -80,12 +80,9 @@ def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-register_grid_evaluator("table4-node", _evaluate_node)
-
-
 def run(seed: int = 42, *, check: bool = True, workers: int = 0) -> ExperimentResult:
     cells = [{"node": kind, "seed": seed, "check": check} for kind in NODES]
-    columns = run_grid("table4-node", cells, workers=workers)
+    columns = run_sharded(_evaluate_node, cells, workers=workers)
 
     result = ExperimentResult(
         experiment="table4",

@@ -6,11 +6,10 @@ write-back ports (1/2) on the Table 4 workload, with and without static
 functional kernel on the cycle-level pipeline; psums are identical by
 construction (the scheduler is dependence-safe).
 
-Each scheduling configuration is a cell of the ``table5-node`` grid
-evaluator on the shared sweep executor (:func:`repro.dse.run_grid`) —
-cells are pure functions of ``(seed, queue, wb_ports, static)``, so
-``workers`` shards the 13 pipeline runs across processes with
-byte-identical output.
+Each scheduling configuration is a cell sharded through the shared
+executor (:func:`repro.utils.parallel.run_sharded`) — cells are pure
+functions of ``(seed, queue, wb_ports, static)``, so ``workers`` shards
+the 13 pipeline runs across processes with byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.core.node import MAICCNode, table4_workload
-from repro.dse.engine import register_grid_evaluator, run_grid
 from repro.experiments.report import ExperimentResult
 from repro.riscv.pipeline import PipelineConfig
+from repro.utils.parallel import run_sharded
 
 PAPER: Dict[Tuple[int, int, bool], int] = {
     # (queue, wb_ports, static) -> cycles
@@ -57,9 +56,6 @@ def _evaluate_schedule(cell: Mapping[str, object]) -> Dict[str, object]:
             "cycles": res.stats.cycles}
 
 
-register_grid_evaluator("table5-node", _evaluate_schedule)
-
-
 def run(seed: int = 42, *, workers: int = 0) -> ExperimentResult:
     cells = [
         {"seed": seed, "queue": queue, "wb_ports": wb, "static": static}
@@ -68,7 +64,7 @@ def run(seed: int = 42, *, workers: int = 0) -> ExperimentResult:
         for queue in (0, 1, 2, 4)
         if (queue, wb, static) in PAPER
     ]
-    rows = run_grid("table5-node", cells, workers=workers)
+    rows = run_sharded(_evaluate_schedule, cells, workers=workers)
 
     result = ExperimentResult(
         experiment="table5",

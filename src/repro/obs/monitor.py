@@ -19,8 +19,7 @@ The monitor is deterministic: it sees only sim-time events, evaluates
 each closed window exactly once (tenants in sorted order), and returns
 alerts sorted by ``(time_ms, kind, tenant)`` — two identical runs emit
 identical alert streams.  The serving simulator threads alerts into the
-run result, the Perfetto trace (as instants), and
-:meth:`repro.serving.policies.ServingPolicy.on_alerts`.
+run result and the Perfetto trace (as instants).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from repro.riscv.isa import Instruction
 from repro.riscv.memory import NodeMemory, RemoteHandler
 from repro.riscv.pipeline import Pipeline, PipelineConfig, PipelineStats
 from repro.riscv.registers import RegisterFile
-from repro.riscv.replay import ReplayCache
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 
 
@@ -78,30 +77,10 @@ class Core:
         program: Union[str, List[Instruction]],
         *,
         max_instructions: Optional[int] = None,
-        replay_cache: Optional["ReplayCache"] = None,
     ) -> PipelineStats:
-        """Assemble (if needed) and run a program to completion.
-
-        ``replay_cache`` memoizes the timing of verified
-        timing-deterministic kernels (see :mod:`repro.riscv.replay`);
-        telemetry-enabled and instruction-limited runs always take the
-        full pipeline.
-        """
+        """Assemble (if needed) and run a program to completion."""
         if isinstance(program, str):
             program = assemble(program)
-        if (
-            replay_cache is not None
-            and max_instructions is None
-            and not self.telemetry.enabled
-        ):
-            self.last_stats = replay_cache.run(
-                program,
-                self.executor,
-                self.config.pipeline,
-                self.cmem.config.num_slices,
-                track=self.track,
-            )
-            return self.last_stats
         pipeline = Pipeline(
             program,
             self.executor,

@@ -147,7 +147,6 @@ class ChipHandle:
         self.monitor = monitor
         self.window = monitor.config.window_ms if monitor else DEFAULT_WINDOW_MS
         self.alerts: List[AlertEvent] = []
-        self.pending_alerts: List[AlertEvent] = []
         #: Last chip-wide degradation factor seen at dispatch; a change
         #: invalidates every tenant's attribution templates (their
         #: service windows changed shape-preserving scale, but the cached
@@ -169,7 +168,6 @@ class ChipHandle:
         if not fresh:
             return
         self.alerts.extend(fresh)
-        self.pending_alerts.extend(fresh)
         if self._enabled:
             assert self.sink.trace is not None
             for alert in fresh:
@@ -500,9 +498,6 @@ class ChipHandle:
     def control(self, t: float) -> None:
         """One policy control tick (elastic resize opportunity)."""
         self._poll_monitor(t)
-        if self.pending_alerts:
-            self.policy.on_alerts(t, tuple(self.pending_alerts))
-            self.pending_alerts.clear()
         observations = {
             name: TenantObservation(
                 arrivals=tenant.window_arrivals,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.plan import ResidentPlan
@@ -34,14 +34,12 @@ from repro.analysis.system import analyze_plan
 from repro.core.multi_dnn import MultiDNNScheduler
 from repro.errors import SimulationError
 from repro.mapping.allocation import proportional_shares
+from repro.nn.workloads import NetworkSpec
 from repro.obs.timeline import PhaseSpec, report_phases
 from repro.serving.service import ServiceModel
 from repro.serving.tenancy import TenantSpec
-from repro.sim import RunReport, simulate
+from repro.sim import RunReport
 from repro.sim.config import SimConfig
-
-if TYPE_CHECKING:
-    from repro.obs.monitor import AlertEvent
 
 #: Server id of the single time-shared array.
 SHARED_SERVER = "chip"
@@ -130,16 +128,6 @@ class ServingPolicy:
         """
         return [PhaseSpec("service/compute", "compute", 1.0)]
 
-    def on_alerts(
-        self, now_ms: float, alerts: Sequence["AlertEvent"]
-    ) -> None:
-        """Advisory SLO alerts from the run's monitor (may be ignored).
-
-        Called by the simulator just before :meth:`on_interval` with the
-        alerts the :class:`~repro.obs.monitor.SLOMonitor` raised since
-        the previous control tick.  The base policy ignores them.
-        """
-
     def on_interval(
         self, now_ms: float, observations: Mapping[str, TenantObservation]
     ) -> Optional[ResizeAction]:
@@ -162,165 +150,30 @@ class ServingPolicy:
 
 
 class StaticPartitionPolicy(ServingPolicy):
-    """Fixed spatial partitions from the offline multi-DNN scheduler."""
+    """Fixed spatial partitions from the offline multi-DNN scheduler.
+
+    Shares come from :meth:`MultiDNNScheduler.partition`; every service
+    time (single requests, weight-stationary batches, attribution
+    phases) is a memoized :class:`~repro.serving.service.ServiceModel`
+    lookup of the tenant's network on its share, so each
+    ``(tenant, share, batch)`` point is simulated once per run.
+    """
 
     name = "static"
 
     def __init__(self, scheduler: Optional[MultiDNNScheduler] = None) -> None:
         super().__init__()
-        self.scheduler = scheduler or MultiDNNScheduler()
-        self._networks: Dict[str, object] = {}
-        self._residents: List[ResidentPlan] = []
-        self._reports: Dict[str, RunReport] = {}
-
-    def prepare(self, tenants: Sequence[TenantSpec]) -> None:
-        run = self.scheduler.run([t.network for t in tenants])
-        self._networks = {t.name: t.network for t in tenants}
-        self._reports = {
-            t.name: model_run.result
-            for t, model_run in zip(tenants, run.runs)
-        }
-        self._residents = [
-            ResidentPlan(
-                name=tenant.name,
-                plan=model_run.result.plan,
-                region_start=model_run.region_start,
-            )
-            for tenant, model_run in zip(tenants, run.runs)
-        ]
-        for tenant, model_run in zip(tenants, run.runs):
-            self._servers[tenant.name] = tenant.name
-            self._service_ms[tenant.name] = model_run.latency_ms
-            self._shares[tenant.name] = model_run.partition_cores
-
-    def preflight(
-        self, tenants: Sequence[TenantSpec]
-    ) -> Optional[LintReport]:
-        if not self._residents:
-            return None
-        return analyze_plan(
-            co_resident=self._residents,
-            config=SimConfig(array_size=self.scheduler.array_size),
-            families=("plan",),
-        )
-
-    def batched_service_ms(self, tenant: str, count: int) -> float:
-        if count < 1:
-            raise SimulationError(f"batch count must be >= 1, got {count}")
-        if count == 1:
-            return self.service_ms(tenant)
-        return self.scheduler.simulate_partition(
-            self._networks[tenant], self._shares[tenant], batch_requests=count
-        ).latency_ms
-
-    def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
-        if count == 1:
-            return report_phases(self._reports[tenant])
-        return report_phases(
-            self.scheduler.simulate_partition(
-                self._networks[tenant],
-                self._shares[tenant],
-                batch_requests=count,
-            )
-        )
-
-
-class TimeSharedPolicy(ServingPolicy):
-    """One queue, the whole array, weights reloaded between models."""
-
-    name = "time-shared"
-
-    def __init__(self, scheduler: Optional[MultiDNNScheduler] = None) -> None:
-        super().__init__()
-        self.scheduler = scheduler or MultiDNNScheduler()
-        self._reports: Dict[str, RunReport] = {}
-
-    def prepare(self, tenants: Sequence[TenantSpec]) -> None:
-        for tenant in tenants:
-            self._servers[tenant.name] = SHARED_SERVER
-            run = simulate(
-                tenant.network,
-                backend=self.scheduler.backend,
-                config=self.scheduler.config.with_run(strategy="heuristic"),
-            )
-            self._reports[tenant.name] = run
-            self._service_ms[tenant.name] = run.latency_ms
-
-    def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
-        # A batched dispatch on the shared array is ``count`` full runs
-        # (weights reload every time), so the phase ratios match count=1.
-        return report_phases(self._reports[tenant])
-
-
-class ElasticPolicy(ServingPolicy):
-    """Demand-driven online resizing of the spatial partitions.
-
-    Every control interval the policy turns the window's observations
-    into demand weights (``pending requests x model MACs``), re-derives
-    shares with the same proportional allocator the static partitioner
-    uses, and — if the proposal moves any tenant by at least
-    ``hysteresis_cores`` and ``cooldown_ms`` has passed since the last
-    resize — re-maps the resized tenants (allocation + zig-zag placement)
-    and charges each a weight re-staging stall.
-
-    ``decision_backend`` names a cheap ``repro.sim`` tier (typically
-    ``"analytic"``) to *gate* resizes on: a proposal only commits if it
-    improves the estimated worst-tenant latency on that tier.  SLO
-    accounting (the committed ``service_ms``) always reads the service
-    model's authoritative tier regardless.  ``None`` (the default) keeps
-    the demand-share gate alone — byte-identical to the historical
-    behaviour.
-
-    ``react_to_alerts`` makes the run's SLO monitor an *advisory*
-    signal: a ``burn_rate`` or ``queue_growth`` alert for a tenant lets
-    the next control tick bypass the resize cooldown (hysteresis and
-    the decision gate still apply).  ``False`` (the default) ignores
-    alerts entirely — byte-identical to the unmonitored behaviour.
-    """
-
-    name = "elastic"
-
-    def __init__(
-        self,
-        service_model: Optional[ServiceModel] = None,
-        *,
-        control_interval_ms: float = 10.0,
-        hysteresis_cores: int = 8,
-        cooldown_ms: float = 0.0,
-        decision_backend: Optional[str] = None,
-        react_to_alerts: bool = False,
-    ) -> None:
-        super().__init__()
-        if control_interval_ms <= 0:
-            raise SimulationError(
-                f"control interval must be positive, got {control_interval_ms}"
-            )
-        if hysteresis_cores < 1:
-            raise SimulationError(
-                f"hysteresis must be >= 1 core, got {hysteresis_cores}"
-            )
-        self.service = service_model or ServiceModel()
-        self.control_interval_ms = control_interval_ms
-        self.hysteresis_cores = hysteresis_cores
-        self.cooldown_ms = cooldown_ms
-        self.decision_backend = decision_backend
-        self.react_to_alerts = react_to_alerts
-        self.resize_count = 0
-        self._tenants: List[TenantSpec] = []
-        self._minimums: Dict[str, int] = {}
-        self._last_resize_ms = -math.inf
-        self._alerted: set = set()
+        self.service = ServiceModel(scheduler)
+        #: Each tenant's network, in tenant (snake-walk region) order.
+        self._networks: Dict[str, NetworkSpec] = {}
 
     def prepare(self, tenants: Sequence[TenantSpec]) -> None:
         if not tenants:
-            raise SimulationError("elastic policy needs at least one tenant")
-        self._tenants = list(tenants)
-        scheduler = self.service.scheduler
-        networks = [t.network for t in tenants]
-        shares = scheduler.partition(networks)
-        self._minimums = {
-            t.name: scheduler.minimum_cores(t.network) for t in tenants
-        }
+            raise SimulationError(f"{self.name} policy needs at least one tenant")
+        self._networks = {t.name: t.network for t in tenants}
+        shares = self.service.scheduler.partition(
+            [t.network for t in tenants]
+        )
         for tenant, share in zip(tenants, shares):
             self._servers[tenant.name] = tenant.name
             self._shares[tenant.name] = share
@@ -333,47 +186,33 @@ class ElasticPolicy(ServingPolicy):
             raise SimulationError(f"batch count must be >= 1, got {count}")
         if count == 1:
             return self.service_ms(tenant)
-        network = next(
-            t.network for t in self._tenants if t.name == tenant
-        )
         return self.service.batched_latency_ms(
-            network, self._shares[tenant], count
+            self._networks[tenant], self._shares[tenant], count
         )
 
     def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
-        network = next(
-            t.network for t in self._tenants if t.name == tenant
-        )
         # Hits the service model's memo: prepare()/batched_service_ms
         # already simulated this (network, share, batch) point.
         return report_phases(
             self.service.partition_run(
-                network, self._shares[tenant], batch_requests=count
+                self._networks[tenant], self._shares[tenant],
+                batch_requests=count,
             )
         )
-
-    def on_alerts(
-        self, now_ms: float, alerts: Sequence["AlertEvent"]
-    ) -> None:
-        if not self.react_to_alerts:
-            return
-        for alert in alerts:
-            if alert.kind in ("burn_rate", "queue_growth"):
-                self._alerted.add(alert.tenant)
 
     def region_starts(self) -> Dict[str, int]:
         """Each tenant's offset into the global snake walk (tenant order)."""
         starts: Dict[str, int] = {}
         offset = 0
-        for tenant in self._tenants:
-            starts[tenant.name] = offset
-            offset += self._shares[tenant.name]
+        for name in self._networks:
+            starts[name] = offset
+            offset += self._shares[name]
         return starts
 
     def preflight(
         self, tenants: Sequence[TenantSpec]
     ) -> Optional[LintReport]:
-        if not self._tenants:
+        if not self._networks:
             return None
         starts = self.region_starts()
         # partition_run hits the service model's memo (prepare() already
@@ -381,13 +220,13 @@ class ElasticPolicy(ServingPolicy):
         # tier cycles.
         residents = [
             ResidentPlan(
-                name=t.name,
+                name=name,
                 plan=self.service.partition_run(
-                    t.network, self._shares[t.name]
+                    network, self._shares[name]
                 ).plan,
-                region_start=starts[t.name],
+                region_start=starts[name],
             )
-            for t in self._tenants
+            for name, network in self._networks.items()
         ]
         return analyze_plan(
             co_resident=residents,
@@ -395,31 +234,115 @@ class ElasticPolicy(ServingPolicy):
             families=("plan",),
         )
 
+
+class TimeSharedPolicy(ServingPolicy):
+    """One queue, the whole array, weights reloaded between models."""
+
+    name = "time-shared"
+
+    def __init__(self, scheduler: Optional[MultiDNNScheduler] = None) -> None:
+        super().__init__()
+        self.service = ServiceModel(scheduler)
+        self._networks: Dict[str, NetworkSpec] = {}
+
+    def _whole_array_run(self, tenant: str) -> RunReport:
+        return self.service.partition_run(
+            self._networks[tenant], self.service.array_size
+        )
+
+    def prepare(self, tenants: Sequence[TenantSpec]) -> None:
+        for tenant in tenants:
+            self._servers[tenant.name] = SHARED_SERVER
+            self._networks[tenant.name] = tenant.network
+            self._service_ms[tenant.name] = self._whole_array_run(
+                tenant.name
+            ).latency_ms
+
+    def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
+        # A batched dispatch on the shared array is ``count`` full runs
+        # (weights reload every time), so the phase ratios match count=1.
+        return report_phases(self._whole_array_run(tenant))
+
+
+class ElasticPolicy(StaticPartitionPolicy):
+    """Demand-driven online resizing of the spatial partitions.
+
+    Starts from the static partition (and shares its service-time
+    lookups).  Every control interval the policy turns the window's
+    observations into demand weights (``pending requests x model
+    MACs``), re-derives shares with the same proportional allocator the
+    static partitioner uses, and — if the proposal moves any tenant by
+    at least ``hysteresis_cores`` and ``cooldown_ms`` has passed since
+    the last resize — re-maps the resized tenants (allocation + zig-zag
+    placement) and charges each a weight re-staging stall.
+
+    ``decision_backend`` names a cheap ``repro.sim`` tier (typically
+    ``"analytic"``) to *gate* resizes on: a proposal only commits if it
+    improves the estimated worst-tenant latency on that tier.  SLO
+    accounting (the committed ``service_ms``) always reads the service
+    model's authoritative tier regardless.  ``None`` (the default) keeps
+    the demand-share gate alone — byte-identical to the historical
+    behaviour.
+    """
+
+    name = "elastic"
+
+    def __init__(
+        self,
+        service_model: Optional[ServiceModel] = None,
+        *,
+        control_interval_ms: float = 10.0,
+        hysteresis_cores: int = 8,
+        cooldown_ms: float = 0.0,
+        decision_backend: Optional[str] = None,
+    ) -> None:
+        super().__init__()
+        if control_interval_ms <= 0:
+            raise SimulationError(
+                f"control interval must be positive, got {control_interval_ms}"
+            )
+        if hysteresis_cores < 1:
+            raise SimulationError(
+                f"hysteresis must be >= 1 core, got {hysteresis_cores}"
+            )
+        if service_model is not None:
+            self.service = service_model
+        self.control_interval_ms = control_interval_ms
+        self.hysteresis_cores = hysteresis_cores
+        self.cooldown_ms = cooldown_ms
+        self.decision_backend = decision_backend
+        self.resize_count = 0
+        self._minimums: Dict[str, int] = {}
+        self._last_resize_ms = -math.inf
+
+    def prepare(self, tenants: Sequence[TenantSpec]) -> None:
+        super().prepare(tenants)
+        self._minimums = {
+            t.name: self.service.minimum_cores(t.network) for t in tenants
+        }
+
     def on_interval(
         self, now_ms: float, observations: Mapping[str, TenantObservation]
     ) -> Optional[ResizeAction]:
-        # An SLO alert since the last tick (advisory, opt-in) waives the
-        # cooldown: a burning tenant should not wait out the timer.
-        alerted = bool(self._alerted)
-        self._alerted.clear()
-        if not alerted and now_ms - self._last_resize_ms < self.cooldown_ms:
+        if now_ms - self._last_resize_ms < self.cooldown_ms:
             return None
+        networks = self._networks
         weights = []
-        for tenant in self._tenants:
-            obs = observations.get(tenant.name, TenantObservation())
+        for name, network in networks.items():
+            obs = observations.get(name, TenantObservation())
             pending = obs.arrivals + obs.queue_depth
-            weights.append(float(pending * tenant.network.total_macs))
+            weights.append(float(pending * network.total_macs))
         if not any(weights):
             return None  # idle window: no demand signal, keep the layout
         proposal = proportional_shares(
-            [self._minimums[t.name] for t in self._tenants],
+            [self._minimums[name] for name in networks],
             weights,
             self.service.array_size,
         )
         moved = {
-            t.name: share
-            for t, share in zip(self._tenants, proposal)
-            if share != self._shares[t.name]
+            name: share
+            for name, share in zip(networks, proposal)
+            if share != self._shares[name]
         }
         if not moved:
             return None
@@ -432,21 +355,21 @@ class ElasticPolicy(ServingPolicy):
         ):
             return None
 
-        for tenant, share in zip(self._tenants, proposal):
-            self._shares[tenant.name] = share
+        for name, share in zip(networks, proposal):
+            self._shares[name] = share
         starts = self.region_starts()
         stall: Dict[str, float] = {}
         placements = 0
-        for tenant in self._tenants:
-            if tenant.name not in moved:
+        for name, network in networks.items():
+            if name not in moved:
                 continue
-            self._service_ms[tenant.name] = self.service.latency_ms(
-                tenant.network, self._shares[tenant.name]
+            self._service_ms[name] = self.service.latency_ms(
+                network, self._shares[name]
             )
-            stall[tenant.name] = self.service.restage_ms(tenant.network)
+            stall[name] = self.service.restage_ms(network)
             placements += len(
                 self.service.placements(
-                    tenant.network, self._shares[tenant.name], starts[tenant.name]
+                    network, self._shares[name], starts[name]
                 )
             )
         self._last_resize_ms = now_ms
@@ -468,12 +391,12 @@ class ElasticPolicy(ServingPolicy):
         def worst(shares: Sequence[int]) -> float:
             return max(
                 self.service.partition_run(
-                    t.network, share, backend=self.decision_backend
+                    network, share, backend=self.decision_backend
                 ).latency_ms
-                for t, share in zip(self._tenants, shares)
+                for network, share in zip(self._networks.values(), shares)
             )
 
-        current = worst([self._shares[t.name] for t in self._tenants])
+        current = worst([self._shares[name] for name in self._networks])
         return worst(proposal) < current
 
 

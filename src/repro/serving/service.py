@@ -1,6 +1,8 @@
 """Partition service model: latency and re-mapping cost vs partition size.
 
-The elastic partition manager needs two numbers the offline stack already
+Every chip-model-backed serving policy (static, time-shared, elastic)
+reads its service times here, and the elastic partition manager also
+needs the re-mapping cost.  Both are numbers the offline stack already
 knows how to compute:
 
 * ``latency_ms(network, cores)`` — the model's inference latency inside a

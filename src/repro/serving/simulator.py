@@ -96,8 +96,8 @@ class ServingSimulator:
         #: ``collect_timelines=True``.
         self.attribution = attribution
         self.collect_timelines = collect_timelines
-        #: Optional SLO monitor; its alerts land in the run result, the
-        #: trace (instants), and ``policy.on_alerts``.
+        #: Optional SLO monitor; its alerts land in the run result and
+        #: the trace (instants).
         self.monitor = monitor
         self._telemetry = telemetry if telemetry is not None else _current_telemetry()
 

@@ -299,7 +299,6 @@ class EventBackend(ModeledBackend):
             timings,
             forward_policy=config.forward_policy,
             requests=config.batch_requests,
-            engine=config.event_engine,
         ).run()
         layers = [
             LayerReport(

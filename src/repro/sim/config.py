@@ -54,12 +54,6 @@ class SimConfig:
     #: StoreRow.RC could issue; "after_compute" follows Algorithm 1
     #: literally (forward after the MAC block).
     forward_policy: str = "eager"
-    #: ``event`` tier engine: "auto" uses the vectorized per-layer engine
-    #: whenever its byte-exactness preconditions hold (falling back to the
-    #: per-event reference engine otherwise); "vectorized"/"reference"
-    #: force one engine — the differential tests pin them against each
-    #: other.
-    event_engine: str = "auto"
     #: ``cycle`` tier: run every MAC on the modeled SRAM bit-lines
     #: (very slow; ``False`` keeps the same data movement with NumPy
     #: dot products — still bit-exact).
@@ -91,10 +85,6 @@ class SimConfig:
         if self.forward_policy not in ("eager", "after_compute"):
             raise ConfigurationError(
                 f"unknown forward policy {self.forward_policy!r}"
-            )
-        if self.event_engine not in ("auto", "vectorized", "reference"):
-            raise ConfigurationError(
-                f"unknown event engine {self.event_engine!r}"
             )
 
     def with_run(

@@ -13,11 +13,12 @@ import dataclasses
 
 import pytest
 
+from repro import telemetry
 from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.perfmodel import PerformanceModel
-from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec, small_cnn_spec
-from repro.sim import SimConfig, simulate
+from repro.sim import simulate
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,8 @@ def timings(model, *pairs):
 
 
 def both(ts, **kw):
-    vec = EventDrivenSegmentSimulator(ts, engine="vectorized", **kw).run()
-    ref = EventDrivenSegmentSimulator(ts, engine="reference", **kw).run()
+    vec = EventDrivenSegmentSimulator(ts, **kw).run_vectorized()
+    ref = EventDrivenSegmentSimulator(ts, **kw).run_reference()
     return vec, ref
 
 
@@ -92,14 +93,9 @@ class TestEngineEquality:
 
 
 class TestEngineSelection:
-    def test_unknown_engine_rejected(self, model):
-        ts = timings(model, (conv(1), 10))
-        with pytest.raises(SimulationError):
-            EventDrivenSegmentSimulator(ts, engine="warp")
-
     def test_auto_falls_back_on_zero_service_time(self, model):
         # A zero-cycle DC makes same-time ordering heap-tie-break only,
-        # where the sort-based engine's proof does not apply: "auto" must
+        # where the sort-based engine's proof does not apply: run() must
         # route to the reference engine rather than risk divergence.
         (lt,) = timings(model, (conv(1), 10))
         degenerate = dataclasses.replace(
@@ -109,12 +105,10 @@ class TestEngineSelection:
                 t_overhead=0.0,
             ),
         )
-        sim = EventDrivenSegmentSimulator([degenerate], engine="auto")
+        sim = EventDrivenSegmentSimulator([degenerate])
         assert not sim._vectorizable()
         auto = sim.run()
-        ref = EventDrivenSegmentSimulator(
-            [degenerate], engine="reference"
-        ).run()
+        ref = sim.run_reference()
         assert auto.total_cycles == ref.total_cycles
         assert auto.events_processed == ref.events_processed
 
@@ -125,29 +119,45 @@ class TestBackendPins:
     These are the exact cycle totals the event tier produced *before*
     the vectorization (the backends bench at the seed), so any drift in
     the batched engine — or in the mapping underneath it — fails here
-    rather than surfacing as a silent benchmark shift.
+    rather than surfacing as a silent benchmark shift.  The reference
+    totals come from routing ``run()`` to the per-event engine.
     """
 
-    def test_small_cnn_pinned_and_engine_invariant(self):
+    def test_small_cnn_pinned_and_engine_invariant(self, monkeypatch):
         default = simulate(small_cnn_spec(), backend="event")
-        reference = simulate(
-            small_cnn_spec(),
-            backend="event",
-            config=SimConfig(event_engine="reference"),
+        monkeypatch.setattr(
+            EventDrivenSegmentSimulator, "run",
+            EventDrivenSegmentSimulator.run_reference,
         )
+        reference = simulate(small_cnn_spec(), backend="event")
         assert default.total_cycles == pytest.approx(80128.4, abs=1e-6)
         assert default.total_cycles == reference.total_cycles
         assert default.energy.total == reference.energy.total
 
-    def test_resnet18_pinned_and_engine_invariant(self):
+    def test_resnet18_pinned_and_engine_invariant(self, monkeypatch):
         default = simulate(resnet18_spec(), backend="event")
-        reference = simulate(
-            resnet18_spec(),
-            backend="event",
-            config=SimConfig(event_engine="reference"),
+        monkeypatch.setattr(
+            EventDrivenSegmentSimulator, "run",
+            EventDrivenSegmentSimulator.run_reference,
         )
+        reference = simulate(resnet18_spec(), backend="event")
         assert default.total_cycles == pytest.approx(
             5089346.598187392, abs=1e-6
         )
         assert default.total_cycles == reference.total_cycles
         assert default.energy.total == reference.energy.total
+
+
+class TestTelemetryInvariance:
+    """The engine choice depends on the service times, never on the sink."""
+
+    @pytest.mark.parametrize("spec", [small_cnn_spec, resnet18_spec])
+    def test_enabled_sink_gives_the_null_sink_result(self, spec):
+        plain = simulate(spec(), backend="event")
+        with telemetry.use(Telemetry()):
+            traced = simulate(spec(), backend="event")
+        assert traced.total_cycles == plain.total_cycles
+        assert traced.energy.total == plain.energy.total
+        assert [r.events_processed for r in traced.runs] == [
+            r.events_processed for r in plain.runs
+        ]

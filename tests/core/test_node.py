@@ -53,6 +53,26 @@ class TestBitTrue(object):
         assert result.cmem_busy_cycles > 0
         assert result.cmem_energy_pj > 0
 
+    def test_repeat_runs_are_bit_identical(self):
+        spec = ConvLayerSpec(
+            index=0, name="rerun[4x4x16]", h=4, w=4, c=16, m=2,
+            r=3, s=3, stride=1, padding=0,
+        )
+        rng = np.random.default_rng(17)
+        weights = rng.integers(-128, 128, (spec.m, spec.c, spec.r, spec.s))
+        bias = rng.integers(-1000, 1000, spec.m)
+        ifmap = rng.integers(-128, 128, (spec.c, spec.h, spec.w))
+        node = MAICCNode(spec, weights, bias)
+        first = node.run(ifmap)
+        second = node.run(ifmap)
+        assert second.stats.cycles == first.stats.cycles
+        assert second.stats.instructions == first.stats.instructions
+        assert second.stats.category_cycles == first.stats.category_cycles
+        assert np.array_equal(second.psums, first.psums)
+        assert np.array_equal(second.outputs, first.outputs)
+        assert second.forwarded_rows == first.forwarded_rows
+        np.testing.assert_array_equal(first.psums, node.reference(ifmap))
+
 
 class TestSchedulingTrends:
     """The Table 5 relationships on the reduced workload."""

@@ -1,17 +1,14 @@
-"""The sweep engine: statuses, serial==parallel, and the grid registry."""
+"""The sweep engine: statuses, serial==parallel, and the baselines."""
 
 import pytest
 
 from repro.dse.engine import (
     evaluate_point,
     network_baselines,
-    register_grid_evaluator,
-    run_grid,
     run_sweep,
 )
 from repro.dse.presets import SWEEPS
 from repro.dse.spec import DesignPoint, SweepSpec
-from repro.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -81,34 +78,6 @@ class TestRunSweep:
                          backends=("analytic",))
         result = run_sweep(spec, baselines=False)
         assert result.baselines == {}
-
-
-def _double(cell):
-    return {"doubled": cell["x"] * 2}
-
-
-register_grid_evaluator("test-double", _double)
-
-
-class TestGridRegistry:
-    def test_cells_run_in_order(self):
-        out = run_grid("test-double", [{"x": i} for i in range(5)])
-        assert [c["doubled"] for c in out] == [0, 2, 4, 6, 8]
-
-    def test_parallel_matches_serial(self):
-        cells = [{"x": i} for i in range(7)]
-        assert run_grid("test-double", cells, workers=3) == run_grid(
-            "test-double", cells
-        )
-
-    def test_unknown_evaluator_raises(self):
-        with pytest.raises(ConfigurationError):
-            run_grid("no-such-evaluator", [{}])
-
-    def test_duplicate_registration_raises(self):
-        with pytest.raises(ConfigurationError):
-            register_grid_evaluator("test-double", _double)
-        register_grid_evaluator("test-double", _double, replace=True)
 
 
 class TestNetworkBaselines:

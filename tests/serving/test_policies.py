@@ -14,6 +14,7 @@ from repro.serving.policies import (
 )
 from repro.serving.scenarios import mixed_rate_overloaded_tenants
 from repro.serving.service import ServiceModel
+from repro.serving.simulator import ServingSimulator
 from repro.serving.tenancy import TenantSpec
 from repro.sim import simulate
 
@@ -48,6 +49,25 @@ class TestStatic:
             assert policy.service_ms(tenant.name) == run.latency_ms
             assert policy.shares()[tenant.name] == run.partition_cores
             assert policy.server_of(tenant.name) == tenant.name
+
+    def test_batched_dispatch_simulates_each_point_once(self, monkeypatch):
+        calls = []
+        simulate_partition = MultiDNNScheduler.simulate_partition
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("batch_requests", 1))
+            return simulate_partition(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiDNNScheduler, "simulate_partition", counting)
+        tenants = mixed_rate_overloaded_tenants()
+        batch = 4
+        simulator = ServingSimulator(
+            StaticPartitionPolicy(MultiDNNScheduler()), batch_requests=batch
+        )
+        result = simulator.run(tenants, 500.0)
+        assert max(calls) == batch  # batched dispatches really happened
+        assert len(calls) <= len(tenants) * batch
+        assert result.reports
 
 
 class TestTimeShared:

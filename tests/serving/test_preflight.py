@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import ResidentPlan
 from repro.errors import PlanVerificationError
 from repro.serving import (
     ElasticPolicy,
@@ -19,12 +18,8 @@ from repro.serving.scenarios import mixed_rate_tenants
 class OverlappingPolicy(StaticPartitionPolicy):
     """A deliberately broken partitioner: every tenant at region 0."""
 
-    def prepare(self, tenants):
-        super().prepare(tenants)
-        self._residents = [
-            ResidentPlan(r.name, r.plan, region_start=0)
-            for r in self._residents
-        ]
+    def region_starts(self):
+        return {name: 0 for name in super().region_starts()}
 
 
 class TestPolicyPreflight:

@@ -24,10 +24,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SimConfig(batch_requests=0)
 
-    def test_event_engine_validated(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(event_engine="magic")
-
     def test_simulate_rejects_bad_batch_requests(self):
         with pytest.raises(MappingError):
             simulate(small_cnn_spec(), batch_requests=0)
