@@ -5,14 +5,15 @@ The document holds a ``meta`` block (python, numpy, machine, cpu_count)
 and one section per entry of ``CASES``: ``macc`` (the vectorized
 bit-plane MAC engine), ``telemetry`` (simulated cycle counts and
 registry counters, deterministic), ``serving`` (the serving event loop
-and request batching), ``backends`` (every ``repro.sim`` fidelity tier),
+and request batching), ``backends`` (every ``repro.sim`` fidelity tier,
+and how the queueing tiers' call count grows with feature-map size),
 ``obs`` (the latency-attribution overhead), ``fleet`` (the multi-chip
 fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
 The last four are gated.  Each gated row carries its ``budget_s`` or
-``budget_ratio`` (from ``BACKEND_BUDGETS``, ``OBS_OVERHEAD_BUDGET``,
-``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a
-``within_budget`` flag; the
+``budget_ratio`` (from ``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``,
+``OBS_OVERHEAD_BUDGET``, ``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or
+``DSE_BUDGETS``) and a ``within_budget`` flag; the
 ``dse`` section also records whether its serial and fork-pool JSON are
 ``identical_bytes``.  A row with either flag false is printed by its
 path, e.g. ``fleet/scales/1``, and the run exits 1.  ``--check`` runs
@@ -30,10 +31,12 @@ import argparse
 import cProfile
 import gc
 import json
+import math
 import os
 import platform
 import sys
 import time
+from dataclasses import replace
 from typing import Callable, NamedTuple
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -50,7 +53,8 @@ from repro.fleet import FleetModelSpec, FleetSimulator, OpenLoopTraffic, fixed_p
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec, small_cnn_spec
 from repro.serving import FixedServicePolicy, PoissonArrivals, ServingSimulator, TenantSpec
-from repro.sim import simulate
+from repro.sim import SimConfig, simulate
+from repro.sim.accounting import plan_network
 
 
 def _time_per_call(fn, *, min_reps: int = 5, budget_s: float = 1.0) -> float:
@@ -362,7 +366,61 @@ def bench_backends() -> dict:
                 row["budget_s"] = budget
                 row["within_budget"] = row["wall_s"] <= budget
         out[name] = rows
+    out["op_count"] = bench_backend_op_count()
     return out
+
+
+#: Host work of a queueing tier as feature maps grow: simulating
+#: resnet18 at full height and width may make at most 10% more calls
+#: (:func:`op_count`) than at half.  A per-vector Python loop scales its
+#: calls with the vector count, 4x from half to full size.
+BACKEND_OP_BUDGET = 1.10
+BACKEND_OP_TIERS = ("streaming", "event")
+
+
+def resnet18_halved() -> NetworkSpec:
+    """ResNet18's mapped layers with height and width halved."""
+    base = resnet18_spec()
+    layers = tuple(
+        replace(spec, h=math.ceil(spec.h / 2), w=math.ceil(spec.w / 2))
+        for spec in base.layers
+    )
+    return NetworkSpec(name=f"{base.name}_hw2", layers=layers)
+
+
+def bench_backend_op_count() -> dict:
+    """Calls per ``simulate`` of the queueing tiers, full size over half.
+
+    Each size is planned once, outside the count, so only the tier's own
+    work (plus tiling and the preflight gate) is counted.  Each call is
+    made once before it is counted, so the preflight gate's memo is warm
+    whichever case ran first.  The gated value is the larger of the two
+    tiers' ratios; unlike wall clock, it repeats exactly.
+    """
+    cfg = SimConfig()
+    sizes = {"full": resnet18_spec(), "half": resnet18_halved()}
+    plans = {
+        size: plan_network(net, cfg.strategy, cfg) for size, net in sizes.items()
+    }
+
+    def count(tier: str, size: str) -> int:
+        def run():
+            return simulate(sizes[size], backend=tier, plan=plans[size])
+
+        run()
+        return op_count(run)
+
+    counts = {
+        tier: {size: count(tier, size) for size in sizes} for tier in BACKEND_OP_TIERS
+    }
+    ratios = {tier: c["full"] / c["half"] for tier, c in counts.items()}
+    return {
+        "workload": "resnet18 simulate() with a given plan, full vs half height and width",
+        "calls": counts,
+        "ratios": ratios,
+        "budget_ratio": BACKEND_OP_BUDGET,
+        "within_budget": max(ratios.values()) <= BACKEND_OP_BUDGET,
+    }
 
 
 #: Attribution-overhead ceiling: the NullSink serving loop with

@@ -20,8 +20,9 @@ Two engines produce byte-identical results, and :meth:`run
 * **vectorized** — one batched :class:`~repro.utils.events.EventQueue`
   event per layer whose handler advances *all* of the layer's
   (core, vector) hops with NumPy scans.  The per-event heap is collapsed
-  into per-station recurrences; see :func:`_station_scan` for why the
-  float evaluation order (and hence every timestamp) is unchanged.  Runs
+  into per-station recurrences; see
+  :func:`repro.core.streaming.station_scan` for why the float
+  evaluation order (and hence every timestamp) is unchanged.  Runs
   whenever every service time is strictly positive.
 * **reference** — the historical per-event engine: one heap callback per
   (core, vector) hop.  Kept as the differential oracle
@@ -43,16 +44,14 @@ walks the waiter lists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.perfmodel import LayerTiming
-from repro.core.streaming import completion_source_index
+from repro.core.streaming import dependence_map, station_scan
 from repro.errors import SimulationError
-from repro.nn.workloads import ConvLayerSpec
 from repro.utils.events import EventQueue
 
 @dataclass
@@ -64,72 +63,6 @@ class EventSegmentResult:
     events_processed: int = 0
     #: Back-to-back request streams simulated (weight-stationary batching).
     requests: int = 1
-
-
-def _consumer_wiring(
-    timings: Sequence[LayerTiming],
-) -> Tuple[List[Optional[int]], List[Optional[List[int]]]]:
-    """Producer index and per-vector source mapping of every layer.
-
-    Shared by both engines so their dependence bookkeeping cannot drift:
-    ``producer_of[li]`` is the nearest preceding layer whose ofmap
-    geometry matches layer ``li``'s ifmap, and ``sources[li][v]`` is the
-    producer vector whose chain completion makes consumer vector ``v``
-    available (see :func:`repro.core.streaming.completion_source_index`).
-    """
-    n_layers = len(timings)
-    producer_of: List[Optional[int]] = [None] * n_layers
-    consumer_sources: List[Optional[List[int]]] = [None] * n_layers
-    for li, lt in enumerate(timings):
-        spec = lt.spec
-        for pj in range(li - 1, -1, -1):
-            if timings[pj].spec.ofmap_hw == (spec.h, spec.w):
-                producer_of[li] = pj
-                break
-        if producer_of[li] is not None:
-            prev_spec = timings[producer_of[li]].spec
-            oh, ow = prev_spec.ofmap_hw
-            step = int(round(math.sqrt(oh * ow / lt.iterations))) or 1
-            sources = []
-            for oy in range(0, oh, step):
-                for ox in range(0, ow, step):
-                    if len(sources) >= lt.iterations:
-                        break
-                    src = completion_source_index(prev_spec, oy, ox)
-                    sources.append(
-                        min(src, timings[producer_of[li]].iterations - 1)
-                    )
-            while len(sources) < lt.iterations:
-                sources.append(sources[-1] if sources else 0)
-            consumer_sources[li] = sources
-    return producer_of, consumer_sources
-
-
-def _station_scan(arrivals: np.ndarray, service: float) -> np.ndarray:
-    """Service-start times of a FIFO station with a fixed per-vector cost.
-
-    Computes ``start[v] = max(arrivals[v], start[v-1] + service)`` — the
-    exact recurrence each per-event callback evaluated — with a
-    vectorized fast path: when every gap ``arrivals[v] - arrivals[v-1]``
-    covers the service time, the station never queues and ``start`` is
-    just ``arrivals``.  The gap test uses the same IEEE add/compare the
-    scalar recurrence would (induction: ``start[v-1] == arrivals[v-1]``
-    and ``arrivals[v] >= arrivals[v-1] + service`` make the ``max`` pick
-    ``arrivals[v]``), so the returned floats are bit-identical to the
-    serial scan whichever path runs.
-    """
-    n = len(arrivals)
-    if n <= 1 or bool(np.all(arrivals[1:] >= arrivals[:-1] + service)):
-        return arrivals
-    starts = arrivals.tolist()  # scalar float loop beats ndarray indexing
-    busy = -math.inf
-    for v, a in enumerate(starts):
-        if busy > a:
-            starts[v] = busy
-            busy += service
-        else:
-            busy = a + service
-    return np.asarray(starts)
 
 
 class EventDrivenSegmentSimulator:
@@ -187,7 +120,7 @@ class EventDrivenSegmentSimulator:
         hop = timings[0].fill_per_hop
         eager = self.forward_policy == "eager"
 
-        producer_of, consumer_sources = _consumer_wiring(timings)
+        producer_of, consumer_sources = dependence_map(timings, requests)
         consumers_of: List[List[int]] = [[] for _ in timings]
         for li, pj in enumerate(producer_of):
             if pj is not None:
@@ -205,8 +138,7 @@ class EventDrivenSegmentSimulator:
             """Vectorized handler: every (core, vector) hop of one layer."""
             nonlocal vector_events
             lt = timings[li]
-            per_request = lt.iterations
-            total = per_request * requests
+            total = lt.iterations * requests
             pj = producer_of[li]
             if pj is None:
                 # Source layer: all vectors stream from DRAM at t=0 and
@@ -214,11 +146,7 @@ class EventDrivenSegmentSimulator:
                 arrivals = np.zeros(total)
                 order = np.arange(total)
             else:
-                src = np.asarray(consumer_sources[li], dtype=np.intp)
-                if requests > 1:
-                    prod_per_request = timings[pj].iterations
-                    offs = np.arange(requests, dtype=np.intp) * prod_per_request
-                    src = (src[None, :] + offs[:, None]).reshape(-1)
+                src = consumer_sources[li]
                 prod_done = chain_done[pj]
                 assert prod_done is not None and dc_position[pj] is not None
                 # Same float op the per-event engine applied per waiter.
@@ -229,7 +157,7 @@ class EventDrivenSegmentSimulator:
                 enqueue = np.argsort(dc_position[pj][src], kind="stable")
                 order = enqueue[np.argsort(arrivals[enqueue], kind="stable")]
             # DC: a serial FIFO station over the heap-ordered arrivals.
-            dc_start = _station_scan(arrivals[order], lt.dc.total)
+            dc_start = station_scan(arrivals[order], lt.dc.total)
             dc_done = dc_start + lt.dc.total
             nodes = lt.computing_nodes
             if nodes:
@@ -237,7 +165,7 @@ class EventDrivenSegmentSimulator:
                 t_forward = lt.iteration.t_forward
                 incoming = dc_done + hop
                 for k in range(nodes):
-                    starts = _station_scan(incoming, t_iter)
+                    starts = station_scan(incoming, t_iter)
                     if k + 1 < nodes:
                         forward = starts + (t_forward if eager else t_iter)
                         incoming = forward + hop
@@ -294,7 +222,7 @@ class EventDrivenSegmentSimulator:
         chain_done: List[Dict[int, float]] = [dict() for _ in timings]
         finish = [0.0] * n_layers
 
-        producer_of, consumer_sources = _consumer_wiring(timings)
+        producer_of, consumer_sources = dependence_map(timings, requests)
         totals = [lt.iterations * requests for lt in timings]
 
         # Reverse index: producer layer -> {producer vector: [consumer vectors]}
@@ -307,13 +235,8 @@ class EventDrivenSegmentSimulator:
                 continue
             pj = producer_of[li]
             assert pj is not None
-            prod_per_request = timings[pj].iterations
-            per_request = timings[li].iterations
-            for r in range(requests):
-                for v, src in enumerate(sources):
-                    waiters[pj].setdefault(r * prod_per_request + src, []).append(
-                        (li, r * per_request + v)
-                    )
+            for v, src in enumerate(sources.tolist()):
+                waiters[pj].setdefault(src, []).append((li, v))
 
         hop = timings[0].fill_per_hop
 

@@ -6,18 +6,24 @@ vector ``v`` becomes available when station ``l`` has pushed the ifmap
 vector that *completes* the corresponding ofmap pixel through its whole
 chain (all output channels live on different cores of the chain).
 
-The simulator advances one vector at a time per layer with a tandem-queue
+The simulator advances every vector of a layer through a tandem-queue
 recurrence — capturing pipeline fill, inter-layer rate mismatches (the
 greedy strategy's failure mode), and the per-iteration waiting that
 Fig. 9 visualizes — while per-iteration *work* comes from the Eq. (1)
 breakdown of :mod:`repro.core.perfmodel`.
+
+Two helpers here are shared with the event-driven tier
+(:mod:`repro.core.event_streaming`): :func:`dependence_map`, which
+vector of the producer unblocks each consumer vector, and
+:func:`station_scan`, the FIFO recurrence of one station evaluated with
+NumPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,29 +89,100 @@ class SegmentResult:
         raise SimulationError(f"no flow recorded for layer {layer_index}")
 
 
-def completion_source_index(
-    producer: ConvLayerSpec, oy: int, ox: int
-) -> int:
-    """Producer ifmap-vector index that completes ofmap pixel ``(oy, ox)``.
+def dependence_map(
+    timings: Sequence[LayerTiming], requests: int = 1
+) -> Tuple[List[Optional[int]], List[Optional[np.ndarray]]]:
+    """Producer index and per-vector source array of every layer.
 
-    An ofmap pixel of a stride/padding convolution is computable as soon
-    as the *last* ifmap vector its receptive field touches has arrived —
-    the bottom-right corner of the ``r x s`` window, clamped to the ifmap
-    edge when padding hangs the window past it.  Vectors arrive in raster
-    order, so the returned flat index (``y * w + x``) is also the arrival
-    rank of that vector.
+    ``producer_of[li]`` is the nearest preceding layer whose ofmap
+    geometry matches layer ``li``'s ifmap.  Segments are stored as layer
+    lists but the underlying graph is a DAG (downsample shortcuts consume
+    the block input, not the previous list entry), so the producer is
+    matched by feature-map geometry; a layer with no match (``None``)
+    streams from DRAM.
 
-    This is the producer→consumer dependence both streaming tiers key
-    on: the tandem-queue :class:`SegmentSimulator` uses it to compute
-    per-vector readiness times, and the event-driven tier
-    (:mod:`repro.core.event_streaming`) uses it to decide which forwarded
-    vector unblocks each downstream compute.  Keeping them on one helper
-    is what makes their agreement (``repro.sim.xcheck``) evidence about
-    the *queueing* models, not about dependence bookkeeping.
+    ``sources[li][v]`` is the producer vector whose chain completion
+    makes consumer vector ``v`` available.  An ofmap pixel of a
+    stride/padding convolution is computable as soon as the *last* ifmap
+    vector its receptive field touches has arrived — the bottom-right
+    corner of the ``r x s`` window, clamped to the ifmap edge when
+    padding hangs the window past it.  Vectors arrive in raster order, so
+    that flat index (``y * w + x``) is also the vector's arrival rank.
+    Consumer vector ``v`` is the ``v``-th point, in raster order, of the
+    producer's ofmap grid; consumers with stride-subsampled input (1x1
+    shortcuts) read a regular subgrid of it.  A source past the
+    producer's own vector count (a producer that streamed a subgrid of
+    its ifmap) clamps to its last vector; a consumer with more vectors
+    than grid points repeats the last source.  Vector ids are
+    request-major: request ``r``'s vector ``v`` is
+    ``r * iterations + v`` and depends on request ``r``'s producer
+    vectors.
+
+    Both queueing tiers key on this one map: the tandem-queue
+    :class:`SegmentSimulator` computes per-vector readiness times from
+    it, and the event-driven tier (:mod:`repro.core.event_streaming`)
+    decides which forwarded vector unblocks each downstream compute.
+    Keeping them on one map is what makes their agreement
+    (``repro.sim.xcheck``) evidence about the *queueing* models, not
+    about dependence bookkeeping.
     """
-    y = min(producer.h - 1, oy * producer.stride - producer.padding + producer.r - 1)
-    x = min(producer.w - 1, ox * producer.stride - producer.padding + producer.s - 1)
-    return y * producer.w + x
+    producer_of: List[Optional[int]] = [None] * len(timings)
+    sources: List[Optional[np.ndarray]] = [None] * len(timings)
+    for li, lt in enumerate(timings):
+        spec = lt.spec
+        pj = next(
+            (j for j in range(li - 1, -1, -1)
+             if timings[j].spec.ofmap_hw == (spec.h, spec.w)),
+            None,
+        )
+        if pj is None:
+            continue
+        producer = timings[pj]
+        p = producer.spec
+        oh, ow = p.ofmap_hw
+        iterations = lt.iterations
+        step = int(round(math.sqrt(oh * ow / iterations))) or 1
+        ys = np.minimum(p.h - 1, np.arange(0, oh, step) * p.stride - p.padding + p.r - 1)
+        xs = np.minimum(p.w - 1, np.arange(0, ow, step) * p.stride - p.padding + p.s - 1)
+        src = np.minimum(
+            (ys[:, None] * p.w + xs[None, :]).reshape(-1)[:iterations],
+            producer.iterations - 1,
+        )
+        if len(src) < iterations:
+            src = np.concatenate((src, np.full(iterations - len(src), src[-1])))
+        if requests > 1:
+            offsets = np.arange(requests) * producer.iterations
+            src = (src[None, :] + offsets[:, None]).reshape(-1)
+        producer_of[li] = pj
+        sources[li] = src
+    return producer_of, sources
+
+
+def station_scan(arrivals: np.ndarray, service: float) -> np.ndarray:
+    """Service-start times of a FIFO station with a fixed per-vector cost.
+
+    Computes ``start[v] = max(arrivals[v], start[v-1] + service)`` — the
+    exact recurrence a per-vector loop evaluates — with a vectorized fast
+    path: when every gap ``arrivals[v] - arrivals[v-1]`` covers the
+    service time, the station never queues and ``start`` is just
+    ``arrivals``.  The gap test uses the same IEEE add/compare the scalar
+    recurrence would (induction: ``start[v-1] == arrivals[v-1]`` and
+    ``arrivals[v] >= arrivals[v-1] + service`` make the ``max`` pick
+    ``arrivals[v]``), so the returned floats are bit-identical to the
+    serial scan whichever path runs.
+    """
+    n = len(arrivals)
+    if n <= 1 or bool(np.all(arrivals[1:] >= arrivals[:-1] + service)):
+        return arrivals
+    starts = arrivals.tolist()  # scalar float loop beats ndarray indexing
+    busy = -math.inf
+    for v, a in enumerate(starts):
+        if busy > a:
+            starts[v] = busy
+            busy += service
+        else:
+            busy = a + service
+    return np.asarray(starts)
 
 
 class SegmentSimulator:
@@ -132,89 +209,42 @@ class SegmentSimulator:
         #: historical single-sample run, bit for bit.
         self.requests = requests
 
-    def _find_producer(
-        self,
-        spec: ConvLayerSpec,
-        history: List,
-    ) -> Optional[tuple]:
-        """Nearest preceding layer whose ofmap matches this ifmap.
-
-        Segments are stored as layer lists but the underlying graph is a
-        DAG (downsample shortcuts consume the block input, not the previous
-        list entry), so the producer is matched by feature-map geometry.
-        """
-        for prev_spec, departures in reversed(history):
-            if prev_spec.ofmap_hw == (spec.h, spec.w):
-                return prev_spec, departures
-        return None
-
     def run(self) -> SegmentResult:
         result = SegmentResult(total_cycles=0.0)
-        # (spec, per-vector chain-departure times) of every finished layer.
-        history: List = []
         requests = self.requests
-        for lt in self.timings:
-            spec = lt.spec
-            iterations = lt.iterations
-            total = iterations * requests
+        producer_of, sources = dependence_map(self.timings, requests)
+        # Per-vector chain-departure times of every finished layer.
+        departed: List[np.ndarray] = []
+        for li, lt in enumerate(self.timings):
             interval = lt.interval
-            producer = self._find_producer(spec, history)
+            src = sources[li]
             # Arrival times of this layer's vectors at its DC
-            # (request-major when streaming a request batch).
-            if producer is None:
-                arrivals = np.zeros(total)
+            # (request-major when streaming a request batch): a consumer
+            # vector departs the producer once its completing ifmap
+            # vector has cleared the whole chain.
+            if src is None:
+                arrivals = np.zeros(lt.iterations * requests)
             else:
-                prev_spec, prev_departures = producer
-                prev_iterations = len(prev_departures) // requests
-                oh, ow = prev_spec.ofmap_hw
-                # Consumer vector v corresponds to producer ofmap pixel v
-                # (identical tensor raster); it departs the producer once
-                # the completing ifmap vector has cleared the whole chain.
-                arrivals = np.empty(total)
-                # Consumers with stride-subsampled input (1x1 shortcuts)
-                # read a regular subgrid of the producer's ofmap.
-                step = int(round(math.sqrt(oh * ow / iterations))) or 1
-                for r in range(requests):
-                    base = r * iterations
-                    offset = r * prev_iterations
-                    v = 0
-                    for oy in range(0, oh, step):
-                        for ox in range(0, ow, step):
-                            if v >= iterations:
-                                break
-                            src = completion_source_index(prev_spec, oy, ox)
-                            # Guard for producers that streamed a subgrid
-                            # of their ifmap (1x1 stride-2 shortcuts).
-                            src = min(src, prev_iterations - 1)
-                            arrivals[base + v] = (
-                                prev_departures[offset + src] + lt.fill_per_hop
-                            )
-                            v += 1
-                    if v < iterations:
-                        arrivals[base + v:base + iterations] = (
-                            arrivals[base + v - 1] if v else 0.0
-                        )
+                arrivals = departed[producer_of[li]][src] + lt.fill_per_hop
             # Tandem queue through this layer: DC + chain.  The station
             # stays busy across request boundaries (weights resident).
-            departures = np.empty(total)
-            t = 0.0
-            wait = 0.0
-            for v in range(total):
-                ready = arrivals[v]
-                start = max(ready, t)
-                wait += max(0.0, ready - t)
-                t = start + interval
-                departures[v] = t + lt.fill  # clears the whole chain
-            flow = LayerFlow(
-                spec=spec,
+            starts = station_scan(arrivals, interval)
+            departures = (starts + interval) + lt.fill  # clears the whole chain
+            # Each vector waits for the station to finish its
+            # predecessor (nothing before the first).  cumsum adds left
+            # to right, as the recurrence does; np.sum adds pairwise and
+            # would change the last bits.
+            previous_end = np.concatenate(([0.0], starts[:-1] + interval))
+            waits = np.maximum(arrivals - previous_end, 0.0)
+            result.flows.append(LayerFlow(
+                spec=lt.spec,
                 start=float(arrivals[0]),
                 finish=float(departures[-1]),
-                iterations=total,
-                total_wait=float(wait),
+                iterations=len(arrivals),
+                total_wait=float(np.cumsum(waits)[-1]),
                 interval_work=interval,
-            )
-            result.flows.append(flow)
-            history.append((spec, departures))
+            ))
+            departed.append(departures)
         result.total_cycles = max(flow.finish for flow in result.flows)
         return result
 
@@ -224,9 +254,11 @@ class SegmentSimulator:
         self, layer_index: int, result: Optional[SegmentResult] = None
     ) -> CoreBreakdown:
         """Per-iteration breakdown of an intermediate core of one layer."""
+        lt = next((t for t in self.timings if t.spec.index == layer_index), None)
+        if lt is None:
+            raise SimulationError(f"layer {layer_index} is not in this segment")
         if result is None:
             result = self.run()
-        lt = next(t for t in self.timings if t.spec.index == layer_index)
         flow = result.flow_of(layer_index)
         it = lt.iteration
         compute = max(it.t_cmem, it.t_issue + it.t_acc)

@@ -1,7 +1,8 @@
 """Design-space exploration: declarative sweeps on the shared executor.
 
-``SweepSpec`` declares the axes; ``run_sweep`` expands, preflights, and
-shards the points (``repro.utils.parallel``); ``DSEResult`` consolidates
+``SweepSpec`` declares the axes; ``run_sweep`` expands, plans each chip
+once, preflights, and shards the chips (``repro.utils.parallel``);
+``DSEResult`` consolidates
 energy/area/latency with baseline and paper-reference comparisons and
 extracts the Pareto frontier.  ``scripts/dse.py`` is the CLI;
 ``scripts/report.py dse`` renders the HTML dashboard.  See docs/DSE.md.

@@ -6,14 +6,20 @@ drivers, and the bench harness all go through it:
 
 1. :meth:`SweepSpec.expand` produces the design points (deterministic
    order);
-2. each point is evaluated *independently* by :func:`evaluate_point` —
-   map, plan, statically verify (:func:`repro.analysis.system.analyze_plan`,
-   ``plan`` family, with the point's own DRAM geometry), then simulate
-   on the point's backend tier through the :mod:`repro.sim` registry;
-3. points shard across processes via
+2. the points are grouped by *chip* — every axis except the backend —
+   and each chip is tiled and planned once: the plan depends only on
+   :meth:`DesignPoint.sim_config`, which has no backend field, so every
+   tier of one chip would plan identical inputs (``repro.sim.xcheck``
+   holds one plan fixed across tiers the same way).  Each point is then
+   evaluated by :func:`evaluate_point` on its chip's plan — statically
+   verify (:func:`repro.analysis.system.analyze_plan`, ``plan`` family,
+   with the point's own DRAM geometry), then simulate on the point's
+   backend tier through the :mod:`repro.sim` registry;
+3. chips shard across processes via
    :func:`repro.utils.parallel.run_sharded` (``workers=0`` serial) —
    evaluation order within a worker never affects results because every
-   point is a pure function of its coordinates;
+   point is a pure function of its coordinates — and every row goes back
+   to its place in expansion order;
 4. the parent consolidates into a :class:`DSEResult`, attaching the
    per-network baseline section (computed once, serially — the scalar
    baseline memoizes a pipeline measurement that must not be repeated
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
-from typing import Dict, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.system import analyze_plan
 from repro.baselines.neural_cache import NeuralCacheModel
@@ -44,14 +50,36 @@ from repro.errors import (
     MappingError,
     SimulationError,
 )
+from repro.mapping.segmentation import SegmentPlan
 from repro.mapping.tiling import tile_network
+from repro.nn.workloads import NetworkSpec
 from repro.sim.accounting import plan_network
 from repro.sim.backends import simulate
+from repro.sim.config import SimConfig
 from repro.utils.parallel import run_sharded
 
 
-def evaluate_point(point: DesignPoint, *, keep_report: bool = False) -> PointResult:
+#: Mapping failures: the chip cannot hold the network (``infeasible``).
+_MAPPING_ERRORS = (CapacityError, MappingError, ConfigurationError)
+
+
+def _plan(network: NetworkSpec, cfg: SimConfig) -> SegmentPlan:
+    """Tile and plan ``network`` on the chip ``cfg`` describes."""
+    tiled = tile_network(network, cfg.capacity, cfg.array_size)
+    return plan_network(tiled, cfg.strategy, cfg)
+
+
+def evaluate_point(
+    point: DesignPoint,
+    *,
+    keep_report: bool = False,
+    plan: Optional[SegmentPlan] = None,
+) -> PointResult:
     """Evaluate one design point end to end (pure; picklable; top-level).
+
+    A given ``plan`` skips mapping, as ``simulate(plan=...)`` skips
+    planning: it must be the plan of this point's chip (:func:`run_sweep`
+    shares one across a chip's tiers).  Nothing mutates it.
 
     Never raises for per-point failures — the sweep must complete and
     account for every point.  Configuration errors in the *axes*
@@ -59,14 +87,14 @@ def evaluate_point(point: DesignPoint, *, keep_report: bool = False) -> PointRes
     """
     cfg = point.sim_config()
     network = point.build_network()
-    try:
-        tiled = tile_network(network, cfg.capacity, cfg.array_size)
-        plan = plan_network(tiled, cfg.strategy, cfg)
-    except (CapacityError, MappingError, ConfigurationError) as exc:
-        return PointResult(
-            point=point, status="infeasible",
-            detail=f"{type(exc).__name__}: {exc}",
-        )
+    if plan is None:
+        try:
+            plan = _plan(network, cfg)
+        except _MAPPING_ERRORS as exc:
+            return PointResult(
+                point=point, status="infeasible",
+                detail=f"{type(exc).__name__}: {exc}",
+            )
 
     # Static preflight with the point's own DRAM geometry — richer than
     # the simulate() gate (which assumes the default controller), so the
@@ -146,6 +174,26 @@ def network_baselines(networks: Sequence[str]) -> Dict[str, Dict[str, float]]:
     return out
 
 
+def _evaluate_chip(
+    points: Sequence[DesignPoint], *, keep_report: bool = False
+) -> List[PointResult]:
+    """Evaluate the points of one chip on one shared plan.
+
+    ``points`` differ only in their backend.  When planning fails, no
+    plan is passed and each point records its own ``infeasible`` row.
+    """
+    first = points[0]
+    plan: Optional[SegmentPlan]
+    try:
+        plan = _plan(first.build_network(), first.sim_config())
+    except _MAPPING_ERRORS:
+        plan = None
+    return [
+        evaluate_point(point, keep_report=keep_report, plan=plan)
+        for point in points
+    ]
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -155,7 +203,7 @@ def run_sweep(
 ) -> DSEResult:
     """Run every design point of ``spec`` and consolidate.
 
-    ``workers`` shards points across processes (0 = serial; results are
+    ``workers`` shards chips across processes (0 = serial; results are
     byte-identical either way).  ``keep_reports=True`` attaches each ok
     point's full :class:`~repro.sim.report.RunReport` — the experiment
     drivers need it; plain sweeps skip the pickling weight.
@@ -163,11 +211,19 @@ def run_sweep(
     drivers don't use it).
     """
     points = spec.expand()
-    results = run_sharded(
-        partial(evaluate_point, keep_report=keep_reports),
-        points,
+    # Expansion indices of each chip's points, in first-seen order.
+    chips: Dict[DesignPoint, List[int]] = {}
+    for i, point in enumerate(points):
+        chips.setdefault(replace(point, backend=""), []).append(i)
+    shards = run_sharded(
+        partial(_evaluate_chip, keep_report=keep_reports),
+        [[points[i] for i in indices] for indices in chips.values()],
         workers=workers,
     )
+    rows: Dict[int, PointResult] = {}
+    for indices, shard in zip(chips.values(), shards):
+        rows.update(zip(indices, shard))
+    results = [rows[i] for i in range(len(points))]
     base = network_baselines(spec.networks) if baselines else {}
     return DSEResult(spec=spec, points=results, baselines=base)
 

@@ -52,7 +52,7 @@ from repro.nn.workloads import (
     transformer_block_spec,
     vgg11_spec,
 )
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, check_batch
 
 #: Networks a sweep can name (factory per name, so every design point
 #: builds its own spec — workers never share mutable state).
@@ -108,6 +108,8 @@ class DesignPoint:
             raise ConfigurationError("cmem_rows must be >= 16")
         if self.dram_channels < 1:
             raise ConfigurationError("dram_channels must be >= 1")
+        check_batch("batch", self.batch)
+        check_batch("batch_requests", self.batch_requests)
 
     # -- identity ---------------------------------------------------------------
 

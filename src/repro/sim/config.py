@@ -12,6 +12,7 @@ fully-specified query.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -24,6 +25,17 @@ from repro.mapping.capacity import CapacityModel
 #: array minus the two cores reserved for the streaming DC of the widest
 #: segment).
 DEFAULT_ARRAY_SIZE = 208
+
+
+def check_batch(name: str, value: object) -> None:
+    """Reject a batch size that is not an integer >= 1.
+
+    A fractional ``batch`` would scale MACs and cycles by a fraction of
+    a sample, and a fractional ``batch_requests`` would fail deep inside
+    the queueing tiers; NumPy integers are accepted.
+    """
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -76,12 +88,8 @@ class SimConfig:
                 f"array_size must be >= 2 (one DC + one computing core), "
                 f"got {self.array_size}"
             )
-        if self.batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
-        if self.batch_requests < 1:
-            raise ConfigurationError(
-                f"batch_requests must be >= 1, got {self.batch_requests}"
-            )
+        check_batch("batch", self.batch)
+        check_batch("batch_requests", self.batch_requests)
         if self.forward_policy not in ("eager", "after_compute"):
             raise ConfigurationError(
                 f"unknown forward policy {self.forward_policy!r}"

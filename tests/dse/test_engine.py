@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.dse.engine as engine
 from repro.dse.engine import (
     evaluate_point,
     network_baselines,
@@ -9,6 +10,16 @@ from repro.dse.engine import (
 )
 from repro.dse.presets import SWEEPS
 from repro.dse.spec import DesignPoint, SweepSpec
+
+#: Three tiers on two chips, one of which (vgg11 on 12x12 with 7 slices)
+#: cannot map the network.
+MULTI_TIER = SweepSpec(
+    name="multi-tier",
+    networks=("vgg11",),
+    backends=("analytic", "streaming", "event"),
+    meshes=((12, 12), (16, 16)),
+    cmem_slices=(7,),
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +53,23 @@ class TestEvaluatePoint:
         assert not result.ok
         assert result.detail
 
+    def test_given_plan_skips_planning(self, monkeypatch):
+        point = DesignPoint(network="small_cnn", backend="streaming")
+        cfg = point.sim_config()
+        plan = engine.plan_network(
+            engine.tile_network(point.build_network(), cfg.capacity, cfg.array_size),
+            cfg.strategy, cfg,
+        )
+        expected = evaluate_point(point)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("planned although a plan was given")
+
+        monkeypatch.setattr(engine, "plan_network", refuse)
+        monkeypatch.setattr(engine, "tile_network", refuse)
+        given = evaluate_point(point, plan=plan)
+        assert given == expected
+
     def test_starved_dram_is_rejected_with_rule_ids(self):
         # One DRAM channel cannot feed ResNet18's filter streaming; the
         # static verifier (not the backend) should catch it.
@@ -66,6 +94,47 @@ class TestRunSweep:
     def test_serial_and_parallel_are_byte_identical(self, smoke):
         parallel = run_sweep(SWEEPS["smoke"], workers=4)
         assert parallel.to_json() == smoke.to_json()
+
+    def test_each_chip_is_planned_once(self, monkeypatch):
+        spec = SweepSpec(
+            name="two-chips", networks=("small_cnn",),
+            backends=("analytic", "streaming", "event"),
+            meshes=((12, 12), (16, 16)),
+        )
+        calls = []
+        plan_network = engine.plan_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return plan_network(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "plan_network", counted)
+        result = run_sweep(spec, baselines=False)
+        assert len(calls) == 2
+        assert all(r.ok for r in result.points)
+
+    def test_multi_tier_sweep_keeps_expansion_order_and_bytes(self):
+        serial = run_sweep(MULTI_TIER, baselines=False)
+        parallel = run_sweep(MULTI_TIER, workers=2, baselines=False)
+        assert parallel.to_json() == serial.to_json()
+        assert [r.point for r in serial.points] == MULTI_TIER.expand()
+        statuses = {
+            (r.point.mesh, r.point.backend): r.status for r in serial.points
+        }
+        assert {s for (mesh, _), s in statuses.items() if mesh == (12, 12)} == {
+            "infeasible"
+        }
+        assert {s for (mesh, _), s in statuses.items() if mesh == (16, 16)} == {"ok"}
+
+    def test_infeasible_chip_rows_match_unshared_evaluation(self):
+        result = run_sweep(MULTI_TIER, baselines=False)
+        assert result.points == [evaluate_point(p) for p in MULTI_TIER.expand()]
+
+    def test_kept_reports_of_one_chip_share_the_plan(self):
+        spec = SweepSpec(name="t", networks=("small_cnn",),
+                         backends=("analytic", "streaming"))
+        a, b = run_sweep(spec, keep_reports=True, baselines=False).points
+        assert a.report.plan is b.report.plan
 
     def test_baselines_cover_the_sweep_networks(self, smoke):
         assert set(smoke.baselines) == set(SWEEPS["smoke"].networks)

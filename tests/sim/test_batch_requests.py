@@ -10,8 +10,10 @@ segment switching) is paid once per batch.  Two invariants matter:
   latency, and ``staging_cycles_per_request`` shrinks by exactly 1/R.
 """
 
+import numpy as np
 import pytest
 
+from repro.dse.spec import DesignPoint, SweepSpec
 from repro.errors import ConfigurationError, MappingError
 from repro.nn.workloads import small_cnn_spec
 from repro.sim import SimConfig, simulate
@@ -27,6 +29,31 @@ class TestConfigValidation:
     def test_simulate_rejects_bad_batch_requests(self):
         with pytest.raises(MappingError):
             simulate(small_cnn_spec(), batch_requests=0)
+
+    @pytest.mark.parametrize("backend", ["analytic", "streaming", "event"])
+    def test_fractional_batch_is_rejected(self, backend):
+        # A batch of 1.5 used to simulate 1.5 x the MACs of one sample.
+        with pytest.raises(ConfigurationError, match="batch"):
+            simulate(small_cnn_spec(), backend=backend, config=SimConfig(batch=1.5))
+        with pytest.raises(ConfigurationError, match="batch"):
+            simulate(small_cnn_spec(), backend=backend, batch=1.5)
+
+    def test_fractional_batch_requests_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="batch_requests"):
+            SimConfig(batch_requests=2.5)
+        with pytest.raises(ConfigurationError, match="batch_requests"):
+            simulate(small_cnn_spec(), batch_requests=2.5)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = SimConfig(batch=np.int64(2), batch_requests=np.int32(3))
+        assert (cfg.batch, cfg.batch_requests) == (2, 3)
+
+    @pytest.mark.parametrize("field", ["batch", "batch_requests"])
+    def test_sweep_batch_fields_reach_the_same_check(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            DesignPoint(network="small_cnn", backend="analytic", **{field: 1.5})
+        with pytest.raises(ConfigurationError, match=field):
+            SweepSpec(name="t", networks=("small_cnn",), **{field: 2.5}).expand()
 
     def test_with_run_override(self):
         cfg = SimConfig().with_run(batch_requests=4)

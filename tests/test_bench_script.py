@@ -36,6 +36,11 @@ def green_doc() -> dict:
             "small_cnn": {
                 "cycle": {"wall_s": 0.02, "budget_s": 1.5, "within_budget": True},
             },
+            "op_count": {
+                "calls": {"streaming": {"full": 4130, "half": 4122}},
+                "ratios": {"streaming": 1.002, "event": 0.991},
+                "budget_ratio": 1.1, "within_budget": True,
+            },
         },
         "obs": {
             "attribution": {
@@ -79,6 +84,11 @@ def test_fleet_op_gate_compares_four_and_sixteen_chips(bench):
     assert bench.FLEET_OP_BUDGET == 1.10
 
 
+def test_backend_op_gate_covers_the_queueing_tiers(bench):
+    assert bench.BACKEND_OP_TIERS == ("streaming", "event")
+    assert bench.BACKEND_OP_BUDGET == 1.10
+
+
 def test_every_backend_row_is_budgeted(bench):
     tiers = {"analytic", "streaming", "event", "cycle"}
     assert {name: set(rows) for name, rows in bench.BACKEND_BUDGETS.items()} == {
@@ -94,6 +104,7 @@ def test_all_green_document_has_no_failures(bench):
     "path, flag",
     [
         ("backends/small_cnn/cycle", "within_budget"),
+        ("backends/op_count", "within_budget"),
         ("obs/attribution", "within_budget"),
         ("fleet/scales/1", "within_budget"),
         ("fleet/op_count", "within_budget"),
