@@ -15,40 +15,15 @@ provides the two classic bit-vector dataflows the verifier needs over the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from repro.errors import DecodeError
-from repro.riscv.isa import Instruction
+from repro.riscv.isa import Instruction, instr_reads, instr_write
 from repro.riscv.registers import NUM_REGS
 
 # Branches whose ``target`` field must hold a resolved instruction index.
 DIRECT_BRANCHES = frozenset({"beq", "bne", "blt", "bge", "bltu", "bgeu", "j", "jal"})
 UNCONDITIONAL = frozenset({"j", "jal"})
-
-
-def instr_reads(instr: Instruction) -> List[int]:
-    """Architectural registers this instruction reads (x0 excluded)."""
-    try:
-        spec = instr.spec
-    except DecodeError:
-        return []
-    regs = []
-    if spec.reads_rs1 and instr.rs1:
-        regs.append(instr.rs1)
-    if spec.reads_rs2 and instr.rs2:
-        regs.append(instr.rs2)
-    return regs
-
-
-def instr_write(instr: Instruction) -> Optional[int]:
-    """The register this instruction writes, if any (x0 excluded)."""
-    try:
-        spec = instr.spec
-    except DecodeError:
-        return None
-    if spec.writes_rd and instr.rd:
-        return instr.rd
-    return None
 
 
 @dataclass

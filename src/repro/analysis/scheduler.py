@@ -28,9 +28,9 @@ from repro.analysis.verifier import AnalysisConfig, verify_program
 from repro.core.scheduler import static_schedule
 from repro.errors import MemoryMapError, SchedulingError
 from repro.riscv.executor import ExecResult
-from repro.riscv.isa import FunctionalUnit, Instruction
+from repro.riscv.isa import FunctionalUnit, Instruction, instr_slices
 from repro.riscv.memory import AddressRegion, MemoryMap
-from repro.riscv.pipeline import Pipeline, PipelineConfig, instr_slices
+from repro.riscv.pipeline import Pipeline, PipelineConfig
 from repro.telemetry import NULL_SINK
 
 

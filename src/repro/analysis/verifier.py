@@ -34,15 +34,13 @@ from repro.analysis.cfg import (
     build_cfg,
     compute_defined,
     compute_liveness,
-    instr_reads,
-    instr_write,
 )
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.rules import rule
 from repro.cmem.isa import MAX_OPERAND_BITS
 from repro.errors import CMemError, DecodeError, MemoryMapError
 from repro.riscv.assembler import assemble
-from repro.riscv.isa import FunctionalUnit, Instruction
+from repro.riscv.isa import FunctionalUnit, Instruction, instr_reads, instr_write
 from repro.riscv.memory import MemoryMap
 from repro.riscv.registers import reg_name
 from repro.riscv.scoreboard import Scoreboard

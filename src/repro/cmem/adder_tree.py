@@ -78,23 +78,6 @@ class AdderTree:
             )
         return popcount(bits & self.lane_mask_bits(mask))
 
-    def popcount_batch(self, planes: np.ndarray, mask: int = 0xFF) -> np.ndarray:
-        """Masked popcount of many sensed planes in one matrix product.
-
-        ``planes`` is ``(num_pairs, width)``; the result is an ``int64``
-        vector of per-plane counts, bit-identical to calling
-        :meth:`popcount` on every plane.  The product runs in float32 —
-        counts are bounded by ``width`` (256), far below the 2^24 exact
-        integer range, so the BLAS path loses nothing.
-        """
-        planes = np.asarray(planes, dtype=np.uint8)
-        if planes.ndim != 2 or planes.shape[1] != self.width:
-            raise CMemError(
-                f"adder tree expects (*, {self.width}) planes, got shape "
-                f"{planes.shape}"
-            )
-        return (planes.astype(np.float32) @ self._mask_f32(mask)).astype(np.int64)
-
     def _mask_f32(self, mask: int) -> np.ndarray:
         cache = self.__dict__.setdefault("_mask_f32_cache", {})
         mask_vec = cache.get(mask)

@@ -87,20 +87,6 @@ class CMemSlice:
         self._check_row(row_b)
         return self.array.activate_pair(row_a, row_b)
 
-    def activate_pairs_batch(
-        self,
-        rows_a: Sequence[int],
-        rows_b: Sequence[int],
-        *,
-        checked: bool = True,
-    ):
-        """Batched dual-row activations (the vectorized MAC engine's core).
-
-        Validation is delegated to the array — slice rows and array rows
-        coincide — so the batch is not checked twice.
-        """
-        return self.array.activate_pairs_batch(rows_a, rows_b, checked=checked)
-
     def activate_pairs_outer(
         self,
         rows_a: Sequence[int],

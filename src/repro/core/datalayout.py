@@ -53,9 +53,6 @@ class NodeLayout:
         lanes = min(8, max(1, math.ceil(min(self.spec.c, 256) / 32)))
         return (1 << lanes) - 1
 
-    def entries_in_slice(self, slice_index: int) -> List[LayoutEntry]:
-        return [e for e in self.entries if e.slice_index == slice_index]
-
     def entry_for(self, filter_index: int, fr: int, fs: int, sub: int = 0) -> LayoutEntry:
         for e in self.entries:
             if (e.filter_index, e.fr, e.fs, e.sub) == (filter_index, fr, fs, sub):

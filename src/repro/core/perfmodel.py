@@ -11,8 +11,8 @@ core.  The paper's Eq. (1) reduces this to
 because static + dynamic scheduling let the scalar pipeline run under the
 multi-cycle CMem instructions.  This module computes the two sides from
 first principles (instruction counts x unit costs), exposes them per
-component (Fig. 9's breakdown), and rolls layers up to segments with
-inter-layer pipelining and the filter-load phase.
+component (Fig. 9's breakdown), and gives each layer of a segment its
+inter-layer pipelined start offset.
 
 All constants are grouped in :class:`TimingParams`; defaults were
 calibrated once against the paper's single-node measurement (Table 4:
@@ -139,18 +139,8 @@ class LayerTiming:
         return self.fill + self.iterations * self.interval
 
 
-@dataclass(frozen=True)
-class SegmentTiming:
-    """Timing of one mapped segment with inter-layer pipelining."""
-
-    layers: List[LayerTiming]
-    start_offsets: List[float]
-    filter_load_cycles: float
-    total_cycles: float
-
-
 class PerformanceModel:
-    """Evaluates layers, segments, and whole plans in cycles."""
+    """Evaluates iterations and layers in cycles."""
 
     def __init__(
         self,
@@ -265,45 +255,27 @@ class PerformanceModel:
 
         return timing
 
-    # -- per-segment --------------------------------------------------------------
 
-    def segment_timing(
-        self,
-        layer_timings: Sequence[LayerTiming],
-        *,
-        first_from_dram: bool = True,
-    ) -> SegmentTiming:
-        """Inter-layer pipelined latency of one segment (Sec. 4.2).
+def start_offsets(layer_timings: Sequence[LayerTiming]) -> List[float]:
+    """Start cycle of every layer of one pipelined segment (Sec. 4.2).
 
-        Layer ``l+1`` starts once layer ``l`` has produced ``R`` ofmap rows
-        (Fig. 7(a)); every layer then streams at its own interval, and the
-        segment finishes when its last layer drains.  Filter loading
-        precedes compute, mostly overlapped (Sec. 6.2: "in most cases the
-        filter load phase takes no more than 10% of the total time").
-        """
-        if not layer_timings:
-            raise MappingError("segment with no layers")
-        offsets: List[float] = []
-        finish = 0.0
-        start = 0.0
-        for i, lt in enumerate(layer_timings):
-            if i > 0:
-                prev = layer_timings[i - 1]
-                # Rows of the previous layer's ofmap needed before this
-                # layer can start, produced at the previous layer's rate.
-                rows_needed = lt.spec.r
-                vectors = rows_needed * prev.spec.ofmap_hw[1]
-                start = offsets[i - 1] + prev.fill + vectors * prev.interval
-            offsets.append(start)
-            finish = max(finish, start + lt.standalone_cycles)
-        weight_bytes = sum(
-            lt.spec.weight_count * lt.spec.n_bits / 8 for lt in layer_timings
-        )
-        load = weight_bytes / self.params.filter_load_bw
-        exposed_load = load * (1.0 - self.params.filter_load_overlap)
-        return SegmentTiming(
-            layers=list(layer_timings),
-            start_offsets=offsets,
-            filter_load_cycles=load,
-            total_cycles=finish + exposed_load,
-        )
+    Layer ``l+1`` starts once layer ``l`` has produced ``R`` ofmap rows
+    (Fig. 7(a)); every layer then streams at its own interval, so the
+    segment finishes when its last layer drains.  Filter loading is not
+    part of this roll-up: the backends bill it once, as
+    :func:`repro.sim.accounting.exposed_filter_load_cycles`.
+    """
+    if not layer_timings:
+        raise MappingError("segment with no layers")
+    offsets: List[float] = []
+    start = 0.0
+    for i, lt in enumerate(layer_timings):
+        if i > 0:
+            prev = layer_timings[i - 1]
+            # Rows of the previous layer's ofmap needed before this
+            # layer can start, produced at the previous layer's rate.
+            rows_needed = lt.spec.r
+            vectors = rows_needed * prev.spec.ofmap_hw[1]
+            start = offsets[i - 1] + prev.fill + vectors * prev.interval
+        offsets.append(start)
+    return offsets

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SchedulingError
-from repro.riscv.isa import FunctionalUnit, Instruction
+from repro.riscv.isa import (
+    FunctionalUnit,
+    Instruction,
+    instr_reads,
+    instr_slices,
+    instr_write,
+)
 
 
 @dataclass
@@ -37,27 +43,6 @@ def _static_address(instr: Instruction) -> Optional[int]:
     if instr.rs1 == 0:
         return instr.imm
     return None
-
-
-def _reads(instr: Instruction) -> List[int]:
-    spec = instr.spec
-    regs = []
-    if spec.reads_rs1 and instr.rs1:
-        regs.append(instr.rs1)
-    if spec.reads_rs2 and instr.rs2:
-        regs.append(instr.rs2)
-    return regs
-
-
-def _writes(instr: Instruction) -> Optional[int]:
-    return instr.rd if (instr.spec.writes_rd and instr.rd) else None
-
-
-def _cmem_slices(instr: Instruction) -> Tuple[int, ...]:
-    cm = instr.cm
-    if instr.opcode == "move.c":
-        return (cm["src_slice"], cm["dst_slice"])
-    return (cm.get("slice", 0),)
 
 
 def _cmem_writes_slice(instr: Instruction) -> bool:
@@ -107,11 +92,11 @@ def _build_dag(block: Sequence[Instruction]) -> List[_Node]:
         instr = node.instr
         spec = instr.spec
         # Register dependences.
-        for reg in _reads(instr):
+        for reg in instr_reads(instr):
             if reg in last_writer:
                 add_edge(last_writer[reg], i)  # RAW
             readers_since_write.setdefault(reg, []).append(i)
-        rd = _writes(instr)
+        rd = instr_write(instr)
         if rd is not None:
             if rd in last_writer:
                 add_edge(last_writer[rd], i)  # WAW
@@ -134,7 +119,7 @@ def _build_dag(block: Sequence[Instruction]) -> List[_Node]:
                 mem_loads.append((i, addr))
         # CMem slice hazards.
         if spec.unit is FunctionalUnit.CMEM:
-            for s in _cmem_slices(instr):
+            for s in instr_slices(instr):
                 if _cmem_writes_slice(instr):
                     if s in slice_last_write:
                         add_edge(slice_last_write[s], i)
@@ -182,10 +167,10 @@ def _schedule_block(block: List[Instruction]) -> List[Instruction]:
         def start_estimate(i: int) -> int:
             instr = nodes[i].instr
             est = time
-            for reg in _reads(instr):
+            for reg in instr_reads(instr):
                 est = max(est, reg_ready.get(reg, 0))
             if instr.spec.unit is FunctionalUnit.CMEM:
-                for s in _cmem_slices(instr):
+                for s in instr_slices(instr):
                     est = max(est, slice_free.get(s, 0))
             return est
 
@@ -197,9 +182,9 @@ def _schedule_block(block: List[Instruction]) -> List[Instruction]:
         start = max(time + 1, start_estimate(choice))
         latency = instr.latency()
         if instr.spec.unit is FunctionalUnit.CMEM:
-            for s in _cmem_slices(instr):
+            for s in instr_slices(instr):
                 slice_free[s] = start + latency
-        rd = _writes(instr)
+        rd = instr_write(instr)
         if rd is not None:
             reg_ready[rd] = start + latency
         time = start

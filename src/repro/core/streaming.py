@@ -10,7 +10,9 @@ The simulator advances every vector of a layer through a tandem-queue
 recurrence — capturing pipeline fill, inter-layer rate mismatches (the
 greedy strategy's failure mode), and the per-iteration waiting that
 Fig. 9 visualizes — while per-iteration *work* comes from the Eq. (1)
-breakdown of :mod:`repro.core.perfmodel`.
+breakdown of :mod:`repro.core.perfmodel`.  A run reports one
+:class:`LayerReport` per layer, the per-layer record every simulation
+tier shares (:class:`repro.sim.SegmentReport` carries them).
 
 Two helpers here are shared with the event-driven tier
 (:mod:`repro.core.event_streaming`): :func:`dependence_map`, which
@@ -22,14 +24,13 @@ NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.perfmodel import LayerTiming
 from repro.errors import SimulationError
-from repro.nn.workloads import ConvLayerSpec
 
 
 @dataclass
@@ -58,15 +59,22 @@ class CoreBreakdown:
 
 
 @dataclass
-class LayerFlow:
-    """Observed flow of one layer during a segment run."""
+class LayerReport:
+    """One layer's observed (or modeled) flow through its node group.
 
-    spec: ConvLayerSpec
-    start: float
-    finish: float
+    The per-layer record of every simulation tier: the streaming tier
+    fills it directly, and :class:`repro.sim.SegmentReport` carries one
+    per layer whatever the tier.
+    """
+
+    index: int
+    name: str
+    computing_nodes: int
     iterations: int
-    total_wait: float
-    interval_work: float  # per-iteration busy time from the model
+    interval_work: float     # per-iteration busy time from the Eq. (1) model
+    start: float             # first vector available at the layer's DC
+    finish: float            # last vector cleared the whole chain
+    total_wait: float = 0.0  # cycles the station idled waiting for input
 
     @property
     def observed_interval(self) -> float:
@@ -76,17 +84,17 @@ class LayerFlow:
     def mean_wait(self) -> float:
         return self.total_wait / max(1, self.iterations)
 
-
-@dataclass
-class SegmentResult:
-    total_cycles: float
-    flows: List[LayerFlow] = field(default_factory=list)
-
-    def flow_of(self, layer_index: int) -> LayerFlow:
-        for flow in self.flows:
-            if flow.spec.index == layer_index:
-                return flow
-        raise SimulationError(f"no flow recorded for layer {layer_index}")
+    def as_dict(self) -> Dict[str, float]:
+        return {
+            "index": self.index,
+            "name": self.name,
+            "computing_nodes": self.computing_nodes,
+            "iterations": self.iterations,
+            "interval_work": self.interval_work,
+            "start": self.start,
+            "finish": self.finish,
+            "total_wait": self.total_wait,
+        }
 
 
 def dependence_map(
@@ -192,7 +200,6 @@ class SegmentSimulator:
         self,
         timings: Sequence[LayerTiming],
         *,
-        first_from_dram: bool = True,
         requests: int = 1,
     ) -> None:
         if not timings:
@@ -200,7 +207,6 @@ class SegmentSimulator:
         if requests < 1:
             raise SimulationError(f"requests must be >= 1, got {requests}")
         self.timings = list(timings)
-        self.first_from_dram = first_from_dram
         #: Weight-stationary request batching: stream this many request
         #: copies back to back through the resident weights.  Vector ids
         #: are request-major (request ``r``'s vector ``v`` is
@@ -209,8 +215,10 @@ class SegmentSimulator:
         #: historical single-sample run, bit for bit.
         self.requests = requests
 
-    def run(self) -> SegmentResult:
-        result = SegmentResult(total_cycles=0.0)
+    def run(self) -> List[LayerReport]:
+        """Every layer's flow, in segment order; the segment's compute
+        cycles are the latest ``finish``."""
+        layers: List[LayerReport] = []
         requests = self.requests
         producer_of, sources = dependence_map(self.timings, requests)
         # Per-vector chain-departure times of every finished layer.
@@ -236,30 +244,31 @@ class SegmentSimulator:
             # would change the last bits.
             previous_end = np.concatenate(([0.0], starts[:-1] + interval))
             waits = np.maximum(arrivals - previous_end, 0.0)
-            result.flows.append(LayerFlow(
-                spec=lt.spec,
+            layers.append(LayerReport(
+                index=lt.spec.index,
+                name=lt.spec.name,
+                computing_nodes=lt.computing_nodes,
+                iterations=len(arrivals),
+                interval_work=interval,
                 start=float(arrivals[0]),
                 finish=float(departures[-1]),
-                iterations=len(arrivals),
                 total_wait=float(np.cumsum(waits)[-1]),
-                interval_work=interval,
             ))
             departed.append(departures)
-        result.total_cycles = max(flow.finish for flow in result.flows)
-        return result
+        return layers
 
     # -- Fig. 9 --------------------------------------------------------------
 
-    def core_breakdown(
-        self, layer_index: int, result: Optional[SegmentResult] = None
-    ) -> CoreBreakdown:
+    def core_breakdown(self, layer_index: int) -> CoreBreakdown:
         """Per-iteration breakdown of an intermediate core of one layer."""
-        lt = next((t for t in self.timings if t.spec.index == layer_index), None)
-        if lt is None:
+        pos = next(
+            (i for i, t in enumerate(self.timings) if t.spec.index == layer_index),
+            None,
+        )
+        if pos is None:
             raise SimulationError(f"layer {layer_index} is not in this segment")
-        if result is None:
-            result = self.run()
-        flow = result.flow_of(layer_index)
+        lt = self.timings[pos]
+        flow = self.run()[pos]
         it = lt.iteration
         compute = max(it.t_cmem, it.t_issue + it.t_acc)
         observed = flow.observed_interval

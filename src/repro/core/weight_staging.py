@@ -11,7 +11,6 @@ MACs as directly staged ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 

@@ -7,7 +7,7 @@ average power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.energy.constants import ChipConstants

@@ -8,27 +8,28 @@ strategies, compute scales inversely with allocated nodes, and waiting
 dominates under the single-layer and greedy strategies.
 
 The three strategy runs share Table 6's :class:`~repro.dse.SweepSpec`
-on the sweep engine (``keep_reports=True`` so the streaming tier's
-segment result feeds the breakdown without re-simulation).
+on the sweep engine (``keep_reports=True`` keeps each run's segment
+timings).  The breakdown is defined by the tandem-queue model, so it
+re-simulates layer 9's segment on the streaming tier whatever tier the
+run totals came from: the figure does not depend on the tier.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.streaming import SegmentSimulator
 from repro.dse.engine import run_sweep
 from repro.experiments.report import ExperimentResult
 from repro.experiments.table6 import STRATEGIES, sweep as table6_sweep
-from repro.sim import streaming_core_breakdown
 
 LAYER_INDEX = 9  # conv2_4
 
 
 def run(*, backend: Optional[str] = None, workers: int = 0) -> ExperimentResult:
     """``backend`` names the repro.sim tier the run totals come from; the
-    per-iteration breakdown itself is defined by the streaming model (a
-    streaming-tier run reuses its result, other tiers re-simulate the
-    one segment).  ``workers`` shards the strategy runs."""
+    per-iteration breakdown itself is defined by the streaming model and
+    re-simulates the one segment.  ``workers`` shards the strategy runs."""
     dse = run_sweep(
         table6_sweep(backend), workers=workers,
         keep_reports=True, baselines=False,
@@ -47,9 +48,7 @@ def run(*, backend: Optional[str] = None, workers: int = 0) -> ExperimentResult:
         for seg_run in run_result.runs:
             if LAYER_INDEX not in seg_run.segment.allocation.nodes:
                 continue
-            breakdown = streaming_core_breakdown(
-                seg_run.timings, LAYER_INDEX, seg_run.result
-            )
+            breakdown = SegmentSimulator(seg_run.timings).core_breakdown(LAYER_INDEX)
             result.add_row(
                 strategy=strategy,
                 nodes=run_result.nodes_of(LAYER_INDEX),

@@ -19,7 +19,7 @@ control only; billed SLOs always come from the chips' own simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import SimulationError

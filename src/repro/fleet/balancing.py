@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
 

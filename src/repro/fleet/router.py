@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler, ScaleEvent
+from repro.fleet.autoscale import ReplicaAutoscaler, ScaleEvent
 from repro.fleet.balancing import Balancer, FluidLoadTracker
 from repro.fleet.failures import FailureScenario
 from repro.fleet.placement import FleetPlacement, best_chip_for

@@ -23,7 +23,7 @@ the tests and the CI ``fleet-smoke`` job pin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
@@ -47,7 +47,7 @@ from repro.fleet.traffic import (
 )
 from repro.nn.workloads import NetworkSpec
 from repro.serving.arrivals import TraceArrivals
-from repro.serving.simulator import ServingSimulator
+from repro.serving.simulator import ServingSimulator, check_batch_requests
 from repro.serving.slo import ServingRunResult
 from repro.serving.tenancy import TenantSpec
 from repro.telemetry import MetricsRegistry, Telemetry
@@ -187,6 +187,7 @@ class FleetSimulator:
             raise SimulationError(f"model names must be unique, got {names}")
         if workers < 0:
             raise SimulationError(f"workers must be >= 0, got {workers}")
+        check_batch_requests(batch_requests)
         self.models = list(models)
         self.n_chips = n_chips
         self.array_size = array_size

@@ -6,7 +6,7 @@ many-core functional path must reproduce its integer activations exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +37,3 @@ def quantization_error(
         denom = np.linalg.norm(ref)
         errors.append(np.linalg.norm(out - ref) / denom if denom else 0.0)
     return float(np.mean(errors))
-
-
-def all_activations(qgraph: QuantizedGraph, x: np.ndarray) -> Dict[str, np.ndarray]:
-    """Every node's integer activation (for layer-by-layer comparison)."""
-    return qgraph.forward(x)

@@ -24,7 +24,7 @@ run result and the Perfetto trace (as instants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ObservabilityError

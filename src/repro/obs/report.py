@@ -25,7 +25,7 @@ dse`` charts the same numbers the pinned tables print.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 from repro.errors import ObservabilityError
 from repro.obs.timeline import PHASE_CATEGORIES, timeline_from_report

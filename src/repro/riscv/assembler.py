@@ -28,7 +28,7 @@ from typing import Dict, List
 
 from repro.errors import AssemblerError, DecodeError
 from repro.riscv.isa import Instruction, OPCODES
-from repro.riscv.registers import REG_NAMES, reg_index
+from repro.riscv.registers import reg_index
 
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _MEM_RE = re.compile(r"^(-?(?:0[xX][0-9a-fA-F]+|\d+))?\(\s*([\w.]+)\s*\)$")
@@ -46,10 +46,6 @@ def _split_operands(rest: str) -> List[str]:
     if not rest:
         return []
     return [tok.strip() for tok in rest.split(",")]
-
-
-def _is_register(token: str) -> bool:
-    return token in REG_NAMES
 
 
 class _Parser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.cmem.isa import CMemOp, cmem_op_cycles
 from repro.errors import DecodeError
@@ -167,3 +167,39 @@ class Instruction:
         if self.cm:
             parts.append(f"cm={self.cm}")
         return " ".join(parts)
+
+
+# -- an instruction's register and CMem-slice footprint ---------------------------
+
+
+def instr_reads(instr: Instruction) -> List[int]:
+    """Architectural registers this instruction reads (x0 excluded)."""
+    try:
+        spec = instr.spec
+    except DecodeError:
+        return []
+    regs = []
+    if spec.reads_rs1 and instr.rs1:
+        regs.append(instr.rs1)
+    if spec.reads_rs2 and instr.rs2:
+        regs.append(instr.rs2)
+    return regs
+
+
+def instr_write(instr: Instruction) -> Optional[int]:
+    """The register this instruction writes, if any (x0 excluded)."""
+    try:
+        spec = instr.spec
+    except DecodeError:
+        return None
+    if spec.writes_rd and instr.rd:
+        return instr.rd
+    return None
+
+
+def instr_slices(instr: Instruction) -> Tuple[int, ...]:
+    """Target slice indices of a CMem instruction, known at decode."""
+    cm = instr.cm
+    if instr.opcode == "move.c":
+        return (cm["src_slice"], cm["dst_slice"])
+    return (cm.get("slice", 0),)

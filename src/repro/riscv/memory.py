@@ -173,9 +173,3 @@ class NodeMemory:
             if self.dram_handler is None:
                 raise MemoryMapError("DRAM access with no memory system attached")
             self.dram_handler(True, addr, size, value)
-
-    def load_word(self, addr: int) -> int:
-        return self.load(addr, 4)
-
-    def store_word(self, addr: int, value: int) -> None:
-        self.store(addr, 4, value)

@@ -22,7 +22,7 @@ from typing import Deque, Dict, List, Optional, Protocol
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.riscv.executor import ExecResult
-from repro.riscv.isa import FunctionalUnit, Instruction
+from repro.riscv.isa import FunctionalUnit, Instruction, instr_slices
 from repro.riscv.memory import AddressRegion
 from repro.riscv.scoreboard import Scoreboard
 from repro.telemetry import TelemetrySink, current as _current_telemetry
@@ -75,14 +75,6 @@ class PipelineStats:
             return
         key = category or "other"
         self.category_cycles[key] = self.category_cycles.get(key, 0) + cycles
-
-
-def instr_slices(instr: Instruction) -> tuple:
-    """Target slice indices of a CMem instruction, known at decode."""
-    cm = instr.cm
-    if instr.opcode == "move.c":
-        return (cm["src_slice"], cm["dst_slice"])
-    return (cm.get("slice", 0),)
 
 
 class CMemIssueQueue:

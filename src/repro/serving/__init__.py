@@ -86,6 +86,7 @@ __all__ = [
     "StaticPartitionPolicy",
     "TenantObservation",
     "TenantReport",
+    "TenantSpec",
     "TimeSharedPolicy",
     "TraceArrivals",
     "bursty_tenants",

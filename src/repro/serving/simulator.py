@@ -35,6 +35,7 @@ reports, metrics, and traces.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Sequence
 
 from repro.analysis.determinism import accesses_from_queue, check_batches
@@ -47,6 +48,18 @@ from repro.serving.slo import ServingRunResult
 from repro.serving.tenancy import TenantSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.utils.events import EventQueue
+
+
+def check_batch_requests(value: object) -> None:
+    """Reject a ``batch_requests`` that is not an integer >= 1.
+
+    A fractional one would serve rounded-up batches, or fail deep inside
+    :meth:`ChipHandle.dispatch`; NumPy integers are accepted.
+    """
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise SimulationError(
+            f"batch_requests must be an integer >= 1, got {value!r}"
+        )
 
 
 class ServingSimulator:
@@ -68,10 +81,7 @@ class ServingSimulator:
             raise SimulationError(
                 f"unknown queue discipline {discipline!r}; choose from {DISCIPLINES}"
             )
-        if batch_requests < 1:
-            raise SimulationError(
-                f"batch_requests must be >= 1, got {batch_requests}"
-            )
+        check_batch_requests(batch_requests)
         self.policy = policy
         self.discipline = discipline
         #: Static admission gate: after ``policy.prepare`` the policy's

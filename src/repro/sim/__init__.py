@@ -15,13 +15,10 @@ from repro.sim.backends import (
     CycleBackend,
     EventBackend,
     ModeledBackend,
-    SimulationBackend,
     StreamingBackend,
     available_backends,
     get_backend,
-    register_backend,
     simulate,
-    streaming_core_breakdown,
 )
 from repro.sim.xcheck import (
     DEFAULT_ENVELOPE,
@@ -42,14 +39,11 @@ __all__ = [
     "RunReport",
     "SegmentReport",
     "SimConfig",
-    "SimulationBackend",
     "StreamingBackend",
     "TierCheck",
     "XCheckReport",
     "available_backends",
     "cross_check",
     "get_backend",
-    "register_backend",
     "simulate",
-    "streaming_core_breakdown",
 ]

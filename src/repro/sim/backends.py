@@ -4,15 +4,18 @@ Every backend answers the same query —
 
     run(network, plan, config) -> RunReport
 
-— at a different fidelity/cost point, and is selectable *by name*
-everywhere a simulation is requested (:func:`simulate`, ``MAICCRuntime``,
+— at a different fidelity/cost point, and reports every segment through
+the same :class:`SegmentReport`, one :class:`LayerReport` per layer.
+The four tiers form a fixed table, selectable *by name* everywhere a
+simulation is requested (:func:`simulate`, ``MAICCRuntime``,
 ``MultiDNNScheduler``, ``serving.ServiceModel``, the experiment drivers,
 and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
 / ``scripts/xcheck.py``):
 
 ``analytic``
-    The Eq. (1) closed-form roll-up (:meth:`PerformanceModel.segment_timing`):
-    start offsets from the Fig. 7(a) row dependence, no queueing
+    The Eq. (1) closed-form roll-up: each layer runs its standalone time
+    from its Fig. 7(a) start offset
+    (:func:`~repro.core.perfmodel.start_offsets`), no queueing
     simulation.  Cheapest — the tier online controllers (elastic
     resizes) can afford to call per decision.
 ``streaming``
@@ -40,13 +43,13 @@ and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.event_streaming import EventDrivenSegmentSimulator
-from repro.core.perfmodel import LayerTiming, PerformanceModel
-from repro.core.streaming import CoreBreakdown, SegmentResult, SegmentSimulator
+from repro.core.perfmodel import start_offsets
+from repro.core.streaming import SegmentSimulator
 from repro.energy.power import EnergyModel, OpCounts
 from repro.errors import (
     BackendError,
@@ -75,69 +78,27 @@ from repro.utils.fixedpoint import fixed_range
 DEFAULT_BACKEND = "streaming"
 
 
-@runtime_checkable
-class SimulationBackend(Protocol):
-    """What the registry requires of a backend: a name, a one-line
-    fidelity statement, and the single entry point."""
-
-    name: str
-    fidelity: str
-
-    def run(
-        self, network: NetworkSpec, plan: SegmentPlan, config: SimConfig
-    ) -> RunReport:
-        """Simulate the mapped network; all tiers return a RunReport."""
-        ...
-
-
-class _SegmentOutcome:
-    """What one tier produced for one segment (internal)."""
-
-    def __init__(
-        self,
-        compute_cycles: float,
-        layers: List[LayerReport],
-        *,
-        result: Optional[SegmentResult] = None,
-        events_processed: Optional[int] = None,
-        functional_macs: Optional[int] = None,
-        checksum: Optional[int] = None,
-        numerics_verified: Optional[bool] = None,
-        requests_simulated: int = 1,
-    ) -> None:
-        self.compute_cycles = compute_cycles
-        self.layers = layers
-        self.result = result
-        self.events_processed = events_processed
-        self.functional_macs = functional_macs
-        self.checksum = checksum
-        self.numerics_verified = numerics_verified
-        #: How many request copies ``compute_cycles`` already covers.
-        #: Queueing tiers simulate the whole request batch; closed-form
-        #: tiers cover one and the shared loop extrapolates the rest at
-        #: the steady interval.
-        self.requests_simulated = requests_simulated
-
-
 class ModeledBackend:
     """Shared scaffolding: per-segment loop, load/staging charges, batch
     steady-state streaming, op counting, and energy attribution.
 
-    Subclasses implement one hook — :meth:`_simulate_segment` — producing
-    the tier's compute cycles and per-layer flow view.  The loop structure
-    (and float evaluation order) mirrors the pre-backend chip simulator
-    exactly, which is what keeps the streaming tier byte-identical.
+    Subclasses implement one hook — :meth:`_simulate_segment` — filling
+    in the tier's compute cycles and per-layer records.  The loop
+    structure (and float evaluation order) mirrors the pre-backend chip
+    simulator exactly, which is what keeps the streaming tier
+    byte-identical.
     """
 
     name = "abstract"
-    fidelity = "abstract"
 
-    def _simulate_segment(
-        self,
-        model: PerformanceModel,
-        timings: List[LayerTiming],
-        config: SimConfig,
-    ) -> _SegmentOutcome:
+    def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
+        """Fill in ``report``'s ``compute_cycles``, ``layers`` and tier
+        fields; return how many request copies ``compute_cycles`` covers.
+
+        Queueing tiers simulate the whole request batch; closed-form
+        tiers cover one and :meth:`run` extrapolates the rest at the
+        steady interval.
+        """
         raise NotImplementedError
 
     def run(
@@ -152,43 +113,35 @@ class ModeledBackend:
         ops = OpCounts()
         for k, segment in enumerate(plan.segments):
             timings = segment_timings(model, segment)
-            outcome = self._simulate_segment(model, timings, config)
             weight_bytes = segment_weight_bytes(segment)
             # Weight-stationary request batching: filters load once and
             # the segment stages once for the whole request batch, so
             # both costs amortize across ``batch_requests``.
-            load = exposed_filter_load_cycles(config, weight_bytes)
-            staging = staging_cycles(config, plan, k) * batch
-            steady = steady_interval(timings)
             report = SegmentReport(
                 segment=segment,
                 timings=timings,
-                compute_cycles=outcome.compute_cycles,
-                filter_load_cycles=load,
-                staging_cycles=staging,
-                layers=outcome.layers,
-                steady_interval=steady,
-                result=outcome.result,
-                events_processed=outcome.events_processed,
-                functional_macs=outcome.functional_macs,
-                checksum=outcome.checksum,
-                numerics_verified=outcome.numerics_verified,
+                compute_cycles=0.0,
+                filter_load_cycles=exposed_filter_load_cycles(config, weight_bytes),
+                staging_cycles=staging_cycles(config, plan, k) * batch,
+                steady_interval=steady_interval(timings),
             )
+            simulated = self._simulate_segment(report, config)
             runs.append(report)
             # Extra samples ride the steady-state pipeline: the segment's
             # bottleneck station dictates the per-sample interval.  A
-            # queueing tier already simulated ``requests_simulated``
-            # request copies inside compute_cycles; any remaining request
-            # copies, and the (batch - 1) extra samples of every request,
-            # stream at the steady interval.
+            # queueing tier already simulated ``simulated`` request
+            # copies inside compute_cycles; any remaining request copies,
+            # and the (batch - 1) extra samples of every request, stream
+            # at the steady interval.
+            steady = report.steady_interval
             total += (
                 report.cycles
-                + (requests - outcome.requests_simulated) * steady
+                + (requests - simulated) * steady
                 + requests * (batch - 1) * steady
             )
             count_segment_ops(
                 ops, model, config.capacity, segment, timings,
-                outcome.compute_cycles, weight_bytes, batch=batch * requests,
+                report.compute_cycles, weight_bytes, batch=batch * requests,
             )
         seconds = total * config.chip.constants.cycle_seconds
         energy = energy_model.breakdown(ops, seconds)
@@ -207,100 +160,61 @@ class ModeledBackend:
         )
 
 
-def _analytic_layers(
-    model: PerformanceModel, timings: List[LayerTiming]
-) -> Tuple[float, List[LayerReport]]:
-    """Closed-form segment roll-up: finish time + modeled layer flows."""
-    st = model.segment_timing(timings)
-    layers: List[LayerReport] = []
-    finish = 0.0
-    for offset, lt in zip(st.start_offsets, st.layers):
-        layer_finish = offset + lt.standalone_cycles
-        finish = max(finish, layer_finish)
-        layers.append(
-            LayerReport(
-                index=lt.spec.index,
-                name=lt.spec.name,
-                computing_nodes=lt.computing_nodes,
-                iterations=lt.iterations,
-                interval_work=lt.interval,
-                start=offset,
-                finish=layer_finish,
-            )
+def _analytic_rollup(report: SegmentReport) -> None:
+    """Closed-form segment roll-up: every layer runs its standalone time
+    from its Fig. 7(a) start offset."""
+    report.layers = [
+        LayerReport(
+            index=lt.spec.index,
+            name=lt.spec.name,
+            computing_nodes=lt.computing_nodes,
+            iterations=lt.iterations,
+            interval_work=lt.interval,
+            start=offset,
+            finish=offset + lt.standalone_cycles,
         )
-    return finish, layers
+        for offset, lt in zip(start_offsets(report.timings), report.timings)
+    ]
+    report.compute_cycles = max(layer.finish for layer in report.layers)
 
 
 class AnalyticBackend(ModeledBackend):
     """Eq. (1) closed form, no queueing simulation.  Cheapest tier."""
 
     name = "analytic"
-    fidelity = "closed-form per-layer model, Fig. 7(a) start offsets"
 
-    def _simulate_segment(
-        self,
-        model: PerformanceModel,
-        timings: List[LayerTiming],
-        config: SimConfig,
-    ) -> _SegmentOutcome:
-        finish, layers = _analytic_layers(model, timings)
-        return _SegmentOutcome(finish, layers)
+    def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
+        _analytic_rollup(report)
+        return 1
 
 
 class StreamingBackend(ModeledBackend):
     """Tandem-queue streaming simulation — the production default."""
 
     name = "streaming"
-    fidelity = "per-vector tandem-queue stations (pipeline fill, waiting)"
 
-    def _simulate_segment(
-        self,
-        model: PerformanceModel,
-        timings: List[LayerTiming],
-        config: SimConfig,
-    ) -> _SegmentOutcome:
-        result = SegmentSimulator(
-            timings, requests=config.batch_requests
+    def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
+        report.layers = SegmentSimulator(
+            report.timings, requests=config.batch_requests
         ).run()
-        layers = [
-            LayerReport(
-                index=flow.spec.index,
-                name=flow.spec.name,
-                computing_nodes=lt.computing_nodes,
-                iterations=flow.iterations,
-                interval_work=flow.interval_work,
-                start=flow.start,
-                finish=flow.finish,
-                total_wait=flow.total_wait,
-            )
-            for flow, lt in zip(result.flows, timings)
-        ]
-        return _SegmentOutcome(
-            result.total_cycles,
-            layers,
-            result=result,
-            requests_simulated=config.batch_requests,
-        )
+        report.compute_cycles = max(layer.finish for layer in report.layers)
+        return config.batch_requests
 
 
 class EventBackend(ModeledBackend):
     """Per-core discrete-event simulation of every chain."""
 
     name = "event"
-    fidelity = "every core an actor on the discrete-event kernel"
 
-    def _simulate_segment(
-        self,
-        model: PerformanceModel,
-        timings: List[LayerTiming],
-        config: SimConfig,
-    ) -> _SegmentOutcome:
+    def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
         result = EventDrivenSegmentSimulator(
-            timings,
+            report.timings,
             forward_policy=config.forward_policy,
             requests=config.batch_requests,
         ).run()
-        layers = [
+        report.compute_cycles = result.total_cycles
+        report.events_processed = result.events_processed
+        report.layers = [
             LayerReport(
                 index=lt.spec.index,
                 name=lt.spec.name,
@@ -310,14 +224,9 @@ class EventBackend(ModeledBackend):
                 start=0.0,
                 finish=result.layer_finish[lt.spec.index],
             )
-            for lt in timings
+            for lt in report.timings
         ]
-        return _SegmentOutcome(
-            result.total_cycles,
-            layers,
-            events_processed=result.events_processed,
-            requests_simulated=result.requests,
-        )
+        return result.requests
 
 
 class CycleBackend(ModeledBackend):
@@ -336,21 +245,15 @@ class CycleBackend(ModeledBackend):
     """
 
     name = "cycle"
-    fidelity = "functional node groups, numerics vs quantized reference"
 
-    def _simulate_segment(
-        self,
-        model: PerformanceModel,
-        timings: List[LayerTiming],
-        config: SimConfig,
-    ) -> _SegmentOutcome:
+    def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
         from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
         from repro.core.node import reference_accumulators
 
-        finish, layers = _analytic_layers(model, timings)
+        _analytic_rollup(report)
         macs = 0
         checksum = 0
-        for lt in timings:
+        for lt in report.timings:
             spec = lt.spec
             lo, hi = fixed_range(spec.n_bits)
             rng = np.random.default_rng((config.seed, spec.index))
@@ -376,57 +279,38 @@ class CycleBackend(ModeledBackend):
                 )
             macs += int(group.stats.macs)
             checksum = (checksum + int(acc.sum())) & 0xFFFFFFFFFFFFFFFF
-        return _SegmentOutcome(
-            finish,
-            layers,
-            functional_macs=macs,
-            checksum=checksum,
-            numerics_verified=True,
-        )
+        report.functional_macs = macs
+        report.checksum = checksum
+        report.numerics_verified = True
+        return 1
 
 
-# -- registry ---------------------------------------------------------------------
+# -- the tier table -----------------------------------------------------------------
 
-_REGISTRY: Dict[str, SimulationBackend] = {}
-
-
-def register_backend(backend: SimulationBackend, *, replace: bool = False) -> None:
-    """Add a backend to the by-name registry."""
-    if not isinstance(backend, SimulationBackend):
-        raise BackendError(
-            f"{type(backend).__name__} does not satisfy the "
-            "SimulationBackend protocol (name, fidelity, run)"
-        )
-    if backend.name in _REGISTRY and not replace:
-        raise BackendError(
-            f"backend {backend.name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    _REGISTRY[backend.name] = backend
+_REGISTRY: Dict[str, ModeledBackend] = {
+    backend.name: backend
+    for backend in (
+        AnalyticBackend(),
+        StreamingBackend(),
+        EventBackend(),
+        CycleBackend(),
+    )
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
+    """The tier names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
-def get_backend(name: str) -> SimulationBackend:
-    """Look a backend up by name."""
+def get_backend(name: str) -> ModeledBackend:
+    """Look a tier up by name."""
     try:
         return _REGISTRY[name]
     except KeyError:
         raise BackendError(
             f"unknown backend {name!r}; choose from {sorted(_REGISTRY)}"
         ) from None
-
-
-for _backend in (
-    AnalyticBackend(),
-    StreamingBackend(),
-    EventBackend(),
-    CycleBackend(),
-):
-    register_backend(_backend)
 
 
 # -- the one entry point ----------------------------------------------------------
@@ -477,15 +361,3 @@ def simulate(
             )
     return tier.run(network, plan, cfg)
 
-
-def streaming_core_breakdown(
-    timings: List[LayerTiming],
-    layer_index: int,
-    result: Optional[SegmentResult] = None,
-) -> CoreBreakdown:
-    """Fig. 9 per-iteration breakdown of one layer (streaming tier).
-
-    The breakdown is defined by the tandem-queue model; a ``result``
-    from a streaming-tier :class:`SegmentReport` avoids re-simulation.
-    """
-    return SegmentSimulator(timings).core_breakdown(layer_index, result)

@@ -1,18 +1,19 @@
 """The canonical result schema every simulation backend returns.
 
-Before the backend layer existed the tiers each had their own result
-shape (the chip simulator's run result, ``SegmentResult`` from the
-tandem-queue tier, ``EventSegmentResult`` from the event tier, raw stats
-objects from the functional tiers).  :class:`RunReport` and
-:class:`SegmentReport` subsume all of them:
+:class:`RunReport` and :class:`SegmentReport` subsume the tiers' own
+result shapes: the streaming tier's segment simulator returns the
+per-layer :class:`LayerReport` records directly, and the backends fold
+the event tier's ``EventSegmentResult`` and the functional groups'
+stats into the same fields.
 
 * ``RunReport`` carries the plan, op counts, energy, and the
   latency/throughput/power derivations, plus the name of the backend
   that produced it.
 * ``SegmentReport`` carries the segment, its timings, and the
-  filter-load and staging cycles, plus the per-layer flow view
-  (:class:`LayerReport`, subsuming ``LayerFlow``), the event tier's
-  ``events_processed``, and the cycle tier's numerics evidence.
+  filter-load and staging cycles, plus one :class:`LayerReport` per
+  layer (the streaming tier's own per-layer record, re-exported here),
+  the event tier's ``events_processed``, and the cycle tier's numerics
+  evidence.
 
 All fields are simulation-derived and deterministic; :meth:`RunReport.as_dict`
 produces a JSON-safe summary whose serialization is byte-stable across
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.perfmodel import LayerTiming
-from repro.core.streaming import SegmentResult
+from repro.core.streaming import LayerReport
 from repro.energy.constants import ChipConstants
 from repro.energy.power import EnergyBreakdown, OpCounts
 from repro.errors import MappingError
@@ -34,45 +35,12 @@ from repro.nn.workloads import NetworkSpec
 
 
 @dataclass
-class LayerReport:
-    """One layer's observed (or modeled) flow through its node group."""
-
-    index: int
-    name: str
-    computing_nodes: int
-    iterations: int
-    interval_work: float     # per-iteration busy time from the Eq. (1) model
-    start: float             # first vector available at the layer's DC
-    finish: float            # last vector cleared the whole chain
-    total_wait: float = 0.0  # cycles the station idled waiting for input
-
-    @property
-    def observed_interval(self) -> float:
-        return (self.finish - self.start) / max(1, self.iterations)
-
-    @property
-    def mean_wait(self) -> float:
-        return self.total_wait / max(1, self.iterations)
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "computing_nodes": self.computing_nodes,
-            "iterations": self.iterations,
-            "interval_work": self.interval_work,
-            "start": self.start,
-            "finish": self.finish,
-            "total_wait": self.total_wait,
-        }
-
-
-@dataclass
 class SegmentReport:
     """One mapped segment's simulated execution (any backend).
 
-    ``compute_cycles`` is the tier's per-segment compute time, so the
-    ``cycles`` total does not require the streaming-tier result object.
+    ``compute_cycles`` is the tier's per-segment compute time (the latest
+    layer ``finish``); ``cycles`` adds the filter-load and staging charges
+    every tier shares.
     """
 
     segment: Segment
@@ -84,9 +52,6 @@ class SegmentReport:
     #: Bottleneck station's busy time — the per-sample interval extra
     #: batch samples stream at.
     steady_interval: float = 0.0
-    #: Streaming tier only: the tandem-queue result with per-layer flows
-    #: (kept for the Fig. 9 breakdown path).
-    result: Optional[SegmentResult] = None
     #: Event tier only: events the discrete-event kernel processed.
     events_processed: Optional[int] = None
     #: Cycle tier only: MACs actually executed by the functional groups.

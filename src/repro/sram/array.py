@@ -16,12 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, SRAMError
-from repro.sram.bitline import (
-    BatchBitlineResult,
-    BitlineResult,
-    bitline_and_nor,
-    bitline_and_nor_batch,
-)
+from repro.sram.bitline import BitlineResult, bitline_and_nor
 
 
 @dataclass(frozen=True)
@@ -247,44 +242,6 @@ class SRAMArray:
             raise SRAMError("cannot activate the same word-line twice")
         self.stats.compute_activations += 1
         return bitline_and_nor(self._cells[row_a], self._cells[row_b])
-
-    def activate_pairs_batch(
-        self,
-        rows_a: Sequence[int],
-        rows_b: Sequence[int],
-        *,
-        checked: bool = True,
-    ) -> BatchBitlineResult:
-        """Activate many word-line pairs, one sensed plane per pair.
-
-        Functionally and statistically identical to ``len(rows_a)``
-        sequential :meth:`activate_pair` calls — each pair still counts as
-        one compute activation — but the AND/NOR planes are produced by a
-        single NumPy broadcast instead of a Python loop per pair.
-
-        ``checked=False`` skips the bounds/distinctness validation; only
-        callers that have already validated the pair ranges (the MAC engine
-        validates whole operand row ranges once per instruction) may use it.
-        """
-        rows_a = np.asarray(rows_a, dtype=np.intp)
-        rows_b = np.asarray(rows_b, dtype=np.intp)
-        if checked:
-            if rows_a.shape != rows_b.shape or rows_a.ndim != 1:
-                raise SRAMError(
-                    f"pair index vectors must be 1-D and equal length, got "
-                    f"{rows_a.shape} vs {rows_b.shape}"
-                )
-            if rows_a.size:
-                lo = min(int(rows_a.min()), int(rows_b.min()))
-                hi = max(int(rows_a.max()), int(rows_b.max()))
-                if lo < 0 or hi >= self.config.rows:
-                    raise SRAMError(
-                        f"row index out of range [0, {self.config.rows})"
-                    )
-                if np.any(rows_a == rows_b):
-                    raise SRAMError("cannot activate the same word-line twice")
-        self.stats.compute_activations += rows_a.size
-        return bitline_and_nor_batch(self._cells[rows_a], self._cells[rows_b])
 
     def activate_pairs_outer(
         self,

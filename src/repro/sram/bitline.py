@@ -39,62 +39,3 @@ def bitline_and_nor(row_a: np.ndarray, row_b: np.ndarray) -> BitlineResult:
     and_bits = (a & b).astype(np.uint8)
     nor_bits = ((1 - a) & (1 - b)).astype(np.uint8)
     return BitlineResult(and_bits=and_bits, nor_bits=nor_bits)
-
-
-class BatchBitlineResult:
-    """Sense results of many dual-row activations, one plane per pair.
-
-    ``and_planes``/``nor_planes`` are ``(num_pairs, cols)`` 0/1 matrices:
-    row ``k`` is what the sense amplifiers observe for the ``k``-th
-    activated pair.  Functionally identical to ``num_pairs`` sequential
-    :class:`BitlineResult` observations.  Each plane set materializes on
-    first access — the MAC engine only ever reads the AND planes, so the
-    NOR side costs nothing unless someone senses BLB.
-    """
-
-    __slots__ = ("_a", "_b", "_and", "_nor")
-
-    def __init__(self, rows_a: np.ndarray, rows_b: np.ndarray) -> None:
-        self._a = rows_a
-        self._b = rows_b
-        self._and = None
-        self._nor = None
-
-    @property
-    def and_planes(self) -> np.ndarray:
-        if self._and is None:
-            self._and = self._a & self._b
-        return self._and
-
-    @property
-    def nor_planes(self) -> np.ndarray:
-        if self._nor is None:
-            self._nor = (1 - self._a) & (1 - self._b)
-        return self._nor
-
-    @property
-    def num_pairs(self) -> int:
-        return self._a.shape[0]
-
-    @property
-    def or_planes(self) -> np.ndarray:
-        return (1 - self.nor_planes).astype(np.uint8)
-
-    @property
-    def xor_planes(self) -> np.ndarray:
-        return (self.or_planes & (1 - self.and_planes)).astype(np.uint8)
-
-    def pair(self, index: int) -> BitlineResult:
-        """The ``index``-th activation as a scalar :class:`BitlineResult`."""
-        return BitlineResult(
-            and_bits=self.and_planes[index], nor_bits=self.nor_planes[index]
-        )
-
-
-def bitline_and_nor_batch(
-    rows_a: np.ndarray, rows_b: np.ndarray
-) -> BatchBitlineResult:
-    """Vectorized :func:`bitline_and_nor` over stacked row planes."""
-    a = np.asarray(rows_a, dtype=np.uint8)
-    b = np.asarray(rows_b, dtype=np.uint8)
-    return BatchBitlineResult(a, b)

@@ -23,7 +23,7 @@ core — stack sequentially instead of producing an invalid trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import TelemetryError

@@ -167,13 +167,3 @@ def pack_transposed_cached(
     return _pack_transposed_cached(
         values.tobytes(), values.shape[0], n_bits, width, bool(signed)
     )
-
-
-def pack_cache_info():
-    """Hit/miss statistics of the transposed-weight cache (for tests)."""
-    return _pack_transposed_cached.cache_info()
-
-
-def pack_cache_clear() -> None:
-    """Drop all memoized weight encodings (test isolation helper)."""
-    _pack_transposed_cached.cache_clear()

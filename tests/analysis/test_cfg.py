@@ -1,13 +1,8 @@
 """Basic blocks, def-use, liveness, and defined-register dataflow."""
 
-from repro.analysis.cfg import (
-    build_cfg,
-    compute_defined,
-    compute_liveness,
-    instr_reads,
-    instr_write,
-)
+from repro.analysis.cfg import build_cfg, compute_defined, compute_liveness
 from repro.riscv.assembler import assemble
+from repro.riscv.isa import instr_reads, instr_write
 from repro.riscv.registers import reg_index
 
 

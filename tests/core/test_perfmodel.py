@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.core.perfmodel import PerformanceModel, TimingParams
+from repro.core.perfmodel import PerformanceModel, TimingParams, start_offsets
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
+from repro.sim import simulate
 
 
 def spec(c=256, m=50, h=14, **kw):
@@ -88,24 +89,31 @@ class TestSegmentTiming:
     def test_pipelining_beats_serial_execution(self):
         model = PerformanceModel()
         layers = [model.layer_timing(spec(m=60), 30) for _ in range(3)]
-        seg = model.segment_timing(layers)
+        finish = max(
+            offset + lt.standalone_cycles
+            for offset, lt in zip(start_offsets(layers), layers)
+        )
         serial = sum(lt.standalone_cycles for lt in layers)
-        assert seg.total_cycles < serial
+        assert finish < serial
 
     def test_start_offsets_increase(self):
         model = PerformanceModel()
         layers = [model.layer_timing(spec(m=60), 30) for _ in range(3)]
-        seg = model.segment_timing(layers)
-        assert seg.start_offsets == sorted(seg.start_offsets)
+        offsets = start_offsets(layers)
+        assert offsets == sorted(offsets)
 
     def test_filter_load_mostly_hidden(self):
-        """Sec. 6.2: the filter-load phase is <= ~10% of segment time."""
-        model = PerformanceModel()
-        net = resnet18_spec()
-        layers = [model.layer_timing(net.layer(i), 32) for i in (1, 2, 3, 4)]
-        seg = model.segment_timing(layers)
-        exposed = seg.filter_load_cycles * (1 - model.params.filter_load_overlap)
-        assert exposed / seg.total_cycles < 0.1
+        """Sec. 6.2: "in most cases the filter load phase takes no more
+        than 10% of the total time".  Checked on the charge the backends
+        bill; the exception is ResNet18's FC tail, whose 512x1000 weights
+        load for a single vector of compute."""
+        for backend in ("analytic", "streaming"):
+            *convs, tail = simulate(resnet18_spec(), backend=backend).runs
+            assert len(convs) == 7
+            assert [layer.name for layer in tail.segment.layers] == ["linear"]
+            for run in convs:
+                assert run.filter_load_cycles / run.cycles < 0.086
+            assert tail.filter_load_cycles / tail.cycles < 0.337
 
 
 class TestOverlapFlag:

@@ -15,15 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.perfmodel import PerformanceModel
-from repro.core.streaming import (
-    LayerFlow,
-    SegmentResult,
-    SegmentSimulator,
-    dependence_map,
-)
+from repro.core.streaming import LayerReport, SegmentSimulator, dependence_map
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
-from repro.sim import streaming_core_breakdown
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +30,11 @@ def chain(model, *layer_node_pairs, from_dram=True):
     for i, (spec, nodes) in enumerate(layer_node_pairs):
         timings.append(model.layer_timing(spec, nodes, from_dram=(i == 0 and from_dram)))
     return SegmentSimulator(timings)
+
+
+def total_cycles(layers):
+    """A segment's compute cycles: the latest layer finish."""
+    return max(layer.finish for layer in layers)
 
 
 def conv(index, h=14, c=256, m=50, **kw):
@@ -87,7 +86,7 @@ def reference_map(timings):
 
 def reference_run(timings, requests=1):
     """The per-vector tandem-queue loop ``SegmentSimulator.run`` replaced."""
-    result = SegmentResult(total_cycles=0.0)
+    layers = []
     producer_of, sources = reference_map(timings)
     history = []
     for li, lt in enumerate(timings):
@@ -114,17 +113,18 @@ def reference_run(timings, requests=1):
             wait += max(0.0, ready - t)
             t = start + interval
             departures[v] = t + lt.fill
-        result.flows.append(LayerFlow(
-            spec=lt.spec,
+        layers.append(LayerReport(
+            index=lt.spec.index,
+            name=lt.spec.name,
+            computing_nodes=lt.computing_nodes,
+            iterations=total,
+            interval_work=interval,
             start=float(arrivals[0]),
             finish=float(departures[-1]),
-            iterations=total,
             total_wait=float(wait),
-            interval_work=interval,
         ))
         history.append(departures)
-    result.total_cycles = max(flow.finish for flow in result.flows)
-    return result
+    return layers
 
 
 def completion_grid(model, producer):
@@ -146,7 +146,7 @@ class TestSingleLayer:
     def test_total_matches_standalone_estimate(self, model):
         lt = model.layer_timing(conv(1), 10, from_dram=True)
         sim = SegmentSimulator([lt])
-        total = sim.run().total_cycles
+        total = total_cycles(sim.run())
         assert total == pytest.approx(lt.standalone_cycles, rel=0.05)
 
     def test_empty_segment_rejected(self):
@@ -157,7 +157,7 @@ class TestSingleLayer:
 class TestPipelining:
     def test_two_layers_overlap(self, model):
         sim = chain(model, (conv(1), 25), (conv(2), 25))
-        total = sim.run().total_cycles
+        total = total_cycles(sim.run())
         serial = sum(
             model.layer_timing(conv(i), 25).standalone_cycles for i in (1, 2)
         )
@@ -166,14 +166,14 @@ class TestPipelining:
     def test_slow_producer_stalls_consumer(self, model):
         # A consumer with many more nodes than the producer must wait.
         sim = chain(model, (conv(1, m=100), 20), (conv(2, m=100), 90))
-        result = sim.run()
-        consumer = result.flow_of(2)
+        consumer = sim.run()[1]
+        assert consumer.index == 2
         assert consumer.mean_wait > 0
 
     def test_balanced_chain_waits_little(self, model):
         sim = chain(model, (conv(1), 40), (conv(2), 40))
-        result = sim.run()
-        consumer = result.flow_of(2)
+        consumer = sim.run()[1]
+        assert consumer.index == 2
         assert consumer.mean_wait < consumer.interval_work
 
     def test_downsample_shortcut_producer_matching(self, model):
@@ -183,15 +183,9 @@ class TestPipelining:
             model.layer_timing(net.layer(i), nodes)
             for i, nodes in [(1, 16), (2, 16), (3, 16), (4, 16), (5, 2), (6, 8)]
         ]
-        result = SegmentSimulator(timings).run()
-        assert result.total_cycles > 0
-        assert len(result.flows) == 6
-
-    def test_flow_lookup(self, model):
-        sim = chain(model, (conv(7), 10))
-        result = sim.run()
-        with pytest.raises(SimulationError):
-            result.flow_of(99)
+        layers = SegmentSimulator(timings).run()
+        assert total_cycles(layers) > 0
+        assert len(layers) == 6
 
     @pytest.mark.parametrize("requests", [1, 2, 3])
     def test_resnet18_segment_equals_the_per_vector_loop(self, model, requests):
@@ -234,8 +228,6 @@ class TestBreakdown:
         sim = chain(model, (conv(9, h=28, c=128, m=128), 13))
         with pytest.raises(SimulationError, match="layer 99"):
             sim.core_breakdown(99)
-        with pytest.raises(SimulationError, match="layer 99"):
-            streaming_core_breakdown(sim.timings, 99)
 
 
 class TestCompletionSourceIndex:
@@ -390,10 +382,11 @@ class TestRunEqualsThePerVectorLoop:
     def test_every_flow_field(self, timings, requests):
         new = SegmentSimulator(timings, requests=requests).run()
         old = reference_run(timings, requests)
-        assert new.total_cycles == old.total_cycles
-        assert len(new.flows) == len(old.flows)
-        for a, b in zip(new.flows, old.flows):
-            assert a.spec == b.spec
+        assert total_cycles(new) == total_cycles(old)
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert (a.index, a.name) == (b.index, b.name)
+            assert a.computing_nodes == b.computing_nodes
             assert a.start == b.start
             assert a.finish == b.finish
             assert a.iterations == b.iterations

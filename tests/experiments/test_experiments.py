@@ -104,6 +104,12 @@ class TestFigures:
         assert rows["greedy"]["wait_ifmap"] > rows["heuristic"]["wait_ifmap"]
         assert rows["greedy"]["wait_ifmap"] > rows["greedy"]["compute"]
 
+    @pytest.mark.parametrize("backend", ["analytic", "event"])
+    def test_figure9_does_not_depend_on_the_tier(self, backend):
+        """The breakdown is defined by the tandem-queue model, whichever
+        tier produced the run totals."""
+        assert figure9.run(backend=backend).rows == figure9.run().rows
+
     def test_figure10_fractions(self):
         result = figure10.run()
         rows = {row["block"]: row for row in result.rows}

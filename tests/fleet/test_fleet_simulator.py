@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.fleet import FleetSimulator, build_scenario
 from repro.telemetry import MetricsRegistry
 
@@ -24,6 +25,16 @@ def run_scenario(name, *, seed=3, workers=0, collect_metrics=False,
         collect_metrics=collect_metrics,
     )
     return sim.run(duration_ms or scenario.duration_ms)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("batch_requests", [2.5, 0])
+    def test_batch_requests_must_be_a_positive_integer(self, batch_requests):
+        scenario = build_scenario("fleet-smoke")
+        with pytest.raises(SimulationError, match="batch_requests"):
+            FleetSimulator(
+                scenario.models, scenario.n_chips, batch_requests=batch_requests
+            )
 
 
 class TestFleetSmoke:

@@ -60,7 +60,7 @@ class TestEventVsTandem:
         plan = plan_network(resnet18_spec(), "heuristic", config)
         segment = plan.segments[2]  # layers 12-15
         timings = segment_timings(performance_model(config), segment)
-        tandem = SegmentSimulator(timings).run().total_cycles
+        tandem = max(layer.finish for layer in SegmentSimulator(timings).run())
         event = EventDrivenSegmentSimulator(
             timings, forward_policy="eager"
         ).run().total_cycles

@@ -7,6 +7,7 @@ remainder R times.  The default R=1 must reproduce the historical
 one-at-a-time loop exactly.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -54,6 +55,12 @@ class TestSimulatorValidation:
     def test_batch_requests_must_be_positive(self):
         with pytest.raises(SimulationError):
             ServingSimulator(FixedServicePolicy({"a": 1.0}), batch_requests=0)
+
+    def test_batch_requests_must_be_integral(self):
+        policy = FixedServicePolicy({"a": 1.0})
+        with pytest.raises(SimulationError, match="integer"):
+            ServingSimulator(policy, batch_requests=2.5)
+        assert ServingSimulator(policy, batch_requests=np.int64(3)).batch_requests == 3
 
 
 def _poisson_tenants():

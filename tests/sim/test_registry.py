@@ -1,18 +1,10 @@
-"""Backend registry: discovery, lookup, registration, protocol checks."""
+"""The tier table: discovery and lookup by name."""
 
 import pytest
 
 from repro.errors import BackendError, MappingError
 from repro.nn.workloads import small_cnn_spec
-from repro.sim import (
-    DEFAULT_BACKEND,
-    SimulationBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    simulate,
-)
-from repro.sim.backends import _REGISTRY
+from repro.sim import DEFAULT_BACKEND, available_backends, get_backend, simulate
 
 
 class TestDiscovery:
@@ -27,8 +19,6 @@ class TestDiscovery:
         for name in available_backends():
             backend = get_backend(name)
             assert backend.name == name
-            assert isinstance(backend, SimulationBackend)
-            assert backend.fidelity  # every tier states what it models
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(BackendError, match="analytic"):
@@ -41,44 +31,3 @@ class TestDiscovery:
     def test_simulate_rejects_bad_batch(self):
         with pytest.raises(MappingError):
             simulate(small_cnn_spec(), batch=0)
-
-
-class _FakeBackend:
-    name = "fake"
-    fidelity = "test double"
-
-    def run(self, network, plan, config):
-        streaming = get_backend("streaming").run(network, plan, config)
-        streaming.backend = self.name
-        return streaming
-
-
-class TestRegistration:
-    @pytest.fixture
-    def fake(self):
-        backend = _FakeBackend()
-        register_backend(backend)
-        yield backend
-        _REGISTRY.pop(backend.name, None)
-
-    def test_registered_backend_is_selectable_by_name(self, fake):
-        assert "fake" in available_backends()
-        report = simulate(small_cnn_spec(), backend="fake")
-        assert report.backend == "fake"
-
-    def test_duplicate_name_rejected(self, fake):
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend(_FakeBackend())
-
-    def test_replace_overrides(self, fake):
-        other = _FakeBackend()
-        register_backend(other, replace=True)
-        assert get_backend("fake") is other
-
-    def test_protocol_violation_rejected(self):
-        class NotABackend:
-            name = "broken"
-
-        with pytest.raises(BackendError, match="protocol"):
-            register_backend(NotABackend())
-        assert "broken" not in available_backends()
