@@ -1,12 +1,15 @@
 """Design-space ablations as first-class experiments.
 
-The benchmark suite asserts these; the CLI renders them.  Each sweeps one
-design choice DESIGN.md calls out: CMem slice count, operand precision,
-the MAC primitive vs element-wise computing, placement policy, and batch
-streaming.
+``tests/experiments/test_ablations.py`` asserts these; the CLI renders
+them.  Each sweeps one design choice DESIGN.md calls out: CMem slice
+count, operand precision, the MAC primitive vs element-wise computing,
+placement policy, and batch streaming.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import Dict
 
 import numpy as np
 
@@ -15,7 +18,6 @@ from repro.cmem.cmem import CMem
 from repro.core.node import table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
 from repro.core.traffic import simulate_segment_traffic
-from repro.errors import CapacityError
 from repro.experiments.report import ExperimentResult
 from repro.mapping.capacity import CapacityModel
 from repro.mapping.placement import (
@@ -24,8 +26,18 @@ from repro.mapping.placement import (
     zigzag_placement,
 )
 from repro.mapping.segmentation import HeuristicStrategy
-from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec
+from repro.mapping.tiling import passes_required
+from repro.nn.workloads import NetworkSpec, resnet18_spec
 from repro.sim import SimConfig, simulate
+
+
+def _tiled_layers(network: NetworkSpec, config: SimConfig) -> Dict[str, int]:
+    """The layers the array runs in several passes, with their pass counts."""
+    passes = {
+        layer.name: passes_required(layer, config.capacity, config.array_size)
+        for layer in network
+    }
+    return {name: p for name, p in passes.items() if p > 1}
 
 
 def run_slices() -> ExperimentResult:
@@ -33,31 +45,35 @@ def run_slices() -> ExperimentResult:
     result = ExperimentResult(
         experiment="ablation-slices",
         title="Ablation: CMem compute-slice count (paper design point: 7)",
-        columns=["slices", "latency_ms", "filters_per_node", "fits_resnet18"],
+        columns=["slices", "latency_ms", "filters_per_node", "passes"],
     )
     spec = table4_workload()
+    network = resnet18_spec()
+    tiled_notes = []
     for k in (3, 5, 7, 10, 14):
-        capacity = CapacityModel(compute_slices=k)
-        fits = True
-        latency = None
-        try:
-            config = SimConfig(
-                params=TimingParams(slice_parallel_cmem=True), capacity=capacity
+        config = SimConfig(
+            params=TimingParams(slice_parallel_cmem=True),
+            capacity=CapacityModel(compute_slices=k),
+        )
+        tiled = _tiled_layers(network, config)
+        if tiled:
+            tiled_notes.append(
+                f"{k} slices: "
+                + ", ".join(f"{name} {p}" for name, p in tiled.items())
             )
-            latency = round(simulate(resnet18_spec(), config=config).latency_ms, 3)
-        except CapacityError:
-            fits = False
         result.add_row(
             slices=k,
-            latency_ms=latency if latency is not None else "-",
-            filters_per_node=capacity.filters_per_node(spec),
-            fits_resnet18=fits,
+            latency_ms=round(simulate(network, config=config).latency_ms, 3),
+            filters_per_node=config.capacity.filters_per_node(spec),
+            passes=max(tiled.values(), default=1),
         )
     result.notes.append(
-        "below seven compute slices conv4_x exceeds 208 cores and falls "
-        "back to multi-pass tiling, paying latency; seven (the paper's "
-        "design point) is the smallest geometry that maps ResNet18 "
-        "single-pass"
+        "passes = most sequential passes any layer needs on the 208-core "
+        "array; tiled layers (passes): " + "; ".join(tiled_notes)
+    )
+    result.notes.append(
+        "seven compute slices (the paper's design point) is the smallest "
+        "geometry that maps ResNet18 single-pass"
     )
     return result
 
@@ -67,28 +83,23 @@ def run_precision() -> ExperimentResult:
     result = ExperimentResult(
         experiment="ablation-precision",
         title="Ablation: operand precision (paper design point: int8)",
-        columns=["n_bits", "mac_cycles", "slots_per_slice", "resnet_latency_ms"],
+        columns=[
+            "n_bits", "mac_cycles", "slots_per_slice", "resnet_latency_ms",
+            "passes",
+        ],
     )
-    capacity = CapacityModel()
+    config = SimConfig()
     for n in (2, 4, 8, 16):
-        layers = tuple(
-            ConvLayerSpec(
-                index=s.index, name=s.name, h=s.h, w=s.w, c=s.c, m=s.m,
-                r=s.r, s=s.s, stride=s.stride, padding=s.padding,
-                kind=s.kind, n_bits=n,
-            )
-            for s in resnet18_spec()
+        net = NetworkSpec(
+            name=f"resnet18_int{n}",
+            layers=tuple(replace(s, n_bits=n) for s in resnet18_spec()),
         )
-        net = NetworkSpec(name=f"resnet18_int{n}", layers=layers)
-        try:
-            latency = round(simulate(net).latency_ms, 3)
-        except CapacityError:
-            latency = "does not fit"
         result.add_row(
             n_bits=n,
             mac_cycles=n * n,
-            slots_per_slice=capacity.vector_slots_per_slice(n),
-            resnet_latency_ms=latency,
+            slots_per_slice=config.capacity.vector_slots_per_slice(n),
+            resnet_latency_ms=round(simulate(net, config=config).latency_ms, 3),
+            passes=max(_tiled_layers(net, config).values(), default=1),
         )
     return result
 

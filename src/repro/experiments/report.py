@@ -2,9 +2,11 @@
 
 Why this is NOT :mod:`repro.obs.report`: the two layers serve different
 contracts.  An experiment result is a **byte-pinned replica of one
-published table or figure** — the plain-text rendering here is diffed
-verbatim against checked-in expectations, so its format can never
-change without re-pinning the paper comparison.  An obs report is a
+published table or figure** — EXPERIMENTS.md holds the plain-text
+rendering of every registered experiment, and
+``tests/experiments/test_experiments_md.py`` compares those blocks byte
+for byte with a fresh run, so the format can never change without
+regenerating that file.  An obs report is a
 **schema-versioned run document** (``maicc-obs-report/1``) built for
 dashboards and machine consumers, free to grow new panels.  Since the
 DSE refactor, the *data* behind every experiment driver already flows
@@ -76,7 +78,10 @@ def _fmt(value: Any) -> str:
 
 
 def format_table(result: ExperimentResult) -> str:
-    """Render an :class:`ExperimentResult` as an aligned text table."""
+    """Render an :class:`ExperimentResult` as an aligned text table.
+
+    No line ends in whitespace: the last column is not padded.
+    """
     header = [result.title, "=" * len(result.title)]
     cols = result.columns
     cells = [[_fmt(row.get(c, "")) for c in cols] for row in result.rows]
@@ -84,10 +89,12 @@ def format_table(result: ExperimentResult) -> str:
         max(len(c), *(len(line[i]) for line in cells)) if cells else len(c)
         for i, c in enumerate(cols)
     ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(cols, widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for line in cells:
-        lines.append("  ".join(v.ljust(w) for v, w in zip(line, widths)))
+
+    def line(values):
+        return "  ".join(v.ljust(w) for v, w in zip(values, widths)).rstrip()
+
+    lines = [line(cols), line("-" * w for w in widths)]
+    lines.extend(line(values) for values in cells)
     out = header + lines
     if result.notes:
         out.append("")

@@ -8,8 +8,8 @@ primitive-cost model.
 
 The three columns are cells sharded through the shared executor
 (:func:`repro.utils.parallel.run_sharded`) — each cell is a pure
-function of ``(node, seed, check)``, so ``workers`` shards the columns
-across processes with byte-identical output.
+function of ``(node, seed)``, so ``workers`` shards the columns across
+processes with byte-identical output.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
         ifmap = rng.integers(-128, 128, size=(spec.c, spec.h, spec.w))
         node = MAICCNode(spec, weights, bias)
         maicc = node.run(ifmap)
-        if cell["check"] and not np.array_equal(maicc.psums, node.reference(ifmap)):
+        if not np.array_equal(maicc.psums, node.reference(ifmap)):
             raise AssertionError("MAICC node accumulators diverge from NumPy")
         seconds = maicc.stats.cycles * constants.cycle_seconds
         maicc_energy = (
@@ -80,8 +80,8 @@ def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def run(seed: int = 42, *, check: bool = True, workers: int = 0) -> ExperimentResult:
-    cells = [{"node": kind, "seed": seed, "check": check} for kind in NODES]
+def run(seed: int = 42, *, workers: int = 0) -> ExperimentResult:
+    cells = [{"node": kind, "seed": seed} for kind in NODES]
     columns = run_sharded(_evaluate_node, cells, workers=workers)
 
     result = ExperimentResult(

@@ -9,7 +9,7 @@ construction (the scheduler is dependence-safe).
 Each scheduling configuration is a cell sharded through the shared
 executor (:func:`repro.utils.parallel.run_sharded`) — cells are pure
 functions of ``(seed, queue, wb_ports, static)``, so ``workers`` shards
-the 13 pipeline runs across processes with byte-identical output.
+the 14 pipeline runs across processes with byte-identical output.
 """
 
 from __future__ import annotations

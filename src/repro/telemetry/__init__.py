@@ -9,8 +9,8 @@ interface:
 
 * :class:`NullSink` — the default.  ``enabled`` is ``False`` and every
   instrumented hot path guards on it, so disabled telemetry costs one
-  attribute read per publication site (the PR 1 fast path stays within
-  noise; pinned by ``benchmarks/test_perf_regression.py``).
+  attribute read per publication site (the fast MAC path keeps its
+  speedup floor; pinned by ``tests/cmem/test_fast_path.py``).
 * :class:`Telemetry` — an active sink holding a registry and a recorder.
 
 Components accept an explicit ``telemetry=`` argument or fall back to the

@@ -3,18 +3,21 @@
 The fast path must be indistinguishable from the reference in *everything*
 observable: MAC results, CMem cycle/op stats, SRAM access counters,
 energy totals and accumulator add tallies.  These tests stage identical
-operands into two CMems — one per path — and compare the lot.
+operands into two CMems — one per path — and compare the lot.  Two
+wall-clock guards (``TestFastPathSpeed``) keep the fast path fast.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cmem.cmem import CMem
 
 
@@ -202,3 +205,81 @@ class TestShiftRowNoOp:
         cmem.shift_row(1, 3, 1)
         assert cmem.stats.busy_cycles == cycles + 2
         assert cmem.stats.shift_rows == 1
+
+
+SPEEDUP_FLOOR = 15.0
+
+
+def _staged_pair(fast: bool):
+    rng = np.random.default_rng(11)
+    a = rng.integers(-128, 128, 256)
+    b = rng.integers(-128, 128, 256)
+    cmem = CMem(fast_path=fast)
+    cmem.store_vector_transposed(1, 0, a, 8, signed=True)
+    cmem.store_vector_transposed(1, 8, b, 8, signed=True)
+    return cmem, int(np.dot(a, b))
+
+
+def _best_per_call(fn, reps: int, rounds: int = 3) -> float:
+    fn()
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / reps)
+    return best
+
+
+class TestFastPathSpeed:
+    """Wall-clock guards with deliberately conservative floors.
+
+    ``scripts/bench.py`` (the ``macc`` section of ``BENCH.json``) records
+    ~40x for the fast 256-wide int8 ``CMem.mac``; the floor here stays
+    green on slow or noisy machines and still catches the fast path
+    falling back to the per-pair loop (~1x).
+    """
+
+    def test_fast_mac_beats_reference_under_null_sink(self):
+        """The fast path clears the speedup floor with the ambient
+        NullSink installed, so disabled telemetry (one ``enabled`` read
+        per publication site) does not tax it.  A hook doing work on the
+        disabled path (formatting a span, building an args dict) drops
+        the speedup well below the floor."""
+        assert telemetry.current() is telemetry.NULL_SINK
+        ref_cmem, expected = _staged_pair(fast=False)
+        fast_cmem, _ = _staged_pair(fast=True)
+        assert ref_cmem.mac(1, 0, 8, 8) == expected
+        assert fast_cmem.mac(1, 0, 8, 8) == expected
+
+        t_ref = _best_per_call(lambda: ref_cmem.mac(1, 0, 8, 8), reps=20)
+        t_fast = _best_per_call(lambda: fast_cmem.mac(1, 0, 8, 8), reps=200)
+        speedup = t_ref / t_fast
+        assert speedup >= SPEEDUP_FLOOR, (
+            f"fast path only {speedup:.1f}x over reference with the default "
+            f"NullSink (floor {SPEEDUP_FLOOR}x); did it fall back to the "
+            f"per-pair loop, or is telemetry taxing the disabled path?"
+        )
+
+    def test_mac_many_amortizes_below_single_mac(self):
+        rng = np.random.default_rng(12)
+        a = rng.integers(-128, 128, 256)
+        filters = [rng.integers(-128, 128, 256) for _ in range(7)]
+        cmem = CMem(fast_path=True)
+        cmem.store_vector_transposed(1, 0, a, 8, signed=True)
+        rows = []
+        for i, w in enumerate(filters):
+            row = 8 * (i + 1)
+            cmem.store_vector_transposed(1, row, w, 8, signed=True)
+            rows.append(row)
+        assert list(cmem.mac_many(1, 0, rows, 8)) == [
+            int(np.dot(a, w)) for w in filters
+        ]
+
+        t_single = _best_per_call(lambda: cmem.mac(1, 0, 8, 8), reps=200)
+        t_batched = _best_per_call(lambda: cmem.mac_many(1, 0, rows, 8), reps=200)
+        per_mac = t_batched / len(rows)
+        assert per_mac < t_single, (
+            f"batched MAC ({per_mac * 1e6:.1f}us/MAC) slower than single "
+            f"({t_single * 1e6:.1f}us) — batching amortization regressed"
+        )

@@ -15,6 +15,32 @@ def tiny_net(name, m=32, h=14, layers=2):
     return NetworkSpec(name=name, layers=specs)
 
 
+def perception_net():
+    """A camera-pipeline-shaped CNN (autonomous-driving motivation)."""
+    layers = (
+        ConvLayerSpec(1, "backbone1", h=28, w=28, c=64, m=64),
+        ConvLayerSpec(2, "backbone2", h=28, w=28, c=64, m=64),
+        ConvLayerSpec(3, "head", h=14, w=14, c=64, m=128, stride=1),
+    )
+    return NetworkSpec(name="perception", layers=layers)
+
+
+def lidar_net():
+    layers = (
+        ConvLayerSpec(1, "voxel1", h=14, w=14, c=128, m=64),
+        ConvLayerSpec(2, "voxel2", h=14, w=14, c=64, m=64),
+    )
+    return NetworkSpec(name="lidar", layers=layers)
+
+
+#: Concurrent model mixes: synthetic nets plus the small CNN, and a
+#: camera + lidar + classifier mix shaped like a driving stack.
+MIXES = {
+    "synthetic": lambda: [tiny_net("a"), tiny_net("b"), small_cnn_spec()],
+    "driving": lambda: [perception_net(), lidar_net(), small_cnn_spec()],
+}
+
+
 @pytest.fixture(scope="module")
 def scheduler():
     return MultiDNNScheduler()
@@ -28,10 +54,13 @@ class TestPartitioning:
         assert all(s > 0 for s in shares)
 
     def test_heavier_model_gets_more_cores(self, scheduler):
-        light = tiny_net("light", m=32, h=7)
-        heavy = tiny_net("heavy", m=64, h=28)
-        shares = scheduler.partition([light, heavy])
-        assert shares[1] > shares[0]
+        for nets in (
+            [tiny_net("light", m=32, h=7), tiny_net("heavy", m=64, h=28)],
+            [lidar_net(), perception_net()],
+        ):
+            assert nets[0].total_macs < nets[1].total_macs
+            shares = scheduler.partition(nets)
+            assert shares[1] > shares[0], [n.name for n in nets]
 
     def test_empty_rejected(self, scheduler):
         with pytest.raises(MappingError):
@@ -46,10 +75,13 @@ class TestPartitioning:
 
 class TestConcurrentExecution:
     def test_parallel_beats_time_sharing(self, scheduler):
-        nets = [tiny_net("a"), tiny_net("b"), small_cnn_spec()]
-        result = scheduler.run(nets)
-        assert result.parallel_latency_ms < result.time_shared_latency_ms
-        assert result.speedup_vs_time_shared > 1.0
+        for mix, nets in MIXES.items():
+            result = scheduler.run(nets())
+            assert result.parallel_latency_ms < result.time_shared_latency_ms, mix
+            assert result.speedup_vs_time_shared > 1.0, mix
+            assert result.aggregate_throughput > result.time_shared_throughput, mix
+            assert len(result.runs) == 3, mix
+            assert all(run.latency_ms > 0 for run in result.runs), mix
 
     def test_aggregate_throughput_counts_all_models(self, scheduler):
         nets = [tiny_net("a"), tiny_net("b")]

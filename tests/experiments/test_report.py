@@ -44,3 +44,9 @@ class TestFormatting:
         r = ExperimentResult("e", "T", ["x", "y"])
         r.add_row(x=1)
         assert format_table(r)
+
+    def test_no_line_ends_in_whitespace(self, result):
+        result.add_row(name="a long name", value="")
+        lines = format_table(result).splitlines()
+        assert lines[2].startswith("name         value")
+        assert all(line == line.rstrip() for line in lines)
