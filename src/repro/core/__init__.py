@@ -36,8 +36,6 @@ from repro.core.traffic import TrafficResult, simulate_segment_traffic
 from repro.core.chip import ChipConfig, MAICCChip
 from repro.core.multi_dnn import MultiDNNResult, MultiDNNScheduler
 from repro.core.runtime import DeployedModel, InferenceResult, MAICCRuntime, network_spec_of
-from repro.core.functional_streaming import StreamedSegmentExecutor
-from repro.core.weight_staging import StagingResult, WeightStager, stage_node
 
 __all__ = [
     "NodeLayout",
@@ -66,8 +64,4 @@ __all__ = [
     "InferenceResult",
     "MAICCRuntime",
     "network_spec_of",
-    "StreamedSegmentExecutor",
-    "StagingResult",
-    "WeightStager",
-    "stage_node",
 ]

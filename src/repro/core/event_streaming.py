@@ -3,16 +3,15 @@
 The production streaming model (:mod:`repro.core.streaming`) collapses
 each layer's chain into a single pipelined station — fast, but an
 approximation.  This module simulates every core of every chain as its
-own actor on the discrete-event kernel, serving two purposes:
+own actor on the discrete-event kernel, so that the tandem-queue model's
+totals can be cross-checked against a per-core simulation (see
+``tests/core/test_event_streaming.py`` and :mod:`repro.sim.xcheck`).
+Both tiers read which producer vector unblocks each consumer vector from
+the one :func:`repro.core.streaming.dependence_map`.
 
-* **validation** — the tandem-queue model's totals are cross-checked
-  against a faithful per-core simulation (see
-  ``tests/core/test_event_streaming.py``);
-* **policy exploration** — Algorithm 1 forwards the ifmap vector *after*
-  computing with it (lines 9-13 follow lines 4-8); hardware would also
-  permit forwarding *eagerly* (StoreRow.RC only reads slice 0).  The
-  policies differ exactly by the chain-fill term, which dominates the
-  single-layer strategy's long chains.
+A computing core forwards each ifmap vector *eagerly*: ``t_forward``
+after it starts computing with it, since StoreRow.RC only reads slice 0,
+rather than after the MAC block as Algorithm 1 lists it.
 
 Two engines produce byte-identical results, and :meth:`run
 <EventDrivenSegmentSimulator.run>` picks one from the input:
@@ -80,17 +79,13 @@ class EventDrivenSegmentSimulator:
         self,
         timings: Sequence[LayerTiming],
         *,
-        forward_policy: str = "eager",
         requests: int = 1,
     ) -> None:
         if not timings:
             raise SimulationError("empty segment")
-        if forward_policy not in ("eager", "after_compute"):
-            raise SimulationError(f"unknown forward policy {forward_policy!r}")
         if requests < 1:
             raise SimulationError(f"requests must be >= 1, got {requests}")
         self.timings = list(timings)
-        self.forward_policy = forward_policy
         self.requests = requests
 
     # -- engine selection ------------------------------------------------------
@@ -118,7 +113,6 @@ class EventDrivenSegmentSimulator:
         n_layers = len(timings)
         requests = self.requests
         hop = timings[0].fill_per_hop
-        eager = self.forward_policy == "eager"
 
         producer_of, consumer_sources = dependence_map(timings, requests)
         consumers_of: List[List[int]] = [[] for _ in timings]
@@ -167,8 +161,7 @@ class EventDrivenSegmentSimulator:
                 for k in range(nodes):
                     starts = station_scan(incoming, t_iter)
                     if k + 1 < nodes:
-                        forward = starts + (t_forward if eager else t_iter)
-                        incoming = forward + hop
+                        incoming = (starts + t_forward) + hop
                 layer_done = starts + t_iter
             else:
                 layer_done = dc_done
@@ -245,10 +238,7 @@ class EventDrivenSegmentSimulator:
             start = max(t, core_free[li][k])
             compute_done = start + lt.iteration.total
             core_free[li][k] = compute_done
-            if self.forward_policy == "eager":
-                forward_at = start + lt.iteration.t_forward
-            else:
-                forward_at = compute_done
+            forward_at = start + lt.iteration.t_forward
             if k + 1 < lt.computing_nodes:
                 queue.schedule(
                     max(forward_at + hop, queue.now),

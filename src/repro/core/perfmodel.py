@@ -220,11 +220,13 @@ class PerformanceModel:
     def required_iterations(self, spec: ConvLayerSpec) -> int:
         """Ifmap vectors the DC must stream for one inference.
 
-        For a stride-s kernel smaller than the stride (1x1 shortcuts) only
-        the sampled pixels are needed.
+        One per ifmap pixel some output window reads
+        (:attr:`~repro.nn.workloads.ConvLayerSpec.streamed_hw`): all of
+        them when windows overlap or abut, only the sampled subgrid when
+        the stride outruns the kernel (1x1 shortcuts).
         """
-        coverage = min(1.0, (spec.r / spec.stride) * (spec.s / spec.stride))
-        return max(1, int(round(spec.ifmap_pixels * coverage)))
+        rows, cols = spec.streamed_hw
+        return len(rows) * len(cols)
 
     def layer_timing(
         self, spec: ConvLayerSpec, computing_nodes: int, *, from_dram: bool = False

@@ -110,20 +110,16 @@ def dependence_map(
     streams from DRAM.
 
     ``sources[li][v]`` is the producer vector whose chain completion
-    makes consumer vector ``v`` available.  An ofmap pixel of a
-    stride/padding convolution is computable as soon as the *last* ifmap
-    vector its receptive field touches has arrived — the bottom-right
-    corner of the ``r x s`` window, clamped to the ifmap edge when
-    padding hangs the window past it.  Vectors arrive in raster order, so
-    that flat index (``y * w + x``) is also the vector's arrival rank.
-    Consumer vector ``v`` is the ``v``-th point, in raster order, of the
-    producer's ofmap grid; consumers with stride-subsampled input (1x1
-    shortcuts) read a regular subgrid of it.  A source past the
-    producer's own vector count (a producer that streamed a subgrid of
-    its ifmap) clamps to its last vector; a consumer with more vectors
-    than grid points repeats the last source.  Vector ids are
-    request-major: request ``r``'s vector ``v`` is
-    ``r * iterations + v`` and depends on request ``r``'s producer
+    makes consumer vector ``v`` available.  Both layers stream the
+    ifmap pixels some output window reads, in raster order
+    (:attr:`~repro.nn.workloads.ConvLayerSpec.streamed_hw`), so consumer
+    vector ``v`` is the ``v``-th such pixel of the producer's ofmap.
+    That ofmap pixel is final once the producer has absorbed the last
+    ifmap pixel its window reads: the window's bottom-right corner,
+    clamped to the ifmap edge when padding hangs the window past it.
+    The source is that pixel's rank in the producer's own streamed
+    order.  Vector ids are request-major: request ``r``'s vector ``v``
+    is ``r * iterations + v`` and depends on request ``r``'s producer
     vectors.
 
     Both queueing tiers key on this one map: the tandem-queue
@@ -145,21 +141,17 @@ def dependence_map(
         )
         if pj is None:
             continue
-        producer = timings[pj]
-        p = producer.spec
-        oh, ow = p.ofmap_hw
-        iterations = lt.iterations
-        step = int(round(math.sqrt(oh * ow / iterations))) or 1
-        ys = np.minimum(p.h - 1, np.arange(0, oh, step) * p.stride - p.padding + p.r - 1)
-        xs = np.minimum(p.w - 1, np.arange(0, ow, step) * p.stride - p.padding + p.s - 1)
-        src = np.minimum(
-            (ys[:, None] * p.w + xs[None, :]).reshape(-1)[:iterations],
-            producer.iterations - 1,
-        )
-        if len(src) < iterations:
-            src = np.concatenate((src, np.full(iterations - len(src), src[-1])))
+        p = timings[pj].spec
+        p_rows, p_cols = (np.asarray(axis) for axis in p.streamed_hw)
+        rows, cols = (np.asarray(axis) for axis in spec.streamed_hw)
+        ys = np.minimum(p.h - 1, rows * p.stride - p.padding + p.r - 1)
+        xs = np.minimum(p.w - 1, cols * p.stride - p.padding + p.s - 1)
+        src = (
+            np.searchsorted(p_rows, ys)[:, None] * len(p_cols)
+            + np.searchsorted(p_cols, xs)[None, :]
+        ).reshape(-1)
         if requests > 1:
-            offsets = np.arange(requests) * producer.iterations
+            offsets = np.arange(requests) * timings[pj].iterations
             src = (src[None, :] + offsets[:, None]).reshape(-1)
         producer_of[li] = pj
         sources[li] = src

@@ -8,10 +8,32 @@ because it has very low parallelism with only 3 ifmap channels").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import conv2d_output_hw
+
+
+def window_reads(size: int, kernel: int, stride: int, padding: int) -> Sequence[int]:
+    """Indices along one ifmap axis that some output window reads.
+
+    Output ``o``'s window covers ``kernel`` indices from
+    ``o * stride - padding``; padding contributes nothing, so only
+    indices in ``[0, size)`` count.  Windows that overlap or abut
+    (``kernel >= stride``) read one ``range``; wider strides read a
+    disjoint subgrid, returned as a tuple in ascending order.  Plain
+    ints, no NumPy: the mappers evaluate this for every candidate
+    allocation.
+    """
+    # Where the last output window starts.
+    last = (size + 2 * padding - kernel) // stride * stride - padding
+    if kernel >= stride:
+        return range(min(size, last + kernel))
+    reads: List[int] = []
+    for tap in range(kernel):
+        # Tap ``tap`` of every window reads one arithmetic progression.
+        reads.extend(range((tap - padding) % stride, min(size, last + tap + 1), stride))
+    return tuple(sorted(reads))
 
 
 @dataclass(frozen=True)
@@ -43,6 +65,19 @@ class ConvLayerSpec:
     @property
     def ofmap_hw(self) -> tuple:
         return conv2d_output_hw(self.h, self.w, self.r, self.s, self.stride, self.padding)
+
+    @property
+    def streamed_hw(self) -> tuple:
+        """Ifmap rows and columns some output window reads.
+
+        Their product is the set of ifmap pixels the layer's DC streams,
+        in raster order (:func:`window_reads` per axis): every pixel of a
+        padded 3x3 layer, the sampled subgrid of a strided 1x1 shortcut.
+        """
+        return (
+            window_reads(self.h, self.r, self.stride, self.padding),
+            window_reads(self.w, self.s, self.stride, self.padding),
+        )
 
     @property
     def ifmap_pixels(self) -> int:

@@ -24,8 +24,7 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
     pre-backend chip simulator's output.
 ``event``
     Every core of every chain as its own actor on the discrete-event
-    kernel; validates the streaming approximation and exposes the
-    forwarding-policy ablation (``SimConfig.forward_policy``).
+    kernel; validates the streaming approximation.
 ``cycle``
     The functional node-group tier: actually executes the mapped layers
     (synthesized weights/ifmaps at each layer's ``n_bits``, seeded)
@@ -208,9 +207,7 @@ class EventBackend(ModeledBackend):
 
     def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
         result = EventDrivenSegmentSimulator(
-            report.timings,
-            forward_policy=config.forward_policy,
-            requests=config.batch_requests,
+            report.timings, requests=config.batch_requests
         ).run()
         report.compute_cycles = result.total_cycles
         report.events_processed = result.events_processed

@@ -62,10 +62,6 @@ class SimConfig:
     #: and filter-load costs amortize across requests in every tier.
     batch_requests: int = 1
 
-    #: ``event`` tier: "eager" forwards the ifmap vector as soon as the
-    #: StoreRow.RC could issue; "after_compute" follows Algorithm 1
-    #: literally (forward after the MAC block).
-    forward_policy: str = "eager"
     #: ``cycle`` tier: run every MAC on the modeled SRAM bit-lines
     #: (very slow; ``False`` keeps the same data movement with NumPy
     #: dot products — still bit-exact).
@@ -90,10 +86,6 @@ class SimConfig:
             )
         check_batch("batch", self.batch)
         check_batch("batch_requests", self.batch_requests)
-        if self.forward_policy not in ("eager", "after_compute"):
-            raise ConfigurationError(
-                f"unknown forward policy {self.forward_policy!r}"
-            )
 
     def with_run(
         self,

@@ -9,7 +9,6 @@ element-wise arithmetic of Compute Caches / Neural Cache built on top.
 from repro.sram.array import SRAMArray, SRAMArrayConfig
 from repro.sram.bitline import BitlineResult, bitline_and_nor
 from repro.sram.bitserial import BitSerialALU, BitSerialCosts
-from repro.sram.timing import SRAMTiming
 from repro.sram.energy import SRAMEnergy
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "bitline_and_nor",
     "BitSerialALU",
     "BitSerialCosts",
-    "SRAMTiming",
     "SRAMEnergy",
 ]

@@ -49,19 +49,6 @@ class TestValidation:
 
 
 class TestForwardPolicy:
-    def test_after_compute_pays_fill(self, model):
-        """Algorithm 1 forwards after computing; eager forwarding cuts the
-        chain-fill term — biggest on long chains."""
-        ts = timings(model, (conv(1, m=100), 50))
-        eager = EventDrivenSegmentSimulator(ts, forward_policy="eager").run()
-        after = EventDrivenSegmentSimulator(ts, forward_policy="after_compute").run()
-        assert after.total_cycles > eager.total_cycles
-
-    def test_unknown_policy_rejected(self, model):
-        ts = timings(model, (conv(1), 10))
-        with pytest.raises(SimulationError):
-            EventDrivenSegmentSimulator(ts, forward_policy="teleport")
-
     def test_empty_segment_rejected(self):
         with pytest.raises(SimulationError):
             EventDrivenSegmentSimulator([])
@@ -75,3 +62,15 @@ class TestShortcutWiring:
         ts = timings(model, (producer, 10), (shortcut, 2))
         result = EventDrivenSegmentSimulator(ts).run()
         assert result.layer_finish[2] > 0
+
+    def test_strided_pointwise_producer_feeds_its_consumer_as_it_streams(self, model):
+        # The 1x1 stride-2 producer streams the 4x4 subgrid of its 8x8
+        # ifmap, and consumer vector k waits for producer vector k.  A
+        # fast consumer therefore trails the slow producer by about one
+        # vector; waiting for the producer's last vector instead would
+        # leave 12 of its 16 vectors queued behind it.
+        producer = ConvLayerSpec(1, "sc", h=8, w=8, c=64, m=256,
+                                 r=1, s=1, stride=2, padding=0)
+        ts = timings(model, (producer, 2), (conv(2, h=4, m=8), 8))
+        result = EventDrivenSegmentSimulator(ts).run()
+        assert result.layer_finish[2] - result.layer_finish[1] < 3 * ts[1].interval

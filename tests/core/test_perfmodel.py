@@ -84,6 +84,18 @@ class TestIterations:
                                  r=1, s=1, stride=2, padding=0)
         assert model.required_iterations(shortcut) == 784
 
+    def test_strided_1x1_on_odd_ifmap_streams_the_whole_subgrid(self):
+        # Rows and columns 0, 2, 4 and 6 of a 7x7 ifmap: a 4x4 subgrid.
+        model = PerformanceModel()
+        shortcut = spec(h=7, r=1, s=1, stride=2, padding=0)
+        assert model.required_iterations(shortcut) == 16
+
+    def test_unpadded_strided_3x3_skips_the_unread_edge(self):
+        # Two windows per axis on 6x6 read rows/columns 0..4; the last
+        # row and column feed no output.
+        model = PerformanceModel()
+        assert model.required_iterations(spec(h=6, stride=2, padding=0)) == 25
+
 
 class TestSegmentTiming:
     def test_pipelining_beats_serial_execution(self):

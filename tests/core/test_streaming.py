@@ -1,13 +1,12 @@
 """Segment streaming simulator: pipelining, waiting, Fig. 9 breakdowns.
 
-The scalar loops the tier used to run — the per-pixel completion index,
-the per-consumer source loop and the per-vector tandem queue — live on
-here as references: the vectorized dependence map and ``run()`` must
-equal them exactly.
+The per-vector tandem-queue loop the tier used to run lives on here as
+a reference: the vectorized ``run()`` must equal it exactly.  The
+dependence map it reads is checked against the streamed executor in
+``tests/core/test_functional_streaming.py``.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -43,51 +42,13 @@ def conv(index, h=14, c=256, m=50, **kw):
     return ConvLayerSpec(index, f"conv{index}", h=h, w=h, c=c, m=m, **defaults)
 
 
-# -- the scalar references ------------------------------------------------------
-
-
-def reference_source_index(producer, oy, ox):
-    """Producer ifmap-vector index that completes ofmap pixel ``(oy, ox)``:
-    the bottom-right corner of its window, clamped to the ifmap edge."""
-    y = min(producer.h - 1, oy * producer.stride - producer.padding + producer.r - 1)
-    x = min(producer.w - 1, ox * producer.stride - producer.padding + producer.s - 1)
-    return y * producer.w + x
-
-
-def reference_map(timings):
-    """The per-consumer double loop both tiers used to run."""
-    producer_of = [None] * len(timings)
-    sources = [None] * len(timings)
-    for li, lt in enumerate(timings):
-        spec = lt.spec
-        for pj in range(li - 1, -1, -1):
-            if timings[pj].spec.ofmap_hw == (spec.h, spec.w):
-                producer_of[li] = pj
-                break
-        if producer_of[li] is None:
-            continue
-        producer = timings[producer_of[li]]
-        oh, ow = producer.spec.ofmap_hw
-        step = int(round(math.sqrt(oh * ow / lt.iterations))) or 1
-        src = []
-        for oy in range(0, oh, step):
-            for ox in range(0, ow, step):
-                if len(src) >= lt.iterations:
-                    break
-                src.append(min(
-                    reference_source_index(producer.spec, oy, ox),
-                    producer.iterations - 1,
-                ))
-        while len(src) < lt.iterations:
-            src.append(src[-1] if src else 0)
-        sources[li] = src
-    return producer_of, sources
+# -- the scalar reference ------------------------------------------------------
 
 
 def reference_run(timings, requests=1):
     """The per-vector tandem-queue loop ``SegmentSimulator.run`` replaced."""
     layers = []
-    producer_of, sources = reference_map(timings)
+    producer_of, sources = dependence_map(timings)
     history = []
     for li, lt in enumerate(timings):
         iterations = lt.iterations
@@ -100,7 +61,7 @@ def reference_run(timings, requests=1):
             prev_iterations = len(prev_departures) // requests
             arrivals = np.empty(total)
             for r in range(requests):
-                for v, src in enumerate(sources[li]):
+                for v, src in enumerate(sources[li].tolist()):
                     arrivals[r * iterations + v] = (
                         prev_departures[r * prev_iterations + src] + lt.fill_per_hop
                     )
@@ -187,6 +148,18 @@ class TestPipelining:
         assert total_cycles(layers) > 0
         assert len(layers) == 6
 
+    def test_strided_pointwise_producer_feeds_its_consumer_as_it_streams(self, model):
+        # The 1x1 stride-2 producer streams the 4x4 subgrid of its 8x8
+        # ifmap, and consumer vector k waits for producer vector k.  A
+        # fast consumer therefore trails the slow producer by about one
+        # vector; waiting for the producer's last vector instead would
+        # leave 12 of its 16 vectors queued behind it.
+        producer = ConvLayerSpec(1, "sc", h=8, w=8, c=64, m=256,
+                                 r=1, s=1, stride=2, padding=0)
+        sim = chain(model, (producer, 2), (conv(2, h=4, m=8), 8))
+        first, second = sim.run()
+        assert second.finish - first.finish < 3 * sim.timings[1].interval
+
     @pytest.mark.parametrize("requests", [1, 2, 3])
     def test_resnet18_segment_equals_the_per_vector_loop(self, model, requests):
         net = resnet18_spec()
@@ -265,6 +238,13 @@ class TestCompletionSourceIndex:
             for ox in range(6):
                 assert grid[oy, ox] == oy * 6 + ox
 
+    def test_strided_pointwise_producer_ranks_its_subgrid(self, model):
+        # A 1x1 stride-2 layer over 8x8 streams only the 4x4 subgrid it
+        # reads; ofmap pixel k is final once the subgrid's k-th pixel is
+        # absorbed, so the consumer's sources are 0..15 in order.
+        producer = conv(1, h=8, c=8, m=8, r=1, s=1, stride=2, padding=0)
+        assert completion_grid(model, producer).reshape(-1).tolist() == list(range(16))
+
     def test_monotonic_in_raster_order(self, model):
         # Later ofmap pixels never depend on earlier ifmap vectors than
         # their predecessors: arrival rank is non-decreasing in raster
@@ -273,66 +253,6 @@ class TestCompletionSourceIndex:
         ranks = completion_grid(model, producer).reshape(-1).tolist()
         assert ranks == sorted(ranks)
         assert max(ranks) <= producer.h * producer.w - 1
-
-
-KERNELS = st.sampled_from([1, 3, 5, 7])
-
-
-@st.composite
-def producer_consumer(draw):
-    """A producer layer and a consumer over its ofmap, with drawn vector
-    counts: subsampled consumers (1x1 stride-2 shortcuts) read a subgrid,
-    consumers with more vectors than grid points repeat the last source,
-    and producers that streamed a subgrid clamp it."""
-    r, s = draw(KERNELS), draw(KERNELS)
-    stride = draw(st.integers(1, 3))
-    padding = draw(st.integers(0, max(r, s) - 1))
-    h, w = draw(st.integers(1, 20)), draw(st.integers(1, 20))
-    producer = ConvLayerSpec(
-        0, "producer", h=h, w=w, c=8, m=8, r=r, s=s, stride=stride, padding=padding
-    )
-    oh, ow = producer.ofmap_hw
-    if oh < 1 or ow < 1:
-        padding = max(r, s) - 1
-        producer = dataclasses.replace(producer, padding=padding)
-        oh, ow = producer.ofmap_hw
-    kind = draw(st.sampled_from(["full", "shortcut", "padded"]))
-    consumer = ConvLayerSpec(
-        1, "consumer", h=oh, w=ow, c=8, m=8,
-        r=1 if kind == "shortcut" else 3, s=1 if kind == "shortcut" else 3,
-        stride=2 if kind == "shortcut" else 1, padding=0 if kind == "shortcut" else 1,
-    )
-    model = PerformanceModel()
-    ps = model.layer_timing(producer, 2, from_dram=True)
-    cs = model.layer_timing(consumer, 2)
-    ps = dataclasses.replace(ps, iterations=draw(st.integers(1, h * w)))
-    if kind == "padded":
-        cs = dataclasses.replace(cs, iterations=oh * ow + draw(st.integers(1, 9)))
-    return [ps, cs]
-
-
-class TestDependenceMap:
-    """The vectorized map equals the per-pixel double loop it replaced."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(producer_consumer(), st.integers(1, 3))
-    def test_equals_the_double_loop(self, ts, requests):
-        producer_of, sources = dependence_map(ts, requests)
-        ref_producer_of, ref_sources = reference_map(ts)
-        assert producer_of == ref_producer_of == [None, 0]
-        assert sources[0] is None
-        per_request = ts[0].iterations
-        assert sources[1].tolist() == [
-            r * per_request + src for r in range(requests) for src in ref_sources[1]
-        ]
-
-    def test_pad_repeats_the_last_source(self, model):
-        producer = model.layer_timing(conv(1, h=2, c=8, m=8), 2)
-        consumer = dataclasses.replace(
-            model.layer_timing(conv(2, h=2, c=8, m=8), 2), iterations=6
-        )
-        _, sources = dependence_map([producer, consumer])
-        assert sources[1].tolist() == [3, 3, 3, 3, 3, 3]
 
 
 #: One layer of a drawn chain: 3x3 same-size, 3x3 stride-2 (a geometry

@@ -61,9 +61,7 @@ class TestEventVsTandem:
         segment = plan.segments[2]  # layers 12-15
         timings = segment_timings(performance_model(config), segment)
         tandem = max(layer.finish for layer in SegmentSimulator(timings).run())
-        event = EventDrivenSegmentSimulator(
-            timings, forward_policy="eager"
-        ).run().total_cycles
+        event = EventDrivenSegmentSimulator(timings).run().total_cycles
         assert event == pytest.approx(tandem, rel=0.1)
 
 

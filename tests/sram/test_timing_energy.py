@@ -1,18 +1,8 @@
-"""SRAM timing constants and the energy accumulator."""
+"""The SRAM energy accumulator."""
 
 import pytest
 
 from repro.sram.energy import EnergyAccumulator, SRAMEnergy
-from repro.sram.timing import SRAMTiming
-
-
-class TestTiming:
-    def test_one_ghz_default(self):
-        timing = SRAMTiming()
-        assert timing.cycles_to_seconds(1_000_000_000) == pytest.approx(1.0)
-
-    def test_compute_activation_single_cycle(self):
-        assert SRAMTiming().compute_activation_cycles == 1
 
 
 class TestEnergyAccumulator:
