@@ -18,8 +18,8 @@ The last four are gated.  Each gated row carries its ``budget_s`` or
 ``identical_bytes``.  A row with either flag false is printed by its
 path, e.g. ``fleet/scales/1``, and the run exits 1.  ``--check`` runs
 only the gated cases and writes nothing; the CI ``bench-budget`` job
-runs it, so a regression such as the event tier falling back to
-per-event dispatch fails the build.
+runs it, so a regression such as a queueing tier slipping back to
+per-vector Python dispatch fails the build.
 
 Run:  python scripts/bench.py [--out BENCH.json]
       python scripts/bench.py --check
@@ -324,10 +324,10 @@ def bench_serving_batched() -> dict:
 
 
 #: Per-backend wall-clock budgets (seconds).  Each budget is roughly 10x
-#: the wall time measured on the reference machine after the event-engine
-#: vectorization (see docs/SIMULATORS.md), so CI noise never trips them
-#: but a regression back to per-event Python dispatch (resnet18 event
-#: tier: 2.54 s before, ~0.05 s after) blows through immediately.  The
+#: the wall time measured on the reference machine with the event tier's
+#: station scans (see docs/SIMULATORS.md), so CI noise never trips them
+#: but a rewrite back to per-event Python dispatch (resnet18 event tier:
+#: 2.54 s per event, ~0.05 s with the scans) blows through immediately.  The
 #: resnet18 cycle budget is only ~3x its ~0.6 s so that a fall back to
 #: int64 contractions off BLAS (~5 s) fails it.
 BACKEND_BUDGETS: dict = {

@@ -15,8 +15,8 @@ Examples:
     PYTHONPATH=src python scripts/profile_backend.py \
         --backend event --sort tottime --out profile.txt
 
-The resnet18 event-tier profile that motivated the vectorized event
-engine is checked in at ``docs/PROFILES.md``.
+The resnet18 event-tier profile that motivated the event tier's
+station-scan engine is checked in at ``docs/PROFILES.md``.
 """
 
 from __future__ import annotations

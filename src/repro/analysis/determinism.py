@@ -1,13 +1,13 @@
 """Event-tier determinism checking — the ``DET8xx`` rules.
 
-PR 6 made batched draining (:meth:`repro.utils.events.EventQueue.step_batch`)
-and the vectorized event engine fast by dispatching every event that
-shares a timestamp in one sweep.  That is only sound when each
-same-timestamp batch is *commutative*: no two events of different
-actors write the same station/queue/bank, and no event reads what a
-peer writes at the same instant.  This module turns that property from
-an empirical one (the PR 6 byte-identical differential tests) into a
-checked one:
+The event queue dispatches events that share a timestamp in schedule
+order (their sequence numbers).  The result is independent of that
+order only when each same-timestamp batch is *commutative*: no two
+events of different actors write the same station/queue/bank, and no
+event reads what a peer writes at the same instant.  Otherwise the
+result depends on which actor happened to schedule first, which any
+reordering of the scheduling code changes.  This module checks the
+property:
 
 * :func:`check_batches` — a happens-before pass over annotated event
   accesses.  Two same-timestamp writes to one resource from different
@@ -88,7 +88,7 @@ def check_batches(accesses: Sequence[EventAccess]) -> LintReport:
                 report.add(rule("DET801").diag(
                     f"at t={time:g}, actors {', '.join(sorted(actors))} all "
                     f"write {resource!r}; the batch is not commutative and "
-                    f"batched draining is order-sensitive",
+                    f"the result depends on schedule order",
                     opcode=resource,
                 ))
             cross_readers = readers.get(resource, set()) - actors

@@ -153,8 +153,8 @@ _ALL = [
     # -- event-tier determinism -------------------------------------------------
     Rule("DET801", Severity.ERROR, "conflicting-batch",
          "Two same-timestamp events of different actors write one "
-         "station/queue/bank; the batch is not commutative, so batched "
-         "or vectorized draining is order-sensitive."),
+         "station/queue/bank; the batch is not commutative, so the "
+         "result depends on schedule order."),
     Rule("DET802", Severity.WARNING, "read-write-race",
          "A same-timestamp pair reads and writes one resource from "
          "different actors; the read observes an order-dependent value."),

@@ -120,7 +120,9 @@ def dependence_map(
     The source is that pixel's rank in the producer's own streamed
     order.  Vector ids are request-major: request ``r``'s vector ``v``
     is ``r * iterations + v`` and depends on request ``r``'s producer
-    vectors.
+    vectors.  Raises :class:`~repro.errors.SimulationError` when a
+    consumer needs an ofmap pixel whose window covers only padding,
+    since no streamed pixel ever finalizes it.
 
     Both queueing tiers key on this one map: the tandem-queue
     :class:`SegmentSimulator` computes per-vector readiness times from
@@ -146,10 +148,19 @@ def dependence_map(
         rows, cols = (np.asarray(axis) for axis in spec.streamed_hw)
         ys = np.minimum(p.h - 1, rows * p.stride - p.padding + p.r - 1)
         xs = np.minimum(p.w - 1, cols * p.stride - p.padding + p.s - 1)
-        src = (
-            np.searchsorted(p_rows, ys)[:, None] * len(p_cols)
-            + np.searchsorted(p_cols, xs)[None, :]
-        ).reshape(-1)
+        row_rank = np.searchsorted(p_rows, ys)
+        col_rank = np.searchsorted(p_cols, xs)
+        # Ranks ascend with the consumer's rows and columns.  A rank past
+        # the producer's last streamed row or column means the clamped
+        # corner is not a streamed pixel: that window reads only padding,
+        # so no producer vector ever finalizes the pixel.
+        if row_rank[-1] >= len(p_rows) or col_rank[-1] >= len(p_cols):
+            raise SimulationError(
+                f"layer {spec.name!r} reads an ofmap pixel of layer "
+                f"{p.name!r} whose window covers only padding; no streamed "
+                f"ifmap pixel of {p.name!r} finalizes it"
+            )
+        src = (row_rank[:, None] * len(p_cols) + col_rank[None, :]).reshape(-1)
         if requests > 1:
             offsets = np.arange(requests) * timings[pj].iterations
             src = (src[None, :] + offsets[:, None]).reshape(-1)

@@ -4,12 +4,12 @@
 (:mod:`repro.serving`) to a cluster: N simulated chips behind a
 :class:`ClusterRouter` with replica placement
 (:func:`place_replicas` — first-fit-decreasing bin-packing with
-capacity floors and the PLAN-rule co-residency preflight), pluggable
-cross-chip load balancing (:data:`BALANCERS` — round-robin,
-least-loaded, power-of-two-choices, sticky-tenant), epoch-driven
-replica autoscaling with SLO burn-rate coupling, and declared failure
-scenarios (chip crashes with replica re-placement, slow-chip and
-partial-mesh degradation) under full request conservation.
+capacity floors), pluggable cross-chip load balancing
+(:data:`BALANCERS` — round-robin, least-loaded, power-of-two-choices,
+sticky-tenant), epoch-driven replica autoscaling with SLO burn-rate
+coupling, and declared failure scenarios (chip crashes with replica
+re-placement, slow-chip and partial-mesh degradation) under full
+request conservation.
 
 Quickstart::
 
@@ -50,9 +50,8 @@ from repro.fleet.placement import (
     ReplicaAssignment,
     best_chip_for,
     place_replicas,
-    preflight_placement,
 )
-from repro.fleet.profiles import ModelProfile, fixed_profile, profile_model
+from repro.fleet.profiles import ModelProfile, fixed_profile
 from repro.fleet.replica import ReplicaPolicy
 from repro.fleet.result import FleetResult, ModelRollup, merge_latency_histograms
 from repro.fleet.router import (
@@ -129,8 +128,6 @@ __all__ = [
     "merge_latency_histograms",
     "partial_mesh_fault",
     "place_replicas",
-    "preflight_placement",
-    "profile_model",
     "run_chip",
     "split_user_groups",
 ]

@@ -9,12 +9,6 @@ first-fit decreasing over replica core sizes with two hard rules:
 * at most one replica of a model per chip (a second co-located replica
   would share the partition, not add capacity);
 * the chip's packed shares never exceed ``array_size``.
-
-When the models carry real networks, :func:`preflight_placement` re-runs
-the co-residency PLAN-rule analysis (:func:`repro.analysis.analyze_plan`)
-per chip over the actual segment plans — the same admission gate the
-single-chip serving policies apply — so a fleet layout that would be
-rejected on one chip is rejected before any sim-time is spent.
 """
 
 from __future__ import annotations
@@ -22,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import PlanVerificationError, SimulationError
+from repro.errors import SimulationError
 from repro.fleet.profiles import ModelProfile
-from repro.nn.workloads import NetworkSpec
 
 
 @dataclass(frozen=True)
@@ -207,56 +200,9 @@ def best_chip_for(
     return max(candidates, key=lambda chip: (placement.free_cores(chip), -chip))
 
 
-def preflight_placement(
-    placement: FleetPlacement,
-    networks: Mapping[str, NetworkSpec],
-    service: "object",
-) -> None:
-    """Per-chip PLAN-rule co-residency admission of the placed layout.
-
-    ``service`` is a :class:`~repro.serving.service.ServiceModel`; every
-    plan lookup hits its memo (profiling already simulated each
-    (network, cores) point).  Raises
-    :class:`~repro.errors.PlanVerificationError` naming the first chip
-    whose layout fails.
-    """
-    from repro.analysis.plan import ResidentPlan
-    from repro.analysis.system import analyze_plan
-    from repro.sim.config import SimConfig
-
-    for chip in range(placement.n_chips):
-        assignments = sorted(
-            placement.on_chip(chip), key=lambda a: a.region_start
-        )
-        if not assignments:
-            continue
-        residents = [
-            ResidentPlan(
-                name=a.model,
-                plan=service.partition_run(  # type: ignore[attr-defined]
-                    networks[a.model], a.cores
-                ).plan,
-                region_start=a.region_start,
-            )
-            for a in assignments
-        ]
-        report = analyze_plan(
-            co_resident=residents,
-            config=SimConfig(array_size=placement.array_size),
-            families=("plan",),
-        )
-        if not report.ok:
-            raise PlanVerificationError(
-                f"fleet placement rejected on chip {chip}:\n"
-                + report.render(),
-                report,
-            )
-
-
 __all__ = [
     "FleetPlacement",
     "ReplicaAssignment",
     "best_chip_for",
     "place_replicas",
-    "preflight_placement",
 ]

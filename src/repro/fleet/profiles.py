@@ -1,13 +1,11 @@
-"""Per-model serving profiles: the chip model, pre-computed once.
+"""Per-model serving profiles: what a chip needs to serve a replica.
 
 A fleet run simulates N chips serving millions of requests; re-running
 the full mapping + backend pipeline per chip (let alone per request)
-would drown the event loop.  Instead the coordinator computes one
-:class:`ModelProfile` per model — authoritative service time at the
-replica's partition share, batched service time, the analytic-tier
-estimate for routing/autoscaling decisions, the weight re-staging cost,
-and the phase split for latency attribution — through the same memoized
-:class:`~repro.serving.service.ServiceModel` the elastic policy uses.
+would drown the event loop.  Instead every model carries one
+:class:`ModelProfile` — service time at the replica's partition share,
+batched service time, the estimate for routing/autoscaling decisions,
+the weight re-staging cost, and the phase split for latency attribution.
 The profile is plain data (floats and tuples), so it pickles cheaply to
 worker processes and the chips run at pure event-loop speed.
 """
@@ -19,8 +17,6 @@ from typing import Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
-from repro.obs.timeline import report_phases
-from repro.serving.service import ServiceModel
 
 #: ``(phase name, category, weight)`` — the plain-data mirror of
 #: :class:`repro.obs.timeline.PhaseSpec` (ratios only; picklable).
@@ -31,12 +27,11 @@ PhaseTriple = Tuple[str, str, float]
 class ModelProfile:
     """Everything a chip needs to serve one model replica.
 
-    ``service_ms`` / ``batched_ms`` come from the authoritative backend
-    tier (what SLO accounting bills); ``est_ms`` from the cheap analytic
-    tier (what the router's fluid load model and the autoscaler use —
-    relative orderings, never billing).  ``batched_ms`` is the latency of
-    a full ``batch_requests``-sized weight-stationary batch; intermediate
-    batch sizes interpolate through the derived one-time
+    ``service_ms`` / ``batched_ms`` are what SLO accounting bills;
+    ``est_ms`` is what the router's fluid load model and the autoscaler
+    use (relative orderings, never billing).  ``batched_ms`` is the
+    latency of a full ``batch_requests``-sized weight-stationary batch;
+    intermediate batch sizes interpolate through the derived one-time
     :attr:`staging_ms` share, exactly like
     :class:`~repro.serving.policies.FixedServicePolicy`.
     """
@@ -102,48 +97,6 @@ class ModelProfile:
         """
         layer = ConvLayerSpec(index=0, name=f"{self.name}/stub", h=1, w=1, c=1, m=1)
         return NetworkSpec(name=self.name, layers=(layer,))
-
-
-def profile_model(
-    service: ServiceModel,
-    name: str,
-    network: NetworkSpec,
-    cores: int,
-    *,
-    batch_requests: int = 1,
-) -> ModelProfile:
-    """Build a profile through the memoized chip-model service.
-
-    Four tier lookups per (network, cores) point — single, batched,
-    analytic, restage — all folded into the service model's LRU, so
-    repeated placements and autoscale proposals cost nothing extra.
-    """
-    minimum = service.minimum_cores(network)
-    if cores < minimum:
-        raise SimulationError(
-            f"model {name!r} needs >= {minimum} cores, got {cores}"
-        )
-    run = service.partition_run(network, cores)
-    batched = (
-        run.latency_ms
-        if batch_requests == 1
-        else service.batched_latency_ms(network, cores, batch_requests)
-    )
-    phases = tuple(
-        (spec.name, spec.category, spec.weight)
-        for spec in report_phases(run)
-    )
-    return ModelProfile(
-        name=name,
-        cores=cores,
-        min_cores=minimum,
-        service_ms=run.latency_ms,
-        batched_ms=batched,
-        batch_requests=batch_requests,
-        est_ms=service.estimate_latency_ms(network, cores),
-        restage_ms=service.restage_ms(network),
-        phases=phases,
-    )
 
 
 def fixed_profile(

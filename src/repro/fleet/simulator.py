@@ -30,11 +30,7 @@ from repro.errors import SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler
 from repro.fleet.balancing import FluidLoadTracker, make_balancer
 from repro.fleet.failures import FailureScenario
-from repro.fleet.placement import (
-    FleetPlacement,
-    place_replicas,
-    preflight_placement,
-)
+from repro.fleet.placement import FleetPlacement, place_replicas
 from repro.fleet.profiles import ModelProfile
 from repro.fleet.replica import ReplicaPolicy
 from repro.fleet.result import FleetResult, ModelRollup, merge_latency_histograms
@@ -45,7 +41,6 @@ from repro.fleet.traffic import (
     derive_seed,
     generate_open_arrivals,
 )
-from repro.nn.workloads import NetworkSpec
 from repro.serving.arrivals import TraceArrivals
 from repro.serving.simulator import ServingSimulator, check_batch_requests
 from repro.serving.slo import ServingRunResult
@@ -53,8 +48,11 @@ from repro.serving.tenancy import TenantSpec
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.utils.parallel import run_sharded
 
-#: The MAICC array size the paper's chip exposes (and the repo's
-#: single-chip serving stack defaults to).
+#: Cores per fleet chip: the paper's whole 210-core MAICC array.  The
+#: single-chip serving stack defaults to 208 instead
+#: (:data:`repro.sim.DEFAULT_ARRAY_SIZE` through
+#: :class:`~repro.core.multi_dnn.MultiDNNScheduler`: the array minus two
+#: cores reserved for the streaming DC of the widest segment).
 DEFAULT_ARRAY_SIZE = 210
 
 
@@ -85,9 +83,6 @@ class FleetModelSpec:
     deadline_ms: float = math.inf
     queue_capacity: Optional[int] = None
     replicas: int = 1
-    #: The real network, when the profile came from the chip model —
-    #: enables the per-chip PLAN-rule placement preflight.
-    network: Optional[NetworkSpec] = None
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,6 @@ class FleetSimulator:
         collect_metrics: bool = False,
         workers: int = 0,
         scenario: str = "custom",
-        service: Optional[object] = None,
     ) -> None:
         if not models:
             raise SimulationError("fleet needs at least one model")
@@ -201,25 +195,15 @@ class FleetSimulator:
         self.collect_metrics = collect_metrics
         self.workers = workers
         self.scenario = scenario
-        #: Optional :class:`~repro.serving.service.ServiceModel` — when
-        #: every model carries its real network, placement runs the
-        #: per-chip PLAN-rule co-residency preflight through it.
-        self.service = service
 
     # -- phase 1: placement + routing -------------------------------------------
 
     def _place(self) -> FleetPlacement:
         profiles = {m.name: m.profile for m in self.models}
         replicas = {m.name: m.replicas for m in self.models}
-        placement = place_replicas(
+        return place_replicas(
             profiles, replicas, self.n_chips, self.array_size
         )
-        networks = {
-            m.name: m.network for m in self.models if m.network is not None
-        }
-        if self.service is not None and len(networks) == len(self.models):
-            preflight_placement(placement, networks, self.service)
-        return placement
 
     def run(self, duration_ms: float) -> FleetResult:
         if duration_ms <= 0:

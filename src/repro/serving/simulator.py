@@ -165,7 +165,7 @@ class ServingSimulator:
         """Static determinism scan of the initial event population.
 
         Any same-timestamp write-write conflict across actors would make
-        batched draining order-sensitive (DET801).
+        the run's result depend on schedule order (DET801).
         """
         det = check_batches(accesses_from_queue(chip.queue))
         if not det.ok:

@@ -23,8 +23,8 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
     tier all historical results were produced on.  Byte-identical to the
     pre-backend chip simulator's output.
 ``event``
-    Every core of every chain as its own actor on the discrete-event
-    kernel; validates the streaming approximation.
+    Every core of every chain as its own FIFO station, timed per
+    (core, vector) hop; validates the streaming approximation.
 ``cycle``
     The functional node-group tier: actually executes the mapped layers
     (synthesized weights/ifmaps at each layer's ``n_bits``, seeded)
@@ -244,7 +244,7 @@ class CycleBackend(ModeledBackend):
     name = "cycle"
 
     def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
-        from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
+        from repro.core.functional import FunctionalNodeGroup
         from repro.core.node import reference_accumulators
 
         _analytic_rollup(report)
@@ -257,14 +257,9 @@ class CycleBackend(ModeledBackend):
             weights = rng.integers(lo, hi + 1, (spec.m, spec.c, spec.r, spec.s))
             bias = rng.integers(-1000, 1000, spec.m)
             q_in = rng.integers(lo, hi + 1, (spec.c, spec.h, spec.w))
-            num = (
-                bit_true_min_nodes(spec, config.capacity)
-                if config.bit_true
-                else lt.computing_nodes
-            )
             group = FunctionalNodeGroup(
-                spec, weights, bias, num,
-                bit_true=config.bit_true, capacity=config.capacity,
+                spec, weights, bias, lt.computing_nodes,
+                capacity=config.capacity,
             )
             acc = group.run(q_in)
             expected = reference_accumulators(spec, weights, bias, q_in)

@@ -62,10 +62,6 @@ class SimConfig:
     #: and filter-load costs amortize across requests in every tier.
     batch_requests: int = 1
 
-    #: ``cycle`` tier: run every MAC on the modeled SRAM bit-lines
-    #: (very slow; ``False`` keeps the same data movement with NumPy
-    #: dot products — still bit-exact).
-    bit_true: bool = False
     #: ``cycle`` tier: seed for the synthesized int8 weights/ifmaps the
     #: numerics check executes.
     seed: int = 0

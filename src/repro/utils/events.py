@@ -1,11 +1,12 @@
 """A minimal discrete-event simulation kernel.
 
-Used by the NoC and the many-core streaming simulator.  Events carry a
-timestamp, a monotonically increasing sequence number (for deterministic
-FIFO ordering among simultaneous events), and an arbitrary callback.
-Tagged events are surfaced to the telemetry recorder as instant events on
-the ``events`` track (one counter per tag), so a queue-driven simulation
-gets a timeline for free.
+Drives the serving loop (one chip's arrivals, dispatches and control
+epochs), the fleet's per-chip runs and the NoC route replay.  Events
+carry a timestamp, a monotonically increasing sequence number (for
+deterministic FIFO ordering among simultaneous events), and an arbitrary
+callback.  Tagged events are surfaced to the telemetry recorder as
+instant events on the ``events`` track (one counter per tag), so a
+queue-driven simulation gets a timeline for free.
 
 Hot-path notes:
 
@@ -13,15 +14,13 @@ Hot-path notes:
   ``(time, seq, action, tag, actor, reads, writes)``.  Heap order is
   resolved by tuple comparison on the first two fields; ``seq`` is
   unique, so the comparison never reaches the callback.
-* An :class:`Event` is built only where a caller asks for one:
-  :meth:`EventQueue.pending`, :meth:`EventQueue.step`,
-  :meth:`EventQueue.step_batch`, and telemetry emission.
+* An :class:`Event` is built only where a caller asks for one
+  (:meth:`EventQueue.pending`) and for telemetry emission.
   :meth:`EventQueue.schedule` returns nothing, and
   :meth:`EventQueue.run` drains the heap without building any.
-* The telemetry sink's ``enabled`` flag is read once per :meth:`run`
-  (once per dispatch in :meth:`step`, once per batch in
-  :meth:`step_batch`), so runs against the default ``NullSink`` pay no
-  per-event tag or formatting cost.
+* The telemetry sink's ``enabled`` flag is read once per :meth:`run`, so
+  runs against the default ``NullSink`` pay no per-event tag or
+  formatting cost.
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ class Event:
     that owns the callback and the resources it touches.  Unannotated
     events (the defaults) are invisible to the race detector; annotated
     same-timestamp events from *different* actors writing one resource
-    are exactly what makes a :meth:`EventQueue.step_batch` drain
-    order-sensitive.
+    are exactly what would make a run's result depend on the order in
+    which they were scheduled.
     """
 
     time: float
@@ -155,92 +154,21 @@ class EventQueue:
         t.trace.instant("events", event.tag, event.time, args={"seq": event.seq})
         t.registry.counter(f"events/by_tag/{event.tag}").inc()
 
-    def step(self) -> Optional[Event]:
-        """Dispatch the next event; returns it, or None when empty."""
-        if not self._heap:
-            return None
-        event = Event(*heapq.heappop(self._heap))
-        self._now = event.time
-        self._processed += 1
-        if self._telemetry.enabled and event.tag:
-            self._emit(event)
-        event.action()
-        return event
+    def run(self) -> float:
+        """Dispatch events in (time, seq) order until the queue drains.
 
-    def _dispatch_batch(self) -> List[_Entry]:
-        """Pop and dispatch the earliest same-timestamp batch (non-empty heap)."""
-        heap = self._heap
-        when = heap[0][0]
-        batch: List[_Entry] = []
-        while heap and heap[0][0] == when:
-            batch.append(heapq.heappop(heap))
-        self._now = when
-        self._processed += len(batch)
-        if self._telemetry.enabled:  # one flag read per batch, not per event
-            for entry in batch:
-                if entry[3]:
-                    self._emit(Event(*entry))
-        for entry in batch:
-            entry[2]()
-        return batch
-
-    def step_batch(self) -> List[Event]:
-        """Dispatch every pending event sharing the earliest timestamp.
-
-        The batch is the set of undispatched events whose time equals the
-        heap minimum *at entry*; they are dispatched in sequence-number
-        order — exactly the order :meth:`step` would have used — so batch
-        draining is observationally identical to per-event stepping for
-        handlers that only depend on dispatch order.  Events the batch's
-        handlers schedule at the same timestamp form the *next* batch
-        (still at the same ``now``), preserving the global (time, seq)
-        dispatch order.  Returns the dispatched events, ``[]`` when empty.
-        """
-        if not self._heap:
-            return []
-        return [Event(*entry) for entry in self._dispatch_batch()]
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        *,
-        batched: bool = False,
-    ) -> float:
-        """Run until the queue drains, ``until`` passes, or ``max_events`` hit.
-
-        Returns the simulation time after the run.  When an ``until``
-        horizon is given and no undispatched event precedes it, time
-        advances to ``until`` even if the queue drained early (or was
-        empty); when ``max_events`` stops the run first, ``now`` stays at
-        the last dispatched event because pending events before ``until``
-        have not happened yet.
-
-        ``batched=True`` drains same-timestamp batches in one step each —
-        identical dispatch order, fewer Python-level steps.  Batches are
-        atomic: ``until`` and ``max_events`` are checked between batches,
-        so ``max_events`` may overshoot by at most one batch's worth of
-        same-timestamp events.
+        Handlers may schedule further events, at the current time or
+        later.  Returns the simulation time after the run: the time of
+        the last dispatched event.
         """
         heap = self._heap
         pop = heapq.heappop
         emit = self._telemetry.enabled
-        dispatched = 0
         while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            if max_events is not None and dispatched >= max_events:
-                return self._now
-            if batched:
-                dispatched += len(self._dispatch_batch())
-                continue
             entry = pop(heap)
             self._now = entry[0]
             self._processed += 1
             if emit and entry[3]:
                 self._emit(Event(*entry))
             entry[2]()
-            dispatched += 1
-        if until is not None and until > self._now:
-            self._now = until
         return self._now

@@ -13,7 +13,7 @@ from repro.core.functional import (
     bit_true_min_nodes,
     simulate_quantized_graph,
 )
-from repro.errors import ConfigurationError
+from repro.errors import CMemError, ConfigurationError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.models import build_residual_cnn, build_small_cnn
 from repro.nn.quantize import quantize_graph
@@ -191,6 +191,15 @@ class TestBitTrueMode:
         nodes = bit_true_min_nodes(spec, CapacityModel())
         group, q_in, ref = group_setup(spec, nodes, seed=1, bit_true=True)
         assert np.array_equal(group.run(q_in), ref)
+
+    @pytest.mark.parametrize("n_bits", [2, 4])
+    def test_rejects_sub_byte_operands(self, n_bits):
+        # Vertical stores and loads move whole bytes (Fig. 5).
+        spec = ConvLayerSpec(0, "t", h=4, w=4, c=4, m=16, n_bits=n_bits)
+        nodes = bit_true_min_nodes(spec, CapacityModel())
+        group, q_in, _ = group_setup(spec, nodes, bit_true=True)
+        with pytest.raises(CMemError, match="byte-granular"):
+            group.run(q_in)
 
     def test_wide_channels_rejected(self):
         spec = ConvLayerSpec(0, "t", h=4, w=4, c=512, m=2, padding=0)

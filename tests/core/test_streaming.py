@@ -245,6 +245,26 @@ class TestCompletionSourceIndex:
         producer = conv(1, h=8, c=8, m=8, r=1, s=1, stride=2, padding=0)
         assert completion_grid(model, producer).reshape(-1).tolist() == list(range(16))
 
+    def test_padding_only_window_is_a_simulation_error(self, model):
+        # A 1x1 stride-3 producer with padding 2 on a 7x4 ifmap reads
+        # ifmap rows 1 and 4 and column 1 only; the windows of its last
+        # ofmap row and column cover only padding, so no streamed vector
+        # finalizes those pixels.  The map used to rank such a clamped
+        # corner one past the last streamed column, into the next row:
+        # consumer vector 2 waited on producer vector 1 of a 2-vector
+        # layer.
+        producer = ConvLayerSpec(
+            1, "p", h=7, w=4, c=16, m=16, r=1, s=1, stride=3, padding=2
+        )
+        consumer = ConvLayerSpec(2, "c", h=4, w=3, c=16, m=16)
+        assert producer.ofmap_hw == (4, 3)
+        ts = [
+            model.layer_timing(producer, 1, from_dram=True),
+            model.layer_timing(consumer, 1),
+        ]
+        with pytest.raises(SimulationError, match="'c' .* 'p' .*only padding"):
+            dependence_map(ts)
+
     def test_monotonic_in_raster_order(self, model):
         # Later ofmap pixels never depend on earlier ifmap vectors than
         # their predecessors: arrival rank is non-decreasing in raster

@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import CMemError
-from repro.nn.workloads import NetworkSpec, small_cnn_spec
+from repro.errors import SimulationError
+from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 from repro.sim import DEFAULT_ENVELOPE, SimConfig, available_backends, simulate
 
 STRATEGIES = ("heuristic", "greedy")
@@ -82,22 +82,9 @@ class TestTierEvidence:
     def test_cycle_tier_operands_span_the_layer_precision(self):
         network = small_cnn_spec(h=4, c=4)
         int8 = simulate(network, backend="cycle")
-        fast = simulate(at_precision(network, 16), backend="cycle")
-        true = simulate(
-            at_precision(network, 16), backend="cycle",
-            config=SimConfig(bit_true=True),
-        )
-        assert [r.checksum for r in fast.runs] != [r.checksum for r in int8.runs]
-        assert [r.checksum for r in true.runs] == [r.checksum for r in fast.runs]
-        assert all(run.numerics_verified for run in true.runs)
-
-    @pytest.mark.parametrize("n_bits", [2, 4])
-    def test_cycle_tier_bit_true_rejects_sub_byte_operands(self, n_bits):
-        with pytest.raises(CMemError, match="byte-granular"):
-            simulate(
-                at_precision(small_cnn_spec(h=4, c=4), n_bits), backend="cycle",
-                config=SimConfig(bit_true=True),
-            )
+        wide = simulate(at_precision(network, 16), backend="cycle")
+        assert [r.checksum for r in wide.runs] != [r.checksum for r in int8.runs]
+        assert all(run.numerics_verified for run in wide.runs)
 
     def test_analytic_matches_streaming_on_single_layer_segments(self):
         # With one layer per segment there is no pipelining for the
@@ -109,6 +96,33 @@ class TestTierEvidence:
             small_cnn_spec(), backend="streaming", strategy="single-layer"
         )
         assert analytic.total_cycles == streaming.total_cycles
+
+
+class TestPaddingOnlyWindows:
+    """A producer window that covers only padding is a typed error.
+
+    The 1x1 stride-3 pad-2 producer reads only row and column 1 of its
+    4x4 ifmap.  The windows of its last ofmap row and column cover only
+    padding, so no streamed ifmap vector finalizes the pixels a 3x3
+    consumer in the same segment needs there.
+    """
+
+    NETWORK = NetworkSpec(
+        name="padding-only",
+        layers=(
+            ConvLayerSpec(
+                1, "p", h=4, w=4, c=16, m=16, r=1, s=1, stride=3, padding=2
+            ),
+            ConvLayerSpec(2, "c", h=3, w=3, c=16, m=16),
+        ),
+    )
+
+    @pytest.mark.parametrize("backend", ["streaming", "event"])
+    def test_queueing_tier_rejects_the_segment(self, backend):
+        # The greedy strategy puts both layers in one segment (it used to
+        # raise a bare IndexError here).
+        with pytest.raises(SimulationError, match="'c' .* 'p' .*only padding"):
+            simulate(self.NETWORK, backend=backend, strategy="greedy")
 
 
 class TestBatchSemantics:

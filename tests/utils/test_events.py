@@ -70,16 +70,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.schedule(0.0, lambda: None)
 
-    def test_run_until_leaves_future_events(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(1, lambda: seen.append(1))
-        q.schedule(10, lambda: seen.append(10))
-        q.run(until=5)
-        assert seen == [1]
-        assert len(q) == 1
-        assert q.now == 5
-
     def test_events_can_schedule_events(self):
         q = EventQueue()
         seen = []
@@ -92,19 +82,6 @@ class TestEventQueue:
         q.run()
         assert seen == ["first", "second"]
         assert q.now == 3
-
-    def test_max_events_guard(self):
-        q = EventQueue()
-
-        def rearm():
-            q.schedule_in(1, rearm)
-
-        q.schedule(0, rearm)
-        q.run(max_events=50)
-        assert q.processed == 50
-
-    def test_step_on_empty_queue(self):
-        assert EventQueue().step() is None
 
 
 class TestDeterminism:
@@ -153,61 +130,6 @@ class TestDeterminism:
         assert order == ["a2", "c2", "e2", "c2b", "b5", "d5", "a5", "c5"]
 
 
-class TestRunUntilMaxEventsInteraction:
-    """Edge cases of ``run(until=...)`` combined with ``run(max_events=...)``."""
-
-    def test_until_clamps_now_when_heap_drains(self):
-        q = EventQueue()
-        q.schedule(2, lambda: None)
-        assert q.run(until=9) == 9
-        assert q.now == 9
-        assert len(q) == 0
-
-    def test_until_on_empty_queue_advances_now(self):
-        q = EventQueue()
-        assert q.run(until=5) == 5
-        assert q.now == 5
-
-    def test_max_events_stop_leaves_heap_and_does_not_clamp(self):
-        # Stopping on the event budget means pending events at t < until
-        # have not happened yet, so `now` must stay at the last dispatched
-        # event rather than jump to `until`.
-        q = EventQueue()
-        for t in (1, 2, 3, 4):
-            q.schedule(t, lambda: None)
-        q.run(until=100, max_events=2)
-        assert q.processed == 2
-        assert q.now == 2
-        assert len(q) == 2
-
-    def test_resume_after_max_events_stop(self):
-        q = EventQueue()
-        for t in (1, 2, 3):
-            q.schedule(t, lambda: None)
-        q.run(max_events=1)
-        assert q.now == 1
-        q.run(until=10)
-        assert q.processed == 3
-        assert q.now == 10
-
-    def test_until_before_first_event_runs_nothing(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(8, lambda: seen.append(8))
-        q.run(until=3)
-        assert seen == []
-        assert q.now == 3
-        assert len(q) == 1
-
-    def test_until_in_past_does_not_rewind_now(self):
-        q = EventQueue()
-        q.schedule(7, lambda: None)
-        q.run()
-        assert q.now == 7
-        q.run(until=2)
-        assert q.now == 7
-
-
 # Strategy for a deterministic event program: each top-level entry is
 # (time, [child delays]); firing an event appends its label and schedules
 # its children at now + delay, so equal-time ties, nested scheduling,
@@ -219,9 +141,6 @@ _PROGRAMS = st.lists(
     ),
     max_size=12,
 )
-
-#: The ways to drain a queue; all must dispatch in one order.
-_DRAINS = ("run", "batched", "step")
 
 
 def _top_event(i, t):
@@ -277,83 +196,24 @@ def _build_program(program, sink=None):
     return q, order
 
 
-def _run_program(program, *, drain, sink=None):
+def _run_program(program, sink=None):
     q, order = _build_program(program, sink)
-    if drain == "step":
-        while q.step() is not None:
-            pass
-    else:
-        q.run(batched=drain == "batched")
+    q.run()
     return order, q.now, q.processed
 
 
-class TestBatchDraining:
-    """``step_batch`` / ``run(batched=True)`` vs per-event stepping."""
-
-    def test_batch_pops_all_equal_time_events_in_seq_order(self):
-        q = EventQueue()
-        seen = []
-        q.schedule(3, lambda: seen.append("a"))
-        q.schedule(3, lambda: seen.append("b"))
-        q.schedule(5, lambda: seen.append("later"))
-        batch = q.step_batch()
-        assert [e.time for e in batch] == [3, 3]
-        assert seen == ["a", "b"]
-        assert q.now == 3
-        assert q.processed == 2
-        assert len(q) == 1
-
-    def test_same_time_events_scheduled_by_batch_form_next_batch(self):
-        q = EventQueue()
-        seen = []
-
-        def first():
-            seen.append("first")
-            # Lands at the batch's own timestamp: must NOT join the
-            # in-flight batch, but fire in the next one at the same now.
-            q.schedule(2, lambda: seen.append("child"))
-
-        q.schedule(2, first)
-        q.schedule(2, lambda: seen.append("second"))
-        assert len(q.step_batch()) == 2
-        assert seen == ["first", "second"]
-        assert q.now == 2
-        assert len(q.step_batch()) == 1
-        assert seen == ["first", "second", "child"]
-        assert q.now == 2
-
-    def test_step_batch_on_empty_queue(self):
-        assert EventQueue().step_batch() == []
-
-    def test_batched_run_matches_stepped_run_on_nested_program(self):
-        program = [(2, [0, 3]), (2, []), (0, [2, 2]), (5, [0])]
-        assert _run_program(program, drain="batched") == _run_program(
-            program, drain="run"
-        )
-
-    def test_batched_until_and_max_events_between_batches(self):
-        q = EventQueue()
-        for t in (1, 1, 1, 2):
-            q.schedule(t, lambda: None)
-        # max_events is checked between atomic batches: the t=1 batch of
-        # three dispatches whole even though the budget is 2.
-        q.run(max_events=2, batched=True)
-        assert q.processed == 3
-        assert q.now == 1
-        q.run(until=10, batched=True)
-        assert q.processed == 4
-        assert q.now == 10
+class TestDispatchContract:
+    """``run()`` and ``pending()`` against an independent reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=_PROGRAMS)
-    def test_batched_dispatch_order_equals_stepped_order(self, program):
-        """Property: every drain follows the (time, seq) contract.
+    def test_run_follows_the_time_seq_reference(self, program):
+        """Property: the queue follows the (time, seq) contract.
 
         For any program of (time, children) schedules — including
         equal-time ties and handlers that schedule at the current
-        timestamp — ``run()``, ``run(batched=True)`` and a ``step()``
-        loop each dispatch exactly the order of an independent
-        ``(time, seq)``-sorted reference, and land on its
+        timestamp — ``run()`` dispatches exactly the order of an
+        independent ``(time, seq)``-sorted reference, and lands on its
         ``now``/``processed``.  ``pending()`` lists the annotated
         top-level events in that order, and under an enabled sink the
         ``events`` instants and ``events/by_tag/*`` counters are the
@@ -365,8 +225,7 @@ class TestBatchDraining:
             reference[-1][1] if reference else 0.0,
             len(reference),
         )
-        for drain in _DRAINS:
-            assert _run_program(program, drain=drain) == expected, drain
+        assert _run_program(program) == expected
 
         q, _ = _build_program(program)
         top = sorted(
@@ -381,23 +240,22 @@ class TestBatchDraining:
         ]
 
         tagged = [(tag, time, seq) for _, time, seq, tag in reference if tag]
-        for drain in _DRAINS:
-            sink = Telemetry()
-            assert _run_program(program, drain=drain, sink=sink) == expected
-            instants = [
-                (e.name, e.ts, e.args["seq"])
-                for e in sink.trace.events
-                if e.track == "events"
-            ]
-            assert instants == tagged, drain
-            counters = {
-                path: counter.value
-                for path, counter in sink.registry.counters.items()
-                if path.startswith("events/by_tag/")
-            }
-            assert counters == {
-                f"events/by_tag/{tag}": n
-                for tag, n in collections.Counter(
-                    tag for tag, _, _ in tagged
-                ).items()
-            }, drain
+        sink = Telemetry()
+        assert _run_program(program, sink=sink) == expected
+        instants = [
+            (e.name, e.ts, e.args["seq"])
+            for e in sink.trace.events
+            if e.track == "events"
+        ]
+        assert instants == tagged
+        counters = {
+            path: counter.value
+            for path, counter in sink.registry.counters.items()
+            if path.startswith("events/by_tag/")
+        }
+        assert counters == {
+            f"events/by_tag/{tag}": n
+            for tag, n in collections.Counter(
+                tag for tag, _, _ in tagged
+            ).items()
+        }
