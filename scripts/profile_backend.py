@@ -14,6 +14,11 @@ Examples:
         --backend streaming --network small_cnn --top 15
     PYTHONPATH=src python scripts/profile_backend.py \
         --backend event --sort tottime --out profile.txt
+    PYTHONPATH=src python scripts/profile_backend.py \
+        --backend event --network vgg11 --sort tottime
+
+``--network`` takes any network of ``repro.dse.spec.NETWORKS``; vgg11's
+fully connected layers run in tiled passes.
 
 The resnet18 event-tier profile that motivated the event tier's
 station-scan engine is checked in at ``docs/PROFILES.md``.
@@ -31,14 +36,9 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-NETWORKS = ("resnet18", "small_cnn")
+from repro.dse.spec import NETWORKS
+
 SORTS = ("cumulative", "tottime", "ncalls")
-
-
-def build_network(name: str):
-    from repro.nn.workloads import resnet18_spec, small_cnn_spec
-
-    return {"resnet18": resnet18_spec, "small_cnn": small_cnn_spec}[name]()
 
 
 def main() -> None:
@@ -50,7 +50,7 @@ def main() -> None:
         default="event",
         help="backend tier to profile (see repro.sim.available_backends)",
     )
-    parser.add_argument("--network", default="resnet18", choices=NETWORKS)
+    parser.add_argument("--network", default="resnet18", choices=sorted(NETWORKS))
     parser.add_argument(
         "--strategy", default=None, help="mapping strategy override"
     )
@@ -76,7 +76,7 @@ def main() -> None:
             f"choose from {available_backends()}"
         )
 
-    network = build_network(args.network)
+    network = NETWORKS[args.network]()
     kwargs = dict(
         backend=args.backend, strategy=args.strategy, batch=args.batch
     )

@@ -146,20 +146,24 @@ def dependence_map(
         p = timings[pj].spec
         p_rows, p_cols = (np.asarray(axis) for axis in p.streamed_hw)
         rows, cols = (np.asarray(axis) for axis in spec.streamed_hw)
-        ys = np.minimum(p.h - 1, rows * p.stride - p.padding + p.r - 1)
-        xs = np.minimum(p.w - 1, cols * p.stride - p.padding + p.s - 1)
-        row_rank = np.searchsorted(p_rows, ys)
-        col_rank = np.searchsorted(p_cols, xs)
-        # Ranks ascend with the consumer's rows and columns.  A rank past
-        # the producer's last streamed row or column means the clamped
-        # corner is not a streamed pixel: that window reads only padding,
-        # so no producer vector ever finalizes the pixel.
-        if row_rank[-1] >= len(p_rows) or col_rank[-1] >= len(p_cols):
+        # First ifmap row and column of each window the consumer needs.
+        top = rows * p.stride - p.padding
+        left = cols * p.stride - p.padding
+        # Windows advance with the consumer's rows and columns, so the
+        # first one ends first and the last one starts last.  A window
+        # that ends before the ifmap or starts past it reads only
+        # padding: no producer vector ever finalizes its pixel.
+        if (top[0] + p.r <= 0 or top[-1] >= p.h
+                or left[0] + p.s <= 0 or left[-1] >= p.w):
             raise SimulationError(
                 f"layer {spec.name!r} reads an ofmap pixel of layer "
                 f"{p.name!r} whose window covers only padding; no streamed "
                 f"ifmap pixel of {p.name!r} finalizes it"
             )
+        # Every other window reads a real pixel, so its clamped corner
+        # is one the producer streams.
+        row_rank = np.searchsorted(p_rows, np.minimum(p.h - 1, top + p.r - 1))
+        col_rank = np.searchsorted(p_cols, np.minimum(p.w - 1, left + p.s - 1))
         src = (row_rank[:, None] * len(p_cols) + col_rank[None, :]).reshape(-1)
         if requests > 1:
             offsets = np.arange(requests) * timings[pj].iterations

@@ -363,15 +363,12 @@ class ElasticPolicy(StaticPartitionPolicy):
         for name, network in networks.items():
             if name not in moved:
                 continue
-            self._service_ms[name] = self.service.latency_ms(
-                network, self._shares[name]
-            )
+            run = self.service.partition_run(network, self._shares[name])
+            self._service_ms[name] = run.latency_ms
             stall[name] = self.service.restage_ms(network)
-            placements += len(
-                self.service.placements(
-                    network, self._shares[name], starts[name]
-                )
-            )
+            # Each segment of the committed run is re-placed in the
+            # tenant's new region.
+            placements += len(run.runs)
         self._last_resize_ms = now_ms
         self.resize_count += 1
         return ResizeAction(

@@ -22,20 +22,22 @@ knows how to compute:
   full ``weight_bytes / filter_load_bw`` cycles are charged.
 
 SLO accounting always reads the model's authoritative tier (the
-``backend`` the service was built with, ``streaming`` by default);
-:meth:`estimate_latency_ms` exposes the cheap ``analytic`` tier for
-control decisions that only need relative orderings (the elastic
-policy's resize gate).
+``backend`` the service was built with, ``streaming`` by default).
+:meth:`partition_run` takes a ``backend`` override for lookups on
+another tier; the elastic policy's resize gate reads its
+``decision_backend`` that way.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import telemetry
 from repro.core.multi_dnn import MultiDNNScheduler
-from repro.mapping.placement import NodePlacement, zigzag_placement
+# Not called here: the repository benchmark's tracer (bench/trace.py)
+# wraps this module attribute as its ``mapping.placement`` boundary.
+from repro.mapping.placement import zigzag_placement  # noqa: F401
 from repro.nn.workloads import NetworkSpec
 from repro.sim import RunReport
 
@@ -116,25 +118,6 @@ class ServiceModel:
         return self.partition_run(
             network, cores, batch_requests=batch_requests
         ).latency_ms
-
-    def estimate_latency_ms(self, network: NetworkSpec, cores: int) -> float:
-        """Cheap analytic-tier latency for control decisions.
-
-        A conservative upper bound on the streaming tier (see
-        ``repro.sim.xcheck``); suitable for comparing partition sizes,
-        not for billing SLOs.
-        """
-        return self.partition_run(network, cores, backend="analytic").latency_ms
-
-    def placements(
-        self, network: NetworkSpec, cores: int, start_offset: int
-    ) -> List[NodePlacement]:
-        """Zig-zag placements of the model's segments inside its region."""
-        run = self.partition_run(network, cores)
-        return [
-            zigzag_placement(seg_run.segment, start_offset=start_offset)
-            for seg_run in run.runs
-        ]
 
     def restage_ms(self, network: NetworkSpec) -> float:
         """Sim-time to re-stage the model's weights after a resize."""

@@ -42,12 +42,13 @@ and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.event_streaming import EventDrivenSegmentSimulator
-from repro.core.perfmodel import start_offsets
+from repro.core.perfmodel import LayerTiming, start_offsets
 from repro.core.streaming import SegmentSimulator
 from repro.energy.power import EnergyModel, OpCounts
 from repro.errors import (
@@ -86,9 +87,18 @@ class ModeledBackend:
     structure (and float evaluation order) mirrors the pre-backend chip
     simulator exactly, which is what keeps the streaming tier
     byte-identical.
+
+    A layer too large for the array runs as back-to-back passes of one
+    geometry (:func:`~repro.mapping.tiling.tile_network`), each its own
+    segment.  :meth:`run` calls the hook once per distinct segment and
+    relabels that outcome for every repeat; a tier whose outcome reads
+    a layer label sets ``label_free = False`` and is called per segment.
     """
 
     name = "abstract"
+    #: Whether the tier keeps the :meth:`_simulate_segment` contract, so
+    #: that :meth:`run` may share one outcome among equal segments.
+    label_free = True
 
     def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
         """Fill in ``report``'s ``compute_cycles``, ``layers`` and tier
@@ -97,6 +107,15 @@ class ModeledBackend:
         Queueing tiers simulate the whole request batch; closed-form
         tiers cover one and :meth:`run` extrapolates the rest at the
         steady interval.
+
+        The contract: the outcome (``compute_cycles``,
+        ``events_processed``, the returned count, and one
+        :class:`LayerReport` per timing, in timing order) may depend only
+        on the segment's timings with the layer labels (``spec.index``,
+        ``spec.name``) left out, and on ``config``; a layer's labels may
+        appear only as its own record's ``index`` and ``name``.  Within
+        one :meth:`run`, a segment whose label-free timings equal an
+        earlier one's gets that outcome, relabeled, without a call.
         """
         raise NotImplementedError
 
@@ -110,6 +129,8 @@ class ModeledBackend:
         runs: List[SegmentReport] = []
         total = 0.0
         ops = OpCounts()
+        # The first report and request count of each distinct segment.
+        outcomes: Dict[object, Tuple[SegmentReport, int]] = {}
         for k, segment in enumerate(plan.segments):
             timings = segment_timings(model, segment)
             weight_bytes = segment_weight_bytes(segment)
@@ -124,7 +145,16 @@ class ModeledBackend:
                 staging_cycles=staging_cycles(config, plan, k) * batch,
                 steady_interval=steady_interval(timings),
             )
-            simulated = self._simulate_segment(report, config)
+            # A tier that reads labels keys each segment on its position,
+            # so no segment repeats.
+            key = _outcome_key(timings) if self.label_free else k
+            seen = outcomes.get(key)
+            if seen is None:
+                simulated = self._simulate_segment(report, config)
+                outcomes[key] = (report, simulated)
+            else:
+                first, simulated = seen
+                _relabel_outcome(report, first)
             runs.append(report)
             # Extra samples ride the steady-state pipeline: the segment's
             # bottleneck station dictates the per-sample interval.  A
@@ -157,6 +187,32 @@ class ModeledBackend:
             batch_requests=requests,
             backend=self.name,
         )
+
+
+def _outcome_key(timings: Sequence[LayerTiming]) -> tuple:
+    """Every field of every timing but the labels ``spec.index`` and
+    ``spec.name``: what a tier's segment outcome may depend on besides
+    the run's config."""
+    key = []
+    for lt in timings:
+        s = lt.spec
+        key.append((
+            s.h, s.w, s.c, s.m, s.r, s.s, s.stride, s.padding, s.kind,
+            s.n_bits, lt.computing_nodes, lt.iteration, lt.dc,
+            lt.iterations, lt.fill_per_hop,
+        ))
+    return tuple(key)
+
+
+def _relabel_outcome(report: SegmentReport, first: SegmentReport) -> None:
+    """Fill ``report`` with the tier outcome of ``first``, an earlier
+    segment of equal :func:`_outcome_key`, under ``report``'s labels."""
+    report.compute_cycles = first.compute_cycles
+    report.events_processed = first.events_processed
+    report.layers = [
+        replace(layer, index=lt.spec.index, name=lt.spec.name)
+        for layer, lt in zip(first.layers, report.timings)
+    ]
 
 
 def _analytic_rollup(report: SegmentReport) -> None:
@@ -239,9 +295,12 @@ class CycleBackend(ModeledBackend):
     tautology — raising :class:`SimulationError` on any mismatch.
     Cycle totals reuse the analytic roll-up; this tier is authoritative
     for *numerics* and executed op counts, not queueing behaviour.
+    Its operands are seeded by the layer index, so two segments of one
+    shape give different checksums: every segment runs.
     """
 
     name = "cycle"
+    label_free = False
 
     def _simulate_segment(self, report: SegmentReport, config: SimConfig) -> int:
         from repro.core.functional import FunctionalNodeGroup

@@ -16,6 +16,7 @@ model, so it checks :meth:`PerformanceModel.required_iterations` and
 :func:`repro.core.streaming.dependence_map` independently.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
@@ -245,22 +246,27 @@ class TestValidation:
 
 
 @st.composite
-def conv_chains(draw):
+def conv_chains(draw, padding_past_kernel=0):
     """Two chained conv layers over an ``h x w`` ifmap (5-8 each), each
-    with an ``r x r`` kernel (r in 1, 2, 3, 5), stride 1-3 and padding < r,
-    with the mapped-layer geometry of each.  Strides past the kernel
-    draw disjoint subgrids of one or more taps per window."""
+    with an ``r x r`` kernel (r in 1, 2, 3, 5), stride 1-3 and padding < r
+    (up to ``r - 1 + padding_past_kernel``), with the mapped-layer
+    geometry of each.  Strides past the kernel draw disjoint subgrids of
+    one or more taps per window."""
     shape = (2, draw(st.integers(5, 8)), draw(st.integers(5, 8)))
     layers, specs = [], []
     h, w = shape[1:]
     for i in range(2):
         r = draw(st.sampled_from([1, 2, 3, 5]))
-        stride, padding = draw(st.integers(1, 3)), draw(st.integers(0, r - 1))
+        stride = draw(st.integers(1, 3))
+        padding = draw(st.integers(0, r - 1 + padding_past_kernel))
         spec = ConvLayerSpec(
             i, f"l{i}", h=h, w=w, c=2, m=2, r=r, s=r, stride=stride, padding=padding
         )
         h, w = spec.ofmap_hw
         assume(min(h, w) >= 1)
+        # Past the kernel, padding can leave an axis with no window that
+        # reads a real pixel: such a layer streams nothing.
+        assume(all(spec.streamed_hw))
         layers.append(make_qconv(2, 2, r=r, stride=stride, padding=padding, seed=i))
         specs.append(spec)
     return layers, shape, specs
@@ -294,4 +300,38 @@ class TestStreamedPixelRule:
         per_request = [rank[finalized_by[pixel]] for pixel in consumer.streamed]
         assert sources[1].tolist() == [
             r * len(rank) + src for r in range(requests) for src in per_request
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(conv_chains(padding_past_kernel=2))
+    def test_padding_only_windows_are_rejected(self, chain):
+        # Padding at or past the kernel leaves producer ofmap pixels that
+        # no ifmap pixel reaches.  The map must raise exactly when the
+        # consumer streams one of them, and otherwise rank the pixel that
+        # finalizes each streamed one.
+        layers, shape, specs = chain
+        executor = StreamedSegmentExecutor(layers, shape)
+        producer, consumer = executor.states
+        unreached = producer.remaining == 0
+        oh, ow = producer.out_hw
+        needed = [
+            (y, x) for y in range(oh) for x in range(ow)
+            if any(True for _ in _taps(consumer.layer, y, x, consumer.out_hw))
+        ]
+        model = PerformanceModel()
+        timings = [model.layer_timing(spec, 1) for spec in specs]
+        if any(unreached[y, x] for y, x in needed):
+            with pytest.raises(SimulationError, match="only padding"):
+                dependence_map(timings)
+            return
+        _, sources = dependence_map(timings)
+        q_in = np.random.default_rng(0).integers(-128, 128, size=shape)
+        # run() streams the producer's whole ifmap, then reports the
+        # ofmap pixels padding-only windows (of either layer) left
+        # unfinished.
+        with contextlib.suppress(SimulationError):
+            executor.run(q_in)
+        rank = {pixel: k for k, pixel in enumerate(producer.streamed)}
+        assert sources[1].tolist() == [
+            rank[producer.finalized_by[y, x]] for y, x in needed
         ]

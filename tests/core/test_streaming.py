@@ -265,6 +265,24 @@ class TestCompletionSourceIndex:
         with pytest.raises(SimulationError, match="'c' .* 'p' .*only padding"):
             dependence_map(ts)
 
+    def test_padding_past_a_unit_kernel_is_a_simulation_error(self, model):
+        # A 1x1 stride-1 producer with padding 1 on a 3x3 ifmap has a 5x5
+        # ofmap whose border windows cover only padding.  The top and
+        # left ones used to rank their negative corner as vector 0 and
+        # the bottom and right ones to clamp onto the last vector, so the
+        # map returned sources [[0 0 1 2 2] ...] without an error.
+        producer = ConvLayerSpec(
+            1, "p", h=3, w=3, c=16, m=16, r=1, s=1, stride=1, padding=1
+        )
+        consumer = ConvLayerSpec(2, "c", h=5, w=5, c=16, m=16)
+        assert producer.ofmap_hw == (5, 5)
+        ts = [
+            model.layer_timing(producer, 1, from_dram=True),
+            model.layer_timing(consumer, 1),
+        ]
+        with pytest.raises(SimulationError, match="'c' .* 'p' .*only padding"):
+            dependence_map(ts)
+
     def test_monotonic_in_raster_order(self, model):
         # Later ofmap pixels never depend on earlier ifmap vectors than
         # their predecessors: arrival rank is non-decreasing in raster

@@ -140,7 +140,12 @@ class TestElastic:
         # Both partitions moved, so both pay a re-staging stall.
         assert set(action.stall_ms) == {"heavy", "light"}
         assert all(s > 0 for s in action.stall_ms.values())
-        assert action.placements_recomputed > 0
+        # Every segment of each moved tenant's committed run is re-placed.
+        networks = {t.name: t.network for t in tenants}
+        assert action.placements_recomputed == sum(
+            len(policy.service.partition_run(networks[name], action.shares[name]).runs)
+            for name in action.stall_ms
+        )
         # Service time of the grown tenant improved or held.
         assert policy.service_ms("light") <= light_service_before
         assert policy.resize_count == 1

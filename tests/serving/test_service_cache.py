@@ -60,15 +60,16 @@ class TestLRUBound:
         service = ServiceModel(scheduler)
         network = small_cnn_spec()
         authoritative = service.latency_ms(network, 60)
-        estimate = service.estimate_latency_ms(network, 60)
+        estimate = service.partition_run(network, 60, backend="analytic")
         assert scheduler.calls == 2
         assert len(service._runs) == 2
         # The analytic closed form is a conservative upper bound on the
         # streaming tier (see repro.sim.xcheck) — never cheaper.
-        assert estimate >= authoritative
+        assert estimate.backend == "analytic"
+        assert estimate.latency_ms >= authoritative
         # Both lookups repeat from cache.
         service.latency_ms(network, 60)
-        service.estimate_latency_ms(network, 60)
+        assert service.partition_run(network, 60, backend="analytic") is estimate
         assert scheduler.calls == 2
 
 
@@ -80,7 +81,7 @@ class TestTelemetryCounters:
         with telemetry.use(sink):
             service.latency_ms(network, 60)       # miss
             service.latency_ms(network, 60)       # hit
-            service.estimate_latency_ms(network, 60)  # miss (analytic key)
+            service.partition_run(network, 60, backend="analytic")  # miss
             service.latency_ms(network, 60)       # hit
         assert sink.registry.counter("serving/service/cache_miss").value == 2
         assert sink.registry.counter("serving/service/cache_hit").value == 2
