@@ -6,14 +6,16 @@ and one section per entry of ``CASES``: ``macc`` (the vectorized
 bit-plane MAC engine), ``telemetry`` (simulated cycle counts and
 registry counters, deterministic), ``serving`` (the serving event loop
 and request batching), ``backends`` (every ``repro.sim`` fidelity tier,
-and how the queueing tiers' call count grows with feature-map size),
+how the queueing tiers' call count grows with feature-map size, and the
+calls one more pass of a tiled layer adds),
 ``obs`` (the latency-attribution overhead), ``fleet`` (the multi-chip
 fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
 The last four are gated.  Each gated row carries its ``budget_s`` or
-``budget_ratio`` (from ``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``,
-``OBS_OVERHEAD_BUDGET``, ``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or
-``DSE_BUDGETS``) and a ``within_budget`` flag; the
+``budget_ratio`` or ``budget_calls_per_pass`` (from ``BACKEND_BUDGETS``,
+``BACKEND_OP_BUDGET``, ``PASS_OP_BUDGET``, ``OBS_OVERHEAD_BUDGET``,
+``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a
+``within_budget`` flag; the
 ``dse`` section also records whether its serial and fork-pool JSON are
 ``identical_bytes``.  A row with either flag false is printed by its
 path, e.g. ``fleet/scales/1``, and the run exits 1.  ``--check`` runs
@@ -367,6 +369,7 @@ def bench_backends() -> dict:
                 row["within_budget"] = row["wall_s"] <= budget
         out[name] = rows
     out["op_count"] = bench_backend_op_count()
+    out["pass_op_count"] = bench_pass_op_count()
     return out
 
 
@@ -420,6 +423,63 @@ def bench_backend_op_count() -> dict:
         "ratios": ratios,
         "budget_ratio": BACKEND_OP_BUDGET,
         "within_budget": max(ratios.values()) <= BACKEND_OP_BUDGET,
+    }
+
+
+#: Host work one more pass of a known shape may add to planning and
+#: simulating a tiled network: at most this many calls (:func:`op_count`)
+#: per extra pass, on each of ``PASS_OP_TIERS``.  Mapping and accounting
+#: each distinct layer shape once per run took it from 440 calls a pass
+#: to 203 on a 2-vCPU x86_64 host; re-planning and re-timing every pass
+#: again fails the gate.
+PASS_OP_BUDGET = 300
+PASS_OP_TIERS = ("analytic", "event")
+#: FC output channels of the tiled layer at 20 and at 40 passes.
+PASS_OP_M = {20: 2048, 40: 4096}
+
+
+def tiled_fc(m: int) -> NetworkSpec:
+    """A 14x14 conv layer of 256 filters, then an FC layer over its
+    25088 values with ``m`` outputs, which runs in passes on 208 cores."""
+    return NetworkSpec(
+        name=f"tiled_fc{m}",
+        layers=(
+            ConvLayerSpec(1, "conv", h=14, w=14, c=256, m=256),
+            ConvLayerSpec(
+                2, "fc", h=1, w=1, c=25088, m=m, r=1, s=1, padding=0, kind="linear"
+            ),
+        ),
+    )
+
+
+def bench_pass_op_count() -> dict:
+    """Calls that one more pass of a known shape adds to ``simulate``.
+
+    Plans and simulates :func:`tiled_fc` at 20 and 40 passes on each
+    tier of ``PASS_OP_TIERS``, each call once before it is counted, and
+    gates the larger tier's ``(calls_40 - calls_20) / 20``.
+    """
+    counts: dict = {}
+    for tier in PASS_OP_TIERS:
+        counts[tier] = {}
+        for passes, m in PASS_OP_M.items():
+            network = tiled_fc(m)
+
+            def run():
+                return simulate(network, backend=tier)
+
+            run()
+            counts[tier][passes] = op_count(run)
+    few, many = PASS_OP_M
+    per_pass = {
+        tier: (c[many] - c[few]) / (many - few) for tier, c in counts.items()
+    }
+    return {
+        "workload": "plan and simulate a conv layer and an FC layer of 20 vs 40 passes",
+        "calls": counts,
+        "calls_per_pass": per_pass,
+        "budget_calls_per_pass": PASS_OP_BUDGET,
+        "within_budget": max(per_pass.values()) <= PASS_OP_BUDGET,
     }
 
 

@@ -25,13 +25,20 @@ The result equals a per-event simulation — one heap callback per
 (core, vector) hop, dispatched in (time, schedule seq) order — to the
 last bit.  Layers share no stations, so the heap's interleaving across
 layers cannot affect any timestamp.  Within a layer every station serves
-vectors in (arrival time, schedule seq) order, and a stable sort on
-(arrival, enqueue rank) reproduces it, where the enqueue rank of a
-consumer vector is (the producer DC's service position of its source
-vector, consumer vector index): the order in which the producer's chain
-completions release their waiters.  That per-event engine is kept in
+vectors in (arrival time, schedule seq) order: by arrival, and among
+equal arrivals in the order the producer's chain completions released
+them, each completion its waiters in consumer-vector order.  A stable
+sort on the arrivals alone reproduces that order, because every layer
+has at least one computing core with a positive iteration time (the
+simulator rejects any other timing; the Eq. (1) model never builds one,
+since ``filters_held`` rejects zero cores and ``t_cmem >= n_bits``).
+The last core of a chain then serves the vectors in DC order and starts
+each at least one iteration after the one before, so the chain
+completes them in strictly increasing time.  Equal arrivals therefore
+share one source vector, and the stable sort keeps them in
+consumer-vector order.  That per-event engine is kept in
 ``tests/core/test_event_vectorized.py`` as the ``==`` oracle of this
-one, on drawn segments and timings, zero-cycle stations included.
+one, on drawn segments and timings, zero-cycle DC stations included.
 """
 
 from __future__ import annotations
@@ -80,6 +87,15 @@ class EventDrivenSegmentSimulator:
             raise SimulationError("empty segment")
         if requests < 1:
             raise SimulationError(f"requests must be >= 1, got {requests}")
+        for lt in timings:
+            # The arrival order of every consumer rests on both (see the
+            # module docstring).
+            if lt.computing_nodes < 1 or not lt.iteration.total > 0:
+                raise SimulationError(
+                    f"layer {lt.spec.name!r}: the event tier needs at least "
+                    f"one computing core and a positive iteration time, got "
+                    f"{lt.computing_nodes} cores of {lt.iteration.total} cycles"
+                )
         self.timings = list(timings)
         self.requests = requests
 
@@ -91,10 +107,8 @@ class EventDrivenSegmentSimulator:
         producer_of, sources = dependence_map(timings, requests)
 
         # Per finished layer, indexed by vector id (request-major): when
-        # its chain completed, and its service position at the DC — the
-        # seq component of the heap order its consumers inherit.
+        # its chain completed.
         chain_done: List[np.ndarray] = []
-        dc_position: List[np.ndarray] = []
         finish: List[float] = []
         hops = 0
         for li, lt in enumerate(timings):
@@ -104,38 +118,26 @@ class EventDrivenSegmentSimulator:
                 # Source layer: all vectors stream from DRAM at t=0 and
                 # enter the DC in (request, vector) order.
                 arrivals = np.zeros(total)
-                order = np.arange(total)
             else:
-                src = sources[li]
                 # Same float op the per-event engine applies per waiter.
-                arrivals = chain_done[pj][src] + hop
-                # Order among same-time arrivals: producers complete their
-                # chains in DC-service order, and each completion releases
-                # its waiters in consumer-vector order.
-                enqueue = np.argsort(dc_position[pj][src], kind="stable")
-                order = enqueue[np.argsort(arrivals[enqueue], kind="stable")]
+                arrivals = chain_done[pj][sources[li]] + hop
+            # Service order: by arrival, equal arrivals by vector id.
+            order = np.argsort(arrivals, kind="stable")
             # DC: a serial FIFO station over the ordered arrivals.
             dc_start = station_scan(arrivals[order], lt.dc.total)
-            dc_done = dc_start + lt.dc.total
             nodes = lt.computing_nodes
-            if nodes:
-                t_iter = lt.iteration.total
-                t_forward = lt.iteration.t_forward
-                incoming = dc_done + hop
-                for k in range(nodes):
-                    starts = station_scan(incoming, t_iter)
-                    if k + 1 < nodes:
-                        incoming = (starts + t_forward) + hop
-                layer_done = starts + t_iter
-            else:
-                layer_done = dc_done
+            t_iter = lt.iteration.total
+            t_forward = lt.iteration.t_forward
+            incoming = (dc_start + lt.dc.total) + hop
+            for k in range(nodes):
+                starts = station_scan(incoming, t_iter)
+                if k + 1 < nodes:
+                    incoming = (starts + t_forward) + hop
+            layer_done = starts + t_iter
             # Map service order back to vector ids.
             by_vector = np.empty(total)
             by_vector[order] = layer_done
-            position = np.empty(total, dtype=np.intp)
-            position[order] = np.arange(total, dtype=np.intp)
             chain_done.append(by_vector)
-            dc_position.append(position)
             finish.append(float(np.max(layer_done)))
             hops += total * (1 + nodes)
         return EventSegmentResult(

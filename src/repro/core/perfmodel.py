@@ -159,9 +159,14 @@ class PerformanceModel:
         are enough of them — slices compute in parallel, so spreading
         maximizes MAC throughput even when capacity would fit fewer slices.
         """
+        return self._slices_holding(
+            spec, self.capacity.filters_held(spec, computing_nodes)
+        )
+
+    def _slices_holding(self, spec: ConvLayerSpec, filters_held: float) -> int:
+        """:meth:`slices_used` by a node holding ``filters_held`` filters."""
         cap = self.capacity
-        n_i = cap.filters_held(spec, computing_nodes)
-        slots = n_i * cap.vectors_per_filter(spec) / cap.packing_factor(spec.c)
+        slots = filters_held * cap.vectors_per_filter(spec) / cap.packing_factor(spec.c)
         return min(cap.compute_slices, max(1, math.ceil(slots)))
 
     def iteration_timing(self, spec: ConvLayerSpec, computing_nodes: int) -> IterationTiming:
@@ -176,7 +181,7 @@ class PerformanceModel:
         # reduces the share of vectors that start output windows).
         density = spec.ofmap_pixels / spec.ifmap_pixels
         macs = n_i * vpf_macs * density
-        slices_used = self.slices_used(spec, computing_nodes)
+        slices_used = self._slices_holding(spec, n_i)
         moves = slices_used * sub_vectors
         if p.slice_parallel_cmem:
             # Slices compute in parallel; moves serialize through slice 0.
@@ -223,9 +228,18 @@ class PerformanceModel:
         One per ifmap pixel some output window reads
         (:attr:`~repro.nn.workloads.ConvLayerSpec.streamed_hw`): all of
         them when windows overlap or abut, only the sampled subgrid when
-        the stride outruns the kernel (1x1 shortcuts).
+        the stride outruns the kernel (1x1 shortcuts).  Raises
+        :class:`~repro.errors.MappingError` when there are none: then every
+        window along an axis covers only padding, and no tier can time or
+        simulate the layer.  Every tier times its layers through here
+        before it simulates them.
         """
         rows, cols = spec.streamed_hw
+        if not rows or not cols:
+            raise MappingError(
+                f"{spec.name}: every window along one axis covers only "
+                f"padding, so the layer streams no ifmap vector"
+            )
         return len(rows) * len(cols)
 
     def layer_timing(

@@ -23,7 +23,8 @@ from repro.errors import MappingError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec
 
-# (layer, computing cores) -> expected per-layer time in cycles.
+# (layer, computing cores) -> expected per-layer time in cycles.  It may
+# read only the layer's shape (``ConvLayerSpec.shape``), never its labels.
 TimingFn = Callable[[ConvLayerSpec, int], float]
 
 
@@ -81,6 +82,14 @@ class AllocationResult:
 
     def total_nodes(self, dc_per_layer: int = 1) -> int:
         return sum(self.nodes.values()) + dc_per_layer * len(self.nodes)
+
+    def relabeled(self, indices: Sequence[int]) -> "AllocationResult":
+        """This allocation for the layers ``indices``, in layer order."""
+        return AllocationResult(
+            nodes=dict(zip(indices, self.nodes.values())),
+            times=dict(zip(indices, self.times.values())),
+            bottleneck_time=self.bottleneck_time,
+        )
 
 
 def allocate_segment(

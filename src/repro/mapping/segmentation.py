@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import MappingError
 from repro.mapping.allocation import AllocationResult, TimingFn, allocate_segment
@@ -39,6 +39,14 @@ class Segment:
     @property
     def total_nodes(self) -> int:
         return self.allocation.total_nodes()
+
+    @property
+    def shape(self) -> tuple:
+        """Each layer's shape and computing cores, in layer order: all
+        that the segment's timings, charges and op counts read besides
+        the run's config."""
+        nodes = self.allocation.nodes
+        return tuple((spec.shape, nodes[spec.index]) for spec in self.layers)
 
 
 @dataclass
@@ -87,6 +95,31 @@ class MappingStrategy:
     def _fits(self, layers: Sequence[ConvLayerSpec]) -> bool:
         return sum(self._min_group(spec) for spec in layers) <= self.array_size
 
+    def _allocator(
+        self, timing: TimingFn
+    ) -> Callable[[List[ConvLayerSpec]], AllocationResult]:
+        """:func:`allocate_segment` on this array, run once per distinct
+        chunk of one :meth:`plan` call.
+
+        An allocation depends only on its layers' shapes, in order (the
+        indices merely key its dicts), so a chunk that repeats an earlier
+        chunk's shapes (the passes of a tiled layer) gets that allocation
+        relabeled with its own layer indices.
+        """
+        first: Dict[tuple, AllocationResult] = {}
+
+        def allocate(chunk: List[ConvLayerSpec]) -> AllocationResult:
+            key = tuple(spec.shape for spec in chunk)
+            seen = first.get(key)
+            if seen is None:
+                first[key] = allocate_segment(
+                    chunk, self.array_size, timing, self.capacity
+                )
+                return first[key]
+            return seen.relabeled([spec.index for spec in chunk])
+
+        return allocate
+
 
 class SingleLayerStrategy(MappingStrategy):
     """Each layer alone on the array with its maximum useful node count."""
@@ -95,13 +128,11 @@ class SingleLayerStrategy(MappingStrategy):
 
     def plan(self, network: NetworkSpec, timing: TimingFn) -> SegmentPlan:
         plan = SegmentPlan(strategy=self.name, network=network)
+        allocate = self._allocator(timing)
         for spec in network:
             if not self._fits([spec]):
                 raise MappingError(f"{spec.name} does not fit the array alone")
-            allocation = allocate_segment(
-                [spec], self.array_size, timing, self.capacity
-            )
-            plan.segments.append(Segment(layers=[spec], allocation=allocation))
+            plan.segments.append(Segment(layers=[spec], allocation=allocate([spec])))
         return plan
 
 
@@ -144,13 +175,10 @@ class HeuristicStrategy(MappingStrategy):
 
     def plan(self, network: NetworkSpec, timing: TimingFn) -> SegmentPlan:
         plan = SegmentPlan(strategy=self.name, network=network)
-        groups = self._group_by_ifmap(list(network))
-        for group in groups:
+        allocate = self._allocator(timing)
+        for group in self._group_by_ifmap(list(network)):
             for chunk in self._split_to_fit(group):
-                allocation = allocate_segment(
-                    chunk, self.array_size, timing, self.capacity
-                )
-                plan.segments.append(Segment(layers=chunk, allocation=allocation))
+                plan.segments.append(Segment(layers=chunk, allocation=allocate(chunk)))
         return plan
 
     @staticmethod

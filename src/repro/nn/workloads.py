@@ -63,6 +63,19 @@ class ConvLayerSpec:
             raise ConfigurationError(f"{self.name}: non-positive dimension")
 
     @property
+    def shape(self) -> tuple:
+        """Every field but the labels ``index`` and ``name``.
+
+        How a layer maps, times and simulates depends on its shape alone,
+        so the mappers and backends compute once per distinct shape within
+        one run: the passes of a tiled layer and repeated blocks share it.
+        """
+        return (
+            self.h, self.w, self.c, self.m, self.r, self.s, self.stride,
+            self.padding, self.kind, self.n_bits,
+        )
+
+    @property
     def ofmap_hw(self) -> tuple:
         return conv2d_output_hw(self.h, self.w, self.r, self.s, self.stride, self.padding)
 

@@ -15,7 +15,7 @@ the pre-refactor output (``tests/sim/test_differential_pins.py``).
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.perfmodel import LayerTiming, PerformanceModel
 from repro.errors import MappingError
@@ -27,7 +27,7 @@ from repro.mapping.segmentation import (
     STRATEGIES,
 )
 from repro.mapping.tiling import tile_network
-from repro.nn.workloads import NetworkSpec
+from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.sim.config import SimConfig
 from repro.energy.power import OpCounts
 
@@ -52,8 +52,19 @@ def plan_network(
     mapper: MappingStrategy = strategy_cls(
         array_size=config.array_size, capacity=config.capacity
     )
-    model = performance_model(config)
-    return mapper.plan(network, model.layer_time_fn())
+    layer_time = performance_model(config).layer_time_fn()
+    # The allocator tries many core counts per layer, and repeated blocks
+    # and tiled passes repeat a shape: evaluate each (shape, cores) once.
+    times: Dict[tuple, float] = {}
+
+    def timing(spec: ConvLayerSpec, nodes: int) -> float:
+        key = (spec.shape, nodes)
+        cycles = times.get(key)
+        if cycles is None:
+            cycles = times[key] = layer_time(spec, nodes)
+        return cycles
+
+    return mapper.plan(network, timing)
 
 
 def segment_timings(

@@ -43,12 +43,12 @@ and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.event_streaming import EventDrivenSegmentSimulator
-from repro.core.perfmodel import LayerTiming, start_offsets
+from repro.core.perfmodel import start_offsets
 from repro.core.streaming import SegmentSimulator
 from repro.energy.power import EnergyModel, OpCounts
 from repro.errors import (
@@ -57,7 +57,7 @@ from repro.errors import (
     PlanVerificationError,
     SimulationError,
 )
-from repro.mapping.segmentation import SegmentPlan
+from repro.mapping.segmentation import Segment, SegmentPlan
 from repro.mapping.tiling import tile_network
 from repro.nn.workloads import NetworkSpec
 from repro.sim.accounting import (
@@ -90,9 +90,10 @@ class ModeledBackend:
 
     A layer too large for the array runs as back-to-back passes of one
     geometry (:func:`~repro.mapping.tiling.tile_network`), each its own
-    segment.  :meth:`run` calls the hook once per distinct segment and
-    relabels that outcome for every repeat; a tier whose outcome reads
-    a layer label sets ``label_free = False`` and is called per segment.
+    segment.  :meth:`run` times, counts and simulates each distinct
+    segment once and relabels all of it for every repeat; a tier whose
+    outcome reads a layer label sets ``label_free = False``, and each of
+    its segments is handled on its own.
     """
 
     name = "abstract"
@@ -114,8 +115,10 @@ class ModeledBackend:
         on the segment's timings with the layer labels (``spec.index``,
         ``spec.name``) left out, and on ``config``; a layer's labels may
         appear only as its own record's ``index`` and ``name``.  Within
-        one :meth:`run`, a segment whose label-free timings equal an
-        earlier one's gets that outcome, relabeled, without a call.
+        one :meth:`run`, a segment of an earlier one's
+        :attr:`~repro.mapping.segmentation.Segment.shape` (its layers'
+        shapes and computing cores, of which the timings are a function)
+        gets that outcome, relabeled, without a call.
         """
         raise NotImplementedError
 
@@ -129,32 +132,41 @@ class ModeledBackend:
         runs: List[SegmentReport] = []
         total = 0.0
         ops = OpCounts()
-        # The first report and request count of each distinct segment.
-        outcomes: Dict[object, Tuple[SegmentReport, int]] = {}
+        # The first report, simulated request count and op counts of
+        # each distinct segment.
+        shared: Dict[object, Tuple[SegmentReport, int, OpCounts]] = {}
         for k, segment in enumerate(plan.segments):
-            timings = segment_timings(model, segment)
-            weight_bytes = segment_weight_bytes(segment)
-            # Weight-stationary request batching: filters load once and
-            # the segment stages once for the whole request batch, so
-            # both costs amortize across ``batch_requests``.
-            report = SegmentReport(
-                segment=segment,
-                timings=timings,
-                compute_cycles=0.0,
-                filter_load_cycles=exposed_filter_load_cycles(config, weight_bytes),
-                staging_cycles=staging_cycles(config, plan, k) * batch,
-                steady_interval=steady_interval(timings),
-            )
+            # Weight-stationary request batching: the segment stages once
+            # for the whole request batch (and filters load once), so both
+            # costs amortize across ``batch_requests``.
+            staging = staging_cycles(config, plan, k) * batch
             # A tier that reads labels keys each segment on its position,
             # so no segment repeats.
-            key = _outcome_key(timings) if self.label_free else k
-            seen = outcomes.get(key)
+            key = segment.shape if self.label_free else k
+            seen = shared.get(key)
             if seen is None:
+                timings = segment_timings(model, segment)
+                weight_bytes = segment_weight_bytes(segment)
+                report = SegmentReport(
+                    segment=segment,
+                    timings=timings,
+                    compute_cycles=0.0,
+                    filter_load_cycles=exposed_filter_load_cycles(
+                        config, weight_bytes
+                    ),
+                    staging_cycles=staging,
+                    steady_interval=steady_interval(timings),
+                )
                 simulated = self._simulate_segment(report, config)
-                outcomes[key] = (report, simulated)
+                counted = OpCounts()
+                count_segment_ops(
+                    counted, model, config.capacity, segment, timings,
+                    report.compute_cycles, weight_bytes, batch=batch * requests,
+                )
+                shared[key] = (report, simulated, counted)
             else:
-                first, simulated = seen
-                _relabel_outcome(report, first)
+                first, simulated, counted = seen
+                report = _repeat(first, segment, staging)
             runs.append(report)
             # Extra samples ride the steady-state pipeline: the segment's
             # bottleneck station dictates the per-sample interval.  A
@@ -168,10 +180,9 @@ class ModeledBackend:
                 + (requests - simulated) * steady
                 + requests * (batch - 1) * steady
             )
-            count_segment_ops(
-                ops, model, config.capacity, segment, timings,
-                report.compute_cycles, weight_bytes, batch=batch * requests,
-            )
+            # Every count is an int, so the sum does not depend on how
+            # the segments' counts are grouped.
+            ops.merge(counted)
         seconds = total * config.chip.constants.cycle_seconds
         energy = energy_model.breakdown(ops, seconds)
         return RunReport(
@@ -189,30 +200,22 @@ class ModeledBackend:
         )
 
 
-def _outcome_key(timings: Sequence[LayerTiming]) -> tuple:
-    """Every field of every timing but the labels ``spec.index`` and
-    ``spec.name``: what a tier's segment outcome may depend on besides
-    the run's config."""
-    key = []
-    for lt in timings:
-        s = lt.spec
-        key.append((
-            s.h, s.w, s.c, s.m, s.r, s.s, s.stride, s.padding, s.kind,
-            s.n_bits, lt.computing_nodes, lt.iteration, lt.dc,
-            lt.iterations, lt.fill_per_hop,
-        ))
-    return tuple(key)
-
-
-def _relabel_outcome(report: SegmentReport, first: SegmentReport) -> None:
-    """Fill ``report`` with the tier outcome of ``first``, an earlier
-    segment of equal :func:`_outcome_key`, under ``report``'s labels."""
-    report.compute_cycles = first.compute_cycles
-    report.events_processed = first.events_processed
-    report.layers = [
-        replace(layer, index=lt.spec.index, name=lt.spec.name)
-        for layer, lt in zip(first.layers, report.timings)
-    ]
+def _repeat(first: SegmentReport, segment: Segment, staging: float) -> SegmentReport:
+    """The report of ``segment``, a later segment of ``first``'s
+    :attr:`~repro.mapping.segmentation.Segment.shape`: ``first``'s
+    timings, charges and tier outcome under ``segment``'s own layer
+    labels, with its own staging charge."""
+    specs = segment.layers
+    return replace(
+        first,
+        segment=segment,
+        timings=[replace(lt, spec=spec) for lt, spec in zip(first.timings, specs)],
+        staging_cycles=staging,
+        layers=[
+            replace(layer, index=spec.index, name=spec.name)
+            for layer, spec in zip(first.layers, specs)
+        ],
+    )
 
 
 def _analytic_rollup(report: SegmentReport) -> None:
@@ -379,9 +382,10 @@ def simulate(
     """Map ``network`` and simulate it on the named backend.
 
     ``strategy``, ``batch`` and ``batch_requests`` override the
-    corresponding ``config`` fields; ``plan`` skips planning entirely
-    (the caller mapped the network already — xcheck uses this to hold
-    the plan fixed across tiers).
+    corresponding ``config`` fields.  A given ``plan`` skips tiling and
+    planning (the caller mapped the network already, as the DSE engine
+    does once per chip): the report's network is then ``plan.network``,
+    the tiled network the plan maps, which must bear ``network``'s name.
     """
     if batch is not None and batch < 1:
         raise MappingError(f"batch must be >= 1, got {batch}")
@@ -393,9 +397,14 @@ def simulate(
         strategy=strategy, batch=batch, batch_requests=batch_requests
     )
     tier = get_backend(backend or DEFAULT_BACKEND)
-    network = tile_network(network, cfg.capacity, cfg.array_size)
     if plan is None:
-        plan = plan_network(network, cfg.strategy, cfg)
+        plan = plan_network(
+            tile_network(network, cfg.capacity, cfg.array_size), cfg.strategy, cfg
+        )
+    elif plan.network.name != network.name:
+        raise MappingError(
+            f"the plan maps {plan.network.name!r}, not {network.name!r}"
+        )
     if cfg.preflight:
         # Static pre-flight: reject plans that violate capacity/budget
         # invariants before the tier spends any cycles.  Runs only the
@@ -410,5 +419,5 @@ def simulate(
                 "pre-flight plan verification failed:\n" + report.render(),
                 report,
             )
-    return tier.run(network, plan, cfg)
+    return tier.run(plan.network, plan, cfg)
 

@@ -1,9 +1,11 @@
 """Event-driven per-core simulation vs the tandem-queue model."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.core.event_streaming import EventDrivenSegmentSimulator
-from repro.core.perfmodel import PerformanceModel
+from repro.core.perfmodel import IterationTiming, PerformanceModel
 from repro.core.streaming import SegmentSimulator
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec
@@ -52,6 +54,19 @@ class TestForwardPolicy:
     def test_empty_segment_rejected(self):
         with pytest.raises(SimulationError):
             EventDrivenSegmentSimulator([])
+
+    def test_a_layer_without_computing_cores_is_rejected(self, model):
+        ts = timings(model, (conv(1), 10), (conv(2), 10))
+        ts[1] = replace(ts[1], computing_nodes=0)
+        with pytest.raises(SimulationError, match="'conv2'.*0 cores"):
+            EventDrivenSegmentSimulator(ts)
+
+    def test_a_zero_cycle_iteration_is_rejected(self, model):
+        ts = timings(model, (conv(1), 10))
+        idle = {f.name: 0.0 for f in fields(IterationTiming) if f.name != "overlap"}
+        ts[0] = replace(ts[0], iteration=replace(ts[0].iteration, **idle))
+        with pytest.raises(SimulationError, match="positive iteration time"):
+            EventDrivenSegmentSimulator(ts)
 
 
 class TestShortcutWiring:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core.perfmodel import PerformanceModel, TimingParams, start_offsets
+from repro.errors import MappingError
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
 from repro.sim import simulate
 
@@ -95,6 +96,15 @@ class TestIterations:
         # row and column feed no output.
         model = PerformanceModel()
         assert model.required_iterations(spec(h=6, stride=2, padding=0)) == 25
+
+    def test_a_layer_that_streams_nothing_is_a_mapping_error(self):
+        # 1x1 stride-3 pad-2 windows on a 1x4 ifmap start at rows -2 and
+        # 1: no window reads row 0.
+        model = PerformanceModel()
+        empty = ConvLayerSpec(0, "z", h=1, w=4, c=16, m=16, r=1, s=1,
+                              stride=3, padding=2)
+        with pytest.raises(MappingError, match="streams no ifmap vector"):
+            model.required_iterations(empty)
 
 
 class TestSegmentTiming:

@@ -9,7 +9,8 @@ from repro.dse.engine import (
     run_sweep,
 )
 from repro.dse.presets import SWEEPS
-from repro.dse.spec import DesignPoint, SweepSpec
+from repro.dse.spec import NETWORKS, DesignPoint, SweepSpec
+from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 
 #: Three tiers on two chips, one of which (vgg11 on 12x12 with 7 slices)
 #: cannot map the network.
@@ -52,6 +53,16 @@ class TestEvaluatePoint:
         assert result.status in ("infeasible", "rejected")
         assert not result.ok
         assert result.detail
+
+    def test_layer_that_streams_nothing_is_infeasible(self, monkeypatch):
+        # Every window of this 1x1 stride-3 pad-2 layer covers only padding.
+        layer = ConvLayerSpec(
+            1, "z", h=1, w=1, c=16, m=16, r=1, s=1, stride=3, padding=2
+        )
+        monkeypatch.setitem(NETWORKS, "z", lambda: NetworkSpec("z", (layer,)))
+        result = evaluate_point(DesignPoint(network="z", backend="event"))
+        assert result.status == "infeasible"
+        assert result.detail.startswith("MappingError: z: ")
 
     def test_given_plan_skips_planning(self, monkeypatch):
         point = DesignPoint(network="small_cnn", backend="streaming")

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import MappingError, SimulationError
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 from repro.sim import DEFAULT_ENVELOPE, SimConfig, available_backends, simulate
 
@@ -123,6 +123,36 @@ class TestPaddingOnlyWindows:
         # raise a bare IndexError here).
         with pytest.raises(SimulationError, match="'c' .* 'p' .*only padding"):
             simulate(self.NETWORK, backend=backend, strategy="greedy")
+
+
+class TestLayersThatStreamNothing:
+    """A layer whose every window along one axis covers only padding
+    streams no vector, and every tier rejects it with one MappingError.
+
+    Its 1x1 stride-3 pad-2 windows on a 1x1 ifmap start at -2 and 1, so
+    none reads pixel 0.  The consumer case puts it behind a valid 1x1
+    producer whose ofmap it reads (the dependence map used to raise a bare
+    IndexError there).
+    """
+
+    LAYER = dict(h=1, w=1, c=16, m=16, r=1, s=1, stride=3, padding=2)
+    ALONE = NetworkSpec(name="z", layers=(ConvLayerSpec(1, "z", **LAYER),))
+    CONSUMER = NetworkSpec(
+        name="z-consumer",
+        layers=(
+            ConvLayerSpec(1, "p", h=1, w=1, c=16, m=16, r=1, s=1, padding=0),
+            ConvLayerSpec(2, "z", **LAYER),
+        ),
+    )
+
+    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("network", [ALONE, CONSUMER], ids=["alone", "consumer"])
+    def test_every_tier_raises_a_mapping_error(self, backend, network):
+        # The analytic and cycle tiers used to report 43.6 cycles, the
+        # streaming tier a bare IndexError and the event tier a bare
+        # ValueError.
+        with pytest.raises(MappingError, match="z: .*streams no ifmap vector"):
+            simulate(network, backend=backend)
 
 
 class TestBatchSemantics:

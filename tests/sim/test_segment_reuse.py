@@ -1,11 +1,15 @@
-"""Per-run segment reuse: each distinct segment is simulated once.
+"""Per-run reuse: each distinct layer shape is mapped and simulated once.
 
 A layer too large for the array runs as back-to-back passes of one
-geometry (``repro.mapping.tiling``), each its own segment.
-``ModeledBackend.run`` calls a tier's ``_simulate_segment`` once per
-distinct segment, keyed on its timings without the layer labels, and
-relabels that outcome for every repeat.  The unshared reference is the
-tier's hook run on a fresh report of each segment alone.
+geometry (``repro.mapping.tiling``), each its own segment, and ResNet
+blocks repeat a layer shape.  Within one ``plan_network`` call the
+allocator evaluates each (shape, cores) pair once and the strategies
+allocate each distinct chunk once; within one ``ModeledBackend.run``
+each distinct segment (``Segment.shape``: its layers' shapes and
+computing cores) is timed, counted and simulated once, and every repeat
+gets that work relabeled.  The unshared references are the allocator on
+each chunk alone, and the accounting and the tier's hook on a fresh
+report of each segment alone.
 """
 
 from dataclasses import fields, replace
@@ -14,20 +18,25 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from repro.core.perfmodel import LayerTiming
+import repro.mapping.segmentation as segmentation
+import repro.sim.backends as backends
+from repro.energy.power import OpCounts
 from repro.errors import MappingError
+from repro.mapping.allocation import AllocationResult, allocate_segment
+from repro.mapping.segmentation import GreedyStrategy, Segment
 from repro.mapping.tiling import tile_network
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, vgg11_spec
 from repro.sim import SimConfig, get_backend, simulate
 from repro.sim.accounting import (
+    count_segment_ops,
     exposed_filter_load_cycles,
     performance_model,
+    plan_network,
     segment_timings,
     segment_weight_bytes,
     staging_cycles,
     steady_interval,
 )
-from repro.sim.backends import _outcome_key
 from repro.sim.report import SegmentReport
 
 MODELED = ("analytic", "streaming", "event")
@@ -41,18 +50,36 @@ def label_free(run):
     )
 
 
-def count_hook_calls(monkeypatch, backend):
-    """Count ``backend``'s ``_simulate_segment`` calls from now on."""
+def count_calls(monkeypatch, owner, name, arg=0):
+    """Record argument ``arg`` of every call of ``owner.name`` from now on."""
     calls = []
-    tier = type(get_backend(backend))
-    hook = tier._simulate_segment
+    fn = getattr(owner, name)
 
-    def counting(self, report, config):
-        calls.append(report.segment)
-        return hook(self, report, config)
+    def counting(*args, **kwargs):
+        calls.append(args[arg])
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(tier, "_simulate_segment", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def count_hook_calls(monkeypatch, backend):
+    """The report of every ``_simulate_segment`` call of ``backend``'s
+    tier from now on."""
+    tier = type(get_backend(backend))
+    return count_calls(monkeypatch, tier, "_simulate_segment", arg=1)
+
+
+def first_of_each(items, key):
+    """The first item of each distinct ``key``, in order."""
+    first = {}
+    for item in items:
+        first.setdefault(key(item), item)
+    return list(first.values())
+
+
+def chunk_shape(layers):
+    return tuple(spec.shape for spec in layers)
 
 
 def tiled_fc_network():
@@ -77,12 +104,39 @@ class TestOncePerDistinctSegment:
     def test_vgg11_simulates_each_distinct_segment_once(self, backend, monkeypatch):
         calls = count_hook_calls(monkeypatch, backend)
         report = simulate(vgg11_spec(), backend=backend)
-        first_of_shape = {}
-        for run in report.runs:
-            first_of_shape.setdefault(label_free(run), run.segment)
+        distinct = first_of_each(report.runs, label_free)
         # The fc6 and fc7 passes repeat one geometry each.
-        assert len(first_of_shape) < len(report.runs)
-        assert calls == list(first_of_shape.values())
+        assert len(distinct) < len(report.runs)
+        assert [r.segment for r in calls] == [run.segment for run in distinct]
+
+    @pytest.mark.parametrize("backend", MODELED)
+    def test_vgg11_maps_and_accounts_each_distinct_shape_once(
+        self, backend, monkeypatch
+    ):
+        config = SimConfig()
+        allocated = count_calls(monkeypatch, segmentation, "allocate_segment")
+        plan = plan_network(vgg11_spec(), config.strategy, config)
+        chunks = [segment.layers for segment in plan.segments]
+        assert allocated == first_of_each(chunks, chunk_shape)
+        assert len(allocated) < len(chunks)
+
+        timed = count_calls(monkeypatch, backends, "segment_timings", arg=1)
+        counted = count_calls(monkeypatch, backends, "count_segment_ops", arg=3)
+        tiled = count_calls(monkeypatch, backends, "tile_network")
+        report = simulate(vgg11_spec(), backend=backend, config=config, plan=plan)
+        distinct = first_of_each(plan.segments, lambda segment: segment.shape)
+        assert timed == counted == distinct
+        assert len(distinct) < len(report.runs)
+        # No tiling again: the report's network is the one the plan maps.
+        assert tiled == []
+        assert report.network is plan.network
+
+    def test_a_plan_of_another_network_is_rejected(self):
+        config = SimConfig()
+        plan = plan_network(vgg11_spec(), config.strategy, config)
+        other = NetworkSpec(name="other", layers=plan.network.layers)
+        with pytest.raises(MappingError, match="maps 'vgg11'"):
+            simulate(other, config=config, plan=plan)
 
     def test_cycle_tier_runs_every_segment(self, monkeypatch):
         calls = count_hook_calls(monkeypatch, "cycle")
@@ -99,36 +153,46 @@ class TestOncePerDistinctSegment:
 
 
 class TestOutcomeKey:
+    """``Segment.shape``, the key of every shared outcome."""
+
     @pytest.fixture(scope="class")
-    def timing(self):
-        spec = ConvLayerSpec(1, "conv1", h=6, w=6, c=32, m=32)
-        return performance_model(SimConfig()).layer_timing(spec, 4, from_dram=True)
+    def segment(self):
+        conv = dict(h=6, w=6, c=32, m=32)
+        layers = [ConvLayerSpec(1, "conv1", **conv), ConvLayerSpec(2, "conv2", **conv)]
+        allocation = AllocationResult(nodes={1: 4, 2: 5}, times={1: 9.0, 2: 8.0})
+        return Segment(layers=layers, allocation=allocation)
 
-    def test_labels_stay_out_of_the_key(self, timing):
-        relabeled = replace(timing, spec=replace(timing.spec, index=9, name="x"))
-        assert _outcome_key([relabeled]) == _outcome_key([timing])
+    def test_labels_stay_out_of_the_key(self, segment):
+        layers = [
+            replace(spec, index=spec.index + 8, name=f"x{spec.index}")
+            for spec in segment.layers
+        ]
+        relabeled = Segment(
+            layers=layers,
+            allocation=segment.allocation.relabeled([9, 10]),
+        )
+        assert relabeled.shape == segment.shape
 
-    def test_every_other_spec_field_enters_the_key(self, timing):
+    def test_every_other_spec_field_enters_the_key(self, segment):
+        first = segment.layers[0]
         for f in fields(ConvLayerSpec):
             if f.name in LABELS:
                 continue
-            value = getattr(timing.spec, f.name)
+            value = getattr(first, f.name)
             other = "shortcut" if f.name == "kind" else value + 1
-            changed = replace(timing, spec=replace(timing.spec, **{f.name: other}))
-            assert _outcome_key([changed]) != _outcome_key([timing]), f.name
+            changed = replace(
+                segment, layers=[replace(first, **{f.name: other}), segment.layers[1]]
+            )
+            assert changed.shape != segment.shape, f.name
 
-    def test_every_timing_field_enters_the_key(self, timing):
-        for f in fields(LayerTiming):
-            if f.name == "spec":
-                continue
-            value = getattr(timing, f.name)
-            if f.name in ("iteration", "dc"):
-                first = fields(value)[0].name
-                other = replace(value, **{first: getattr(value, first) + 1})
-            else:
-                other = value + 1
-            changed = replace(timing, **{f.name: other})
-            assert _outcome_key([changed]) != _outcome_key([timing]), f.name
+    def test_each_node_count_enters_the_key(self, segment):
+        for index in segment.allocation.nodes:
+            nodes = dict(segment.allocation.nodes)
+            nodes[index] += 1
+            changed = replace(
+                segment, allocation=replace(segment.allocation, nodes=nodes)
+            )
+            assert changed.shape != segment.shape, index
 
 
 @st.composite
@@ -165,24 +229,48 @@ def tiled_networks(draw):
     return network, config
 
 
+def allocated_alone(layers, config):
+    """A segment's allocation computed for its chunk alone, on an
+    unmemoized timing function."""
+    timing = performance_model(config).layer_time_fn()
+    if config.strategy == "greedy":
+        strategy = GreedyStrategy(config.array_size, config.capacity)
+        return strategy._close(list(layers), timing).allocation
+    return allocate_segment(layers, config.array_size, timing, config.capacity)
+
+
+def in_order(allocation):
+    return (
+        list(allocation.nodes.items()),
+        list(allocation.times.items()),
+        allocation.bottleneck_time,
+    )
+
+
 class TestDrawnNetworks:
     @settings(max_examples=60, deadline=None)
     @given(tiled_networks())
     def test_each_report_equals_its_unshared_simulation(self, drawn):
         network, config = drawn
         model = performance_model(config)
+        plan = plan_network(network, config.strategy, config)
+        for segment in plan.segments:
+            alone = allocated_alone(segment.layers, config)
+            assert in_order(segment.allocation) == in_order(alone)
         for backend in MODELED:
             tier = get_backend(backend)
             report = simulate(network, backend=backend, config=config)
             total = 0.0
+            ops = OpCounts()
             for k, run in enumerate(report.runs):
                 timings = segment_timings(model, run.segment)
+                weight_bytes = segment_weight_bytes(run.segment)
                 fresh = SegmentReport(
                     segment=run.segment,
                     timings=timings,
                     compute_cycles=0.0,
                     filter_load_cycles=exposed_filter_load_cycles(
-                        config, segment_weight_bytes(run.segment)
+                        config, weight_bytes
                     ),
                     staging_cycles=staging_cycles(config, report.plan, k) * config.batch,
                     steady_interval=steady_interval(timings),
@@ -195,4 +283,10 @@ class TestDrawnNetworks:
                     + (config.batch_requests - simulated) * steady
                     + config.batch_requests * (config.batch - 1) * steady
                 )
+                count_segment_ops(
+                    ops, model, config.capacity, run.segment, timings,
+                    fresh.compute_cycles, weight_bytes,
+                    batch=config.batch * config.batch_requests,
+                )
             assert report.total_cycles == total, backend
+            assert report.ops == ops, backend

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.mapping.tiling import tile_network
+from repro.sim import SimConfig
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 
 
@@ -40,6 +43,11 @@ def green_doc() -> dict:
                 "calls": {"streaming": {"full": 4130, "half": 4122}},
                 "ratios": {"streaming": 1.002, "event": 0.991},
                 "budget_ratio": 1.1, "within_budget": True,
+            },
+            "pass_op_count": {
+                "calls": {"analytic": {"20": 13560, "40": 17620}},
+                "calls_per_pass": {"analytic": 203.0, "event": 203.0},
+                "budget_calls_per_pass": 300, "within_budget": True,
             },
         },
         "obs": {
@@ -89,6 +97,16 @@ def test_backend_op_gate_covers_the_queueing_tiers(bench):
     assert bench.BACKEND_OP_BUDGET == 1.10
 
 
+def test_pass_op_gate_compares_twenty_and_forty_passes(bench):
+    config = SimConfig()
+    assert bench.PASS_OP_TIERS == ("analytic", "event")
+    for passes, m in bench.PASS_OP_M.items():
+        tiled = tile_network(bench.tiled_fc(m), config.capacity, config.array_size)
+        assert len(tiled) == 1 + passes
+    assert list(bench.PASS_OP_M) == [20, 40]
+    assert bench.PASS_OP_BUDGET == 300
+
+
 def test_every_backend_row_is_budgeted(bench):
     tiers = {"analytic", "streaming", "event", "cycle"}
     assert {name: set(rows) for name, rows in bench.BACKEND_BUDGETS.items()} == {
@@ -105,6 +123,7 @@ def test_all_green_document_has_no_failures(bench):
     [
         ("backends/small_cnn/cycle", "within_budget"),
         ("backends/op_count", "within_budget"),
+        ("backends/pass_op_count", "within_budget"),
         ("obs/attribution", "within_budget"),
         ("fleet/scales/1", "within_budget"),
         ("fleet/op_count", "within_budget"),
