@@ -25,9 +25,9 @@ from repro.fleet import (
     FailureScenario,
     FleetModelSpec,
     FleetSimulator,
+    ModelProfile,
     OpenLoopTraffic,
     UserGroupTraffic,
-    fixed_profile,
 )
 
 DURATION_MS = 1000.0
@@ -38,7 +38,7 @@ def models():
     return [
         FleetModelSpec(
             "vision",
-            fixed_profile("vision", 0.8, cores=64, restage_ms=4.0),
+            ModelProfile("vision", 0.8, cores=64, restage_ms=4.0),
             OpenLoopTraffic(rate_hz=5000.0, shape=shape),
             deadline_ms=10.0,
             queue_capacity=256,
@@ -46,7 +46,7 @@ def models():
         ),
         FleetModelSpec(
             "speech",
-            fixed_profile("speech", 1.4, cores=96, restage_ms=6.0),
+            ModelProfile("speech", 1.4, cores=96, restage_ms=6.0),
             OpenLoopTraffic(rate_hz=2000.0),
             deadline_ms=15.0,
             queue_capacity=256,
@@ -54,7 +54,7 @@ def models():
         ),
         FleetModelSpec(
             "assist",
-            fixed_profile("assist", 2.0, cores=48, restage_ms=5.0),
+            ModelProfile("assist", 2.0, cores=48, restage_ms=5.0),
             UserGroupTraffic(users=80, think_ms=120.0, shape=shape),
             deadline_ms=25.0,
             replicas=2,

@@ -51,7 +51,7 @@ from repro.cmem.cmem import CMem
 from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
 from repro.core.node import MAICCNode
 from repro.dse import SWEEPS, run_sweep
-from repro.fleet import FleetModelSpec, FleetSimulator, OpenLoopTraffic, fixed_profile
+from repro.fleet import FleetModelSpec, FleetSimulator, ModelProfile, OpenLoopTraffic
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec, small_cnn_spec
 from repro.serving import FixedServicePolicy, PoissonArrivals, ServingSimulator, TenantSpec
@@ -593,7 +593,7 @@ def bench_fleet() -> dict:
         return [
             FleetModelSpec(
                 name=name,
-                profile=fixed_profile(
+                profile=ModelProfile(
                     name, service_ms, cores=cores, staging_ms=staging_ms, restage_ms=restage_ms
                 ),
                 traffic=OpenLoopTraffic(rate_hz=rate_hz * chips),

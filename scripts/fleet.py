@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Simulated multi-chip datacenter serving of MAICC arrays.
 
-Places model replicas across N simulated chips (first-fit-decreasing
-with capacity floors and the PLAN-rule preflight), routes every request
+Places model replicas across N simulated chips (first-fit-decreasing,
+at most one replica of a model per chip), routes every request
 through a cluster balancer, runs each chip's full serving simulation,
 and reports the fleet view: per-model latency percentiles merged across
 replicas, per-chip utilization, crash recoveries, autoscale events, and

@@ -51,6 +51,7 @@ from repro.analysis import (
 )
 from repro.core.multi_dnn import MultiDNNScheduler
 from repro.errors import ReproError
+from repro.mapping.tiling import tile_network
 from repro.nn.workloads import resnet18_spec, small_cnn_spec
 from repro.serving.scenarios import SCENARIOS
 from repro.sim.accounting import plan_network
@@ -83,7 +84,8 @@ def _network_residents(
     name: str, strategy: str
 ) -> Tuple[List[ResidentPlan], SimConfig]:
     config = SimConfig()
-    plan = plan_network(NETWORKS[name](), strategy, config)
+    network = tile_network(NETWORKS[name](), config.capacity, config.array_size)
+    plan = plan_network(network, strategy, config)
     return [ResidentPlan(name=name, plan=plan)], config
 
 
@@ -103,9 +105,9 @@ def _scenario_residents(
     residents: List[ResidentPlan] = []
     offset = 0
     for tenant, share in zip(tenants, shares):
-        plan = plan_network(
-            tenant.network, strategy, SimConfig(array_size=share)
-        )
+        config = SimConfig(array_size=share)
+        network = tile_network(tenant.network, config.capacity, share)
+        plan = plan_network(network, strategy, config)
         residents.append(
             ResidentPlan(name=tenant.name, plan=plan, region_start=offset)
         )

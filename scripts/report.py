@@ -64,7 +64,7 @@ from repro.obs.report import (  # noqa: E402
 )
 from repro.serving import ServingSimulator  # noqa: E402
 from repro.serving.scenarios import POLICIES, SCENARIOS, build_policy  # noqa: E402
-from repro.sim import available_backends, cross_check, simulate  # noqa: E402
+from repro.sim import available_backends, cross_check  # noqa: E402
 from repro.sim.report import RunReport  # noqa: E402
 
 def serving_report(args: argparse.Namespace) -> Dict[str, object]:
@@ -129,9 +129,9 @@ def xcheck_report(args: argparse.Namespace) -> Dict[str, object]:
         xchecks.append(
             cross_check(network, strategy=args.strategy, backends=backends)
         )
+        # Each tier already ran on the shared plan; reuse those runs.
         runs[network.name] = {
-            backend: simulate(network, backend=backend, strategy=args.strategy)
-            for backend in backends
+            backend: xchecks[-1].reports[backend] for backend in backends
         }
         print(f"{name}: {len(backends)} tier(s) "
               f"{'agree' if xchecks[-1].ok else 'DISAGREE'}")

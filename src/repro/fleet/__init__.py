@@ -1,10 +1,10 @@
 """Simulated multi-chip datacenter serving of MAICC arrays.
 
 ``repro.fleet`` scales the single-chip serving stack
-(:mod:`repro.serving`) to a cluster: N simulated chips behind a
-:class:`ClusterRouter` with replica placement
-(:func:`place_replicas` — first-fit-decreasing bin-packing with
-capacity floors), pluggable cross-chip load balancing
+(:mod:`repro.serving`) to a cluster: N simulated chips, each one
+single-chip serving run, behind a :class:`ClusterRouter` with replica
+placement (:func:`place_replicas` — first-fit-decreasing bin-packing),
+pluggable cross-chip load balancing
 (:data:`BALANCERS` — round-robin, least-loaded, power-of-two-choices,
 sticky-tenant), epoch-driven replica autoscaling with SLO burn-rate
 coupling, and declared failure scenarios (chip crashes with replica
@@ -51,7 +51,7 @@ from repro.fleet.placement import (
     best_chip_for,
     place_replicas,
 )
-from repro.fleet.profiles import ModelProfile, fixed_profile
+from repro.fleet.profiles import ModelProfile
 from repro.fleet.replica import ReplicaPolicy
 from repro.fleet.result import FleetResult, ModelRollup, merge_latency_histograms
 from repro.fleet.router import (
@@ -121,7 +121,6 @@ __all__ = [
     "build_scenario",
     "derive_seed",
     "expected_requests",
-    "fixed_profile",
     "generate_open_arrivals",
     "load_imbalance",
     "make_balancer",

@@ -1,17 +1,16 @@
-"""Replica autoscaling: analytic offered load vs capacity, plus SLO burn.
+"""Replica autoscaling: offered load vs capacity, plus SLO burn.
 
 Every routing epoch the autoscaler compares, per model, the *offered*
-service time of the window (arrivals x the profile's analytic-tier
-``est_ms``) against the window's replica-seconds of capacity (live
-replicas x epoch length; one replica drains one ms of service per ms of
-sim time).  Utilization above ``high_utilization`` scales up — one more
+service time of the window (arrivals x the profile's ``service_ms``)
+against the window's replica-seconds of capacity (live replicas x
+epoch length; one replica drains one ms of service per ms of sim time).  Utilization above ``high_utilization`` scales up — one more
 replica on the most-free chip, ready after weight re-staging;
 utilization below ``low_utilization`` for ``down_epochs`` consecutive
 epochs scales down to keep the fleet dense.
 
 The decision loop is also wired into the PR 8 SLO machinery: the router
 feeds a :class:`~repro.obs.monitor.SLOMonitor` its *estimated* per-model
-latencies (fluid queue wait + analytic service), and a ``burn_rate``
+latencies (fluid queue wait + profile service time), and a ``burn_rate``
 alert for a model waives the scale-up cooldown at the next epoch — a
 burning model should not wait out the timer.  Estimated latencies steer
 control only; billed SLOs always come from the chips' own simulations.
@@ -152,7 +151,7 @@ class ReplicaAutoscaler:
             replicas = len(live)
             if replicas == 0:
                 continue
-            offered_ms = arrivals * router.profiles[model].est_ms
+            offered_ms = arrivals * router.profiles[model].service_ms
             capacity_ms = replicas * cfg.epoch_ms
             utilization = offered_ms / capacity_ms
             burning = model in self._burning

@@ -1,9 +1,9 @@
 """Cross-chip load balancing: where does the next request go?
 
 The router keeps a *fluid* load estimate per chip — outstanding
-estimated work (analytic-tier ``est_ms`` per routed request) draining at
-the chip's aggregate service speed (one unit per live replica, divided
-by the chip's degradation factor).  Balancers pick among a model's live
+estimated work (the profile's ``service_ms`` per routed request)
+draining at the chip's aggregate service speed (one unit per live
+replica, divided by the chip's degradation factor).  Balancers pick among a model's live
 replica chips using only this estimate, never the chips' internal state:
 routing happens in a separate pass *before* the chip simulations run, so
 serial and process-parallel execution see the identical routing and stay

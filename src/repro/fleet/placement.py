@@ -1,10 +1,8 @@
 """Replica placement: bin-packing model replicas onto fleet chips.
 
 Each chip is one MAICC array of ``array_size`` cores; a replica of a
-model owns a fixed partition share (its profile's ``cores``, floored at
-the scheduler's ``minimum_cores`` — the capacity floor below which the
-mapping pipeline cannot place the network at all).  Placement is
-first-fit decreasing over replica core sizes with two hard rules:
+model owns a fixed partition share (its profile's ``cores``).  Placement
+is first-fit decreasing over replica core sizes with two hard rules:
 
 * at most one replica of a model per chip (a second co-located replica
   would share the partition, not add capacity);
@@ -144,11 +142,6 @@ def place_replicas(
             raise SimulationError(
                 f"model {model!r} wants {count} replicas on {n_chips} chips "
                 "(max one replica per chip)"
-            )
-        if profile.cores < profile.min_cores:
-            raise SimulationError(
-                f"model {model!r} share {profile.cores} is below its "
-                f"capacity floor of {profile.min_cores} cores"
             )
         if profile.cores > array_size:
             raise SimulationError(

@@ -1,11 +1,11 @@
 """The per-chip serving policy of a fleet run: profile-driven replicas.
 
 One chip hosts at most one replica per model; each replica is its own
-spatial partition (server), sized by its
-:class:`~repro.fleet.profiles.ModelProfile`.  The policy is pure plain
-data — every service time, batch interpolation, and phase split was
-pre-computed on the coordinator — so worker processes deserialize it
-cheaply and the chip's event loop never touches the chip model.
+spatial partition (server) of its profile's ``cores``.  Service is
+scripted: :class:`ReplicaPolicy` is a
+:class:`~repro.serving.policies.FixedServicePolicy` over the profiles'
+``service_ms`` and ``staging_ms``, so a fleet chip bills and attributes
+every dispatch, batched or not, exactly as a single chip does.
 
 Chip-level degradation (a slow chip, a partial-mesh fault) is a step
 function of sim time threaded through
@@ -17,12 +17,11 @@ healthy chip (the dispatch path skips the multiply at exactly 1.0).
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.fleet.profiles import ModelProfile
-from repro.obs.timeline import PhaseSpec
-from repro.serving.policies import ServingPolicy
+from repro.serving.policies import FixedServicePolicy
 from repro.serving.tenancy import TenantSpec
 
 #: ``(from_ms, factor)`` — service times multiply by ``factor`` from
@@ -30,7 +29,7 @@ from repro.serving.tenancy import TenantSpec
 DegradationStep = Tuple[float, float]
 
 
-class ReplicaPolicy(ServingPolicy):
+class ReplicaPolicy(FixedServicePolicy):
     """Scripted-by-profile serving of one chip's model replicas."""
 
     name = "replica"
@@ -41,8 +40,11 @@ class ReplicaPolicy(ServingPolicy):
         *,
         degradation: Sequence[DegradationStep] = (),
     ) -> None:
-        super().__init__()
-        self.profiles = dict(profiles)
+        super().__init__(
+            {name: p.service_ms for name, p in profiles.items()},
+            staging_ms={name: p.staging_ms for name, p in profiles.items()},
+        )
+        self._cores = {name: p.cores for name, p in profiles.items()}
         steps = sorted(degradation)
         for _, factor in steps:
             if factor <= 0:
@@ -52,18 +54,9 @@ class ReplicaPolicy(ServingPolicy):
         self._steps = tuple(steps)
 
     def prepare(self, tenants: Sequence[TenantSpec]) -> None:
+        super().prepare(tenants)
         for tenant in tenants:
-            profile = self.profiles.get(tenant.name)
-            if profile is None:
-                raise SimulationError(
-                    f"no replica profile for tenant {tenant.name!r}"
-                )
-            self._servers[tenant.name] = tenant.name
-            self._service_ms[tenant.name] = profile.service_ms
-            self._shares[tenant.name] = profile.cores
-
-    def batched_service_ms(self, tenant: str, count: int) -> float:
-        return self.profiles[tenant].batched_service_ms(count)
+            self._shares[tenant.name] = self._cores[tenant.name]
 
     def service_scale(self, now_ms: float) -> float:
         scale = 1.0
@@ -73,17 +66,3 @@ class ReplicaPolicy(ServingPolicy):
             else:
                 break
         return scale
-
-    def service_phases(self, tenant: str, count: int = 1) -> List[PhaseSpec]:
-        # Staging-category phases are paid once per dispatch; everything
-        # else scales with the batch (ratios only — the serving loop
-        # normalizes onto the billed window).
-        profile = self.profiles[tenant]
-        return [
-            PhaseSpec(
-                name,
-                category,
-                weight if (category == "staging" or count == 1) else weight * count,
-            )
-            for name, category, weight in profile.phases
-        ]

@@ -18,10 +18,10 @@ The router also owns the fleet's *control plane* along the way:
   counted as ``router_shed`` per model — accounted, never dropped.
 * **replica autoscaling** — every epoch the
   :class:`~repro.fleet.autoscale.ReplicaAutoscaler` compares each
-  model's offered load (window arrivals x analytic ``est_ms``) against
-  its live replica capacity and adds/removes replicas; an SLO burn-rate
-  alert (from a :class:`~repro.obs.monitor.SLOMonitor` fed with
-  router-estimated latencies) waives the scale-up cooldown.
+  model's offered load (window arrivals x the profile's ``service_ms``)
+  against its live replica capacity and adds/removes replicas; an SLO
+  burn-rate alert (from a :class:`~repro.obs.monitor.SLOMonitor` fed
+  with router-estimated latencies) waives the scale-up cooldown.
 
 Closed-loop user groups never pass through the per-request balancer:
 their sessions are split across the model's initial replica chips once
@@ -274,10 +274,11 @@ class ClusterRouter:
         chip = self.balancer.choose(model, candidates, t)
         result.traces.setdefault((chip, model), []).append(t)
         result.routed[chip] += 1
-        # The fluid model bills the chip the analytic estimate, stretched
-        # by its current degradation (slow chips accumulate more load,
-        # which is exactly what steers load-aware balancers away).
-        est = profile.est_ms * self.failures.degradation_factor(chip, t)
+        # The fluid model bills the chip the profile's service time,
+        # stretched by its current degradation (slow chips accumulate
+        # more load, which is exactly what steers load-aware balancers
+        # away).
+        est = profile.service_ms * self.failures.degradation_factor(chip, t)
         self.tracker.add(chip, t, est)
         if self.autoscaler is not None:
             wait = self.tracker.load_ms(chip, t) / max(

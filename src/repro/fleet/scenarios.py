@@ -1,7 +1,7 @@
 """Shipped fleet scenarios: smoke, contention, failure, and scale.
 
 Every scenario is a deterministic builder — same name + chips + seed,
-same bytes out — over scripted :func:`~repro.fleet.profiles.fixed_profile`
+same bytes out — over scripted :class:`~repro.fleet.profiles.ModelProfile`
 models, so the fleet layer's behaviour (routing, balancing, failures,
 autoscaling) is exercised at pure event-loop speed:
 
@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import SimulationError
 from repro.fleet.autoscale import AutoscaleConfig
 from repro.fleet.failures import ChipCrash, ChipDegradation, FailureScenario
-from repro.fleet.profiles import fixed_profile
+from repro.fleet.profiles import ModelProfile
 from repro.fleet.simulator import (
     FleetModelSpec,
     OpenLoopTraffic,
@@ -64,7 +64,7 @@ def fleet_smoke(chips: int = 4) -> FleetScenario:
     models = [
         FleetModelSpec(
             name="vision",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
             ),
             traffic=OpenLoopTraffic(rate_hz=600.0 * r_vision),
@@ -74,7 +74,7 @@ def fleet_smoke(chips: int = 4) -> FleetScenario:
         ),
         FleetModelSpec(
             name="speech",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
             ),
             traffic=OpenLoopTraffic(rate_hz=350.0 * r_speech),
@@ -84,7 +84,7 @@ def fleet_smoke(chips: int = 4) -> FleetScenario:
         ),
         FleetModelSpec(
             name="detect",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "detect", 2.2, cores=128, staging_ms=0.5, restage_ms=8.0
             ),
             traffic=OpenLoopTraffic(rate_hz=180.0 * r_detect),
@@ -108,7 +108,7 @@ def mixed_rate_fleet(chips: int = 8) -> FleetScenario:
     models = [
         FleetModelSpec(
             name="vision",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
             ),
             traffic=OpenLoopTraffic(rate_hz=2800.0),
@@ -117,7 +117,7 @@ def mixed_rate_fleet(chips: int = 8) -> FleetScenario:
         ),
         FleetModelSpec(
             name="speech",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
             ),
             traffic=OpenLoopTraffic(rate_hz=1500.0),
@@ -126,7 +126,7 @@ def mixed_rate_fleet(chips: int = 8) -> FleetScenario:
         ),
         FleetModelSpec(
             name="detect",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "detect", 2.2, cores=128, staging_ms=0.5, restage_ms=8.0
             ),
             traffic=OpenLoopTraffic(rate_hz=400.0),
@@ -154,7 +154,7 @@ def chip_crash(chips: int = 4) -> FleetScenario:
     models = [
         FleetModelSpec(
             name="vision",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
             ),
             traffic=OpenLoopTraffic(rate_hz=1800.0),
@@ -164,7 +164,7 @@ def chip_crash(chips: int = 4) -> FleetScenario:
         ),
         FleetModelSpec(
             name="speech",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
             ),
             traffic=OpenLoopTraffic(rate_hz=700.0),
@@ -191,7 +191,7 @@ def autoscale_burst(chips: int = 6) -> FleetScenario:
     models = [
         FleetModelSpec(
             name="assist",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "assist", 1.0, cores=96, staging_ms=0.25, restage_ms=5.0
             ),
             traffic=OpenLoopTraffic(rate_hz=2500.0, shape=shape),
@@ -231,7 +231,7 @@ def diurnal_million(chips: int = 16) -> FleetScenario:
     models = [
         FleetModelSpec(
             name="chat",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "chat", 0.45, cores=120, staging_ms=0.1, restage_ms=5.0
             ),
             traffic=UserGroupTraffic(
@@ -242,7 +242,7 @@ def diurnal_million(chips: int = 16) -> FleetScenario:
         ),
         FleetModelSpec(
             name="embed",
-            profile=fixed_profile(
+            profile=ModelProfile(
                 "embed", 0.3, cores=80, staging_ms=0.05, restage_ms=3.0
             ),
             traffic=OpenLoopTraffic(rate_hz=750.0 * chips, shape=shape),

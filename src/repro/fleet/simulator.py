@@ -4,11 +4,11 @@ Phase 1 (coordinator): generate every open-loop arrival stream from the
 run's seed, split closed-loop user groups across replica chips, and let
 the :class:`~repro.fleet.router.ClusterRouter` route all traffic in one
 merged time order — interleaving chip crashes and autoscale epochs as
-they fall.  Phase 2: every chip runs an independent
-:class:`~repro.serving.simulator.ServingSimulator` over its pre-routed
-trace (a :class:`~repro.serving.chip.ChipHandle` under a
+they fall.  Phase 2: every chip is one
+:meth:`ServingSimulator.run <repro.serving.simulator.ServingSimulator.run>`
+over its pre-routed trace, under a
 :class:`~repro.fleet.replica.ReplicaPolicy` built from plain-data
-profiles).  Chips share nothing, so phase 2 runs serially or sharded
+profiles.  Chips share nothing, so phase 2 runs serially or sharded
 across worker processes (``fork``) with byte-identical results: the
 merge folds chips in fixed index order either way.
 
@@ -144,15 +144,16 @@ def run_chip(
         policy,
         discipline=workload.discipline,
         batch_requests=workload.batch_requests,
-        preflight=False,  # placement was preflighted on the coordinator
+        # No admission gate per chip: scripted replicas have no plan to
+        # lint, and place_replicas already kept each chip's shares
+        # within its array.
+        preflight=False,
         telemetry=sink,
     )
-    chip = simulator.open(
+    result = simulator.run(
         tenants, workload.duration_ms, halt_ms=workload.halt_ms
     )
-    chip.start()
-    chip.queue.run()
-    return chip.finish(), (sink.registry if sink is not None else None)
+    return result, (sink.registry if sink is not None else None)
 
 
 class FleetSimulator:

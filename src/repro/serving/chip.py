@@ -1,23 +1,13 @@
 """The per-chip serving engine: one chip's queues, servers, and SLOs.
 
-:class:`ChipHandle` is the machinery that used to live as closures inside
-:meth:`repro.serving.simulator.ServingSimulator.run`, extracted so a chip
-can be driven *headless* by an external router (``repro.fleet``): the
-handle owns the admission queues, server states, dispatch/complete loop,
-attribution, and SLO accounting, while the caller owns the event queue
-and decides where arrivals come from.
-
-Two driving modes share every line of the service path:
-
-* **self-driven** — :meth:`start` seeds each tenant's arrival process
-  (open-loop chains advance themselves; closed-loop chains re-arm on
-  completion) and schedules the policy's control ticks.  This is exactly
-  the historical ``ServingSimulator.run`` behaviour, pinned byte-identical
-  by ``tests/serving/test_chip_handle.py``.
-* **router-driven** — the fleet router pre-routes arrivals into
-  per-tenant :class:`~repro.serving.arrivals.TraceArrivals` and shares
-  one event queue across chips; :meth:`start` then replays exactly the
-  arrivals each chip was routed.
+:class:`ChipHandle` owns one chip's admission queues, server states,
+dispatch/complete loop, attribution, and SLO accounting, bound to the
+chip's own event queue.  :meth:`repro.serving.simulator.ServingSimulator.run`
+builds one per run; :meth:`ChipHandle.start` seeds each tenant's arrival
+process (open-loop chains advance themselves; closed-loop chains re-arm
+on completion) and the policy's control ticks.  A fleet chip is the same
+run over the :class:`~repro.serving.arrivals.TraceArrivals` the router
+sent it.
 
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
@@ -71,12 +61,12 @@ class _ServerState:
 
 
 class ChipHandle:
-    """One chip's serving mechanics, bound to an external event queue.
+    """One chip's serving mechanics on the chip's own event queue.
 
-    Construct via :meth:`repro.serving.simulator.ServingSimulator.open`
-    (which validates tenants and runs the policy preflight) rather than
-    directly.  The handle is single-run: :meth:`finish` closes the
-    monitor and attribution and returns the
+    Built by :meth:`repro.serving.simulator.ServingSimulator.run`, which
+    validates the tenants and runs the policy preflight first.  The
+    handle is single-run: :meth:`finish` closes the monitor and
+    attribution and returns the
     :class:`~repro.serving.slo.ServingRunResult`.
     """
 
@@ -86,7 +76,6 @@ class ChipHandle:
         policy: ServingPolicy,
         tenants: Sequence[TenantSpec],
         duration_ms: float,
-        queue: EventQueue,
         discipline: str,
         batch_requests: int,
         attribution: bool,
@@ -97,7 +86,7 @@ class ChipHandle:
     ) -> None:
         self.policy = policy
         self.duration_ms = duration_ms
-        self.queue = queue
+        self.queue = EventQueue(telemetry=telemetry)
         self.discipline = discipline
         self.batch_requests = batch_requests
         self.halt_ms = halt_ms

@@ -400,8 +400,9 @@ class ElasticPolicy(StaticPartitionPolicy):
 class FixedServicePolicy(ServingPolicy):
     """Scripted service times; no chip model behind it.
 
-    Used by unit tests and by the ``serving`` and ``obs`` cases of
-    ``scripts/bench.py`` to measure the event loop's own overhead.
+    Used by unit tests, by the ``serving`` and ``obs`` cases of
+    ``scripts/bench.py`` to measure the event loop's own overhead, and
+    by every fleet chip (:class:`~repro.fleet.replica.ReplicaPolicy`).
     ``shared_server`` puts every tenant on one queue; otherwise each
     tenant gets a dedicated server.
     """

@@ -22,10 +22,11 @@ discrete-event kernel (:class:`repro.utils.events.EventQueue`) against a
   on ``serving/partition``).
 
 The mechanics live in :class:`~repro.serving.chip.ChipHandle` — one
-chip's queues, servers, and accounting bound to an event queue — so an
-external router (``repro.fleet``) can drive the same engine headless.
-:meth:`ServingSimulator.run` is the classic single-chip entry point:
-``open`` → ``start`` → determinism scan → drain → ``finish``.
+chip's queues, servers, and accounting on its own event queue.
+:meth:`ServingSimulator.run` is the one way to run a chip: validate and
+prepare → bind a handle → ``start`` → determinism scan → drain →
+``finish``.  A fleet (``repro.fleet``) runs each of its chips through it,
+over arrivals the router routed beforehand.
 
 Determinism: all randomness lives in the seeded arrival processes and
 every simultaneous event resolves by the event queue's sequence-number
@@ -47,7 +48,6 @@ from repro.serving.policies import ServingPolicy
 from repro.serving.slo import ServingRunResult
 from repro.serving.tenancy import TenantSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.utils.events import EventQueue
 
 
 def check_batch_requests(value: object) -> None:
@@ -111,22 +111,17 @@ class ServingSimulator:
         self.monitor = monitor
         self._telemetry = telemetry if telemetry is not None else _current_telemetry()
 
-    # -- the chip seam ---------------------------------------------------------
-
-    def open(
+    def run(
         self,
         tenants: Sequence[TenantSpec],
         duration_ms: float,
         *,
-        queue: Optional[EventQueue] = None,
         halt_ms: Optional[float] = None,
-    ) -> ChipHandle:
-        """Validate, prepare the policy, and bind a :class:`ChipHandle`.
+    ) -> ServingRunResult:
+        """Serve ``duration_ms`` of arrivals; drain in-flight work after.
 
-        The handle is inert until :meth:`ChipHandle.start` seeds the
-        event queue with the tenants' arrivals.  Pass ``queue`` to share
-        one event queue across chips (the fleet router does); pass
-        ``halt_ms`` to crash the chip mid-run.
+        ``halt_ms`` crashes the chip at that instant (see
+        :meth:`ChipHandle.halt`).
         """
         if not tenants:
             raise SimulationError("serving run needs at least one tenant")
@@ -147,11 +142,10 @@ class ServingSimulator:
                     + admission.render(),
                     admission,
                 )
-        return ChipHandle(
+        chip = ChipHandle(
             policy=self.policy,
             tenants=tenants,
             duration_ms=duration_ms,
-            queue=queue if queue is not None else EventQueue(telemetry=self._telemetry),
             discipline=self.discipline,
             batch_requests=self.batch_requests,
             attribution=self.attribution,
@@ -160,30 +154,17 @@ class ServingSimulator:
             telemetry=self._telemetry,
             halt_ms=halt_ms,
         )
-
-    def scan_determinism(self, chip: ChipHandle) -> None:
-        """Static determinism scan of the initial event population.
-
-        Any same-timestamp write-write conflict across actors would make
-        the run's result depend on schedule order (DET801).
-        """
-        det = check_batches(accesses_from_queue(chip.queue))
-        if not det.ok:
-            raise PlanVerificationError(
-                "serving admission found a non-commutative event "
-                "batch:\n" + det.render(),
-                det,
-            )
-
-    # -- the run ---------------------------------------------------------------
-
-    def run(
-        self, tenants: Sequence[TenantSpec], duration_ms: float
-    ) -> ServingRunResult:
-        """Serve ``duration_ms`` of arrivals; drain in-flight work after."""
-        chip = self.open(tenants, duration_ms)
         chip.start()
         if self.preflight:
-            self.scan_determinism(chip)
+            # Static determinism scan of the initial event population:
+            # any same-timestamp write-write conflict across actors would
+            # make the result depend on schedule order (DET801).
+            det = check_batches(accesses_from_queue(chip.queue))
+            if not det.ok:
+                raise PlanVerificationError(
+                    "serving admission found a non-commutative event "
+                    "batch:\n" + det.render(),
+                    det,
+                )
         chip.queue.run()
         return chip.finish()

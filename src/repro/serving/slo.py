@@ -4,8 +4,9 @@ Latencies feed a :class:`repro.telemetry.Histogram` (half-power-of-two
 millisecond buckets), so the p50/p95/p99 figures come from the same
 bucket-interpolated :meth:`~repro.telemetry.Histogram.percentile`
 estimator the telemetry registry exports — a serving run's JSON report
-and its ``metrics.json`` agree by construction.  Exact latency lists are
-kept alongside for tests and offline analysis.
+and its ``metrics.json`` agree by construction.  Exact per-request
+latencies are the ``end_to_end`` of each report's :attr:`timelines`,
+collected with ``collect_timelines=True``.
 
 Everything in a report derives from simulation time, so
 :meth:`ServingRunResult.as_dict` is deterministic: two runs with the same
@@ -42,7 +43,6 @@ class TenantReport:
     overrun: int = 0           # finished after the window closed
     failed: int = 0            # lost to a chip halt (crash) — never silent
     deadline_misses: int = 0   # completed, but after their deadline
-    latencies_ms: List[float] = field(default_factory=list)
     queue_wait_ms_total: float = 0.0
     service_ms_total: float = 0.0
     histogram: Histogram = field(
@@ -62,7 +62,6 @@ class TenantReport:
         *, met_deadline: bool,
     ) -> None:
         self.completed += 1
-        self.latencies_ms.append(latency_ms)
         self.histogram.observe(latency_ms)
         self.queue_wait_ms_total += queue_wait_ms
         self.service_ms_total += service_ms

@@ -1,6 +1,6 @@
 """Backend-independent mapping and accounting shared by every tier.
 
-The mapping pipeline (tiling → strategy → plan), the Eq. (1) layer
+The mapping pipeline (segmentation strategy → plan), the Eq. (1) layer
 timings, the filter-load and fmap-staging charges, and the op-count /
 energy attribution are properties of the *mapped network*, not of the
 fidelity tier that simulates it.  Factoring them here is what makes the
@@ -26,7 +26,6 @@ from repro.mapping.segmentation import (
     SegmentPlan,
     STRATEGIES,
 )
-from repro.mapping.tiling import tile_network
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.sim.config import SimConfig
 from repro.energy.power import OpCounts
@@ -40,15 +39,18 @@ def performance_model(config: SimConfig) -> PerformanceModel:
 def plan_network(
     network: NetworkSpec, strategy: str, config: SimConfig
 ) -> SegmentPlan:
-    """Tile the network and plan its segmentation with a named strategy."""
+    """Plan the segmentation of ``network`` with a named strategy.
+
+    The network is planned as given: tile it first
+    (:func:`~repro.mapping.tiling.tile_network`) when a layer is too
+    large for the whole array.
+    """
     try:
         strategy_cls = STRATEGIES[strategy]
     except KeyError:
         raise MappingError(
             f"unknown strategy {strategy!r}; choose from {sorted(STRATEGIES)}"
         ) from None
-    # Layers too large for the whole array run in multiple passes.
-    network = tile_network(network, config.capacity, config.array_size)
     mapper: MappingStrategy = strategy_cls(
         array_size=config.array_size, capacity=config.capacity
     )

@@ -87,6 +87,9 @@ class XCheckReport:
     strategy: str
     reference: str
     checks: List[TierCheck]
+    #: Each tier's run of the shared plan, by backend name (not exported
+    #: by :meth:`as_dict`; the cross-tier dashboard is built from it).
+    reports: Dict[str, RunReport] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -201,4 +204,5 @@ def cross_check(
         strategy=cfg.strategy,
         reference=reference,
         checks=checks,
+        reports=reports,
     )

@@ -8,12 +8,12 @@ from repro.fleet.placement import (
     best_chip_for,
     place_replicas,
 )
-from repro.fleet.profiles import fixed_profile
+from repro.fleet.profiles import ModelProfile
 
 PROFILES = {
-    "vision": fixed_profile("vision", 0.8, cores=64),
-    "speech": fixed_profile("speech", 1.1, cores=96),
-    "detect": fixed_profile("detect", 2.2, cores=128),
+    "vision": ModelProfile("vision", 0.8, cores=64),
+    "speech": ModelProfile("speech", 1.1, cores=96),
+    "detect": ModelProfile("detect", 2.2, cores=128),
 }
 
 
@@ -46,7 +46,7 @@ class TestPlaceReplicas:
             place_replicas(PROFILES, {"vision": 3}, n_chips=2, array_size=210)
 
     def test_share_must_fit_the_array(self):
-        profiles = {"huge": fixed_profile("huge", 1.0, cores=300)}
+        profiles = {"huge": ModelProfile("huge", 1.0, cores=300)}
         with pytest.raises(SimulationError, match="exceeds"):
             place_replicas(profiles, {"huge": 1}, n_chips=4, array_size=210)
 

@@ -9,12 +9,12 @@ from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler
 from repro.fleet.balancing import FluidLoadTracker, make_balancer
 from repro.fleet.failures import ChipCrash, ChipDegradation, FailureScenario
 from repro.fleet.placement import place_replicas
-from repro.fleet.profiles import fixed_profile
+from repro.fleet.profiles import ModelProfile
 from repro.fleet.router import ClusterRouter, RoutingResult, split_user_groups
 
 PROFILES = {
-    "vision": fixed_profile("vision", 0.8, cores=64, restage_ms=4.0),
-    "speech": fixed_profile("speech", 1.1, cores=96, restage_ms=6.0),
+    "vision": ModelProfile("vision", 0.8, cores=64, restage_ms=4.0),
+    "speech": ModelProfile("speech", 1.1, cores=96, restage_ms=6.0),
 }
 
 
@@ -113,9 +113,9 @@ class TestCrashHandling:
         router = build_router(failures=scenario, balancer="round-robin")
         router.route_all({"vision": [0.0]}, 10.0)
         # round-robin sends the first vision arrival to its first
-        # candidate chip (chip 0); the tracker bills est * factor.
-        est = PROFILES["vision"].est_ms
-        assert router.tracker.load_ms(0, 0.0) == pytest.approx(3.0 * est)
+        # candidate chip (chip 0); the tracker bills service * factor.
+        service = PROFILES["vision"].service_ms
+        assert router.tracker.load_ms(0, 0.0) == pytest.approx(3.0 * service)
 
 
 # Replica moves and time advances: add/remove (model, chip), crash chip,

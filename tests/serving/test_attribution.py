@@ -69,9 +69,16 @@ class TestPerRequestInvariant:
     def test_timeline_latency_matches_billed_latency(self):
         result = run_fixed(collect_timelines=True)
         for report in result.reports.values():
-            billed = sorted(report.latencies_ms)
-            attributed = sorted(t.end_to_end for t in report.timelines)
-            assert billed == attributed
+            # The histogram observes each billed latency in completion
+            # order, the order the timelines are appended in.
+            attributed = [t.end_to_end for t in report.timelines]
+            acc = 0.0
+            for latency in attributed:
+                acc += latency
+            assert acc == report.histogram.total
+            assert len(attributed) == report.histogram.count
+            assert min(attributed) == report.histogram.min
+            assert max(attributed) == report.histogram.max
 
 
 class TestAggregate:

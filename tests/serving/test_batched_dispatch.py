@@ -24,6 +24,12 @@ def tenant(name, arrivals, **kw):
     return TenantSpec(name=name, network=NET, arrivals=arrivals, **kw)
 
 
+def latencies(report):
+    """Each completed request's latency, in completion order (needs
+    ``collect_timelines=True``)."""
+    return [timeline.end_to_end for timeline in report.timelines]
+
+
 class TestBatchedServiceMs:
     def test_base_policy_has_no_amortization(self):
         policy = FixedServicePolicy({"a": 3.0})
@@ -75,12 +81,14 @@ class TestDefaultIsHistoricalLoop:
     def test_r1_run_is_byte_identical(self):
         policy = FixedServicePolicy({"a": 0.8, "b": 1.4},
                                     staging_ms={"a": 0.5, "b": 0.9})
-        base = ServingSimulator(policy).run(_poisson_tenants(), 500.0)
-        r1 = ServingSimulator(policy, batch_requests=1).run(
+        base = ServingSimulator(policy, collect_timelines=True).run(
             _poisson_tenants(), 500.0
         )
+        r1 = ServingSimulator(
+            policy, batch_requests=1, collect_timelines=True
+        ).run(_poisson_tenants(), 500.0)
         for name in ("a", "b"):
-            assert base.reports[name].latencies_ms == r1.reports[name].latencies_ms
+            assert latencies(base.reports[name]) == latencies(r1.reports[name])
             assert base.reports[name].arrivals == r1.reports[name].arrivals
             assert base.reports[name].shed == r1.reports[name].shed
         assert base.server_busy_ms == r1.server_busy_ms
@@ -93,28 +101,28 @@ class TestBatchedDispatch:
         # arrivals dispatch as one batch: 2 + 2*(3-2) = 4 ms, both
         # finishing at 7 and billed 2 ms of service each.
         policy = FixedServicePolicy({"a": 3.0}, staging_ms={"a": 2.0})
-        result = ServingSimulator(policy, batch_requests=2).run(
-            [tenant("a", PeriodicArrivals(1.0))], 8.0
-        )
+        result = ServingSimulator(
+            policy, batch_requests=2, collect_timelines=True
+        ).run([tenant("a", PeriodicArrivals(1.0))], 8.0)
         report = result.reports["a"]
         assert report.arrivals == 8  # t = 0 .. 7
         # Completions inside the window: the solo t=0 request and the
         # (t=1, t=2) batch; later batches finish past the 8 ms window.
-        assert report.latencies_ms == [3.0, 6.0, 5.0]
+        assert latencies(report) == [3.0, 6.0, 5.0]
         assert report.completed == 3
 
     def test_batch_limited_to_batch_requests(self):
         # Six requests queue behind the first; with R=3 the backlog
         # drains as batches of 3, never more.
         policy = FixedServicePolicy({"a": 7.0}, staging_ms={"a": 6.0})
-        result = ServingSimulator(policy, batch_requests=3).run(
-            [tenant("a", PeriodicArrivals(1.0))], 7.5
-        )
+        result = ServingSimulator(
+            policy, batch_requests=3, collect_timelines=True
+        ).run([tenant("a", PeriodicArrivals(1.0))], 7.5)
         report = result.reports["a"]
         assert report.arrivals == 8
         # t=0 alone (finish 7); t=1..6 would be 6 ready at t=7 but only
         # 3 batch: 6 + 3*1 = 9 ms (finish 16 > window, overrun).
-        assert report.latencies_ms == [7.0]
+        assert latencies(report) == [7.0]
         assert report.overrun > 0
 
     def test_batching_improves_overloaded_throughput(self):

@@ -15,7 +15,6 @@ import pytest
 
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.serving import (
-    ChipHandle,
     ElasticPolicy,
     FixedServicePolicy,
     PoissonArrivals,
@@ -126,31 +125,14 @@ def test_pins_hold_under_an_enabled_sink(name):
     assert sink.registry.counters  # the sink really recorded the run
 
 
-def test_open_start_drain_matches_run():
-    """Driving the seam by hand is the same machine as ``run``."""
-    policy = FixedServicePolicy(
-        {"a": 0.8, "b": 1.1}, staging_ms={"a": 0.6, "b": 0.8}
-    )
-    sim = ServingSimulator(policy, batch_requests=8)
-    chip = sim.open(_fixed_tenants(), 2000.0)
-    assert isinstance(chip, ChipHandle)
-    chip.start()
-    sim.scan_determinism(chip)
-    chip.queue.run()
-    assert _pin(chip.finish()) == GOLDEN["fixed_batched"]
-
-
 def test_halt_accounts_every_request():
     """A crash drains queues and in-flight work into ``failed`` — nothing
     is silently dropped: arrivals == completed + overrun + shed + failed."""
     policy = FixedServicePolicy(
         {"a": 0.8, "b": 1.1}, staging_ms={"a": 0.6, "b": 0.8}
     )
-    sim = ServingSimulator(policy, batch_requests=8)
-    chip = sim.open(_fixed_tenants(), 2000.0, halt_ms=900.0)
-    chip.start()
-    chip.queue.run()
-    result = chip.finish()
+    sim = ServingSimulator(policy, batch_requests=8, collect_timelines=True)
+    result = sim.run(_fixed_tenants(), 2000.0, halt_ms=900.0)
     assert result.total_failed > 0
     for report in result.reports.values():
         assert report.arrivals == (
@@ -159,9 +141,9 @@ def test_halt_accounts_every_request():
     # Completions strictly before the halt survive.
     assert result.total_completed > 0
     assert all(
-        latency >= 0.0
+        timeline.end_to_end >= 0.0
         for report in result.reports.values()
-        for latency in report.latencies_ms
+        for timeline in report.timelines
     )
 
 
@@ -172,9 +154,6 @@ def test_halt_rerun_byte_identical():
 
     def run_once() -> str:
         sim = ServingSimulator(policy, batch_requests=8)
-        chip = sim.open(_fixed_tenants(), 2000.0, halt_ms=900.0)
-        chip.start()
-        chip.queue.run()
-        return chip.finish().to_json()
+        return sim.run(_fixed_tenants(), 2000.0, halt_ms=900.0).to_json()
 
     assert run_once() == run_once()

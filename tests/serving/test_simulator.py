@@ -24,30 +24,36 @@ def tenant(name, arrivals, **kw):
     return TenantSpec(name=name, network=NET, arrivals=arrivals, **kw)
 
 
+def latencies(report):
+    """Each completed request's latency, in completion order (needs
+    ``collect_timelines=True``)."""
+    return [timeline.end_to_end for timeline in report.timelines]
+
+
 class TestSingleServer:
     def test_idle_server_serves_immediately(self):
         policy = FixedServicePolicy({"a": 2.0})
-        result = ServingSimulator(policy).run(
+        result = ServingSimulator(policy, collect_timelines=True).run(
             [tenant("a", PeriodicArrivals(10.0))], 35.0
         )
         report = result.reports["a"]
         assert report.arrivals == 4  # t = 0, 10, 20, 30
         assert report.completed == 4
-        assert report.latencies_ms == [2.0, 2.0, 2.0, 2.0]
+        assert latencies(report) == [2.0, 2.0, 2.0, 2.0]
         assert report.queue_wait_ms_total == 0.0
 
     def test_backlog_queues_fifo(self):
         # Service 3 ms, arrivals every 1 ms: each request waits for all
         # earlier ones.  latency_k = (k+1)*3 - k*1.
         policy = FixedServicePolicy({"a": 3.0})
-        result = ServingSimulator(policy).run(
+        result = ServingSimulator(policy, collect_timelines=True).run(
             [tenant("a", PeriodicArrivals(1.0))], 4.0
         )
         assert result.reports["a"].arrivals == 4
         # finish times: 3, 6, 9, 12; only the first lands inside 4 ms.
         assert result.reports["a"].completed == 1
         assert result.reports["a"].overrun == 3
-        assert result.reports["a"].latencies_ms == [3.0]
+        assert latencies(result.reports["a"]) == [3.0]
 
     def test_utilization_and_busy_time(self):
         policy = FixedServicePolicy({"a": 2.0})
@@ -121,9 +127,11 @@ class TestAdmissionControl:
         policy = FixedServicePolicy(
             {"first": 3.0, "low": 1.0, "high": 1.0}, shared_server="chip"
         )
-        result = ServingSimulator(policy).run(tenants(), 50.0)
-        assert result.reports["high"].latencies_ms == [2.0]  # 2 -> 4
-        assert result.reports["low"].latencies_ms == [4.0]   # 1 -> 5
+        result = ServingSimulator(policy, collect_timelines=True).run(
+            tenants(), 50.0
+        )
+        assert latencies(result.reports["high"]) == [2.0]  # 2 -> 4
+        assert latencies(result.reports["low"]) == [4.0]   # 1 -> 5
 
 
 class TestResizeStall:
@@ -152,12 +160,12 @@ class TestResizeStall:
         # arriving at t=20 starts exactly at t=35 — the dequeue-to-start
         # wait is preserved in its latency, not dropped.
         policy = self.OneResize({"a": 1.0}, stall_ms=25.0)
-        result = ServingSimulator(policy).run(
+        result = ServingSimulator(policy, collect_timelines=True).run(
             [tenant("a", PeriodicArrivals(20.0))], 100.0
         )
         report = result.reports["a"]
         # arrivals at 0, 20, 40, 60, 80
-        assert report.latencies_ms == [1.0, 16.0, 1.0, 1.0, 1.0]
+        assert latencies(report) == [1.0, 16.0, 1.0, 1.0, 1.0]
         assert report.queue_wait_ms_total == pytest.approx(15.0)
 
     def test_restaging_begins_after_inflight_drains(self):
@@ -165,10 +173,10 @@ class TestResizeStall:
         # t=20, then the 5 ms restage runs, so the request queued at
         # t=12 starts at 25 and finishes at 45.
         policy = self.OneResize({"a": 20.0}, stall_ms=5.0)
-        result = ServingSimulator(policy).run(
+        result = ServingSimulator(policy, collect_timelines=True).run(
             [tenant("a", TraceArrivals([0.0, 12.0]))], 100.0
         )
-        assert result.reports["a"].latencies_ms == [20.0, 33.0]
+        assert latencies(result.reports["a"]) == [20.0, 33.0]
         assert len(result.resizes) == 1
         assert result.resizes[0].time_ms == 10.0
 
@@ -176,14 +184,14 @@ class TestResizeStall:
 class TestClosedLoop:
     def test_next_request_follows_completion(self):
         policy = FixedServicePolicy({"a": 3.0})
-        result = ServingSimulator(policy).run(
+        result = ServingSimulator(policy, collect_timelines=True).run(
             [tenant("a", ClosedLoopArrivals(2.0))], 20.0
         )
         report = result.reports["a"]
         # arrive 0, finish 3; arrive 5, finish 8; arrive 10, finish 13;
         # arrive 15, finish 18; arrive 20 is outside the window.
         assert report.arrivals == 4
-        assert report.latencies_ms == [3.0, 3.0, 3.0, 3.0]
+        assert latencies(report) == [3.0, 3.0, 3.0, 3.0]
         assert report.queue_wait_ms_total == 0.0
 
 

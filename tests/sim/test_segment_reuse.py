@@ -19,6 +19,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import repro.mapping.segmentation as segmentation
+import repro.mapping.tiling as tiling
 import repro.sim.backends as backends
 from repro.energy.power import OpCounts
 from repro.errors import MappingError
@@ -82,6 +83,12 @@ def chunk_shape(layers):
     return tuple(spec.shape for spec in layers)
 
 
+def planned(network, config):
+    """``network`` tiled for ``config``'s array, then planned."""
+    tiled = tile_network(network, config.capacity, config.array_size)
+    return plan_network(tiled, config.strategy, config)
+
+
 def tiled_fc_network():
     """Two 3x3 convolutions of one geometry, then an FC layer that a
     24-core array runs in four passes: 64, 64, 64 and 63 filters."""
@@ -115,7 +122,7 @@ class TestOncePerDistinctSegment:
     ):
         config = SimConfig()
         allocated = count_calls(monkeypatch, segmentation, "allocate_segment")
-        plan = plan_network(vgg11_spec(), config.strategy, config)
+        plan = planned(vgg11_spec(), config)
         chunks = [segment.layers for segment in plan.segments]
         assert allocated == first_of_each(chunks, chunk_shape)
         assert len(allocated) < len(chunks)
@@ -133,10 +140,17 @@ class TestOncePerDistinctSegment:
 
     def test_a_plan_of_another_network_is_rejected(self):
         config = SimConfig()
-        plan = plan_network(vgg11_spec(), config.strategy, config)
+        plan = planned(vgg11_spec(), config)
         other = NetworkSpec(name="other", layers=plan.network.layers)
         with pytest.raises(MappingError, match="maps 'vgg11'"):
             simulate(other, config=config, plan=plan)
+
+    def test_each_layer_is_tiled_once(self, monkeypatch):
+        # simulate() tiles the network it is given; planning the tiled
+        # network must not walk its passes through the tiling again.
+        tiled = count_calls(monkeypatch, tiling, "passes_required")
+        simulate(vgg11_spec())
+        assert tiled == list(vgg11_spec().layers)
 
     def test_cycle_tier_runs_every_segment(self, monkeypatch):
         calls = count_hook_calls(monkeypatch, "cycle")
@@ -253,7 +267,7 @@ class TestDrawnNetworks:
     def test_each_report_equals_its_unshared_simulation(self, drawn):
         network, config = drawn
         model = performance_model(config)
-        plan = plan_network(network, config.strategy, config)
+        plan = planned(network, config)
         for segment in plan.segments:
             alone = allocated_alone(segment.layers, config)
             assert in_order(segment.allocation) == in_order(alone)

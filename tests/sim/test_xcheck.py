@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import XCheckError
 from repro.nn.workloads import small_cnn_spec
-from repro.sim import DEFAULT_ENVELOPE, cross_check
+from repro.sim import DEFAULT_ENVELOPE, cross_check, simulate
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +78,15 @@ class TestSerialization:
         again = cross_check(small_cnn_spec())
         dump = lambda r: json.dumps(r.as_dict(), sort_keys=True)  # noqa: E731
         assert dump(report) == dump(again)
+
+    def test_keeps_each_tiers_run_outside_as_dict(self, report):
+        # The dashboard reuses these runs instead of simulating again:
+        # each is the run simulate() gives on its own.
+        assert sorted(report.reports) == ["analytic", "cycle", "event", "streaming"]
+        for backend, run in report.reports.items():
+            alone = simulate(small_cnn_spec(), backend=backend)
+            assert run.as_dict() == alone.as_dict(), backend
+        assert "reports" not in report.as_dict()
 
     def test_as_dict_carries_the_verdict(self, report):
         payload = report.as_dict()
