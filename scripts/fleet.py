@@ -36,13 +36,7 @@ from typing import Dict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.fleet import (
-    BALANCERS,
-    FLEET_SCENARIOS,
-    FleetResult,
-    FleetSimulator,
-    build_scenario,
-)
+from repro.fleet import BALANCERS, FLEET_SCENARIOS, FleetResult, build_scenario
 
 
 def print_report(result: FleetResult) -> None:
@@ -123,17 +117,11 @@ def main() -> int:
 
     results: Dict[str, FleetResult] = {}
     for balancer in balancers:
-        simulator = FleetSimulator(
-            scenario.models,
-            scenario.n_chips,
+        simulator = scenario.simulator(
             balancer=balancer,
             seed=args.seed,
-            batch_requests=scenario.batch_requests,
-            failures=scenario.failures,
-            autoscale=scenario.autoscale,
-            collect_metrics=args.metrics_out is not None,
             workers=args.workers,
-            scenario=scenario.name,
+            collect_metrics=args.metrics_out is not None,
         )
         results[balancer] = simulator.run(duration_ms)
         print_report(results[balancer])

@@ -52,7 +52,7 @@ from repro import telemetry  # noqa: E402
 from repro.core.multi_dnn import MultiDNNScheduler  # noqa: E402
 from repro.obs.html import render_html  # noqa: E402
 from repro.obs.monitor import SLOConfig, SLOMonitor  # noqa: E402
-from repro.fleet import FLEET_SCENARIOS, FleetSimulator  # noqa: E402
+from repro.fleet import FLEET_SCENARIOS  # noqa: E402
 from repro.fleet import build_scenario as build_fleet_scenario  # noqa: E402
 from repro.dse import SWEEPS, run_sweep  # noqa: E402
 from repro.obs.report import (  # noqa: E402
@@ -97,16 +97,8 @@ def serving_report(args: argparse.Namespace) -> Dict[str, object]:
 
 def fleet_report(args: argparse.Namespace) -> Dict[str, object]:
     scenario = build_fleet_scenario(args.scenario, args.chips)
-    simulator = FleetSimulator(
-        scenario.models,
-        scenario.n_chips,
-        balancer=args.balancer or scenario.balancer,
-        seed=args.seed,
-        batch_requests=scenario.batch_requests,
-        failures=scenario.failures,
-        autoscale=scenario.autoscale,
-        workers=args.workers,
-        scenario=scenario.name,
+    simulator = scenario.simulator(
+        balancer=args.balancer, seed=args.seed, workers=args.workers
     )
     result = simulator.run(args.duration_ms or scenario.duration_ms)
     print(

@@ -21,7 +21,7 @@ Callers:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
 from repro.analysis.determinism import EventAccess, check_batches
 from repro.analysis.diagnostics import LintReport
@@ -29,7 +29,7 @@ from repro.analysis.noc_check import RouteFlow, check_routes, plan_route_flows
 from repro.analysis.plan import ResidentPlan, verify_plan
 from repro.dram.controller import DRAMConfig
 from repro.errors import ConfigurationError, PlacementError
-from repro.mapping.placement import zigzag_placement
+from repro.mapping.placement import region_tiles
 from repro.mapping.segmentation import SegmentPlan
 from repro.sim.config import SimConfig
 
@@ -40,19 +40,6 @@ ANALYSIS_FAMILIES = ("plan", "noc", "det")
 def _merge(into: LintReport, part: LintReport) -> None:
     into.program_length += part.program_length
     into.diagnostics.extend(part.diagnostics)
-
-
-def _resident_tiles(resident: ResidentPlan) -> List[str]:
-    """Every mesh tile the resident's segments ever occupy."""
-    tiles: Set[Tuple[int, int]] = set()
-    for segment in resident.plan.segments:
-        placement = zigzag_placement(
-            segment, start_offset=resident.region_start
-        )
-        tiles.update(placement.dc.values())
-        for coords in placement.computing.values():
-            tiles.update(coords)
-    return [f"tile{t}" for t in sorted(tiles)]
 
 
 def analyze_plan(
@@ -117,7 +104,9 @@ def analyze_plan(
             accesses = []
             for resident in residents:
                 try:
-                    tiles = _resident_tiles(resident)
+                    tiles = region_tiles(
+                        resident.plan.segments, resident.region_start
+                    )
                 except PlacementError:
                     continue
                 if tiles:
@@ -128,7 +117,7 @@ def analyze_plan(
                             time=0.0,
                             actor=resident.name,
                             tag="wave",
-                            writes=tuple(tiles),
+                            writes=tuple(f"tile{t}" for t in sorted(tiles)),
                         )
                     )
         _merge(report, check_batches(accesses))

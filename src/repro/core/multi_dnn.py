@@ -9,7 +9,7 @@ the whole array — so the benefit of spatial co-location can be quantified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.errors import MappingError, SimulationError
@@ -21,7 +21,6 @@ from repro.sim import (
     simulate,
 )
 from repro.mapping.allocation import proportional_shares
-from repro.mapping.placement import NodePlacement, zigzag_placement
 from repro.nn.workloads import NetworkSpec
 
 
@@ -32,17 +31,10 @@ class ModelRun:
     network: NetworkSpec
     partition_cores: int
     result: RunReport
+    #: The model's offset into the global snake walk: it owns the
+    #: interval ``[region_start, region_start + partition_cores)``
+    #: (:func:`repro.mapping.placement.region_tiles` places it).
     region_start: int = 0
-    placements: List[NodePlacement] = field(default_factory=list)
-
-    def occupied_tiles(self) -> set:
-        """All mesh tiles this model's segments ever use."""
-        tiles = set()
-        for placement in self.placements:
-            tiles.update(placement.dc.values())
-            for coords in placement.computing.values():
-                tiles.update(coords)
-        return tiles
 
     @property
     def latency_ms(self) -> float:
@@ -183,17 +175,12 @@ class MultiDNNScheduler:
             # Each model owns a contiguous interval of the global snake
             # walk; its segments (which run sequentially in time) reuse
             # that interval, so models never share a tile.
-            placements = [
-                zigzag_placement(seg_run.segment, start_offset=offset)
-                for seg_run in result.runs
-            ]
             runs.append(
                 ModelRun(
                     network=net,
                     partition_cores=share,
                     result=result,
                     region_start=offset,
-                    placements=placements,
                 )
             )
             offset += share

@@ -6,20 +6,18 @@ single-chip serving run, behind a :class:`ClusterRouter` with replica
 placement (:func:`place_replicas` — first-fit-decreasing bin-packing),
 pluggable cross-chip load balancing
 (:data:`BALANCERS` — round-robin, least-loaded, power-of-two-choices,
-sticky-tenant), epoch-driven replica autoscaling with SLO burn-rate
+and sticky, which pins each model to one replica by a hash of its
+name), epoch-driven replica autoscaling with SLO burn-rate
 coupling, and declared failure scenarios (chip crashes with replica
 re-placement, slow-chip and partial-mesh degradation) under full
 request conservation.
 
 Quickstart::
 
-    from repro.fleet import FleetSimulator, build_scenario
+    from repro.fleet import build_scenario
 
     scenario = build_scenario("fleet-smoke")
-    result = FleetSimulator(
-        scenario.models, scenario.n_chips,
-        balancer=scenario.balancer, failures=scenario.failures,
-    ).run(scenario.duration_ms)
+    result = scenario.simulator(seed=0).run(scenario.duration_ms)
     print(result.worst_model_p99_ms, result.conserved)
 
 Execution is deterministic end to end: one seed fixes routing, traffic,
@@ -61,7 +59,6 @@ from repro.fleet.router import (
     split_user_groups,
 )
 from repro.fleet.scenarios import (
-    DEFAULT_CHIPS,
     FLEET_SCENARIOS,
     FleetScenario,
     build_scenario,
@@ -92,7 +89,6 @@ __all__ = [
     "ChipWorkload",
     "ClusterRouter",
     "DEFAULT_ARRAY_SIZE",
-    "DEFAULT_CHIPS",
     "DiurnalShape",
     "FLEET_SCENARIOS",
     "FailureScenario",

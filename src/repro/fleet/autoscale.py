@@ -6,7 +6,7 @@ against the window's replica-seconds of capacity (live replicas x
 epoch length; one replica drains one ms of service per ms of sim time).  Utilization above ``high_utilization`` scales up — one more
 replica on the most-free chip, ready after weight re-staging;
 utilization below ``low_utilization`` for ``down_epochs`` consecutive
-epochs scales down to keep the fleet dense.
+epochs scales down, never below one replica, to keep the fleet dense.
 
 The decision loop is also wired into the PR 8 SLO machinery: the router
 feeds a :class:`~repro.obs.monitor.SLOMonitor` its *estimated* per-model
@@ -36,7 +36,6 @@ class AutoscaleConfig:
     epoch_ms: float = 10.0
     high_utilization: float = 0.8
     low_utilization: float = 0.3
-    min_replicas: int = 1
     max_replicas: Optional[int] = None
     #: Consecutive low-utilization epochs before a scale-down.
     down_epochs: int = 3
@@ -53,10 +52,6 @@ class AutoscaleConfig:
             raise SimulationError(
                 "need 0 < low_utilization < high_utilization, got "
                 f"{self.low_utilization} / {self.high_utilization}"
-            )
-        if self.min_replicas < 1:
-            raise SimulationError(
-                f"min_replicas must be >= 1, got {self.min_replicas}"
             )
 
 
@@ -94,19 +89,11 @@ class _ModelState:
 class ReplicaAutoscaler:
     """Epoch-driven replica controller over the router's placement."""
 
-    def __init__(
-        self,
-        config: Optional[AutoscaleConfig] = None,
-        *,
-        monitor: Optional[SLOMonitor] = None,
-    ) -> None:
+    def __init__(self, config: Optional[AutoscaleConfig] = None) -> None:
         self.config = config or AutoscaleConfig()
-        #: Router-estimate SLO monitor; ``None`` disables burn coupling.
-        self.monitor = (
-            monitor
-            if monitor is not None
-            else SLOMonitor(SLOConfig(window_ms=self.config.epoch_ms))
-        )
+        #: SLO monitor over the router's latency estimates, one window
+        #: per epoch: its burn-rate alerts waive the scale-up cooldown.
+        self.monitor = SLOMonitor(SLOConfig(window_ms=self.config.epoch_ms))
         self.alert_count = 0
         self._states: Dict[str, _ModelState] = {}
         self._burning: set = set()
@@ -191,10 +178,8 @@ class ReplicaAutoscaler:
                 )
             elif utilization < cfg.low_utilization:
                 state.low_streak += 1
-                if (
-                    state.low_streak >= cfg.down_epochs
-                    and replicas > cfg.min_replicas
-                ):
+                # Never below one replica: the model stays routable.
+                if state.low_streak >= cfg.down_epochs and replicas > 1:
                     # Shrink from the highest-numbered live replica chip
                     # (deterministic; the lowest chips keep the stable
                     # replicas, matching first-fit growth).

@@ -17,16 +17,17 @@ Four policies (``BALANCERS``):
   seeded RNG, route to the less loaded.  The classic result: expected
   max load overshoot drops from ``Θ(log N / log log N)`` (random) to
   ``Θ(log log N)``.
-* ``sticky`` — locality-aware sticky-tenant: a stable hash of the
-  session key pins each user to one replica chip (cache/weight locality
-  at the cost of load awareness).
+* ``sticky`` — model affinity: a stable hash of the model name pins all
+  of a model's traffic to one live replica chip (cache/weight locality
+  at the cost of load awareness: the model's other replicas idle); a
+  crash re-hashes over the survivors.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.errors import SimulationError
 
@@ -77,8 +78,6 @@ class Balancer:
         model: str,
         candidates: Sequence[int],
         now_ms: float,
-        *,
-        session: Optional[str] = None,
     ) -> int:
         raise NotImplementedError
 
@@ -97,8 +96,6 @@ class RoundRobinBalancer(Balancer):
         model: str,
         candidates: Sequence[int],
         now_ms: float,
-        *,
-        session: Optional[str] = None,
     ) -> int:
         k = self._next.get(model, 0)
         self._next[model] = k + 1
@@ -115,8 +112,6 @@ class LeastLoadedBalancer(Balancer):
         model: str,
         candidates: Sequence[int],
         now_ms: float,
-        *,
-        session: Optional[str] = None,
     ) -> int:
         return min(
             candidates,
@@ -138,8 +133,6 @@ class PowerOfTwoBalancer(Balancer):
         model: str,
         candidates: Sequence[int],
         now_ms: float,
-        *,
-        session: Optional[str] = None,
     ) -> int:
         n = len(candidates)
         if n == 1:
@@ -158,12 +151,12 @@ class PowerOfTwoBalancer(Balancer):
 
 
 class StickyTenantBalancer(Balancer):
-    """Stable-hash session pinning (locality-aware sticky-tenant).
+    """Stable-hash model pinning (locality-aware sticky-tenant).
 
-    The same session key always lands on the same *slot*; when the
-    candidate set shrinks after a crash, sessions re-hash over the
-    survivors (a minimal, deterministic stand-in for consistent
-    hashing).
+    A model always lands on the same *slot* of its live candidates, so
+    one replica serves all of its traffic; when the candidate set changes
+    (a crash, a replica still staging), the model re-hashes over the new
+    set (a minimal, deterministic stand-in for consistent hashing).
     """
 
     name = "sticky"
@@ -173,11 +166,10 @@ class StickyTenantBalancer(Balancer):
         model: str,
         candidates: Sequence[int],
         now_ms: float,
-        *,
-        session: Optional[str] = None,
     ) -> int:
-        key = f"{model}/{session if session is not None else ''}"
-        slot = zlib.crc32(key.encode()) % len(candidates)
+        # The key is part of the pinned output: another key re-homes
+        # models and changes every sticky run's bytes.
+        slot = zlib.crc32(f"{model}/".encode()) % len(candidates)
         return candidates[slot]
 
 

@@ -23,9 +23,27 @@ byte-identically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
+
+#: ``(from_ms, factor)`` — service times multiply by ``factor`` from
+#: ``from_ms`` until the next step.
+DegradationStep = Tuple[float, float]
+
+
+def step_factor(steps: Sequence[DegradationStep], now_ms: float) -> float:
+    """The factor of the last step at or before ``now_ms`` (1.0 before any).
+
+    ``steps`` must be sorted ascending; this one rule serves both the
+    router's fluid bill and each chip's service windows.
+    """
+    factor = 1.0
+    for from_ms, step in steps:
+        if from_ms > now_ms:
+            break
+        factor = step
+    return factor
 
 
 @dataclass(frozen=True)
@@ -114,7 +132,7 @@ class FailureScenario:
                 return crash.at_ms
         return None
 
-    def degradation_schedule(self, chip: int) -> Tuple[Tuple[float, float], ...]:
+    def degradation_schedule(self, chip: int) -> Tuple[DegradationStep, ...]:
         """Sorted ``(from_ms, factor)`` steps for one chip."""
         return tuple(
             sorted(
@@ -125,13 +143,7 @@ class FailureScenario:
         )
 
     def degradation_factor(self, chip: int, now_ms: float) -> float:
-        factor = 1.0
-        for from_ms, step in self.degradation_schedule(chip):
-            if from_ms <= now_ms:
-                factor = step
-            else:
-                break
-        return factor
+        return step_factor(self.degradation_schedule(chip), now_ms)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -156,6 +168,8 @@ class FailureScenario:
 __all__ = [
     "ChipCrash",
     "ChipDegradation",
+    "DegradationStep",
     "FailureScenario",
     "partial_mesh_fault",
+    "step_factor",
 ]

@@ -17,16 +17,13 @@ healthy chip (the dispatch path skips the multiply at exactly 1.0).
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
+from repro.fleet.failures import DegradationStep, step_factor
 from repro.fleet.profiles import ModelProfile
 from repro.serving.policies import FixedServicePolicy
 from repro.serving.tenancy import TenantSpec
-
-#: ``(from_ms, factor)`` — service times multiply by ``factor`` from
-#: ``from_ms`` until the next step.  Sorted ascending by ``from_ms``.
-DegradationStep = Tuple[float, float]
 
 
 class ReplicaPolicy(FixedServicePolicy):
@@ -59,10 +56,4 @@ class ReplicaPolicy(FixedServicePolicy):
             self._shares[tenant.name] = self._cores[tenant.name]
 
     def service_scale(self, now_ms: float) -> float:
-        scale = 1.0
-        for from_ms, factor in self._steps:
-            if from_ms <= now_ms:
-                scale = factor
-            else:
-                break
-        return scale
+        return step_factor(self._steps, now_ms)

@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.fleet.autoscale import ReplicaAutoscaler, ScaleEvent
 from repro.fleet.balancing import Balancer, FluidLoadTracker
-from repro.fleet.failures import FailureScenario
+from repro.fleet.failures import FailureScenario, step_factor
 from repro.fleet.placement import FleetPlacement, best_chip_for
 from repro.fleet.profiles import ModelProfile
 
@@ -100,6 +100,11 @@ class ClusterRouter:
         self.deadlines_ms = dict(deadlines_ms or {})
         self.failures = failures or FailureScenario()
         self.autoscaler = autoscaler
+        #: Each chip's degradation steps, sorted once for the whole sweep.
+        self._steps = {
+            chip: self.failures.degradation_schedule(chip)
+            for chip in range(placement.n_chips)
+        }
         self._crashed: set = set()
         #: ``(model, chip) -> ready_ms`` for replicas still staging their
         #: weights (new placements and crash recoveries).
@@ -118,7 +123,7 @@ class ClusterRouter:
                 self.tracker.speed[chip] = 0.0
                 continue
             replicas = len(self.placement.on_chip(chip))
-            factor = self.failures.degradation_factor(chip, now_ms)
+            factor = step_factor(self._steps[chip], now_ms)
             self.tracker.speed[chip] = replicas / factor
 
     def live_candidates(self, model: str, now_ms: float) -> Tuple[int, ...]:
@@ -278,7 +283,7 @@ class ClusterRouter:
         # stretched by its current degradation (slow chips accumulate
         # more load, which is exactly what steers load-aware balancers
         # away).
-        est = profile.service_ms * self.failures.degradation_factor(chip, t)
+        est = profile.service_ms * step_factor(self._steps[chip], t)
         self.tracker.add(chip, t, est)
         if self.autoscaler is not None:
             wait = self.tracker.load_ms(chip, t) / max(

@@ -35,6 +35,7 @@ from repro.fleet.failures import ChipCrash, ChipDegradation, FailureScenario
 from repro.fleet.profiles import ModelProfile
 from repro.fleet.simulator import (
     FleetModelSpec,
+    FleetSimulator,
     OpenLoopTraffic,
     UserGroupTraffic,
 )
@@ -53,6 +54,32 @@ class FleetScenario:
     batch_requests: int = 1
     failures: FailureScenario = field(default_factory=FailureScenario)
     autoscale: Optional[AutoscaleConfig] = None
+
+    def simulator(
+        self,
+        *,
+        balancer: Optional[str] = None,
+        seed: int = 0,
+        workers: int = 0,
+        collect_metrics: bool = False,
+    ) -> FleetSimulator:
+        """A :class:`FleetSimulator` of this scenario; run it over
+        :attr:`duration_ms` or any other window.
+
+        ``balancer=None`` keeps the scenario's own balancer.
+        """
+        return FleetSimulator(
+            self.models,
+            self.n_chips,
+            balancer=balancer or self.balancer,
+            seed=seed,
+            batch_requests=self.batch_requests,
+            failures=self.failures,
+            autoscale=self.autoscale,
+            collect_metrics=collect_metrics,
+            workers=workers,
+            scenario=self.name,
+        )
 
 
 def fleet_smoke(chips: int = 4) -> FleetScenario:
@@ -259,21 +286,14 @@ def diurnal_million(chips: int = 16) -> FleetScenario:
     )
 
 
-FLEET_SCENARIOS: Dict[str, Callable[[int], FleetScenario]] = {
+#: Scenario builders by name; each builder's ``chips`` default is the
+#: scenario's default fleet size.
+FLEET_SCENARIOS: Dict[str, Callable[..., FleetScenario]] = {
     "fleet-smoke": fleet_smoke,
     "mixed-rate-fleet": mixed_rate_fleet,
     "chip-crash": chip_crash,
     "autoscale-burst": autoscale_burst,
     "diurnal-million": diurnal_million,
-}
-
-#: Default chip counts per scenario (the CLI's fallback).
-DEFAULT_CHIPS: Dict[str, int] = {
-    "fleet-smoke": 4,
-    "mixed-rate-fleet": 8,
-    "chip-crash": 4,
-    "autoscale-burst": 6,
-    "diurnal-million": 16,
 }
 
 
@@ -285,10 +305,7 @@ def build_scenario(name: str, chips: Optional[int] = None) -> FleetScenario:
             f"unknown fleet scenario {name!r}; choose from "
             f"{sorted(FLEET_SCENARIOS)}"
         )
-    n = chips if chips is not None else DEFAULT_CHIPS[name]
-    if n is not None and n < 1:
-        raise SimulationError(f"chips must be >= 1, got {n}")
-    return builder(n)
+    return builder() if chips is None else builder(chips)
 
 
 def expected_requests(scenario: FleetScenario) -> float:
@@ -314,7 +331,6 @@ def expected_requests(scenario: FleetScenario) -> float:
 
 
 __all__ = [
-    "DEFAULT_CHIPS",
     "FLEET_SCENARIOS",
     "FleetScenario",
     "autoscale_burst",

@@ -6,11 +6,14 @@ the :class:`~repro.fleet.router.ClusterRouter` route all traffic in one
 merged time order — interleaving chip crashes and autoscale epochs as
 they fall.  Phase 2: every chip is one
 :meth:`ServingSimulator.run <repro.serving.simulator.ServingSimulator.run>`
-over its pre-routed trace, under a
-:class:`~repro.fleet.replica.ReplicaPolicy` built from plain-data
-profiles.  Chips share nothing, so phase 2 runs serially or sharded
-across worker processes (``fork``) with byte-identical results: the
-merge folds chips in fixed index order either way.
+of the serving stack's own records, built on the coordinator: one
+:class:`~repro.serving.tenancy.TenantSpec` per hosted model (a
+:class:`~repro.serving.arrivals.TraceArrivals` of its routed trace, or a
+:class:`~repro.fleet.traffic.UserGroupArrivals` of its user share) under
+a :class:`~repro.fleet.replica.ReplicaPolicy` of the chip's profiles and
+degradation steps.  Chips share nothing, so phase 2 runs serially or
+sharded across worker processes (``fork``) with byte-identical results:
+the merge folds chips in fixed index order either way.
 
 Phase 2 runs on the repo's shared executor,
 :func:`repro.utils.parallel.run_sharded` (extracted from the fork pool
@@ -41,7 +44,7 @@ from repro.fleet.traffic import (
     derive_seed,
     generate_open_arrivals,
 )
-from repro.serving.arrivals import TraceArrivals
+from repro.serving.arrivals import ArrivalProcess, TraceArrivals
 from repro.serving.simulator import ServingSimulator, check_batch_requests
 from repro.serving.slo import ServingRunResult
 from repro.serving.tenancy import TenantSpec
@@ -86,31 +89,18 @@ class FleetModelSpec:
 
 
 @dataclass(frozen=True)
-class _TenantWork:
-    """One tenant of one chip's workload (plain data, picklable)."""
-
-    model: str
-    profile: ModelProfile
-    deadline_ms: float
-    queue_capacity: Optional[int]
-    trace: Tuple[float, ...] = ()
-    users: int = 0
-    think_ms: float = 0.0
-    seed: int = 0
-    shape: Optional[DiurnalShape] = None
-
-
-@dataclass(frozen=True)
 class ChipWorkload:
-    """Everything one chip needs to run its slice of the fleet."""
+    """Everything one chip needs to run its slice of the fleet.
+
+    Picklable as a whole, so phase 2 can ship it to a worker process.
+    """
 
     chip: int
     duration_ms: float
-    discipline: str
     batch_requests: int
-    tenants: Tuple[_TenantWork, ...]
+    policy: ReplicaPolicy
+    tenants: Tuple[TenantSpec, ...]
     halt_ms: Optional[float] = None
-    degradation: Tuple[Tuple[float, float], ...] = ()
     collect_metrics: bool = False
 
 
@@ -120,29 +110,9 @@ def run_chip(
     """Run one chip's serving simulation (top-level: fork/pickle safe)."""
     if not workload.tenants:
         return None, None
-    profiles = {w.model: w.profile for w in workload.tenants}
-    policy = ReplicaPolicy(profiles, degradation=workload.degradation)
-    tenants: List[TenantSpec] = []
-    for work in workload.tenants:
-        if work.users > 0:
-            arrivals: object = UserGroupArrivals(
-                work.users, work.think_ms, seed=work.seed, shape=work.shape
-            )
-        else:
-            arrivals = TraceArrivals(list(work.trace))
-        tenants.append(
-            TenantSpec(
-                name=work.model,
-                network=work.profile.stub_network(),
-                arrivals=arrivals,  # type: ignore[arg-type]
-                deadline_ms=work.deadline_ms,
-                queue_capacity=work.queue_capacity,
-            )
-        )
     sink = Telemetry() if workload.collect_metrics else None
     simulator = ServingSimulator(
-        policy,
-        discipline=workload.discipline,
+        workload.policy,
         batch_requests=workload.batch_requests,
         # No admission gate per chip: scripted replicas have no plan to
         # lint, and place_replicas already kept each chip's shares
@@ -151,7 +121,7 @@ def run_chip(
         telemetry=sink,
     )
     result = simulator.run(
-        tenants, workload.duration_ms, halt_ms=workload.halt_ms
+        workload.tenants, workload.duration_ms, halt_ms=workload.halt_ms
     )
     return result, (sink.registry if sink is not None else None)
 
@@ -164,10 +134,8 @@ class FleetSimulator:
         models: Sequence[FleetModelSpec],
         n_chips: int,
         *,
-        array_size: int = DEFAULT_ARRAY_SIZE,
         balancer: str = "least-loaded",
         seed: int = 0,
-        discipline: str = "fifo",
         batch_requests: int = 1,
         failures: Optional[FailureScenario] = None,
         autoscale: Optional[AutoscaleConfig] = None,
@@ -185,10 +153,8 @@ class FleetSimulator:
         check_batch_requests(batch_requests)
         self.models = list(models)
         self.n_chips = n_chips
-        self.array_size = array_size
         self.balancer_name = balancer
         self.seed = seed
-        self.discipline = discipline
         self.batch_requests = batch_requests
         self.failures = failures or FailureScenario()
         self.failures.validate(n_chips)
@@ -203,7 +169,7 @@ class FleetSimulator:
         profiles = {m.name: m.profile for m in self.models}
         replicas = {m.name: m.replicas for m in self.models}
         return place_replicas(
-            profiles, replicas, self.n_chips, self.array_size
+            profiles, replicas, self.n_chips, DEFAULT_ARRAY_SIZE
         )
 
     def run(self, duration_ms: float) -> FleetResult:
@@ -338,42 +304,39 @@ class FleetSimulator:
                 for name, split in group_split.items()
                 if split.get(chip, 0) > 0
             )
-            works: List[_TenantWork] = []
+            tenants: List[TenantSpec] = []
             for name in sorted(tenant_models):
                 model = by_name[name]
                 users = group_split.get(name, {}).get(chip, 0)
                 if users > 0:
-                    works.append(
-                        _TenantWork(
-                            model=name,
-                            profile=model.profile,
-                            deadline_ms=model.deadline_ms,
-                            queue_capacity=model.queue_capacity,
-                            users=users,
-                            think_ms=model.traffic.think_ms,  # type: ignore[attr-defined]
-                            seed=derive_seed(self.seed, "group", chip, name),
-                            shape=model.traffic.shape,  # type: ignore[attr-defined]
-                        )
+                    arrivals: ArrivalProcess = UserGroupArrivals(
+                        users,
+                        model.traffic.think_ms,  # type: ignore[attr-defined]
+                        seed=derive_seed(self.seed, "group", chip, name),
+                        shape=model.traffic.shape,  # type: ignore[attr-defined]
                     )
                 else:
-                    works.append(
-                        _TenantWork(
-                            model=name,
-                            profile=model.profile,
-                            deadline_ms=model.deadline_ms,
-                            queue_capacity=model.queue_capacity,
-                            trace=tuple(traces.get((chip, name), ())),
-                        )
+                    arrivals = TraceArrivals(traces.get((chip, name), ()))
+                tenants.append(
+                    TenantSpec(
+                        name=name,
+                        network=model.profile.stub_network(),
+                        arrivals=arrivals,
+                        deadline_ms=model.deadline_ms,
+                        queue_capacity=model.queue_capacity,
                     )
+                )
             workloads.append(
                 ChipWorkload(
                     chip=chip,
                     duration_ms=duration_ms,
-                    discipline=self.discipline,
                     batch_requests=self.batch_requests,
-                    tenants=tuple(works),
+                    policy=ReplicaPolicy(
+                        {t.name: by_name[t.name].profile for t in tenants},
+                        degradation=self.failures.degradation_schedule(chip),
+                    ),
+                    tenants=tuple(tenants),
                     halt_ms=self.failures.halt_ms(chip),
-                    degradation=self.failures.degradation_schedule(chip),
                     collect_metrics=self.collect_metrics,
                 )
             )

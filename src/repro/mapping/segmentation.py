@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import MappingError
 from repro.mapping.allocation import AllocationResult, TimingFn, allocate_segment
@@ -95,6 +95,27 @@ class MappingStrategy:
     def _fits(self, layers: Sequence[ConvLayerSpec]) -> bool:
         return sum(self._min_group(spec) for spec in layers) <= self.array_size
 
+    def _split_to_fit(
+        self, layers: Iterable[ConvLayerSpec]
+    ) -> List[List[ConvLayerSpec]]:
+        """Pack ``layers`` in order into chunks, closing each chunk when
+        the next layer's capacity-minimum group would overflow the array."""
+        chunks: List[List[ConvLayerSpec]] = []
+        current: List[ConvLayerSpec] = []
+        used = 0
+        for spec in layers:
+            size = self._min_group(spec)
+            if size > self.array_size:
+                raise MappingError(f"{spec.name} does not fit the array alone")
+            if used + size > self.array_size and current:
+                chunks.append(current)
+                current, used = [], 0
+            current.append(spec)
+            used += size
+        if current:
+            chunks.append(current)
+        return chunks
+
     def _allocator(
         self, timing: TimingFn
     ) -> Callable[[List[ConvLayerSpec]], AllocationResult]:
@@ -143,19 +164,8 @@ class GreedyStrategy(MappingStrategy):
 
     def plan(self, network: NetworkSpec, timing: TimingFn) -> SegmentPlan:
         plan = SegmentPlan(strategy=self.name, network=network)
-        pending: List[ConvLayerSpec] = []
-        used = 0
-        for spec in network:
-            group = self._min_group(spec)
-            if group > self.array_size:
-                raise MappingError(f"{spec.name} does not fit the array alone")
-            if used + group > self.array_size and pending:
-                plan.segments.append(self._close(pending, timing))
-                pending, used = [], 0
-            pending.append(spec)
-            used += group
-        if pending:
-            plan.segments.append(self._close(pending, timing))
+        for chunk in self._split_to_fit(network):
+            plan.segments.append(self._close(chunk, timing))
         return plan
 
     def _close(self, layers: List[ConvLayerSpec], timing: TimingFn) -> Segment:
@@ -191,23 +201,6 @@ class HeuristicStrategy(MappingStrategy):
             else:
                 groups.append([spec])
         return groups
-
-    def _split_to_fit(self, group: List[ConvLayerSpec]) -> List[List[ConvLayerSpec]]:
-        chunks: List[List[ConvLayerSpec]] = []
-        current: List[ConvLayerSpec] = []
-        used = 0
-        for spec in group:
-            size = self._min_group(spec)
-            if size > self.array_size:
-                raise MappingError(f"{spec.name} does not fit the array alone")
-            if used + size > self.array_size and current:
-                chunks.append(current)
-                current, used = [], 0
-            current.append(spec)
-            used += size
-        if current:
-            chunks.append(current)
-        return chunks
 
 
 STRATEGIES: Dict[str, type] = {

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.multi_dnn import MultiDNNResult, MultiDNNScheduler
 from repro.errors import MappingError, SimulationError
+from repro.mapping.placement import region_tiles, zigzag_placement
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 
 
@@ -122,11 +123,18 @@ class TestPartitionHelpers:
             assert share >= scheduler.minimum_cores(net_)
 
 
+def segments(run):
+    return [seg_run.segment for seg_run in run.result.runs]
+
+
 class TestSpatialIsolation:
     def test_models_never_share_a_tile(self, scheduler):
         nets = [tiny_net("a"), tiny_net("b", m=64), small_cnn_spec()]
         result = scheduler.run(nets)
-        tile_sets = [run.occupied_tiles() for run in result.runs]
+        tile_sets = [
+            region_tiles(segments(run), run.region_start)
+            for run in result.runs
+        ]
         for i in range(len(tile_sets)):
             for j in range(i + 1, len(tile_sets)):
                 assert not (tile_sets[i] & tile_sets[j]), (i, j)
@@ -142,7 +150,10 @@ class TestSpatialIsolation:
         nets = [tiny_net("a"), tiny_net("b", m=64)]
         result = scheduler.run(nets)
         for run in result.runs:
-            for placement in run.placements:
+            for segment in segments(run):
+                placement = zigzag_placement(
+                    segment, start_offset=run.region_start
+                )
                 # Snake intervals keep consecutive cores within 1 hop
                 # except at most at the interval's row boundaries.
                 hops = [

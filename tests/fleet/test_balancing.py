@@ -60,17 +60,20 @@ class TestBalancers:
         # only appear when both samples miss it — never, with 3 chips.
         assert 0 not in picks(3)
 
-    def test_sticky_pins_sessions_until_the_set_shrinks(self):
-        balancer = make_balancer("sticky", FluidLoadTracker())
+    def test_sticky_pins_each_model_until_its_chip_leaves(self):
+        tracker = FluidLoadTracker()
+        balancer = make_balancer("sticky", tracker)
         chips = [0, 1, 2, 3]
-        first = balancer.choose("m", chips, 0.0, session="user-17")
-        assert all(
-            balancer.choose("m", chips, t, session="user-17") == first
-            for t in (1.0, 2.0, 3.0)
-        )
-        survivors = [c for c in chips if c != first]
-        rehomed = balancer.choose("m", survivors, 4.0, session="user-17")
-        assert rehomed in survivors
+        for model in ("vision", "speech", "detect"):
+            pinned = balancer.choose(model, chips, 0.0)
+            # Load-blind: piling work on the pinned chip never moves it.
+            tracker.add(pinned, 0.0, 100.0)
+            assert all(
+                balancer.choose(model, chips, t) == pinned
+                for t in (1.0, 2.0, 3.0)
+            )
+            survivors = [c for c in chips if c != pinned]
+            assert balancer.choose(model, survivors, 4.0) in survivors
 
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError, match="unknown balancer"):

@@ -15,7 +15,6 @@ from repro.fleet import (
     ChipCrash,
     ChipDegradation,
     FailureScenario,
-    FleetSimulator,
     build_scenario,
     partial_mesh_fault,
 )
@@ -60,14 +59,7 @@ class TestFailureDeclarations:
 @pytest.fixture(scope="module")
 def crash_result():
     scenario = build_scenario("chip-crash")
-    return FleetSimulator(
-        scenario.models,
-        scenario.n_chips,
-        balancer=scenario.balancer,
-        failures=scenario.failures,
-        scenario=scenario.name,
-        seed=11,
-    ).run(scenario.duration_ms)
+    return scenario.simulator(seed=11).run(scenario.duration_ms)
 
 
 class TestCrashMidWindow:
@@ -111,14 +103,7 @@ class TestCrashMidWindow:
 
     def test_same_seed_rerun_is_byte_identical(self, crash_result):
         scenario = build_scenario("chip-crash")
-        rerun = FleetSimulator(
-            scenario.models,
-            scenario.n_chips,
-            balancer=scenario.balancer,
-            failures=scenario.failures,
-            scenario=scenario.name,
-            seed=11,
-        ).run(scenario.duration_ms)
+        rerun = scenario.simulator(seed=11).run(scenario.duration_ms)
         assert rerun.to_json() == crash_result.to_json()
 
 
@@ -127,14 +112,7 @@ class TestDegradedChipEndToEnd:
         scenario = build_scenario("mixed-rate-fleet")
 
         def run(balancer):
-            return FleetSimulator(
-                scenario.models,
-                scenario.n_chips,
-                balancer=balancer,
-                failures=scenario.failures,
-                scenario=scenario.name,
-                seed=5,
-            ).run(500.0)
+            return scenario.simulator(balancer=balancer, seed=5).run(500.0)
 
         blind = run("round-robin")
         aware = run("least-loaded")

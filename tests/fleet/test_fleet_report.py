@@ -3,23 +3,14 @@
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.fleet import FleetSimulator, build_scenario
+from repro.fleet import build_scenario
 from repro.obs.report import build_fleet_report, validate_report
 from repro.obs.html import render_html
 
 
 def run_fleet(name, *, seed=7):
     scenario = build_scenario(name)
-    return FleetSimulator(
-        scenario.models,
-        scenario.n_chips,
-        balancer=scenario.balancer,
-        batch_requests=scenario.batch_requests,
-        failures=scenario.failures,
-        autoscale=scenario.autoscale,
-        scenario=scenario.name,
-        seed=seed,
-    ).run(scenario.duration_ms)
+    return scenario.simulator(seed=seed).run(scenario.duration_ms)
 
 
 @pytest.fixture(scope="module")

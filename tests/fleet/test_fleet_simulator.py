@@ -12,14 +12,8 @@ from repro.telemetry import MetricsRegistry
 def run_scenario(name, *, seed=3, workers=0, collect_metrics=False,
                  duration_ms=None, balancer=None):
     scenario = build_scenario(name)
-    sim = FleetSimulator(
-        scenario.models,
-        scenario.n_chips,
-        balancer=balancer or scenario.balancer,
-        batch_requests=scenario.batch_requests,
-        failures=scenario.failures,
-        autoscale=scenario.autoscale,
-        scenario=scenario.name,
+    sim = scenario.simulator(
+        balancer=balancer,
         seed=seed,
         workers=workers,
         collect_metrics=collect_metrics,
@@ -65,9 +59,22 @@ class TestFleetSmoke:
 
 
 class TestParallelIdentity:
-    def test_workers_do_not_change_a_single_byte(self):
-        serial = run_scenario("fleet-smoke", seed=21)
-        parallel = run_scenario("fleet-smoke", seed=21, workers=2)
+    @pytest.mark.parametrize(
+        "name, duration_ms",
+        [
+            ("fleet-smoke", None),
+            # A degraded chip: its steps travel inside the ReplicaPolicy.
+            ("mixed-rate-fleet", 500.0),
+            # Closed-loop users: UserGroupArrivals travel in the TenantSpecs.
+            ("diurnal-million", 300.0),
+        ],
+        ids=["fleet-smoke", "mixed-rate-fleet", "diurnal-million"],
+    )
+    def test_workers_do_not_change_a_single_byte(self, name, duration_ms):
+        serial = run_scenario(name, seed=21, duration_ms=duration_ms)
+        parallel = run_scenario(
+            name, seed=21, duration_ms=duration_ms, workers=2
+        )
         assert parallel.to_json() == serial.to_json()
 
     def test_parallel_identity_survives_failures_and_autoscale(self):

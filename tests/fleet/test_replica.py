@@ -12,7 +12,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.fleet.profiles import ModelProfile
-from repro.fleet.simulator import ChipWorkload, _TenantWork, run_chip
+from repro.fleet.replica import ReplicaPolicy
+from repro.fleet.simulator import ChipWorkload, run_chip
 from repro.serving import FixedServicePolicy, ServingSimulator, TenantSpec, TraceArrivals
 
 DURATION_MS = 12.0
@@ -37,23 +38,27 @@ def profiles(staged):
     }
 
 
-def fleet_chip(staged, batch_requests):
-    works = tuple(
-        _TenantWork(
-            model=name,
-            profile=profile,
+def tenants(table):
+    return tuple(
+        TenantSpec(
+            name,
+            p.stub_network(),
+            TraceArrivals(TENANTS[name][3]),
             deadline_ms=DEADLINE_MS,
             queue_capacity=QUEUE_CAPACITY,
-            trace=tuple(TENANTS[name][3]),
         )
-        for name, profile in profiles(staged).items()
+        for name, p in table.items()
     )
+
+
+def fleet_chip(staged, batch_requests):
+    table = profiles(staged)
     workload = ChipWorkload(
         chip=0,
         duration_ms=DURATION_MS,
-        discipline="fifo",
         batch_requests=batch_requests,
-        tenants=works,
+        policy=ReplicaPolicy(table),
+        tenants=tenants(table),
     )
     result, _ = run_chip(workload)
     return result
@@ -65,18 +70,8 @@ def single_chip(staged, batch_requests):
         {name: p.service_ms for name, p in table.items()},
         staging_ms={name: p.staging_ms for name, p in table.items()},
     )
-    tenants = [
-        TenantSpec(
-            name,
-            p.stub_network(),
-            TraceArrivals(TENANTS[name][3]),
-            deadline_ms=DEADLINE_MS,
-            queue_capacity=QUEUE_CAPACITY,
-        )
-        for name, p in table.items()
-    ]
     return ServingSimulator(policy, batch_requests=batch_requests).run(
-        tenants, DURATION_MS
+        tenants(table), DURATION_MS
     )
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.fleet import (
-    DEFAULT_CHIPS,
     FLEET_SCENARIOS,
     build_scenario,
     expected_requests,
@@ -16,13 +15,9 @@ class TestBuildScenario:
         for name in FLEET_SCENARIOS:
             scenario = build_scenario(name)
             assert scenario.name == name
-            assert scenario.n_chips == DEFAULT_CHIPS[name]
             assert scenario.models
             assert scenario.duration_ms > 0.0
             scenario.failures.validate(scenario.n_chips)
-
-    def test_registry_and_default_chips_agree(self):
-        assert set(DEFAULT_CHIPS) == set(FLEET_SCENARIOS)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(SimulationError, match="unknown fleet scenario"):
