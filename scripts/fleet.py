@@ -30,9 +30,10 @@ Run:  python scripts/fleet.py --chips 16 --scenario diurnal-million
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import os
-from typing import Dict
+from typing import Dict, Mapping
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -79,6 +80,14 @@ def print_report(result: FleetResult) -> None:
               f"({result.router_alert_count} burn alert(s))")
 
 
+def write_keyed(path: str, docs: Mapping[str, object]) -> None:
+    """Write one run's document as is, or several keyed by balancer name."""
+    payload = next(iter(docs.values())) if len(docs) == 1 else docs
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -98,9 +107,12 @@ def main() -> int:
     parser.add_argument("--duration-ms", type=float, default=None,
                         help="override the scenario's default window")
     parser.add_argument("--json-out", default=None,
-                        help="write the fleet result(s) as JSON")
+                        help="write the fleet result as JSON (with several "
+                             "balancers, one object keyed by balancer)")
     parser.add_argument("--metrics-out", default=None,
-                        help="write the merged fleet metrics registry as JSON")
+                        help="write the merged fleet metrics registry as "
+                             "JSON (with several balancers, one object "
+                             "keyed by balancer)")
     parser.add_argument("--assert-no-shed", action="store_true",
                         help="exit non-zero if any request was shed or failed")
     parser.add_argument("--assert-conserved", action="store_true",
@@ -109,7 +121,9 @@ def main() -> int:
     args = parser.parse_args()
 
     scenario = build_scenario(args.scenario, args.chips)
-    duration_ms = args.duration_ms or scenario.duration_ms
+    duration_ms = (
+        scenario.duration_ms if args.duration_ms is None else args.duration_ms
+    )
     if args.balancer == "all":
         balancers = sorted(BALANCERS)
     else:
@@ -132,26 +146,19 @@ def main() -> int:
             print(f"{name:>12}: {result.worst_model_p99_ms:8.3f} ms")
 
     if args.json_out:
-        if len(results) == 1:
-            payload = next(iter(results.values())).to_json()
-        else:
-            import json
-            payload = json.dumps(
-                {name: r.as_dict() for name, r in results.items()},
-                indent=2, sort_keys=True,
-            )
-        with open(args.json_out, "w") as f:
-            f.write(payload)
-            f.write("\n")
+        write_keyed(
+            args.json_out, {name: r.as_dict() for name, r in results.items()}
+        )
         print(f"\nwrote {args.json_out}")
     if args.metrics_out:
-        merged = next(iter(results.values())).metrics
-        if merged is None:
+        registries = {name: r.metrics for name, r in results.items()}
+        if any(registry is None for registry in registries.values()):
             print("no metrics collected", file=sys.stderr)
             return 1
-        with open(args.metrics_out, "w") as f:
-            f.write(merged.to_json(indent=2))
-            f.write("\n")
+        write_keyed(
+            args.metrics_out,
+            {name: registry.as_dict() for name, registry in registries.items()},
+        )
         print(f"wrote {args.metrics_out}")
 
     if args.assert_conserved:

@@ -69,7 +69,9 @@ from repro.sim.report import RunReport  # noqa: E402
 
 def serving_report(args: argparse.Namespace) -> Dict[str, object]:
     tenant_factory, default_duration = SCENARIOS[args.scenario]
-    duration_ms = args.duration_ms or default_duration
+    duration_ms = (
+        default_duration if args.duration_ms is None else args.duration_ms
+    )
     scheduler = MultiDNNScheduler(backend=args.backend)
     policy = build_policy(args.policy, scheduler)
     sink = telemetry.Telemetry()
@@ -100,7 +102,9 @@ def fleet_report(args: argparse.Namespace) -> Dict[str, object]:
     simulator = scenario.simulator(
         balancer=args.balancer, seed=args.seed, workers=args.workers
     )
-    result = simulator.run(args.duration_ms or scenario.duration_ms)
+    result = simulator.run(
+        scenario.duration_ms if args.duration_ms is None else args.duration_ms
+    )
     print(
         f"{scenario.name}: {result.total_generated} generated, "
         f"{result.total_completed} completed, {result.total_shed} shed, "

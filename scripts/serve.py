@@ -97,7 +97,9 @@ def main() -> int:
     args = parser.parse_args()
 
     tenant_factory, default_duration = SCENARIOS[args.scenario]
-    duration_ms = args.duration_ms or default_duration
+    duration_ms = (
+        default_duration if args.duration_ms is None else args.duration_ms
+    )
     policies = list(POLICIES) if args.policy == "all" else [args.policy]
 
     scheduler = MultiDNNScheduler(backend=args.backend)

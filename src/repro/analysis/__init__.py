@@ -25,7 +25,8 @@ Since PR 7 the package also checks *whole systems*, not just kernels
 * :func:`check_routes` / :func:`replay_routes` — ``NOC7xx``
   channel-dependency deadlock and hot-link checks over mesh route sets;
 * :func:`check_batches` / :func:`check_replay` — ``DET8xx``
-  same-timestamp batch commutativity and seeded replay diffing.
+  same-timestamp batch commutativity over declared
+  :class:`EventAccess` footprints, and seeded replay diffing.
 """
 
 from repro.analysis.cfg import (
@@ -37,8 +38,6 @@ from repro.analysis.cfg import (
 )
 from repro.analysis.determinism import (
     EventAccess,
-    accesses_from_events,
-    accesses_from_queue,
     check_batches,
     check_replay,
 )
@@ -92,8 +91,6 @@ __all__ = [
     "ScheduleReport",
     "Severity",
     "TimingEstimate",
-    "accesses_from_events",
-    "accesses_from_queue",
     "analyze_plan",
     "build_cfg",
     "check_batches",

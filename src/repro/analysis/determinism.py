@@ -1,37 +1,36 @@
-"""Event-tier determinism checking — the ``DET8xx`` rules.
+"""Event-batch determinism checking — the ``DET8xx`` rules.
 
 The event queue dispatches events that share a timestamp in schedule
-order (their sequence numbers).  The result is independent of that
-order only when each same-timestamp batch is *commutative*: no two
-events of different actors write the same station/queue/bank, and no
-event reads what a peer writes at the same instant.  Otherwise the
-result depends on which actor happened to schedule first, which any
-reordering of the scheduling code changes.  This module checks the
-property:
+order (their sequence numbers).  A result is independent of that order
+only when each same-timestamp batch is *commutative*: no two events of
+different actors write the same station/queue/bank, and no event reads
+what a peer writes at the same instant.  This module checks the property
+over *declared* event footprints (:class:`EventAccess` batches), the way
+:func:`repro.analysis.analyze_plan`'s ``det`` family does for a plan's
+co-resident tenant waves:
 
-* :func:`check_batches` — a happens-before pass over annotated event
+* :func:`check_batches` — a happens-before pass over the declared
   accesses.  Two same-timestamp writes to one resource from different
   actors is ``DET801`` (order-sensitive batch, error); a same-timestamp
   read/write pair across actors is ``DET802`` (order-dependent read,
   warning).  Same-actor pairs are fine: one actor's events dispatch in
   sequence order, which the kernel guarantees.
-* :func:`accesses_from_queue` — lift the pending events of a live
-  :class:`~repro.utils.events.EventQueue` (scheduled with
-  ``actor``/``reads``/``writes`` annotations) into the checker's form.
 * :func:`check_replay` — the dynamic backstop (``DET803``): run the
   same seeded simulation twice and diff the two structural trace
-  signatures; any divergence means hidden nondeterminism no static
-  annotation caught.
+  signatures; any divergence means hidden nondeterminism.
+
+The event kernel itself carries no annotations: a serving run's
+same-timestamp ties are resolved by the kernel's ``(time, seq)``
+tie-break, which the serving tests and CI's rerun ``cmp`` pin directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.rules import rule
-from repro.utils.events import Event, EventQueue
 
 
 @dataclass(frozen=True)
@@ -43,23 +42,6 @@ class EventAccess:
     tag: str = ""
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
-
-
-def accesses_from_events(events: Iterable[Event]) -> List[EventAccess]:
-    """Annotated events -> checker form (unannotated events are skipped)."""
-    return [
-        EventAccess(
-            time=e.time, actor=e.actor, tag=e.tag,
-            reads=e.reads, writes=e.writes,
-        )
-        for e in events
-        if e.actor and (e.reads or e.writes)
-    ]
-
-
-def accesses_from_queue(queue: EventQueue) -> List[EventAccess]:
-    """The pending batches of a live queue, ready for :func:`check_batches`."""
-    return accesses_from_events(queue.pending())
 
 
 def check_batches(accesses: Sequence[EventAccess]) -> LintReport:

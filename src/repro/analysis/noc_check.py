@@ -411,10 +411,6 @@ def replay_routes(
     nothing — so a channel-dependency cycle leaves the event queue empty
     with flows still holding links: the kernel *stalls*, which is
     exactly what the static ``NOC701`` check predicts.
-
-    Events are annotated with the links they write, so
-    :func:`repro.analysis.determinism.accesses_from_queue` can audit the
-    replay's own batches.
     """
     states = [
         _FlowState(f.name, path_links(f.resolved_path(width, height)))
@@ -437,11 +433,7 @@ def replay_routes(
             holders[link] = flow
             flow.held += 1
             queue.schedule_in(
-                cycles_per_hop,
-                lambda: advance(flow),
-                tag="noc/advance",
-                actor=flow.name,
-                writes=(_fmt_link(link),),
+                cycles_per_hop, lambda: advance(flow), tag="noc/advance"
             )
         else:
             # Hold-and-wait: park without an event.  Only a release can
@@ -457,17 +449,11 @@ def replay_routes(
                 parked = waiters.get(link)
                 if parked:
                     queue.schedule_in(
-                        0.0,
-                        lambda f=parked.pop(0): advance(f),
-                        tag="noc/grant",
-                        actor=flow.name,
-                        writes=(_fmt_link(link),),
+                        0.0, lambda f=parked.pop(0): advance(f), tag="noc/grant"
                     )
 
     for state in states:
-        queue.schedule_in(
-            0.0, lambda f=state: advance(f), tag="noc/inject", actor=state.name
-        )
+        queue.schedule_in(0.0, lambda f=state: advance(f), tag="noc/inject")
     queue.run()
     stalled = [s.name for s in states if not s.done]
     return RouteReplay(completed=completed, stalled=stalled, time=queue.now)

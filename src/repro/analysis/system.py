@@ -7,14 +7,16 @@ Composes the three system-scope analyzer families over one query:
 * ``noc``  — :mod:`repro.analysis.noc_check` (``NOC7xx``): the
   channel-dependency graph of the plan's (or an explicit) route set;
 * ``det``  — :mod:`repro.analysis.determinism` (``DET8xx``): same-
-  timestamp batch commutativity over annotated event accesses.
+  timestamp batch commutativity over declared :class:`EventAccess`
+  batches (the caller's ``event_batches``, or one steady-state wave per
+  co-resident tenant).
 
 Callers:
 
 * :func:`repro.sim.simulate` runs the ``plan`` family as an opt-out
   pre-flight gate (``SimConfig.preflight``) before spending tier cycles;
-* :class:`repro.serving.ServingSimulator` admission runs ``plan`` (+
-  co-residency) and ``det`` through
+* :class:`repro.serving.ServingSimulator` admission runs the ``plan``
+  family (with co-residency) through
   :meth:`repro.serving.policies.ServingPolicy.preflight`;
 * ``scripts/lint_plan.py`` runs all three families from the CLI.
 """

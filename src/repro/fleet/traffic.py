@@ -132,11 +132,6 @@ class UserGroupArrivals(ArrivalProcess):
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
 
-    def first_ms(self) -> Optional[float]:
-        # Single-chain view (unused by the serving loop, which seeds via
-        # initial_arrivals); kept for interface completeness.
-        return 0.0
-
     def initial_arrivals(self) -> List[float]:
         return [
             self._rng.random() * self.think_ms for _ in range(self.users)

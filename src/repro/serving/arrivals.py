@@ -29,10 +29,11 @@ from repro.errors import SimulationError
 class ArrivalProcess:
     """Interface every load generator implements.
 
-    ``closed_loop`` selects which of the two generation hooks the serving
-    simulator drives: open-loop processes advance via :meth:`next_ms`
-    after each arrival; closed-loop processes advance via
-    :meth:`after_completion_ms` after each completion.
+    :meth:`initial_arrivals` seeds the run; ``closed_loop`` selects which
+    of the two generation hooks the serving simulator drives after that:
+    open-loop processes advance via :meth:`next_ms` after each arrival;
+    closed-loop processes advance via :meth:`after_completion_ms` after
+    each completion.
     """
 
     closed_loop: bool = False
@@ -40,22 +41,18 @@ class ArrivalProcess:
     def reset(self) -> None:
         """Rewind to the first arrival (re-seeds any internal RNG)."""
 
-    def first_ms(self) -> Optional[float]:
-        """Time of the first arrival, or ``None`` for an empty stream."""
-        raise NotImplementedError
-
     def initial_arrivals(self) -> List[float]:
         """Arrival times seeded before the run starts.
 
-        Open-loop processes seed one arrival (:meth:`first_ms`) and chain
-        the rest through :meth:`next_ms`.  Closed-loop processes with many
+        Each seeded arrival starts one chain.  Open-loop processes seed
+        at most one (an empty list is an empty stream) and chain the rest
+        through :meth:`next_ms`.  Closed-loop processes with many
         concurrent users (e.g. :class:`repro.fleet.traffic.UserGroupArrivals`)
-        override this to seed one arrival per user — every completion then
-        schedules that chain's next request, so ``len(initial_arrivals())``
-        chains stay in flight.
+        seed one arrival per user — every completion then schedules that
+        chain's next request, so ``len(initial_arrivals())`` chains stay
+        in flight.
         """
-        first = self.first_ms()
-        return [] if first is None else [first]
+        raise NotImplementedError
 
     def next_ms(self, last_arrival_ms: float) -> Optional[float]:
         """Open loop: the arrival after the one at ``last_arrival_ms``."""
@@ -81,8 +78,8 @@ class PeriodicArrivals(ArrivalProcess):
     def rate_hz(self) -> float:
         return 1000.0 / self.period_ms
 
-    def first_ms(self) -> Optional[float]:
-        return self.offset_ms
+    def initial_arrivals(self) -> List[float]:
+        return [self.offset_ms]
 
     def next_ms(self, last_arrival_ms: float) -> Optional[float]:
         return last_arrival_ms + self.period_ms
@@ -104,8 +101,8 @@ class PoissonArrivals(ArrivalProcess):
     def _gap_ms(self) -> float:
         return self._rng.expovariate(self.rate_hz) * 1000.0
 
-    def first_ms(self) -> Optional[float]:
-        return self._gap_ms()
+    def initial_arrivals(self) -> List[float]:
+        return [self._gap_ms()]
 
     def next_ms(self, last_arrival_ms: float) -> Optional[float]:
         return last_arrival_ms + self._gap_ms()
@@ -133,8 +130,9 @@ class TraceArrivals(ArrivalProcess):
         self._cursor += 1
         return t
 
-    def first_ms(self) -> Optional[float]:
-        return self._emit()
+    def initial_arrivals(self) -> List[float]:
+        first = self._emit()
+        return [] if first is None else [first]
 
     def next_ms(self, last_arrival_ms: float) -> Optional[float]:
         return self._emit()
@@ -172,8 +170,8 @@ class ClosedLoopArrivals(ArrivalProcess):
     def reset(self) -> None:
         self._cursor = 0
 
-    def first_ms(self) -> Optional[float]:
-        return self.offset_ms
+    def initial_arrivals(self) -> List[float]:
+        return [self.offset_ms]
 
     def after_completion_ms(self, completion_ms: float) -> Optional[float]:
         think = self.think_ms[self._cursor % len(self.think_ms)]

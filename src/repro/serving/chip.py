@@ -4,10 +4,12 @@
 dispatch/complete loop, attribution, and SLO accounting, bound to the
 chip's own event queue.  :meth:`repro.serving.simulator.ServingSimulator.run`
 builds one per run; :meth:`ChipHandle.start` seeds each tenant's arrival
-process (open-loop chains advance themselves; closed-loop chains re-arm
-on completion) and the policy's control ticks.  A fleet chip is the same
-run over the :class:`~repro.serving.arrivals.TraceArrivals` the router
-sent it.
+process, in tenant declaration order (open-loop chains advance
+themselves; closed-loop chains re-arm on completion), then the policy's
+control ticks.  Simultaneous events dispatch in the order they were
+scheduled (the event queue's ``(time, seq)`` tie-break), so that seeding
+order decides ties between tenants.  A fleet chip is the same run over
+the :class:`~repro.serving.arrivals.TraceArrivals` the router sent it.
 
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.monitor import DEFAULT_WINDOW_MS, AlertEvent, SLOMonitor
 from repro.obs.timeline import AttributionTable
@@ -34,14 +36,12 @@ from repro.utils.events import EventQueue
 
 @dataclass(slots=True)
 class _TenantState:
-    """One tenant's queue and report, with its event annotations formatted once."""
+    """One tenant's queue, report, and server."""
 
     spec: TenantSpec
     report: TenantReport
     queue: AdmissionQueue
     server: str
-    actor: str                 # "tenant/<name>"
-    writes: Tuple[str, ...]    # ("queue/<name>",)
     window_arrivals: int = 0   # arrivals since the last control tick
     arrival_index: int = 0     # next per-tenant request index
 
@@ -50,8 +50,6 @@ class _TenantState:
 class _ServerState:
     """One server's occupancy, resize gate, and accumulated busy time."""
 
-    actor: str                 # "server/<name>"
-    writes: Tuple[str, ...]    # ("server/<name>",)
     busy: bool = False
     free_at_ms: float = 0.0       # completion time of the in-flight request
     stall_until_ms: float = 0.0   # weight re-staging gate after a resize
@@ -95,17 +93,16 @@ class ChipHandle:
         self.reports: Dict[str, TenantReport] = {
             t.name: TenantReport(tenant=t.name) for t in tenants
         }
-        #: Per-tenant state in declaration order.  The event annotations
-        #: and the tenant's server are resolved here, once, not per event.
+        #: Per-tenant state in declaration order, the order :meth:`start`
+        #: seeds arrivals in.  The tenant's server is resolved here,
+        #: once, not per event.
         self.tenants: Dict[str, _TenantState] = {}
         self.servers: Dict[str, _ServerState] = {}
         for spec in tenants:
             server = policy.server_of(spec.name)
             state = self.servers.get(server)
             if state is None:
-                state = self.servers[server] = _ServerState(
-                    actor=f"server/{server}", writes=(f"server/{server}",)
-                )
+                state = self.servers[server] = _ServerState()
             tenant = self.tenants[spec.name] = _TenantState(
                 spec=spec,
                 report=self.reports[spec.name],
@@ -113,8 +110,6 @@ class ChipHandle:
                     capacity=spec.queue_capacity, discipline=discipline
                 ),
                 server=server,
-                actor=f"tenant/{spec.name}",
-                writes=(f"queue/{spec.name}",),
             )
             state.tenants.append(tenant)
         self.resizes: List[ResizeEvent] = []
@@ -216,9 +211,7 @@ class ChipHandle:
                     self.dispatch(server)
 
                 queue.schedule(
-                    state.stall_until_ms, resume, tag="serving/resume",
-                    actor=state.actor,
-                    writes=state.writes,
+                    state.stall_until_ms, resume, tag="serving/resume"
                 )
             return
         tenant = self._pick(state)
@@ -311,8 +304,6 @@ class ChipHandle:
             finish,
             lambda: self.complete(server, tenant, batch, service, finish, attr),
             tag="serving/completion",
-            actor=state.actor,
-            writes=state.writes,
         )
 
     def complete(
@@ -414,14 +405,8 @@ class ChipHandle:
         """Schedule one future arrival of ``tenant`` (drops past-window)."""
         if t is None or t >= self.duration_ms:
             return
-        # Happens-before annotation: an arrival's primary effect is
-        # its own tenant's admission queue, so simultaneous arrivals
-        # of *different* tenants commute (the determinism scan checks
-        # exactly this).
         self.queue.schedule(
-            t, lambda: self.arrive(tenant, t), tag="serving/arrival",
-            actor=tenant.actor,
-            writes=tenant.writes,
+            t, lambda: self.arrive(tenant, t), tag="serving/arrival"
         )
 
     def arrive(self, tenant: _TenantState, t: float) -> None:
@@ -592,17 +577,13 @@ class ChipHandle:
                 t = k * interval
                 if t < self.duration_ms:
                     self.queue.schedule(
-                        t, lambda t=t: self.control(t), tag="serving/control",
-                        actor="control",
-                        writes=("partition",),
+                        t, lambda t=t: self.control(t), tag="serving/control"
                     )
         if self.halt_ms is not None:
             self.queue.schedule(
                 self.halt_ms,
                 lambda: self.halt(self.halt_ms),
                 tag="serving/halt",
-                actor="control",
-                writes=("partition",),
             )
 
     def finish(self) -> ServingRunResult:

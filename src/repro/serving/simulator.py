@@ -24,14 +24,18 @@ discrete-event kernel (:class:`repro.utils.events.EventQueue`) against a
 The mechanics live in :class:`~repro.serving.chip.ChipHandle` — one
 chip's queues, servers, and accounting on its own event queue.
 :meth:`ServingSimulator.run` is the one way to run a chip: validate and
-prepare → bind a handle → ``start`` → determinism scan → drain →
+prepare → admission preflight → bind a handle → ``start`` → drain →
 ``finish``.  A fleet (``repro.fleet``) runs each of its chips through it,
 over arrivals the router routed beforehand.
 
 Determinism: all randomness lives in the seeded arrival processes and
-every simultaneous event resolves by the event queue's sequence-number
+every simultaneous event resolves by the event queue's ``(time, seq)``
 tie-break, so two runs with the same specs produce byte-identical
-reports, metrics, and traces.
+reports, metrics, and traces.  The tie-break is schedule order, and
+tenants' initial arrivals are seeded in declaration order, so
+declaration order decides ties between tenants: when two tenants'
+seeded (or lockstep) arrivals coincide on a shared server, the tenant
+declared first is admitted, and served, first.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import numbers
 from typing import Optional, Sequence
 
-from repro.analysis.determinism import accesses_from_queue, check_batches
 from repro.errors import PlanVerificationError, SimulationError
 from repro.obs.monitor import SLOMonitor
 from repro.serving.chip import ChipHandle
@@ -86,8 +89,7 @@ class ServingSimulator:
         self.discipline = discipline
         #: Static admission gate: after ``policy.prepare`` the policy's
         #: :meth:`~repro.serving.policies.ServingPolicy.preflight` report
-        #: and a determinism scan of the initial event population must be
-        #: error-free, or the run raises
+        #: must be error-free, or the run raises
         #: :class:`~repro.errors.PlanVerificationError` before any
         #: sim-time is spent.  ``False`` opts out.
         self.preflight = preflight
@@ -155,16 +157,5 @@ class ServingSimulator:
             halt_ms=halt_ms,
         )
         chip.start()
-        if self.preflight:
-            # Static determinism scan of the initial event population:
-            # any same-timestamp write-write conflict across actors would
-            # make the result depend on schedule order (DET801).
-            det = check_batches(accesses_from_queue(chip.queue))
-            if not det.ok:
-                raise PlanVerificationError(
-                    "serving admission found a non-commutative event "
-                    "batch:\n" + det.render(),
-                    det,
-                )
         chip.queue.run()
         return chip.finish()

@@ -16,7 +16,7 @@ from repro.utils.fixedpoint import (
     dequantize_linear,
     saturate,
 )
-from repro.utils.events import Event, EventQueue
+from repro.utils.events import EventQueue
 
 __all__ = [
     "bits_to_int",
@@ -31,6 +31,5 @@ __all__ = [
     "quantize_linear",
     "dequantize_linear",
     "saturate",
-    "Event",
     "EventQueue",
 ]

@@ -2,22 +2,24 @@
 
 Drives the serving loop (one chip's arrivals, dispatches and control
 epochs), the fleet's per-chip runs and the NoC route replay.  Events
-carry a timestamp, a monotonically increasing sequence number (for
-deterministic FIFO ordering among simultaneous events), and an arbitrary
-callback.  Tagged events are surfaced to the telemetry recorder as
-instant events on the ``events`` track (one counter per tag), so a
-queue-driven simulation gets a timeline for free.
+carry a timestamp, a monotonically increasing sequence number, and an
+arbitrary callback.  Simultaneous events dispatch in schedule order: the
+heap orders by ``(time, seq)`` and ``seq`` counts :meth:`EventQueue.schedule`
+calls, so a run's dispatch order is a pure function of its schedule
+calls.  Callers that share a timestamp therefore get a deterministic but
+order-dependent tie-break (on a shared serving server, the tenant
+declared first is served first).  Tagged events are surfaced to the
+telemetry recorder as instant events on the ``events`` track (one
+counter per tag), so a queue-driven simulation gets a timeline for free.
 
 Hot-path notes:
 
 * The heap holds each pending event as the plain tuple
-  ``(time, seq, action, tag, actor, reads, writes)``.  Heap order is
-  resolved by tuple comparison on the first two fields; ``seq`` is
-  unique, so the comparison never reaches the callback.
-* An :class:`Event` is built only where a caller asks for one
-  (:meth:`EventQueue.pending`) and for telemetry emission.
-  :meth:`EventQueue.schedule` returns nothing, and
-  :meth:`EventQueue.run` drains the heap without building any.
+  ``(time, seq, action, tag)``.  Heap order is resolved by tuple
+  comparison on the first two fields; ``seq`` is unique, so the
+  comparison never reaches the callback.
+* :meth:`EventQueue.schedule` returns nothing, and :meth:`EventQueue.run`
+  drains the heap without building any per-event object.
 * The telemetry sink's ``enabled`` flag is read once per :meth:`run`, so
   runs against the default ``NullSink`` pay no per-event tag or
   formatting cost.
@@ -27,37 +29,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 
-#: One pending event on the heap: ``(time, seq, action, tag, actor,
-#: reads, writes)``, the field order of :class:`Event`.
-_Entry = Tuple[float, int, Callable[[], Any], str, str, Tuple[str, ...], Tuple[str, ...]]
-
-
-@dataclass
-class Event:
-    """A dispatched or pending callback.  Queue ordering is (time, seq).
-
-    ``actor``/``reads``/``writes`` are optional happens-before
-    annotations consumed by :mod:`repro.analysis.determinism`: the actor
-    that owns the callback and the resources it touches.  Unannotated
-    events (the defaults) are invisible to the race detector; annotated
-    same-timestamp events from *different* actors writing one resource
-    are exactly what would make a run's result depend on the order in
-    which they were scheduled.
-    """
-
-    time: float
-    seq: int
-    action: Callable[[], Any] = field(compare=False)
-    tag: str = field(default="", compare=False)
-    actor: str = field(default="", compare=False)
-    reads: Tuple[str, ...] = field(default=(), compare=False)
-    writes: Tuple[str, ...] = field(default=(), compare=False)
+#: One pending event on the heap: ``(time, seq, action, tag)``.
+_Entry = Tuple[float, int, Callable[[], Any], str]
 
 
 class EventQueue:
@@ -93,66 +71,37 @@ class EventQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def pending(self) -> List[Event]:
-        """Undispatched events in (time, seq) dispatch order.
-
-        A snapshot for static inspection (the determinism checker audits
-        pending same-timestamp batches before a run); the heap itself is
-        untouched.
-        """
-        return [Event(*entry) for entry in sorted(self._heap)]
-
     def schedule(
-        self,
-        time: float,
-        action: Callable[[], Any],
-        tag: str = "",
-        *,
-        actor: str = "",
-        reads: Tuple[str, ...] = (),
-        writes: Tuple[str, ...] = (),
+        self, time: float, action: Callable[[], Any], tag: str = ""
     ) -> None:
         """Schedule ``action`` at absolute ``time``.
 
         ``time`` must not precede :attr:`now`; a NaN time is rejected
         too, since it would compare false against every other time and
-        silently misorder the heap.  ``actor``/``reads``/``writes``
-        annotate the event for the determinism checker (see
-        :class:`Event`); they cost nothing on the dispatch hot path.
+        silently misorder the heap.  Events at one ``time`` dispatch in
+        the order they were scheduled.
         """
         if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule event at t={time}: not at or after "
                 f"current time {self._now}"
             )
-        heapq.heappush(
-            self._heap,
-            (time, next(self._counter), action, tag, actor, reads, writes),
-        )
+        heapq.heappush(self._heap, (time, next(self._counter), action, tag))
 
     def schedule_in(
-        self,
-        delay: float,
-        action: Callable[[], Any],
-        tag: str = "",
-        *,
-        actor: str = "",
-        reads: Tuple[str, ...] = (),
-        writes: Tuple[str, ...] = (),
+        self, delay: float, action: Callable[[], Any], tag: str = ""
     ) -> None:
         """Schedule ``action`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.schedule(
-            self._now + delay, action, tag,
-            actor=actor, reads=reads, writes=writes,
-        )
+        self.schedule(self._now + delay, action, tag)
 
-    def _emit(self, event: Event) -> None:
+    def _emit(self, entry: _Entry) -> None:
+        time, seq, _, tag = entry
         t = self._telemetry
         assert t.trace is not None and t.registry is not None
-        t.trace.instant("events", event.tag, event.time, args={"seq": event.seq})
-        t.registry.counter(f"events/by_tag/{event.tag}").inc()
+        t.trace.instant("events", tag, time, args={"seq": seq})
+        t.registry.counter(f"events/by_tag/{tag}").inc()
 
     def run(self) -> float:
         """Dispatch events in (time, seq) order until the queue drains.
@@ -169,6 +118,6 @@ class EventQueue:
             self._now = entry[0]
             self._processed += 1
             if emit and entry[3]:
-                self._emit(Event(*entry))
+                self._emit(entry)
             entry[2]()
         return self._now

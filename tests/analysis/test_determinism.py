@@ -1,12 +1,6 @@
 """The DET8xx determinism checker: batch commutativity and replay diffs."""
 
-from repro.analysis import (
-    EventAccess,
-    accesses_from_queue,
-    check_batches,
-    check_replay,
-)
-from repro.utils.events import EventQueue
+from repro.analysis import EventAccess, check_batches, check_replay
 
 
 def rules_of(report):
@@ -72,33 +66,6 @@ class TestBatchCommutativity:
         first = check_batches(accesses).render()
         second = check_batches(accesses).render()
         assert first == second
-
-
-class TestQueueLifting:
-    def test_annotated_events_are_lifted(self):
-        queue = EventQueue()
-        queue.schedule(0.0, lambda: None, tag="arrive",
-                       actor="t1", writes=("q1",))
-        queue.schedule(0.0, lambda: None, tag="arrive",
-                       actor="t2", writes=("q1",))
-        accesses = accesses_from_queue(queue)
-        assert len(accesses) == 2
-        assert "DET801" in rules_of(check_batches(accesses))
-
-    def test_unannotated_events_are_skipped(self):
-        queue = EventQueue()
-        queue.schedule(0.0, lambda: None, tag="legacy")
-        queue.schedule(0.0, lambda: None, tag="actor-only", actor="a")
-        assert accesses_from_queue(queue) == []
-
-    def test_lifting_does_not_drain_the_queue(self):
-        queue = EventQueue()
-        fired = []
-        queue.schedule(0.0, lambda: fired.append(1), tag="x",
-                       actor="a", writes=("r",))
-        accesses_from_queue(queue)
-        queue.run()
-        assert fired == [1]
 
 
 class TestReplay:

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.fleet import BALANCERS
+
 REPO = Path(__file__).resolve().parents[2]
 FLEET = REPO / "scripts" / "fleet.py"
 
@@ -70,3 +72,34 @@ class TestFleetCli:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_zero_duration_is_rejected_and_writes_nothing(self, tmp_path):
+        # An explicit 0 is a duration, not "use the scenario default".
+        out = tmp_path / "fleet.json"
+        proc = run_cli(
+            "--scenario", "fleet-smoke",
+            "--duration-ms", "0",
+            "--json-out", str(out),
+            check=False,
+        )
+        assert proc.returncode != 0
+        assert "duration must be positive, got 0.0" in proc.stderr
+        assert not out.exists()
+
+    def test_balancer_sweep_writes_every_metrics_registry(self, tmp_path):
+        swept = tmp_path / "all.json"
+        run_cli(
+            "--scenario", "fleet-smoke",
+            "--balancer", "all",
+            "--metrics-out", str(swept),
+        )
+        payload = json.loads(swept.read_text())
+        assert set(payload) == set(BALANCERS)
+        for name in BALANCERS:
+            own = tmp_path / f"{name}.json"
+            run_cli(
+                "--scenario", "fleet-smoke",
+                "--balancer", name,
+                "--metrics-out", str(own),
+            )
+            assert payload[name] == json.loads(own.read_text()), name

@@ -12,14 +12,19 @@ ROOT = os.path.join(os.path.dirname(__file__), "..", "..")
 SCRIPT = os.path.join(ROOT, "scripts", "report.py")
 
 
+def run_script(script, *argv):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run(
+        [sys.executable, script, *argv],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+
+
 def run_report(tmp_path, stem, *argv):
     html = tmp_path / f"{stem}.html"
     doc = tmp_path / f"{stem}.json"
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, SCRIPT, *argv,
-         "--out", str(html), "--json-out", str(doc)],
-        capture_output=True, text=True, env=env, cwd=ROOT,
+    proc = run_script(
+        SCRIPT, *argv, "--out", str(html), "--json-out", str(doc)
     )
     assert proc.returncode == 0, proc.stderr
     return html.read_bytes(), doc.read_bytes()
@@ -72,3 +77,23 @@ class TestXCheckCLI:
         doc = json.loads(first[1])
         assert doc["kind"] == "xcheck"
         assert set(doc["workloads"]) == {"small_cnn"}
+
+
+class TestDurationOverride:
+    @pytest.mark.parametrize("script, argv", [
+        ("report.py", ("serving", "--scenario", "smoke")),
+        ("report.py", ("fleet", "--scenario", "fleet-smoke")),
+        ("serve.py", ("--scenario", "smoke")),
+    ])
+    def test_zero_duration_is_rejected_and_writes_nothing(
+        self, tmp_path, script, argv
+    ):
+        # An explicit 0 is a duration, not "use the scenario default".
+        doc = tmp_path / "doc.json"
+        proc = run_script(
+            os.path.join(ROOT, "scripts", script), *argv,
+            "--duration-ms", "0", "--json-out", str(doc),
+        )
+        assert proc.returncode != 0
+        assert "duration must be positive, got 0.0" in proc.stderr
+        assert not doc.exists()

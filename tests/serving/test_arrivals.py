@@ -14,7 +14,8 @@ from repro.serving.arrivals import (
 def drain(process, n=10):
     """First ``n`` open-loop arrival times."""
     times = []
-    t = process.first_ms()
+    seeds = process.initial_arrivals()
+    t = seeds[0] if seeds else None
     while t is not None and len(times) < n:
         times.append(t)
         t = process.next_ms(t)
@@ -67,7 +68,7 @@ class TestTrace:
     def test_replays_in_order(self):
         t = TraceArrivals([0.0, 1.5, 1.5, 9.0])
         assert drain(t) == [0.0, 1.5, 1.5, 9.0]
-        assert t.first_ms() is None  # exhausted
+        assert t.initial_arrivals() == []  # exhausted
 
     def test_reset(self):
         t = TraceArrivals([2.0, 4.0])
@@ -86,7 +87,7 @@ class TestClosedLoop:
     def test_thinks_after_completion(self):
         p = ClosedLoopArrivals(5.0, offset_ms=2.0)
         assert p.closed_loop
-        assert p.first_ms() == 2.0
+        assert p.initial_arrivals() == [2.0]
         assert p.after_completion_ms(10.0) == 15.0
 
     def test_think_trace_cycles(self):

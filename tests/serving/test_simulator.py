@@ -210,6 +210,28 @@ class TestDeterminism:
         ]
         assert runs[0] == runs[1]
 
+    def test_declaration_order_breaks_simultaneous_arrival_ties(self):
+        # Two tenants on one server arrive together every 10 ms.  The
+        # kernel dispatches simultaneous events by (time, seq), so the
+        # tenant declared first is admitted, and served, first at every
+        # tie; swapping the declaration order swaps who waits.
+        def run(order):
+            return ServingSimulator(
+                FixedServicePolicy({"a": 3.0, "b": 3.0}, shared_server="chip"),
+                collect_timelines=True,
+            ).run([tenant(n, PeriodicArrivals(10.0)) for n in order], 35.0)
+
+        for order in (("a", "b"), ("b", "a")):
+            result = run(order)
+            first, second = (result.reports[n] for n in order)
+            assert (first.completed, first.queue_wait_ms_total) == (4, 0.0)
+            assert latencies(first) == [3.0, 3.0, 3.0, 3.0]
+            # Each waits 3 ms behind the first; the t=30 one ends at 36.
+            assert (second.completed, second.queue_wait_ms_total) == (3, 9.0)
+            assert latencies(second) == [6.0, 6.0, 6.0]
+            assert second.overrun == 1
+            assert run(order).to_json() == result.to_json()
+
 
 class TestTelemetry:
     def test_counters_histograms_and_trace(self):

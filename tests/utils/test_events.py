@@ -143,17 +143,10 @@ _PROGRAMS = st.lists(
 )
 
 
-def _top_event(i, t):
-    """Tag and happens-before annotations of top-level event ``i``.
-
-    Odd events are untagged, so telemetry must skip them.
-    """
-    return {
-        "tag": "" if i % 2 else "top",
-        "actor": f"actor{i % 3}",
-        "reads": (f"r{i % 2}",),
-        "writes": (f"w{t}",),
-    }
+def _top_tag(i):
+    """Tag of top-level event ``i``; odd events are untagged, so
+    telemetry must skip them."""
+    return "" if i % 2 else "top"
 
 
 def _reference(program):
@@ -164,7 +157,7 @@ def _reference(program):
     minimum, found by sorting.
     """
     pending = [
-        (t, i, f"e{i}", children, _top_event(i, t)["tag"])
+        (t, i, f"e{i}", children, _top_tag(i))
         for i, (t, children) in enumerate(program)
     ]
     seq = len(pending)
@@ -179,8 +172,8 @@ def _reference(program):
     return dispatched
 
 
-def _build_program(program, sink=None):
-    """A queue with ``program``'s top-level events scheduled, and its log."""
+def _run_program(program, sink=None):
+    """Run ``program`` on a fresh queue: its log, ``now`` and ``processed``."""
     q = EventQueue(telemetry=sink)
     order = []
 
@@ -192,18 +185,13 @@ def _build_program(program, sink=None):
         return action
 
     for i, (t, children) in enumerate(program):
-        q.schedule(t, fire(f"e{i}", children), **_top_event(i, t))
-    return q, order
-
-
-def _run_program(program, sink=None):
-    q, order = _build_program(program, sink)
+        q.schedule(t, fire(f"e{i}", children), tag=_top_tag(i))
     q.run()
     return order, q.now, q.processed
 
 
 class TestDispatchContract:
-    """``run()`` and ``pending()`` against an independent reference."""
+    """``run()`` against an independent reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(program=_PROGRAMS)
@@ -214,10 +202,9 @@ class TestDispatchContract:
         equal-time ties and handlers that schedule at the current
         timestamp — ``run()`` dispatches exactly the order of an
         independent ``(time, seq)``-sorted reference, and lands on its
-        ``now``/``processed``.  ``pending()`` lists the annotated
-        top-level events in that order, and under an enabled sink the
-        ``events`` instants and ``events/by_tag/*`` counters are the
-        reference's tagged events.
+        ``now``/``processed``.  Under an enabled sink the ``events``
+        instants and ``events/by_tag/*`` counters are the reference's
+        tagged events.
         """
         reference = _reference(program)
         expected = (
@@ -226,18 +213,6 @@ class TestDispatchContract:
             len(reference),
         )
         assert _run_program(program) == expected
-
-        q, _ = _build_program(program)
-        top = sorted(
-            (t, i, _top_event(i, t)) for i, (t, _) in enumerate(program)
-        )
-        assert [
-            (e.time, e.seq, e.tag, e.actor, e.reads, e.writes)
-            for e in q.pending()
-        ] == [
-            (t, i, a["tag"], a["actor"], a["reads"], a["writes"])
-            for t, i, a in top
-        ]
 
         tagged = [(tag, time, seq) for _, time, seq, tag in reference if tag]
         sink = Telemetry()
