@@ -5,9 +5,8 @@
 assembled program on one core, this one checks a *deployment* — the
 mapped :class:`~repro.mapping.segmentation.SegmentPlan` of a network, or
 the co-resident partition layout of a serving scenario — against the
-``PLAN6xx`` resource rules, the ``NOC7xx`` channel-dependency deadlock
-checker, and the ``DET8xx`` event-batch commutativity rules (catalog in
-``docs/ANALYSIS.md``).
+``PLAN6xx`` resource rules and the ``NOC7xx`` channel-dependency
+deadlock checker (catalog in ``docs/ANALYSIS.md``).
 
 Examples::
 
@@ -41,13 +40,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.analysis import (
     ANALYSIS_FAMILIES,
-    EventAccess,
     LintReport,
     ResidentPlan,
     RouteFlow,
     analyze_plan,
-    plan_route_flows,
     replay_routes,
+    resident_route_flows,
 )
 from repro.core.multi_dnn import MultiDNNScheduler
 from repro.errors import ReproError
@@ -70,13 +68,6 @@ DEADLOCK_FLOWS = (
     RouteFlow("broken/south", (1, 0), (0, 1), path=((1, 0), (1, 1), (0, 1))),
     RouteFlow("broken/west", (1, 1), (0, 0), path=((1, 1), (0, 1), (0, 0))),
     RouteFlow("broken/north", (0, 1), (1, 0), path=((0, 1), (0, 0), (1, 0))),
-)
-
-#: Two actors writing one resource in the same sim-time batch: the drain
-#: order is heap-insertion order, not a property of the model — DET801.
-CONFLICT_BATCH = (
-    EventAccess(time=0.0, actor="broken-a", tag="wave", writes=("tile42",)),
-    EventAccess(time=0.0, actor="broken-b", tag="wave", writes=("tile42",)),
 )
 
 
@@ -121,24 +112,11 @@ def _inject_cmem_break(residents: Sequence[ResidentPlan]) -> None:
     segment.allocation.nodes[segment.layers[0].index] = 0
 
 
-def _flows_for(residents: Sequence[ResidentPlan]) -> List[RouteFlow]:
-    flows: List[RouteFlow] = []
-    for resident in residents:
-        flows.extend(
-            plan_route_flows(
-                resident.plan,
-                start_offset=resident.region_start,
-                prefix=f"{resident.name}/",
-            )
-        )
-    return flows
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lint_plan",
-        description="Static plan/NoC/determinism analyzer for MAICC "
-        "deployments (PLAN6xx / NOC7xx / DET8xx).",
+        description="Static plan/NoC analyzer for MAICC deployments "
+        "(PLAN6xx / NOC7xx).",
     )
     target = parser.add_mutually_exclusive_group()
     target.add_argument(
@@ -161,10 +139,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"{', '.join(ANALYSIS_FAMILIES)})",
     )
     parser.add_argument(
-        "--broken", choices=("cmem", "noc", "det"), default=None,
+        "--broken", choices=("cmem", "noc"), default=None,
         help="inject a known-broken artifact (CI negative tests): "
         "'cmem' zeroes a layer's node group, 'noc' adds the classic "
-        "4-flow turn cycle, 'det' adds a write-write event batch",
+        "4-flow turn cycle",
     )
     parser.add_argument(
         "--replay", action="store_true",
@@ -191,20 +169,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"lint_plan: {exc}", file=sys.stderr)
         return 2
 
-    routes: Optional[List[RouteFlow]] = None
-    batches: Optional[List[EventAccess]] = None
     if args.broken == "cmem":
         _inject_cmem_break(residents)
-    elif args.broken == "noc":
-        routes = _flows_for(residents) + list(DEADLOCK_FLOWS)
-    elif args.broken == "det":
-        batches = list(CONFLICT_BATCH)
+    routes = resident_route_flows(residents)
+    if args.broken == "noc":
+        routes += DEADLOCK_FLOWS
 
     report: LintReport = analyze_plan(
         config=config,
         co_resident=residents,
         routes=routes,
-        event_batches=batches,
         families=tuple(args.families),
     )
 
@@ -227,11 +201,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     replay_deadlocked = False
     if args.replay:
-        flows = routes if routes is not None else _flows_for(residents)
-        replay = replay_routes(flows)
+        replay = replay_routes(routes)
         replay_deadlocked = replay.deadlocked
         payload["replay"] = {
-            "flows": len(flows),
+            "flows": len(routes),
             "completed": len(replay.completed),
             "stalled": sorted(replay.stalled),
             "deadlocked": replay.deadlocked,

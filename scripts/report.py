@@ -65,7 +65,7 @@ from repro.obs.report import (  # noqa: E402
 from repro.serving import ServingSimulator  # noqa: E402
 from repro.serving.scenarios import POLICIES, SCENARIOS, build_policy  # noqa: E402
 from repro.sim import available_backends, cross_check  # noqa: E402
-from repro.sim.report import RunReport  # noqa: E402
+
 
 def serving_report(args: argparse.Namespace) -> Dict[str, object]:
     tenant_factory, default_duration = SCENARIOS[args.scenario]
@@ -119,19 +119,13 @@ def xcheck_report(args: argparse.Namespace) -> Dict[str, object]:
     names = sorted(WORKLOADS) if args.workload == "all" else [args.workload]
     backends = args.backends or list(available_backends())
     xchecks = []
-    runs: Dict[str, Dict[str, RunReport]] = {}
     for name in names:
-        network = WORKLOADS[name]()
-        xchecks.append(
-            cross_check(network, strategy=args.strategy, backends=backends)
-        )
-        # Each tier already ran on the shared plan; reuse those runs.
-        runs[network.name] = {
-            backend: xchecks[-1].reports[backend] for backend in backends
-        }
+        xchecks.append(cross_check(
+            WORKLOADS[name](), strategy=args.strategy, backends=backends
+        ))
         print(f"{name}: {len(backends)} tier(s) "
               f"{'agree' if xchecks[-1].ok else 'DISAGREE'}")
-    return build_xcheck_report(xchecks, runs)
+    return build_xcheck_report(xchecks)
 
 
 def dse_report(args: argparse.Namespace) -> Dict[str, object]:

@@ -23,10 +23,7 @@ Since PR 7 the package also checks *whole systems*, not just kernels
   checks over :class:`~repro.mapping.segmentation.SegmentPlan` sets
   (the ``simulate()``/serving pre-flight gate);
 * :func:`check_routes` / :func:`replay_routes` — ``NOC7xx``
-  channel-dependency deadlock and hot-link checks over mesh route sets;
-* :func:`check_batches` / :func:`check_replay` — ``DET8xx``
-  same-timestamp batch commutativity over declared
-  :class:`EventAccess` footprints, and seeded replay diffing.
+  channel-dependency deadlock and hot-link checks over mesh route sets.
 """
 
 from repro.analysis.cfg import (
@@ -36,11 +33,6 @@ from repro.analysis.cfg import (
     compute_defined,
     compute_liveness,
 )
-from repro.analysis.determinism import (
-    EventAccess,
-    check_batches,
-    check_replay,
-)
 from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
 from repro.analysis.noc_check import (
     RouteChecker,
@@ -49,6 +41,7 @@ from repro.analysis.noc_check import (
     check_routes,
     plan_route_flows,
     replay_routes,
+    resident_route_flows,
 )
 from repro.analysis.plan import (
     PlanVerifier,
@@ -77,7 +70,6 @@ __all__ = [
     "BasicBlock",
     "ControlFlowGraph",
     "Diagnostic",
-    "EventAccess",
     "KernelVerifier",
     "LintReport",
     "PlanVerifier",
@@ -93,8 +85,6 @@ __all__ = [
     "TimingEstimate",
     "analyze_plan",
     "build_cfg",
-    "check_batches",
-    "check_replay",
     "check_routes",
     "compute_defined",
     "compute_liveness",
@@ -103,6 +93,7 @@ __all__ = [
     "lint_text",
     "plan_route_flows",
     "replay_routes",
+    "resident_route_flows",
     "schedule_kernel",
     "verify_plan",
     "verify_program",

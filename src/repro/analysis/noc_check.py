@@ -25,6 +25,11 @@ Checks:
 link acquisition on the discrete-event kernel, so a route set the
 checker calls cyclic demonstrably stalls the event tier too
 (``tests/analysis/test_noc_check.py`` pins the agreement).
+
+:func:`plan_route_flows` and :func:`resident_route_flows` derive a
+plan's (or a co-resident set's) route set from the steady-state wave
+that :func:`repro.core.traffic.segment_wave` defines, the same wave
+:func:`repro.core.traffic.simulate_segment_traffic` replays.
 """
 
 from __future__ import annotations
@@ -33,9 +38,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import LintReport
+from repro.analysis.plan import ResidentPlan
 from repro.analysis.rules import rule
-from repro.errors import NoCError
-from repro.mapping.placement import NodePlacement, zigzag_placement
+from repro.core.traffic import segment_wave
+from repro.errors import NoCError, PlacementError
+from repro.mapping.placement import zigzag_placement
 from repro.mapping.segmentation import SegmentPlan
 from repro.noc.router import xy_route
 from repro.utils.events import EventQueue
@@ -317,58 +324,53 @@ def check_routes(
 
 def plan_route_flows(
     plan: SegmentPlan,
-    placements: Optional[Sequence[NodePlacement]] = None,
     *,
     start_offset: int = 0,
     prefix: str = "",
 ) -> List[RouteFlow]:
     """The sustained flows of one mapped plan's steady-state waves.
 
-    Mirrors :func:`repro.core.traffic.simulate_segment_traffic`: per
-    layer, the ifmap vector ripples down the DC -> core chain (5-flit
-    row packets, ``n_bits`` rows per wave per 256-channel sub-vector),
-    and finished ofmap values flow to the next layer's DC (2-flit
-    scalar stores).  Rates are flits per cycle of the segment's
-    bottleneck interval, so a well-balanced plan stays far under link
-    capacity.
+    Each segment is zig-zag placed at ``start_offset`` and each stream
+    of its :func:`~repro.core.traffic.segment_wave` becomes one flow.
+    Rates are flits per cycle of the segment's bottleneck interval, so
+    a well-balanced plan stays far under link capacity.
     """
-    import math
-
-    if placements is None:
-        placements = [
-            zigzag_placement(segment, start_offset=start_offset)
-            for segment in plan.segments
-        ]
     flows: List[RouteFlow] = []
-    for k, (segment, placement) in enumerate(zip(plan.segments, placements)):
+    for k, segment in enumerate(plan.segments):
+        placement = zigzag_placement(segment, start_offset=start_offset)
         interval = max(1.0, segment.allocation.bottleneck_time)
-        indices = [spec.index for spec in segment.layers]
-        for pos, spec in enumerate(segment.layers):
-            sub = max(1, math.ceil(spec.c / 256))
-            chain = [placement.dc[spec.index]] + placement.computing[spec.index]
-            wave_flits = 5 * spec.n_bits * sub
-            for hop, (src, dst) in enumerate(zip(chain, chain[1:])):
+        for hops, stores in segment_wave(segment, placement):
+            for stream in hops + stores:
                 flows.append(
                     RouteFlow(
-                        name=f"{prefix}seg{k}/{spec.name}/chain{hop}",
-                        src=src,
-                        dst=dst,
-                        flits=wave_flits,
-                        rate=wave_flits / interval,
+                        name=f"{prefix}seg{k}/{stream.name}",
+                        src=stream.packet.src,
+                        dst=stream.packet.dst,
+                        flits=stream.flits,
+                        rate=stream.flits / interval,
                     )
                 )
-            if pos + 1 < len(segment.layers):
-                target = placement.dc[indices[pos + 1]]
-                for c, core in enumerate(placement.computing[spec.index]):
-                    flows.append(
-                        RouteFlow(
-                            name=f"{prefix}seg{k}/{spec.name}/ofmap{c}",
-                            src=core,
-                            dst=target,
-                            flits=2,
-                            rate=2.0 / interval,
-                        )
-                    )
+    return flows
+
+
+def resident_route_flows(residents: Sequence[ResidentPlan]) -> List[RouteFlow]:
+    """The route set of a co-resident deployment, tenant by tenant.
+
+    A resident whose region overflows the snake walk has no placement to
+    route; it is skipped (``PLAN602`` already reports it).
+    """
+    flows: List[RouteFlow] = []
+    for resident in residents:
+        try:
+            flows.extend(
+                plan_route_flows(
+                    resident.plan,
+                    start_offset=resident.region_start,
+                    prefix=f"{resident.name}/",
+                )
+            )
+        except PlacementError:
+            continue
     return flows
 
 

@@ -46,15 +46,6 @@ from repro.mapping.segmentation import Segment, SegmentPlan
 from repro.sim.accounting import boundary_bytes, segment_weight_bytes
 from repro.sim.config import SimConfig
 
-#: Tiles of the default chip's 15x14 compute region (row 0 and row 15
-#: of the 16x16 mesh are LLC rows, one column is reserved — see
-#: :func:`repro.mapping.placement.zigzag_placement`).  The verifier
-#: itself derives the snake-region size from the *configured* chip
-#: (``SimConfig.chip.compute_tiles``), which equals this constant on the
-#: paper's geometry; design-space sweeps hand it other meshes.
-COMPUTE_REGION_TILES = 15 * 14
-
-
 @dataclass(frozen=True)
 class ResidentPlan:
     """One tenant's mapped plan plus its snake-walk region offset.

@@ -12,9 +12,7 @@ prefix:
 * ``PLAN`` — whole-chip plan verification (CMem capacity, core budgets,
   staging footprint, DRAM bandwidth, tenant co-residency);
 * ``NOC``  — mesh route sets (channel-dependency deadlock cycles, hot
-  links, malformed routes);
-* ``DET``  — event-tier determinism (conflicting same-timestamp event
-  batches, replay divergence).
+  links, malformed routes).
 
 ``docs/ANALYSIS.md`` documents each rule with an example diagnostic.
 """
@@ -150,18 +148,6 @@ _ALL = [
          "(a wildcard placement mapped chain neighbours to one tile), a "
          "discontinuous path, or a path that re-acquires a link it "
          "already holds (self-deadlock)."),
-    # -- event-tier determinism -------------------------------------------------
-    Rule("DET801", Severity.ERROR, "conflicting-batch",
-         "Two same-timestamp events of different actors write one "
-         "station/queue/bank; the batch is not commutative, so the "
-         "result depends on schedule order."),
-    Rule("DET802", Severity.WARNING, "read-write-race",
-         "A same-timestamp pair reads and writes one resource from "
-         "different actors; the read observes an order-dependent value."),
-    Rule("DET803", Severity.ERROR, "replay-divergence",
-         "Two seeded replays of the same plan produced structurally "
-         "different telemetry traces; the simulation is not "
-         "deterministic."),
 ]
 
 RULES: Dict[str, Rule] = {rule.id: rule for rule in _ALL}

@@ -32,8 +32,9 @@ class ModelRun:
     partition_cores: int
     result: RunReport
     #: The model's offset into the global snake walk: it owns the
-    #: interval ``[region_start, region_start + partition_cores)``
-    #: (:func:`repro.mapping.placement.region_tiles` places it).
+    #: interval ``[region_start, region_start + partition_cores)``, and
+    #: :func:`repro.mapping.placement.zigzag_placement` places each of
+    #: its segments at the interval's start.
     region_start: int = 0
 
     @property

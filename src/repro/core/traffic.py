@@ -1,18 +1,22 @@
-"""NoC traffic replay for a placed segment.
+"""A placed segment's steady-state NoC wave, and its replay on the mesh.
 
-Quantifies what the zig-zag mapping buys (Fig. 7(c)): for one steady-state
-iteration wave of a segment — every layer's DC feeding its chain, every
-core forwarding the ifmap vector to its successor, and finished ofmap
-values flowing to the next layer's DC — the packets are replayed on the
-contention-aware mesh model, producing the wave's completion time and the
-flit-hop count that drives NoC energy.
+Quantifies what the zig-zag mapping buys (Fig. 7(c)).  One steady-state
+iteration wave of a segment is, per layer, the ifmap vector rippling
+down the DC -> core chain (LoadRow/StoreRow.RC row packets, ``n_bits``
+rows per 256-channel sub-vector) and then one scalar ofmap store from
+each computing core to the next layer's DC.  :func:`segment_wave`
+defines that wave once: :func:`simulate_segment_traffic` replays it on
+the contention-aware mesh model (the wave's completion time and the
+flit-hop count that drives NoC energy), and
+:func:`repro.analysis.noc_check.plan_route_flows` prices the same
+streams as the ``NOC7xx`` route set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.mapping.placement import NodePlacement
 from repro.mapping.segmentation import Segment
@@ -32,47 +36,78 @@ class TrafficResult:
         return self.flit_hops * flit_energy_pj
 
 
+@dataclass(frozen=True)
+class WaveStream:
+    """``count`` back-to-back packets of one kind between two tiles.
+
+    ``name`` is ``<layer>/chain<hop>`` for a chain hop and
+    ``<layer>/ofmap<core>`` for an ofmap store.
+    """
+
+    name: str
+    packet: Packet
+    count: int
+
+    @property
+    def flits(self) -> int:
+        return self.count * self.packet.flits
+
+
+#: One layer's share of a wave: its chain hops in order, then its stores.
+LayerWave = Tuple[List[WaveStream], List[WaveStream]]
+
+
+def segment_wave(segment: Segment, placement: NodePlacement) -> List[LayerWave]:
+    """The steady-state wave of a placed segment, layer by layer."""
+    wave: List[LayerWave] = []
+    indices = [spec.index for spec in segment.layers]
+    for pos, spec in enumerate(segment.layers):
+        chain = [placement.dc[spec.index]] + placement.computing[spec.index]
+        rows = spec.n_bits * max(1, math.ceil(spec.c / 256))
+        hops = [
+            WaveStream(
+                f"{spec.name}/chain{hop}",
+                Packet(src=src, dst=dst, kind=PacketKind.ROW_TRANSFER),
+                rows,
+            )
+            for hop, (src, dst) in enumerate(zip(chain, chain[1:]))
+        ]
+        stores: List[WaveStream] = []
+        if pos + 1 < len(segment.layers):
+            target = placement.dc[indices[pos + 1]]
+            stores = [
+                WaveStream(
+                    f"{spec.name}/ofmap{c}",
+                    Packet(src=core, dst=target, kind=PacketKind.REMOTE_STORE),
+                    1,
+                )
+                for c, core in enumerate(placement.computing[spec.index])
+            ]
+        wave.append((hops, stores))
+    return wave
+
+
 def simulate_segment_traffic(
     segment: Segment,
     placement: NodePlacement,
     *,
     noc: Optional[MeshNoC] = None,
-    n_bits: int = 8,
 ) -> TrafficResult:
-    """Replay one iteration wave of a placed segment on the mesh.
-
-    Per layer: ``n_bits`` row packets from the DC into the first core and
-    between successive chain cores (LoadRow/StoreRow.RC), plus one scalar
-    ofmap store from each computing core to the next layer's DC.
-    """
+    """Replay one iteration wave of a placed segment on the mesh."""
     noc = noc or MeshNoC(MeshConfig())
     start_packets = noc.stats.packets
     start_hops = noc.stats.flit_hops
     completion = 0
-    indices = [spec.index for spec in segment.layers]
-    sub = {
-        spec.index: max(1, math.ceil(spec.c / 256)) for spec in segment.layers
-    }
-    for pos, spec in enumerate(segment.layers):
-        chain = [placement.dc[spec.index]] + placement.computing[spec.index]
+    for hops, stores in segment_wave(segment, placement):
         # Ifmap vector rows ripple down the chain: one back-to-back
         # stream per link, collapsed to O(hops) by ``send_stream``.
         t = 0
-        for src, dst in zip(chain, chain[1:]):
-            t = noc.send_stream(
-                Packet(src=src, dst=dst, kind=PacketKind.ROW_TRANSFER),
-                t,
-                n_bits * sub[spec.index],
-            )
+        for stream in hops:
+            t = noc.send_stream(stream.packet, t, stream.count)
             completion = max(completion, t)
-        # Finished ofmap values flow to the next layer's DC.
-        if pos + 1 < len(segment.layers):
-            target = placement.dc[indices[pos + 1]]
-            for core in placement.computing[spec.index]:
-                arrival = noc.send(
-                    Packet(src=core, dst=target, kind=PacketKind.REMOTE_STORE), 0
-                )
-                completion = max(completion, arrival)
+        for stream in stores:
+            arrival = noc.send_stream(stream.packet, 0, stream.count)
+            completion = max(completion, arrival)
     return TrafficResult(
         completion_cycles=completion,
         packets=noc.stats.packets - start_packets,

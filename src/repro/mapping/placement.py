@@ -9,7 +9,7 @@ each group's tail sits near the next group's data-collection core.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import PlacementError
 from repro.mapping.segmentation import Segment
@@ -106,22 +106,6 @@ def zigzag_placement(
     for _ in range(start_offset):
         next(walk)
     return _place_along(walk, segment)
-
-
-def region_tiles(segments: Iterable[Segment], start_offset: int) -> Set[Coord]:
-    """Every mesh tile a tenant's segments occupy over its run.
-
-    The tenant owns the snake interval from ``start_offset``; its
-    segments run one after another and each is zig-zag placed at the
-    start of that interval.
-    """
-    tiles: Set[Coord] = set()
-    for segment in segments:
-        placement = zigzag_placement(segment, start_offset=start_offset)
-        tiles.update(placement.dc.values())
-        for coords in placement.computing.values():
-            tiles.update(coords)
-    return tiles
 
 
 def raster_placement(

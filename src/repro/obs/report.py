@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 from repro.errors import ObservabilityError
 from repro.obs.timeline import PHASE_CATEGORIES, timeline_from_report
 from repro.serving.slo import ServingRunResult
-from repro.sim.report import RunReport
 from repro.sim.xcheck import XCheckReport
 
 if TYPE_CHECKING:
@@ -75,21 +74,18 @@ def build_serving_report(
     }
 
 
-def build_xcheck_report(
-    xchecks: Sequence[XCheckReport],
-    runs: Mapping[str, Mapping[str, RunReport]],
-) -> Dict[str, object]:
+def build_xcheck_report(xchecks: Sequence[XCheckReport]) -> Dict[str, object]:
     """The cross-tier report document.
 
-    ``runs`` maps workload name -> backend name -> the tier's
-    :class:`~repro.sim.report.RunReport`; each is decomposed through
+    Each check's :attr:`~repro.sim.xcheck.XCheckReport.reports` (every
+    tier it ran, the reference included) is decomposed through
     :func:`repro.obs.timeline.timeline_from_report`, so the per-phase
     cycle table and the serving attribution derive from the same code
     path.
     """
     workloads: Dict[str, object] = {}
     for xcheck in xchecks:
-        tier_runs = runs.get(xcheck.network, {})
+        tier_runs = xcheck.reports
         tiers: Dict[str, object] = {}
         for backend in sorted(tier_runs):
             timeline = timeline_from_report(tier_runs[backend])

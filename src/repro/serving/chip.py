@@ -124,9 +124,11 @@ class ChipHandle:
         self.collect = self.table is not None and (
             collect_timelines or self._enabled
         )
-        #: Dispatch-side attribution cache: tenant -> list indexed by
-        #: batch size of ``[(key, template), billed_dispatches]`` slots
-        #: for the tenant's current generation (see AttributionTable).
+        #: Attribution slots ``[(key, template), completed_requests]``:
+        #: every slot of the run in creation order, and per tenant a
+        #: list indexed by batch size of its current generation's slots
+        #: (see AttributionTable).
+        self.attr_slots: List[list] = []
         self.attr_cache: Dict[str, list] = {}
         self.monitor = monitor
         self.window = monitor.config.window_ms if monitor else DEFAULT_WINDOW_MS
@@ -161,17 +163,6 @@ class ChipHandle:
                     alert.time_ms,
                     args=alert.as_dict(),
                 )
-
-    def _flush_attribution(self, tenant: str) -> None:
-        per = self.attr_cache.pop(tenant, None)
-        if per is None:
-            return
-        table = self.table
-        assert table is not None
-        for n, slot in enumerate(per):
-            if slot is not None and slot[1]:
-                # Each billed dispatch of size n completed n requests.
-                table.record(slot[0][0], slot[1] * n)
 
     # -- service ---------------------------------------------------------------
 
@@ -245,16 +236,15 @@ class ChipHandle:
             if scale != self._last_scale:
                 # A degradation step changed every service window; the
                 # cached absolute phase durations no longer apply.
-                for name in list(self.attr_cache):
-                    self._flush_attribution(name)
+                for name in self.attr_cache:
                     table.invalidate(name)
+                self.attr_cache.clear()
                 self._last_scale = scale
-            # Snapshot the dispatch-time template key: a resize
-            # between now and completion must not re-attribute the
-            # in-flight batch.  The steady state is allocation-free
-            # (dict subscript + two list indexes + integer bump);
-            # the table is only touched on a template miss and when
-            # a generation flushes.
+            # Snapshot the dispatch-time slot: a resize between now
+            # and completion must not re-attribute the in-flight
+            # batch.  The steady state is allocation-free (dict
+            # subscript + list index); the table is only touched on a
+            # template miss and once per slot at the end of the run.
             n = len(batch)
             try:
                 per = self.attr_cache[request.tenant]
@@ -275,17 +265,10 @@ class ChipHandle:
                     ),
                     0,
                 ]
-            attr = slot[0]
-            finish = now + service
-            if finish <= self.duration_ms:
-                # Billing happens here rather than at completion:
-                # the queue drains every event, so a dispatch whose
-                # finish lands inside the run always completes, and
-                # all n requests of the batch finish together.
-                slot[1] += 1
+                self.attr_slots.append(slot)
         else:
-            attr = None
-            finish = now + service
+            slot = None
+        finish = now + service
         state.busy = True
         state.free_at_ms = finish
         if self._enabled:
@@ -302,7 +285,7 @@ class ChipHandle:
             )
         queue.schedule(
             finish,
-            lambda: self.complete(server, tenant, batch, service, finish, attr),
+            lambda: self.complete(server, tenant, batch, service, finish, slot),
             tag="serving/completion",
         )
 
@@ -313,9 +296,14 @@ class ChipHandle:
         batch: List[Request],
         service: float,
         finish: float,
-        attr: Optional[tuple],
+        slot: Optional[list],
     ) -> None:
-        """Account one finished batch of ``tenant`` and re-arm the server."""
+        """Account one finished batch of ``tenant`` and re-arm the server.
+
+        A batch that finishes inside the window is billed to ``slot``,
+        the attribution slot it dispatched with; a halted or overrun
+        batch bills nothing.
+        """
         state = self.servers[server]
         state.busy = False
         report = tenant.report
@@ -333,12 +321,15 @@ class ChipHandle:
         state.busy_ms += service
         # Every request of the batch finishes when the batch does;
         # the per-request service share is what SLO accounting bills.
-        share = service / len(batch)
+        n = len(batch)
+        share = service / n
         monitor = self.monitor
         sink = self.sink
         arrivals = tenant.spec.arrivals
         closed_loop = arrivals.closed_loop
         in_window = finish <= self.duration_ms
+        if in_window and slot is not None:
+            slot[1] += n
         for request in batch:
             request.finish_ms = finish
             if in_window:
@@ -350,7 +341,7 @@ class ChipHandle:
                     share,
                     met_deadline=met_deadline,
                 )
-                if self.collect and attr is not None:
+                if self.collect and slot is not None:
                     assert self.table is not None
                     report.timelines.append(
                         self.table.timeline(
@@ -359,7 +350,7 @@ class ChipHandle:
                             request.arrival_ms,
                             request.start_ms,
                             latency,
-                            attr[1],
+                            slot[0][1],
                         )
                     )
                 if monitor is not None:
@@ -493,10 +484,10 @@ class ChipHandle:
         table = self.table
         if table is not None:
             # The resized tenants' service times (and so their phase
-            # templates) changed; in-flight batches keep the key
+            # templates) changed; in-flight batches keep the slot
             # they dispatched with.
             for name in action.stall_ms:
-                self._flush_attribution(name)
+                self.attr_cache.pop(name, None)
                 table.invalidate(name)
         if self.monitor is not None:
             self.monitor.record_resize(t)
@@ -594,8 +585,9 @@ class ChipHandle:
 
         table = self.table
         if table is not None:
-            for name in list(self.attr_cache):
-                self._flush_attribution(name)
+            for (key, _), completed in self.attr_slots:
+                if completed:
+                    table.record(key, completed)
             for name in self.names:
                 report = self.reports[name]
                 phase_names, phase_categories, durations = table.aggregate(

@@ -21,11 +21,11 @@ knows how to compute:
   compute to overlap behind (the partition is idle mid-resize), so the
   full ``weight_bytes / filter_load_bw`` cycles are charged.
 
-SLO accounting always reads the model's authoritative tier (the
-``backend`` the service was built with, ``streaming`` by default).
-:meth:`partition_run` takes a ``backend`` override for lookups on
-another tier; the elastic policy's resize gate reads its
-``decision_backend`` that way.
+SLO accounting always reads the model's authoritative tier: the
+scheduler's ``backend`` (``streaming`` by default; ``scripts/serve.py
+--backend`` sets it).  :meth:`partition_run` takes a ``backend``
+override for lookups on another tier; the elastic policy's resize gate
+reads its ``decision_backend`` that way.
 """
 
 from __future__ import annotations
@@ -56,13 +56,9 @@ class ServiceModel:
         self,
         scheduler: Optional[MultiDNNScheduler] = None,
         *,
-        backend: Optional[str] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         self.scheduler = scheduler or MultiDNNScheduler()
-        #: Authoritative tier for SLO accounting (scheduler's tier when
-        #: unset — ``streaming`` on the default path).
-        self.backend = backend or self.scheduler.backend
         self.cache_size = cache_size
         self._runs: "OrderedDict[_CacheKey, RunReport]" = OrderedDict()
 
@@ -83,10 +79,10 @@ class ServiceModel:
     ) -> RunReport:
         """The memoized simulation of ``network`` on ``cores`` cores.
 
-        ``backend`` overrides the service's authoritative tier for this
+        ``backend`` overrides the scheduler's authoritative tier for this
         lookup; ``batch_requests`` simulates a weight-stationary request
         batch.  Both are part of the cache key."""
-        tier = backend or self.backend
+        tier = backend or self.scheduler.backend
         key = (network, cores, tier, batch_requests)
         sink = telemetry.current()
         run = self._runs.get(key)

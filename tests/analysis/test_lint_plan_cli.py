@@ -34,7 +34,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind,rule", [
         ("cmem", "PLAN601"),
         ("noc", "NOC701"),
-        ("det", "DET801"),
     ])
     def test_broken_artifacts_exit_1(self, kind, rule):
         proc = lint_plan("--network", "small-cnn", "--broken", kind)

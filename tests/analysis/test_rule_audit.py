@@ -11,12 +11,9 @@ import pytest
 
 from repro.analysis import (
     AnalysisConfig,
-    EventAccess,
     ResidentPlan,
     RouteFlow,
     RULES,
-    check_batches,
-    check_replay,
     check_routes,
     lint_text,
     verify_plan,
@@ -100,25 +97,6 @@ def _noc702():
     ])
 
 
-def _det801():
-    return check_batches([
-        EventAccess(0.0, "a", writes=("q",)),
-        EventAccess(0.0, "b", writes=("q",)),
-    ])
-
-
-def _det802():
-    return check_batches([
-        EventAccess(0.0, "a", writes=("q",)),
-        EventAccess(0.0, "b", reads=("q",)),
-    ])
-
-
-def _det803():
-    signatures = iter(["one", "two"])
-    return check_replay(lambda: next(signatures))
-
-
 #: rule ID -> zero-arg callable returning a report that emits the rule.
 FIXTURES = {
     "PROG101": lambda: verify_program(
@@ -175,9 +153,6 @@ FIXTURES = {
     "NOC701": _noc701,
     "NOC702": _noc702,
     "NOC703": lambda: check_routes([RouteFlow("off", (0, 0), (99, 0))]),
-    "DET801": _det801,
-    "DET802": _det802,
-    "DET803": _det803,
 }
 
 

@@ -1,15 +1,18 @@
-"""One default serial run of each registered experiment per test session.
+"""Session fixtures shared across the suite.
 
-The claim tests (``tests/experiments/`` and
-``tests/integration/test_paper_claims.py``), the EXPERIMENTS.md pin and
-the serial-vs-parallel pins all read the
+``experiment`` holds one default serial run of each registered
+experiment per test session.  The claim tests (``tests/experiments/``
+and ``tests/integration/test_paper_claims.py``), the EXPERIMENTS.md pin
+and the serial-vs-parallel pins all read the
 :class:`~repro.experiments.report.ExperimentResult` that
 ``maicc-experiments`` prints, so each experiment is run at most once.
+``region_tiles`` is the tile-level oracle of a tenant's snake region.
 """
 
 import pytest
 
 from repro.experiments.runner import run_experiment
+from repro.mapping.placement import zigzag_placement
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +26,26 @@ def experiment():
         return runs[name]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def region_tiles():
+    """``region_tiles(segments, start_offset)``: every mesh tile a tenant's
+    segments occupy over its run.
+
+    The tenant owns the snake interval from ``start_offset``; its segments
+    run one after another and each is zig-zag placed at the start of that
+    interval.  The tile-level oracle for co-residency checks, which work
+    on snake intervals.
+    """
+
+    def tiles(segments, start_offset):
+        occupied = set()
+        for segment in segments:
+            placement = zigzag_placement(segment, start_offset=start_offset)
+            occupied.update(placement.dc.values())
+            for coords in placement.computing.values():
+                occupied.update(coords)
+        return occupied
+
+    return tiles

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.multi_dnn import MultiDNNResult, MultiDNNScheduler
 from repro.errors import MappingError, SimulationError
-from repro.mapping.placement import region_tiles, zigzag_placement
+from repro.mapping.placement import zigzag_placement
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 
 
@@ -128,7 +128,7 @@ def segments(run):
 
 
 class TestSpatialIsolation:
-    def test_models_never_share_a_tile(self, scheduler):
+    def test_models_never_share_a_tile(self, scheduler, region_tiles):
         nets = [tiny_net("a"), tiny_net("b", m=64), small_cnn_spec()]
         result = scheduler.run(nets)
         tile_sets = [

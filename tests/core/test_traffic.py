@@ -1,7 +1,10 @@
 """NoC traffic replay of placed segments."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import plan_route_flows
 from repro.core.perfmodel import PerformanceModel
 from repro.core.traffic import simulate_segment_traffic
 from repro.mapping.placement import (
@@ -10,7 +13,10 @@ from repro.mapping.placement import (
     zigzag_placement,
 )
 from repro.mapping.segmentation import HeuristicStrategy
-from repro.nn.workloads import resnet18_spec
+from repro.nn.workloads import NetworkSpec, resnet18_spec, small_cnn_spec
+from repro.noc.router import hop_count
+from repro.sim.accounting import plan_network
+from repro.sim.config import SimConfig
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +59,28 @@ class TestTrafficReplay:
             one_layer_segment(512), zigzag_placement(one_layer_segment(512))
         )
         assert wide.packets == 2 * narrow.packets
+
+
+def four_bit_cnn():
+    """small_cnn's first two layers at 4-bit precision."""
+    layers = small_cnn_spec().layers[:2]
+    return NetworkSpec(
+        name="four_bit_cnn",
+        layers=tuple(replace(spec, n_bits=4) for spec in layers),
+    )
+
+
+class TestRouteSetAgreement:
+    """The replay and the NOC7xx route set price one steady-state wave."""
+
+    @pytest.mark.parametrize("network", [small_cnn_spec, four_bit_cnn])
+    def test_replay_flit_hops_equal_the_route_set(self, network):
+        plan = plan_network(network(), "heuristic", SimConfig())
+        replayed = sum(
+            simulate_segment_traffic(seg, zigzag_placement(seg)).flit_hops
+            for seg in plan.segments
+        )
+        priced = sum(
+            f.flits * hop_count(f.src, f.dst) for f in plan_route_flows(plan)
+        )
+        assert replayed == priced

@@ -13,10 +13,11 @@ import json
 
 import pytest
 
-from repro.nn.workloads import ConvLayerSpec, NetworkSpec
+from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 from repro.serving import (
     ElasticPolicy,
     FixedServicePolicy,
+    PeriodicArrivals,
     PoissonArrivals,
     ServiceModel,
     ServingSimulator,
@@ -145,6 +146,23 @@ def test_halt_accounts_every_request():
         for report in result.reports.values()
         for timeline in report.timelines
     )
+
+
+def test_halt_bills_no_attribution_for_the_failed_batch():
+    """The batch in flight at the halt fails and adds no phases: the
+    tenant's aggregate equals the sum of its completed timelines."""
+    policy = FixedServicePolicy({"a": 4.0}, staging_ms={"a": 1.0})
+    sim = ServingSimulator(policy, collect_timelines=True)
+    tenants = [TenantSpec("a", small_cnn_spec(), PeriodicArrivals(10.0))]
+    report = sim.run(tenants, 40.0, halt_ms=22.0).reports["a"]
+    assert (report.completed, report.failed) == (2, 2)
+    summed = {}
+    for timeline in report.timelines:
+        for phase in timeline.phases:
+            summed[phase.name] = summed.get(phase.name, 0.0) + phase.duration
+    assert report.attribution == summed
+    assert report.attribution["service/staging"] == 2.0
+    assert report.attribution["service/compute"] == 6.0
 
 
 def test_halt_rerun_byte_identical():
