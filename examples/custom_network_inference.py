@@ -9,7 +9,8 @@ The flow a downstream user follows for a custom model:
 3. run it through the functional node-group simulator — every conv/FC
    executes with the CMem data layout and filter splitting — and check
    exact equality with the integer reference;
-4. describe the mapped layers and simulate latency/energy on the chip.
+4. derive the mapped layers from the quantized graph and simulate
+   latency/energy on the chip.
 
 Run:  python examples/custom_network_inference.py
 """
@@ -22,9 +23,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np
 
 from repro import quantize_graph, simulate, simulate_quantized_graph
+from repro.core import network_spec_of
 from repro.nn.models import build_residual_cnn
 from repro.nn.reference import quantization_error
-from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 
 
 def main() -> None:
@@ -47,20 +48,13 @@ def main() -> None:
         name for name in reference
         if not np.array_equal(reference[name], simulated[name])
     ]
-    print(f"functional MAICC execution: "
-          f"{'EXACT MATCH' if not mismatches else f'MISMATCH in {mismatches}'}")
+    if mismatches:
+        raise SystemExit(f"functional MAICC execution: MISMATCH in {mismatches}")
+    print("functional MAICC execution: EXACT MATCH")
     print(f"logits: {simulated[qgraph.output_name].tolist()}")
 
     # 4. Mapped-performance estimate for the conv/FC layers.
-    layers = (
-        ConvLayerSpec(1, "conv1", h=8, w=8, c=8, m=16),
-        ConvLayerSpec(2, "conv2", h=8, w=8, c=16, m=16),
-        ConvLayerSpec(3, "conv3", h=8, w=8, c=16, m=16),
-        ConvLayerSpec(4, "linear", h=1, w=1, c=16, m=10, r=1, s=1,
-                      padding=0, kind="linear"),
-    )
-    network = NetworkSpec(name="residual-cnn", layers=layers)
-    result = simulate(network)
+    result = simulate(network_spec_of(qgraph, "residual-cnn"))
     print(f"\nmapped onto MAICC ({result.plan.strategy} strategy):")
     print(f"  latency    : {result.latency_ms * 1000:.1f} us")
     print(f"  throughput : {result.throughput_samples_s:.0f} samples/s")

@@ -23,6 +23,12 @@ from repro import CMem, Core
 from repro.sram.array import SRAMArray, SRAMArrayConfig
 
 
+def check(what: str, got: int, want: int) -> None:
+    """Stop the demo if the hardware result differs from NumPy's."""
+    if got != want:
+        raise SystemExit(f"{what}: got {got}, numpy says {want}")
+
+
 def demo_bitline() -> None:
     print("=== 1. bit-line computing (Jeloka et al.) ===")
     array = SRAMArray(SRAMArrayConfig(rows=4, cols=8))
@@ -46,14 +52,17 @@ def demo_mac_primitive() -> None:
     cmem.store_vector_transposed(1, 0, a, 8, signed=True)
     cmem.store_vector_transposed(1, 8, b, 8, signed=True)
     got = cmem.mac(1, 0, 8, 8, signed=True)
-    print(f"  256-lane int8 dot product: {got}  (numpy: {int(np.dot(a, b))})")
+    want = int(np.dot(a, b))
+    print(f"  256-lane int8 dot product: {got}  (numpy: {want})")
+    check("CMem MAC", got, want)
     print(f"  cycles: {cmem.stats.busy_cycles} (n^2 = 64 for the MAC itself)")
     print(f"  energy: {cmem.energy.total_pj:.1f} pJ "
           "(28.25 pJ/MAC + staging writes)")
 
     masked = cmem.mac(1, 0, 8, 8, signed=True, mask=0x0F)
-    print(f"  CSR mask 0x0F (lanes 0-3): {masked} "
-          f"(numpy on 128 lanes: {int(np.dot(a[:128], b[:128]))})")
+    want = int(np.dot(a[:128], b[:128]))
+    print(f"  CSR mask 0x0F (lanes 0-3): {masked} (numpy on 128 lanes: {want})")
+    check("masked CMem MAC", masked, want)
     print()
 
 
@@ -78,8 +87,10 @@ def demo_isa() -> None:
         halt
     """
     stats = core.run(program)
-    print(f"  result register a0 = {core.regs.read_signed(10)} "
-          f"(numpy: {int(np.dot(a, b))})")
+    got = core.regs.read_signed(10)
+    want = int(np.dot(a, b))
+    print(f"  result register a0 = {got} (numpy: {want})")
+    check("mac.c result", got, want)
     print(f"  pipeline: {stats.instructions} instructions in "
           f"{stats.cycles} cycles (IPC {stats.ipc:.2f}) — the scalar loop "
           "ran inside the MAC's delay slots")

@@ -3,8 +3,8 @@
 A full-system Python reproduction of *MAICC: A Lightweight Many-core
 Architecture with In-Cache Computing for Multi-DNN Parallel Inference*
 (Fan et al., MICRO 2023): bit-true computing-memory (CMem) arrays, a
-cycle-level RV32IMA pipeline with the CMem ISA extension, mesh NoC, DRAM
-and LLC models, an int8 DNN substrate, the layer segmentation / mapping
+cycle-level RV32IMA pipeline with the CMem ISA extension, mesh NoC and
+DRAM models, an int8 DNN substrate, the layer segmentation / mapping
 execution framework, and drivers regenerating every table and figure of
 the paper's evaluation.
 
@@ -23,7 +23,6 @@ from repro.cmem import CMem, CMemConfig
 # would re-enter repro.sim.config mid-initialization.
 from repro.core import (
     ChipConfig,
-    MAICCChip,
     MAICCNode,
     MultiDNNScheduler,
     PerformanceModel,
@@ -58,7 +57,6 @@ __all__ = [
     "CMem",
     "CMemConfig",
     "ChipConfig",
-    "MAICCChip",
     "MAICCNode",
     "MultiDNNScheduler",
     "PerformanceModel",

@@ -10,12 +10,14 @@ This package is the paper's primary contribution:
   reordering that fills CMem delay slots (Sec. 3.3);
 * :mod:`repro.core.node` — a single MAICC node: core + CMem + kernels;
 * :mod:`repro.core.functional` — bit-true / fast-functional multi-node
-  execution of whole layers and networks (the correctness path);
+  execution of whole layers and networks (the correctness path), and
+  :func:`~repro.core.functional.network_spec_of`, the mapped layers of a
+  quantized graph;
 * :mod:`repro.core.perfmodel` — the Eq. (1) timing model;
 * :mod:`repro.core.streaming` — iteration-granularity simulation of node
   groups (pipeline fill, waiting, Fig. 9 breakdowns);
-* :mod:`repro.core.chip` — the whole-chip model (whole-chip runs go
-  through :func:`repro.sim.simulate`);
+* :mod:`repro.core.chip` — the chip geometry (whole-chip runs go through
+  :func:`repro.sim.simulate`);
 * :mod:`repro.core.multi_dnn` — spatial multi-DNN parallel inference.
 """
 
@@ -29,13 +31,16 @@ from repro.core.perfmodel import (
 )
 from repro.core.node import MAICCNode, NodeRunResult, table4_workload
 from repro.core.scheduler import static_schedule
-from repro.core.functional import FunctionalNodeGroup, simulate_quantized_graph
+from repro.core.functional import (
+    FunctionalNodeGroup,
+    network_spec_of,
+    simulate_quantized_graph,
+)
 from repro.core.streaming import CoreBreakdown, SegmentSimulator
 from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.traffic import TrafficResult, simulate_segment_traffic
-from repro.core.chip import ChipConfig, MAICCChip
+from repro.core.chip import ChipConfig
 from repro.core.multi_dnn import MultiDNNResult, MultiDNNScheduler
-from repro.core.runtime import DeployedModel, InferenceResult, MAICCRuntime, network_spec_of
 
 __all__ = [
     "NodeLayout",
@@ -50,6 +55,7 @@ __all__ = [
     "table4_workload",
     "static_schedule",
     "FunctionalNodeGroup",
+    "network_spec_of",
     "simulate_quantized_graph",
     "CoreBreakdown",
     "SegmentSimulator",
@@ -57,11 +63,6 @@ __all__ = [
     "TrafficResult",
     "simulate_segment_traffic",
     "ChipConfig",
-    "MAICCChip",
     "MultiDNNResult",
     "MultiDNNScheduler",
-    "DeployedModel",
-    "InferenceResult",
-    "MAICCRuntime",
-    "network_spec_of",
 ]

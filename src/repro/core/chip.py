@@ -1,135 +1,28 @@
-"""The 16x16 MAICC chip: tile geometry and subsystem wiring (Fig. 3(a)).
+"""The MAICC chip's geometry (Fig. 3(a)).
 
-Row 0 and row 15 are LLC tiles (16 each = 32, one per DRAM channel); the
-host CPU occupies the first tile of row 1; the remaining 15x14 tiles are
-compute cores.  ``MAICCChip`` wires the mesh NoC, the DRAM controller, and
-the LLC tiles together and answers geometry queries for the placement and
-energy models.
+The paper's chip is a 16x16 mesh: row 0 and row 15 are LLC tiles (16
+each = 32, one per DRAM channel), and the remaining column holds the
+host CPU tile and reserved IO tiles, which leaves 15x14 = 210 compute
+cores.  Every mesh size keeps that floorplan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, unique
-from typing import Dict, List, Optional, Tuple
 
-from repro.dram.controller import DRAMConfig, DRAMController
-from repro.dram.llc import LLCache, LLCConfig
-from repro.energy.area import AreaBreakdown, area_breakdown
 from repro.energy.constants import ChipConstants
-from repro.errors import ConfigurationError, NoCError
-from repro.noc.mesh import MeshConfig, MeshNoC
-
-Coord = Tuple[int, int]
-
-
-@unique
-class TileKind(Enum):
-    HOST = "host"
-    COMPUTE = "compute"
-    LLC = "llc"
 
 
 @dataclass(frozen=True)
 class ChipConfig:
-    """Geometry of the chip (defaults: the paper's 210-core design).
-
-    Fig. 3(a): a 16x16 mesh with two LLC rows (top and bottom) and a
-    15x14 compute region; the remaining column hosts the multi-core host
-    CPU tile and reserved IO tiles.
-    """
+    """Mesh size and physical constants (defaults: the paper's 210-core
+    design)."""
 
     mesh_width: int = 16
     mesh_height: int = 16
-    llc_rows: Tuple[int, ...] = (0, 15)
-    host_column: int = 15
-    host_tile: Coord = (15, 1)
     constants: ChipConstants = field(default_factory=ChipConstants)
 
     @property
     def compute_tiles(self) -> int:
-        llc = len(self.llc_rows) * self.mesh_width
-        host_col = self.mesh_height - len(self.llc_rows)
-        return self.mesh_width * self.mesh_height - llc - host_col
-
-    def __post_init__(self) -> None:
-        for row in self.llc_rows:
-            if not 0 <= row < self.mesh_height:
-                raise ConfigurationError(f"LLC row {row} outside the mesh")
-        if self.host_tile[1] in self.llc_rows:
-            raise ConfigurationError("host tile collides with an LLC row")
-        if self.host_tile[0] != self.host_column:
-            raise ConfigurationError("host tile must sit in the host column")
-
-
-class MAICCChip:
-    """Structural model of the whole chip."""
-
-    def __init__(
-        self,
-        config: ChipConfig = ChipConfig(),
-        dram_config: Optional[DRAMConfig] = None,
-        llc_config: Optional[LLCConfig] = None,
-    ) -> None:
-        self.config = config
-        self.noc = MeshNoC(MeshConfig(width=config.mesh_width, height=config.mesh_height))
-        self.dram = DRAMController(dram_config or DRAMConfig())
-        self.llcs: List[LLCache] = [
-            LLCache(llc_config or LLCConfig(), dram=self.dram, channel=ch)
-            for ch in range(self.dram.config.channels)
-        ]
-        self._llc_coords: List[Coord] = [
-            (x, row) for row in config.llc_rows for x in range(config.mesh_width)
-        ]
-
-    # -- geometry ----------------------------------------------------------------
-
-    def tile_kind(self, coord: Coord) -> TileKind:
-        self.noc.check_coord(coord)
-        if coord[1] in self.config.llc_rows:
-            return TileKind.LLC
-        if coord[0] == self.config.host_column:
-            return TileKind.HOST
-        return TileKind.COMPUTE
-
-    def compute_coords(self) -> List[Coord]:
-        out = []
-        for y in range(self.config.mesh_height):
-            if y in self.config.llc_rows:
-                continue
-            for x in range(self.config.mesh_width):
-                if x == self.config.host_column:
-                    continue
-                out.append((x, y))
-        return out
-
-    def llc_coord(self, channel: int) -> Coord:
-        if not 0 <= channel < len(self._llc_coords):
-            raise NoCError(f"no LLC tile for channel {channel}")
-        return self._llc_coords[channel]
-
-    def nearest_llc(self, coord: Coord) -> Coord:
-        """The LLC tile a core reaches with the fewest hops."""
-        self.noc.check_coord(coord)
-        return min(
-            self._llc_coords,
-            key=lambda llc: abs(llc[0] - coord[0]) + abs(llc[1] - coord[1]),
-        )
-
-    # -- reporting -----------------------------------------------------------------
-
-    def area(self) -> AreaBreakdown:
-        return area_breakdown(self.config.constants)
-
-    def summary(self) -> Dict[str, float]:
-        area = self.area()
-        return {
-            "compute_cores": self.config.compute_tiles,
-            "llc_tiles": len(self._llc_coords),
-            "total_area_mm2": area.total,
-            "cmem_area_mm2": area.cmem,
-            "on_chip_memory_kb": (
-                self.config.compute_tiles
-                * (16 + 4)  # 16 KB CMem + 4 KB dmem per node
-            ),
-        }
+        """Every tile but the two LLC rows and the host column."""
+        return (self.mesh_width - 1) * (self.mesh_height - 2)

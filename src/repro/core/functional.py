@@ -19,13 +19,18 @@ Two fidelity levels, selected per layer:
   functional runs.
 
 Either way the result must equal the quantized reference engine exactly.
+
+:func:`network_spec_of` hands the same mapped layers to the chip-level
+simulators (:func:`repro.sim.simulate`): both it and
+:func:`simulate_quantized_graph` derive each conv/FC node's
+:class:`~repro.nn.workloads.ConvLayerSpec` through one function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -35,10 +40,20 @@ from repro.core.datalayout import (
     plan_node_layout,
     split_filters_across_nodes,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MappingError
 from repro.mapping.capacity import CapacityModel
-from repro.nn.quantize import QConv2d, QLinear, QuantizedGraph, QInput, _requant
-from repro.nn.workloads import ConvLayerSpec
+from repro.nn.layers import conv2d_output_hw
+from repro.nn.quantize import (
+    QAvgPool2d,
+    QConv2d,
+    QFlatten,
+    QInput,
+    QLinear,
+    QMaxPool2d,
+    QuantizedGraph,
+    _requant,
+)
+from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats, stats_delta
 from repro.utils.fixedpoint import EXACT_BLOCK, exact_matmul
@@ -85,13 +100,64 @@ def _tap_span(
     return slice(lo, hi), slice(lo * stride + shift, hi * stride + shift, stride)
 
 
-def _spec_of_qconv(name: str, layer: QConv2d, in_shape) -> ConvLayerSpec:
-    m, c, r, s = layer.weight_q.shape
+def _layer_spec(
+    name: str, layer: Union[QConv2d, QLinear], in_shape: Tuple[int, ...], index: int
+) -> ConvLayerSpec:
+    """The mapped layer a conv or FC node runs as, given its input shape.
+
+    An FC layer maps as a 1x1 convolution over a 1x1 ifmap holding its
+    flattened input, which is how the node groups run it.
+    """
+    if isinstance(layer, QConv2d):
+        m, c, r, s = layer.weight_q.shape
+        return ConvLayerSpec(
+            index=index, name=name, h=in_shape[1], w=in_shape[2], c=c, m=m,
+            r=r, s=s, stride=layer.stride, padding=layer.padding,
+            n_bits=layer.n_bits,
+        )
     return ConvLayerSpec(
-        index=0, name=name, h=in_shape[1], w=in_shape[2], c=c, m=m,
-        r=r, s=s, stride=layer.stride, padding=layer.padding,
+        index=index, name=name, h=1, w=1, c=math.prod(in_shape),
+        m=layer.weight_q.shape[0], r=1, s=1, padding=0, kind="linear",
         n_bits=layer.n_bits,
     )
+
+
+def network_spec_of(qgraph: QuantizedGraph, name: str = "model") -> NetworkSpec:
+    """The mapped layers of a quantized graph, as the chip simulators take them.
+
+    Conv and FC nodes become mapped layers in topological order, each the
+    spec :func:`simulate_quantized_graph` runs it under; auxiliary nodes
+    (ReLU, pooling, adds) run on the scalar cores and only carry the
+    activation shape forward.
+    """
+    shapes: Dict[str, Tuple[int, ...]] = {}
+    layers: List[ConvLayerSpec] = []
+    for node_name in qgraph.order:
+        node = qgraph.nodes[node_name]
+        layer = node.layer
+        if isinstance(layer, QInput):
+            shapes[node_name] = tuple(layer.shape)
+            continue
+        in_shape = shapes[node.inputs[0]]
+        if isinstance(layer, (QConv2d, QLinear)):
+            spec = _layer_spec(node_name, layer, in_shape, len(layers) + 1)
+            layers.append(spec)
+            shapes[node_name] = (
+                (spec.m, *spec.ofmap_hw) if spec.kind == "conv" else (spec.m,)
+            )
+        elif isinstance(layer, (QMaxPool2d, QAvgPool2d)):
+            pool = layer.pool if isinstance(layer, QMaxPool2d) else layer
+            c, h, w = in_shape
+            shapes[node_name] = (c, *conv2d_output_hw(
+                h, w, pool.kernel, pool.kernel, pool.stride, pool.padding
+            ))
+        elif isinstance(layer, QFlatten):
+            shapes[node_name] = (math.prod(in_shape),)
+        else:
+            shapes[node_name] = in_shape
+    if not layers:
+        raise MappingError("the model contains no mappable conv/FC layers")
+    return NetworkSpec(name=name, layers=tuple(layers))
 
 
 class FunctionalNodeGroup:
@@ -344,49 +410,34 @@ def simulate_quantized_graph(
     nodes_per_layer = nodes_per_layer or {}
     telemetry = telemetry if telemetry is not None else _current_telemetry()
     acts: Dict[str, np.ndarray] = {}
+    mapped = 0
     for name in qgraph.order:
         node = qgraph.nodes[name]
         layer = node.layer
         if isinstance(layer, QInput):
             acts[name] = layer.forward(x)
-        elif isinstance(layer, QConv2d):
+        elif isinstance(layer, (QConv2d, QLinear)):
             q_in = acts[node.inputs[0]]
-            spec = _spec_of_qconv(name, layer, q_in.shape)
+            mapped += 1
+            spec = _layer_spec(name, layer, q_in.shape, mapped)
             default = (
                 bit_true_min_nodes(spec, capacity)
                 if bit_true
                 else capacity.min_nodes(spec, max_nodes=spec.m)
             )
-            num = nodes_per_layer.get(name, default)
-            group = FunctionalNodeGroup(
-                spec, layer.weight_q, layer.bias_q, num,
-                bit_true=bit_true, capacity=capacity, telemetry=telemetry,
-            )
-            acc = group.run(q_in)
-            acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
-        elif isinstance(layer, QLinear):
-            q_in = acts[node.inputs[0]].reshape(-1)
-            spec = ConvLayerSpec(
-                index=0, name=name, h=1, w=1, c=q_in.shape[0],
-                m=layer.weight_q.shape[0], r=1, s=1, stride=1, padding=0,
-                n_bits=layer.n_bits,
-            )
-            default = (
-                bit_true_min_nodes(spec, capacity)
-                if bit_true
-                else capacity.min_nodes(spec, max_nodes=spec.m)
-            )
-            num = nodes_per_layer.get(name, default)
             group = FunctionalNodeGroup(
                 spec,
-                layer.weight_q.reshape(spec.m, spec.c, 1, 1),
+                layer.weight_q.reshape(spec.m, spec.c, spec.r, spec.s),
                 layer.bias_q,
-                num,
+                nodes_per_layer.get(name, default),
                 bit_true=bit_true,
                 capacity=capacity,
                 telemetry=telemetry,
             )
-            acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)
+            if spec.kind == "linear":
+                acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)
+            else:
+                acc = group.run(q_in)
             acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
         else:
             acts[name] = layer.forward(*[acts[i] for i in node.inputs])

@@ -1,19 +1,16 @@
-"""Off-chip memory system: striped multi-channel DRAM and the LLC rows.
+"""Off-chip memory system: the striped multi-channel DRAM.
 
 A DRAMsim3 substitute: bank-state timing (activate / column access /
-precharge), per-access energy, and a sparse functional backing store,
-behind 32 last-level-cache tiles that form the top and bottom rows of the
-mesh (Fig. 3(a)).
+precharge) and per-access energy for the 32 channels behind the mesh's
+two LLC rows (Fig. 3(a)).  The LLC tiles themselves are not modeled as
+caches; the energy model bills LLC accesses at
+``ChipConstants.llc_access_pj``.
 """
 
 from repro.dram.controller import DRAMConfig, DRAMController, DRAMStats
-from repro.dram.llc import LLCConfig, LLCache, LLCStats
 
 __all__ = [
     "DRAMConfig",
     "DRAMController",
     "DRAMStats",
-    "LLCConfig",
-    "LLCache",
-    "LLCStats",
 ]

@@ -1,4 +1,4 @@
-"""A bank-state DRAM timing and energy model with sparse functional storage.
+"""A bank-state DRAM timing and energy model.
 
 The 2 GB many-core DRAM is uniformly divided into 32 channels, each wired
 to one LLC tile (Table 1).  Timing follows the classic three-phase model:
@@ -10,9 +10,7 @@ and default to DDR4-2400-like values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Tuple
 
 from repro.errors import DRAMError
 from repro.riscv.memory import DRAM_BASE, DRAM_CHANNELS, DRAM_END
@@ -70,8 +68,6 @@ class DRAMController:
         self._open_row: Dict[Tuple[int, int], int] = {}
         # (channel, bank) -> busy-until time.
         self._bank_free: Dict[Tuple[int, int], int] = {}
-        # Sparse functional storage: line-aligned blocks.
-        self._blocks: Dict[int, bytearray] = {}
         self._channel_span = (DRAM_END - DRAM_BASE) // config.channels
 
     # -- address mapping -----------------------------------------------------
@@ -129,81 +125,6 @@ class DRAMController:
             )
         return (start - time) + latency
 
-    def access_latency_batch(
-        self, addrs: Sequence[int], is_write: bool, time: int = 0
-    ) -> List[int]:
-        """Latencies of many line accesses all issued at ``time``, in order.
-
-        Observably identical (per-access latencies, bank state, stats,
-        energy) to calling :meth:`access_latency` per address, but the
-        address mapping is vectorized and consecutive accesses to the
-        same (channel, bank, row) — the common case for streamed weight
-        loads and LLC flushes — collapse into one run: the first access
-        resolves the row, the rest are open-row hits chained on the
-        bank's busy-until time, so their latencies form an arithmetic
-        progression computed without touching the bank dicts per access.
-        Energy constants are integer-valued picojoules, so the reordered
-        float accumulation is exact.
-
-        Telemetry-enabled runs fall back to the per-access path so the
-        trace keeps one span per access.
-        """
-        if self._telemetry.enabled:
-            return [self.access_latency(a, is_write, time) for a in addrs]
-        cfg = self.config
-        flat = np.asarray(addrs, dtype=np.int64)
-        if flat.size == 0:
-            return []
-        if bool(np.any((flat < DRAM_BASE) | (flat >= DRAM_END))):
-            bad = int(flat[(flat < DRAM_BASE) | (flat >= DRAM_END)][0])
-            raise DRAMError(f"{bad:#010x} outside DRAM")
-        offset = flat - DRAM_BASE
-        channel = offset // self._channel_span
-        row_id = (offset % self._channel_span) // cfg.row_bytes
-        bank = row_id % cfg.banks_per_channel
-        row = row_id // cfg.banks_per_channel
-        # Run-length boundaries of consecutive identical (channel, bank, row).
-        same = (
-            (np.diff(channel) == 0) & (np.diff(bank) == 0) & (np.diff(row) == 0)
-        )
-        cuts = np.flatnonzero(~same) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [flat.size]))
-        hit_latency = cfg.tcas + cfg.tburst
-        out = np.empty(flat.size, dtype=np.int64)
-        for s, e in zip(starts, ends):
-            key = (int(channel[s]), int(bank[s]))
-            this_row = int(row[s])
-            begin = max(time, self._bank_free.get(key, 0))
-            open_row = self._open_row.get(key, -1)
-            if open_row == this_row:
-                self.stats.row_hits += 1
-                latency = hit_latency
-            else:
-                self.stats.row_misses += 1
-                precharge = cfg.trp if open_row != -1 else 0
-                latency = precharge + cfg.trcd + cfg.tcas + cfg.tburst
-                self._open_row[key] = this_row
-                self.stats.energy_pj += cfg.activate_pj
-            first_done = begin + latency
-            n = int(e - s)
-            out[s] = (begin - time) + latency
-            if n > 1:
-                # The rest of the run: open-row hits back to back on the
-                # now-busy bank — an arithmetic progression.
-                self.stats.row_hits += n - 1
-                out[s + 1 : e] = (first_done - time) + hit_latency * np.arange(
-                    1, n, dtype=np.int64
-                )
-            self._bank_free[key] = first_done + (n - 1) * hit_latency
-        if is_write:
-            self.stats.writes += flat.size
-            self.stats.energy_pj += cfg.write_pj * flat.size
-        else:
-            self.stats.reads += flat.size
-            self.stats.energy_pj += cfg.read_pj * flat.size
-        return out.tolist()
-
     def publish_stats(self, prefix: str = "dram") -> None:
         """Publish access/row/energy counters into the metrics registry."""
         sink = self._telemetry
@@ -212,31 +133,3 @@ class DRAMController:
         assert sink.registry is not None
         publish_stats(sink, prefix, self.stats)
         sink.registry.gauge(f"{prefix}/row_hit_rate").set(self.stats.row_hit_rate)
-
-    # -- functional storage ---------------------------------------------------
-
-    def _block(self, addr: int) -> Tuple[bytearray, int]:
-        base = addr & ~(self.config.line_bytes - 1)
-        block = self._blocks.get(base)
-        if block is None:
-            block = bytearray(self.config.line_bytes)
-            self._blocks[base] = block
-        return block, addr - base
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        out = bytearray(size)
-        for i in range(size):
-            block, off = self._block(addr + i)
-            out[i] = block[off]
-        return bytes(out)
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        for i, byte in enumerate(data):
-            block, off = self._block(addr + i)
-            block[off] = byte
-
-    def read_word(self, addr: int) -> int:
-        return int.from_bytes(self.read_bytes(addr, 4), "little")
-
-    def write_word(self, addr: int, value: int) -> None:
-        self.write_bytes(addr, (value & 0xFFFFFFFF).to_bytes(4, "little"))

@@ -20,9 +20,9 @@ while staying byte-identical to their pre-refactor outputs.
 Off-default axes scale the calibrated constants linearly from the
 32-channel / 7-slice / 64-row reference design:
 
-* ``mesh`` sets the LLC rows to top+bottom and the host column to the
-  rightmost column (the Fig. 3(a) floorplan at any size); the core count
-  and the mapper's array size follow from the geometry.
+* ``mesh`` keeps the Fig. 3(a) floorplan at any size (LLC rows top and
+  bottom, the host column rightmost); the core count and the mapper's
+  array size follow from the geometry.
 * ``cmem_slices`` / ``cmem_rows`` set the capacity model *and* the CMem
   area (slice area scales with rows), with node leakage scaling in
   proportion to CMem area.
@@ -145,7 +145,7 @@ class DesignPoint:
     @property
     def compute_tiles(self) -> int:
         w, h = self.mesh
-        return w * h - 2 * w - (h - 2)
+        return ChipConfig(mesh_width=w, mesh_height=h).compute_tiles
 
     @property
     def array_size(self) -> int:
@@ -191,14 +191,7 @@ class DesignPoint:
 
     def chip_config(self) -> ChipConfig:
         w, h = self.mesh
-        return ChipConfig(
-            mesh_width=w,
-            mesh_height=h,
-            llc_rows=(0, h - 1),
-            host_column=w - 1,
-            host_tile=(w - 1, 1),
-            constants=self.constants(),
-        )
+        return ChipConfig(mesh_width=w, mesh_height=h, constants=self.constants())
 
     def timing_params(self) -> TimingParams:
         """Unit costs with the DRAM-bandwidth terms scaled per channel."""

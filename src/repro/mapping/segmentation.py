@@ -28,10 +28,6 @@ class Segment:
     layers: List[ConvLayerSpec]
     allocation: AllocationResult
 
-    @property
-    def layer_indices(self) -> List[int]:
-        return [spec.index for spec in self.layers]
-
     def nodes_of(self, index: int) -> int:
         """Total node-group size (computing cores + 1 DC) for one layer."""
         return self.allocation.nodes[index] + 1

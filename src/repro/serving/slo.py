@@ -101,10 +101,6 @@ class TenantReport:
         """Fraction of completed requests that finished past their deadline."""
         return self.deadline_misses / self.completed if self.completed else 0.0
 
-    @property
-    def shed_rate(self) -> float:
-        return self.shed / self.arrivals if self.arrivals else 0.0
-
     def goodput_rps(self, duration_ms: float) -> float:
         """On-time completions per second of simulated time."""
         on_time = self.completed - self.deadline_misses

@@ -27,8 +27,16 @@ from repro.mapping.segmentation import (
     STRATEGIES,
 )
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
+from repro.noc.packet import Packet, PacketKind
 from repro.sim.config import SimConfig
 from repro.energy.power import OpCounts
+
+#: Flits of a chain row packet and of a scalar ofmap store, as the NoC
+#: sizes them.
+_ROW_FLITS, _STORE_FLITS = (
+    Packet((0, 0), (0, 0), kind).flits
+    for kind in (PacketKind.ROW_TRANSFER, PacketKind.REMOTE_STORE)
+)
 
 
 def performance_model(config: SimConfig) -> PerformanceModel:
@@ -155,10 +163,10 @@ def count_segment_ops(
         # Vector forwarding along the chain: N rows per hop.
         row_transfers = iterations * spec.n_bits * sub * nodes * batch
         ops.remote_rows += row_transfers
-        ops.noc_flit_hops += row_transfers * 5  # 5-flit row packets, 1 hop
-        # Ofmap values to the next DC: 2-flit scalar stores, ~2 hops.
+        ops.noc_flit_hops += row_transfers * _ROW_FLITS  # 1 hop
+        # Ofmap values to the next DC: scalar stores, ~2 hops.
         ofmap_values = spec.ofmap_pixels * spec.m * batch
-        ops.noc_flit_hops += ofmap_values * 2 * 2
+        ops.noc_flit_hops += ofmap_values * _STORE_FLITS * 2
     # DRAM traffic: weights plus this segment's input and output fmaps.
     first, last = segment.layers[0], segment.layers[-1]
     in_bytes = first.c * first.ifmap_pixels * first.n_bits // 8

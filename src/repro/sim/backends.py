@@ -7,8 +7,8 @@ Every backend answers the same query —
 — at a different fidelity/cost point, and reports every segment through
 the same :class:`SegmentReport`, one :class:`LayerReport` per layer.
 The four tiers form a fixed table, selectable *by name* everywhere a
-simulation is requested (:func:`simulate`, ``MAICCRuntime``,
-``MultiDNNScheduler``, ``serving.ServiceModel``, the experiment drivers,
+simulation is requested (:func:`simulate`, ``MultiDNNScheduler``,
+``serving.ServiceModel``, the experiment drivers,
 and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
 / ``scripts/xcheck.py``):
 

@@ -4,10 +4,9 @@ One :class:`SimConfig` fully describes *what machine* a network is
 simulated on (chip geometry, timing constants, capacity model, partition
 size) and *how* the selected backend should run it (batch, mapping
 strategy, tier-specific knobs).  The callers that hold machine state
-(``MAICCRuntime``, ``MultiDNNScheduler`` and, through it,
-``serving.ServiceModel``) keep it as a ``SimConfig`` and hand it to
-:func:`repro.sim.simulate`, so every tier answers the same
-fully-specified query.
+(``MultiDNNScheduler`` and, through it, ``serving.ServiceModel``) keep
+it as a ``SimConfig`` and hand it to :func:`repro.sim.simulate`, so
+every tier answers the same fully-specified query.
 """
 
 from __future__ import annotations

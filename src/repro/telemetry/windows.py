@@ -302,20 +302,9 @@ class WindowedSeries:
         return self
 
 
-def series_bounds_ms() -> Tuple[float, ...]:
-    """The serving latency bucket bounds, re-exported for window series.
-
-    Imported lazily to avoid a telemetry -> serving import cycle.
-    """
-    from repro.serving.slo import SLO_LATENCY_BUCKETS_MS
-
-    return SLO_LATENCY_BUCKETS_MS
-
-
 __all__ = [
     "WindowCell",
     "WindowedSeries",
     "bucket_percentile",
     "merge_moments",
-    "series_bounds_ms",
 ]

@@ -1,58 +1,23 @@
-"""Chip geometry and subsystem wiring."""
+"""Chip geometry."""
 
-import pytest
-
-from repro.core.chip import ChipConfig, MAICCChip, TileKind
-from repro.errors import ConfigurationError, NoCError
-
-
-@pytest.fixture(scope="module")
-def chip():
-    return MAICCChip()
+from repro.core.chip import ChipConfig
+from repro.dram.controller import DRAMConfig
+from repro.dse.spec import DesignPoint
+from repro.energy.constants import ChipConstants
 
 
 class TestGeometry:
-    def test_210_compute_tiles(self, chip):
-        """16x16 minus two LLC rows minus the host = 210 (Fig. 3(a))."""
-        assert chip.config.compute_tiles == 210
-        assert len(chip.compute_coords()) == 210
+    def test_210_compute_tiles(self):
+        """16x16 minus two LLC rows minus the host column = 210 (Fig. 3(a))."""
+        assert ChipConfig().compute_tiles == 210
 
-    def test_llc_rows(self, chip):
-        assert chip.tile_kind((0, 0)) is TileKind.LLC
-        assert chip.tile_kind((15, 15)) is TileKind.LLC
+    def test_32_llc_tiles_one_per_channel(self):
+        """Two LLC rows of 16 tiles: one tile per DRAM channel, as the area
+        model counts them."""
+        llc_tiles = 2 * ChipConfig().mesh_width
+        assert llc_tiles == DRAMConfig().channels == ChipConstants().num_llc_tiles == 32
 
-    def test_host_column(self, chip):
-        assert chip.tile_kind((15, 1)) is TileKind.HOST
-        assert chip.tile_kind((15, 14)) is TileKind.HOST
-
-    def test_compute_tile(self, chip):
-        assert chip.tile_kind((5, 5)) is TileKind.COMPUTE
-
-    def test_32_llc_tiles_one_per_channel(self, chip):
-        assert len(chip.llcs) == 32
-        coords = {chip.llc_coord(ch) for ch in range(32)}
-        assert len(coords) == 32
-        with pytest.raises(NoCError):
-            chip.llc_coord(32)
-
-    def test_nearest_llc_is_top_or_bottom(self, chip):
-        assert chip.nearest_llc((4, 2))[1] == 0
-        assert chip.nearest_llc((4, 13))[1] == 15
-
-    def test_invalid_config(self):
-        with pytest.raises(ConfigurationError):
-            ChipConfig(llc_rows=(0, 16))
-        with pytest.raises(ConfigurationError):
-            ChipConfig(host_tile=(15, 0))
-        with pytest.raises(ConfigurationError):
-            ChipConfig(host_tile=(3, 3))
-
-
-class TestSummary:
-    def test_area_near_paper(self, chip):
-        """Paper: 28 mm^2 total."""
-        assert chip.area().total == pytest.approx(28.0, rel=0.05)
-
-    def test_on_chip_memory_near_4mb(self, chip):
-        summary = chip.summary()
-        assert 4000 <= summary["on_chip_memory_kb"] <= 4400
+    def test_mesh_size_alone_is_a_chip(self):
+        """Any mesh keeps the floorplan, and the DSE mesh axis agrees."""
+        assert ChipConfig(mesh_width=12, mesh_height=12).compute_tiles == 110
+        assert DesignPoint("resnet18", "analytic", mesh=(12, 12)).compute_tiles == 110

@@ -1,8 +1,8 @@
-"""DRAM timing, channel striping, and functional storage."""
+"""DRAM timing and channel striping."""
 
 import pytest
 
-from repro.dram.controller import DRAMConfig, DRAMController
+from repro.dram.controller import DRAMController
 from repro.errors import DRAMError
 from repro.riscv.memory import DRAM_BASE
 
@@ -71,19 +71,3 @@ class TestTiming:
         dram.access_latency(DRAM_BASE, False, 0)
         dram.access_latency(DRAM_BASE, False, 100)
         assert dram.stats.row_hit_rate == pytest.approx(0.5)
-
-
-class TestFunctionalStorage:
-    def test_word_roundtrip(self):
-        dram = DRAMController()
-        dram.write_word(DRAM_BASE + 100, 0xDEADBEEF)
-        assert dram.read_word(DRAM_BASE + 100) == 0xDEADBEEF
-
-    def test_unwritten_reads_zero(self):
-        assert DRAMController().read_word(DRAM_BASE) == 0
-
-    def test_cross_line_bytes(self):
-        dram = DRAMController()
-        data = bytes(range(100))
-        dram.write_bytes(DRAM_BASE + 60, data)  # spans a 64 B line boundary
-        assert dram.read_bytes(DRAM_BASE + 60, 100) == data

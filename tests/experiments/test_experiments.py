@@ -16,10 +16,12 @@ import json
 
 import pytest
 
-from repro.core.chip import MAICCChip
+from repro.cmem.cmem import CMemConfig
+from repro.core.chip import ChipConfig
 from repro.experiments import figure9, table4, table6
 from repro.experiments.report import format_table
 from repro.experiments.runner import REGISTRY, run_experiment
+from repro.riscv.memory import LOCAL_DMEM_SIZE
 
 
 @pytest.fixture
@@ -213,7 +215,9 @@ class TestFigures:
 class TestChip:
     def test_about_4mb_on_chip_memory(self):
         """Abstract: 210 x (16 KB CMem + 4 KB data memory), about 4 MB."""
-        kb = MAICCChip().summary()["on_chip_memory_kb"]
+        cmem = CMemConfig()
+        node_bytes = cmem.num_slices * cmem.rows * cmem.cols // 8 + LOCAL_DMEM_SIZE
+        kb = ChipConfig().compute_tiles * node_bytes / 1024
         assert 3.9 * 1024 <= kb <= 4.4 * 1024
 
 

@@ -1,5 +1,8 @@
 """Package-level contracts: exports, errors, version, CLI."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 import repro
@@ -10,6 +13,13 @@ class TestPublicAPI:
     def test_all_exports_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_every_module_exports_resolve(self):
+        """Each ``repro.*`` module defines every name its ``__all__`` lists."""
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{info.name}.{name}"
 
     def test_version(self):
         major = int(repro.__version__.split(".")[0])
