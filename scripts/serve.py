@@ -16,8 +16,9 @@ Scenarios
                 under a second and must shed nothing (the CI
                 ``serving-smoke`` job runs this twice and diffs the JSON).
 ``bursty``      A steady tenant beside one whose trace fires a dense
-                burst mid-run; exercises EDF displacement and queue
-                bounds.
+                burst mid-run; exercises queue bounds (the burst
+                overflows its bounded queue, which sheds) and ranking
+                both tenants' queue heads on one time-shared server.
 
 Run:  python scripts/serve.py --scenario mixed-rate --policy elastic
       python scripts/serve.py --scenario smoke --policy all --json-out out.json

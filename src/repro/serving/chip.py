@@ -11,6 +11,11 @@ scheduled (the event queue's ``(time, seq)`` tie-break), so that seeding
 order decides ties between tenants.  A fleet chip is the same run over
 the :class:`~repro.serving.arrivals.TraceArrivals` the router sent it.
 
+The loop makes about one serve attempt per request: an arrival hands
+off to its tenant's server only when it is idle, and a completion
+serves its own server again.  Events carry bound methods and their
+arguments, not closures.
+
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
 after the halt is counted in :attr:`TenantReport.failed` (accounted,
@@ -41,7 +46,7 @@ class _TenantState:
     spec: TenantSpec
     report: TenantReport
     queue: AdmissionQueue
-    server: str
+    server: _ServerState
     window_arrivals: int = 0   # arrivals since the last control tick
     arrival_index: int = 0     # next per-tenant request index
 
@@ -50,6 +55,7 @@ class _TenantState:
 class _ServerState:
     """One server's occupancy, resize gate, and accumulated busy time."""
 
+    name: str
     busy: bool = False
     free_at_ms: float = 0.0       # completion time of the in-flight request
     stall_until_ms: float = 0.0   # weight re-staging gate after a resize
@@ -102,14 +108,14 @@ class ChipHandle:
             server = policy.server_of(spec.name)
             state = self.servers.get(server)
             if state is None:
-                state = self.servers[server] = _ServerState()
+                state = self.servers[server] = _ServerState(server)
             tenant = self.tenants[spec.name] = _TenantState(
                 spec=spec,
                 report=self.reports[spec.name],
                 queue=AdmissionQueue(
                     capacity=spec.queue_capacity, discipline=discipline
                 ),
-                server=server,
+                server=state,
             )
             state.tenants.append(tenant)
         self.resizes: List[ResizeEvent] = []
@@ -182,12 +188,18 @@ class ChipHandle:
         return best
 
     def dispatch(self, server: str) -> None:
-        """Serve the best queued request of ``server``'s tenants, if free."""
-        if self.halted:
-            return
+        """Serve ``server``'s best queued request if it is free (resize wake-ups)."""
         state = self.servers[server]
-        if state.busy:
-            return
+        if not state.busy and not self.halted:
+            self.serve(state)
+
+    def resume(self, state: _ServerState) -> None:
+        """Serve ``state`` once its post-resize stall has ended."""
+        state.retry_scheduled = False
+        self.dispatch(state.name)
+
+    def serve(self, state: _ServerState) -> None:
+        """Start ``state``'s next batch; the caller checked it is idle and alive."""
         queue = self.queue
         now = queue.now
         if state.stall_until_ms > now:
@@ -196,13 +208,9 @@ class ChipHandle:
             # event carries the dequeue forward, never drops it.
             if not state.retry_scheduled:
                 state.retry_scheduled = True
-
-                def resume() -> None:
-                    state.retry_scheduled = False
-                    self.dispatch(server)
-
                 queue.schedule(
-                    state.stall_until_ms, resume, tag="serving/resume"
+                    state.stall_until_ms, self.resume, state,
+                    tag="serving/resume",
                 )
             return
         tenant = self._pick(state)
@@ -215,10 +223,7 @@ class ChipHandle:
         # the batch limit; they serve back to back with staging paid
         # once.  batch_requests=1 keeps the historical loop exactly.
         batch = [request]
-        while (
-            len(batch) < self.batch_requests
-            and tenant_queue.peek_key() is not None
-        ):
+        while len(batch) < self.batch_requests and len(tenant_queue):
             batch.append(tenant_queue.pop())
         for req in batch:
             req.start_ms = now
@@ -277,21 +282,20 @@ class ChipHandle:
             if len(batch) > 1:
                 args["batched"] = len(batch)
             self.sink.trace.complete(
-                f"serving/server/{server}",
+                f"serving/server/{state.name}",
                 request.tenant,
                 ts=now,
                 dur=service,
                 args=args,
             )
         queue.schedule(
-            finish,
-            lambda: self.complete(server, tenant, batch, service, finish, slot),
+            finish, self.complete, state, tenant, batch, service, finish, slot,
             tag="serving/completion",
         )
 
     def complete(
         self,
-        server: str,
+        state: _ServerState,
         tenant: _TenantState,
         batch: List[Request],
         service: float,
@@ -304,7 +308,6 @@ class ChipHandle:
         the attribution slot it dispatched with; a halted or overrun
         batch bills nothing.
         """
-        state = self.servers[server]
         state.busy = False
         report = tenant.report
         name = tenant.spec.name
@@ -331,7 +334,6 @@ class ChipHandle:
         if in_window and slot is not None:
             slot[1] += n
         for request in batch:
-            request.finish_ms = finish
             if in_window:
                 latency = finish - request.arrival_ms
                 met_deadline = finish <= request.deadline_ms
@@ -384,11 +386,11 @@ class ChipHandle:
         if enabled:
             assert sink.registry is not None
             sink.registry.windowed(
-                f"serving/server/{server}/busy", self.window
+                f"serving/server/{state.name}/busy", self.window
             ).add_range(finish - service, finish)
         if monitor is not None:
             self._poll_monitor(finish)
-        self.dispatch(server)
+        self.serve(state)
 
     # -- arrivals --------------------------------------------------------------
 
@@ -396,9 +398,7 @@ class ChipHandle:
         """Schedule one future arrival of ``tenant`` (drops past-window)."""
         if t is None or t >= self.duration_ms:
             return
-        self.queue.schedule(
-            t, lambda: self.arrive(tenant, t), tag="serving/arrival"
-        )
+        self.queue.schedule(t, self.arrive, tenant, t, tag="serving/arrival")
 
     def arrive(self, tenant: _TenantState, t: float) -> None:
         """Admit one arrival of ``tenant`` at ``t`` and chain the next."""
@@ -425,21 +425,19 @@ class ChipHandle:
             index=tenant.arrival_index,
             arrival_ms=t,
             deadline_ms=t + spec.deadline_ms,
-            priority=spec.priority,
             seq=next(self.admission_seq),
         )
         tenant.arrival_index += 1
         queue = tenant.queue
-        victim = queue.offer(request)
-        if victim is None or victim is not request:
+        if queue.offer(request) is None:
             report.admitted += 1
-        if victim is not None:
-            self.reports[victim.tenant].shed += 1
+        else:
+            report.shed += 1
             if enabled:
                 assert self.sink.registry is not None
-                self._count(f"serving/tenant/{victim.tenant}/shed")
+                self._count(f"serving/tenant/{name}/shed")
                 self.sink.registry.windowed(
-                    f"serving/tenant/{victim.tenant}/shed_windowed",
+                    f"serving/tenant/{name}/shed_windowed",
                     self.window,
                 ).observe(t, 1.0)
         if enabled:
@@ -454,7 +452,9 @@ class ChipHandle:
         if monitor is not None:
             monitor.record_queue_depth(name, t, queue.depth)
             self._poll_monitor(t)
-        self.dispatch(tenant.server)
+        server = tenant.server
+        if not server.busy:
+            self.serve(server)
         if not spec.arrivals.closed_loop:
             self.schedule_arrival(tenant, spec.arrivals.next_ms(t))
 
@@ -467,7 +467,7 @@ class ChipHandle:
             name: TenantObservation(
                 arrivals=tenant.window_arrivals,
                 queue_depth=tenant.queue.depth,
-                busy=self.servers[tenant.server].busy,
+                busy=tenant.server.busy,
             )
             for name, tenant in self.tenants.items()
         }
@@ -492,7 +492,7 @@ class ChipHandle:
         if self.monitor is not None:
             self.monitor.record_resize(t)
         for name, stall in action.stall_ms.items():
-            state = self.servers[self.tenants[name].server]
+            state = self.tenants[name].server
             # Re-staging begins once the in-flight request drains.
             begin = state.free_at_ms if state.busy else t
             state.stall_until_ms = max(
@@ -526,7 +526,7 @@ class ChipHandle:
         # Wake idle resized servers so their queues re-arm behind the
         # stall gate instead of sleeping until the next arrival.
         for name in action.stall_ms:
-            self.dispatch(self.tenants[name].server)
+            self.dispatch(self.tenants[name].server.name)
 
     # -- crash -----------------------------------------------------------------
 
@@ -568,13 +568,11 @@ class ChipHandle:
                 t = k * interval
                 if t < self.duration_ms:
                     self.queue.schedule(
-                        t, lambda t=t: self.control(t), tag="serving/control"
+                        t, self.control, t, tag="serving/control"
                     )
         if self.halt_ms is not None:
             self.queue.schedule(
-                self.halt_ms,
-                lambda: self.halt(self.halt_ms),
-                tag="serving/halt",
+                self.halt_ms, self.halt, self.halt_ms, tag="serving/halt"
             )
 
     def finish(self) -> ServingRunResult:
@@ -606,7 +604,7 @@ class ChipHandle:
             duration_ms=self.duration_ms,
             reports=self.reports,
             resizes=self.resizes,
-            servers={n: t.server for n, t in self.tenants.items()},
+            servers={n: t.server.name for n, t in self.tenants.items()},
             server_busy_ms={
                 s: st.busy_ms for s, st in sorted(self.servers.items())
             },

@@ -1,23 +1,25 @@
-"""Admission control: bounded per-tenant request queues.
+"""Admission control: bounded per-tenant FIFO request queues.
 
-Each tenant owns one :class:`AdmissionQueue`.  Admission is never silent:
-:meth:`AdmissionQueue.offer` either admits the request or returns the
-request that was *shed* — the incoming one under FIFO, or the
-latest-deadline request (queued or incoming) under EDF, so an urgent
-request can displace a lax one.  Shed counts are kept per queue and
-surfaced through the SLO reports and telemetry; saturation is graceful
-degradation, not an error.
+Each tenant owns one :class:`AdmissionQueue`, which only receives that
+tenant's arrivals, in event order: ``arrival_ms`` never decreases,
+``seq`` (the simulator's global admission counter) always increases,
+and ``deadline_ms`` is the arrival plus the tenant's fixed relative
+deadline.  So arrival order is both the FIFO and the EDF order inside
+one queue, and the queue is a ``deque``; :meth:`AdmissionQueue.offer`
+raises :class:`~repro.errors.SimulationError` on an out-of-order offer.
+The discipline only ranks queue heads across the tenants of a shared
+server (:meth:`AdmissionQueue.peek_key`).
 
-Ordering inside a queue is deterministic: FIFO pops by
-``(arrival, seq)``; EDF pops by ``(deadline, arrival, seq)`` where
-``seq`` is the global admission sequence number stamped by the
-simulator.
+Admission is never silent: ``offer`` admits the request or returns it
+as *shed*.  A full queue sheds the newcomer under both disciplines (under
+EDF it has the latest deadline in its queue, so it is the one EDF would
+evict); sheds are counted in the SLO reports and telemetry.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.serving.tenancy import Request
@@ -28,14 +30,8 @@ DISCIPLINES = ("fifo", "edf")
 _Key = Tuple[float, float, int]
 
 
-def _key(discipline: str, request: Request) -> _Key:
-    if discipline == "fifo":
-        return (request.arrival_ms, request.arrival_ms, request.seq)
-    return (request.deadline_ms, request.arrival_ms, request.seq)
-
-
 class AdmissionQueue:
-    """A bounded priority queue of one tenant's waiting requests."""
+    """A bounded FIFO of one tenant's waiting requests, in arrival order."""
 
     def __init__(
         self,
@@ -51,44 +47,50 @@ class AdmissionQueue:
             raise SimulationError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.discipline = discipline
-        self.shed_count = 0
-        self._heap: List[Tuple[_Key, Request]] = []
+        self._requests: Deque[Request] = deque()
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._requests)
 
     @property
     def depth(self) -> int:
-        return len(self._heap)
+        return len(self._requests)
 
     def offer(self, request: Request) -> Optional[Request]:
-        """Admit ``request`` or shed one; returns the shed request (or None).
+        """Admit ``request`` or shed it; returns the shed request (or None).
 
-        FIFO sheds the incoming request when full.  EDF sheds whichever
-        of (queued requests, incoming request) has the *latest* deadline,
-        because serving it is least likely to make any deadline.
+        ``request`` must not precede the queue's tail in arrival,
+        deadline or ``seq``; such an offer raises
+        :class:`~repro.errors.SimulationError` and leaves the queue as
+        it was.
         """
-        if self.capacity is None or len(self._heap) < self.capacity:
-            heapq.heappush(self._heap, (_key(self.discipline, request), request))
-            return None
-        self.shed_count += 1
-        if self.discipline == "fifo":
-            return request
-        worst_i = max(range(len(self._heap)), key=lambda i: self._heap[i][0])
-        if self._heap[worst_i][0] <= _key(self.discipline, request):
-            return request
-        victim = self._heap[worst_i][1]
-        self._heap[worst_i] = (_key(self.discipline, request), request)
-        heapq.heapify(self._heap)
-        return victim
-
-    def peek(self) -> Optional[Request]:
-        return self._heap[0][1] if self._heap else None
+        requests = self._requests
+        if requests:
+            tail = requests[-1]
+            if (
+                request.arrival_ms < tail.arrival_ms
+                or request.deadline_ms < tail.deadline_ms
+                or request.seq <= tail.seq
+            ):
+                raise SimulationError(
+                    f"out-of-order offer to an admission queue: {request} after {tail}"
+                )
+            # capacity >= 1, so only a non-empty queue can be full.
+            if self.capacity is not None and len(requests) >= self.capacity:
+                return request
+        requests.append(request)
+        return None
 
     def peek_key(self) -> Optional[_Key]:
-        return self._heap[0][0] if self._heap else None
+        """The head's rank across tenants under the discipline, if any."""
+        if not self._requests:
+            return None
+        head = self._requests[0]
+        if self.discipline == "fifo":
+            return (head.arrival_ms, head.arrival_ms, head.seq)
+        return (head.deadline_ms, head.arrival_ms, head.seq)
 
     def pop(self) -> Request:
-        if not self._heap:
+        if not self._requests:
             raise SimulationError("pop from an empty admission queue")
-        return heapq.heappop(self._heap)[1]
+        return self._requests.popleft()

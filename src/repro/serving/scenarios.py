@@ -18,7 +18,9 @@ rate stable.
 * ``smoke`` — two tiny tenants far below saturation; finishes in well
   under a second and must shed nothing.
 * ``bursty`` — a steady tenant beside one whose trace fires a dense
-  mid-run burst; exercises EDF displacement and queue bounds.
+  mid-run burst; exercises queue bounds (the burst overflows its
+  bounded queue, which sheds) and, on the time-shared policy's one
+  server, ranking both tenants' queue heads.
 """
 
 from __future__ import annotations

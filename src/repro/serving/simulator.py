@@ -7,9 +7,9 @@ discrete-event kernel (:class:`repro.utils.events.EventQueue`) against a
 * an arrival is admitted into its tenant's bounded queue (or shed — the
   shed request is counted and reported, never silently dropped);
 * each *server* (one spatial partition, or the whole time-shared chip)
-  serves the best queued request of its tenants — highest priority
-  first, then the queue discipline (FIFO arrival order or EDF
-  deadline order);
+  serves the best queue head of its tenants — highest priority first,
+  then the queue discipline (FIFO arrival order or EDF deadline order;
+  inside one tenant's queue both are arrival order);
 * elastic policies get a control tick every ``control_interval_ms``;
   an applied resize stalls the resized partitions for the weight
   re-staging time, and requests dequeued during the stall start service
@@ -132,6 +132,12 @@ class ServingSimulator:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise SimulationError(f"tenant names must be unique, got {names}")
+        for tenant in tenants:
+            if not tenant.deadline_ms > 0:  # NaN included
+                raise SimulationError(
+                    f"tenant {tenant.name!r}: deadline_ms must be positive, "
+                    f"got {tenant.deadline_ms}"
+                )
 
         for tenant in tenants:
             tenant.arrivals.reset()

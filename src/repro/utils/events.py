@@ -2,21 +2,24 @@
 
 Drives the serving loop (one chip's arrivals, dispatches and control
 epochs), the fleet's per-chip runs and the NoC route replay.  Events
-carry a timestamp, a monotonically increasing sequence number, and an
-arbitrary callback.  Simultaneous events dispatch in schedule order: the
-heap orders by ``(time, seq)`` and ``seq`` counts :meth:`EventQueue.schedule`
-calls, so a run's dispatch order is a pure function of its schedule
-calls.  Callers that share a timestamp therefore get a deterministic but
-order-dependent tie-break (on a shared serving server, the tenant
-declared first is served first).  Tagged events are surfaced to the
-telemetry recorder as instant events on the ``events`` track (one
-counter per tag), so a queue-driven simulation gets a timeline for free.
+carry a timestamp, a monotonically increasing sequence number, a
+callback and the callback's arguments.  Simultaneous events dispatch in
+schedule order: the heap orders by ``(time, seq)`` and ``seq`` counts
+:meth:`EventQueue.schedule` calls, so a run's dispatch order is a pure
+function of its schedule calls.  Callers that share a timestamp
+therefore get a deterministic but order-dependent tie-break (on a
+shared serving server, the tenant declared first is served first).
+Tagged events are surfaced to the telemetry recorder as instant events
+on the ``events`` track (one counter per tag), so a queue-driven
+simulation gets a timeline for free.
 
 Hot-path notes:
 
 * The heap holds each pending event as the plain tuple
-  ``(time, seq, action, tag)``.  Heap order is resolved by tuple
-  comparison on the first two fields; ``seq`` is unique, so the
+  ``(time, seq, action, args, tag)`` and :meth:`EventQueue.run` calls
+  ``action(*args)``, so a caller that schedules a bound method with its
+  arguments builds no closure per event.  Heap order is resolved by
+  tuple comparison on the first two fields; ``seq`` is unique, so the
   comparison never reaches the callback.
 * :meth:`EventQueue.schedule` returns nothing, and :meth:`EventQueue.run`
   drains the heap without building any per-event object.
@@ -34,8 +37,8 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.errors import SimulationError
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 
-#: One pending event on the heap: ``(time, seq, action, tag)``.
-_Entry = Tuple[float, int, Callable[[], Any], str]
+#: One pending event on the heap: ``(time, seq, action, args, tag)``.
+_Entry = Tuple[float, int, Callable[..., Any], Tuple[Any, ...], str]
 
 
 class EventQueue:
@@ -72,9 +75,9 @@ class EventQueue:
         return len(self._heap)
 
     def schedule(
-        self, time: float, action: Callable[[], Any], tag: str = ""
+        self, time: float, action: Callable[..., Any], *args: Any, tag: str = ""
     ) -> None:
-        """Schedule ``action`` at absolute ``time``.
+        """Schedule ``action(*args)`` at absolute ``time``.
 
         ``time`` must not precede :attr:`now`; a NaN time is rejected
         too, since it would compare false against every other time and
@@ -86,18 +89,19 @@ class EventQueue:
                 f"cannot schedule event at t={time}: not at or after "
                 f"current time {self._now}"
             )
-        heapq.heappush(self._heap, (time, next(self._counter), action, tag))
+        heapq.heappush(
+            self._heap, (time, next(self._counter), action, args, tag)
+        )
 
     def schedule_in(
-        self, delay: float, action: Callable[[], Any], tag: str = ""
+        self, delay: float, action: Callable[..., Any], *args: Any, tag: str = ""
     ) -> None:
-        """Schedule ``action`` ``delay`` time units from now."""
+        """Schedule ``action(*args)`` ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self.schedule(self._now + delay, action, tag)
+        self.schedule(self._now + delay, action, *args, tag=tag)
 
-    def _emit(self, entry: _Entry) -> None:
-        time, seq, _, tag = entry
+    def _emit(self, time: float, seq: int, tag: str) -> None:
         t = self._telemetry
         assert t.trace is not None and t.registry is not None
         t.trace.instant("events", tag, time, args={"seq": seq})
@@ -114,10 +118,10 @@ class EventQueue:
         pop = heapq.heappop
         emit = self._telemetry.enabled
         while heap:
-            entry = pop(heap)
-            self._now = entry[0]
+            time, seq, action, args, tag = pop(heap)
+            self._now = time
             self._processed += 1
-            if emit and entry[3]:
-                self._emit(entry)
-            entry[2]()
+            if emit and tag:
+                self._emit(time, seq, tag)
+            action(*args)
         return self._now

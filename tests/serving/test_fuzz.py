@@ -6,7 +6,14 @@ policies (:class:`FixedServicePolicy` on shared or dedicated servers,
 accounted exactly once, every completion's timeline sums bit-exactly to
 its latency, each tenant's aggregate attribution sums bit-exactly to its
 histogram total, and a rerun is byte-identical.
+
+A second property checks the chip loop against an independent oracle:
+one FIFO tenant on its own server with a fixed service time ``s``
+departs at ``d_n = max(a_n, d_{n-1}) + s`` (Lindley's recursion), so
+every completed request's latency is known exactly.
 """
+
+import math
 
 import pytest
 
@@ -136,3 +143,34 @@ def test_serving_invariants_hold_on_drawn_runs(run):
             assert _left_sum(timeline.durations) == timeline.end_to_end
         assert _left_sum(report.attribution.values()) == report.histogram.total
     assert serve().to_json() == result.to_json()
+
+
+#: Arrival times on a coarse grid (ties, and arrivals that coincide with
+#: a departure) mixed with arbitrary floats.
+_times = st.one_of(
+    st.integers(0, 2 * int(DURATION_MS) + 10).map(lambda k: k * 0.5),
+    st.floats(min_value=0.0, max_value=DURATION_MS + 5.0),
+)
+
+
+@settings(max_examples=100, deadline=2000)
+@given(
+    times=st.lists(_times, max_size=60).map(sorted),
+    service=st.one_of(st.integers(1, 12).map(lambda k: k * 0.5), _ms),
+)
+def test_dedicated_fifo_server_follows_lindley(times, service):
+    tenant = TenantSpec(name="a", network=NET, arrivals=TraceArrivals(times))
+    report = ServingSimulator(
+        FixedServicePolicy({"a": service}), collect_timelines=True
+    ).run([tenant], DURATION_MS).reports["a"]
+
+    arrivals = [t for t in times if t < DURATION_MS]
+    expected = {}
+    depart = -math.inf
+    for n, arrival in enumerate(arrivals):
+        depart = max(arrival, depart) + service
+        if depart <= DURATION_MS:
+            expected[n] = depart - arrival
+    assert report.arrivals == len(arrivals)
+    assert report.completed + report.overrun == report.arrivals
+    assert {t.index: t.end_to_end for t in report.timelines} == expected

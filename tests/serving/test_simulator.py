@@ -296,3 +296,15 @@ class TestValidation:
         ]
         with pytest.raises(SimulationError, match="t=nan"):
             ServingSimulator(policy).run(tenants, 100.0)
+
+    @pytest.mark.parametrize("deadline", [math.nan, 0.0, -5.0])
+    def test_non_positive_deadline_raises(self, deadline):
+        # A NaN deadline would count every request as a miss and, under
+        # EDF on a shared server, misrank the tenant's queue head.
+        policy = FixedServicePolicy({"a": 1.0, "b": 1.0}, shared_server="chip")
+        tenants = [
+            tenant("a", PeriodicArrivals(2.0), deadline_ms=5.0),
+            tenant("b", PeriodicArrivals(2.0), deadline_ms=deadline),
+        ]
+        with pytest.raises(SimulationError, match="tenant 'b'"):
+            ServingSimulator(policy, discipline="edf").run(tenants, 20.0)

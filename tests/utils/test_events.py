@@ -70,6 +70,15 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.schedule(0.0, lambda: None)
 
+    def test_action_receives_its_arguments(self):
+        q = EventQueue()
+        seen = []
+        q.schedule(2, seen.append, "b", tag="t")
+        q.schedule(1, lambda *args: seen.append(args), 7, 2)
+        q.schedule_in(3, seen.extend, ("c", "d"))
+        q.run()
+        assert seen == [(7, 2), "b", "c", "d"]
+
     def test_events_can_schedule_events(self):
         q = EventQueue()
         seen = []
