@@ -11,17 +11,17 @@ calls one more pass of a tiled layer adds),
 ``obs`` (the latency-attribution overhead), ``fleet`` (the multi-chip
 fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
-The last four are gated.  Each gated row carries its ``budget_s`` or
-``budget_ratio`` or ``budget_calls_per_pass`` (from ``BACKEND_BUDGETS``,
-``BACKEND_OP_BUDGET``, ``PASS_OP_BUDGET``, ``OBS_OVERHEAD_BUDGET``,
-``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a
-``within_budget`` flag; the
-``dse`` section also records whether its serial and fork-pool JSON are
-``identical_bytes``.  A row with either flag false is printed by its
-path, e.g. ``fleet/scales/1``, and the run exits 1.  ``--check`` runs
-only the gated cases and writes nothing; the CI ``bench-budget`` job
-runs it, so a regression such as a queueing tier slipping back to
-per-vector Python dispatch fails the build.
+The last four are gated.  Each gated row carries its ``budget_s``,
+``budget_ratio``, ``budget_calls_per_pass`` or ``budget_calls`` (from
+``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``, ``PASS_OP_BUDGET``,
+``OBS_OVERHEAD_CALLS``, ``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or
+``DSE_BUDGETS``) and a ``within_budget`` flag; the ``dse`` section also
+records whether its serial and fork-pool JSON are ``identical_bytes``.
+A row with either flag false is printed by its path, e.g.
+``fleet/scales/1``, and the run exits 1.  ``--check`` runs only the
+gated cases and writes nothing; the CI ``bench-budget`` job runs it, so
+a regression such as a queueing tier slipping back to per-vector Python
+dispatch fails the build.
 
 Run:  python scripts/bench.py [--out BENCH.json]
       python scripts/bench.py --check
@@ -484,9 +484,10 @@ def bench_pass_op_count() -> dict:
 
 
 #: Attribution-overhead ceiling: the NullSink serving loop with
-#: attribution on may cost at most 2% over the same loop with it off,
-#: measured as the operation-count ratio (see :func:`bench_obs`).
-OBS_OVERHEAD_BUDGET = 1.02
+#: attribution on may make at most this many operations more than the
+#: same loop with it off (see :func:`bench_obs`).  4,495 is 2% of the
+#: attribution-off loop's 224,761 calls when the ceiling was set.
+OBS_OVERHEAD_CALLS = 4495
 
 
 def bench_obs() -> dict:
@@ -494,13 +495,15 @@ def bench_obs() -> dict:
 
     The overloaded tenant pair, batched, against the disabled NullSink,
     with per-request attribution off and on.  The gated quantity is the
-    ratio of the two runs' operation counts (:func:`op_count`), which
-    repeats exactly from run to run on one Python and NumPy build.  The
-    attribution fast path costs O(tenants x batch sizes + resizes) table
-    calls, never O(requests), so per-request work sneaking back in shows
-    up as a call-count jump that no scheduler noise can hide.  Wall clock
-    is recorded as an advisory figure (min over interleaved gc-fenced
-    reps): a shared CI machine cannot resolve a 2% wall-clock budget.
+    difference of the two runs' operation counts (:func:`op_count`),
+    which repeats exactly from run to run on one Python and NumPy build.
+    The attribution fast path costs O(tenants x batch sizes + resizes)
+    table calls, never O(requests), so per-request work sneaking back in
+    shows up as a call-count jump that no scheduler noise can hide.  A
+    difference, unlike the ratio (recorded as advisory), stays put when
+    the serving loop itself gets cheaper.  Wall clock is recorded as an
+    advisory figure too (min over interleaved gc-fenced reps): a shared
+    CI machine cannot resolve a 2% wall-clock budget.
     """
     assert not telemetry.current().enabled, "bench_obs needs the disabled NullSink"
     policy, tenants = overloaded_pair()
@@ -515,7 +518,7 @@ def bench_obs() -> dict:
 
     calls_off = op_count(run, False)
     calls_on = op_count(run, True)
-    ratio = calls_on / calls_off
+    overhead = calls_on - calls_off
 
     def timed(attribution: bool) -> float:
         # A gc fence before each rep so a collection triggered by one
@@ -541,16 +544,17 @@ def bench_obs() -> dict:
     return {
         "workload": (
             f"2-tenant overloaded Poisson loop, {OVERLOAD_MS:g} ms sim window, batch_requests="
-            f"{OVERLOAD_BATCH}, NullSink; attribution off vs on, call-count ratio gated + {reps} "
+            f"{OVERLOAD_BATCH}, NullSink; attribution off vs on, call-count difference gated + {reps} "
             "interleaved gc-fenced wall-clock reps (advisory)"
         ),
         "requests": baseline.total_arrivals,
         "completed": attributed.total_completed,
         "calls_off": calls_off,
         "calls_on": calls_on,
-        "overhead_ratio": ratio,
-        "budget_ratio": OBS_OVERHEAD_BUDGET,
-        "within_budget": ratio <= OBS_OVERHEAD_BUDGET,
+        "overhead_calls": overhead,
+        "budget_calls": OBS_OVERHEAD_CALLS,
+        "within_budget": overhead <= OBS_OVERHEAD_CALLS,
+        "overhead_ratio": calls_on / calls_off,
         "wall_s_off": min(off_times),
         "wall_s_on": min(on_times),
         "wall_ratio": min(on_times) / min(off_times),

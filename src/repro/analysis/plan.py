@@ -100,14 +100,8 @@ def dram_bandwidth_budget(dram: DRAMConfig) -> float:
 class PlanVerifier:
     """Static resource checks over one or more mapped plans."""
 
-    def __init__(
-        self,
-        config: Optional[SimConfig] = None,
-        *,
-        dram: Optional[DRAMConfig] = None,
-    ) -> None:
+    def __init__(self, config: Optional[SimConfig] = None) -> None:
         self.config = config or SimConfig()
-        self.dram = dram or DRAMConfig()
         self.report = LintReport(program_length=0)
 
     # -- emission --------------------------------------------------------------
@@ -217,7 +211,8 @@ class PlanVerifier:
         self._check_dram_bandwidth(residents)
 
     def _check_dram_bandwidth(self, residents: Sequence[ResidentPlan]) -> None:
-        budget = dram_bandwidth_budget(self.dram)
+        dram = DRAMConfig()
+        budget = dram_bandwidth_budget(dram)
         load_bw = self.config.params.filter_load_bw
         # Each tenant's demand is capped at its filter-load port rate, so
         # n * load_bw bounds the total: under budget, skip the per-plan
@@ -247,7 +242,7 @@ class PlanVerifier:
                 f"sustained DRAM demand {demand:.1f} B/cycle across "
                 f"{len(residents)} resident(s) exceeds the "
                 f"{budget:.1f} B/cycle channel budget "
-                f"({self.dram.channels} channel(s))",
+                f"({dram.channels} channel(s))",
                 where="system",
             )
 
@@ -257,7 +252,6 @@ def verify_plan(
     config: Optional[SimConfig] = None,
     *,
     co_resident: Sequence[ResidentPlan] = (),
-    dram: Optional[DRAMConfig] = None,
 ) -> LintReport:
     """Run the ``PLAN6xx`` pass over one plan and/or a co-resident set.
 
@@ -268,4 +262,4 @@ def verify_plan(
     residents = list(co_resident)
     if plan is not None:
         residents.insert(0, ResidentPlan(name="plan", plan=plan))
-    return PlanVerifier(config, dram=dram).verify(residents)
+    return PlanVerifier(config).verify(residents)

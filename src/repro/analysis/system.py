@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.noc_check import RouteFlow, check_routes, resident_route_flows
 from repro.analysis.plan import ResidentPlan, verify_plan
-from repro.dram.controller import DRAMConfig
 from repro.errors import ConfigurationError
 from repro.mapping.segmentation import SegmentPlan
 from repro.sim.config import SimConfig
@@ -44,7 +43,6 @@ def analyze_plan(
     *,
     co_resident: Sequence[ResidentPlan] = (),
     routes: Optional[Sequence[RouteFlow]] = None,
-    dram: Optional[DRAMConfig] = None,
     families: Sequence[str] = ANALYSIS_FAMILIES,
 ) -> LintReport:
     """Statically analyze a plan (or a co-resident set of plans).
@@ -70,7 +68,7 @@ def analyze_plan(
     if "plan" in families:
         _merge(
             report,
-            verify_plan(config=config, co_resident=residents, dram=dram),
+            verify_plan(config=config, co_resident=residents),
         )
     if "noc" in families:
         flows = routes if routes is not None else resident_route_flows(residents)

@@ -15,8 +15,8 @@ from repro.energy.constants import ChipConstants
 
 @dataclass(frozen=True)
 class ChipConfig:
-    """Mesh size and physical constants (defaults: the paper's 210-core
-    design)."""
+    """Mesh size and per-unit physical costs (defaults: the paper's
+    210-core design)."""
 
     mesh_width: int = 16
     mesh_height: int = 16
@@ -26,3 +26,8 @@ class ChipConfig:
     def compute_tiles(self) -> int:
         """Every tile but the two LLC rows and the host column."""
         return (self.mesh_width - 1) * (self.mesh_height - 2)
+
+    @property
+    def llc_tiles(self) -> int:
+        """The two LLC rows, top and bottom."""
+        return 2 * self.mesh_width

@@ -13,13 +13,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.errors import MappingError, SimulationError
-from repro.sim import (
-    DEFAULT_ARRAY_SIZE,
-    DEFAULT_BACKEND,
-    RunReport,
-    SimConfig,
-    simulate,
-)
+from repro.sim import DEFAULT_BACKEND, RunReport, SimConfig, simulate
 from repro.mapping.allocation import proportional_shares
 from repro.nn.workloads import NetworkSpec
 
@@ -89,13 +83,16 @@ class MultiDNNScheduler:
     def __init__(
         self,
         *,
-        array_size: int = DEFAULT_ARRAY_SIZE,
+        array_size: Optional[int] = None,
         backend: Optional[str] = None,
     ) -> None:
-        """``backend`` selects the fidelity tier partitions and the
-        time-shared baseline are simulated on (``repro.sim`` name);
-        ``None`` is the default ``streaming`` tier."""
-        self.config = SimConfig(array_size=array_size)
+        """``array_size`` is the cores to partition (default: the whole
+        chip minus two DC cores).  ``backend`` selects the fidelity tier
+        partitions and the time-shared baseline are simulated on
+        (``repro.sim`` name); ``None`` is the default ``streaming`` tier."""
+        self.config = (
+            SimConfig() if array_size is None else SimConfig(array_size=array_size)
+        )
         self.backend = backend or DEFAULT_BACKEND
 
     @property

@@ -32,9 +32,6 @@ class TrafficResult:
     packets: int
     flit_hops: int
 
-    def energy_pj(self, flit_energy_pj: float = 5.4) -> float:
-        return self.flit_hops * flit_energy_pj
-
 
 @dataclass(frozen=True)
 class WaveStream:

@@ -1,10 +1,15 @@
-"""A bank-state DRAM timing and energy model.
+"""A bank-state DRAM timing model.
 
 The 2 GB many-core DRAM is uniformly divided into 32 channels, each wired
 to one LLC tile (Table 1).  Timing follows the classic three-phase model:
 row activate (tRCD), column access (tCAS), and precharge (tRP) on a row
 miss; an open-row hit pays only tCAS.  Numbers are in core cycles at 1 GHz
 and default to DDR4-2400-like values.
+
+DRAM energy is billed in one place, per byte moved plus background power
+(:class:`repro.energy.power.EnergyModel` at
+``ChipConstants.dram_access_pj_per_byte`` and ``dram_background_w``);
+this model counts accesses and row hits only.
 """
 
 from __future__ import annotations
@@ -28,11 +33,6 @@ class DRAMConfig:
     trp: int = 15   # precharge
     tburst: int = 4  # data burst (64 B line)
     line_bytes: int = 64
-    # Energy per operation (pJ), DDR4-class: dominated by I/O + array access.
-    activate_pj: float = 909.0
-    read_pj: float = 467.0
-    write_pj: float = 467.0
-    background_mw_per_channel: float = 60.0
 
 
 @dataclass
@@ -41,7 +41,6 @@ class DRAMStats:
     writes: int = 0
     row_hits: int = 0
     row_misses: int = 0
-    energy_pj: float = 0.0
 
     @property
     def accesses(self) -> int:
@@ -104,14 +103,11 @@ class DRAMController:
             precharge = cfg.trp if open_row != -1 else 0
             latency = precharge + cfg.trcd + cfg.tcas + cfg.tburst
             self._open_row[key] = row
-            self.stats.energy_pj += cfg.activate_pj
         self._bank_free[key] = start + latency
         if is_write:
             self.stats.writes += 1
-            self.stats.energy_pj += cfg.write_pj
         else:
             self.stats.reads += 1
-            self.stats.energy_pj += cfg.read_pj
         if self._telemetry.enabled:
             # One span per access on the bank's track; ``start`` is gated
             # on the bank's busy-until time, so each track stays monotone.
@@ -126,7 +122,7 @@ class DRAMController:
         return (start - time) + latency
 
     def publish_stats(self, prefix: str = "dram") -> None:
-        """Publish access/row/energy counters into the metrics registry."""
+        """Publish access and row counters into the metrics registry."""
         sink = self._telemetry
         if not sink.enabled:
             return

@@ -13,7 +13,7 @@ drivers, and the bench harness all go through it:
    holds one plan fixed across tiers the same way).  Each point is then
    evaluated by :func:`evaluate_point` on its chip's plan — statically
    verify (:func:`repro.analysis.system.analyze_plan`, ``plan`` family,
-   with the point's own DRAM geometry), then simulate on the point's
+   against the point's own config), then simulate on the point's
    backend tier through the :mod:`repro.sim` registry;
 3. chips shard across processes via
    :func:`repro.utils.parallel.run_sharded` (``workers=0`` serial) —
@@ -96,12 +96,9 @@ def evaluate_point(
                 detail=f"{type(exc).__name__}: {exc}",
             )
 
-    # Static preflight with the point's own DRAM geometry — richer than
-    # the simulate() gate (which assumes the default controller), so the
-    # per-channel bandwidth budget is checked against *this* machine.
-    lint = analyze_plan(
-        plan=plan, config=cfg, dram=point.dram_config(), families=("plan",)
-    )
+    # The simulate() gate's check, run here so that a rejection becomes
+    # a row that carries its rule ids instead of an exception.
+    lint = analyze_plan(plan=plan, config=cfg, families=("plan",))
     if not lint.ok:
         rules = tuple(sorted({d.rule for d in lint.errors}))
         return PointResult(
@@ -123,7 +120,7 @@ def evaluate_point(
         )
 
     energy = report.energy
-    area = area_breakdown(cfg.chip.constants)
+    area = area_breakdown(cfg)
     return PointResult(
         point=point,
         status="ok",

@@ -17,18 +17,21 @@ The derivations are *exact at the paper's defaults*: the default point
 lets the table/figure experiment drivers run through the sweep engine
 while staying byte-identical to their pre-refactor outputs.
 
-Off-default axes scale the calibrated constants linearly from the
-32-channel / 7-slice / 64-row reference design:
+Off-default axes describe a different chip, and every model reads it
+from the one :class:`~repro.sim.config.SimConfig`:
 
 * ``mesh`` keeps the Fig. 3(a) floorplan at any size (LLC rows top and
-  bottom, the host column rightmost); the core count and the mapper's
-  array size follow from the geometry.
-* ``cmem_slices`` / ``cmem_rows`` set the capacity model *and* the CMem
-  area (slice area scales with rows), with node leakage scaling in
-  proportion to CMem area.
-* ``dram_channels`` scales the aggregate weight-load bandwidth, the
-  streamed-ifmap fetch cost, and the DRAM background power — one LLC
-  tile per channel up to the floorplan's two LLC rows.
+  bottom, the host column rightmost).  The mapper's array size and the
+  core and LLC-tile counts the energy and area models bill follow from
+  the geometry (``ChipConfig.compute_tiles`` and ``llc_tiles``; two LLC
+  rows of ``mesh_width`` tiles whatever the channel count).
+* ``cmem_slices`` / ``cmem_rows`` set the capacity model, from which the
+  area and energy models also take the CMem area (slice area scales with
+  rows) and the node leakage (in proportion to CMem area).
+* ``dram_channels`` scales, linearly from the 32-channel reference, the
+  aggregate weight-load bandwidth, the streamed-ifmap fetch cost and the
+  DRAM background power: the one machine fact a ``SimConfig`` records
+  nowhere else.
 """
 
 from __future__ import annotations
@@ -39,8 +42,7 @@ from typing import Callable, Dict, List, Tuple
 
 from repro.core.chip import ChipConfig
 from repro.core.perfmodel import TimingParams
-from repro.dram.controller import DRAMConfig
-from repro.energy.constants import ChipConstants
+from repro.energy.constants import REF_ROWS, REF_SLICES, ChipConstants
 from repro.errors import ConfigurationError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import (
@@ -65,10 +67,10 @@ NETWORKS: Dict[str, Callable[[], NetworkSpec]] = {
     "transformer_block": transformer_block_spec,
 }
 
-#: The reference design every scaling is anchored to (the paper's chip).
+#: The reference design every scaling is anchored to (the paper's chip;
+#: its CMem geometry, ``REF_SLICES`` x ``REF_ROWS``, is the one the
+#: per-unit CMem costs are quoted for).
 REF_MESH = (16, 16)
-REF_SLICES = 7
-REF_ROWS = 64
 REF_CHANNELS = 32
 
 
@@ -147,51 +149,14 @@ class DesignPoint:
         w, h = self.mesh
         return ChipConfig(mesh_width=w, mesh_height=h).compute_tiles
 
-    @property
-    def array_size(self) -> int:
-        """Cores the mapper may hand to one segment's node groups.
-
-        Two cores stay reserved for the widest segment's distribution
-        cores, mirroring the paper's 210 -> 208 split at any mesh size.
-        """
-        return self.compute_tiles - 2
-
-    def constants(self) -> ChipConstants:
-        """Physical constants scaled from the reference design.
-
-        CMem slice area scales with the row count; per-node leakage
-        scales with the node's CMem area; DRAM background power scales
-        with the channel count.  At the reference coordinates every
-        factor is exactly 1.0, so this returns ``ChipConstants()``
-        values bit-for-bit.
-        """
-        base = ChipConstants()
-        w, _ = self.mesh
-        row_scale = self.cmem_rows / REF_ROWS
-        slice0 = base.slice0_area_mm2_40nm * row_scale
-        compute_slice = base.compute_slice_area_mm2_40nm * row_scale
-        ref_cmem_area = (
-            base.slice0_area_mm2_40nm
-            + REF_SLICES * base.compute_slice_area_mm2_40nm
-        )
-        cmem_area = slice0 + self.cmem_slices * compute_slice
-        return ChipConstants(
-            num_cores=self.compute_tiles,
-            num_llc_tiles=2 * w,
-            num_compute_slices=self.cmem_slices,
-            slice0_area_mm2_40nm=slice0,
-            compute_slice_area_mm2_40nm=compute_slice,
-            cmem_leakage_w_per_node=(
-                base.cmem_leakage_w_per_node * (cmem_area / ref_cmem_area)
-            ),
-            dram_background_w=(
-                base.dram_background_w * (self.dram_channels / REF_CHANNELS)
-            ),
-        )
-
     def chip_config(self) -> ChipConfig:
+        """The mesh, with the DRAM background power scaled per channel
+        (``ChipConstants()`` bit for bit at the reference count)."""
         w, h = self.mesh
-        return ChipConfig(mesh_width=w, mesh_height=h, constants=self.constants())
+        base = ChipConstants()
+        scale = self.dram_channels / REF_CHANNELS
+        constants = replace(base, dram_background_w=base.dram_background_w * scale)
+        return ChipConfig(mesh_width=w, mesh_height=h, constants=constants)
 
     def timing_params(self) -> TimingParams:
         """Unit costs with the DRAM-bandwidth terms scaled per channel."""
@@ -208,15 +173,11 @@ class DesignPoint:
             compute_slices=self.cmem_slices, rows=self.cmem_rows
         )
 
-    def dram_config(self) -> DRAMConfig:
-        return DRAMConfig(channels=self.dram_channels)
-
     def sim_config(self) -> SimConfig:
         return SimConfig(
             chip=self.chip_config(),
             params=self.timing_params(),
             capacity=self.capacity(),
-            array_size=self.array_size,
             strategy=self.strategy,
             batch=self.batch,
             batch_requests=self.batch_requests,

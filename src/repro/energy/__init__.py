@@ -1,4 +1,4 @@
-"""Area, power, and energy models of the 210-core MAICC chip (Sec. 5)."""
+"""Area, power, and energy models of the chip a SimConfig describes (Sec. 5)."""
 
 from repro.energy.constants import ChipConstants
 from repro.energy.area import AreaBreakdown, area_breakdown

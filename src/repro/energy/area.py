@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.energy.constants import ChipConstants
+if TYPE_CHECKING:
+    from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -33,21 +34,25 @@ class AreaBreakdown:
         }
 
 
-def area_breakdown(constants: ChipConstants = ChipConstants()) -> AreaBreakdown:
-    """Area of the full chip from per-block constants."""
+def area_breakdown(config: SimConfig) -> AreaBreakdown:
+    """Area of the chip ``config`` describes: its compute tiles, LLC
+    tiles and CMem geometry, each at its per-unit area."""
+    c = config.chip.constants
+    cores = config.chip.compute_tiles
     return AreaBreakdown(
-        cmem=constants.num_cores * constants.cmem_area_mm2_per_node,
-        core=constants.num_cores * constants.core_area_mm2,
-        local_mem=constants.num_cores * constants.local_mem_area_mm2,
-        noc=constants.noc_area_mm2,
-        llc=constants.num_llc_tiles * constants.llc_tile_area_mm2,
+        cmem=cores * c.cmem_area_mm2_per_node(config.capacity),
+        core=cores * c.core_area_mm2,
+        local_mem=cores * c.local_mem_area_mm2,
+        noc=c.noc_area_mm2,
+        llc=config.chip.llc_tiles * c.llc_tile_area_mm2,
     )
 
 
-def node_area_mm2(constants: ChipConstants = ChipConstants()) -> float:
+def node_area_mm2(config: SimConfig) -> float:
     """One MAICC node: core + local memories + CMem (Table 4 row)."""
+    c = config.chip.constants
     return (
-        constants.core_area_mm2
-        + constants.local_mem_area_mm2
-        + constants.cmem_area_mm2_per_node
+        c.core_area_mm2
+        + c.local_mem_area_mm2
+        + c.cmem_area_mm2_per_node(config.capacity)
     )

@@ -8,9 +8,10 @@ average power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import TYPE_CHECKING, Dict
 
-from repro.energy.constants import ChipConstants
+if TYPE_CHECKING:
+    from repro.sim.config import SimConfig
 
 
 @dataclass
@@ -57,13 +58,17 @@ class EnergyBreakdown:
 
 
 class EnergyModel:
-    """Combines dynamic op energies with static power over the run time."""
+    """Combines dynamic op energies with the static power of the chip
+    ``config`` describes (its compute tiles, LLC tiles and CMem geometry)
+    over the run time."""
 
-    def __init__(self, constants: ChipConstants = ChipConstants()) -> None:
-        self.constants = constants
+    def __init__(self, config: SimConfig) -> None:
+        self.config = config
 
     def breakdown(self, ops: OpCounts, seconds: float) -> EnergyBreakdown:
-        c = self.constants
+        chip = self.config.chip
+        c = chip.constants
+        cores = chip.compute_tiles
         pj = 1e-12
         cmem_dynamic = (
             ops.macs * c.mac_pj
@@ -71,15 +76,15 @@ class EnergyModel:
             + ops.vertical_writes * c.vertical_write_pj
             + ops.remote_rows * c.remote_row_pj
         ) * pj
-        cmem_static = c.num_cores * c.cmem_leakage_w_per_node * seconds
+        cmem_static = cores * c.cmem_leakage_w(self.config.capacity) * seconds
         noc = ops.noc_flit_hops * c.noc_flit_hop_pj * pj + c.noc_static_w * seconds
         core = (
             ops.core_active_cycles * c.core_power_w * c.cycle_seconds
-            + c.num_cores * c.local_mem_power_w * seconds
+            + cores * c.local_mem_power_w * seconds
         )
         llc = (
             ops.llc_accesses * c.llc_access_pj * pj
-            + c.num_llc_tiles * c.llc_static_w_per_tile * seconds
+            + chip.llc_tiles * c.llc_static_w_per_tile * seconds
         )
         dram = (
             ops.dram_bytes * c.dram_access_pj_per_byte * pj

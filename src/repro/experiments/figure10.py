@@ -25,7 +25,7 @@ def run(*, backend: Optional[str] = None, workers: int = 0) -> ExperimentResult:
         keep_reports=True, baselines=False,
     )
     point = dse.points[0]
-    area = area_breakdown(point.point.sim_config().chip.constants)
+    area = area_breakdown(point.point.sim_config())
     energy = point.report.energy
 
     result = ExperimentResult(

@@ -22,8 +22,8 @@ from repro.baselines.neural_cache import NeuralCacheModel
 from repro.baselines.scalar_core import ScalarConvBaseline
 from repro.core.node import MAICCNode, table4_workload
 from repro.energy.area import node_area_mm2
-from repro.energy.constants import ChipConstants
 from repro.experiments.report import ExperimentResult
+from repro.sim.config import SimConfig
 from repro.utils.parallel import run_sharded
 
 PAPER = {
@@ -38,7 +38,8 @@ NODES = ("scalar", "maicc", "neural_cache")
 def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
     """One Table 4 column (pure; picklable; top-level)."""
     spec = table4_workload()
-    constants = ChipConstants()
+    config = SimConfig()
+    constants = config.chip.constants
     node_kind = cell["node"]
     if node_kind == "scalar":
         scalar = ScalarConvBaseline().run(spec)
@@ -66,7 +67,7 @@ def _evaluate_node(cell: Mapping[str, object]) -> Dict[str, object]:
         )
         return {
             "node": "MAICC node", "memory_kb": 20,
-            "area_mm2": round(node_area_mm2(constants), 3),
+            "area_mm2": round(node_area_mm2(config), 3),
             "energy_j": maicc_energy, "cycles": maicc.stats.cycles,
             "raw": maicc,
         }

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.chip import ChipConfig
 from repro.errors import SimulationError
 from repro.fleet.autoscale import AutoscaleConfig, ReplicaAutoscaler
 from repro.fleet.balancing import FluidLoadTracker, make_balancer
@@ -51,12 +52,12 @@ from repro.serving.tenancy import TenantSpec
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.utils.parallel import run_sharded
 
-#: Cores per fleet chip: the paper's whole 210-core MAICC array.  The
-#: single-chip serving stack defaults to 208 instead
-#: (:data:`repro.sim.DEFAULT_ARRAY_SIZE` through
+#: Cores per fleet chip: the paper's whole MAICC array (210 cores).  The
+#: single-chip serving stack defaults to two fewer
+#: (:class:`~repro.sim.config.SimConfig`'s ``array_size`` through
 #: :class:`~repro.core.multi_dnn.MultiDNNScheduler`: the array minus two
 #: cores reserved for the streaming DC of the widest segment).
-DEFAULT_ARRAY_SIZE = 210
+DEFAULT_ARRAY_SIZE = ChipConfig().compute_tiles
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""The mesh NoC: latency, contention, and energy accounting.
+"""The mesh NoC: latency, contention, and traffic accounting.
 
 Two usage modes:
 
@@ -11,8 +11,9 @@ Two usage modes:
   cheap, adequate for the traffic the execution framework generates
   (neighbour-to-neighbour streams by construction of the zig-zag mapping).
 
-Energy: 5.4 pJ per flit per hop plus 2.20 W static for the whole 16x16
-mesh (paper Sec. 5, measured with dsent).
+Energy is the energy model's: it bills flit-hops at
+``ChipConstants.noc_flit_hop_pj`` (5.4 pJ) plus ``noc_static_w`` (2.20 W
+for the whole 16x16 mesh; paper Sec. 5, measured with dsent).
 """
 
 from __future__ import annotations
@@ -32,14 +33,11 @@ Link = Tuple[Coord, Coord]
 
 @dataclass(frozen=True)
 class MeshConfig:
-    """Mesh geometry and constants (defaults: the paper's 16x16 chip)."""
+    """Mesh geometry and hop delay (defaults: the paper's 16x16 chip)."""
 
     width: int = 16
     height: int = 16
     router_delay: int = 2  # cycles per hop (route + switch + link)
-    flit_energy_pj: float = 5.4  # per flit per hop
-    static_power_w: float = 2.20
-    area_mm2: float = 2.61
 
 
 @dataclass
@@ -49,9 +47,6 @@ class NoCStats:
     packets: int = 0
     flit_hops: int = 0
     total_latency: int = 0
-
-    def energy_pj(self, flit_energy_pj: float) -> float:
-        return self.flit_hops * flit_energy_pj
 
     @property
     def avg_latency(self) -> float:

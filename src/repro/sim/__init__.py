@@ -7,7 +7,7 @@ backend matrix and :mod:`repro.sim.xcheck` for the cross-tier
 differential harness.
 """
 
-from repro.sim.config import DEFAULT_ARRAY_SIZE, SimConfig
+from repro.sim.config import SimConfig
 from repro.sim.report import LayerReport, RunReport, SegmentReport
 from repro.sim.backends import (
     DEFAULT_BACKEND,
@@ -28,7 +28,6 @@ from repro.sim.xcheck import (
 )
 
 __all__ = [
-    "DEFAULT_ARRAY_SIZE",
     "DEFAULT_BACKEND",
     "DEFAULT_ENVELOPE",
     "AnalyticBackend",

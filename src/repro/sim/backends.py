@@ -128,7 +128,7 @@ class ModeledBackend:
         batch = config.batch
         requests = config.batch_requests
         model = performance_model(config)
-        energy_model = EnergyModel(config.chip.constants)
+        energy_model = EnergyModel(config)
         runs: List[SegmentReport] = []
         total = 0.0
         ops = OpCounts()

@@ -3,7 +3,9 @@
 One :class:`SimConfig` fully describes *what machine* a network is
 simulated on (chip geometry, timing constants, capacity model, partition
 size) and *how* the selected backend should run it (batch, mapping
-strategy, tier-specific knobs).  The callers that hold machine state
+strategy, tier-specific knobs).  It is also the chip the energy and area
+models bill: they count cores and LLC tiles from ``chip`` and CMem
+slices and rows from ``capacity``.  The callers that hold machine state
 (``MultiDNNScheduler`` and, through it, ``serving.ServiceModel``) keep
 it as a ``SimConfig`` and hand it to :func:`repro.sim.simulate`, so
 every tier answers the same fully-specified query.
@@ -19,11 +21,6 @@ from repro.core.chip import ChipConfig
 from repro.core.perfmodel import TimingParams
 from repro.errors import ConfigurationError
 from repro.mapping.capacity import CapacityModel
-
-#: Compute cores available to the mapper by default (the paper's 210-core
-#: array minus the two cores reserved for the streaming DC of the widest
-#: segment).
-DEFAULT_ARRAY_SIZE = 208
 
 
 def check_batch(name: str, value: object) -> None:
@@ -49,7 +46,11 @@ class SimConfig:
     chip: ChipConfig = field(default_factory=ChipConfig)
     params: TimingParams = field(default_factory=TimingParams)
     capacity: CapacityModel = field(default_factory=CapacityModel)
-    array_size: int = DEFAULT_ARRAY_SIZE
+    #: Compute cores the mapper may use.  Left unset, it is the whole chip
+    #: minus the two cores reserved for the streaming DC of the widest
+    #: segment (``chip.compute_tiles - 2``: the paper's 210 -> 208);
+    #: multi-DNN partitions set their share.
+    array_size: int = None  # type: ignore[assignment]
 
     strategy: str = "heuristic"
     batch: int = 1
@@ -74,6 +75,8 @@ class SimConfig:
     preflight: bool = True
 
     def __post_init__(self) -> None:
+        if self.array_size is None:
+            object.__setattr__(self, "array_size", self.chip.compute_tiles - 2)
         if self.array_size < 2:
             raise ConfigurationError(
                 f"array_size must be >= 2 (one DC + one computing core), "

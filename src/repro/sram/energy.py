@@ -1,31 +1,31 @@
 """Per-operation energy model of the CMem SRAM arrays.
 
-The constants come straight from the paper's SPICE/Design-Compiler
-measurements (Sec. 5, System Model), already scaled to 28 nm:
-
-* vertical write into slice 0:           4.75 pJ
-* Move.C (inter-slice vector move):     52.75 pJ
-* MAC.C (one full vector MAC):          28.25 pJ
-* remote row load/store (LoadRow.RC):   53.01 pJ
+The four op energies are the paper's SPICE/Design-Compiler measurements
+(Sec. 5, System Model), already scaled to 28 nm, and default to the
+chip-level energy model's own :class:`~repro.energy.constants.ChipConstants`:
+vertical write into slice 0, Move.C (inter-slice vector move), MAC.C (one
+full vector MAC) and remote row load/store (LoadRow.RC).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.energy.constants import ChipConstants
+
 
 @dataclass(frozen=True)
 class SRAMEnergy:
     """Energy per CMem operation in picojoules (paper Sec. 5)."""
 
-    vertical_write_pj: float = 4.75
-    move_pj: float = 52.75
-    mac_pj: float = 28.25
-    remote_row_pj: float = 53.01
+    vertical_write_pj: float = ChipConstants.vertical_write_pj
+    move_pj: float = ChipConstants.move_pj
+    mac_pj: float = ChipConstants.mac_pj
+    remote_row_pj: float = ChipConstants.remote_row_pj
     # Plain array accesses, estimated from the vertical-write figure: a
     # single-row read/write touches the same bit-lines once.
-    read_row_pj: float = 4.75
-    write_row_pj: float = 4.75
+    read_row_pj: float = ChipConstants.vertical_write_pj
+    write_row_pj: float = ChipConstants.vertical_write_pj
 
 
 @dataclass

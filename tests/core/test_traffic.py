@@ -33,10 +33,6 @@ class TestTrafficReplay:
         rnd = simulate_segment_traffic(segment, random_placement(segment, seed=2))
         assert zig.flit_hops < rnd.flit_hops
 
-    def test_energy_scales_with_flit_hops(self, segment):
-        zig = simulate_segment_traffic(segment, zigzag_placement(segment))
-        assert zig.energy_pj() == pytest.approx(zig.flit_hops * 5.4)
-
     def test_packet_count_placement_invariant(self, segment):
         a = simulate_segment_traffic(segment, zigzag_placement(segment))
         b = simulate_segment_traffic(segment, raster_placement(segment))

@@ -58,13 +58,12 @@ class TestTiming:
         # t=0 exceeds a bare row hit.
         assert second > dram.config.tcas
 
-    def test_energy_accumulates(self):
+    def test_reads_and_writes_counted(self):
         dram = DRAMController()
         dram.access_latency(DRAM_BASE, False, 0)
         dram.access_latency(DRAM_BASE, True, 100)
         assert dram.stats.reads == 1
         assert dram.stats.writes == 1
-        assert dram.stats.energy_pj > 0
 
     def test_hit_rate(self):
         dram = DRAMController()

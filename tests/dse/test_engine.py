@@ -1,5 +1,7 @@
 """The sweep engine: statuses, serial==parallel, and the baselines."""
 
+import hashlib
+
 import pytest
 
 import repro.dse.engine as engine
@@ -50,7 +52,7 @@ class TestEvaluatePoint:
         point = DesignPoint(network="resnet18", backend="analytic",
                             mesh=(3, 4))
         result = evaluate_point(point)
-        assert result.status in ("infeasible", "rejected")
+        assert result.status == "infeasible"
         assert not result.ok
         assert result.detail
 
@@ -81,16 +83,16 @@ class TestEvaluatePoint:
         given = evaluate_point(point, plan=plan)
         assert given == expected
 
-    def test_starved_dram_is_rejected_with_rule_ids(self):
-        # One DRAM channel cannot feed ResNet18's filter streaming; the
-        # static verifier (not the backend) should catch it.
+    def test_one_dram_channel_is_ok_with_no_findings(self):
+        # One channel slows ResNet18's filter streaming but breaks no
+        # plan rule: PLAN605 cannot fire for a single resident, whose
+        # demand is capped at its filter-load port rate (0.5 B/cycle per
+        # channel), under the DRAM bandwidth budget.
         point = DesignPoint(network="resnet18", backend="analytic",
                             dram_channels=1)
         result = evaluate_point(point)
-        if result.status == "rejected":
-            assert result.findings  # rule ids travel with the row
-        else:
-            assert result.status in ("ok", "infeasible")
+        assert result.status == "ok"
+        assert result.findings == ()
 
 
 class TestRunSweep:
@@ -101,6 +103,15 @@ class TestRunSweep:
     def test_points_keep_expansion_order(self, smoke):
         expanded = [p.point_id for p in SWEEPS["smoke"].expand()]
         assert [r.point.point_id for r in smoke.points] == expanded
+
+    def test_smoke_sweep_bytes_are_pinned(self, smoke):
+        """The smoke sweep crosses every off-default axis (12x12 mesh, 5
+        slices, 32 rows, 16 channels), so its artifact pins the area and
+        energy the models bill off the paper's chip."""
+        digest = hashlib.sha256(smoke.to_json().encode()).hexdigest()
+        assert digest == (
+            "1544a08260066315d7436495736d9ea2fc8798856594fb49bacd91c91d0d8972"
+        )
 
     def test_serial_and_parallel_are_byte_identical(self, smoke):
         parallel = run_sweep(SWEEPS["smoke"], workers=4)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.chip import ChipConfig
 from repro.dse.spec import (
     REF_CHANNELS,
     REF_MESH,
@@ -10,8 +11,13 @@ from repro.dse.spec import (
     DesignPoint,
     SweepSpec,
 )
+from repro.energy.area import area_breakdown
 from repro.errors import ConfigurationError
-from repro.sim.config import SimConfig
+from repro.mapping.capacity import CapacityModel
+from repro.nn.workloads import small_cnn_spec
+from repro.sim import SimConfig, simulate
+
+MESH_12 = ChipConfig(mesh_width=12, mesh_height=12)
 
 
 class TestDesignPoint:
@@ -50,7 +56,37 @@ class TestDesignPoint:
         point = DesignPoint(network="resnet18", backend="streaming",
                             mesh=(20, 16))
         assert point.compute_tiles == point.sim_config().chip.compute_tiles
-        assert point.array_size == point.compute_tiles - 2
+        assert point.sim_config().array_size == point.compute_tiles - 2
+
+    @pytest.mark.parametrize(
+        "axes,hand_built",
+        [
+            ({"mesh": (12, 12)}, SimConfig(chip=MESH_12)),
+            ({"cmem_slices": 5}, SimConfig(capacity=CapacityModel(compute_slices=5))),
+            ({"cmem_rows": 32}, SimConfig(capacity=CapacityModel(rows=32))),
+            (
+                {"mesh": (12, 12), "cmem_slices": 5, "cmem_rows": 32},
+                SimConfig(
+                    chip=MESH_12,
+                    capacity=CapacityModel(compute_slices=5, rows=32),
+                ),
+            ),
+        ],
+        ids=["mesh", "slices", "rows", "all"],
+    )
+    def test_hand_built_config_bills_the_design_point(self, axes, hand_built):
+        """A SimConfig built by hand is the chip its DesignPoint derives,
+        and the area and energy models bill that chip, not the paper's."""
+        derived = DesignPoint("small_cnn", "analytic", **axes).sim_config()
+        assert hand_built == derived
+        area = area_breakdown(hand_built)
+        assert area == area_breakdown(derived)
+        assert area.total < area_breakdown(SimConfig()).total
+        energy = [
+            simulate(small_cnn_spec(), backend="analytic", config=c).energy.total
+            for c in (hand_built, derived)
+        ]
+        assert energy[0] == energy[1]
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -21,6 +21,7 @@ from repro.dse.result import (
 )
 from repro.energy.area import area_breakdown, node_area_mm2
 from repro.energy.constants import ChipConstants
+from repro.sim.config import SimConfig
 
 PAPER_AREA_FRACTIONS = {
     "cmem": 0.65, "core": 0.11, "local_mem": 0.10, "noc": 0.09, "llc": 0.05,
@@ -33,19 +34,19 @@ PAPER_SCALAR_AREA_MM2 = 0.052
 
 class TestChipArea:
     def test_total_within_two_percent_of_paper(self):
-        area = area_breakdown(ChipConstants())
+        area = area_breakdown(SimConfig())
         assert compare_ref(area.total, PAPER_REF_CHIP_AREA_MM2) == pytest.approx(
             1.0, abs=0.02
         )
 
     @pytest.mark.parametrize("block,ref", sorted(PAPER_AREA_FRACTIONS.items()))
     def test_block_fractions_match_figure10(self, block, ref):
-        fractions = area_breakdown(ChipConstants()).fractions()
+        fractions = area_breakdown(SimConfig()).fractions()
         assert compare_ref(fractions[block], ref) == pytest.approx(1.0, abs=0.12)
 
     def test_compare_ref_columns_in_area_row(self):
         """The artifact's self-auditing shape: total + ref + ratio."""
-        area = area_breakdown(ChipConstants())
+        area = area_breakdown(SimConfig())
         row = {"total_mm2": area.total}
         add_compare_ref(row, "total_mm2", PAPER_REF_CHIP_AREA_MM2)
         assert row["total_mm2_ref"] == PAPER_REF_CHIP_AREA_MM2
@@ -56,7 +57,7 @@ class TestChipArea:
 
 class TestNodeArea:
     def test_maicc_node_matches_table4(self):
-        node = node_area_mm2(ChipConstants())
+        node = node_area_mm2(SimConfig())
         assert compare_ref(node, PAPER_NODE_AREA_MM2) == pytest.approx(
             1.0, abs=0.01
         )
@@ -81,7 +82,7 @@ class TestNodeArea:
         with Neural Cache holding twice the memory."""
         constants = ChipConstants()
         scalar = constants.core_area_mm2 + 20 / 8 * constants.local_mem_area_mm2
-        node = node_area_mm2(constants)
+        node = node_area_mm2(SimConfig())
         cache = NeuralCacheModel().run(table4_workload())
         assert scalar < node < cache.area_mm2
         assert cache.memory_kb == 2 * 20

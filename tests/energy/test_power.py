@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.energy.constants import ChipConstants
 from repro.energy.power import EnergyModel, OpCounts
+from repro.sim.config import SimConfig
 
 
 @pytest.fixture
 def model():
-    return EnergyModel()
+    return EnergyModel(SimConfig())
 
 
 class TestDynamicEnergy:
