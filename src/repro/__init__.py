@@ -33,7 +33,7 @@ from repro.core import (
     table4_workload,
 )
 from repro.sim import SimConfig, simulate
-from repro.analysis import lint_text, schedule_kernel, verify_program
+from repro.analysis import schedule_kernel, verify_program
 from repro.energy import ChipConstants, area_breakdown
 from repro.mapping import (
     CapacityModel,
@@ -42,8 +42,6 @@ from repro.mapping import (
     SingleLayerStrategy,
 )
 from repro.nn import (
-    build_resnet18,
-    build_small_cnn,
     quantize_graph,
     resnet18_spec,
     run_quantized,
@@ -73,8 +71,6 @@ __all__ = [
     "GreedyStrategy",
     "HeuristicStrategy",
     "SingleLayerStrategy",
-    "build_resnet18",
-    "build_small_cnn",
     "quantize_graph",
     "resnet18_spec",
     "run_quantized",
@@ -83,7 +79,6 @@ __all__ = [
     "Pipeline",
     "PipelineConfig",
     "assemble",
-    "lint_text",
     "schedule_kernel",
     "verify_program",
     "NullSink",

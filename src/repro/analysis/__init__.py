@@ -60,7 +60,6 @@ from repro.analysis.scheduler import (
 from repro.analysis.verifier import (
     AnalysisConfig,
     KernelVerifier,
-    lint_text,
     verify_program,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "compute_liveness",
     "dram_bandwidth_budget",
     "estimate_cycles",
-    "lint_text",
     "plan_route_flows",
     "replay_routes",
     "resident_route_flows",

@@ -101,9 +101,6 @@ class LintReport:
         """No errors and no warnings (advisories allowed)."""
         return not self.errors and not self.warnings
 
-    def by_rule(self, rule: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule]
-
     def sorted(self) -> List[Diagnostic]:
         return sorted(self.diagnostics, key=lambda d: (d.severity.rank, d.index))
 

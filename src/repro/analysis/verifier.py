@@ -39,7 +39,6 @@ from repro.analysis.diagnostics import LintReport
 from repro.analysis.rules import rule
 from repro.cmem.isa import MAX_OPERAND_BITS
 from repro.errors import CMemError, DecodeError, MemoryMapError
-from repro.riscv.assembler import assemble
 from repro.riscv.isa import FunctionalUnit, Instruction, instr_reads, instr_write
 from repro.riscv.memory import MemoryMap
 from repro.riscv.registers import reg_name
@@ -438,8 +437,3 @@ def verify_program(
 ) -> LintReport:
     """Run the full static verification pass over an instruction list."""
     return KernelVerifier(program, config).verify()
-
-
-def lint_text(asm_text: str, config: Optional[AnalysisConfig] = None) -> LintReport:
-    """Assemble program text and verify it."""
-    return verify_program(assemble(asm_text), config)

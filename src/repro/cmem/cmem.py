@@ -21,7 +21,7 @@ from repro.cmem.slice import CMemSlice, TransposeBuffer
 from repro.sram.energy import EnergyAccumulator, SRAMEnergy
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats
-from repro.utils.bitops import pack_transposed_cached, unpack_transposed
+from repro.utils.bitops import pack_transposed_cached
 
 
 @lru_cache(maxsize=64)
@@ -66,14 +66,6 @@ class CMemConfig:
             raise ConfigurationError(
                 "bit-true CMem slices are fixed at 64 rows x 256 cols"
             )
-
-    @property
-    def num_compute_slices(self) -> int:
-        return self.num_slices - 1
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.num_slices * self.rows * self.cols // 8
 
 
 @dataclass
@@ -399,20 +391,3 @@ class CMem:
         sl.array.update_rows(base_row, col_offset, bits)
         self.stats.vertical_writes += len(values)
         self.energy.charge("vertical_write", len(values))
-
-    def load_vector_transposed(
-        self,
-        slice_index: int,
-        base_row: int,
-        n_elements: int,
-        n_bits: int,
-        *,
-        signed: bool = True,
-        col_offset: int = 0,
-    ) -> np.ndarray:
-        """Read a transposed vector back as integers (testing helper)."""
-        sl = self.slice(slice_index)
-        bits = sl.array.read_rows(base_row, n_bits)[
-            :, col_offset : col_offset + n_elements
-        ]
-        return unpack_transposed(bits, n_elements, signed=signed)

@@ -20,7 +20,6 @@ Algorithm 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, unique
 
 from repro.errors import CMemError
@@ -72,16 +71,3 @@ def cmem_op_cycles(op: CMemOp, n_bits: int = 8) -> int:
     if op in (CMemOp.LOADROW_RC, CMemOp.STOREROW_RC):
         return 1
     raise CMemError(f"unknown CMem op {op}")
-
-
-@dataclass(frozen=True)
-class CMemOpCost:
-    """Resolved cost of one issued CMem instruction."""
-
-    op: CMemOp
-    n_bits: int
-    cycles: int
-
-    @classmethod
-    def of(cls, op: CMemOp, n_bits: int = 8) -> "CMemOpCost":
-        return cls(op=op, n_bits=n_bits, cycles=cmem_op_cycles(op, n_bits))

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import CMemError, RowIndexError
 from repro.sram.array import SRAMArray, SRAMArrayConfig
-from repro.utils.bitops import bitplanes_to_bytes, bytes_to_bitplanes
+from repro.utils.bitops import bytes_to_bitplanes
 
 
 class CMemSlice:
@@ -157,21 +157,3 @@ class TransposeBuffer(CMemSlice):
             byte_plane = (encoded >> (8 * g)) & 0xFF
             planes = bytes_to_bitplanes(byte_plane)
             self.array.write_vertical_planes(8 * (group + g), 0, planes)
-
-    def load_vector(
-        self, group: int, n_elements: int, n_bits: int = 8, *, signed: bool = False
-    ) -> np.ndarray:
-        """Read a vertically stored vector back as integers."""
-        if n_bits % 8:
-            raise CMemError(f"vertical loads are byte-granular, got {n_bits} bits")
-        n_groups = n_bits // 8
-        out = np.zeros(n_elements, dtype=np.int64)
-        for g in range(n_groups):
-            planes = self.array.read_vertical_planes(
-                8 * (group + g), 0, 8, n_elements
-            )
-            out |= bitplanes_to_bytes(planes).astype(np.int64) << (8 * g)
-        if signed:
-            sign = 1 << (n_bits - 1)
-            out = np.where(out & sign, out - (1 << n_bits), out)
-        return out

@@ -58,10 +58,6 @@ class RequantParams:
     mult: int
     shift: int = 8
 
-    @classmethod
-    def from_ratio(cls, ratio: float, shift: int = 8) -> "RequantParams":
-        return cls(mult=max(0, int(round(ratio * (1 << shift)))), shift=shift)
-
 
 @dataclass
 class KernelPlan:

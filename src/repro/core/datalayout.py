@@ -53,14 +53,6 @@ class NodeLayout:
         lanes = min(8, max(1, math.ceil(min(self.spec.c, 256) / 32)))
         return (1 << lanes) - 1
 
-    def entry_for(self, filter_index: int, fr: int, fs: int, sub: int = 0) -> LayoutEntry:
-        for e in self.entries:
-            if (e.filter_index, e.fr, e.fs, e.sub) == (filter_index, fr, fs, sub):
-                return e
-        raise CapacityError(
-            f"no layout entry for filter {filter_index} pixel ({fr},{fs},{sub})"
-        )
-
 
 def plan_node_layout(
     spec: ConvLayerSpec,

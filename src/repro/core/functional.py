@@ -51,12 +51,11 @@ from repro.nn.quantize import (
     QLinear,
     QMaxPool2d,
     QuantizedGraph,
-    _requant,
 )
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats, stats_delta
-from repro.utils.fixedpoint import EXACT_BLOCK, exact_matmul
+from repro.utils.fixedpoint import EXACT_BLOCK, exact_matmul, requantize
 
 
 @dataclass
@@ -438,7 +437,7 @@ def simulate_quantized_graph(
                 acc = group.run(q_in.reshape(spec.c, 1, 1)).reshape(spec.m)
             else:
                 acc = group.run(q_in)
-            acts[name] = _requant(acc, layer.requant_ratio, layer.n_bits)
+            acts[name] = requantize(acc, layer.requant_ratio, layer.n_bits)
         else:
             acts[name] = layer.forward(*[acts[i] for i in node.inputs])
     return acts

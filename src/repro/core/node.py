@@ -29,7 +29,7 @@ from repro.riscv.core import Core, CoreConfig
 from repro.riscv.isa import Instruction
 from repro.riscv.pipeline import PipelineConfig, PipelineStats
 from repro.telemetry import TelemetrySink, current as _current_telemetry
-from repro.utils.bitops import to_twos_complement
+from repro.utils.bitops import sign_extend, to_twos_complement
 from repro.utils.fixedpoint import exact_matmul
 
 
@@ -210,9 +210,7 @@ class MAICCNode:
             for oy in range(oh):
                 for ox in range(ow):
                     word = core.memory.load(plan.psum_address(f, oy, ox), 4)
-                    if word & 0x80000000:
-                        word -= 1 << 32
-                    psums[f, oy, ox] = word
+                    psums[f, oy, ox] = sign_extend(word, 32)
                     outputs[f, oy, ox] = core.memory.load(
                         plan.out_address(f, oy, ox), 1
                     )

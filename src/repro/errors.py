@@ -102,10 +102,6 @@ class BackendError(SimulationError):
     """An unknown or misconfigured simulation backend was requested."""
 
 
-class XCheckError(SimulationError):
-    """Cross-tier differential check fell outside the agreement envelope."""
-
-
 class SchedulingError(ReproError):
     """The static instruction scheduler detected an illegal reorder."""
 

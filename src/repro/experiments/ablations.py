@@ -139,7 +139,7 @@ def run_primitives() -> ExperimentResult:
 
 def run_placement() -> ExperimentResult:
     """Placement policy vs one iteration wave's NoC cost."""
-    plan = HeuristicStrategy().plan(
+    plan = HeuristicStrategy(SimConfig().array_size).plan(
         resnet18_spec(), PerformanceModel().layer_time_fn()
     )
     segment = plan.segments[1]

@@ -34,14 +34,12 @@ from repro.fleet.balancing import (
     PowerOfTwoBalancer,
     RoundRobinBalancer,
     StickyTenantBalancer,
-    load_imbalance,
     make_balancer,
 )
 from repro.fleet.failures import (
     ChipCrash,
     ChipDegradation,
     FailureScenario,
-    partial_mesh_fault,
 )
 from repro.fleet.placement import (
     FleetPlacement,
@@ -62,7 +60,6 @@ from repro.fleet.scenarios import (
     FLEET_SCENARIOS,
     FleetScenario,
     build_scenario,
-    expected_requests,
 )
 from repro.fleet.simulator import (
     DEFAULT_ARRAY_SIZE,
@@ -116,12 +113,9 @@ __all__ = [
     "best_chip_for",
     "build_scenario",
     "derive_seed",
-    "expected_requests",
     "generate_open_arrivals",
-    "load_imbalance",
     "make_balancer",
     "merge_latency_histograms",
-    "partial_mesh_fault",
     "place_replicas",
     "run_chip",
     "split_user_groups",

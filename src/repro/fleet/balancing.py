@@ -195,16 +195,6 @@ def make_balancer(
     return cls(tracker)
 
 
-def load_imbalance(loads: Sequence[float]) -> float:
-    """Max/mean chip load — 1.0 is perfectly balanced."""
-    if not loads:
-        return 1.0
-    mean = sum(loads) / len(loads)
-    if mean <= 0:
-        return 1.0
-    return max(loads) / mean
-
-
 __all__ = [
     "BALANCERS",
     "Balancer",
@@ -213,6 +203,5 @@ __all__ = [
     "PowerOfTwoBalancer",
     "RoundRobinBalancer",
     "StickyTenantBalancer",
-    "load_imbalance",
     "make_balancer",
 ]

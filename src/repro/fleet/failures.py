@@ -1,6 +1,6 @@
-"""Failure scenarios: crashes, slow chips, and partial-mesh faults.
+"""Failure scenarios: crashes and slow chips.
 
-Three failure kinds, all declared up front so a failed run replays
+Two failure kinds, both declared up front so a failed run replays
 byte-identically:
 
 * :class:`ChipCrash` — the chip halts at ``at_ms``: queued and in-flight
@@ -13,11 +13,6 @@ byte-identically:
   thermally throttled or mis-clocked chip; the router's fluid estimate
   slows the chip's drain rate by the same factor, so load-aware
   balancers steer around it.
-* ``partial_mesh`` (a :class:`ChipDegradation` built by
-  :func:`partial_mesh_fault`) — a router-region fault that disables a
-  fraction of the chip's mesh links: the NoC detours around the dead
-  region, stretching every service window by the detour factor.  Same
-  mechanism, distinct provenance in the report.
 """
 
 from __future__ import annotations
@@ -80,27 +75,6 @@ class ChipDegradation:
             )
 
 
-def partial_mesh_fault(
-    chip: int, from_ms: float, *, dead_fraction: float = 0.25
-) -> ChipDegradation:
-    """A partial-mesh fault as a service-time stretch.
-
-    With a fraction ``f`` of mesh links down, X-Y detours lengthen the
-    average on-chip route by roughly ``1 / (1 - f)`` — the fluid-level
-    stand-in this layer uses for the cycle-level NoC model.
-    """
-    if not 0.0 < dead_fraction < 1.0:
-        raise SimulationError(
-            f"dead fraction must be in (0, 1), got {dead_fraction}"
-        )
-    return ChipDegradation(
-        chip=chip,
-        from_ms=from_ms,
-        factor=1.0 / (1.0 - dead_fraction),
-        cause="partial-mesh",
-    )
-
-
 @dataclass
 class FailureScenario:
     """Everything that goes wrong in one fleet run."""
@@ -142,9 +116,6 @@ class FailureScenario:
             )
         )
 
-    def degradation_factor(self, chip: int, now_ms: float) -> float:
-        return step_factor(self.degradation_schedule(chip), now_ms)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "crashes": [
@@ -170,6 +141,5 @@ __all__ = [
     "ChipDegradation",
     "DegradationStep",
     "FailureScenario",
-    "partial_mesh_fault",
     "step_factor",
 ]

@@ -308,28 +308,6 @@ def build_scenario(name: str, chips: Optional[int] = None) -> FleetScenario:
     return builder() if chips is None else builder(chips)
 
 
-def expected_requests(scenario: FleetScenario) -> float:
-    """Back-of-envelope request count (for sizing, not assertions)."""
-    total = 0.0
-    for model in scenario.models:
-        if isinstance(model.traffic, OpenLoopTraffic):
-            mean = 1.0
-            if model.traffic.shape is not None:
-                floor = model.traffic.shape.floor
-                mean = floor + (1.0 - floor) * 0.5
-            total += (
-                model.traffic.rate_hz * mean * scenario.duration_ms / 1000.0
-            )
-        elif isinstance(model.traffic, UserGroupTraffic):
-            mean = 1.0
-            if model.traffic.shape is not None:
-                floor = model.traffic.shape.floor
-                mean = floor + (1.0 - floor) * 0.5
-            cycle = model.traffic.think_ms / mean + model.profile.service_ms
-            total += model.traffic.users * scenario.duration_ms / cycle
-    return total
-
-
 __all__ = [
     "FLEET_SCENARIOS",
     "FleetScenario",
@@ -337,7 +315,6 @@ __all__ = [
     "build_scenario",
     "chip_crash",
     "diurnal_million",
-    "expected_requests",
     "fleet_smoke",
     "mixed_rate_fleet",
 ]

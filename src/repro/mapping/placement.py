@@ -13,7 +13,6 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.errors import PlacementError
 from repro.mapping.segmentation import Segment
-from repro.noc.router import hop_count
 
 Coord = Tuple[int, int]
 
@@ -24,21 +23,6 @@ class NodePlacement:
 
     dc: Dict[int, Coord] = field(default_factory=dict)  # layer index -> DC tile
     computing: Dict[int, List[Coord]] = field(default_factory=dict)
-
-    def chain_hops(self, layer_index: int) -> List[int]:
-        """Hop distances along one layer's streaming chain (DC first)."""
-        chain = [self.dc[layer_index]] + self.computing[layer_index]
-        return [hop_count(a, b) for a, b in zip(chain, chain[1:])]
-
-    def average_chain_hops(self) -> float:
-        hops = [h for idx in self.dc for h in self.chain_hops(idx)]
-        return sum(hops) / len(hops) if hops else 0.0
-
-    def cross_layer_hops(self, producer: int, consumer: int) -> float:
-        """Mean distance from a producer's computing cores to the consumer DC."""
-        target = self.dc[consumer]
-        cores = self.computing[producer]
-        return sum(hop_count(c, target) for c in cores) / len(cores)
 
     def render(self, *, width: int = 16, height: int = 16) -> str:
         """ASCII map of the placement on the mesh (Fig. 7(c) style).

@@ -70,12 +70,10 @@ class MappingStrategy:
 
     def __init__(
         self,
-        array_size: int = 208,
+        array_size: int,
         capacity: Optional[CapacityModel] = None,
     ) -> None:
-        # The paper's chip has 210 compute tiles; two are reserved for
-        # array-level control/IO, leaving 208 mappable cores (Table 6 caps
-        # the largest layers at 208 nodes).
+        # The compute cores the plan may use: a SimConfig's array_size.
         self.array_size = array_size
         self.capacity = capacity or CapacityModel()
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import List, Optional
+from typing import List
 
 from repro.errors import CapacityError, MappingError
 from repro.mapping.capacity import CapacityModel
@@ -46,9 +46,7 @@ def passes_required(
 
 
 def tile_network(
-    network: NetworkSpec,
-    capacity: Optional[CapacityModel] = None,
-    array_size: int = 208,
+    network: NetworkSpec, capacity: CapacityModel, array_size: int
 ) -> NetworkSpec:
     """Rewrite a network so every layer fits the array.
 
@@ -58,7 +56,6 @@ def tile_network(
     otherwise equivalent (the concatenation of the passes' ofmaps is the
     original ofmap).
     """
-    capacity = capacity or CapacityModel()
     tiled: List[ConvLayerSpec] = []
     changed = False
     for spec in network:

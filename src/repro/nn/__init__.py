@@ -23,7 +23,6 @@ from repro.nn.layers import (
 from repro.nn.graph import Graph, GraphNode
 from repro.nn.quantize import QuantizedGraph, quantize_graph
 from repro.nn.reference import run_float, run_quantized
-from repro.nn.models import build_resnet18, build_small_cnn
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec
 
 __all__ = [
@@ -43,8 +42,6 @@ __all__ = [
     "quantize_graph",
     "run_float",
     "run_quantized",
-    "build_resnet18",
-    "build_small_cnn",
     "ConvLayerSpec",
     "NetworkSpec",
     "resnet18_spec",

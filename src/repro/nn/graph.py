@@ -43,13 +43,6 @@ class Graph:
         return name
 
     @property
-    def input_name(self) -> str:
-        names = [n for n, node in self.nodes.items() if isinstance(node.layer, Input)]
-        if len(names) != 1:
-            raise GraphError(f"graph must have exactly one Input node, found {len(names)}")
-        return names[0]
-
-    @property
     def output_name(self) -> str:
         """The unique node no other node consumes."""
         consumed = {i for node in self.nodes.values() for i in node.inputs}
@@ -81,19 +74,6 @@ class Graph:
             raise GraphError("graph contains a cycle")
         self._order = order
         return order
-
-    def infer_shapes(self) -> Dict[str, tuple]:
-        """Shape of every node's output."""
-        shapes: Dict[str, tuple] = {}
-        for name in self.topological_order():
-            node = self.nodes[name]
-            if isinstance(node.layer, Input):
-                shapes[name] = tuple(node.layer.shape)
-            else:
-                shapes[name] = tuple(
-                    node.layer.output_shape(*[shapes[i] for i in node.inputs])
-                )
-        return shapes
 
     def forward(self, x: np.ndarray) -> Dict[str, np.ndarray]:
         """Run the float graph; returns every node's activation."""

@@ -35,7 +35,7 @@ from repro.nn.layers import (
     _im2col,
     conv2d_output_hw,
 )
-from repro.utils.fixedpoint import choose_scale, saturate
+from repro.utils.fixedpoint import choose_scale, quantize_linear, requantize, saturate
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +103,6 @@ class QLayer:
         raise NotImplementedError
 
 
-def _requant(acc: np.ndarray, ratio: float, n_bits: int) -> np.ndarray:
-    """Round an int32 accumulator into the next layer's int grid."""
-    return saturate(np.rint(acc * ratio).astype(np.int64), n_bits)
-
-
 class QInput(QLayer):
     def __init__(self, out_scale: float, n_bits: int, shape: tuple) -> None:
         super().__init__(out_scale, n_bits)
@@ -115,7 +110,7 @@ class QInput(QLayer):
 
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
-        return saturate(np.rint(x / self.out_scale).astype(np.int64), self.n_bits)
+        return quantize_linear(x, self.out_scale, self.n_bits)
 
 
 class QConv2d(QLayer):
@@ -154,7 +149,7 @@ class QConv2d(QLayer):
 
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (q_in,) = inputs
-        return _requant(self.accumulate(q_in), self.requant_ratio, self.n_bits)
+        return requantize(self.accumulate(q_in), self.requant_ratio, self.n_bits)
 
 
 class QLinear(QLayer):
@@ -182,7 +177,7 @@ class QLinear(QLayer):
 
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (q_in,) = inputs
-        return _requant(self.accumulate(q_in), self.requant_ratio, self.n_bits)
+        return requantize(self.accumulate(q_in), self.requant_ratio, self.n_bits)
 
 
 class QReLU(QLayer):
@@ -261,13 +256,6 @@ class QuantizedGraph:
     n_bits: int = 8
 
     @property
-    def input_name(self) -> str:
-        for name in self.order:
-            if isinstance(self.nodes[name].layer, QInput):
-                return name
-        raise GraphError("quantized graph has no input node")
-
-    @property
     def output_name(self) -> str:
         consumed = {i for node in self.nodes.values() for i in node.inputs}
         sinks = [n for n in self.order if n not in consumed]
@@ -344,7 +332,7 @@ def _quantize_layer(
     in_scale = scales[in_names[0]]
     if isinstance(layer, Conv2d):
         w_scale = choose_scale(layer.weight, n_bits)
-        weight_q = saturate(np.rint(layer.weight / w_scale).astype(np.int64), n_bits)
+        weight_q = quantize_linear(layer.weight, w_scale, n_bits)
         bias_q = np.rint(layer.bias / (in_scale * w_scale)).astype(np.int64)
         return QConv2d(
             weight_q, bias_q, layer.stride, layer.padding,
@@ -352,7 +340,7 @@ def _quantize_layer(
         )
     if isinstance(layer, Linear):
         w_scale = choose_scale(layer.weight, n_bits)
-        weight_q = saturate(np.rint(layer.weight / w_scale).astype(np.int64), n_bits)
+        weight_q = quantize_linear(layer.weight, w_scale, n_bits)
         bias_q = np.rint(layer.bias / (in_scale * w_scale)).astype(np.int64)
         return QLinear(weight_q, bias_q, in_scale, w_scale, out_scale, n_bits)
     if isinstance(layer, ReLU):

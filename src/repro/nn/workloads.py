@@ -173,7 +173,8 @@ def resnet18_spec() -> NetworkSpec:
 
 
 def small_cnn_spec(h: int = 8, c: int = 8) -> NetworkSpec:
-    """Mapped-layer view of :func:`repro.nn.models.build_small_cnn`."""
+    """Mapped-layer view of the three-conv small CNN (conv1..conv3 and the
+    classifier), the network the functional tests build."""
     layers = (
         ConvLayerSpec(1, "conv1", h, h, c, 16),
         ConvLayerSpec(2, "conv2", h, h, 16, 16),

@@ -229,7 +229,3 @@ class MeshNoC:
         busiest = self.busiest_link()
         if busiest is not None:
             reg.gauge(f"{prefix}/busiest_link_packets").max(busiest[1].packets)
-
-    def reset_contention(self) -> None:
-        self._link_free.clear()
-        self.link_stats.clear()

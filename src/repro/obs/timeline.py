@@ -133,10 +133,6 @@ class RequestTimeline:
                 f"phases sum to {total!r}, end-to-end is {self.end_to_end!r}"
             )
 
-    def by_category(self) -> Dict[str, float]:
-        """Phase durations folded by category (taxonomy order)."""
-        return fold_by_category((p.category, p.duration) for p in self.phases)
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "tenant": self.tenant,

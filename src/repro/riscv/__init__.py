@@ -11,7 +11,7 @@ schedules CMem instructions by hand rather than through a compiler.
 from repro.riscv.isa import FunctionalUnit, Instruction, OpSpec, OPCODES
 from repro.riscv.assembler import assemble, AssemblerError
 from repro.riscv.registers import RegisterFile, reg_index, REG_NAMES
-from repro.riscv.memory import AddressRegion, MemoryMap, NodeMemory, decode_remote_address
+from repro.riscv.memory import AddressRegion, MemoryMap, NodeMemory
 from repro.riscv.pipeline import Pipeline, PipelineConfig, PipelineStats
 from repro.riscv.core import Core, CoreConfig
 
@@ -28,7 +28,6 @@ __all__ = [
     "AddressRegion",
     "MemoryMap",
     "NodeMemory",
-    "decode_remote_address",
     "Pipeline",
     "PipelineConfig",
     "PipelineStats",

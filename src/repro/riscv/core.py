@@ -91,11 +91,3 @@ class Core:
         )
         self.last_stats = pipeline.run(max_instructions=max_instructions)
         return self.last_stats
-
-    # -- convenience for tests / experiments ---------------------------------
-
-    def write_dmem_word(self, addr: int, value: int) -> None:
-        self.memory.store(addr, 4, value)
-
-    def read_dmem_word(self, addr: int) -> int:
-        return self.memory.load(addr, 4)

@@ -14,13 +14,9 @@ from repro.errors import DecodeError
 from repro.riscv.isa import Instruction
 from repro.riscv.memory import AddressRegion, MemoryMap, NodeMemory
 from repro.riscv.registers import RegisterFile
+from repro.utils.bitops import sign_extend
 
 _MASK32 = 0xFFFFFFFF
-
-
-def _signed(value: int) -> int:
-    value &= _MASK32
-    return value - (1 << 32) if value & 0x80000000 else value
 
 
 @dataclass
@@ -94,10 +90,11 @@ class Executor:
         return self._write_alu(i, (self._rs1(i) & _MASK32) >> (self._rs2(i) & 31), pc)
 
     def _op_sra(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, _signed(self._rs1(i)) >> (self._rs2(i) & 31), pc)
+        return self._write_alu(i, sign_extend(self._rs1(i), 32) >> (self._rs2(i) & 31), pc)
 
     def _op_slt(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, int(_signed(self._rs1(i)) < _signed(self._rs2(i))), pc)
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
+        return self._write_alu(i, int(a < b), pc)
 
     def _op_sltu(self, i: Instruction, pc: int) -> ExecResult:
         return self._write_alu(i, int((self._rs1(i) & _MASK32) < (self._rs2(i) & _MASK32)), pc)
@@ -121,10 +118,10 @@ class Executor:
         return self._write_alu(i, (self._rs1(i) & _MASK32) >> (i.imm & 31), pc)
 
     def _op_srai(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, _signed(self._rs1(i)) >> (i.imm & 31), pc)
+        return self._write_alu(i, sign_extend(self._rs1(i), 32) >> (i.imm & 31), pc)
 
     def _op_slti(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, int(_signed(self._rs1(i)) < i.imm), pc)
+        return self._write_alu(i, int(sign_extend(self._rs1(i), 32) < i.imm), pc)
 
     def _op_sltiu(self, i: Instruction, pc: int) -> ExecResult:
         return self._write_alu(i, int((self._rs1(i) & _MASK32) < (i.imm & _MASK32)), pc)
@@ -147,19 +144,22 @@ class Executor:
     # -- M extension ----------------------------------------------------------------
 
     def _op_mul(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, _signed(self._rs1(i)) * _signed(self._rs2(i)), pc)
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
+        return self._write_alu(i, a * b, pc)
 
     def _op_mulh(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, (_signed(self._rs1(i)) * _signed(self._rs2(i))) >> 32, pc)
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
+        return self._write_alu(i, (a * b) >> 32, pc)
 
     def _op_mulhu(self, i: Instruction, pc: int) -> ExecResult:
         return self._write_alu(i, ((self._rs1(i) & _MASK32) * (self._rs2(i) & _MASK32)) >> 32, pc)
 
     def _op_mulhsu(self, i: Instruction, pc: int) -> ExecResult:
-        return self._write_alu(i, (_signed(self._rs1(i)) * (self._rs2(i) & _MASK32)) >> 32, pc)
+        a = sign_extend(self._rs1(i), 32)
+        return self._write_alu(i, (a * (self._rs2(i) & _MASK32)) >> 32, pc)
 
     def _op_div(self, i: Instruction, pc: int) -> ExecResult:
-        a, b = _signed(self._rs1(i)), _signed(self._rs2(i))
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
         if b == 0:
             return self._write_alu(i, -1, pc)
         q = abs(a) // abs(b)
@@ -170,7 +170,7 @@ class Executor:
         return self._write_alu(i, _MASK32 if b == 0 else a // b, pc)
 
     def _op_rem(self, i: Instruction, pc: int) -> ExecResult:
-        a, b = _signed(self._rs1(i)), _signed(self._rs2(i))
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
         if b == 0:
             return self._write_alu(i, a, pc)
         r = abs(a) % abs(b)
@@ -192,9 +192,7 @@ class Executor:
 
     def _op_lh(self, i: Instruction, pc: int) -> ExecResult:
         addr = (self._rs1(i) + i.imm) & _MASK32
-        value = self.memory.load(addr, 2)
-        if value & 0x8000:
-            value -= 1 << 16
+        value = sign_extend(self.memory.load(addr, 2), 16)
         self.regs.write(i.rd, value & _MASK32)
         return self._mem_result(addr, pc)
 
@@ -205,9 +203,7 @@ class Executor:
 
     def _op_lb(self, i: Instruction, pc: int) -> ExecResult:
         addr = (self._rs1(i) + i.imm) & _MASK32
-        value = self.memory.load(addr, 1)
-        if value & 0x80:
-            value -= 1 << 8
+        value = sign_extend(self.memory.load(addr, 1), 8)
         self.regs.write(i.rd, value & _MASK32)
         return self._mem_result(addr, pc)
 
@@ -277,10 +273,12 @@ class Executor:
         return self._branch(self._rs1(i) != self._rs2(i), i, pc)
 
     def _op_blt(self, i: Instruction, pc: int) -> ExecResult:
-        return self._branch(_signed(self._rs1(i)) < _signed(self._rs2(i)), i, pc)
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
+        return self._branch(a < b, i, pc)
 
     def _op_bge(self, i: Instruction, pc: int) -> ExecResult:
-        return self._branch(_signed(self._rs1(i)) >= _signed(self._rs2(i)), i, pc)
+        a, b = sign_extend(self._rs1(i), 32), sign_extend(self._rs2(i), 32)
+        return self._branch(a >= b, i, pc)
 
     def _op_bltu(self, i: Instruction, pc: int) -> ExecResult:
         return self._branch((self._rs1(i) & _MASK32) < (self._rs2(i) & _MASK32), i, pc)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.cmem.slice import TransposeBuffer
 from repro.errors import AlignmentError, MemoryMapError
@@ -61,16 +61,6 @@ class MemoryMap:
         raise MemoryMapError(f"address {addr:#010x} is unmapped")
 
 
-def decode_remote_address(addr: int) -> Tuple[int, int, int]:
-    """Decode a remote-core address to ``(x, y, offset)``."""
-    if not REMOTE_BASE <= addr < REMOTE_END:
-        raise MemoryMapError(f"{addr:#010x} is not a remote-core address")
-    offset = addr & (REMOTE_CORE_SPAN - 1)
-    y = (addr >> REMOTE_OFFSET_BITS) & 0xFF
-    x = (addr >> (REMOTE_OFFSET_BITS + 8)) & 0xFF
-    return x, y, offset
-
-
 def encode_remote_address(x: int, y: int, offset: int) -> int:
     """Build a remote-core address from mesh coordinates and a local offset."""
     if not 0 <= x < 256 or not 0 <= y < 256:
@@ -78,14 +68,6 @@ def encode_remote_address(x: int, y: int, offset: int) -> int:
     if not 0 <= offset < REMOTE_CORE_SPAN:
         raise MemoryMapError(f"remote offset {offset:#x} exceeds 16 KB")
     return REMOTE_BASE | (x << (REMOTE_OFFSET_BITS + 8)) | (y << REMOTE_OFFSET_BITS) | offset
-
-
-def dram_channel_of(addr: int) -> int:
-    """Channel of a DRAM address: the 2 GB space is striped over 32 channels."""
-    if not DRAM_BASE <= addr < DRAM_END:
-        raise MemoryMapError(f"{addr:#010x} is not a DRAM address")
-    span = (DRAM_END - DRAM_BASE) // DRAM_CHANNELS
-    return (addr - DRAM_BASE) // span
 
 
 # A remote/DRAM access handler: (is_store, addr, size, value) -> loaded value.

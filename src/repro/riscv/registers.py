@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import DecodeError
+from repro.utils.bitops import sign_extend
 
 NUM_REGS = 32
 
@@ -53,13 +54,9 @@ class RegisterFile:
         return self._values[index]
 
     def read_signed(self, index: int) -> int:
-        value = self._values[index]
-        return value - (1 << 32) if value & 0x80000000 else value
+        return sign_extend(self._values[index], 32)
 
     def write(self, index: int, value: int) -> None:
         if index == 0:
             return
         self._values[index] = value & _MASK32
-
-    def snapshot(self) -> List[int]:
-        return list(self._values)

@@ -30,7 +30,6 @@ the Perfetto serving timeline.
 
 from repro.serving.arrivals import (
     ArrivalProcess,
-    ClosedLoopArrivals,
     PeriodicArrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -67,7 +66,6 @@ __all__ = [
     "AdmissionQueue",
     "ArrivalProcess",
     "ChipHandle",
-    "ClosedLoopArrivals",
     "DISCIPLINES",
     "ElasticPolicy",
     "FixedServicePolicy",

@@ -9,9 +9,10 @@ Two modes exist:
   arrival alone, so an overloaded server accumulates a queue instead of
   slowing the offered load (the regime where shedding matters).
 * **closed loop** — the next request is issued only after the previous
-  one completes, plus a think time (:class:`ClosedLoopArrivals`).  The
-  offered load self-throttles, modelling a pipeline that waits for its
-  result before submitting the next frame.
+  one completes, plus a think time
+  (:class:`repro.fleet.traffic.UserGroupArrivals`).  The offered load
+  self-throttles, modelling users who wait for a result before
+  submitting the next request.
 
 All randomness comes from a per-process seeded :class:`random.Random`,
 re-seeded by :meth:`ArrivalProcess.reset` at the start of every serving
@@ -136,44 +137,3 @@ class TraceArrivals(ArrivalProcess):
 
     def next_ms(self, last_arrival_ms: float) -> Optional[float]:
         return self._emit()
-
-
-class ClosedLoopArrivals(ArrivalProcess):
-    """Trace-driven closed loop: each completion triggers the next request
-    after the next think time from ``think_ms`` (cycled).
-
-    The first request arrives at ``offset_ms``.  ``think_ms`` may be a
-    single float (constant think time) or a sequence that is replayed in
-    order and wrapped around, so a measured think-time trace drives the
-    loop deterministically.
-    """
-
-    closed_loop = True
-
-    def __init__(
-        self,
-        think_ms: "float | Sequence[float]",
-        *,
-        offset_ms: float = 0.0,
-    ) -> None:
-        thinks = [float(t) for t in ([think_ms] if isinstance(think_ms, (int, float)) else think_ms)]
-        if not thinks:
-            raise SimulationError("think-time trace must be non-empty")
-        if any(t < 0 for t in thinks):
-            raise SimulationError("think times must be >= 0")
-        if offset_ms < 0:
-            raise SimulationError(f"offset must be >= 0, got {offset_ms}")
-        self.think_ms = thinks
-        self.offset_ms = offset_ms
-        self._cursor = 0
-
-    def reset(self) -> None:
-        self._cursor = 0
-
-    def initial_arrivals(self) -> List[float]:
-        return [self.offset_ms]
-
-    def after_completion_ms(self, completion_ms: float) -> Optional[float]:
-        think = self.think_ms[self._cursor % len(self.think_ms)]
-        self._cursor += 1
-        return completion_ms + think

@@ -49,7 +49,8 @@ class SimConfig:
     #: Compute cores the mapper may use.  Left unset, it is the whole chip
     #: minus the two cores reserved for the streaming DC of the widest
     #: segment (``chip.compute_tiles - 2``: the paper's 210 -> 208);
-    #: multi-DNN partitions set their share.
+    #: multi-DNN partitions set their share.  It may not exceed the
+    #: chip's compute tiles.
     array_size: int = None  # type: ignore[assignment]
 
     strategy: str = "heuristic"
@@ -75,12 +76,20 @@ class SimConfig:
     preflight: bool = True
 
     def __post_init__(self) -> None:
+        tiles = self.chip.compute_tiles
         if self.array_size is None:
-            object.__setattr__(self, "array_size", self.chip.compute_tiles - 2)
+            object.__setattr__(self, "array_size", tiles - 2)
         if self.array_size < 2:
             raise ConfigurationError(
                 f"array_size must be >= 2 (one DC + one computing core), "
                 f"got {self.array_size}"
+            )
+        if self.array_size > tiles:
+            raise ConfigurationError(
+                f"array_size {self.array_size} exceeds the chip's {tiles} "
+                f"compute tiles; leave array_size unset to map onto this "
+                f"chip ({tiles - 2} cores), e.g. build SimConfig(chip=...) "
+                f"rather than replace the chip of a built config"
             )
         check_batch("batch", self.batch)
         check_batch("batch_requests", self.batch_requests)

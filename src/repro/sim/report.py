@@ -29,7 +29,6 @@ from repro.core.perfmodel import LayerTiming
 from repro.core.streaming import LayerReport
 from repro.energy.constants import ChipConstants
 from repro.energy.power import EnergyBreakdown, OpCounts
-from repro.errors import MappingError
 from repro.mapping.segmentation import Segment, SegmentPlan
 from repro.nn.workloads import NetworkSpec
 
@@ -66,12 +65,6 @@ class SegmentReport:
     @property
     def cycles(self) -> float:
         return self.compute_cycles + self.filter_load_cycles + self.staging_cycles
-
-    def layer_report(self, layer_index: int) -> LayerReport:
-        for layer in self.layers:
-            if layer.index == layer_index:
-                return layer
-        raise MappingError(f"layer {layer_index} not in this segment report")
 
     def as_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -134,10 +127,6 @@ class RunReport:
         return self.batch * self.batch_requests * 1000.0 / self.latency_ms
 
     @property
-    def throughput_requests_s(self) -> float:
-        return self.batch_requests * 1000.0 / self.latency_ms
-
-    @property
     def staging_cycles_per_request(self) -> float:
         """Amortized per-request share of the one-time filter-load and
         segment-staging cycles — the costs request batching exists to
@@ -172,12 +161,6 @@ class RunReport:
 
     def nodes_of(self, layer_index: int) -> int:
         return self.plan.nodes_of(layer_index)
-
-    def segment_latency_ms(self, layer_index: int) -> float:
-        for run in self.runs:
-            if layer_index in run.segment.allocation.nodes:
-                return run.cycles * self.constants.cycle_seconds * 1e3
-        raise MappingError(f"layer {layer_index} not in any segment run")
 
     def as_dict(self) -> Dict[str, object]:
         """Deterministic JSON-safe summary (scripts and CI diff this)."""

@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import XCheckError
 from repro.mapping.tiling import tile_network
 from repro.nn.workloads import NetworkSpec
 from repro.sim.accounting import plan_network
@@ -95,25 +94,6 @@ class XCheckReport:
     def ok(self) -> bool:
         return all(check.ok for check in self.checks)
 
-    @property
-    def violations(self) -> List[TierCheck]:
-        return [check for check in self.checks if not check.ok]
-
-    def raise_if_failed(self) -> None:
-        if self.ok:
-            return
-        parts = []
-        for check in self.violations:
-            parts.append(
-                f"{check.backend}: ratio {check.ratio:.4f} outside "
-                f"[{check.lo}, {check.hi}]"
-                + (f" ({'; '.join(check.notes)})" if check.notes else "")
-            )
-        raise XCheckError(
-            f"{self.network} ({self.strategy}): cross-tier disagreement — "
-            + "; ".join(parts)
-        )
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "network": self.network,
@@ -169,8 +149,8 @@ def cross_check(
 
     The plan is computed once so the tiers are differenced on *identical*
     mappings; only the per-segment compute model varies.  Returns the
-    report — call :meth:`XCheckReport.raise_if_failed` (or check ``.ok``)
-    to enforce the envelope.
+    report — check ``.ok`` to enforce the envelope; each failing
+    :class:`TierCheck` says which tier fell outside its band.
     """
     cfg = (config or SimConfig()).with_run(strategy=strategy)
     env = DEFAULT_ENVELOPE if envelope is None else envelope

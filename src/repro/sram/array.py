@@ -11,7 +11,7 @@ word-lines simultaneously drives each bit-line pair to the AND (BL) and NOR
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,14 +37,6 @@ class SRAMArrayConfig:
             raise ConfigurationError(
                 f"SRAM array must have positive dimensions, got {self.rows}x{self.cols}"
             )
-
-    @property
-    def capacity_bits(self) -> int:
-        return self.rows * self.cols
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_bits // 8
 
 
 @dataclass
@@ -100,21 +92,6 @@ class SRAMArray:
         self.stats.writes += 1
         self._cells[row] = bits
 
-    def read_bits(self, row: int, col_start: int, width: int) -> np.ndarray:
-        """Read ``width`` bits of one row starting at ``col_start``."""
-        self._check_row(row)
-        self._check_cols(col_start, width)
-        self.stats.reads += 1
-        return self._cells[row, col_start : col_start + width].copy()
-
-    def write_bits(self, row: int, col_start: int, bits: Sequence[int]) -> None:
-        """Write a bit slice into one row starting at ``col_start``."""
-        bits = np.asarray(bits, dtype=np.uint8)
-        self._check_row(row)
-        self._check_cols(col_start, bits.shape[0])
-        self.stats.writes += 1
-        self._cells[row, col_start : col_start + bits.shape[0]] = bits
-
     # -- vertical (8T) access ----------------------------------------------
 
     def _check_vertical(self, row_start: int, height: int) -> None:
@@ -168,33 +145,7 @@ class SRAMArray:
             col_start : col_start + planes.shape[1],
         ] = planes
 
-    def read_vertical_planes(
-        self, row_start: int, col_start: int, height: int, width: int
-    ) -> np.ndarray:
-        """Bulk vertical load, inverse of :meth:`write_vertical_planes`.
-
-        Charges ``width`` reads (one vertical-port access per column).
-        """
-        self._check_vertical(row_start, height)
-        self._check_cols(col_start, width)
-        self.stats.reads += width
-        return self._cells[
-            row_start : row_start + height, col_start : col_start + width
-        ].copy()
-
     # -- bulk row access ----------------------------------------------------
-
-    def read_rows(self, row_start: int, n_rows: int) -> np.ndarray:
-        """Read ``n_rows`` consecutive word-lines as an ``(n_rows, cols)``
-        matrix, charging one read per row (same as ``read_row`` in a loop).
-        """
-        if row_start < 0 or row_start + n_rows > self.config.rows:
-            raise SRAMError(
-                f"rows [{row_start}, {row_start + n_rows}) out of range "
-                f"[0, {self.config.rows})"
-            )
-        self.stats.reads += n_rows
-        return self._cells[row_start : row_start + n_rows].copy()
 
     def update_rows(self, row_start: int, col_start: int, planes: np.ndarray) -> None:
         """Read-modify-write a column span of consecutive rows.
@@ -282,10 +233,6 @@ class SRAMArray:
 
     # -- convenience -------------------------------------------------------
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of the full cell matrix (debugging / tests only)."""
-        return self._cells.copy()
-
     def load(self, cells: np.ndarray) -> None:
         """Bulk-load the full cell matrix (test fixture helper)."""
         cells = np.asarray(cells, dtype=np.uint8)
@@ -294,10 +241,3 @@ class SRAMArray:
                 f"expected shape {self._cells.shape}, got {cells.shape}"
             )
         self._cells[:] = cells
-
-    def rows_view(self, rows: Iterable[int]) -> np.ndarray:
-        """Stacked copy of the given rows (used by the transpose unit)."""
-        rows = list(rows)
-        for row in rows:
-            self._check_row(row)
-        return self._cells[rows].copy()

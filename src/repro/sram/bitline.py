@@ -26,11 +26,6 @@ class BitlineResult:
         """OR = NOT(NOR); computed by an inverter after the BLB amplifier."""
         return (1 - self.nor_bits).astype(np.uint8)
 
-    @property
-    def xor_bits(self) -> np.ndarray:
-        """XOR = OR AND NOT(AND); one extra gate in the periphery."""
-        return (self.or_bits & (1 - self.and_bits)).astype(np.uint8)
-
 
 def bitline_and_nor(row_a: np.ndarray, row_b: np.ndarray) -> BitlineResult:
     """Compute the (AND, NOR) pair sensed when both rows are activated."""

@@ -51,7 +51,3 @@ class EnergyAccumulator:
         amount = self._per_op[op] * count
         self.total_pj += amount
         self.by_op[op] = self.by_op.get(op, 0.0) + amount
-
-    @property
-    def total_joules(self) -> float:
-        return self.total_pj * 1e-12

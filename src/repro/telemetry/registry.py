@@ -7,8 +7,6 @@ simulation-flavoured:
 
 * all values come from *simulation* quantities (cycles, packets, pJ) —
   never wall clock — so two identical runs export byte-identical JSON;
-* ``snapshot`` / ``diff`` support before/after attribution of a counter
-  delta to one phase of a run;
 * ``merge`` folds per-core registries (or :class:`PipelineStats`-style
   publications from many cores) into chip-level totals.
 
@@ -23,7 +21,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TelemetryError
 from repro.telemetry.windows import WindowedSeries, bucket_percentile, merge_moments
@@ -223,27 +221,6 @@ class MetricsRegistry:
 
     # -- export ---------------------------------------------------------------
 
-    def snapshot(self) -> Dict[str, Number]:
-        """Flat ``path -> value`` view of counters and gauges (for diffing)."""
-        snap: Dict[str, Number] = {}
-        for path, c in self.counters.items():
-            snap[path] = c.value
-        for path, g in self.gauges.items():
-            snap[path] = g.value
-        return snap
-
-    @staticmethod
-    def diff(
-        before: Mapping[str, Number], after: Mapping[str, Number]
-    ) -> Dict[str, Number]:
-        """Per-path delta between two snapshots (missing paths read as 0)."""
-        out: Dict[str, Number] = {}
-        for path in set(before) | set(after):
-            delta = after.get(path, 0) - before.get(path, 0)
-            if delta:
-                out[path] = delta
-        return out
-
     def as_dict(self) -> Dict[str, Dict[str, object]]:
         """Full deterministic export (sorted paths, JSON-ready values)."""
         return {
@@ -268,21 +245,6 @@ class MetricsRegistry:
                 p: s.as_dict() for p, s in sorted(self.series.items())
             },
         }
-
-    def as_tree(self) -> Dict[str, object]:
-        """Counters/gauges nested by path segment (for human reports)."""
-        tree: Dict[str, object] = {}
-        for path, value in sorted(self.snapshot().items()):
-            node = tree
-            *parents, leaf = path.split("/")
-            for seg in parents:
-                child = node.setdefault(seg, {})
-                if not isinstance(child, dict):
-                    # A leaf and a subtree share a prefix; nest the leaf value.
-                    child = node[seg] = {"": child}
-                node = child
-            node[leaf] = value
-        return tree
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         """Deterministic JSON export (sorted keys; sim-time values only)."""

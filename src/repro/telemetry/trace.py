@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import TelemetryError
 
@@ -131,19 +131,6 @@ class TraceRecorder:
         ts = max(ts, t.cursor)
         t.cursor = ts
         event = TraceEvent(track=track, name=name, ph="i", ts=ts, args=args)
-        self._events.append(event)
-        return event
-
-    def counter_sample(
-        self, track: str, name: str, ts: Number, values: Mapping[str, Number]
-    ) -> TraceEvent:
-        """Record a counter sample (``ph: "C"``; renders as an area chart)."""
-        t = self._track(track)
-        ts = max(ts, t.cursor)
-        t.cursor = ts
-        event = TraceEvent(
-            track=track, name=name, ph="C", ts=ts, args=dict(values)
-        )
         self._events.append(event)
         return event
 

@@ -2,8 +2,8 @@
 
 The computing memory stores vectors *transposed*: bit position ``i`` of every
 element of a vector lives in one physical SRAM row, and one element occupies
-one bit-line (column).  These helpers convert between ordinary integer arrays
-and the transposed bit matrices the array model operates on.
+one bit-line (column).  These helpers encode ordinary integer arrays into the
+transposed bit matrices the array model operates on.
 
 All bit matrices are ``numpy`` arrays of dtype ``uint8`` whose entries are 0
 or 1, shaped ``(n_bits, n_elements)`` — row ``i`` holds bit ``i`` (LSB first)
@@ -13,7 +13,6 @@ of every element.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
@@ -41,13 +40,6 @@ def to_twos_complement(values: IntArray, n_bits: int) -> IntArray:
             f"min={values.min()}, max={values.max()}"
         )
     return np.where(values < 0, values + (1 << n_bits), values).astype(np.uint64)
-
-
-def from_twos_complement(values: IntArray, n_bits: int) -> IntArray:
-    """Decode unsigned ``n_bits``-bit two's complement back to signed ints."""
-    values = np.asarray(values, dtype=np.int64)
-    sign_bit = 1 << (n_bits - 1)
-    return np.where(values & sign_bit, values - (1 << n_bits), values)
 
 
 def sign_extend(value: int, n_bits: int) -> int:
@@ -78,17 +70,6 @@ def int_to_bits(values: IntArray, n_bits: int, *, signed: bool = False) -> np.nd
     return ((encoded[None, :] >> shifts) & 1).astype(np.uint8)
 
 
-def bits_to_int(bits: np.ndarray, *, signed: bool = False) -> IntArray:
-    """Convert a transposed bit matrix back to an integer array."""
-    bits = np.asarray(bits, dtype=np.int64)
-    n_bits = bits.shape[0]
-    weights = (1 << np.arange(n_bits, dtype=np.int64))[:, None]
-    raw = np.sum(bits * weights, axis=0)
-    if signed:
-        return from_twos_complement(raw, n_bits)
-    return raw
-
-
 def pack_transposed(
     values: IntArray, n_bits: int, width: int, *, signed: bool = False
 ) -> np.ndarray:
@@ -107,15 +88,6 @@ def pack_transposed(
     return bits
 
 
-def unpack_transposed(
-    bits: np.ndarray, n_elements: Union[int, None] = None, *, signed: bool = False
-) -> IntArray:
-    """Unpack the leftmost ``n_elements`` columns of a transposed bit matrix."""
-    if n_elements is not None:
-        bits = bits[:, :n_elements]
-    return bits_to_int(bits, signed=signed)
-
-
 def bytes_to_bitplanes(byte_values: IntArray) -> np.ndarray:
     """Explode a byte vector into an ``(8, len)`` transposed bit matrix.
 
@@ -131,14 +103,6 @@ def bytes_to_bitplanes(byte_values: IntArray) -> np.ndarray:
     return np.unpackbits(
         byte_values.astype(np.uint8).reshape(-1, 1), axis=1, bitorder="little"
     ).T
-
-
-def bitplanes_to_bytes(planes: np.ndarray) -> np.ndarray:
-    """Collapse an ``(8, len)`` transposed bit matrix back to a byte vector."""
-    planes = np.asarray(planes, dtype=np.uint8)
-    if planes.shape[0] != 8:
-        raise SRAMError(f"expected 8 bit planes, got shape {planes.shape}")
-    return np.packbits(planes.T, axis=1, bitorder="little").reshape(-1)
 
 
 @lru_cache(maxsize=4096)

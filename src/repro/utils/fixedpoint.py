@@ -96,30 +96,17 @@ def quantize_linear(
     return saturate(q, n_bits, signed=signed)
 
 
-def dequantize_linear(q: np.ndarray, scale: float) -> np.ndarray:
-    """Inverse of :func:`quantize_linear`: ``x = scale * q``."""
-    if scale <= 0:
-        raise QuantizationError(f"scale must be positive, got {scale}")
-    return np.asarray(q, dtype=np.float64) * scale
-
-
 def requantize(
-    acc: np.ndarray,
-    in_scale: float,
-    out_scale: float,
-    n_bits: int,
-    *,
-    signed: bool = True,
+    acc: np.ndarray, ratio: float, n_bits: int, *, signed: bool = True
 ) -> np.ndarray:
-    """Rescale a wide accumulator back to ``n_bits`` at a new scale.
+    """Round a wide accumulator into the next layer's ``n_bits`` grid.
 
     This is the integer-only requantization step between fused layers
-    (Jacob et al., CVPR 2018): the int32 accumulator carries scale
-    ``in_scale`` and is rounded into the ``out_scale`` grid.
+    (Jacob et al., CVPR 2018): an int32 accumulator at scale ``s_in`` is
+    rounded onto the ``s_out`` grid, ``ratio`` being ``s_in / s_out``.
     """
-    if in_scale <= 0 or out_scale <= 0:
-        raise QuantizationError("scales must be positive")
-    ratio = in_scale / out_scale
+    if ratio <= 0:
+        raise QuantizationError(f"requantization ratio must be positive, got {ratio}")
     q = np.rint(np.asarray(acc, dtype=np.float64) * ratio).astype(np.int64)
     return saturate(q, n_bits, signed=signed)
 

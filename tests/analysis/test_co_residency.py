@@ -69,7 +69,9 @@ def _residents(draw):
 @given(residents=_residents())
 def test_plan606_fires_exactly_when_tile_sets_intersect(residents, region_tiles):
     flagged = {
-        d.opcode for d in verify_plan(co_resident=residents).by_rule("PLAN606")
+        d.opcode
+        for d in verify_plan(co_resident=residents).diagnostics
+        if d.rule == "PLAN606"
     }
     shared = {
         f"{a.name}+{b.name}"

@@ -35,13 +35,13 @@ def turn_cycle_flows():
 class TestDeadlockCycle:
     def test_turn_cycle_reports_exactly_one_noc701(self):
         report = check_routes(turn_cycle_flows())
-        cycles = report.by_rule("NOC701")
+        cycles = [d for d in report.diagnostics if d.rule == "NOC701"]
         assert len(cycles) == 1
         assert not report.ok
 
     def test_cycle_diagnostic_names_all_four_links(self):
         report = check_routes(turn_cycle_flows())
-        message = report.by_rule("NOC701")[0].message
+        message = [d for d in report.diagnostics if d.rule == "NOC701"][0].message
         for link in (
             "(0, 0)->(1, 0)", "(1, 0)->(1, 1)",
             "(1, 1)->(0, 1)", "(0, 1)->(0, 0)",
@@ -94,7 +94,7 @@ class TestHotLinks:
             RouteFlow("b", (1, 1), (4, 1), rate=0.7),
         ]
         report = check_routes(flows)
-        hot = report.by_rule("NOC702")
+        hot = [d for d in report.diagnostics if d.rule == "NOC702"]
         assert hot and report.ok  # warning, not error
         assert "a" in hot[0].message and "b" in hot[0].message
 
@@ -126,7 +126,8 @@ class TestMalformedRoutes:
         )
         report = check_routes([flow])
         assert "NOC703" in rules_of(report)
-        assert "re-acquires" in report.by_rule("NOC703")[0].message
+        reacquire = [d for d in report.diagnostics if d.rule == "NOC703"]
+        assert "re-acquires" in reacquire[0].message
 
 
 class TestPlanRoutes:

@@ -15,7 +15,6 @@ from repro.analysis import (
     RouteFlow,
     RULES,
     check_routes,
-    lint_text,
     verify_plan,
     verify_program,
 )
@@ -25,6 +24,7 @@ from repro.nn.workloads import ConvLayerSpec, NetworkSpec
 from repro.riscv.assembler import assemble
 from repro.riscv.isa import Instruction
 from repro.sim.config import SimConfig
+from tests.analysis.lint import lint_text
 
 
 def _bad_branch():

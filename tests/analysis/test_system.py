@@ -20,7 +20,7 @@ class TestRegionOverflow:
             plan_route_flows(plan, start_offset=past_start)
 
         report = analyze_plan(config=config, co_resident=[inside, past])
-        assert [d.opcode for d in report.by_rule("PLAN602")] == ["past"]
+        assert [d.opcode for d in report.diagnostics if d.rule == "PLAN602"] == ["past"]
 
         # The noc family routes the resident that fits and skips the one
         # that overflows, rather than raising.

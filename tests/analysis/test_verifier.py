@@ -7,7 +7,6 @@ from repro.analysis import (
     AnalysisConfig,
     RULES,
     Severity,
-    lint_text,
     verify_program,
 )
 from repro.core.conv_kernel import ConvKernelGenerator
@@ -15,6 +14,7 @@ from repro.core.datalayout import plan_node_layout
 from repro.nn.workloads import ConvLayerSpec
 from repro.riscv.assembler import assemble
 from repro.riscv.isa import Instruction
+from tests.analysis.lint import lint_text
 
 
 def rules_of(report):
@@ -108,7 +108,7 @@ class TestHazardRules:
             "li a1, 99\nli a2, 7\ndiv a0, a1, a2\nadd a3, a0, a0\nhalt",
             AnalysisConfig(stall_threshold=4),
         )
-        advisories = report.by_rule("HAZ201")
+        advisories = [d for d in report.diagnostics if d.rule == "HAZ201"]
         assert advisories and advisories[0].severity is Severity.INFO
 
     def test_waw_stall_advised(self):
@@ -116,7 +116,7 @@ class TestHazardRules:
             "li a1, 99\nli a2, 7\ndiv a0, a1, a2\nli a0, 1\nhalt",
             AnalysisConfig(stall_threshold=4),
         )
-        assert report.by_rule("HAZ202")
+        assert [d for d in report.diagnostics if d.rule == "HAZ202"]
 
     def test_dead_write_warned(self):
         report = lint_text("li a0, 1\nli a0, 2\nsw a0, 0(zero)\nhalt")
@@ -153,7 +153,7 @@ class TestLockProtocol:
             "halt"
         )
         assert "LOCK401" in rules_of(report)
-        flagged = [d.index for d in report.by_rule("LOCK401")]
+        flagged = [d.index for d in report.diagnostics if d.rule == "LOCK401"]
         assert flagged == [1]
 
     def test_unreleased_lock_warned(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cmem.isa import CMemOp, CMemOpCost, cmem_op_cycles
+from repro.cmem.isa import CMemOp, cmem_op_cycles
 from repro.errors import CMemError
 
 
@@ -30,11 +30,6 @@ class TestTable2:
     def test_invalid_width(self):
         with pytest.raises(CMemError):
             cmem_op_cycles(CMemOp.MAC_C, 0)
-
-    def test_cost_dataclass(self):
-        cost = CMemOpCost.of(CMemOp.MAC_C, 8)
-        assert cost.cycles == 64
-        assert cost.op is CMemOp.MAC_C
 
 
 class TestWordGranularityBound:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cmem.slice import CMemSlice, TransposeBuffer
 from repro.errors import CMemError, RowIndexError
+from tests.readback import read_transposed
 
 
 class TestCMemSlice:
@@ -88,19 +89,19 @@ class TestTransposeBuffer:
         values = list(range(200))
         for i, v in enumerate(values):
             tb.store_byte(i, v)
-        out = tb.load_vector(0, len(values))
+        out = read_transposed(tb.array, 0, len(values), 8)
         assert out.tolist() == values
 
     def test_store_vector_16bit(self):
         tb = TransposeBuffer()
         tb.store_vector(0, [0x1234, 0xBEEF], n_bits=16)
-        out = tb.load_vector(0, 2, n_bits=16)
+        out = read_transposed(tb.array, 0, 2, 16)
         assert out.tolist() == [0x1234, 0xBEEF]
 
     def test_store_vector_signed_view(self):
         tb = TransposeBuffer()
         tb.store_vector(0, [-1, -128, 127], n_bits=8)
-        out = tb.load_vector(0, 3, n_bits=8, signed=True)
+        out = read_transposed(tb.array, 0, 3, 8, signed=True)
         assert out.tolist() == [-1, -128, 127]
 
     def test_store_vector_bounds(self):

@@ -6,13 +6,15 @@ and ``tests/integration/test_paper_claims.py``), the EXPERIMENTS.md pin
 and the serial-vs-parallel pins all read the
 :class:`~repro.experiments.report.ExperimentResult` that
 ``maicc-experiments`` prints, so each experiment is run at most once.
-``region_tiles`` is the tile-level oracle of a tenant's snake region.
+``region_tiles`` is the tile-level oracle of a tenant's snake region,
+and ``chain_hops`` the hop oracle of a placed layer's streaming chain.
 """
 
 import pytest
 
 from repro.experiments.runner import run_experiment
 from repro.mapping.placement import zigzag_placement
+from repro.noc.router import hop_count
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +51,15 @@ def region_tiles():
         return occupied
 
     return tiles
+
+
+@pytest.fixture(scope="session")
+def chain_hops():
+    """``chain_hops(placement, layer_index)``: hop distances along one
+    layer's streaming chain, its DC first, then its computing cores."""
+
+    def hops(placement, layer_index):
+        chain = [placement.dc[layer_index]] + placement.computing[layer_index]
+        return [hop_count(a, b) for a, b in zip(chain, chain[1:])]
+
+    return hops

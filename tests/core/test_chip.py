@@ -1,10 +1,15 @@
 """Chip geometry."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.core.chip import ChipConfig
 from repro.dram.controller import DRAMConfig
 from repro.dse.spec import DesignPoint
 from repro.energy.area import area_breakdown
 from repro.energy.constants import ChipConstants
+from repro.errors import ConfigurationError
 from repro.nn.workloads import resnet18_spec
 from repro.sim import SimConfig, simulate
 
@@ -32,3 +37,14 @@ class TestGeometry:
         assert config.array_size == 108
         report = simulate(resnet18_spec(), backend="analytic", config=config)
         assert report.total_cycles > 0
+
+    def test_array_larger_than_the_chip_is_rejected_where_it_is_built(self):
+        """Replacing the chip of a built config keeps the old chip's array;
+        the config rejects it, naming the fix, instead of the mapper
+        failing later with PLAN602."""
+        small = ChipConfig(mesh_width=12, mesh_height=12)
+        with pytest.raises(ConfigurationError, match="leave array_size unset"):
+            replace(SimConfig(), chip=small)
+        with pytest.raises(ConfigurationError, match="110 compute tiles"):
+            SimConfig(chip=small, array_size=111)
+        assert SimConfig(chip=small, array_size=110).array_size == 110

@@ -68,7 +68,7 @@ class TestAuxFunctions:
         rng = np.random.default_rng(1)
         weights = rng.integers(-128, 128, size=(spec.m, spec.c, spec.r, spec.s))
         ifmap = rng.integers(-128, 128, size=(spec.c, spec.h, spec.w))
-        requant = RequantParams.from_ratio(1 / 256.0)
+        requant = RequantParams(mult=1, shift=8)
         node = MAICCNode(spec, weights, requant=requant)
         result = node.run(ifmap)
         ref = node.reference(ifmap)

@@ -11,6 +11,7 @@ from repro.core.datalayout import (
 )
 from repro.errors import CapacityError
 from repro.nn.workloads import ConvLayerSpec
+from tests.readback import read_transposed
 
 
 def spec_3x3(c=256, m=5, h=9):
@@ -36,6 +37,14 @@ class TestPlanLayout:
         slots = {(e.slice_index, e.row) for e in layout.entries}
         assert len(slots) == len(layout.entries)
 
+    def test_entry_lookup(self):
+        """Each filter pixel of each filter has exactly one layout entry."""
+        layout = plan_node_layout(spec_3x3(), 2)
+        keys = [(e.filter_index, e.fr, e.fs, e.sub) for e in layout.entries]
+        assert len(keys) == len(set(keys)) == 2 * 3 * 3
+        assert (1, 2, 2, 0) in keys
+        assert not any(e.filter_index == 5 for e in layout.entries)
+
     def test_capacity_enforced(self):
         with pytest.raises(CapacityError):
             plan_node_layout(spec_3x3(m=6), 6)  # 54 slots > 49
@@ -44,13 +53,6 @@ class TestPlanLayout:
         assert plan_node_layout(spec_3x3(c=256), 5).csr_mask == 0xFF
         assert plan_node_layout(spec_3x3(c=64), 5).csr_mask == 0x03
         assert plan_node_layout(spec_3x3(c=16), 5).csr_mask == 0x01
-
-    def test_entry_lookup(self):
-        layout = plan_node_layout(spec_3x3(), 2)
-        entry = layout.entry_for(1, 2, 2)
-        assert (entry.filter_index, entry.fr, entry.fs) == (1, 2, 2)
-        with pytest.raises(CapacityError):
-            layout.entry_for(5, 0, 0)
 
 
 class TestLoadFilters:
@@ -62,8 +64,8 @@ class TestLoadFilters:
         weights = rng.integers(-128, 128, size=(2, 256, 3, 3))
         load_filters_into_cmem(cmem, layout, weights)
         for entry in layout.entries:
-            vec = cmem.load_vector_transposed(
-                entry.slice_index, entry.row, 256, 8, signed=True
+            vec = read_transposed(
+                cmem.slice(entry.slice_index).array, entry.row, 256, 8, signed=True
             )
             assert np.array_equal(
                 vec, weights[entry.filter_index, :, entry.fr, entry.fs]

@@ -15,10 +15,11 @@ from repro.core.functional import (
 )
 from repro.errors import CMemError, ConfigurationError
 from repro.mapping.capacity import CapacityModel
-from repro.nn.models import build_residual_cnn, build_small_cnn
+from repro.nn.models import build_residual_cnn
 from repro.nn.quantize import quantize_graph
 from repro.nn.workloads import ConvLayerSpec
 from repro.utils.fixedpoint import EXACT_BLOCK
+from tests.models import build_small_cnn
 
 
 def group_setup(spec, num_nodes, seed=0, group_cls=FunctionalNodeGroup, **kw):

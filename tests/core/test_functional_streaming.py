@@ -29,8 +29,9 @@ from repro.core.perfmodel import PerformanceModel
 from repro.core.streaming import dependence_map
 from repro.errors import ConfigurationError, SimulationError
 from repro.nn.layers import conv2d_output_hw
-from repro.nn.quantize import QConv2d, _requant
+from repro.nn.quantize import QConv2d
 from repro.nn.workloads import ConvLayerSpec
+from repro.utils.fixedpoint import requantize
 
 
 def _taps(layer, y, x, out_hw):
@@ -121,7 +122,7 @@ class StreamedSegmentExecutor:
     def _finalize(self, index: int, oy: int, ox: int) -> None:
         """An ofmap pixel completed: requantize and forward downstream."""
         state = self.states[index]
-        value = _requant(
+        value = requantize(
             state.acc[:, oy, ox], state.layer.requant_ratio, state.layer.n_bits
         )
         state.output[:, oy, ox] = value

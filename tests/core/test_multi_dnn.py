@@ -146,7 +146,7 @@ class TestSpatialIsolation:
         assert starts[0] == 0
         assert starts[1] == result.runs[0].partition_cores
 
-    def test_chains_stay_adjacent_inside_regions(self, scheduler):
+    def test_chains_stay_adjacent_inside_regions(self, scheduler, chain_hops):
         nets = [tiny_net("a"), tiny_net("b", m=64)]
         result = scheduler.run(nets)
         for run in result.runs:
@@ -158,6 +158,6 @@ class TestSpatialIsolation:
                 # except at most at the interval's row boundaries.
                 hops = [
                     h for idx in placement.dc
-                    for h in placement.chain_hops(idx)
+                    for h in chain_hops(placement, idx)
                 ]
                 assert sum(hops) / len(hops) < 1.5

@@ -13,10 +13,11 @@ from repro.core.functional import network_spec_of, simulate_quantized_graph
 from repro.errors import MappingError
 from repro.nn.graph import Graph
 from repro.nn.layers import Input, ReLU
-from repro.nn.models import build_residual_cnn, build_small_cnn
+from repro.nn.models import build_residual_cnn
 from repro.nn.quantize import quantize_graph
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
 from repro.sim import simulate
+from tests.models import build_small_cnn
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 from repro.core.scheduler import static_schedule
 from repro.riscv.assembler import assemble
 from repro.riscv.core import Core
+from repro.riscv.registers import NUM_REGS
+
+
+def registers(core):
+    return [core.regs.read(i) for i in range(NUM_REGS)]
 
 
 def run_program(program):
     core = Core()
     stats = core.run(program)
-    return core.regs.snapshot(), bytes(core.memory.dmem[:256]), stats.cycles
+    return registers(core), bytes(core.memory.dmem[:256]), stats.cycles
 
 
 # Random straight-line programs over a small register/memory universe.
@@ -90,7 +95,7 @@ class TestSemanticsPreservation:
             core.cmem.store_vector_transposed(2, 0, a, 8, signed=True)
             core.cmem.store_vector_transposed(2, 8, a, 8, signed=True)
             core.run(prog)
-            return core.regs.snapshot()
+            return registers(core)
 
         assert run(program) == run(static_schedule(program))
 

@@ -86,9 +86,11 @@ class TestPlans:
 
     def test_segment_latency_lookup(self, resnet_runs):
         run = resnet_runs["heuristic"]
-        assert run.segment_latency_ms(1) > 0
+        segment = run.plan.segment_of(1)
+        (segment_run,) = [r for r in run.runs if r.segment is segment]
+        assert segment_run.cycles > 0
         with pytest.raises(MappingError):
-            run.segment_latency_ms(999)
+            run.plan.segment_of(999)
 
     def test_small_network_runs(self):
         result = simulate(small_cnn_spec())

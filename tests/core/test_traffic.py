@@ -21,7 +21,7 @@ from repro.sim.config import SimConfig
 
 @pytest.fixture(scope="module")
 def segment():
-    plan = HeuristicStrategy().plan(
+    plan = HeuristicStrategy(SimConfig().array_size).plan(
         resnet18_spec(), PerformanceModel().layer_time_fn()
     )
     return plan.segments[2]  # layers 12-15

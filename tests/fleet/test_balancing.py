@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.fleet.balancing import (
     FluidLoadTracker,
-    load_imbalance,
     make_balancer,
 )
 from repro.fleet.traffic import generate_open_arrivals
@@ -78,6 +77,17 @@ class TestBalancers:
     def test_unknown_name_rejected(self):
         with pytest.raises(SimulationError, match="unknown balancer"):
             make_balancer("optimal", FluidLoadTracker())
+
+
+def load_imbalance(loads):
+    """Max/mean chip load — 1.0 is perfectly balanced (the balance metric
+    the two-choices tests assert on)."""
+    if not loads:
+        return 1.0
+    mean = sum(loads) / len(loads)
+    if mean <= 0:
+        return 1.0
+    return max(loads) / mean
 
 
 class TestLoadImbalance:

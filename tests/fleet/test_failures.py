@@ -16,8 +16,8 @@ from repro.fleet import (
     ChipDegradation,
     FailureScenario,
     build_scenario,
-    partial_mesh_fault,
 )
+from repro.fleet.failures import step_factor
 
 
 class TestFailureDeclarations:
@@ -43,17 +43,11 @@ class TestFailureDeclarations:
                 ChipDegradation(chip=0, from_ms=10.0, factor=2.0),
             ]
         )
-        assert scenario.degradation_factor(0, 5.0) == 1.0
-        assert scenario.degradation_factor(0, 50.0) == 2.0
-        assert scenario.degradation_factor(0, 150.0) == 4.0
-        assert scenario.degradation_factor(1, 150.0) == 1.0
-
-    def test_partial_mesh_is_a_detour_stretch(self):
-        fault = partial_mesh_fault(2, 50.0, dead_fraction=0.25)
-        assert fault.cause == "partial-mesh"
-        assert fault.factor == pytest.approx(1.0 / 0.75)
-        with pytest.raises(SimulationError):
-            partial_mesh_fault(0, 0.0, dead_fraction=1.0)
+        steps = scenario.degradation_schedule(0)
+        assert step_factor(steps, 5.0) == 1.0
+        assert step_factor(steps, 50.0) == 2.0
+        assert step_factor(steps, 150.0) == 4.0
+        assert step_factor(scenario.degradation_schedule(1), 150.0) == 1.0
 
 
 @pytest.fixture(scope="module")

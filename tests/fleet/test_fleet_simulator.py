@@ -99,8 +99,7 @@ class TestCollectedMetrics:
     def test_merged_registry_covers_the_fleet(self):
         result = run_scenario("fleet-smoke", collect_metrics=True)
         assert isinstance(result.metrics, MetricsRegistry)
-        snapshot = result.metrics.snapshot()
-        assert snapshot
+        assert result.metrics.counters
         # The registry stays out of the deterministic JSON export.
         assert "metrics" not in result.as_dict()
 

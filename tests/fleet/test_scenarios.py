@@ -3,11 +3,31 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.fleet import (
-    FLEET_SCENARIOS,
-    build_scenario,
-    expected_requests,
-)
+from repro.fleet import FLEET_SCENARIOS, build_scenario
+from repro.fleet.simulator import OpenLoopTraffic, UserGroupTraffic
+
+
+def expected_requests(scenario):
+    """Back-of-envelope request count of a scenario: each model's mean
+    offered rate over the window, at the mean of its diurnal shape."""
+    total = 0.0
+    for model in scenario.models:
+        if isinstance(model.traffic, OpenLoopTraffic):
+            mean = 1.0
+            if model.traffic.shape is not None:
+                floor = model.traffic.shape.floor
+                mean = floor + (1.0 - floor) * 0.5
+            total += (
+                model.traffic.rate_hz * mean * scenario.duration_ms / 1000.0
+            )
+        elif isinstance(model.traffic, UserGroupTraffic):
+            mean = 1.0
+            if model.traffic.shape is not None:
+                floor = model.traffic.shape.floor
+                mean = floor + (1.0 - floor) * 0.5
+            cycle = model.traffic.think_ms / mean + model.profile.service_ms
+            total += model.traffic.users * scenario.duration_ms / cycle
+    return total
 
 
 class TestBuildScenario:

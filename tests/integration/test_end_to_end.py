@@ -10,10 +10,11 @@ import pytest
 
 from repro.core.functional import simulate_quantized_graph
 from repro.core.node import MAICCNode
-from repro.nn.models import build_residual_cnn, build_small_cnn
+from repro.nn.models import build_residual_cnn
 from repro.nn.quantize import QConv2d, quantize_graph
 from repro.nn.workloads import ConvLayerSpec, small_cnn_spec
 from repro.sim import simulate
+from tests.models import build_small_cnn
 
 
 @pytest.fixture(scope="module")

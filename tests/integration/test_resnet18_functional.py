@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.core.functional import simulate_quantized_graph
-from repro.nn import build_resnet18, quantize_graph
+from repro.nn import quantize_graph
+from tests.models import build_resnet18
 
 
 @pytest.mark.slow

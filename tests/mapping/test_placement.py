@@ -7,23 +7,28 @@ from repro.errors import PlacementError
 from repro.mapping.placement import zigzag_placement
 from repro.mapping.segmentation import HeuristicStrategy
 from repro.nn.workloads import resnet18_spec
+from repro.noc.router import hop_count
+from repro.sim.config import SimConfig
 
 
 @pytest.fixture(scope="module")
 def plan():
-    return HeuristicStrategy().plan(resnet18_spec(), PerformanceModel().layer_time_fn())
+    return HeuristicStrategy(SimConfig().array_size).plan(
+        resnet18_spec(), PerformanceModel().layer_time_fn()
+    )
 
 
 class TestZigZag:
-    def test_chain_neighbours_are_adjacent(self, plan):
+    def test_chain_neighbours_are_adjacent(self, plan, chain_hops):
         """Consecutive cores of a node group sit one hop apart."""
         placement = zigzag_placement(plan.segments[0])
         for index in placement.dc:
-            assert all(h == 1 for h in placement.chain_hops(index))
+            assert all(h == 1 for h in chain_hops(placement, index))
 
-    def test_average_chain_hops_is_one(self, plan):
+    def test_average_chain_hops_is_one(self, plan, chain_hops):
         placement = zigzag_placement(plan.segments[0])
-        assert placement.average_chain_hops() == pytest.approx(1.0)
+        hops = [h for index in placement.dc for h in chain_hops(placement, index)]
+        assert sum(hops) / len(hops) == pytest.approx(1.0)
 
     def test_all_tiles_unique(self, plan):
         placement = zigzag_placement(plan.segments[1])
@@ -45,7 +50,9 @@ class TestZigZag:
         placement = zigzag_placement(segment)
         indices = [s.index for s in segment.layers]
         for producer, consumer in zip(indices, indices[1:]):
-            assert placement.cross_layer_hops(producer, consumer) < 30
+            cores = placement.computing[producer]
+            target = placement.dc[consumer]
+            assert sum(hop_count(c, target) for c in cores) / len(cores) < 30
 
     def test_oversized_segment_rejected(self, plan):
         big = plan.segments[0]

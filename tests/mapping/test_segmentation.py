@@ -11,6 +11,9 @@ from repro.mapping.segmentation import (
     STRATEGIES,
 )
 from repro.nn.workloads import resnet18_spec
+from repro.sim.config import SimConfig
+
+ARRAY = SimConfig().array_size
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +28,7 @@ def network():
 
 class TestSingleLayer:
     def test_one_segment_per_layer(self, network, timing):
-        plan = SingleLayerStrategy().plan(network, timing)
+        plan = SingleLayerStrategy(ARRAY).plan(network, timing)
         assert len(plan.segments) == 20
         assert all(len(s.layers) == 1 for s in plan.segments)
 
@@ -33,13 +36,13 @@ class TestSingleLayer:
 class TestGreedy:
     def test_paper_segment_boundaries(self, network, timing):
         """Greedy packs layers 1-12 and 13-15 (Sec. 6.2)."""
-        plan = GreedyStrategy().plan(network, timing)
+        plan = GreedyStrategy(ARRAY).plan(network, timing)
         indices = [[s.index for s in seg.layers] for seg in plan.segments]
         assert indices[0] == list(range(1, 13))
         assert indices[1] == [13, 14, 15]
 
     def test_minimum_allocations(self, network, timing):
-        plan = GreedyStrategy().plan(network, timing)
+        plan = GreedyStrategy(ARRAY).plan(network, timing)
         # conv1_1 gets 4 computing cores + 1 DC = 5 (paper Table 6).
         assert plan.nodes_of(1) == 5
         assert plan.nodes_of(7) == 14
@@ -53,7 +56,7 @@ class TestGreedy:
 class TestHeuristic:
     def test_paper_segmentation(self, network, timing):
         """Heuristic groups 1-6, 7-11, 12-15, then 16..20 alone."""
-        plan = HeuristicStrategy().plan(network, timing)
+        plan = HeuristicStrategy(ARRAY).plan(network, timing)
         indices = [[s.index for s in seg.layers] for seg in plan.segments]
         assert indices[0] == [1, 2, 3, 4, 5, 6]
         assert indices[1] == [7, 8, 9, 10, 11]
@@ -61,14 +64,14 @@ class TestHeuristic:
         assert indices[3:] == [[16], [17], [18], [19], [20]]
 
     def test_groups_share_ifmap_size(self, network, timing):
-        plan = HeuristicStrategy().plan(network, timing)
+        plan = HeuristicStrategy(ARRAY).plan(network, timing)
         for seg in plan.segments:
             sizes = {(s.h, s.w) for s in seg.layers}
             assert len(sizes) == 1
 
     def test_uses_more_nodes_than_greedy(self, network, timing):
-        greedy = GreedyStrategy().plan(network, timing)
-        heuristic = HeuristicStrategy().plan(network, timing)
+        greedy = GreedyStrategy(ARRAY).plan(network, timing)
+        heuristic = HeuristicStrategy(ARRAY).plan(network, timing)
         assert heuristic.nodes_of(1) >= greedy.nodes_of(1)
 
     def test_budget_respected(self, network, timing):
@@ -79,7 +82,7 @@ class TestHeuristic:
 
 class TestPlanQueries:
     def test_segment_of(self, network, timing):
-        plan = HeuristicStrategy().plan(network, timing)
+        plan = HeuristicStrategy(ARRAY).plan(network, timing)
         assert 1 in plan.segment_of(1).allocation.nodes
         with pytest.raises(MappingError):
             plan.segment_of(99)

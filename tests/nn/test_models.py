@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.graph import Graph
-from repro.nn.models import build_residual_cnn, build_resnet18, build_small_cnn
+from repro.nn.models import build_residual_cnn
+from tests.models import build_resnet18, build_small_cnn, infer_shapes
 
 
 class TestResNet18:
@@ -14,7 +15,7 @@ class TestResNet18:
 
     @pytest.fixture(scope="class")
     def shapes(self, graph):
-        return graph.infer_shapes()
+        return infer_shapes(graph)
 
     def test_stage_shapes(self, shapes):
         assert shapes["stem_pool"] == (64, 56, 56)
@@ -53,7 +54,7 @@ class TestResNet18:
 
     def test_custom_classes(self):
         g = build_resnet18(num_classes=10)
-        assert g.infer_shapes()["linear"] == (10,)
+        assert infer_shapes(g)["linear"] == (10,)
 
 
 class TestSmallModels:

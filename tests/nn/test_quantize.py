@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.errors import QuantizationError
 from repro.nn.graph import Graph
 from repro.nn.layers import BatchNorm2d, Conv2d, Input, ReLU
-from repro.nn.models import build_residual_cnn, build_small_cnn
+from repro.nn.models import build_residual_cnn
 from repro.nn.quantize import (
     QAvgPool2d,
     QAdd,
@@ -18,6 +18,7 @@ from repro.nn.quantize import (
     quantize_graph,
 )
 from repro.nn.reference import quantization_error, run_float, run_quantized
+from tests.models import build_small_cnn
 
 
 def conv_bn_graph(seed=0):

@@ -68,13 +68,6 @@ class TestContention:
         t_b = noc.send(b, 0)
         assert t_a == t_b
 
-    def test_reset_contention(self):
-        noc = MeshNoC()
-        pkt = Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE)
-        noc.send(pkt, 0)
-        noc.reset_contention()
-        assert noc.send(pkt, 0) == noc.latency((0, 0), (1, 0), pkt.flits)
-
     def test_coord_validation(self):
         noc = MeshNoC(MeshConfig(width=4, height=4))
         with pytest.raises(NoCError):
@@ -140,11 +133,3 @@ class TestLinkOccupancy:
         noc.send(b, 0)
         link, _ = noc.busiest_link()
         assert link == ((0, 0), (1, 0))
-
-    def test_reset_contention_clears_link_stats(self):
-        noc = MeshNoC()
-        noc.send(Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE), 0)
-        noc.reset_contention()
-        assert noc.link_stats == {}
-        assert noc.max_queue_depth == 0
-        assert noc.busiest_link() is None

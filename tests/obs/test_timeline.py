@@ -17,6 +17,7 @@ from repro.obs.timeline import (
     PhaseSpec,
     RequestTimeline,
     fit_durations,
+    fold_by_category,
     report_phases,
     scale_phases,
     timeline_from_report,
@@ -144,8 +145,9 @@ class TestRequestTimeline:
                 Phase("s1/compute", "compute", 3.0),
             ],
         )
-        assert tl.by_category() == {"dram": 2.0, "compute": 4.0}
-        assert list(tl.by_category()) == ["dram", "compute"]
+        folded = fold_by_category((p.category, p.duration) for p in tl.phases)
+        assert folded == {"dram": 2.0, "compute": 4.0}
+        assert list(folded) == ["dram", "compute"]
 
 
 class TestScalePhases:

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DecodeError
 from repro.riscv.core import Core, CoreConfig
 from repro.riscv.memory import encode_remote_address
+from tests.readback import read_transposed
 
 
 class TestCoreCMemIntegration:
@@ -39,7 +40,7 @@ class TestCoreCMemIntegration:
         core = Core()
         core.cmem.store_vector_transposed(1, 8, [7, 7, 7], 8, signed=True)
         core.run("move.c 1, 8, 4, 16, 8\nhalt")
-        out = core.cmem.load_vector_transposed(4, 16, 3, 8, signed=True)
+        out = read_transposed(core.cmem.slice(4).array, 16, 3, 8, signed=True)
         assert out.tolist() == [7, 7, 7]
 
     def test_slice0_store_then_move_then_mac(self):
@@ -77,15 +78,10 @@ class TestCoreCMemIntegration:
         base = encode_remote_address(1, 0, 0)
         program = [f"li t0, {base + r}\nstorerow.rc 0, {r}, t0" for r in range(8)]
         sender.run("\n".join(program) + "\nhalt")
-        out = receiver.cmem.load_vector_transposed(0, 0, 3, 8, signed=True)
+        out = read_transposed(receiver.cmem.slice(0).array, 0, 3, 8, signed=True)
         assert out.tolist() == [3, -4, 5]
 
     def test_loadrow_without_handler_fails(self):
         core = Core()
         with pytest.raises(DecodeError):
             core.run("li t0, 0x40000000\nloadrow.rc 0, 0, t0\nhalt")
-
-    def test_dmem_helpers(self):
-        core = Core()
-        core.write_dmem_word(8, 1234)
-        assert core.read_dmem_word(8) == 1234

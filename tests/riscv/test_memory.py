@@ -10,11 +10,10 @@ from repro.riscv.memory import (
     NodeMemory,
     REMOTE_BASE,
     SLICE0_BASE,
-    decode_remote_address,
-    dram_channel_of,
     encode_remote_address,
 )
 from repro.cmem.slice import TransposeBuffer
+from repro.dram.controller import DRAMController
 
 
 class TestTable1Regions:
@@ -46,7 +45,7 @@ class TestRemoteEncoding:
 
     def test_roundtrip(self):
         addr = encode_remote_address(5, 9, 0x123)
-        assert decode_remote_address(addr) == (5, 9, 0x123)
+        assert (addr >> 22 & 0xFF, addr >> 14 & 0xFF, addr & 0x3FFF) == (5, 9, 0x123)
         assert MemoryMap.region_of(addr) is AddressRegion.REMOTE_CORE
 
     def test_sixteen_kb_per_core(self):
@@ -63,19 +62,22 @@ class TestRemoteEncoding:
             encode_remote_address(256, 0, 0)
         with pytest.raises(MemoryMapError):
             encode_remote_address(0, 0, 1 << 14)
-        with pytest.raises(MemoryMapError):
-            decode_remote_address(0x1000)
 
 
 class TestDRAMStriping:
+    """Table 1's 2 GB DRAM window is striped over 32 equal channels; the
+    DRAM controller is the one record of that rule."""
+
     def test_32_channels(self):
-        assert dram_channel_of(DRAM_BASE) == 0
-        assert dram_channel_of(0xFFFF_FFFF) == 31
+        dram = DRAMController()
+        assert dram.locate(DRAM_BASE)[0] == 0
+        assert dram.locate(0xFFFF_FFFF)[0] == 31
 
     def test_uniform_division(self):
         span = (1 << 31) // 32
-        assert dram_channel_of(DRAM_BASE + span) == 1
-        assert dram_channel_of(DRAM_BASE + span - 1) == 0
+        dram = DRAMController()
+        assert dram.locate(DRAM_BASE + span)[0] == 1
+        assert dram.locate(DRAM_BASE + span - 1)[0] == 0
 
 
 class TestNodeMemory:

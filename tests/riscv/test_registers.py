@@ -48,9 +48,3 @@ class TestRegisterFile:
         assert regs.read_signed(2) == -1
         regs.write(2, 0x7FFF_FFFF)
         assert regs.read_signed(2) == 0x7FFF_FFFF
-
-    def test_snapshot_is_copy(self):
-        regs = RegisterFile()
-        snap = regs.snapshot()
-        snap[5] = 99
-        assert regs.read(5) == 0

@@ -4,11 +4,11 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.serving.arrivals import (
-    ClosedLoopArrivals,
     PeriodicArrivals,
     PoissonArrivals,
     TraceArrivals,
 )
+from tests.serving.closed_loop import ClosedLoopArrivals
 
 
 def drain(process, n=10):

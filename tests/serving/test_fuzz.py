@@ -24,7 +24,6 @@ from repro.fleet.profiles import ModelProfile  # noqa: E402
 from repro.fleet.replica import ReplicaPolicy  # noqa: E402
 from repro.nn.workloads import small_cnn_spec  # noqa: E402
 from repro.serving.arrivals import (  # noqa: E402
-    ClosedLoopArrivals,
     PeriodicArrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -32,6 +31,7 @@ from repro.serving.arrivals import (  # noqa: E402
 from repro.serving.policies import FixedServicePolicy  # noqa: E402
 from repro.serving.simulator import ServingSimulator  # noqa: E402
 from repro.serving.tenancy import TenantSpec  # noqa: E402
+from tests.serving.closed_loop import ClosedLoopArrivals  # noqa: E402
 
 NET = small_cnn_spec()
 DURATION_MS = 40.0

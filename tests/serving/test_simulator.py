@@ -8,7 +8,6 @@ from repro import telemetry
 from repro.errors import SimulationError
 from repro.nn.workloads import small_cnn_spec
 from repro.serving.arrivals import (
-    ClosedLoopArrivals,
     PeriodicArrivals,
     PoissonArrivals,
     TraceArrivals,
@@ -16,6 +15,7 @@ from repro.serving.arrivals import (
 from repro.serving.policies import FixedServicePolicy, ResizeAction
 from repro.serving.simulator import ServingSimulator
 from repro.serving.tenancy import TenantSpec
+from tests.serving.closed_loop import ClosedLoopArrivals
 
 NET = small_cnn_spec()
 

@@ -96,7 +96,6 @@ class TestAmortization:
         network = small_cnn_spec()
         single = simulate(network, backend="event")
         batched = simulate(network, backend="event", batch_requests=8)
-        assert batched.throughput_requests_s > single.throughput_requests_s
         assert batched.throughput_samples_s > single.throughput_samples_s
 
     def test_report_dict_carries_batching_fields(self):

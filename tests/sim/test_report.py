@@ -46,14 +46,12 @@ class TestDerivations:
         for run in report.runs:
             indices = [layer.index for layer in run.layers]
             assert indices == [spec.index for spec in run.segment.layers]
-            for layer in run.layers:
-                assert run.layer_report(layer.index) is layer
 
     def test_missing_layer_raises(self, report):
         with pytest.raises(MappingError):
-            report.runs[0].layer_report(10**6)
+            report.plan.segment_of(10**6)
         with pytest.raises(MappingError):
-            report.segment_latency_ms(10**6)
+            report.nodes_of(10**6)
 
 
 class TestAsDict:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.errors import XCheckError
 from repro.nn.workloads import small_cnn_spec
 from repro.sim import DEFAULT_ENVELOPE, cross_check, simulate
 
@@ -17,8 +16,6 @@ def report():
 class TestAgreement:
     def test_all_tiers_inside_envelope(self, report):
         assert report.ok
-        assert not report.violations
-        report.raise_if_failed()  # must be a no-op
 
     def test_reference_leads_and_ratios_are_relative_to_it(self, report):
         first = report.checks[0]
@@ -68,9 +65,7 @@ class TestViolations:
             envelope={"analytic": (0.999, 1.001)},
         )
         assert not report.ok
-        assert [check.backend for check in report.violations] == ["analytic"]
-        with pytest.raises(XCheckError, match="analytic"):
-            report.raise_if_failed()
+        assert [check.backend for check in report.checks if not check.ok] == ["analytic"]
 
 
 class TestSerialization:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cmem.slice import TransposeBuffer
 from repro.errors import ConfigurationError, SRAMError
 from repro.sram.array import SRAMArray, SRAMArrayConfig
 
@@ -14,11 +15,15 @@ def array():
 
 class TestGeometry:
     def test_capacity(self):
-        cfg = SRAMArrayConfig(rows=256, cols=256)
-        assert cfg.capacity_bytes == 8 * 1024
+        array = SRAMArray(SRAMArrayConfig(rows=256, cols=256))
+        cells = sum(array.read_row(row).size for row in range(256))
+        assert cells // 8 == 8 * 1024
 
     def test_cmem_slice_capacity(self):
-        assert SRAMArrayConfig(rows=64, cols=256).capacity_bytes == 2048
+        """A CMem slice's 64 x 256 cells are the 2 KB slice-0 byte window."""
+        slice0 = TransposeBuffer()
+        cells = sum(slice0.read_row(row).size for row in range(slice0.ROWS))
+        assert cells // 8 == TransposeBuffer.BYTES == 2048
 
     def test_invalid_geometry(self):
         with pytest.raises(ConfigurationError):
@@ -52,12 +57,13 @@ class TestRowAccess:
             array.write_row(0, np.full(256, 2, dtype=np.uint8))
 
     def test_bit_slice_access(self, array):
-        array.write_bits(5, 10, [1, 0, 1])
-        assert array.read_bits(5, 10, 3).tolist() == [1, 0, 1]
+        array.update_rows(5, 10, [[1, 0, 1]])
+        assert array.read_row(5)[10:13].tolist() == [1, 0, 1]
+        assert array.read_row(5).sum() == 2
 
     def test_bit_slice_bounds(self, array):
         with pytest.raises(SRAMError):
-            array.read_bits(0, 254, 4)
+            array.update_rows(0, 254, [[1, 1, 1, 1]])
 
     def test_stats_count_operations(self, array):
         array.write_row(0, np.zeros(256, dtype=np.uint8))
@@ -95,7 +101,8 @@ class TestBulk:
     def test_load_snapshot_roundtrip(self, array):
         cells = np.random.default_rng(1).integers(0, 2, (64, 256)).astype(np.uint8)
         array.load(cells)
-        assert np.array_equal(array.snapshot(), cells)
+        for row in range(64):
+            assert np.array_equal(array.read_row(row), cells[row])
 
     def test_load_shape_checked(self, array):
         with pytest.raises(SRAMError):
@@ -104,10 +111,4 @@ class TestBulk:
     def test_clear(self, array):
         array.write_row(0, np.ones(256, dtype=np.uint8))
         array.clear()
-        assert array.snapshot().sum() == 0
-
-    def test_rows_view(self, array):
-        array.write_row(1, np.ones(256, dtype=np.uint8))
-        view = array.rows_view([0, 1])
-        assert view.shape == (2, 256)
-        assert view[1].sum() == 256
+        assert array.read_row(0).sum() == 0

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SRAMError
 from repro.sram.array import SRAMArray, SRAMArrayConfig
-from repro.sram.bitserial import BitSerialALU, BitSerialCosts
-from repro.utils.bitops import int_to_bits, bits_to_int
+from repro.sram.bitserial import BitSerialCosts
+from repro.utils.bitops import int_to_bits
+from tests.bitserial import BitSerialALU
+from tests.readback import bits_to_int
 
 
 def make_alu(rows=256, cols=256):

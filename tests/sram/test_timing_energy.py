@@ -20,11 +20,6 @@ class TestEnergyAccumulator:
         assert acc.total_pj == pytest.approx(2 * 28.25 + 52.75)
         assert acc.by_op["mac"] == pytest.approx(56.5)
 
-    def test_joules_conversion(self):
-        acc = EnergyAccumulator()
-        acc.charge("vertical_write", 1000)
-        assert acc.total_joules == pytest.approx(4.75e-9)
-
     def test_unknown_op_rejected(self):
         with pytest.raises(KeyError):
             EnergyAccumulator().charge("teleport")

@@ -1,4 +1,4 @@
-"""The hierarchical metrics registry: metric kinds, snapshot/diff/merge."""
+"""The hierarchical metrics registry: metric kinds, snapshot and merge."""
 
 import json
 
@@ -130,23 +130,6 @@ class TestPercentile:
         assert estimates[-1] <= 41.0
 
 
-class TestSnapshotDiff:
-    def test_snapshot_is_flat_path_to_value(self):
-        reg = MetricsRegistry()
-        reg.counter("core/0/cycles").add(10)
-        reg.gauge("core/0/ipc").set(0.5)
-        assert reg.snapshot() == {"core/0/cycles": 10, "core/0/ipc": 0.5}
-
-    def test_diff_reports_only_changes(self):
-        reg = MetricsRegistry()
-        reg.counter("a").add(1)
-        reg.counter("b").add(1)
-        before = reg.snapshot()
-        reg.counter("a").add(4)
-        reg.counter("c").add(2)
-        assert MetricsRegistry.diff(before, reg.snapshot()) == {"a": 4, "c": 2}
-
-
 class TestMerge:
     def test_counters_add_gauges_keep_max(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -205,14 +188,6 @@ class TestMerge:
 
 
 class TestExport:
-    def test_as_tree_nests_by_segment(self):
-        reg = MetricsRegistry()
-        reg.counter("core/0/cycles").add(5)
-        reg.counter("core/1/cycles").add(7)
-        tree = reg.as_tree()
-        assert tree["core"]["0"]["cycles"] == 5
-        assert tree["core"]["1"]["cycles"] == 7
-
     def test_json_export_is_deterministic_and_loadable(self):
         def build():
             reg = MetricsRegistry()

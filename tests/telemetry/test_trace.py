@@ -58,7 +58,6 @@ class TestExportAndValidation:
         tr.complete("core/0", "kernel", 0, 100)
         tr.complete("core/0", "kernel", 100, 50)
         tr.instant("events", "tick", 3)
-        tr.counter_sample("noc/load", "packets", 10, {"n": 4})
         return tr
 
     def test_roundtrip_validates(self):

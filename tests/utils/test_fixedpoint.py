@@ -9,7 +9,6 @@ from repro.errors import QuantizationError
 from repro.utils.fixedpoint import (
     EXACT_BLOCK,
     choose_scale,
-    dequantize_linear,
     exact_matmul,
     fixed_range,
     quantize_linear,
@@ -46,15 +45,13 @@ class TestQuantizeLinear:
     def test_scale_must_be_positive(self):
         with pytest.raises(QuantizationError):
             quantize_linear(np.array([1.0]), 0.0, 8)
-        with pytest.raises(QuantizationError):
-            dequantize_linear(np.array([1]), -1.0)
 
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=64))
     def test_roundtrip_error_bounded_by_half_step(self, values):
         arr = np.array(values)
         scale = choose_scale(arr, 8)
         q = quantize_linear(arr, scale, 8)
-        recon = dequantize_linear(q, scale)
+        recon = q * scale
         assert np.max(np.abs(recon - arr)) <= scale / 2 + 1e-12
 
     def test_choose_scale_zero_input(self):
@@ -69,17 +66,17 @@ class TestQuantizeLinear:
 class TestRequantize:
     def test_identity_when_scales_equal(self):
         acc = np.array([5, -7])
-        assert np.array_equal(requantize(acc, 0.1, 0.1, 8), acc)
+        assert np.array_equal(requantize(acc, 1.0, 8), acc)
 
     def test_rescaling(self):
-        assert requantize(np.array([100]), 0.01, 0.1, 8)[0] == 10
+        assert requantize(np.array([100]), 0.01 / 0.1, 8)[0] == 10
 
     def test_saturates(self):
-        assert requantize(np.array([10_000]), 1.0, 1.0, 8)[0] == 127
+        assert requantize(np.array([10_000]), 1.0, 8)[0] == 127
 
     def test_invalid_scales(self):
         with pytest.raises(QuantizationError):
-            requantize(np.array([1]), 0.0, 1.0, 8)
+            requantize(np.array([1]), 0.0, 8)
 
 
 @st.composite
