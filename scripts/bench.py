@@ -375,8 +375,11 @@ def bench_backends() -> dict:
 
 #: Host work of a queueing tier as feature maps grow: simulating
 #: resnet18 at full height and width may make at most 10% more calls
-#: (:func:`op_count`) than at half.  A per-vector Python loop scales its
-#: calls with the vector count, 4x from half to full size.
+#: (:func:`op_count`) than at half.  The count is of Python and builtin
+#: calls, NumPy's included (a queued station scan makes a few per busy
+#: run), so code that calls something per vector scales it with the
+#: vector count, 4x from half to full size.  A loop that makes no call
+#: per vector does not show here, only in wall clock.
 BACKEND_OP_BUDGET = 1.10
 BACKEND_OP_TIERS = ("streaming", "event")
 

@@ -18,8 +18,10 @@ layers in list order: the map only links a layer to an earlier one, so
 every producer has finished before its consumers run.  A layer's DC and
 each of its computing cores is a serial FIFO station, and
 :func:`repro.core.streaming.station_scan` advances all of the layer's
-vectors through each with NumPy; see it for why the float evaluation
-order (and hence every timestamp) is that of a per-vector loop.
+vectors through each with NumPy: a station that never queues returns
+its arrivals, and otherwise one pass and one left-to-right
+``np.add.accumulate`` per busy run give the floats a per-vector loop
+would (see it for why).
 
 The result equals a per-event simulation — one heap callback per
 (core, vector) hop, dispatched in (time, schedule seq) order — to the

@@ -18,12 +18,14 @@ Two helpers here are shared with the event-driven tier
 (:mod:`repro.core.event_streaming`): :func:`dependence_map`, which
 vector of the producer unblocks each consumer vector, and
 :func:`station_scan`, the FIFO recurrence of one station evaluated with
-NumPy.
+NumPy and no per-vector Python: one pass settles every vector that
+queues behind one served on arrival, and each longer busy run is filled
+by a left-to-right ``np.add.accumulate``, the same IEEE adds in the same
+order as a per-vector loop, so every start time is that loop's float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -173,31 +175,67 @@ def dependence_map(
     return producer_of, sources
 
 
+#: Vectors of a busy run filled per ``np.add.accumulate`` call of
+#: :func:`station_scan`.
+_RUN_WINDOW = 512
+
+
 def station_scan(arrivals: np.ndarray, service: float) -> np.ndarray:
     """Service-start times of a FIFO station with a fixed per-vector cost.
 
-    Computes ``start[v] = max(arrivals[v], start[v-1] + service)`` — the
-    exact recurrence a per-vector loop evaluates — with a vectorized fast
-    path: when every gap ``arrivals[v] - arrivals[v-1]`` covers the
-    service time, the station never queues and ``start`` is just
-    ``arrivals``.  The gap test uses the same IEEE add/compare the scalar
-    recurrence would (induction: ``start[v-1] == arrivals[v-1]`` and
-    ``arrivals[v] >= arrivals[v-1] + service`` make the ``max`` pick
-    ``arrivals[v]``), so the returned floats are bit-identical to the
-    serial scan whichever path runs.
+    Computes ``start[v] = max(arrivals[v], start[v-1] + service)`` with
+    the floats a per-vector loop would produce: the station serves
+    vector ``v`` at ``busy`` if ``busy > arrivals[v]``, else on arrival,
+    and ``busy`` becomes its start plus ``service``.  The caller's
+    ``arrivals`` is never written.
+
+    When no arrival comes before its predecessor's arrival plus
+    ``service``, the station never queues and ``start`` is ``arrivals``
+    itself.  Otherwise one pass takes ``x[v] = arrivals[v-1] + service``
+    where that is later than ``arrivals[v]``: the loop's own choice for a
+    vector whose predecessor started on arrival.  IEEE addition is
+    monotone, so ``arrivals <= x <= start``, and ``x[v]`` is exact once
+    ``x[v-1]`` is and ``x[v-1] + service <= x[v]``.  Every vector still
+    wrong lies in a busy run that begins where ``x[b-1] + service >
+    x[b]``; the run is filled from the exact ``x[b-1]`` with
+    ``np.add.accumulate`` over ``[x[b-1], service, service, ...]``,
+    which adds left to right with the loop's ``busy += service``, up to
+    the first vector that arrives when the station is free.  That
+    vector starts on arrival, where ``x`` already holds it, and ``x`` is
+    exact again until the next run begins.
     """
-    n = len(arrivals)
-    if n <= 1 or bool(np.all(arrivals[1:] >= arrivals[:-1] + service)):
+    n = arrivals.size
+    if n < 2:
         return arrivals
-    starts = arrivals.tolist()  # scalar float loop beats ndarray indexing
-    busy = -math.inf
-    for v, a in enumerate(starts):
-        if busy > a:
-            starts[v] = busy
-            busy += service
-        else:
-            busy = a + service
-    return np.asarray(starts)
+    ready = arrivals[:-1] + service
+    queued = ready > arrivals[1:]
+    if not queued[queued.argmax()]:  # argmax: the first queued vector
+        return arrivals
+    # x: each vector served as if its predecessor started on arrival.
+    starts = arrivals.copy()
+    np.copyto(starts[1:], ready, where=queued)
+    # Vector heads[i] + 1 opens a busy run unless an earlier run covers it.
+    heads = (starts[:-1] + service > starts[1:]).nonzero()[0]
+    steps = np.empty(_RUN_WINDOW + 1)
+    steps[1:] = service
+    h = 0
+    while h < heads.size:
+        v = heads[h] + 1
+        steps[0] = starts[v - 1]
+        while v < n:
+            busy = np.add.accumulate(steps[:n - v + 1])[1:]
+            w = busy.size
+            waiting = busy > arrivals[v:v + w]
+            k = waiting.argmin()
+            if not waiting[k]:  # vector v + k finds the station free
+                starts[v:v + k] = busy[:k]
+                v += k
+                break
+            starts[v:v + w] = busy
+            steps[0] = busy[-1]
+            v += w
+        h = heads.searchsorted(v)
+    return starts
 
 
 class SegmentSimulator:

@@ -62,7 +62,6 @@ class ChipDegradation:
     chip: int
     from_ms: float
     factor: float
-    cause: str = "slow-chip"
 
     def __post_init__(self) -> None:
         if self.factor <= 0:
@@ -127,7 +126,6 @@ class FailureScenario:
                     "chip": d.chip,
                     "from_ms": d.from_ms,
                     "factor": d.factor,
-                    "cause": d.cause,
                 }
                 for d in sorted(
                     self.degradations, key=lambda d: (d.from_ms, d.chip)

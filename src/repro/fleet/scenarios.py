@@ -83,41 +83,40 @@ class FleetScenario:
 
 
 def fleet_smoke(chips: int = 4) -> FleetScenario:
-    if chips < 2:
-        raise SimulationError("fleet-smoke needs >= 2 chips")
-    r_vision = min(3, chips)
-    r_speech = min(2, chips)
-    r_detect = min(2, chips)
+    # Seven replicas, at most one of a model per chip: their 640 cores
+    # do not fit on three chips.
+    if chips < 4:
+        raise SimulationError("fleet-smoke needs >= 4 chips")
     models = [
         FleetModelSpec(
             name="vision",
             profile=ModelProfile(
                 "vision", 0.8, cores=64, staging_ms=0.2, restage_ms=4.0
             ),
-            traffic=OpenLoopTraffic(rate_hz=600.0 * r_vision),
+            traffic=OpenLoopTraffic(rate_hz=1800.0),
             deadline_ms=10.0,
             queue_capacity=256,
-            replicas=r_vision,
+            replicas=3,
         ),
         FleetModelSpec(
             name="speech",
             profile=ModelProfile(
                 "speech", 1.1, cores=96, staging_ms=0.3, restage_ms=6.0
             ),
-            traffic=OpenLoopTraffic(rate_hz=350.0 * r_speech),
+            traffic=OpenLoopTraffic(rate_hz=700.0),
             deadline_ms=15.0,
             queue_capacity=256,
-            replicas=r_speech,
+            replicas=2,
         ),
         FleetModelSpec(
             name="detect",
             profile=ModelProfile(
                 "detect", 2.2, cores=128, staging_ms=0.5, restage_ms=8.0
             ),
-            traffic=OpenLoopTraffic(rate_hz=180.0 * r_detect),
+            traffic=OpenLoopTraffic(rate_hz=360.0),
             deadline_ms=30.0,
             queue_capacity=256,
-            replicas=r_detect,
+            replicas=2,
         ),
     ]
     return FleetScenario(

@@ -1,20 +1,28 @@
 """Segment streaming simulator: pipelining, waiting, Fig. 9 breakdowns.
 
 The per-vector tandem-queue loop the tier used to run lives on here as
-a reference: the vectorized ``run()`` must equal it exactly.  The
-dependence map it reads is checked against the streamed executor in
-``tests/core/test_functional_streaming.py``.
+a reference: the vectorized ``run()`` must equal it exactly.  So does
+the scalar loop ``station_scan`` used to run when a station queued.
+The dependence map the tier reads is checked against the streamed
+executor in ``tests/core/test_functional_streaming.py``.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.perfmodel import PerformanceModel
-from repro.core.streaming import LayerReport, SegmentSimulator, dependence_map
+from repro.core.streaming import (
+    _RUN_WINDOW,
+    LayerReport,
+    SegmentSimulator,
+    dependence_map,
+    station_scan,
+)
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
 
@@ -86,6 +94,19 @@ def reference_run(timings, requests=1):
         ))
         history.append(departures)
     return layers
+
+
+def reference_scan(arrivals, service):
+    """The per-vector FIFO loop ``station_scan`` ran when a station queued."""
+    starts = arrivals.tolist()
+    busy = -math.inf
+    for v, a in enumerate(starts):
+        if busy > a:
+            starts[v] = busy
+            busy += service
+        else:
+            busy = a + service
+    return np.asarray(starts)
 
 
 def completion_grid(model, producer):
@@ -350,3 +371,73 @@ class TestRunEqualsThePerVectorLoop:
             assert a.iterations == b.iterations
             assert a.total_wait == b.total_wait
             assert a.interval_work == b.interval_work
+
+
+#: Service times: none, whole cycles, dyadic and non-dyadic fractions.
+SERVICES = st.sampled_from([0.0, 1.0, 42.0, 335.0, 0.5, 0.375, 0.1, 335.4]) | (
+    st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
+)
+
+#: Where the arrivals sit: busy runs near 2**20 and 2**40 cross a binade,
+#: where the spacing of the doubles they accumulate doubles.
+MAGNITUDES = st.sampled_from([0.0, 2.0**20, 2.0**40])
+
+
+@st.composite
+def station_inputs(draw):
+    """Arrivals at one FIFO station and its service time.
+
+    Short lists are drawn value by value; long ones (several repair
+    windows) come from a seeded generator, in one of four shapes: all
+    zero (a source layer), sorted with gaps around the service time
+    (queues that build and drain), unsorted, and a few repeated values.
+    """
+    service = draw(SERVICES)
+    if draw(st.booleans()):
+        values = draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, service]),
+            max_size=40,
+        ))
+        return np.array(values, dtype=float), service
+    n = draw(st.integers(2, 6 * _RUN_WINDOW))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = service or 1.0
+    shape = draw(st.sampled_from(["zeros", "sorted", "unsorted", "repeated"]))
+    if shape == "zeros":
+        arrivals = np.zeros(n)
+    elif shape == "sorted":
+        load = draw(st.sampled_from([0.5, 0.9, 1.0, 1.1, 2.0]))
+        arrivals = np.cumsum(rng.exponential(scale * load, n))
+    elif shape == "unsorted":
+        arrivals = rng.uniform(0.0, scale * n, n)
+    else:
+        arrivals = rng.choice(rng.uniform(0.0, scale * n, 8), n)
+        if draw(st.booleans()):
+            arrivals.sort()
+    magnitude = draw(MAGNITUDES)
+    if magnitude:
+        # Centre the arrivals on the binade boundary.
+        arrivals += magnitude - scale * n / 2
+    return arrivals, service
+
+
+#: A source layer's station at each magnitude: every vector queues behind
+#: the first, so the whole station is one busy run over several windows.
+ONE_LONG_RUN = [
+    (np.full(3 * _RUN_WINDOW + 7, magnitude), service)
+    for magnitude, service in [(0.0, 335.4), (2.0**20, 0.1), (2.0**40, 1.0)]
+]
+
+
+class TestStationScanEqualsTheLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(station_inputs())
+    @example(ONE_LONG_RUN[0])
+    @example(ONE_LONG_RUN[1])
+    @example(ONE_LONG_RUN[2])
+    def test_same_bytes_and_input_untouched(self, drawn):
+        arrivals, service = drawn
+        before = arrivals.copy()
+        starts = station_scan(arrivals, service)
+        assert starts.tobytes() == reference_scan(before, service).tobytes()
+        assert arrivals.tobytes() == before.tobytes()

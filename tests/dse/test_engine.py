@@ -1,6 +1,7 @@
 """The sweep engine: statuses, serial==parallel, and the baselines."""
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -111,6 +112,26 @@ class TestRunSweep:
         digest = hashlib.sha256(smoke.to_json().encode()).hexdigest()
         assert digest == (
             "1544a08260066315d7436495736d9ea2fc8798856594fb49bacd91c91d0d8972"
+        )
+
+    def test_three_tier_frontier_sweep_bytes_are_pinned(self):
+        """The 81-point sweep of the ``dse-frontier`` benchmark: three
+        networks on every tier, nine chips, vgg11's unmappable points
+        included.  Its event-tier rows run most of the queueing station
+        scans one sweep makes."""
+        spec = replace(
+            SWEEPS["frontier"],
+            networks=("resnet18", "vgg11", "small_cnn"),
+            backends=("analytic", "streaming", "event"),
+            meshes=((12, 12), (16, 16), (20, 20)),
+            cmem_slices=(5, 7, 9),
+            dram_channels=(32,),
+        )
+        assert spec.size == 81
+        result = run_sweep(spec, workers=0)
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == (
+            "44b9ad96075f01368ead7f6cad20dfc99e63fd8a74c290564821fc47c5eb8f9d"
         )
 
     def test_serial_and_parallel_are_byte_identical(self, smoke):

@@ -34,7 +34,9 @@ from repro.fleet import (  # noqa: E402
 @st.composite
 def _scenarios(draw):
     chips = draw(st.integers(2, 6))
-    scenario = build_scenario("fleet-smoke", chips)
+    # fleet_smoke refuses fewer chips than its own replicas need; this
+    # draws its own replica counts below.
+    scenario = replace(build_scenario("fleet-smoke"), n_chips=chips)
     window = st.floats(min_value=0.01, max_value=scenario.duration_ms)
     failures = FailureScenario(
         crashes=[ChipCrash(draw(st.integers(0, chips - 1)), draw(window))],

@@ -47,6 +47,17 @@ class TestBuildScenario:
         with pytest.raises(SimulationError, match="chip-crash needs >= 4"):
             build_scenario("chip-crash", chips=2)
 
+    @pytest.mark.parametrize("chips", [2, 3])
+    def test_fleet_smoke_refuses_chips_its_replicas_do_not_fit(self, chips):
+        # Seven replicas, at most one of a model per chip, need four.
+        with pytest.raises(SimulationError, match="fleet-smoke needs >= 4 chips"):
+            build_scenario("fleet-smoke", chips=chips)
+
+    def test_fleet_smoke_places_on_its_floor(self):
+        scenario = build_scenario("fleet-smoke", chips=4)
+        result = scenario.simulator(seed=0).run(20.0)
+        assert result.conserved
+
     def test_chips_override_scales_the_fleet(self):
         small = build_scenario("diurnal-million", chips=2)
         large = build_scenario("diurnal-million", chips=16)
