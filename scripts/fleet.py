@@ -37,6 +37,7 @@ from typing import Dict, Mapping
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.errors import SimulationError
 from repro.fleet import BALANCERS, FLEET_SCENARIOS, FleetResult, build_scenario
 
 
@@ -120,7 +121,11 @@ def main() -> int:
                              "requests")
     args = parser.parse_args()
 
-    scenario = build_scenario(args.scenario, args.chips)
+    try:
+        scenario = build_scenario(args.scenario, args.chips)
+    except SimulationError as exc:
+        # A scenario's chip floor ("needs >= 4 chips") is a bad --chips.
+        parser.error(str(exc))
     duration_ms = (
         scenario.duration_ms if args.duration_ms is None else args.duration_ms
     )

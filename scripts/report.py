@@ -52,7 +52,8 @@ from repro import telemetry  # noqa: E402
 from repro.core.multi_dnn import MultiDNNScheduler  # noqa: E402
 from repro.obs.html import render_html  # noqa: E402
 from repro.obs.monitor import SLOConfig, SLOMonitor  # noqa: E402
-from repro.fleet import FLEET_SCENARIOS  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
+from repro.fleet import FLEET_SCENARIOS, FleetScenario  # noqa: E402
 from repro.fleet import build_scenario as build_fleet_scenario  # noqa: E402
 from repro.dse import SWEEPS, run_sweep  # noqa: E402
 from repro.obs.report import (  # noqa: E402
@@ -97,8 +98,9 @@ def serving_report(args: argparse.Namespace) -> Dict[str, object]:
     )
 
 
-def fleet_report(args: argparse.Namespace) -> Dict[str, object]:
-    scenario = build_fleet_scenario(args.scenario, args.chips)
+def fleet_report(
+    args: argparse.Namespace, scenario: FleetScenario
+) -> Dict[str, object]:
     simulator = scenario.simulator(
         balancer=args.balancer, seed=args.seed, workers=args.workers
     )
@@ -195,7 +197,12 @@ def main(argv=None) -> int:
     if args.kind == "serving":
         doc = serving_report(args)
     elif args.kind == "fleet":
-        doc = fleet_report(args)
+        try:
+            scenario = build_fleet_scenario(args.scenario, args.chips)
+        except SimulationError as exc:
+            # A scenario's chip floor ("needs >= 4 chips") is a bad --chips.
+            fleet.error(str(exc))
+        doc = fleet_report(args, scenario)
     elif args.kind == "dse":
         doc = dse_report(args)
     else:

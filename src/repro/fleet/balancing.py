@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -53,6 +53,36 @@ class FluidLoadTracker:
                 0.0, backlog - (now_ms - updated) * self.speed.get(chip, 1.0)
             )
         return backlog
+
+    def least_loaded(self, candidates: Sequence[int], now_ms: float) -> int:
+        """The candidate of least :meth:`load_ms` at ``now_ms``.
+
+        Ties break to the lowest chip.  One pass over the tracker's
+        state with :meth:`load_ms`'s own arithmetic inline, so a routed
+        request costs one call here rather than one per candidate.
+        """
+        backlogs = self._backlog_ms
+        updated = self._updated_ms
+        speed = self.speed
+        best: Optional[int] = None
+        best_load = 0.0
+        for chip in candidates:
+            load = backlogs.get(chip, 0.0)
+            since = updated.get(chip, 0.0)
+            if now_ms > since:
+                # max(0.0, x), without the call.
+                load -= (now_ms - since) * speed.get(chip, 1.0)
+                if not load > 0.0:
+                    load = 0.0
+            # The first candidate, then (load, chip) order.
+            if best is None or load < best_load or (
+                load == best_load and chip < best
+            ):
+                best = chip
+                best_load = load
+        if best is None:
+            raise SimulationError("no candidate chip to balance over")
+        return best
 
     def add(self, chip: int, now_ms: float, est_ms: float) -> None:
         self._backlog_ms[chip] = self.load_ms(chip, now_ms) + est_ms
@@ -113,10 +143,7 @@ class LeastLoadedBalancer(Balancer):
         candidates: Sequence[int],
         now_ms: float,
     ) -> int:
-        return min(
-            candidates,
-            key=lambda chip: (self.tracker.load_ms(chip, now_ms), chip),
-        )
+        return self.tracker.least_loaded(candidates, now_ms)
 
 
 class PowerOfTwoBalancer(Balancer):

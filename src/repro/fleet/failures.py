@@ -18,27 +18,12 @@ byte-identically:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import SimulationError
-
-#: ``(from_ms, factor)`` — service times multiply by ``factor`` from
-#: ``from_ms`` until the next step.
-DegradationStep = Tuple[float, float]
-
-
-def step_factor(steps: Sequence[DegradationStep], now_ms: float) -> float:
-    """The factor of the last step at or before ``now_ms`` (1.0 before any).
-
-    ``steps`` must be sorted ascending; this one rule serves both the
-    router's fluid bill and each chip's service windows.
-    """
-    factor = 1.0
-    for from_ms, step in steps:
-        if from_ms > now_ms:
-            break
-        factor = step
-    return factor
+# The step rule lives with the serving policy, whose chips apply it
+# without importing the fleet; the router bills its fluid load by it too.
+from repro.serving.policies import DegradationStep, step_factor
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,11 @@ scripted: :class:`ReplicaPolicy` is a
 every dispatch, batched or not, exactly as a single chip does.
 
 Chip-level degradation (a slow chip, a partial-mesh fault) is a step
-function of sim time threaded through
-:meth:`~repro.serving.policies.ServingPolicy.service_scale`: every
+function of sim time, held as the policy's
+:attr:`~repro.serving.policies.ServingPolicy.degradation` steps: every
 service window dispatched at ``t`` is multiplied by the factor of the
-last step at or before ``t``.  An empty schedule is bit-identical to the
-healthy chip (the dispatch path skips the multiply at exactly 1.0).
+last step at or before ``t``.  An empty schedule is the healthy chip:
+the dispatch path then reads no factor at all.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from repro.errors import SimulationError
-from repro.fleet.failures import DegradationStep, step_factor
+from repro.fleet.failures import DegradationStep
 from repro.fleet.profiles import ModelProfile
 from repro.serving.policies import FixedServicePolicy
 from repro.serving.tenancy import TenantSpec
@@ -48,12 +48,9 @@ class ReplicaPolicy(FixedServicePolicy):
                 raise SimulationError(
                     f"degradation factor must be positive, got {factor}"
                 )
-        self._steps = tuple(steps)
+        self.degradation = tuple(steps)
 
     def prepare(self, tenants: Sequence[TenantSpec]) -> None:
         super().prepare(tenants)
         for tenant in tenants:
             self._shares[tenant.name] = self._cores[tenant.name]
-
-    def service_scale(self, now_ms: float) -> float:
-        return step_factor(self._steps, now_ms)

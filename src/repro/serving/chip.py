@@ -14,7 +14,13 @@ the :class:`~repro.serving.arrivals.TraceArrivals` the router sent it.
 The loop makes about one serve attempt per request: an arrival hands
 off to its tenant's server only when it is idle, and a completion
 serves its own server again.  Events carry bound methods and their
-arguments, not closures.
+arguments, not closures, and every handler passes the event time it
+holds to :meth:`ChipHandle.serve`.  A server with one tenant (every
+fleet replica, every static or elastic partition) takes that tenant's
+head request straight off its admission deque; only a shared server
+ranks queue heads (:meth:`ChipHandle._pick`).  Arrivals are scheduled
+directly, and the policy's degradation steps are read once per run, so
+a healthy chip computes no scale per dispatch.
 
 ``halt_ms`` models a chip crash: at that instant the chip stops serving —
 every queued request and every in-flight batch that would have finished
@@ -24,14 +30,18 @@ never silently dropped), and closed-loop chains on the chip die with it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.monitor import DEFAULT_WINDOW_MS, AlertEvent, SLOMonitor
 from repro.obs.timeline import AttributionTable
-from repro.serving.policies import ResizeAction, ServingPolicy, TenantObservation
+from repro.serving.policies import (
+    ResizeAction,
+    ServingPolicy,
+    TenantObservation,
+    step_factor,
+)
 from repro.serving.queues import AdmissionQueue
 from repro.serving.slo import ResizeEvent, ServingRunResult, TenantReport
 from repro.serving.tenancy import Request, TenantSpec
@@ -119,7 +129,10 @@ class ChipHandle:
             )
             state.tenants.append(tenant)
         self.resizes: List[ResizeEvent] = []
-        self.admission_seq = itertools.count()
+        #: The next request's global admission order (``Request.seq``).
+        self.admission_seq = 0
+        #: The policy's degradation steps, read once for the run.
+        self.steps = policy.degradation
         self.sink = telemetry
         #: The sink's ``enabled`` flag, read once: with it false (and no
         #: monitor) the per-request path formats no metric path.
@@ -187,70 +200,77 @@ class ChipHandle:
                 best = tenant
         return best
 
-    def dispatch(self, server: str) -> None:
-        """Serve ``server``'s best queued request if it is free (resize wake-ups)."""
-        state = self.servers[server]
+    def dispatch(self, state: _ServerState, now: float) -> None:
+        """Serve ``state`` at ``now`` if it is free (resize wake-ups)."""
         if not state.busy and not self.halted:
-            self.serve(state)
+            self.serve(state, now)
 
-    def resume(self, state: _ServerState) -> None:
-        """Serve ``state`` once its post-resize stall has ended."""
+    def resume(self, state: _ServerState, now: float) -> None:
+        """Serve ``state`` once its post-resize stall has ended at ``now``."""
         state.retry_scheduled = False
-        self.dispatch(state.name)
+        self.dispatch(state, now)
 
-    def serve(self, state: _ServerState) -> None:
-        """Start ``state``'s next batch; the caller checked it is idle and alive."""
-        queue = self.queue
-        now = queue.now
+    def serve(self, state: _ServerState, now: float) -> None:
+        """Start ``state``'s next batch at ``now``, the event time.
+
+        The caller checked that the server is idle and the chip alive.
+        """
         if state.stall_until_ms > now:
             # The partition is mid-resize: service may only start when
             # re-staging ends.  The wait is real sim-time — the retry
             # event carries the dequeue forward, never drops it.
             if not state.retry_scheduled:
                 state.retry_scheduled = True
-                queue.schedule(
-                    state.stall_until_ms, self.resume, state,
-                    tag="serving/resume",
+                until = state.stall_until_ms
+                self.queue.schedule(
+                    until, self.resume, state, until, tag="serving/resume"
                 )
             return
-        tenant = self._pick(state)
+        # A one-tenant server (every partition and fleet replica) has no
+        # queue heads to rank.
+        tenants = state.tenants
+        tenant = tenants[0] if len(tenants) == 1 else self._pick(state)
         if tenant is None:
             return
-        tenant_queue = tenant.queue
-        request = tenant_queue.pop()
+        requests = tenant.queue.requests
+        if not requests:
+            return
+        request = requests.popleft()
         # Weight-stationary batching: pull further queued requests of
         # the *same tenant* (same weights) into this dispatch, up to
         # the batch limit; they serve back to back with staging paid
         # once.  batch_requests=1 keeps the historical loop exactly.
         batch = [request]
-        while len(batch) < self.batch_requests and len(tenant_queue):
-            batch.append(tenant_queue.pop())
+        n = 1
+        while n < self.batch_requests and requests:
+            batch.append(requests.popleft())
+            n += 1
         for req in batch:
             req.start_ms = now
-        if len(batch) == 1:
+        if n == 1:
             service = self.policy.service_ms(request.tenant)
         else:
-            service = self.policy.batched_service_ms(
-                request.tenant, len(batch)
-            )
-        scale = self.policy.service_scale(now)
-        if scale != 1.0:
-            service *= scale
+            service = self.policy.batched_service_ms(request.tenant, n)
         table = self.table
-        if table is not None:
+        steps = self.steps
+        if steps:
+            scale = step_factor(steps, now)
+            service *= scale
             if scale != self._last_scale:
-                # A degradation step changed every service window; the
-                # cached absolute phase durations no longer apply.
-                for name in self.attr_cache:
-                    table.invalidate(name)
-                self.attr_cache.clear()
                 self._last_scale = scale
+                if table is not None:
+                    # A degradation step changed every service window;
+                    # the cached absolute phase durations no longer
+                    # apply.
+                    for name in self.attr_cache:
+                        table.invalidate(name)
+                    self.attr_cache.clear()
+        if table is not None:
             # Snapshot the dispatch-time slot: a resize between now
             # and completion must not re-attribute the in-flight
             # batch.  The steady state is allocation-free (dict
             # subscript + list index); the table is only touched on a
             # template miss and once per slot at the end of the run.
-            n = len(batch)
             try:
                 per = self.attr_cache[request.tenant]
             except KeyError:
@@ -279,8 +299,8 @@ class ChipHandle:
         if self._enabled:
             assert self.sink.trace is not None
             args: Dict[str, object] = {"request": request.index}
-            if len(batch) > 1:
-                args["batched"] = len(batch)
+            if n > 1:
+                args["batched"] = n
             self.sink.trace.complete(
                 f"serving/server/{state.name}",
                 request.tenant,
@@ -288,7 +308,7 @@ class ChipHandle:
                 dur=service,
                 args=args,
             )
-        queue.schedule(
+        self.queue.schedule(
             finish, self.complete, state, tenant, batch, service, finish, slot,
             tag="serving/completion",
         )
@@ -330,7 +350,8 @@ class ChipHandle:
         sink = self.sink
         arrivals = tenant.spec.arrivals
         closed_loop = arrivals.closed_loop
-        in_window = finish <= self.duration_ms
+        duration_ms = self.duration_ms
+        in_window = finish <= duration_ms
         if in_window and slot is not None:
             slot[1] += n
         for request in batch:
@@ -380,8 +401,13 @@ class ChipHandle:
             else:
                 report.overrun += 1
             if closed_loop:
-                self.schedule_arrival(
-                    tenant, arrivals.after_completion_ms(finish)
+                # The closed-loop chain's next arrival; past the window
+                # it is dropped.
+                t = arrivals.after_completion_ms(finish)
+                if t is None or t >= duration_ms:
+                    continue
+                self.queue.schedule(
+                    t, self.arrive, tenant, t, tag="serving/arrival"
                 )
         if enabled:
             assert sink.registry is not None
@@ -390,18 +416,17 @@ class ChipHandle:
             ).add_range(finish - service, finish)
         if monitor is not None:
             self._poll_monitor(finish)
-        self.serve(state)
+        self.serve(state, finish)
 
     # -- arrivals --------------------------------------------------------------
 
-    def schedule_arrival(self, tenant: _TenantState, t: Optional[float]) -> None:
-        """Schedule one future arrival of ``tenant`` (drops past-window)."""
-        if t is None or t >= self.duration_ms:
-            return
-        self.queue.schedule(t, self.arrive, tenant, t, tag="serving/arrival")
-
     def arrive(self, tenant: _TenantState, t: float) -> None:
-        """Admit one arrival of ``tenant`` at ``t`` and chain the next."""
+        """Admit one arrival of ``tenant`` at ``t`` and chain the next.
+
+        An open-loop chain's next arrival is scheduled here, and a
+        closed-loop one's by :meth:`complete`; each site drops an
+        arrival that is ``None`` or lands at or past the window's end.
+        """
         spec = tenant.spec
         name = spec.name
         report = tenant.report
@@ -417,46 +442,47 @@ class ChipHandle:
             report.failed += 1
             if enabled:
                 self._count(f"serving/tenant/{name}/failed")
-            if not spec.arrivals.closed_loop:
-                self.schedule_arrival(tenant, spec.arrivals.next_ms(t))
-            return
-        request = Request(
-            tenant=name,
-            index=tenant.arrival_index,
-            arrival_ms=t,
-            deadline_ms=t + spec.deadline_ms,
-            seq=next(self.admission_seq),
-        )
-        tenant.arrival_index += 1
-        queue = tenant.queue
-        if queue.offer(request) is None:
-            report.admitted += 1
         else:
-            report.shed += 1
+            seq = self.admission_seq
+            self.admission_seq = seq + 1
+            request = Request(
+                name, tenant.arrival_index, t, t + spec.deadline_ms, seq
+            )
+            tenant.arrival_index += 1
+            queue = tenant.queue
+            if queue.offer(request) is None:
+                report.admitted += 1
+            else:
+                report.shed += 1
+                if enabled:
+                    assert self.sink.registry is not None
+                    self._count(f"serving/tenant/{name}/shed")
+                    self.sink.registry.windowed(
+                        f"serving/tenant/{name}/shed_windowed",
+                        self.window,
+                    ).observe(t, 1.0)
             if enabled:
                 assert self.sink.registry is not None
-                self._count(f"serving/tenant/{name}/shed")
+                self.sink.registry.gauge(
+                    f"serving/tenant/{name}/max_queue_depth"
+                ).max(queue.depth)
                 self.sink.registry.windowed(
-                    f"serving/tenant/{name}/shed_windowed",
-                    self.window,
-                ).observe(t, 1.0)
-        if enabled:
-            assert self.sink.registry is not None
-            self.sink.registry.gauge(
-                f"serving/tenant/{name}/max_queue_depth"
-            ).max(queue.depth)
-            self.sink.registry.windowed(
-                f"serving/tenant/{name}/queue_depth", self.window
-            ).set(t, float(queue.depth))
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.record_queue_depth(name, t, queue.depth)
-            self._poll_monitor(t)
-        server = tenant.server
-        if not server.busy:
-            self.serve(server)
-        if not spec.arrivals.closed_loop:
-            self.schedule_arrival(tenant, spec.arrivals.next_ms(t))
+                    f"serving/tenant/{name}/queue_depth", self.window
+                ).set(t, float(queue.depth))
+            monitor = self.monitor
+            if monitor is not None:
+                monitor.record_queue_depth(name, t, queue.depth)
+                self._poll_monitor(t)
+            server = tenant.server
+            if not server.busy:
+                self.serve(server, t)
+        arrivals = spec.arrivals
+        if arrivals.closed_loop:
+            return
+        t = arrivals.next_ms(t)
+        if t is None or t >= self.duration_ms:
+            return
+        self.queue.schedule(t, self.arrive, tenant, t, tag="serving/arrival")
 
     # -- elastic control -------------------------------------------------------
 
@@ -526,7 +552,7 @@ class ChipHandle:
         # Wake idle resized servers so their queues re-arm behind the
         # stall gate instead of sleeping until the next arrival.
         for name in action.stall_ms:
-            self.dispatch(self.tenants[name].server.name)
+            self.dispatch(self.tenants[name].server, t)
 
     # -- crash -----------------------------------------------------------------
 
@@ -542,9 +568,9 @@ class ChipHandle:
         """
         self.halted = True
         for name, tenant in self.tenants.items():
-            queue = tenant.queue
-            while queue.depth:
-                queue.pop()
+            requests = tenant.queue.requests
+            while requests:
+                requests.popleft()
                 tenant.report.failed += 1
                 if self._enabled:
                     self._count(f"serving/tenant/{name}/failed")
@@ -560,7 +586,11 @@ class ChipHandle:
         """Seed self-driven arrivals, control ticks, and the halt event."""
         for tenant in self.tenants.values():
             for t in tenant.spec.arrivals.initial_arrivals():
-                self.schedule_arrival(tenant, t)
+                if t is None or t >= self.duration_ms:
+                    continue
+                self.queue.schedule(
+                    t, self.arrive, tenant, t, tag="serving/arrival"
+                )
         interval = self.policy.control_interval_ms
         if interval is not None:
             ticks = int(math.ceil(self.duration_ms / interval)) - 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.plan import ResidentPlan
@@ -43,6 +43,25 @@ from repro.sim.config import SimConfig
 
 #: Server id of the single time-shared array.
 SHARED_SERVER = "chip"
+
+#: ``(from_ms, factor)`` — service times multiply by ``factor`` from
+#: ``from_ms`` until the next step.
+DegradationStep = Tuple[float, float]
+
+
+def step_factor(steps: Sequence[DegradationStep], now_ms: float) -> float:
+    """The factor of the last step at or before ``now_ms`` (1.0 before any).
+
+    ``steps`` must be sorted ascending; this one rule serves both a
+    chip's service windows and the fleet router's fluid bill
+    (``repro.fleet.failures`` re-exports it).
+    """
+    factor = 1.0
+    for from_ms, step in steps:
+        if from_ms > now_ms:
+            break
+        factor = step
+    return factor
 
 
 @dataclass
@@ -71,6 +90,13 @@ class ServingPolicy:
     #: Elastic policies set this; the simulator then calls
     #: :meth:`on_interval` every ``control_interval_ms`` of sim time.
     control_interval_ms: Optional[float] = None
+    #: Chip-wide degradation as sorted ``(from_ms, factor)`` steps: the
+    #: serving loop multiplies every service window it dispatches at
+    #: ``t`` by :func:`step_factor` of these steps at ``t``, so a policy
+    #: can model a thermally throttled chip or a partial-mesh fault (see
+    #: ``repro.fleet.replica``).  The chip reads the tuple once; with no
+    #: steps (the default) it makes no per-dispatch call for a scale.
+    degradation: Tuple[DegradationStep, ...] = ()
 
     def __init__(self) -> None:
         self._servers: Dict[str, str] = {}
@@ -98,18 +124,6 @@ class ServingPolicy:
         if count < 1:
             raise SimulationError(f"batch count must be >= 1, got {count}")
         return count * self.service_ms(tenant)
-
-    def service_scale(self, now_ms: float) -> float:
-        """Chip-wide service-time multiplier at ``now_ms`` (default 1.0).
-
-        The serving loop multiplies every dispatched service window by
-        this factor, so a policy can model chip-level degradation — a
-        thermally throttled chip, a partial-mesh fault — as a step
-        function of sim time (see ``repro.fleet.replica``).  The base
-        policy never degrades; the dispatch path skips the multiply when
-        the factor is exactly 1.0, so default behaviour is bit-identical.
-        """
-        return 1.0
 
     def shares(self) -> Dict[str, int]:
         """Current cores per tenant (empty when the array is not split)."""

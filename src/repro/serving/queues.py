@@ -10,6 +10,11 @@ raises :class:`~repro.errors.SimulationError` on an out-of-order offer.
 The discipline only ranks queue heads across the tenants of a shared
 server (:meth:`AdmissionQueue.peek_key`).
 
+``offer`` is the one place that appends, and so the one place that
+checks order and capacity.  The serving chip takes requests off the
+head of :attr:`AdmissionQueue.requests` itself (``popleft``), with no
+wrapper call per dispatch.
+
 Admission is never silent: ``offer`` admits the request or returns it
 as *shed*.  A full queue sheds the newcomer under both disciplines (under
 EDF it has the latest deadline in its queue, so it is the one EDF would
@@ -47,14 +52,12 @@ class AdmissionQueue:
             raise SimulationError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.discipline = discipline
-        self._requests: Deque[Request] = deque()
-
-    def __len__(self) -> int:
-        return len(self._requests)
+        #: The waiting requests, head first.  Only :meth:`offer` appends.
+        self.requests: Deque[Request] = deque()
 
     @property
     def depth(self) -> int:
-        return len(self._requests)
+        return len(self.requests)
 
     def offer(self, request: Request) -> Optional[Request]:
         """Admit ``request`` or shed it; returns the shed request (or None).
@@ -64,7 +67,7 @@ class AdmissionQueue:
         :class:`~repro.errors.SimulationError` and leaves the queue as
         it was.
         """
-        requests = self._requests
+        requests = self.requests
         if requests:
             tail = requests[-1]
             if (
@@ -83,14 +86,9 @@ class AdmissionQueue:
 
     def peek_key(self) -> Optional[_Key]:
         """The head's rank across tenants under the discipline, if any."""
-        if not self._requests:
+        if not self.requests:
             return None
-        head = self._requests[0]
+        head = self.requests[0]
         if self.discipline == "fifo":
             return (head.arrival_ms, head.arrival_ms, head.seq)
         return (head.deadline_ms, head.arrival_ms, head.seq)
-
-    def pop(self) -> Request:
-        if not self._requests:
-            raise SimulationError("pop from an empty admission queue")
-        return self._requests.popleft()

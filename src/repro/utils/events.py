@@ -23,6 +23,12 @@ Hot-path notes:
   comparison never reaches the callback.
 * :meth:`EventQueue.schedule` returns nothing, and :meth:`EventQueue.run`
   drains the heap without building any per-event object.
+* ``seq`` is a plain int that :meth:`EventQueue.schedule` bumps, and
+  :attr:`EventQueue.processed` is derived (scheduled minus pending), so
+  the drain loop writes one attribute per event: the clock.
+* Handlers that already hold the event's time take it as an argument
+  rather than reading :attr:`EventQueue.now` (the serving chip's
+  ``serve(state, now)``), so a dispatch pays no property call.
 * The telemetry sink's ``enabled`` flag is read once per :meth:`run`, so
   runs against the default ``NullSink`` pay no per-event tag or
   formatting cost.
@@ -30,8 +36,7 @@ Hot-path notes:
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -56,9 +61,9 @@ class EventQueue:
 
     def __init__(self, telemetry: Optional[TelemetrySink] = None) -> None:
         self._heap: List[_Entry] = []
-        self._counter = itertools.count()
+        #: Events scheduled so far; the next event's ``seq``.
+        self._seq = 0
         self._now = 0.0
-        self._processed = 0
         self._telemetry = telemetry if telemetry is not None else _current_telemetry()
 
     @property
@@ -68,8 +73,8 @@ class EventQueue:
 
     @property
     def processed(self) -> int:
-        """Total number of events dispatched so far."""
-        return self._processed
+        """Total number of events dispatched so far (scheduled - pending)."""
+        return self._seq - len(self._heap)
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -89,9 +94,9 @@ class EventQueue:
                 f"cannot schedule event at t={time}: not at or after "
                 f"current time {self._now}"
             )
-        heapq.heappush(
-            self._heap, (time, next(self._counter), action, args, tag)
-        )
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, action, args, tag))
 
     def schedule_in(
         self, delay: float, action: Callable[..., Any], *args: Any, tag: str = ""
@@ -115,12 +120,10 @@ class EventQueue:
         the last dispatched event.
         """
         heap = self._heap
-        pop = heapq.heappop
         emit = self._telemetry.enabled
         while heap:
-            time, seq, action, args, tag = pop(heap)
+            time, seq, action, args, tag = heappop(heap)
             self._now = time
-            self._processed += 1
             if emit and tag:
                 self._emit(time, seq, tag)
             action(*args)

@@ -31,6 +31,45 @@ class TestFluidLoadTracker:
         assert tracker.load_ms(1, 0.0) == 0.0
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bills=st.lists(
+            st.tuples(
+                st.integers(0, 5),
+                st.integers(0, 40).map(lambda k: k * 0.5),
+                st.floats(min_value=0.0, max_value=10.0),
+            ),
+            max_size=12,
+        ),
+        speeds=st.dictionaries(
+            st.integers(0, 5), st.floats(min_value=0.0, max_value=4.0)
+        ),
+        candidates=st.lists(
+            st.integers(0, 7), min_size=1, max_size=8, unique=True
+        ),
+        now=st.one_of(
+            st.integers(0, 50).map(lambda k: k * 0.5),
+            st.floats(min_value=0.0, max_value=30.0),
+        ),
+    )
+    def test_least_loaded_is_the_load_ms_argmin(
+        self, bills, speeds, candidates, now
+    ):
+        # Candidates in any order; drained chips tie at 0.0 often.
+        tracker = FluidLoadTracker()
+        tracker.speed.update(speeds)
+        for chip, t, est in bills:
+            tracker.add(chip, t, est)
+        expected = min(
+            candidates, key=lambda chip: (tracker.load_ms(chip, now), chip)
+        )
+        assert tracker.least_loaded(candidates, now) == expected
+
+    def test_least_loaded_needs_a_candidate(self):
+        with pytest.raises(SimulationError, match="no candidate"):
+            FluidLoadTracker().least_loaded([], 0.0)
+
+
 class TestBalancers:
     def test_round_robin_cycles_per_model(self):
         balancer = make_balancer("round-robin", FluidLoadTracker())

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.fleet import BALANCERS
 
 REPO = Path(__file__).resolve().parents[2]
@@ -84,6 +86,24 @@ class TestFleetCli:
         )
         assert proc.returncode != 0
         assert "duration must be positive, got 0.0" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["fleet-smoke", "chip-crash"])
+    def test_chips_below_the_scenario_floor_is_a_usage_error(
+        self, tmp_path, scenario
+    ):
+        # A scenario's chip floor reaches the user as argparse's exit 2 with
+        # its message, not as a traceback.
+        out = tmp_path / "fleet.json"
+        proc = run_cli(
+            "--scenario", scenario,
+            "--chips", "2",
+            "--json-out", str(out),
+            check=False,
+        )
+        assert proc.returncode == 2
+        assert f"error: {scenario} needs >= 4 chips" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_balancer_sweep_writes_every_metrics_registry(self, tmp_path):

@@ -1,11 +1,13 @@
 """End-to-end fleet runs: conservation, parallel identity, autoscaling."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.fleet import FleetSimulator, build_scenario
+from repro.fleet.scenarios import diurnal_million
 from repro.telemetry import MetricsRegistry
 
 
@@ -134,3 +136,18 @@ class TestBalancerSeparation:
         )
         assert aware.conserved and blind.conserved
         assert aware.worst_model_p99_ms < blind.worst_model_p99_ms
+
+
+class TestDiurnalPin:
+    def test_sixteen_chip_rep_bytes_are_pinned(self):
+        """The seed-0 rep of the ``fleet-diurnal`` benchmark: 16 chips,
+        the first 2.25 s of the diurnal day, about 100k requests through
+        the router and the chip loops."""
+        scenario = diurnal_million(16)
+        result = FleetSimulator(
+            scenario.models, scenario.n_chips, seed=0
+        ).run(2250.0)
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == (
+            "e84492b1c2064aa224d507f545b87f05a9bf654202b125c0aee13a42f54f37b3"
+        )

@@ -97,3 +97,19 @@ class TestDurationOverride:
         assert proc.returncode != 0
         assert "duration must be positive, got 0.0" in proc.stderr
         assert not doc.exists()
+
+
+class TestChipFloor:
+    @pytest.mark.parametrize("scenario", ["fleet-smoke", "chip-crash"])
+    def test_chips_below_the_scenario_floor_is_a_usage_error(
+        self, tmp_path, scenario
+    ):
+        doc = tmp_path / "doc.json"
+        proc = run_script(
+            SCRIPT, "fleet", "--scenario", scenario, "--chips", "2",
+            "--json-out", str(doc),
+        )
+        assert proc.returncode == 2
+        assert f"error: {scenario} needs >= 4 chips" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not doc.exists()

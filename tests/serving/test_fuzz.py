@@ -10,7 +10,10 @@ histogram total, and a rerun is byte-identical.
 A second property checks the chip loop against an independent oracle:
 one FIFO tenant on its own server with a fixed service time ``s``
 departs at ``d_n = max(a_n, d_{n-1}) + s`` (Lindley's recursion), so
-every completed request's latency is known exactly.
+every completed request's latency is known exactly.  On a degraded chip
+the service window is stretched by the step factor at the dispatch
+instant: ``d_n = start_n + s * step_factor(steps, start_n)`` with
+``start_n = max(a_n, d_{n-1})``.
 """
 
 import math
@@ -18,8 +21,9 @@ import math
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from repro.fleet.failures import step_factor  # noqa: E402
 from repro.fleet.profiles import ModelProfile  # noqa: E402
 from repro.fleet.replica import ReplicaPolicy  # noqa: E402
 from repro.nn.workloads import small_cnn_spec  # noqa: E402
@@ -153,22 +157,45 @@ _times = st.one_of(
 )
 
 
+#: Degradation steps, sorted as the policy sorts them.  Their start
+#: times share the arrivals' grid, so a dispatch can land exactly on a
+#: step and two steps can share one start.
+_steps = st.lists(
+    st.tuples(_times, st.floats(min_value=0.25, max_value=4.0)),
+    max_size=4,
+).map(sorted)
+
+
 @settings(max_examples=100, deadline=2000)
 @given(
     times=st.lists(_times, max_size=60).map(sorted),
     service=st.one_of(st.integers(1, 12).map(lambda k: k * 0.5), _ms),
+    steps=_steps,
 )
-def test_dedicated_fifo_server_follows_lindley(times, service):
+# Request 1 waits for request 0 and starts at 1.0, on the two steps that
+# share that start (the later, 2.0, applies); request 4 arrives at an
+# idle server exactly on the step at 9.5.
+@example(
+    times=[0.0, 0.5, 1.0, 1.0, 9.5],
+    service=1.0,
+    steps=[(1.0, 0.5), (1.0, 2.0), (9.5, 3.0)],
+)
+def test_dedicated_fifo_server_follows_lindley(times, service, steps):
     tenant = TenantSpec(name="a", network=NET, arrivals=TraceArrivals(times))
-    report = ServingSimulator(
-        FixedServicePolicy({"a": service}), collect_timelines=True
-    ).run([tenant], DURATION_MS).reports["a"]
+    policy = ReplicaPolicy(
+        {"a": ModelProfile("a", service)}, degradation=steps
+    )
+    assert list(policy.degradation) == steps
+    report = ServingSimulator(policy, collect_timelines=True).run(
+        [tenant], DURATION_MS
+    ).reports["a"]
 
     arrivals = [t for t in times if t < DURATION_MS]
     expected = {}
     depart = -math.inf
     for n, arrival in enumerate(arrivals):
-        depart = max(arrival, depart) + service
+        start = max(arrival, depart)
+        depart = start + service * step_factor(steps, start)
         if depart <= DURATION_MS:
             expected[n] = depart - arrival
     assert report.arrivals == len(arrivals)

@@ -1,11 +1,14 @@
 """Serving policies against the real chip model."""
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.core.multi_dnn import MultiDNNScheduler
 from repro.errors import SimulationError
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, small_cnn_spec
-from repro.serving.arrivals import PeriodicArrivals
+from repro.serving.arrivals import PeriodicArrivals, PoissonArrivals
 from repro.serving.policies import (
     ElasticPolicy,
     StaticPartitionPolicy,
@@ -190,6 +193,25 @@ class TestElastic:
             ElasticPolicy(hysteresis_cores=0)
         with pytest.raises(SimulationError):
             ElasticPolicy().prepare([])
+
+
+class TestElasticPin:
+    def test_overloaded_trio_rep_bytes_are_pinned(self):
+        """The seed-0 rep of the ``serve-elastic`` benchmark: the
+        overloaded camera/lidar/radar trio on Poisson arrivals (seeds 1
+        to 3) under the elastic policy for 5 s, resizes included."""
+        tenants = [
+            replace(t, arrivals=PoissonArrivals(t.arrivals.rate_hz, seed=i))
+            for i, t in enumerate(mixed_rate_overloaded_tenants(), start=1)
+        ]
+        policy = ElasticPolicy(
+            ServiceModel(MultiDNNScheduler()), control_interval_ms=10.0
+        )
+        result = ServingSimulator(policy).run(tenants, 5000.0)
+        digest = hashlib.sha256(result.to_json().encode()).hexdigest()
+        assert digest == (
+            "d07e441c6b243a4966df112e88c16a05d1a043438f59b787893f64b221af50ac"
+        )
 
 
 class TestServiceModel:

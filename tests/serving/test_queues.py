@@ -1,4 +1,8 @@
-"""Admission queues: arrival order, bounds, shedding, and head ranks."""
+"""Admission queues: arrival order, bounds, shedding, and head ranks.
+
+The serving chip takes requests off the head of ``requests`` itself, so
+the tests pop with ``popleft`` as it does.
+"""
 
 import math
 
@@ -22,7 +26,7 @@ class TestOrder:
         q = AdmissionQueue(discipline=discipline)
         for r in (req(0, 1.0, 4.0), req(3, 1.0, 4.0), req(7, 2.5, 5.5)):
             assert q.offer(r) is None
-        assert [q.pop().seq for _ in range(3)] == [0, 3, 7]
+        assert [q.requests.popleft().seq for _ in range(3)] == [0, 3, 7]
 
     @pytest.mark.parametrize("late", [
         pytest.param(req(2, 0.5, 9.0), id="earlier-arrival"),
@@ -35,12 +39,12 @@ class TestOrder:
         q.offer(req(1, 1.0, 4.0))
         with pytest.raises(SimulationError, match="out-of-order"):
             q.offer(late)
-        assert [q.pop().seq] == [1]
+        assert [r.seq for r in q.requests] == [1]
 
     def test_empty_queue_takes_any_offer(self):
         q = AdmissionQueue()
         q.offer(req(5, 3.0))
-        q.pop()
+        q.requests.popleft()
         assert q.offer(req(1, 1.0)) is None
 
 
@@ -51,7 +55,7 @@ class TestFIFO:
         q.offer(req(1, 1.0))
         shed = q.offer(req(2, 2.0))
         assert shed is not None and shed.seq == 2
-        assert len(q) == 2
+        assert q.depth == 2
 
 
 class TestEDF:
@@ -67,7 +71,7 @@ class TestEDF:
         q.offer(req(1, 1.0, deadline=6.0))
         shed = q.offer(req(2, 1.0, deadline=6.0))
         assert shed is not None and shed.seq == 2
-        assert [q.pop().seq for _ in range(2)] == [0, 1]
+        assert [q.requests.popleft().seq for _ in range(2)] == [0, 1]
 
 
 class TestPeekKey:
@@ -92,10 +96,6 @@ class TestValidation:
     def test_bad_capacity(self):
         with pytest.raises(SimulationError):
             AdmissionQueue(capacity=0)
-
-    def test_pop_empty(self):
-        with pytest.raises(SimulationError):
-            AdmissionQueue().pop()
 
     def test_peek_empty(self):
         assert AdmissionQueue().peek_key() is None
