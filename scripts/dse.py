@@ -59,6 +59,8 @@ def main(argv=None) -> int:
         "--list-sweeps", action="store_true", help="list sweep names"
     )
     args = parser.parse_args(argv)
+    if args.workers < 0:
+        parser.error(f"workers must be >= 0, got {args.workers}")
 
     if args.list_sweeps:
         for name in sorted(SWEEPS):

@@ -120,6 +120,10 @@ def main() -> int:
                         help="exit non-zero unless every model conserves "
                              "requests")
     args = parser.parse_args()
+    if args.workers < 0:
+        parser.error(f"workers must be >= 0, got {args.workers}")
+    if args.duration_ms is not None and not args.duration_ms > 0:
+        parser.error(f"duration must be positive, got {args.duration_ms}")
 
     try:
         scenario = build_scenario(args.scenario, args.chips)

@@ -32,7 +32,7 @@ from repro.analysis import (
 )
 from repro.errors import ReproError
 from repro.riscv.assembler import assemble
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 from repro.riscv.isa import Instruction
 
 
@@ -52,7 +52,7 @@ def _demo_conv_program() -> List[Instruction]:
 
 def _simulated_cycles(program: List[Instruction]) -> int:
     """Run a program on the pipeline with a null NoC (timing only)."""
-    core = Core(CoreConfig(), remote_handler=lambda is_store, addr, size, value: 0)
+    core = Core(remote_handler=lambda is_store, addr, size, value: 0)
     return core.run(program).cycles
 
 

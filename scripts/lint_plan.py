@@ -171,7 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.broken == "cmem":
         _inject_cmem_break(residents)
-    routes = resident_route_flows(residents)
+    routes = resident_route_flows(residents, config.chip)
     if args.broken == "noc":
         routes += DEADLOCK_FLOWS
 
@@ -201,7 +201,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     replay_deadlocked = False
     if args.replay:
-        replay = replay_routes(routes)
+        replay = replay_routes(routes, config.chip)
         replay_deadlocked = replay.deadlocked
         payload["replay"] = {
             "flows": len(routes),

@@ -194,6 +194,11 @@ def main(argv=None) -> int:
                        help="write the JSON report document here")
 
     args = parser.parse_args(argv)
+    if getattr(args, "workers", 0) < 0:
+        parser.error(f"workers must be >= 0, got {args.workers}")
+    duration_ms = getattr(args, "duration_ms", None)
+    if duration_ms is not None and not duration_ms > 0:
+        parser.error(f"duration must be positive, got {duration_ms}")
     if args.kind == "serving":
         doc = serving_report(args)
     elif args.kind == "fleet":

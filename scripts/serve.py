@@ -96,6 +96,8 @@ def main() -> int:
     parser.add_argument("--assert-no-shed", action="store_true",
                         help="exit non-zero if any request was shed")
     args = parser.parse_args()
+    if args.duration_ms is not None and not args.duration_ms > 0:
+        parser.error(f"duration must be positive, got {args.duration_ms}")
 
     tenant_factory, default_duration = SCENARIOS[args.scenario]
     duration_ms = (

@@ -43,7 +43,7 @@ from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.riscv.core import Core
 from repro.riscv.memory import DRAM_BASE
-from repro.sim import available_backends, simulate
+from repro.sim import SimConfig, available_backends, simulate
 from repro.telemetry.trace import validate_chrome_trace
 from repro.utils.events import EventQueue
 
@@ -89,8 +89,14 @@ def run_tiny(sink: telemetry.Telemetry, backend: str = "streaming") -> dict:
     core.cmem.store_vector_transposed(1, 8, b, 8, signed=True)
     stats = core.run("mac.c a0, 1, 0, 8, 8\nmac.c a1, 1, 0, 8, 8\nhalt")
 
-    # 3. NoC: a contended neighbour stream (link spans + occupancy).
-    noc = MeshNoC()
+    # 3. NoC: a contended neighbour stream (link spans + occupancy) on
+    #    the default machine's mesh, at its hop delay.
+    machine = SimConfig()
+    noc = MeshNoC(
+        machine.chip.mesh_width,
+        machine.chip.mesh_height,
+        machine.params.hop_latency,
+    )
     for i in range(8):
         noc.send(
             Packet(src=(0, 0), dst=(2, 1), kind=PacketKind.ROW_TRANSFER),

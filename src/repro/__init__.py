@@ -15,7 +15,7 @@ Quickstart::
     print(result.latency_ms, result.throughput_per_watt)
 """
 
-from repro.cmem import CMem, CMemConfig
+from repro.cmem import CMem
 
 # repro.core must initialize before repro.analysis: the system-scope
 # analyzers (repro.analysis.plan / .system) import repro.sim, whose
@@ -46,14 +46,13 @@ from repro.nn import (
     resnet18_spec,
     run_quantized,
 )
-from repro.riscv import Core, CoreConfig, Pipeline, PipelineConfig, assemble
+from repro.riscv import Core, Pipeline, PipelineConfig, assemble
 from repro.telemetry import NullSink, Telemetry
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CMem",
-    "CMemConfig",
     "ChipConfig",
     "MAICCNode",
     "MultiDNNScheduler",
@@ -75,7 +74,6 @@ __all__ = [
     "resnet18_spec",
     "run_quantized",
     "Core",
-    "CoreConfig",
     "Pipeline",
     "PipelineConfig",
     "assemble",

@@ -16,10 +16,14 @@ Checks:
 * ``NOC701`` — channel-dependency cycle (one diagnostic per cycle,
   offending links named).
 * ``NOC702`` — statically hot link: summed sustained flit demand
-  exceeds the link's capacity (warning).
+  exceeds the link's capacity of one flit per cycle (warning).
 * ``NOC703`` — malformed route: endpoint off the mesh, self-loop,
   discontinuous path, or a path that re-acquires a link it already
   holds (self-deadlock).
+
+The checker and the replay take the mesh of the chip they are given
+(:class:`~repro.core.chip.ChipConfig`), and the plan route sets are
+placed on that chip's compute region.
 
 :func:`replay_routes` is the dynamic twin: it replays hold-and-wait
 link acquisition on the discrete-event kernel, so a route set the
@@ -40,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.plan import ResidentPlan
 from repro.analysis.rules import rule
+from repro.core.chip import ChipConfig
 from repro.core.traffic import segment_wave
 from repro.errors import NoCError, PlacementError
 from repro.mapping.placement import zigzag_placement
@@ -50,6 +55,8 @@ from repro.utils.events import EventQueue
 Coord = Tuple[int, int]
 #: A directed mesh link (the unit of wormhole arbitration).
 Link = Tuple[Coord, Coord]
+#: Flits per cycle one link carries; ``NOC702`` fires above it.
+LINK_CAPACITY = 1.0
 
 
 @dataclass(frozen=True)
@@ -85,18 +92,11 @@ def _fmt_link(link: Link) -> str:
 
 
 class RouteChecker:
-    """Static checks over a set of route flows on one mesh."""
+    """Static checks over a set of route flows on one chip's mesh."""
 
-    def __init__(
-        self,
-        *,
-        width: int = 16,
-        height: int = 16,
-        link_capacity: float = 1.0,
-    ) -> None:
-        self.width = width
-        self.height = height
-        self.link_capacity = link_capacity
+    def __init__(self, chip: ChipConfig) -> None:
+        self.width = chip.mesh_width
+        self.height = chip.mesh_height
         self.report = LintReport(program_length=0)
 
     def _emit(self, rule_id: str, message: str, *, where: str = "") -> None:
@@ -192,7 +192,7 @@ class RouteChecker:
             for link in links:
                 demand[link] = demand.get(link, 0.0) + rates[name]
         for link in sorted(demand):
-            if demand[link] > self.link_capacity:
+            if demand[link] > LINK_CAPACITY:
                 users = sorted(
                     name for name, links in links_of.items() if link in links
                 )
@@ -200,7 +200,7 @@ class RouteChecker:
                     "NOC702",
                     f"link {_fmt_link(link)} carries "
                     f"{demand[link]:.2f} flits/cycle "
-                    f"(capacity {self.link_capacity:.2f}) from "
+                    f"(capacity {LINK_CAPACITY:.2f}) from "
                     f"{', '.join(users)}",
                     where=_fmt_link(link),
                 )
@@ -306,17 +306,9 @@ def _order_cycle(scc: List[Link], edges: Dict[Link, Set[Link]]) -> List[Link]:
     return cycle
 
 
-def check_routes(
-    flows: Sequence[RouteFlow],
-    *,
-    width: int = 16,
-    height: int = 16,
-    link_capacity: float = 1.0,
-) -> LintReport:
-    """Run the ``NOC7xx`` pass over a route set."""
-    return RouteChecker(
-        width=width, height=height, link_capacity=link_capacity
-    ).check(flows)
+def check_routes(flows: Sequence[RouteFlow], chip: ChipConfig) -> LintReport:
+    """Run the ``NOC7xx`` pass over a route set on ``chip``'s mesh."""
+    return RouteChecker(chip).check(flows)
 
 
 # -- deriving a plan's route set ------------------------------------------------
@@ -324,20 +316,23 @@ def check_routes(
 
 def plan_route_flows(
     plan: SegmentPlan,
+    chip: ChipConfig,
     *,
     start_offset: int = 0,
     prefix: str = "",
 ) -> List[RouteFlow]:
     """The sustained flows of one mapped plan's steady-state waves.
 
-    Each segment is zig-zag placed at ``start_offset`` and each stream
-    of its :func:`~repro.core.traffic.segment_wave` becomes one flow.
+    Each segment is zig-zag placed at ``start_offset`` of ``chip``'s
+    compute region and each stream of its
+    :func:`~repro.core.traffic.segment_wave` becomes one flow.
     Rates are flits per cycle of the segment's bottleneck interval, so
     a well-balanced plan stays far under link capacity.
     """
     flows: List[RouteFlow] = []
+    region = chip.compute_region
     for k, segment in enumerate(plan.segments):
-        placement = zigzag_placement(segment, start_offset=start_offset)
+        placement = zigzag_placement(segment, region, start_offset=start_offset)
         interval = max(1.0, segment.allocation.bottleneck_time)
         for hops, stores in segment_wave(segment, placement):
             for stream in hops + stores:
@@ -353,8 +348,11 @@ def plan_route_flows(
     return flows
 
 
-def resident_route_flows(residents: Sequence[ResidentPlan]) -> List[RouteFlow]:
-    """The route set of a co-resident deployment, tenant by tenant.
+def resident_route_flows(
+    residents: Sequence[ResidentPlan], chip: ChipConfig
+) -> List[RouteFlow]:
+    """The route set of a co-resident deployment on ``chip``, tenant by
+    tenant.
 
     A resident whose region overflows the snake walk has no placement to
     route; it is skipped (``PLAN602`` already reports it).
@@ -365,6 +363,7 @@ def resident_route_flows(residents: Sequence[ResidentPlan]) -> List[RouteFlow]:
             flows.extend(
                 plan_route_flows(
                     resident.plan,
+                    chip,
                     start_offset=resident.region_start,
                     prefix=f"{resident.name}/",
                 )
@@ -398,13 +397,7 @@ class _FlowState:
         self.done = False
 
 
-def replay_routes(
-    flows: Sequence[RouteFlow],
-    *,
-    width: int = 16,
-    height: int = 16,
-    cycles_per_hop: float = 1.0,
-) -> RouteReplay:
+def replay_routes(flows: Sequence[RouteFlow], chip: ChipConfig) -> RouteReplay:
     """Replay wormhole link acquisition on the discrete-event kernel.
 
     Every flow acquires its links in path order, holding each until the
@@ -412,8 +405,11 @@ def replay_routes(
     flow blocked on a busy link parks in that link's FIFO and schedules
     nothing — so a channel-dependency cycle leaves the event queue empty
     with flows still holding links: the kernel *stalls*, which is
-    exactly what the static ``NOC701`` check predicts.
+    exactly what the static ``NOC701`` check predicts.  The clock is
+    logical: one unit per acquired link, so ``time`` counts hops, not
+    cycles.
     """
+    width, height = chip.mesh_width, chip.mesh_height
     states = [
         _FlowState(f.name, path_links(f.resolved_path(width, height)))
         for f in flows
@@ -434,9 +430,7 @@ def replay_routes(
         if holder is None:
             holders[link] = flow
             flow.held += 1
-            queue.schedule_in(
-                cycles_per_hop, lambda: advance(flow), tag="noc/advance"
-            )
+            queue.schedule_in(1.0, lambda: advance(flow), tag="noc/advance")
         else:
             # Hold-and-wait: park without an event.  Only a release can
             # wake the flow — a cyclic route set never produces one.

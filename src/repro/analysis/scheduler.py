@@ -100,8 +100,6 @@ class _StaticDecode:
 def estimate_cycles(
     program: Sequence[Instruction],
     config: Optional[PipelineConfig] = None,
-    *,
-    num_cmem_slices: int = 8,
 ) -> TimingEstimate:
     """Predict the pipeline cycle count of a program without executing it.
 
@@ -113,8 +111,7 @@ def estimate_cycles(
     """
     decode = _StaticDecode()
     pipeline = Pipeline(
-        list(program), decode, config or PipelineConfig(), num_cmem_slices,
-        telemetry=NULL_SINK,
+        list(program), decode, config or PipelineConfig(), telemetry=NULL_SINK
     )
     stats = pipeline.run(max_instructions=len(program)) if program else pipeline.stats
     return TimingEstimate(
@@ -159,7 +156,6 @@ def schedule_kernel(
     program: Sequence[Instruction],
     config: Optional[PipelineConfig] = None,
     *,
-    num_cmem_slices: int = 8,
     max_window: int = 400,
     analysis_config: Optional[AnalysisConfig] = None,
 ) -> ScheduleReport:
@@ -179,7 +175,7 @@ def schedule_kernel(
             + "; ".join(d.render() for d in after.errors)
         )
     return ScheduleReport(
-        baseline=estimate_cycles(program, config, num_cmem_slices=num_cmem_slices),
-        scheduled=estimate_cycles(scheduled, config, num_cmem_slices=num_cmem_slices),
+        baseline=estimate_cycles(program, config),
+        scheduled=estimate_cycles(scheduled, config),
         program=scheduled,
     )

@@ -60,6 +60,7 @@ def analyze_plan(
             f"unknown analysis families {unknown}; "
             f"choose from {list(ANALYSIS_FAMILIES)}"
         )
+    config = config or SimConfig()
     residents = list(co_resident)
     if plan is not None:
         residents.insert(0, ResidentPlan(name="plan", plan=plan))
@@ -71,6 +72,7 @@ def analyze_plan(
             verify_plan(config=config, co_resident=residents),
         )
     if "noc" in families:
-        flows = routes if routes is not None else resident_route_flows(residents)
-        _merge(report, check_routes(flows))
+        if routes is None:
+            routes = resident_route_flows(residents, config.chip)
+        _merge(report, check_routes(routes, config.chip))
     return report

@@ -37,6 +37,7 @@ from repro.analysis.cfg import (
 )
 from repro.analysis.diagnostics import LintReport
 from repro.analysis.rules import rule
+from repro.cmem.geometry import COLS, LANES, ROWS, SLICES
 from repro.cmem.isa import MAX_OPERAND_BITS
 from repro.errors import CMemError, DecodeError, MemoryMapError
 from repro.riscv.isa import FunctionalUnit, Instruction, instr_reads, instr_write
@@ -54,12 +55,9 @@ _ACCESS_SIZE = {
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs of the verifier (defaults are the paper's design point)."""
+    """Knobs of the verifier.  The CMem geometry it checks against is
+    :mod:`repro.cmem.geometry`'s."""
 
-    num_slices: int = 8
-    rows: int = 64
-    cols: int = 256
-    max_operand_bits: int = MAX_OPERAND_BITS
     # Minimum stall (cycles) before a RAW/WAW advisory is emitted.
     stall_threshold: int = 8
     # Registers assumed live-in at the program entry (x0 always is).
@@ -155,32 +153,27 @@ class KernelVerifier:
     # -- 3. CMem legality ------------------------------------------------------
 
     def _slice_ok(self, s: int, index: int, what: str) -> bool:
-        if not 0 <= s < self.config.num_slices:
-            self._emit(
-                "CMEM301",
-                f"{what} {s} outside [0, {self.config.num_slices})",
-                index,
-            )
+        if not 0 <= s < SLICES:
+            self._emit("CMEM301", f"{what} {s} outside [0, {SLICES})", index)
             return False
         return True
 
     def _row_ok(self, row: int, span: int, index: int, what: str) -> bool:
-        if not (0 <= row and row + span <= self.config.rows):
+        if not (0 <= row and row + span <= ROWS):
             self._emit(
                 "CMEM303",
                 f"{what} rows [{row}, {row + span}) outside the "
-                f"{self.config.rows}-row slice",
+                f"{ROWS}-row slice",
                 index,
             )
             return False
         return True
 
     def _width_ok(self, n: int, index: int) -> bool:
-        if not 1 <= n <= self.config.max_operand_bits:
+        if not 1 <= n <= MAX_OPERAND_BITS:
             self._emit(
                 "CMEM304",
-                f"operand width n={n} outside [1, "
-                f"{self.config.max_operand_bits}]",
+                f"operand width n={n} outside [1, {MAX_OPERAND_BITS}]",
                 index,
             )
             return False
@@ -245,12 +238,11 @@ class KernelVerifier:
             elif op == "shiftrow.c":
                 self._slice_ok(cm["slice"], i, "slice")
                 self._row_ok(cm["row"], 1, i, "row")
-                max_words = self.config.cols // 32
-                if abs(cm["words"]) >= max_words:
+                if abs(cm["words"]) >= LANES:
                     self._emit(
                         "CMEM308",
                         f"shift of {cm['words']} words >= the "
-                        f"{self.config.cols}-bit row ({max_words} words)",
+                        f"{COLS}-bit row ({LANES} words)",
                         i,
                     )
             elif op in _REMOTE_ROW_OPS:
@@ -258,10 +250,10 @@ class KernelVerifier:
                 self._row_ok(cm["row"], 1, i, "row")
             elif op == "setcsr.c":
                 self._slice_ok(cm["slice"], i, "slice")
-                if cm["mask"] & ~0xFF:
+                if cm["mask"] >> LANES:
                     self._emit(
                         "CMEM309",
-                        f"CSR mask {cm['mask']:#x} has bits above the 8 "
+                        f"CSR mask {cm['mask']:#x} has bits above the {LANES} "
                         "column-group lanes (hardware truncates)",
                         i,
                     )

@@ -18,8 +18,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.workloads import ConvLayerSpec
-from repro.riscv.core import Core, CoreConfig
-from repro.riscv.pipeline import PipelineConfig
+from repro.riscv.core import Core
 
 
 _INNER_LOOP = """
@@ -74,7 +73,7 @@ class ScalarConvBaseline:
         """Run the real inner loop on the pipeline simulator."""
         if self._cycles_per_mac is not None:
             return self._cycles_per_mac
-        core = Core(CoreConfig(pipeline=PipelineConfig()))
+        core = Core()
         rng = np.random.default_rng(0)
         # Stage operand bytes in local data memory.
         for i in range(sample_macs):

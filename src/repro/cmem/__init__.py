@@ -1,6 +1,7 @@
 """The computing memory (CMem) — the paper's core contribution (Sec. 3.2).
 
-A CMem is eight 2 KB SRAM slices of 64 rows x 256 bit-lines.  Slice 0 uses
+A CMem is eight 2 KB SRAM slices of 64 rows x 256 bit-lines
+(:mod:`repro.cmem.geometry` defines these numbers once).  Slice 0 uses
 8T cells, is byte-addressable *vertically* (consecutive bytes land in
 adjacent bit-lines so a plain ``store`` stream produces transposed vectors)
 and serves as the input/transpose buffer.  Slices 1-7 are compute slices:
@@ -9,7 +10,7 @@ implementing the hardware vector-MAC primitive of Fig. 4(b).
 """
 
 from repro.cmem.adder_tree import AdderTree, ShiftAccumulator
-from repro.cmem.cmem import CMem, CMemConfig, CMemStats
+from repro.cmem.cmem import CMem, CMemStats
 from repro.cmem.slice import CMemSlice, TransposeBuffer
 from repro.cmem.isa import (
     CMemOp,
@@ -26,7 +27,6 @@ __all__ = [
     "AdderTree",
     "ShiftAccumulator",
     "CMem",
-    "CMemConfig",
     "CMemStats",
     "CMemSlice",
     "TransposeBuffer",

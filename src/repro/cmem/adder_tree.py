@@ -17,97 +17,83 @@ budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
 
 import numpy as np
 
+from repro.cmem.geometry import COLS, FULL_CSR_MASK, LANE_WIDTH, LANES
 from repro.errors import CMemError
 from repro.utils.bitops import popcount
 
 
-@dataclass
 class AdderTree:
-    """A ``width``-input population-count tree with a 32-bit-lane mask.
+    """A slice-wide population-count tree with a 32-bit-lane mask.
 
     The mask models the per-slice CSR (Sec. 3.3): 8 bits, each enabling one
     group of 32 bit-lines.  Channel counts in CONV layers are mostly
     multiples of 32, hence the granularity.
     """
 
-    width: int = 256
-    lane_width: int = 32
-
-    def __post_init__(self) -> None:
-        if self.width % self.lane_width:
-            raise CMemError(
-                f"adder tree width {self.width} not a multiple of lane width "
-                f"{self.lane_width}"
-            )
-
-    @property
-    def num_lanes(self) -> int:
-        return self.width // self.lane_width
+    def __init__(self) -> None:
+        # Mask expansions are memoized per tree: the mask is a slice CSR
+        # that rarely changes between consecutive MACs.
+        self._mask_cache: Dict[int, np.ndarray] = {}
+        self._mask_f32_cache: Dict[int, np.ndarray] = {}
 
     def lane_mask_bits(self, mask: int) -> np.ndarray:
-        """Expand an 8-bit CSR mask to a per-bit-line 0/1 vector.
-
-        Expansions are memoized per tree — the mask is a slice CSR that
-        rarely changes between consecutive MACs.  The cached vector is
-        read-only.
-        """
-        cached = self.__dict__.setdefault("_mask_cache", {}).get(mask)
+        """Expand an 8-bit CSR mask to a read-only per-bit-line 0/1 vector."""
+        cached = self._mask_cache.get(mask)
         if cached is not None:
             return cached
-        if not 0 <= mask < (1 << self.num_lanes):
-            raise CMemError(
-                f"CSR mask {mask:#x} out of range for {self.num_lanes} lanes"
-            )
-        lanes = np.array(
-            [(mask >> lane) & 1 for lane in range(self.num_lanes)], dtype=np.uint8
-        )
-        bits = np.repeat(lanes, self.lane_width)
+        if not 0 <= mask < (1 << LANES):
+            raise CMemError(f"CSR mask {mask:#x} out of range for {LANES} lanes")
+        lanes = np.array([(mask >> lane) & 1 for lane in range(LANES)], dtype=np.uint8)
+        bits = np.repeat(lanes, LANE_WIDTH)
         bits.setflags(write=False)
         self._mask_cache[mask] = bits
         return bits
 
-    def popcount(self, bits: np.ndarray, mask: int = 0xFF) -> int:
+    def popcount(self, bits: np.ndarray, mask: int = FULL_CSR_MASK) -> int:
         """Sum the masked AND bits (step 2 of the MAC pipeline)."""
         bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (self.width,):
+        if bits.shape != (COLS,):
             raise CMemError(
-                f"adder tree expects {self.width} bits, got shape {bits.shape}"
+                f"adder tree expects {COLS} bits, got shape {bits.shape}"
             )
         return popcount(bits & self.lane_mask_bits(mask))
 
     def _mask_f32(self, mask: int) -> np.ndarray:
-        cache = self.__dict__.setdefault("_mask_f32_cache", {})
-        mask_vec = cache.get(mask)
+        mask_vec = self._mask_f32_cache.get(mask)
         if mask_vec is None:
             mask_vec = self.lane_mask_bits(mask).astype(np.float32)
             mask_vec.setflags(write=False)
-            cache[mask] = mask_vec
+            self._mask_f32_cache[mask] = mask_vec
         return mask_vec
 
     def popcount_outer(
-        self, planes_a: np.ndarray, planes_b: np.ndarray, mask: int = 0xFF
+        self,
+        planes_a: np.ndarray,
+        planes_b: np.ndarray,
+        mask: int = FULL_CSR_MASK,
     ) -> np.ndarray:
         """Masked popcounts of all cross pairs of two bit-plane blocks.
 
-        ``planes_a`` is ``(n_a, width)`` and ``planes_b`` ``(n_b, width)``;
+        ``planes_a`` is ``(n_a, COLS)`` and ``planes_b`` ``(n_b, COLS)``;
         entry ``(i, j)`` of the ``(n_a, n_b)`` int64 result is the masked
         popcount of ``planes_a[i] AND planes_b[j]`` — for 0/1 planes the
         AND is a product, so the whole grid is one float32 matrix product
-        (exact: counts are bounded by ``width`` << 2^24).
+        (exact: counts are bounded by ``COLS`` << 2^24).
         """
         planes_a = np.asarray(planes_a, dtype=np.uint8)
         planes_b = np.asarray(planes_b, dtype=np.uint8)
         if (
             planes_a.ndim != 2
             or planes_b.ndim != 2
-            or planes_a.shape[1] != self.width
-            or planes_b.shape[1] != self.width
+            or planes_a.shape[1] != COLS
+            or planes_b.shape[1] != COLS
         ):
             raise CMemError(
-                f"adder tree expects (*, {self.width}) plane blocks, got "
+                f"adder tree expects (*, {COLS}) plane blocks, got "
                 f"shapes {planes_a.shape} and {planes_b.shape}"
             )
         masked_a = planes_a.astype(np.float32) * self._mask_f32(mask)

@@ -14,11 +14,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CMemError, ConfigurationError, SliceIndexError
+from repro.errors import CMemError, SliceIndexError
 from repro.cmem.adder_tree import AdderTree, ShiftAccumulator
+from repro.cmem.geometry import COLS, ROWS, SLICES
 from repro.cmem.isa import CMemOp, cmem_op_cycles
 from repro.cmem.slice import CMemSlice, TransposeBuffer
-from repro.sram.energy import EnergyAccumulator, SRAMEnergy
+from repro.sram.energy import EnergyAccumulator
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats
 from repro.utils.bitops import pack_transposed_cached
@@ -40,32 +41,6 @@ def _bit_weights(n_bits: int, signed: bool) -> np.ndarray:
         weights[-1] = -weights[-1]
     weights.setflags(write=False)
     return weights
-
-
-@dataclass(frozen=True)
-class CMemConfig:
-    """Geometry and behaviour knobs of one CMem.
-
-    The paper's design point is eight 2 KB slices (64 x 256); ``num_slices``
-    is exposed for the slicing ablation of Sec. 3.2 (more slices = more
-    parallelism but more inter-slice data movement).
-    """
-
-    num_slices: int = 8
-    rows: int = 64
-    cols: int = 256
-
-    def __post_init__(self) -> None:
-        if self.num_slices < 2:
-            raise ConfigurationError(
-                "CMem needs at least one transpose slice and one compute slice"
-            )
-        if self.rows != CMemSlice.ROWS or self.cols != CMemSlice.COLS:
-            # The slice model is fixed at 64 x 256 (2 KB); other geometries
-            # are modeled analytically in the ablation benches.
-            raise ConfigurationError(
-                "bit-true CMem slices are fixed at 64 rows x 256 cols"
-            )
 
 
 @dataclass
@@ -112,23 +87,20 @@ class CMem:
 
     def __init__(
         self,
-        config: CMemConfig = CMemConfig(),
-        energy: Optional[SRAMEnergy] = None,
         *,
         fast_path: bool = True,
         telemetry: Optional[TelemetrySink] = None,
         track: str = "cmem",
     ) -> None:
-        self.config = config
         self.fast_path = fast_path
         self.slice0 = TransposeBuffer()
         self.compute_slices: List[CMemSlice] = [
-            CMemSlice(index=i) for i in range(1, config.num_slices)
+            CMemSlice(index=i) for i in range(1, SLICES)
         ]
-        self.adder_tree = AdderTree(width=config.cols)
+        self.adder_tree = AdderTree()
         self.accumulator = ShiftAccumulator()
         self.stats = CMemStats()
-        self.energy = EnergyAccumulator(energy=energy or SRAMEnergy())
+        self.energy = EnergyAccumulator()
         self._telemetry = telemetry if telemetry is not None else _current_telemetry()
         self.track = track
 
@@ -138,10 +110,8 @@ class CMem:
         """Slice by global index; 0 is the transpose buffer."""
         if index == 0:
             return self.slice0
-        if not 1 <= index < self.config.num_slices:
-            raise SliceIndexError(
-                f"slice {index} out of range [0, {self.config.num_slices})"
-            )
+        if not 1 <= index < SLICES:
+            raise SliceIndexError(f"slice {index} out of range [0, {SLICES})")
         return self.compute_slices[index - 1]
 
     # -- extended ISA semantics (Table 2) --------------------------------------
@@ -186,10 +156,10 @@ class CMem:
         sl = self.slice(slice_index)
         if slice_index == 0:
             raise CMemError("slice 0 is the transpose buffer; MAC runs in slices 1+")
-        if row_a + n_bits > sl.ROWS:
+        if row_a + n_bits > ROWS:
             raise CMemError("MAC operand rows exceed the slice")
         for row_b in weight_rows:
-            if row_b + n_bits > sl.ROWS:
+            if row_b + n_bits > ROWS:
                 raise CMemError("MAC operand rows exceed the slice")
             if not (row_a + n_bits <= row_b or row_b + n_bits <= row_a):
                 raise CMemError("MAC operand row ranges overlap")
@@ -310,7 +280,7 @@ class CMem:
         """Move.C: copy an n-bit transposed vector between slices."""
         src = self.slice(src_slice)
         dst = self.slice(dst_slice)
-        if src_row + n_bits > src.ROWS or dst_row + n_bits > dst.ROWS:
+        if src_row + n_bits > ROWS or dst_row + n_bits > ROWS:
             raise CMemError("Move.C rows exceed the slice")
         for k in range(n_bits):
             dst.write_row(dst_row + k, src.read_row(src_row + k))
@@ -380,9 +350,9 @@ class CMem:
         """
         sl = self.slice(slice_index)
         values = np.asarray(values, dtype=np.int64)
-        if base_row + n_bits > sl.ROWS:
+        if base_row + n_bits > ROWS:
             raise CMemError("transposed store exceeds the slice rows")
-        if col_offset + len(values) > sl.COLS:
+        if col_offset + len(values) > COLS:
             raise CMemError("transposed store exceeds the slice columns")
         # Weights are stationary, so encodings are memoized across stagings;
         # the bulk row update keeps the read-modify-write accounting of the

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.cmem.geometry import COLS, FULL_CSR_MASK, LANE_WIDTH, ROWS
 from repro.errors import CMemError, RowIndexError
 from repro.sram.array import SRAMArray, SRAMArrayConfig
 from repro.utils.bitops import bytes_to_bitplanes
@@ -25,23 +26,20 @@ from repro.utils.bitops import bytes_to_bitplanes
 class CMemSlice:
     """One 64 x 256 compute slice, accessible only by row index."""
 
-    ROWS = 64
-    COLS = 256
-
     def __init__(self, index: int, *, eight_transistor: bool = False) -> None:
         self.index = index
         self.array = SRAMArray(
             SRAMArrayConfig(
-                rows=self.ROWS, cols=self.COLS, eight_transistor=eight_transistor
+                rows=ROWS, cols=COLS, eight_transistor=eight_transistor
             )
         )
-        # Per-slice CSR: 8 mask bits, each enabling 32 bit-lines (Sec. 3.3).
-        self.csr_mask = 0xFF
+        # Per-slice CSR: one mask bit per 32-bit-line lane (Sec. 3.3).
+        self.csr_mask = FULL_CSR_MASK
 
     def _check_row(self, row: int) -> None:
-        if not 0 <= row < self.ROWS:
+        if not 0 <= row < ROWS:
             raise RowIndexError(
-                f"slice {self.index}: row {row} out of range [0, {self.ROWS})"
+                f"slice {self.index}: row {row} out of range [0, {ROWS})"
             )
 
     def read_row(self, row: int) -> np.ndarray:
@@ -57,7 +55,7 @@ class CMemSlice:
         if value not in (0, 1):
             raise CMemError(f"SetRow.C value must be 0 or 1, got {value}")
         self._check_row(row)
-        self.array.write_row(row, np.full(self.COLS, value, dtype=np.uint8))
+        self.array.write_row(row, np.full(COLS, value, dtype=np.uint8))
 
     def shift_row(self, row: int, words: int) -> None:
         """ShiftRow.C: rotate one row by ``words`` 32-bit groups.
@@ -69,17 +67,17 @@ class CMemSlice:
         self._check_row(row)
         if words == 0:
             return
-        shift_bits = words * 32
-        if abs(shift_bits) >= self.COLS:
+        shift_bits = words * LANE_WIDTH
+        if abs(shift_bits) >= COLS:
             raise CMemError(
-                f"ShiftRow.C by {words} words exceeds the {self.COLS}-bit row"
+                f"ShiftRow.C by {words} words exceeds the {COLS}-bit row"
             )
         bits = self.array.read_row(row)
         out = np.zeros_like(bits)
         if shift_bits > 0:
-            out[shift_bits:] = bits[: self.COLS - shift_bits]
+            out[shift_bits:] = bits[: COLS - shift_bits]
         else:
-            out[: self.COLS + shift_bits] = bits[-shift_bits:]
+            out[: COLS + shift_bits] = bits[-shift_bits:]
         self.array.write_row(row, out)
 
     def activate_pair(self, row_a: int, row_b: int):
@@ -101,7 +99,7 @@ class CMemSlice:
 class TransposeBuffer(CMemSlice):
     """Slice 0: dual-addressed (byte-vertical + row) cache/transpose buffer."""
 
-    BYTES = CMemSlice.ROWS * CMemSlice.COLS // 8  # 2048
+    BYTES = ROWS * COLS // 8  # 2048
 
     def __init__(self) -> None:
         super().__init__(index=0, eight_transistor=True)
@@ -111,8 +109,8 @@ class TransposeBuffer(CMemSlice):
             raise CMemError(
                 f"slice-0 byte address {addr} out of range [0, {self.BYTES})"
             )
-        group = addr // self.COLS
-        column = addr % self.COLS
+        group = addr // COLS
+        column = addr % COLS
         return group, column
 
     def store_byte(self, addr: int, value: int) -> None:
@@ -145,12 +143,12 @@ class TransposeBuffer(CMemSlice):
         if n_bits % 8:
             raise CMemError(f"vertical stores are byte-granular, got {n_bits} bits")
         values = np.asarray(list(values), dtype=np.int64)
-        if len(values) > self.COLS:
+        if len(values) > COLS:
             raise CMemError(
-                f"vector of {len(values)} elements exceeds {self.COLS} bit-lines"
+                f"vector of {len(values)} elements exceeds {COLS} bit-lines"
             )
         n_groups = n_bits // 8
-        if not 0 <= group <= self.ROWS // 8 - n_groups:
+        if not 0 <= group <= ROWS // 8 - n_groups:
             raise CMemError(f"row group {group} out of range for {n_bits}-bit store")
         encoded = values & ((1 << n_bits) - 1)
         for g in range(n_groups):

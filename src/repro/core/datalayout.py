@@ -16,6 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.cmem.geometry import COLS, LANE_WIDTH, LANES
 from repro.errors import CapacityError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec
@@ -50,7 +51,7 @@ class NodeLayout:
     @property
     def csr_mask(self) -> int:
         """CSR lane mask covering the layer's channel count."""
-        lanes = min(8, max(1, math.ceil(min(self.spec.c, 256) / 32)))
+        lanes = min(LANES, max(1, math.ceil(min(self.spec.c, COLS) / LANE_WIDTH)))
         return (1 << lanes) - 1
 
 
@@ -108,11 +109,10 @@ def load_filters_into_cmem(
     LoadRow.RC; here they are placed directly, charging vertical-write
     energy, which is the staging path's dominant cost.
     """
-    cols = cmem.config.cols
     for entry in layout.entries:
         channels = weights[entry.filter_index, :, entry.fr, entry.fs]
-        lo = entry.sub * cols
-        hi = min(channels.shape[0], lo + cols)
+        lo = entry.sub * COLS
+        hi = min(channels.shape[0], lo + COLS)
         if lo >= channels.shape[0]:
             raise CapacityError(
                 f"sub-vector {entry.sub} exceeds {channels.shape[0]} channels"

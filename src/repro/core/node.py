@@ -14,6 +14,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cmem.geometry import COLS
 from repro.core.conv_kernel import (
     ConvKernelGenerator,
     KernelPlan,
@@ -25,7 +26,7 @@ from repro.core.scheduler import static_schedule
 from repro.errors import ConfigurationError
 from repro.nn.layers import _im2col
 from repro.nn.workloads import ConvLayerSpec
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 from repro.riscv.isa import Instruction
 from repro.riscv.pipeline import PipelineConfig, PipelineStats
 from repro.telemetry import TelemetrySink, current as _current_telemetry
@@ -91,7 +92,7 @@ class _VirtualDC:
         encoded = to_twos_complement(
             ifmap.reshape(c, h * w).T, n_bits
         )  # (pixels, channels)
-        width = 256
+        width = COLS
         self._rows: List[List[int]] = []
         for p in range(h * w):
             packed_rows = []
@@ -193,7 +194,7 @@ class MAICCNode:
         program = self.build_program(static=static)
         dc = _VirtualDC(self.spec, np.asarray(ifmap, dtype=np.int64), self.spec.n_bits)
         core = Core(
-            CoreConfig(pipeline=pipeline or self.pipeline_config),
+            pipeline or self.pipeline_config,
             remote_handler=dc,
             node_id=self.node_id,
             telemetry=self.telemetry,

@@ -26,9 +26,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import MappingError
+from repro.cmem.isa import MAC_C, MAX_OPERAND_BITS, MOVE_C, cmem_op_cycles
+from repro.errors import CMemError, MappingError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec
+
+
+#: Table 2's Move.C and MAC.C cycles for every legal operand width, read
+#: from :func:`~repro.cmem.isa.cmem_op_cycles` once: ``iteration_timing``
+#: runs thousands of times per sweep, and a lookup costs no call.
+_VECTOR_OP_CYCLES = {
+    n: (cmem_op_cycles(MOVE_C, n), cmem_op_cycles(MAC_C, n))
+    for n in range(1, MAX_OPERAND_BITS + 1)
+}
 
 
 @dataclass(frozen=True)
@@ -183,13 +193,19 @@ class PerformanceModel:
         macs = n_i * vpf_macs * density
         slices_used = self._slices_holding(spec, n_i)
         moves = slices_used * sub_vectors
+        if n not in _VECTOR_OP_CYCLES:
+            raise CMemError(
+                f"{spec.name}: {n}-bit operands are outside the CMem's "
+                f"1..{MAX_OPERAND_BITS}-bit operand range"
+            )
+        move_cycles, mac_cycles = _VECTOR_OP_CYCLES[n]
         if p.slice_parallel_cmem:
             # Slices compute in parallel; moves serialize through slice 0.
             per_slice = math.ceil(macs / slices_used) if macs else 0
-            t_cmem = moves * n + per_slice * n * n
+            t_cmem = moves * move_cycles + per_slice * mac_cycles
         else:
             # Paper's Eq. (1): CMem occupancy linear in the per-node work.
-            t_cmem = moves * n + macs * n * n
+            t_cmem = moves * move_cycles + macs * mac_cycles
         completed = n_i * density  # ofmap values finished this iteration
         oh = p.pipeline_overhead
         return IterationTiming(

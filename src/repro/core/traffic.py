@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
+from repro.cmem.geometry import COLS
 from repro.mapping.placement import NodePlacement
 from repro.mapping.segmentation import Segment
-from repro.noc.mesh import MeshConfig, MeshNoC
+from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
+
+if TYPE_CHECKING:
+    from repro.sim.config import SimConfig
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ def segment_wave(segment: Segment, placement: NodePlacement) -> List[LayerWave]:
     indices = [spec.index for spec in segment.layers]
     for pos, spec in enumerate(segment.layers):
         chain = [placement.dc[spec.index]] + placement.computing[spec.index]
-        rows = spec.n_bits * max(1, math.ceil(spec.c / 256))
+        rows = spec.n_bits * max(1, math.ceil(spec.c / COLS))
         hops = [
             WaveStream(
                 f"{spec.name}/chain{hop}",
@@ -85,15 +89,12 @@ def segment_wave(segment: Segment, placement: NodePlacement) -> List[LayerWave]:
 
 
 def simulate_segment_traffic(
-    segment: Segment,
-    placement: NodePlacement,
-    *,
-    noc: Optional[MeshNoC] = None,
+    segment: Segment, placement: NodePlacement, config: SimConfig
 ) -> TrafficResult:
-    """Replay one iteration wave of a placed segment on the mesh."""
-    noc = noc or MeshNoC(MeshConfig())
-    start_packets = noc.stats.packets
-    start_hops = noc.stats.flit_hops
+    """Replay one iteration wave of a placed segment on ``config``'s mesh,
+    at the hop delay the tiers charge (``config.params.hop_latency``)."""
+    chip = config.chip
+    noc = MeshNoC(chip.mesh_width, chip.mesh_height, config.params.hop_latency)
     completion = 0
     for hops, stores in segment_wave(segment, placement):
         # Ifmap vector rows ripple down the chain: one back-to-back
@@ -107,6 +108,6 @@ def simulate_segment_traffic(
             completion = max(completion, arrival)
     return TrafficResult(
         completion_cycles=completion,
-        packets=noc.stats.packets - start_packets,
-        flit_hops=noc.stats.flit_hops - start_hops,
+        packets=noc.stats.packets,
+        flit_hops=noc.stats.flit_hops,
     )

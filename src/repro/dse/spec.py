@@ -54,6 +54,7 @@ from repro.nn.workloads import (
     transformer_block_spec,
     vgg11_spec,
 )
+from repro.riscv.memory import DRAM_CHANNELS
 from repro.sim.config import SimConfig, check_batch
 
 #: Networks a sweep can name (factory per name, so every design point
@@ -67,11 +68,11 @@ NETWORKS: Dict[str, Callable[[], NetworkSpec]] = {
     "transformer_block": transformer_block_spec,
 }
 
-#: The reference design every scaling is anchored to (the paper's chip;
-#: its CMem geometry, ``REF_SLICES`` x ``REF_ROWS``, is the one the
-#: per-unit CMem costs are quoted for).
-REF_MESH = (16, 16)
-REF_CHANNELS = 32
+#: The reference design every scaling is anchored to: the default
+#: chip's mesh and its ``DRAM_CHANNELS`` channels.  Its CMem geometry,
+#: ``REF_SLICES`` x ``REF_ROWS``, is the one the per-unit CMem costs are
+#: quoted for.
+REF_MESH = (ChipConfig().mesh_width, ChipConfig().mesh_height)
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ class DesignPoint:
     mesh: Tuple[int, int] = REF_MESH
     cmem_slices: int = REF_SLICES
     cmem_rows: int = REF_ROWS
-    dram_channels: int = REF_CHANNELS
+    dram_channels: int = DRAM_CHANNELS
     batch: int = 1
     batch_requests: int = 1
 
@@ -154,14 +155,14 @@ class DesignPoint:
         (``ChipConstants()`` bit for bit at the reference count)."""
         w, h = self.mesh
         base = ChipConstants()
-        scale = self.dram_channels / REF_CHANNELS
+        scale = self.dram_channels / DRAM_CHANNELS
         constants = replace(base, dram_background_w=base.dram_background_w * scale)
         return ChipConfig(mesh_width=w, mesh_height=h, constants=constants)
 
     def timing_params(self) -> TimingParams:
         """Unit costs with the DRAM-bandwidth terms scaled per channel."""
         base = TimingParams()
-        scale = self.dram_channels / REF_CHANNELS
+        scale = self.dram_channels / DRAM_CHANNELS
         return replace(
             base,
             filter_load_bw=base.filter_load_bw * scale,
@@ -204,7 +205,7 @@ class SweepSpec:
     meshes: Tuple[Tuple[int, int], ...] = (REF_MESH,)
     cmem_slices: Tuple[int, ...] = (REF_SLICES,)
     cmem_rows: Tuple[int, ...] = (REF_ROWS,)
-    dram_channels: Tuple[int, ...] = (REF_CHANNELS,)
+    dram_channels: Tuple[int, ...] = (DRAM_CHANNELS,)
     batch: int = 1
     batch_requests: int = 1
 
@@ -265,7 +266,6 @@ class SweepSpec:
 
 __all__ = [
     "NETWORKS",
-    "REF_CHANNELS",
     "REF_MESH",
     "REF_ROWS",
     "REF_SLICES",

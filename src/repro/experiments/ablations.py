@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.baselines.neural_cache import NeuralCacheModel
 from repro.cmem.cmem import CMem
+from repro.cmem.isa import MAC_C, cmem_op_cycles
 from repro.core.node import table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
 from repro.core.traffic import simulate_segment_traffic
@@ -96,7 +97,7 @@ def run_precision() -> ExperimentResult:
         )
         result.add_row(
             n_bits=n,
-            mac_cycles=n * n,
+            mac_cycles=cmem_op_cycles(MAC_C, n),
             slots_per_slice=config.capacity.vector_slots_per_slice(n),
             resnet_latency_ms=round(simulate(net, config=config).latency_ms, 3),
             passes=max(_tiled_layers(net, config).values(), default=1),
@@ -139,21 +140,23 @@ def run_primitives() -> ExperimentResult:
 
 def run_placement() -> ExperimentResult:
     """Placement policy vs one iteration wave's NoC cost."""
-    plan = HeuristicStrategy(SimConfig().array_size).plan(
+    config = SimConfig()
+    plan = HeuristicStrategy(config.array_size).plan(
         resnet18_spec(), PerformanceModel().layer_time_fn()
     )
     segment = plan.segments[1]
+    region = config.chip.compute_region
     result = ExperimentResult(
         experiment="ablation-placement",
         title="Ablation: placement policy (Fig. 7(c)) — one iteration wave",
         columns=["policy", "flit_hops", "completion_cycles"],
     )
     for name, placement in (
-        ("zig-zag", zigzag_placement(segment)),
-        ("raster", raster_placement(segment)),
-        ("random", random_placement(segment, seed=1)),
+        ("zig-zag", zigzag_placement(segment, region)),
+        ("raster", raster_placement(segment, region)),
+        ("random", random_placement(segment, region, seed=1)),
     ):
-        traffic = simulate_segment_traffic(segment, placement)
+        traffic = simulate_segment_traffic(segment, placement, config)
         result.add_row(
             policy=name,
             flit_hops=traffic.flit_hops,

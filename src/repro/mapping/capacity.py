@@ -15,18 +15,23 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.cmem.geometry import COLS, LANE_WIDTH, ROWS, SLICES
 from repro.errors import CapacityError
 from repro.nn.workloads import ConvLayerSpec
 
 
 @dataclass(frozen=True)
 class CapacityModel:
-    """The per-node filter-capacity model of the execution framework."""
+    """The per-node filter-capacity model of the execution framework.
 
-    compute_slices: int = 7
-    rows: int = 64
-    cols: int = 256
-    lane_width: int = 32
+    Defaults are the paper's node (:mod:`repro.cmem.geometry`); the
+    design-space sweeps vary the compute slices and rows.
+    """
+
+    compute_slices: int = SLICES - 1
+    rows: int = ROWS
+    cols: int = COLS
+    lane_width: int = LANE_WIDTH
 
     def vector_slots_per_slice(self, n_bits: int) -> int:
         """Q = rows/N - 1: one N-row group is reserved for the ifmap."""

@@ -22,9 +22,6 @@ class Layer:
 
     arity = 1
 
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        raise NotImplementedError
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -34,9 +31,6 @@ class Input(Layer):
     """Graph entry point carrying the input shape."""
 
     shape: Shape
-
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        return self.shape
 
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
@@ -84,22 +78,6 @@ class Conv2d(Layer):
         self.stride = stride
         self.padding = padding
 
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        (shape,) = input_shapes
-        c, h, w = shape
-        if c != self.weight.shape[1]:
-            raise ShapeError(
-                f"conv expects {self.weight.shape[1]} input channels, got {c}"
-            )
-        oh, ow = conv2d_output_hw(
-            h, w, self.weight.shape[2], self.weight.shape[3], self.stride, self.padding
-        )
-        return (self.out_channels, oh, ow)
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
         m, c, r, s = self.weight.shape
@@ -120,14 +98,6 @@ class Linear(Layer):
         self.bias = (
             np.zeros(weight.shape[0]) if bias is None else np.asarray(bias, dtype=np.float64)
         )
-
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        (shape,) = input_shapes
-        if int(np.prod(shape)) != self.weight.shape[1]:
-            raise ShapeError(
-                f"linear expects {self.weight.shape[1]} inputs, got shape {shape}"
-            )
-        return (self.weight.shape[0],)
 
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
@@ -157,14 +127,6 @@ class BatchNorm2d(Layer):
         shift = self.beta - scale * self.running_mean
         return scale, shift
 
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        (shape,) = input_shapes
-        if shape[0] != self.gamma.shape[0]:
-            raise ShapeError(
-                f"batchnorm expects {self.gamma.shape[0]} channels, got {shape[0]}"
-            )
-        return shape
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
         scale, shift = self.scale_shift()
@@ -172,10 +134,6 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        (shape,) = input_shapes
-        return shape
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
         return np.maximum(x, 0.0)
@@ -226,22 +184,12 @@ class Add(Layer):
 
     arity = 2
 
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        a, b = input_shapes
-        if tuple(a) != tuple(b):
-            raise ShapeError(f"residual add of mismatched shapes {a} and {b}")
-        return a
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         a, b = inputs
         return a + b
 
 
 class Flatten(Layer):
-    def output_shape(self, *input_shapes: Shape) -> Shape:
-        (shape,) = input_shapes
-        return (int(np.prod(shape)),)
-
     def forward(self, *inputs: np.ndarray) -> np.ndarray:
         (x,) = inputs
         return x.reshape(-1)

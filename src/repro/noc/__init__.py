@@ -1,23 +1,21 @@
 """2D-mesh network-on-chip model (booksim2 substitute).
 
-X-Y dimension-ordered routing on a 16x16 mesh connecting the host tile,
-the 15x14 compute cores, and the two LLC rows.  The model exposes both a
-closed-form latency (hops x per-hop delay + serialization) used by the
-streaming simulator and a contention-aware link-occupancy mode, plus
-flit-hop accounting for the 5.4 pJ/flit/hop energy model.
+X-Y dimension-ordered routing on the chip's mesh (16x16 on the paper's
+chip) connecting the host tile, the compute cores, and the two LLC rows.
+The model is contention-aware link occupancy, plus flit-hop accounting
+for the 5.4 pJ/flit/hop energy model.  The mesh size and the per-hop
+delay come from the machine description the caller holds.
 """
 
 from repro.noc.packet import Packet, PacketKind, FLIT_BITS
-from repro.noc.router import xy_route, hop_count
-from repro.noc.mesh import MeshConfig, MeshNoC, NoCStats
+from repro.noc.router import xy_route
+from repro.noc.mesh import MeshNoC, NoCStats
 
 __all__ = [
     "Packet",
     "PacketKind",
     "FLIT_BITS",
     "xy_route",
-    "hop_count",
-    "MeshConfig",
     "MeshNoC",
     "NoCStats",
 ]

@@ -1,15 +1,13 @@
-"""The mesh NoC: latency, contention, and traffic accounting.
+"""The mesh NoC: contention-aware link occupancy and traffic accounting.
 
-Two usage modes:
-
-* **Closed-form** (:meth:`MeshNoC.latency`): ``hops * router_delay +
-  (flits - 1)`` serialization cycles — what the streaming simulator uses
-  for steady-state estimates.
-* **Link-occupancy** (:meth:`MeshNoC.send`): each directed link has a
-  busy-until time; a packet acquires its X-Y path links in order, modeling
-  head-of-line contention without per-flit simulation.  Deterministic and
-  cheap, adequate for the traffic the execution framework generates
-  (neighbour-to-neighbour streams by construction of the zig-zag mapping).
+Each directed link has a busy-until time; a packet acquires its X-Y path
+links in order, modeling head-of-line contention without per-flit
+simulation.  Deterministic and cheap, adequate for the traffic the
+execution framework generates (neighbour-to-neighbour streams by
+construction of the zig-zag mapping).  The mesh size and the per-hop
+delay are the machine's (``ChipConfig`` and ``TimingParams.hop_latency``),
+handed in by the caller that holds the ``SimConfig``, so this replay and
+the tiers charge one hop.
 
 Energy is the energy model's: it bills flit-hops at
 ``ChipConstants.noc_flit_hop_pj`` (5.4 pJ) plus ``noc_static_w`` (2.20 W
@@ -23,21 +21,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import NoCError
 from repro.noc.packet import Packet
-from repro.noc.router import hop_count, xy_route
+from repro.noc.router import xy_route
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 from repro.telemetry.hooks import publish_stats
 
 Coord = Tuple[int, int]
 Link = Tuple[Coord, Coord]
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    """Mesh geometry and hop delay (defaults: the paper's 16x16 chip)."""
-
-    width: int = 16
-    height: int = 16
-    router_delay: int = 2  # cycles per hop (route + switch + link)
 
 
 @dataclass
@@ -64,48 +53,35 @@ class LinkStats:
 
 
 class MeshNoC:
-    """A 2D-mesh interconnect with X-Y routing."""
+    """A ``width`` x ``height`` 2D-mesh interconnect with X-Y routing.
+
+    Its clock counts whole cycles, so ``hop_latency`` must be a whole
+    number of cycles; a fractional hop raises :class:`NoCError` rather
+    than being truncated.
+    """
 
     def __init__(
         self,
-        config: MeshConfig = MeshConfig(),
+        width: int,
+        height: int,
+        hop_latency: float,
+        *,
         telemetry: Optional[TelemetrySink] = None,
     ) -> None:
-        self.config = config
+        if not float(hop_latency).is_integer() or hop_latency < 0:
+            raise NoCError(
+                f"the mesh clock counts whole cycles; a hop of "
+                f"{hop_latency} cycles is not a whole number of them"
+            )
+        self.width = width
+        self.height = height
+        self.hop_latency = int(hop_latency)
         self.stats = NoCStats()
         # busy-until time per directed link ((x,y) -> (x',y')).
         self._link_free: Dict[Link, int] = {}
         # Per-link occupancy, populated by contention-aware sends.
         self.link_stats: Dict[Link, LinkStats] = {}
         self._telemetry = telemetry if telemetry is not None else _current_telemetry()
-
-    def check_coord(self, coord: Coord) -> None:
-        x, y = coord
-        if not (0 <= x < self.config.width and 0 <= y < self.config.height):
-            raise NoCError(
-                f"{coord} outside the {self.config.width}x{self.config.height} mesh"
-            )
-
-    # -- closed-form -------------------------------------------------------------
-
-    def latency(self, src: Coord, dst: Coord, flits: int) -> int:
-        """Zero-load latency of a ``flits``-flit packet from src to dst."""
-        self.check_coord(src)
-        self.check_coord(dst)
-        if flits < 1:
-            raise NoCError(f"packet must have at least 1 flit, got {flits}")
-        hops = hop_count(src, dst)
-        return hops * self.config.router_delay + (flits - 1)
-
-    def account(self, src: Coord, dst: Coord, flits: int) -> int:
-        """Record traffic for energy accounting; returns zero-load latency."""
-        lat = self.latency(src, dst, flits)
-        self.stats.packets += 1
-        self.stats.flit_hops += flits * hop_count(src, dst)
-        self.stats.total_latency += lat
-        return lat
-
-    # -- contention-aware --------------------------------------------------------
 
     def send(self, packet: Packet, inject_time: int) -> int:
         """Send a packet at ``inject_time``; returns its arrival time.
@@ -114,7 +90,7 @@ class MeshNoC:
         waiting for the link to free; each link is then held for the packet's
         serialization time (``flits`` cycles).
         """
-        path = xy_route(packet.src, packet.dst, self.config.width, self.config.height)
+        path = xy_route(packet.src, packet.dst, self.width, self.height)
         flits = packet.flits
         telemetry = self._telemetry
         t = inject_time
@@ -123,13 +99,13 @@ class MeshNoC:
             free_at = self._link_free.get(link, 0)
             wait = max(0, free_at - t)
             start = max(t, free_at)
-            t = start + self.config.router_delay
+            t = start + self.hop_latency
             self._link_free[link] = t + flits - 1
             occupancy = self.link_stats.get(link)
             if occupancy is None:
                 occupancy = self.link_stats[link] = LinkStats()
             occupancy.packets += 1
-            occupancy.busy_cycles += self.config.router_delay + flits - 1
+            occupancy.busy_cycles += self.hop_latency + flits - 1
             if wait > occupancy.max_wait:
                 occupancy.max_wait = wait
             if telemetry.enabled:
@@ -138,7 +114,7 @@ class MeshNoC:
                     f"noc/{a[0]},{a[1]}->{b[0]},{b[1]}",
                     packet.kind.value,
                     start,
-                    self.config.router_delay + flits - 1,
+                    self.hop_latency + flits - 1,
                     args={"flits": flits, "wait": wait},
                 )
         arrival = t + flits - 1
@@ -172,12 +148,10 @@ class MeshNoC:
                 t = self.send(packet, t)
             return t
         arrival = self.send(packet, inject_time)
-        path = xy_route(
-            packet.src, packet.dst, self.config.width, self.config.height
-        )
+        path = xy_route(packet.src, packet.dst, self.width, self.height)
         hops = len(path) - 1
         flits = packet.flits
-        rd = self.config.router_delay
+        rd = self.hop_latency
         serialization = flits - 1
         zero_load = hops * rd + serialization
         n = count - 1  # follow-on copies, all at zero-load latency

@@ -30,8 +30,3 @@ def xy_route(src: Coord, dst: Coord, width: int, height: int) -> List[Coord]:
         y += step
         path.append((x, y))
     return path
-
-
-def hop_count(src: Coord, dst: Coord) -> int:
-    """Manhattan distance — the number of links an X-Y packet crosses."""
-    return abs(src[0] - dst[0]) + abs(src[1] - dst[1])

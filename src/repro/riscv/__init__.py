@@ -13,7 +13,7 @@ from repro.riscv.assembler import assemble, AssemblerError
 from repro.riscv.registers import RegisterFile, reg_index, REG_NAMES
 from repro.riscv.memory import AddressRegion, MemoryMap, NodeMemory
 from repro.riscv.pipeline import Pipeline, PipelineConfig, PipelineStats
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 
 __all__ = [
     "FunctionalUnit",
@@ -32,5 +32,4 @@ __all__ = [
     "PipelineConfig",
     "PipelineStats",
     "Core",
-    "CoreConfig",
 ]

@@ -3,14 +3,17 @@
 ``Core`` is the single-node facade used by tests, the Table 4/5
 experiments, and the kernel generator: assemble a program, point it at a
 CMem, optionally install remote/DRAM handlers, and run.
+
+The paper's node (Fig. 3(b)): a 5-stage RV32IMA pipeline, a 4 KB
+instruction cache (not timed separately: single-cycle fetch), a 4 KB
+data memory, and a 16 KB CMem.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
-from repro.cmem.cmem import CMem, CMemConfig
+from repro.cmem.cmem import CMem
 from repro.riscv.assembler import assemble
 from repro.riscv.executor import Executor
 from repro.riscv.isa import Instruction
@@ -20,28 +23,12 @@ from repro.riscv.registers import RegisterFile
 from repro.telemetry import TelemetrySink, current as _current_telemetry
 
 
-@dataclass(frozen=True)
-class CoreConfig:
-    """Per-node configuration: pipeline knobs + CMem geometry.
-
-    The paper's node (Fig. 3(b)): a 5-stage RV32IMA pipeline, a 4 KB
-    instruction cache (not timed separately: single-cycle fetch), a 4 KB
-    data memory, and a 16 KB CMem.
-    """
-
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-    cmem: CMemConfig = field(default_factory=CMemConfig)
-    # Area/power of one core at 28 nm / 1 GHz (paper Sec. 5).
-    area_mm2: float = 0.014
-    power_w: float = 0.008
-
-
 class Core:
     """One lightweight RISC-V core with an attached CMem."""
 
     def __init__(
         self,
-        config: Optional[CoreConfig] = None,
+        config: Optional[PipelineConfig] = None,
         *,
         cmem: Optional[CMem] = None,
         remote_handler: Optional[RemoteHandler] = None,
@@ -50,18 +37,14 @@ class Core:
         telemetry: Optional[TelemetrySink] = None,
         track: Optional[str] = None,
     ) -> None:
-        self.config = config or CoreConfig()
+        self.config = config or PipelineConfig()
         self.node_id = node_id
         self.telemetry = telemetry if telemetry is not None else _current_telemetry()
         self.track = track if track is not None else f"core/{node_id}"
         self.cmem = (
             cmem
             if cmem is not None
-            else CMem(
-                self.config.cmem,
-                telemetry=self.telemetry,
-                track=f"{self.track}/cmem-array",
-            )
+            else CMem(telemetry=self.telemetry, track=f"{self.track}/cmem-array")
         )
         self.regs = RegisterFile()
         self.memory = NodeMemory(
@@ -84,8 +67,7 @@ class Core:
         pipeline = Pipeline(
             program,
             self.executor,
-            self.config.pipeline,
-            num_cmem_slices=self.cmem.config.num_slices,
+            self.config,
             telemetry=self.telemetry,
             track=self.track,
         )

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cmem.cmem import CMem
+from repro.cmem.geometry import COLS, FULL_CSR_MASK
 from repro.errors import DecodeError
 from repro.riscv.isa import Instruction
 from repro.riscv.memory import AddressRegion, MemoryMap, NodeMemory
@@ -340,7 +341,7 @@ class Executor:
     def _op_setcsr_c(self, i: Instruction, pc: int) -> ExecResult:
         cmem = self._require_cmem()
         cm = i.cm
-        cmem.slice(cm["slice"]).csr_mask = cm["mask"] & 0xFF
+        cmem.slice(cm["slice"]).csr_mask = cm["mask"] & FULL_CSR_MASK
         return ExecResult(next_pc=pc + 1, cmem_slices=(cm["slice"],))
 
     def _op_loadrow_rc(self, i: Instruction, pc: int) -> ExecResult:
@@ -351,7 +352,7 @@ class Executor:
         if self.memory.remote_handler is None:
             raise DecodeError("LoadRow.RC with no NoC row handler attached")
         bits = self.memory.remote_handler(False, addr, 32, 0)
-        row_bits = [(bits >> b) & 1 for b in range(256)]
+        row_bits = [(bits >> b) & 1 for b in range(COLS)]
         cmem.write_row(cm["slice"], cm["row"], row_bits)
         return ExecResult(
             next_pc=pc + 1,

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Protocol
 
+from repro.cmem.geometry import SLICES
 from repro.errors import ConfigurationError, SimulationError
 from repro.riscv.executor import ExecResult
 from repro.riscv.isa import FunctionalUnit, Instruction, instr_slices
@@ -85,13 +86,13 @@ class CMemIssueQueue:
     statically decoded results, so the two cannot drift apart.
     """
 
-    def __init__(self, queue_size: int, num_slices: int) -> None:
+    def __init__(self, queue_size: int) -> None:
         self.queue_size = queue_size
         # Start times of previously accepted CMem ops, newest last; an op's
         # queue slot frees when it starts, so acceptance is gated on the
         # start time of the op ``queue_size`` positions back.
         self.start_times: Deque[int] = deque()
-        self.slice_free = [0] * num_slices
+        self.slice_free = [0] * SLICES
         self.last_start = -1
         self.busy_cycles = 0
 
@@ -139,7 +140,6 @@ class Pipeline:
         program: List[Instruction],
         executor: ResultSource,
         config: PipelineConfig = PipelineConfig(),
-        num_cmem_slices: int = 8,
         *,
         telemetry: Optional[TelemetrySink] = None,
         track: str = "core/0",
@@ -149,7 +149,7 @@ class Pipeline:
         self.config = config
         self.stats = PipelineStats()
         self.scoreboard = Scoreboard()
-        self.cmem_unit = CMemIssueQueue(config.cmem_queue_size, num_cmem_slices)
+        self.cmem_unit = CMemIssueQueue(config.cmem_queue_size)
         self.muldiv_free = 0
         self.wb_slots: Dict[int, int] = {}
         self.pc = 0

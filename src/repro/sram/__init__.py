@@ -10,7 +10,6 @@ Cache built on top.
 from repro.sram.array import SRAMArray, SRAMArrayConfig
 from repro.sram.bitline import BitlineResult, bitline_and_nor
 from repro.sram.bitserial import BitSerialCosts
-from repro.sram.energy import SRAMEnergy
 
 __all__ = [
     "SRAMArray",
@@ -18,5 +17,4 @@ __all__ = [
     "BitlineResult",
     "bitline_and_nor",
     "BitSerialCosts",
-    "SRAMEnergy",
 ]

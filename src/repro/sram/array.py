@@ -230,14 +230,3 @@ class SRAMArray:
                 raise SRAMError("cannot activate the same word-line twice")
         self.stats.compute_activations += rows_a.size * rows_b.size
         return self._cells[rows_a], self._cells[rows_b]
-
-    # -- convenience -------------------------------------------------------
-
-    def load(self, cells: np.ndarray) -> None:
-        """Bulk-load the full cell matrix (test fixture helper)."""
-        cells = np.asarray(cells, dtype=np.uint8)
-        if cells.shape != self._cells.shape:
-            raise SRAMError(
-                f"expected shape {self._cells.shape}, got {cells.shape}"
-            )
-        self._cells[:] = cells

@@ -9,13 +9,27 @@ simulator agree about what a deadlock is.
 
 from repro.analysis import (
     RouteFlow,
-    check_routes,
+    analyze_plan,
+    check_routes as check_on,
     plan_route_flows,
-    replay_routes,
+    replay_routes as replay_on,
 )
-from repro.nn.workloads import small_cnn_spec
+from repro.core.chip import ChipConfig
+from repro.mapping.tiling import tile_network
+from repro.nn.workloads import resnet18_spec, small_cnn_spec
 from repro.sim.accounting import plan_network
 from repro.sim.config import SimConfig
+
+#: The paper's 16x16 chip, the mesh these route sets are drawn on.
+CHIP = ChipConfig()
+
+
+def check_routes(flows):
+    return check_on(flows, CHIP)
+
+
+def replay_routes(flows):
+    return replay_on(flows, CHIP)
 
 
 def rules_of(report):
@@ -134,7 +148,7 @@ class TestPlanRoutes:
     def test_small_cnn_routes_lint_clean_and_drain(self):
         config = SimConfig()
         plan = plan_network(small_cnn_spec(), "heuristic", config)
-        flows = plan_route_flows(plan)
+        flows = plan_route_flows(plan, config.chip)
         assert flows
         report = check_routes(flows)
         assert report.clean, report.render()
@@ -143,6 +157,36 @@ class TestPlanRoutes:
     def test_region_offset_shifts_routes(self):
         config = SimConfig()
         plan = plan_network(small_cnn_spec(), "heuristic", config)
-        base = {f.src for f in plan_route_flows(plan)}
-        shifted = {f.src for f in plan_route_flows(plan, start_offset=50)}
+        base = {f.src for f in plan_route_flows(plan, config.chip)}
+        shifted = {
+            f.src for f in plan_route_flows(plan, config.chip, start_offset=50)
+        }
         assert base != shifted
+
+
+class TestChipMesh:
+    """The checker and the placements take the mesh of the chip given."""
+
+    MESH_12 = SimConfig(chip=ChipConfig(mesh_width=12, mesh_height=12))
+
+    def test_plan_routes_stay_in_the_compute_region(self):
+        config = self.MESH_12
+        network = tile_network(resnet18_spec(), config.capacity, config.array_size)
+        plan = plan_network(network, "heuristic", config)
+        flows = plan_route_flows(plan, config.chip)
+        assert flows
+        # 11 x 10 compute tiles from (0, 1): the host column and the two
+        # LLC rows of the 12x12 floorplan stay free.
+        for flow in flows:
+            for x, y in (flow.src, flow.dst):
+                assert 0 <= x < 11 and 1 <= y < 11, flow
+
+    def test_route_leaving_the_mesh_is_noc703(self):
+        flow = RouteFlow("wide", (10, 1), (14, 1))
+        report = analyze_plan(
+            config=self.MESH_12, routes=[flow], families=("noc",)
+        )
+        assert "NOC703" in rules_of(report)
+        assert "12x12 mesh" in report.diagnostics[0].message
+        # The same route fits the paper's 16x16 mesh.
+        assert check_routes([flow]).clean

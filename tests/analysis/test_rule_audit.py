@@ -14,10 +14,11 @@ from repro.analysis import (
     ResidentPlan,
     RouteFlow,
     RULES,
-    check_routes,
+    check_routes as check_on,
     verify_plan,
     verify_program,
 )
+from repro.core.chip import ChipConfig
 from repro.mapping.allocation import AllocationResult
 from repro.mapping.segmentation import Segment, SegmentPlan
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec
@@ -79,6 +80,10 @@ def _plan605():
 def _plan606():
     residents = [_small_resident("a", 0), _small_resident("b", 1)]
     return verify_plan(co_resident=residents)
+
+
+def check_routes(flows):
+    return check_on(flows, ChipConfig())
 
 
 def _noc701():

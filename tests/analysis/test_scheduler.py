@@ -15,7 +15,7 @@ from repro.core.node import MAICCNode
 from repro.errors import SchedulingError
 from repro.nn.workloads import ConvLayerSpec
 from repro.riscv.assembler import assemble
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 from repro.riscv.pipeline import PipelineConfig
 
 
@@ -36,7 +36,7 @@ def make_node(seed=0, **kw):
 
 def simulate(program, **cfg) -> int:
     core = Core(
-        CoreConfig(pipeline=PipelineConfig(**cfg)),
+        PipelineConfig(**cfg),
         remote_handler=lambda is_store, addr, size, value: 0,
     )
     return core.run(program).cycles

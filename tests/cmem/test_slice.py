@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cmem.geometry import COLS, ROWS
 from repro.cmem.slice import CMemSlice, TransposeBuffer
 from repro.errors import CMemError, RowIndexError
 from tests.readback import read_transposed
@@ -11,7 +12,8 @@ from tests.readback import read_transposed
 class TestCMemSlice:
     def test_geometry(self):
         s = CMemSlice(1)
-        assert s.ROWS == 64 and s.COLS == 256
+        assert (s.array.config.rows, s.array.config.cols) == (ROWS, COLS)
+        assert (ROWS, COLS) == (64, 256)
 
     def test_row_bounds(self):
         s = CMemSlice(1)

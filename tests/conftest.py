@@ -14,7 +14,8 @@ import pytest
 
 from repro.experiments.runner import run_experiment
 from repro.mapping.placement import zigzag_placement
-from repro.noc.router import hop_count
+from repro.sim.config import SimConfig
+from tests.mesh import hop_count
 
 
 @pytest.fixture(scope="session")
@@ -37,14 +38,17 @@ def region_tiles():
 
     The tenant owns the snake interval from ``start_offset``; its segments
     run one after another and each is zig-zag placed at the start of that
-    interval.  The tile-level oracle for co-residency checks, which work
-    on snake intervals.
+    interval of the default chip's compute region.  The tile-level oracle
+    for co-residency checks, which work on snake intervals.
     """
+    region = SimConfig().chip.compute_region
 
     def tiles(segments, start_offset):
         occupied = set()
         for segment in segments:
-            placement = zigzag_placement(segment, start_offset=start_offset)
+            placement = zigzag_placement(
+                segment, region, start_offset=start_offset
+            )
             occupied.update(placement.dc.values())
             for coords in placement.computing.values():
                 occupied.update(coords)

@@ -152,7 +152,9 @@ class TestSpatialIsolation:
         for run in result.runs:
             for segment in segments(run):
                 placement = zigzag_placement(
-                    segment, start_offset=run.region_start
+                    segment,
+                    scheduler.config.chip.compute_region,
+                    start_offset=run.region_start,
                 )
                 # Snake intervals keep consecutive cores within 1 hop
                 # except at most at the interval's row boundaries.

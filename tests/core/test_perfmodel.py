@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.cmem.isa import MAC_C, MOVE_C, cmem_op_cycles
 from repro.core.perfmodel import PerformanceModel, TimingParams, start_offsets
-from repro.errors import MappingError
+from repro.errors import CMemError, MappingError
+from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec, resnet18_spec
 from repro.sim import simulate
 
@@ -34,6 +36,23 @@ class TestClosedForms:
         t1 = model.iteration_timing(spec(m=50), 25).t_cmem   # 2 filters/node
         t2 = model.iteration_timing(spec(m=100), 25).t_cmem  # 4 filters/node
         assert t2 > 1.8 * t1
+
+    @pytest.mark.parametrize("n_bits", [2, 4, 8, 16])
+    def test_cmem_time_is_table2_cycles(self, n_bits):
+        """T_CMem charges each Move.C and MAC.C its Table 2 cost."""
+        model = PerformanceModel()
+        layer = spec(m=50, n_bits=n_bits)
+        timing = model.iteration_timing(layer, 25)
+        moves = model.slices_used(layer, 25)  # one 256-channel sub-vector
+        assert timing.t_cmem == (
+            moves * cmem_op_cycles(MOVE_C, n_bits)
+            + timing.macs_per_iteration * cmem_op_cycles(MAC_C, n_bits)
+        )
+
+    def test_operand_wider_than_a_cmem_word_is_rejected(self):
+        model = PerformanceModel(capacity=CapacityModel(rows=256))
+        with pytest.raises(CMemError):
+            model.iteration_timing(spec(m=4, n_bits=40), 2)
 
     def test_mac_count_density_for_stride(self):
         model = PerformanceModel()

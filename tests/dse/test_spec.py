@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.chip import ChipConfig
 from repro.dse.spec import (
-    REF_CHANNELS,
     REF_MESH,
     REF_ROWS,
     REF_SLICES,
@@ -15,6 +14,7 @@ from repro.energy.area import area_breakdown
 from repro.errors import ConfigurationError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import small_cnn_spec
+from repro.riscv.memory import DRAM_CHANNELS
 from repro.sim import SimConfig, simulate
 
 MESH_12 = ChipConfig(mesh_width=12, mesh_height=12)
@@ -30,7 +30,7 @@ class TestDesignPoint:
         assert point.mesh == REF_MESH
         assert point.cmem_slices == REF_SLICES
         assert point.cmem_rows == REF_ROWS
-        assert point.dram_channels == REF_CHANNELS
+        assert point.dram_channels == DRAM_CHANNELS
         derived = point.sim_config()
         default = SimConfig()
         assert derived.chip == default.chip

@@ -160,13 +160,20 @@ class TestPlacementAblation:
             hops = [h for index in placement.dc for h in chain_hops(placement, index)]
             return sum(hops) / len(hops)
 
-        assert mean_chain_hops(zigzag_placement(segment)) == pytest.approx(1.0)
-        assert mean_chain_hops(raster_placement(segment)) > 1.0
+        region = SimConfig().chip.compute_region
+        assert mean_chain_hops(zigzag_placement(segment, region)) == pytest.approx(1.0)
+        assert mean_chain_hops(raster_placement(segment, region)) > 1.0
 
     def test_same_packet_count_all_placements(self, segment):
         """Placement changes distance, never the traffic volume."""
-        a = simulate_segment_traffic(segment, zigzag_placement(segment))
-        b = simulate_segment_traffic(segment, random_placement(segment, seed=3))
+        machine = SimConfig()
+        region = machine.chip.compute_region
+        a = simulate_segment_traffic(
+            segment, zigzag_placement(segment, region), machine
+        )
+        b = simulate_segment_traffic(
+            segment, random_placement(segment, region, seed=3), machine
+        )
         assert a.packets == b.packets
 
 

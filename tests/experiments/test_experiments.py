@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.cmem.cmem import CMemConfig
+from repro.cmem.geometry import COLS, ROWS, SLICES
 from repro.core.chip import ChipConfig
 from repro.experiments import figure9, table4, table6
 from repro.experiments.report import format_table
@@ -215,8 +215,7 @@ class TestFigures:
 class TestChip:
     def test_about_4mb_on_chip_memory(self):
         """Abstract: 210 x (16 KB CMem + 4 KB data memory), about 4 MB."""
-        cmem = CMemConfig()
-        node_bytes = cmem.num_slices * cmem.rows * cmem.cols // 8 + LOCAL_DMEM_SIZE
+        node_bytes = SLICES * ROWS * COLS // 8 + LOCAL_DMEM_SIZE
         kb = ChipConfig().compute_tiles * node_bytes / 1024
         assert 3.9 * 1024 <= kb <= 4.4 * 1024
 

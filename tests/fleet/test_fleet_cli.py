@@ -76,7 +76,8 @@ class TestFleetCli:
         assert outs[0] == outs[1]
 
     def test_zero_duration_is_rejected_and_writes_nothing(self, tmp_path):
-        # An explicit 0 is a duration, not "use the scenario default".
+        # An explicit 0 is a duration, not "use the scenario default", and
+        # the parser rejects it as a usage error, not a traceback.
         out = tmp_path / "fleet.json"
         proc = run_cli(
             "--scenario", "fleet-smoke",
@@ -84,8 +85,9 @@ class TestFleetCli:
             "--json-out", str(out),
             check=False,
         )
-        assert proc.returncode != 0
-        assert "duration must be positive, got 0.0" in proc.stderr
+        assert proc.returncode == 2
+        assert "error: duration must be positive, got 0.0" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("scenario", ["fleet-smoke", "chip-crash"])

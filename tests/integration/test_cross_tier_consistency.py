@@ -18,11 +18,11 @@ from repro.core.event_streaming import EventDrivenSegmentSimulator
 from repro.core.node import MAICCNode, table4_workload
 from repro.core.perfmodel import PerformanceModel, TimingParams
 from repro.core.streaming import SegmentSimulator
-from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.nn.workloads import resnet18_spec
 from repro.sim import SimConfig
 from repro.sim.accounting import performance_model, plan_network, segment_timings
+from tests.mesh import hop_count, paper_noc
 
 
 class TestNodeVsAnalyticModel:
@@ -67,8 +67,10 @@ class TestEventVsTandem:
 
 class TestNoCTiers:
     def test_zero_load_send_equals_formula(self):
-        noc = MeshNoC()
+        # The mesh replay charges the tiers' hop: hops x hop_latency plus
+        # the packet's serialization.
+        hop = TimingParams().hop_latency
         for dst in ((1, 0), (5, 3), (0, 9)):
             pkt = Packet(src=(0, 0), dst=dst, kind=PacketKind.ROW_TRANSFER)
-            fresh = MeshNoC()
-            assert fresh.send(pkt, 0) == noc.latency((0, 0), dst, pkt.flits)
+            hops = hop_count((0, 0), dst)
+            assert paper_noc().send(pkt, 0) == hops * hop + pkt.flits - 1

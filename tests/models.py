@@ -2,7 +2,8 @@
 
 ResNet18 at full size and a three-conv CNN small enough for bit-true
 end-to-end simulation, with deterministic pseudo-random weights, plus
-the shape oracle the model tests check them against.  The shipped
+the shape oracle the model tests check them against
+(:func:`output_shape` per layer, :func:`infer_shapes` per graph).  The shipped
 examples build their network with
 :func:`repro.nn.models.build_residual_cnn`.
 """
@@ -13,16 +14,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.errors import ShapeError
 from repro.nn.graph import Graph
 from repro.nn.layers import (
     Add,
     AvgPool2d,
+    BatchNorm2d,
     Conv2d,
     Flatten,
     Input,
     Linear,
     MaxPool2d,
     ReLU,
+    conv2d_output_hw,
 )
 from repro.nn.models import _bn_init, _Builder, _conv_init
 
@@ -105,15 +109,64 @@ def build_small_cnn(
     return graph
 
 
+def _conv_shape(layer: Conv2d, shape: tuple) -> tuple:
+    c, h, w = shape
+    if c != layer.weight.shape[1]:
+        raise ShapeError(
+            f"conv expects {layer.weight.shape[1]} input channels, got {c}"
+        )
+    oh, ow = conv2d_output_hw(
+        h, w, layer.weight.shape[2], layer.weight.shape[3], layer.stride, layer.padding
+    )
+    return (layer.weight.shape[0], oh, ow)
+
+
+def _linear_shape(layer: Linear, shape: tuple) -> tuple:
+    if int(np.prod(shape)) != layer.weight.shape[1]:
+        raise ShapeError(
+            f"linear expects {layer.weight.shape[1]} inputs, got shape {shape}"
+        )
+    return (layer.weight.shape[0],)
+
+
+def _batchnorm_shape(layer: BatchNorm2d, shape: tuple) -> tuple:
+    if shape[0] != layer.gamma.shape[0]:
+        raise ShapeError(
+            f"batchnorm expects {layer.gamma.shape[0]} channels, got {shape[0]}"
+        )
+    return shape
+
+
+def _add_shape(layer: Add, a: tuple, b: tuple) -> tuple:
+    if tuple(a) != tuple(b):
+        raise ShapeError(f"residual add of mismatched shapes {a} and {b}")
+    return a
+
+
+_SHAPES = {
+    Input: lambda layer: layer.shape,
+    Conv2d: _conv_shape,
+    Linear: _linear_shape,
+    BatchNorm2d: _batchnorm_shape,
+    ReLU: lambda layer, shape: shape,
+    Add: _add_shape,
+    Flatten: lambda layer, shape: (int(np.prod(shape)),),
+    MaxPool2d: lambda layer, shape: layer.output_shape(shape),
+    AvgPool2d: lambda layer, shape: layer.output_shape(shape),
+}
+
+
+def output_shape(layer, *input_shapes: tuple) -> tuple:
+    """The shape ``layer`` produces from inputs of ``input_shapes``."""
+    return tuple(_SHAPES[type(layer)](layer, *input_shapes))
+
+
 def infer_shapes(graph: Graph) -> Dict[str, tuple]:
-    """Shape of every node's output, from each layer's ``output_shape``."""
+    """Shape of every node's output, layer by layer."""
     shapes: Dict[str, tuple] = {}
     for name in graph.topological_order():
         node = graph.nodes[name]
-        if isinstance(node.layer, Input):
-            shapes[name] = tuple(node.layer.shape)
-        else:
-            shapes[name] = tuple(
-                node.layer.output_shape(*[shapes[i] for i in node.inputs])
-            )
+        shapes[name] = output_shape(
+            node.layer, *[shapes[i] for i in node.inputs]
+        )
     return shapes

@@ -16,6 +16,7 @@ from repro.nn.layers import (
     ReLU,
     conv2d_output_hw,
 )
+from tests.models import output_shape
 
 
 def conv_reference(x, w, b, stride, padding):
@@ -52,12 +53,12 @@ class TestConv2d:
 
     def test_output_shape(self):
         conv = Conv2d(np.zeros((8, 3, 3, 3)), stride=2, padding=1)
-        assert conv.output_shape((3, 56, 56)) == (8, 28, 28)
+        assert output_shape(conv, (3, 56, 56)) == (8, 28, 28)
 
     def test_channel_mismatch(self):
         conv = Conv2d(np.zeros((8, 3, 3, 3)))
         with pytest.raises(ShapeError):
-            conv.output_shape((4, 8, 8))
+            output_shape(conv, (4, 8, 8))
 
     def test_weight_rank_checked(self):
         with pytest.raises(ShapeError):
@@ -80,7 +81,7 @@ class TestLinear:
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            Linear(np.ones((2, 4))).output_shape((5,))
+            output_shape(Linear(np.ones((2, 4))), (5,))
 
 
 class TestBatchNorm:
@@ -121,7 +122,7 @@ class TestPooling:
         assert out.reshape(-1).tolist() == [2.5, 4.5, 10.5, 12.5]
 
     def test_strided_pool_shape(self):
-        assert MaxPool2d(3, 2, 1).output_shape((64, 112, 112)) == (64, 56, 56)
+        assert output_shape(MaxPool2d(3, 2, 1), (64, 112, 112)) == (64, 56, 56)
 
 
 class TestSimpleLayers:
@@ -131,14 +132,14 @@ class TestSimpleLayers:
 
     def test_add_shape_check(self):
         with pytest.raises(ShapeError):
-            Add().output_shape((1, 2, 2), (1, 3, 3))
+            output_shape(Add(), (1, 2, 2), (1, 3, 3))
 
     def test_add(self):
         out = Add().forward(np.ones((2, 2)), np.full((2, 2), 2.0))
         assert np.all(out == 3.0)
 
     def test_flatten(self):
-        assert Flatten().output_shape((2, 3, 4)) == (24,)
+        assert output_shape(Flatten(), (2, 3, 4)) == (24,)
 
     def test_input_validates_shape(self):
         layer = Input((3, 4, 4))

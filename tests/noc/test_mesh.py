@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import NoCError
-from repro.noc.mesh import MeshConfig, MeshNoC
+from repro.noc.mesh import MeshNoC
 from repro.noc.packet import FLIT_BITS, Packet, PacketKind
+from tests.mesh import paper_noc
 
 
 class TestPackets:
@@ -28,40 +29,51 @@ class TestPackets:
 
 class TestZeroLoadLatency:
     def test_formula(self):
-        noc = MeshNoC()
+        noc = paper_noc()
+        pkt = Packet(src=(0, 0), dst=(3, 0), kind=PacketKind.ROW_TRANSFER)
         # 3 hops * 2 cycles + (5 - 1) serialization.
-        assert noc.latency((0, 0), (3, 0), flits=5) == 10
+        assert noc.send(pkt, 0) == 10
 
     def test_zero_hop(self):
-        noc = MeshNoC()
-        assert noc.latency((2, 2), (2, 2), flits=1) == 0
-
-    def test_invalid_flits(self):
-        with pytest.raises(NoCError):
-            MeshNoC().latency((0, 0), (1, 0), flits=0)
+        noc = paper_noc()
+        pkt = Packet(src=(2, 2), dst=(2, 2), kind=PacketKind.REMOTE_LOAD_REQ)
+        assert noc.send(pkt, 0) == 0
 
     def test_accounting(self):
-        noc = MeshNoC()
-        noc.account((0, 0), (2, 0), flits=5)
+        noc = paper_noc()
+        noc.send(Packet(src=(0, 0), dst=(2, 0), kind=PacketKind.ROW_TRANSFER), 0)
         assert noc.stats.packets == 1
         assert noc.stats.flit_hops == 10
+
+    @pytest.mark.parametrize("hop", [1.5, -1, float("nan")])
+    def test_hop_must_be_whole_cycles(self, hop):
+        # The busy-until clock is integral: a fractional hop is refused,
+        # not truncated.
+        with pytest.raises(NoCError):
+            MeshNoC(16, 16, hop)
+
+    def test_integral_float_hop_keeps_an_int_clock(self):
+        noc = MeshNoC(16, 16, 3.0)
+        pkt = Packet(src=(0, 0), dst=(2, 0), kind=PacketKind.REMOTE_STORE)
+        arrival = noc.send(pkt, 0)
+        assert arrival == 2 * 3 + 1 and isinstance(arrival, int)
 
 
 class TestContention:
     def test_uncontended_send_matches_closed_form(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         pkt = Packet(src=(0, 0), dst=(3, 0), kind=PacketKind.ROW_TRANSFER)
-        assert noc.send(pkt, 0) == noc.latency((0, 0), (3, 0), pkt.flits)
+        assert noc.send(pkt, 0) == 3 * noc.hop_latency + pkt.flits - 1
 
     def test_shared_link_serializes(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         pkt = Packet(src=(0, 0), dst=(3, 0), kind=PacketKind.ROW_TRANSFER)
         first = noc.send(pkt, 0)
         second = noc.send(pkt, 0)
         assert second > first
 
     def test_disjoint_paths_do_not_interact(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         a = Packet(src=(0, 0), dst=(3, 0), kind=PacketKind.ROW_TRANSFER)
         b = Packet(src=(0, 5), dst=(3, 5), kind=PacketKind.ROW_TRANSFER)
         t_a = noc.send(a, 0)
@@ -69,17 +81,18 @@ class TestContention:
         assert t_a == t_b
 
     def test_coord_validation(self):
-        noc = MeshNoC(MeshConfig(width=4, height=4))
+        noc = MeshNoC(4, 4, 2)
+        pkt = Packet(src=(0, 0), dst=(4, 0), kind=PacketKind.REMOTE_LOAD_REQ)
         with pytest.raises(NoCError):
-            noc.latency((0, 0), (4, 0), 1)
+            noc.send(pkt, 0)
 
 
 class TestAvgLatency:
     def test_zero_packets_is_safe(self):
-        assert MeshNoC().stats.avg_latency == 0.0
+        assert paper_noc().stats.avg_latency == 0.0
 
     def test_mean_over_sends(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         pkt = Packet(src=(0, 0), dst=(2, 0), kind=PacketKind.REMOTE_STORE)
         noc.send(pkt, 0)
         noc.send(pkt, 0)
@@ -88,7 +101,7 @@ class TestAvgLatency:
 
 class TestLinkOccupancy:
     def test_per_link_counters(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         pkt = Packet(src=(0, 0), dst=(2, 0), kind=PacketKind.ROW_TRANSFER)
         noc.send(pkt, 0)
         # X-Y path touches exactly the two eastbound links.
@@ -96,14 +109,14 @@ class TestLinkOccupancy:
             ((0, 0), (1, 0)),
             ((1, 0), (2, 0)),
         }
-        hold = noc.config.router_delay + pkt.flits - 1
+        hold = noc.hop_latency + pkt.flits - 1
         for stats in noc.link_stats.values():
             assert stats.packets == 1
             assert stats.busy_cycles == hold
             assert stats.max_wait == 0
 
     def test_contention_raises_max_wait_and_queue_depth(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         pkt = Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.ROW_TRANSFER)
         assert noc.max_queue_depth == 0
         noc.send(pkt, 0)
@@ -114,7 +127,7 @@ class TestLinkOccupancy:
         assert noc.max_queue_depth == link.max_wait
 
     def test_busiest_link(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         assert noc.busiest_link() is None
         hot = Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE)
         cold = Packet(src=(3, 3), dst=(4, 3), kind=PacketKind.REMOTE_STORE)
@@ -126,7 +139,7 @@ class TestLinkOccupancy:
         assert stats.packets == 2
 
     def test_busiest_link_tie_breaks_by_coordinate(self):
-        noc = MeshNoC()
+        noc = paper_noc()
         a = Packet(src=(2, 2), dst=(3, 2), kind=PacketKind.REMOTE_STORE)
         b = Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE)
         noc.send(a, 0)

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import NoCError
-from repro.noc.router import hop_count, xy_route
+from repro.noc.router import xy_route
+from tests.mesh import hop_count
 
 coords = st.tuples(st.integers(0, 15), st.integers(0, 15))
 

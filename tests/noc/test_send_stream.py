@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.errors import NoCError
-from repro.noc.mesh import MeshConfig, MeshNoC
+from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
+from tests.mesh import paper_noc
 
 
 def loop_reference(noc, packet, inject_time, count):
@@ -39,8 +40,8 @@ def assert_same_state(a: MeshNoC, b: MeshNoC) -> None:
 
 class TestSendStream:
     def test_count_one_equals_single_send(self):
-        stream = MeshNoC()
-        loop = MeshNoC()
+        stream = paper_noc()
+        loop = paper_noc()
         pkt = Packet(src=(0, 0), dst=(3, 2), kind=PacketKind.ROW_TRANSFER)
         assert stream.send_stream(pkt, 5, 1) == loop.send(pkt, 5)
         assert_same_state(stream, loop)
@@ -48,13 +49,13 @@ class TestSendStream:
     def test_count_must_be_positive(self):
         pkt = Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE)
         with pytest.raises(NoCError):
-            MeshNoC().send_stream(pkt, 0, 0)
+            paper_noc().send_stream(pkt, 0, 0)
 
     @pytest.mark.parametrize("count", [2, 8, 33])
     def test_stream_matches_loop_on_clean_mesh(self, count):
         pkt = Packet(src=(1, 1), dst=(6, 4), kind=PacketKind.ROW_TRANSFER)
-        stream = MeshNoC()
-        loop = MeshNoC()
+        stream = paper_noc()
+        loop = paper_noc()
         assert stream.send_stream(pkt, 0, count) == loop_reference(
             loop, pkt, 0, count
         )
@@ -65,8 +66,8 @@ class TestSendStream:
         # follow-on copies must still collapse exactly.
         prior = Packet(src=(0, 0), dst=(5, 0), kind=PacketKind.ROW_TRANSFER)
         pkt = Packet(src=(0, 0), dst=(5, 3), kind=PacketKind.ROW_TRANSFER)
-        stream = MeshNoC()
-        loop = MeshNoC()
+        stream = paper_noc()
+        loop = paper_noc()
         stream.send(prior, 0)
         loop.send(prior, 0)
         assert stream.send_stream(pkt, 0, 6) == loop_reference(loop, pkt, 0, 6)
@@ -76,9 +77,8 @@ class TestSendStream:
         rng = np.random.default_rng(42)
         for trial in range(60):
             rd = int(rng.integers(1, 4))
-            config = MeshConfig(router_delay=rd)
-            stream = MeshNoC(config)
-            loop = MeshNoC(config)
+            stream = MeshNoC(16, 16, rd)
+            loop = MeshNoC(16, 16, rd)
             # Prior traffic dirties random links on both meshes equally.
             for _ in range(int(rng.integers(0, 4))):
                 p = Packet(
@@ -112,9 +112,9 @@ class TestSendStream:
         sink = telemetry.Telemetry()
         pkt = Packet(src=(0, 0), dst=(4, 1), kind=PacketKind.ROW_TRANSFER)
         with telemetry.use(sink):
-            traced = MeshNoC(telemetry=sink)
+            traced = paper_noc(telemetry=sink)
             arrival = traced.send_stream(pkt, 0, 5)
-        plain = MeshNoC()
+        plain = paper_noc()
         assert arrival == plain.send_stream(pkt, 0, 5)
         # One span per (packet, link): 5 packets x 5 hops.
         spans = [e for e in sink.trace.events if e.name == pkt.kind.value]

@@ -79,23 +79,40 @@ class TestXCheckCLI:
         assert set(doc["workloads"]) == {"small_cnn"}
 
 
+#: The usage error each bad trailing ``(option, value)`` pair draws.
+USAGE_ERRORS = {
+    ("--duration-ms", "0"): "duration must be positive, got 0.0",
+    ("--duration-ms", "-5"): "duration must be positive, got -5.0",
+    ("--workers", "-1"): "workers must be >= 0, got -1",
+}
+
+
 class TestDurationOverride:
     @pytest.mark.parametrize("script, argv", [
-        ("report.py", ("serving", "--scenario", "smoke")),
-        ("report.py", ("fleet", "--scenario", "fleet-smoke")),
-        ("serve.py", ("--scenario", "smoke")),
+        ("report.py", ("serving", "--scenario", "smoke", "--duration-ms", "0")),
+        ("report.py", ("fleet", "--scenario", "fleet-smoke",
+                       "--duration-ms", "0")),
+        ("serve.py", ("--scenario", "smoke", "--duration-ms", "0")),
+        ("serve.py", ("--scenario", "smoke", "--duration-ms", "-5")),
+        ("fleet.py", ("--scenario", "fleet-smoke", "--workers", "-1")),
+        ("report.py", ("fleet", "--scenario", "fleet-smoke",
+                       "--workers", "-1")),
+        ("dse.py", ("--sweep", "smoke", "--workers", "-1")),
+        ("report.py", ("dse", "--workers", "-1")),
     ])
     def test_zero_duration_is_rejected_and_writes_nothing(
         self, tmp_path, script, argv
     ):
-        # An explicit 0 is a duration, not "use the scenario default".
+        # An explicit 0 is a duration, not "use the scenario default"; it
+        # and a negative worker count are usage errors: exit 2 with the
+        # message, no traceback, and no document written.
         doc = tmp_path / "doc.json"
         proc = run_script(
-            os.path.join(ROOT, "scripts", script), *argv,
-            "--duration-ms", "0", "--json-out", str(doc),
+            os.path.join(ROOT, "scripts", script), *argv, "--json-out", str(doc)
         )
-        assert proc.returncode != 0
-        assert "duration must be positive, got 0.0" in proc.stderr
+        assert proc.returncode == 2
+        assert f"error: {USAGE_ERRORS[argv[-2:]]}" in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not doc.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DecodeError
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 from repro.riscv.memory import encode_remote_address
 from tests.readback import read_transposed
 

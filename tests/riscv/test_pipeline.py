@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.riscv.core import Core, CoreConfig
+from repro.riscv.core import Core
 from repro.riscv.pipeline import PipelineConfig
 from repro.errors import ConfigurationError, SimulationError
 
 
 def cycles(program: str, **cfg) -> int:
-    core = Core(CoreConfig(pipeline=PipelineConfig(**cfg)))
+    core = Core(PipelineConfig(**cfg))
     return core.run(program).cycles
 
 
@@ -115,7 +115,7 @@ class TestConfigValidation:
             PipelineConfig(writeback_ports=0)
 
     def test_runaway_guard(self):
-        core = Core(CoreConfig(pipeline=PipelineConfig(max_cycles=100)))
+        core = Core(PipelineConfig(max_cycles=100))
         with pytest.raises(SimulationError):
             core.run("loop: j loop")
 

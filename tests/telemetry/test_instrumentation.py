@@ -22,12 +22,12 @@ from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
 from repro.dram.controller import DRAMController
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec
-from repro.noc.mesh import MeshNoC
 from repro.noc.packet import Packet, PacketKind
 from repro.riscv.core import Core
 from repro.riscv.memory import DRAM_BASE
 from repro.telemetry.trace import validate_chrome_trace
 from repro.utils.events import EventQueue
+from tests.mesh import paper_noc
 
 
 SEGMENT_SPEC = ConvLayerSpec(
@@ -160,7 +160,7 @@ class TestNoCInstrumentation:
     def test_registry_matches_noc_stats_bit_identically(self):
         sink = telemetry.Telemetry()
         with telemetry.use(sink):
-            noc = MeshNoC()
+            noc = paper_noc()
             for i in range(5):
                 noc.send(
                     Packet(src=(0, 0), dst=(2, 1), kind=PacketKind.ROW_TRANSFER),
@@ -177,7 +177,7 @@ class TestNoCInstrumentation:
     def test_per_link_spans_emitted(self):
         sink = telemetry.Telemetry()
         with telemetry.use(sink):
-            noc = MeshNoC()
+            noc = paper_noc()
             noc.send(
                 Packet(src=(0, 0), dst=(1, 0), kind=PacketKind.REMOTE_STORE),
                 inject_time=0,

@@ -24,12 +24,14 @@ ALLOWED_MODULE = "repro.core.aux_kernels"
 
 
 def _reads(tree):
-    """Count the names ``tree`` reads.
+    """Count the names ``tree`` reads, as ``(reads, self_reads)``.
 
     A name is read when code loads it as an ``ast.Name`` or as an
     ``ast.Attribute``, f-string expressions included, or spells it as a
     whole-identifier string constant (a ``getattr`` target).  An
     ``import`` alias reads nothing, and neither does an ``__all__`` entry.
+    A ``self.<name>`` or ``cls.<name>`` read inside a class body goes to
+    ``self_reads``, keyed by ``(class name, name)``, instead of ``reads``.
     """
     listed = set()
     for node in ast.walk(tree):
@@ -44,19 +46,75 @@ def _reads(tree):
         ):
             listed.update(map(id, ast.walk(node.value)))
     reads = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads[node.id] += 1
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads[node.attr] += 1
-        elif (
-            isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and node.value.isidentifier()
-            and id(node) not in listed
-        ):
-            reads[node.value] += 1
-    return reads
+    self_reads = Counter()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                reads[child.id] += 1
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                target = child.value
+                if (
+                    owner is not None
+                    and isinstance(target, ast.Name)
+                    and target.id in ("self", "cls")
+                ):
+                    self_reads[owner, child.attr] += 1
+                else:
+                    reads[child.attr] += 1
+            elif (
+                isinstance(child, ast.Constant)
+                and isinstance(child.value, str)
+                and child.value.isidentifier()
+                and id(child) not in listed
+            ):
+                reads[child.value] += 1
+            visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    visit(tree, None)
+    return reads, self_reads
+
+
+def _base_name(expr):
+    """The class name a base-class expression spells, if any."""
+    if isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def _lineages(trees):
+    """Class name -> the names of the class, its bases and its subclasses,
+    transitively, over every class the trees define."""
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                named = {_base_name(b) for b in node.bases} - {None}
+                bases.setdefault(node.name, set()).update(named)
+
+    def closure(start, step):
+        seen, todo = set(), [start]
+        while todo:
+            for name in step(todo.pop()):
+                if name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+        return seen
+
+    def parents(name):
+        return bases.get(name, ())
+
+    def children(name):
+        return [sub for sub, its in bases.items() if name in its]
+
+    return {
+        name: {name} | closure(name, parents) | closure(name, children)
+        for name in bases
+    }
 
 
 def _members(tree):
@@ -80,7 +138,10 @@ def unreached_members(root):
     ``src/``, ``scripts/``, ``examples/`` or ``bench/`` (outside
     ``bench/tests/``) reaches from outside the member's own definition.
 
-    The scan matches by name: any read of ``run`` reaches every ``run``.
+    The scan matches by name: any read of ``run`` reaches every ``run``,
+    except that a ``self.run`` or ``cls.run`` read inside class ``C``
+    reaches only the ``run`` methods of ``C``, its bases and its
+    subclasses.
     """
     trees = {}
     for top in ("src", "scripts", "examples", "bench"):
@@ -88,8 +149,12 @@ def unreached_members(root):
             if path.relative_to(root).parts[:2] != ("bench", "tests"):
                 trees[path] = ast.parse(path.read_text(), str(path))
     reads = Counter()
+    self_reads = Counter()
     for tree in trees.values():
-        reads.update(_reads(tree))
+        general, selves = _reads(tree)
+        reads.update(general)
+        self_reads.update(selves)
+    lineages = _lineages(trees.values())
     unreached = []
     for path, tree in trees.items():
         if not path.is_relative_to(root / "src" / "repro"):
@@ -101,7 +166,13 @@ def unreached_members(root):
         for qualname, node in _members(tree):
             if node.name.startswith(ALLOWED_METHOD_PREFIX):
                 continue
-            if reads[node.name] <= _reads(node)[node.name]:
+            total = reads[node.name]
+            if "." in qualname:
+                owner = qualname.split(".")[0]
+                total += sum(
+                    self_reads[kin, node.name] for kin in lineages[owner]
+                )
+            if total <= _reads(node)[0][node.name]:
                 unreached.append(f"{module}.{qualname}")
     return unreached
 
@@ -130,6 +201,15 @@ SYNTHETIC_PACKAGE = {
         "mod.attribute\n"
         'print(f"{mod.formatted()!r}")\n'
         'getattr(mod, "by_string")\n'
+    ),
+    "src/repro/kin.py": (
+        "class Base:\n"
+        "    def hook(self): ...\n"
+        "class Sub(Base):\n"
+        "    def run(self):\n"
+        "        return self.hook()\n"
+        "class Unrelated:\n"
+        "    def hook(self): ...\n"
     ),
     "tests/test_mod.py": "from repro.mod import tested\ntested()\n",
 }
@@ -166,6 +246,8 @@ class TestPublicAPI:
             ("aliased", False),
             ("recursive", False),
             ("tested", False),
+            ("kin.Base.hook", True),
+            ("kin.Unrelated.hook", False),
         ],
     )
     def test_reachability_scan_on_a_synthetic_package(self, tmp_path, member, reached):
@@ -173,7 +255,8 @@ class TestPublicAPI:
             path = tmp_path / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
-        assert (f"repro.mod.{member}" not in unreached_members(tmp_path)) is reached
+        dotted = member if member.startswith("kin.") else f"mod.{member}"
+        assert (f"repro.{dotted}" not in unreached_members(tmp_path)) is reached
 
     def test_version(self):
         major = int(repro.__version__.split(".")[0])
@@ -224,19 +307,3 @@ class TestCLI:
 
         assert main(["figure10"]) == 0
         assert "Figure 10" in capsys.readouterr().out
-
-
-class TestPlacementRendering:
-    def test_render_marks_dcs_and_layers(self):
-        from repro.core.perfmodel import PerformanceModel
-        from repro.mapping.placement import zigzag_placement
-        from repro.mapping.segmentation import HeuristicStrategy
-        from repro.nn.workloads import resnet18_spec
-        from repro.sim.config import SimConfig
-
-        plan = HeuristicStrategy(SimConfig().array_size).plan(
-            resnet18_spec(), PerformanceModel().layer_time_fn()
-        )
-        text = zigzag_placement(plan.segments[0]).render()
-        assert text.count("D") == len(plan.segments[0].layers)
-        assert "a" in text and "b" in text
