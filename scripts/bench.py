@@ -4,18 +4,20 @@
 The document holds a ``meta`` block (python, numpy, machine, cpu_count)
 and one section per entry of ``CASES``: ``macc`` (the vectorized
 bit-plane MAC engine), ``telemetry`` (simulated cycle counts and
-registry counters, deterministic), ``serving`` (the serving event loop
-and request batching), ``backends`` (every ``repro.sim`` fidelity tier,
+registry counters, deterministic), ``serving`` (the serving event loop,
+request batching, and the calls elastic re-planning makes), ``backends``
+(every ``repro.sim`` fidelity tier,
 how the queueing tiers' call count grows with feature-map size, and the
 calls one more pass of a tiled layer adds),
 ``obs`` (the latency-attribution overhead), ``fleet`` (the multi-chip
 fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
-The last four are gated.  Each gated row carries its ``budget_s``,
+The last five are gated.  Each gated row carries its ``budget_s``,
 ``budget_ratio``, ``budget_calls_per_pass`` or ``budget_calls`` (from
-``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``, ``PASS_OP_BUDGET``,
-``OBS_OVERHEAD_CALLS``, ``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or
-``DSE_BUDGETS``) and a ``within_budget`` flag; the ``dse`` section also
+``PARTITION_OP_BUDGET``, ``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``,
+``PASS_OP_BUDGET``, ``OBS_OVERHEAD_CALLS``, ``FLEET_BUDGETS``,
+``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a ``within_budget`` flag;
+the ``dse`` section also
 records whether its serial and fork-pool JSON are ``identical_bytes``.
 A row with either flag false is printed by its path, e.g.
 ``fleet/scales/1``, and the run exits 1.  ``--check`` runs only the
@@ -49,12 +51,21 @@ import numpy as np
 from repro import telemetry
 from repro.cmem.cmem import CMem
 from repro.core.functional import FunctionalNodeGroup, bit_true_min_nodes
+from repro.core.multi_dnn import MultiDNNScheduler
 from repro.core.node import MAICCNode
 from repro.dse import SWEEPS, run_sweep
 from repro.fleet import FleetModelSpec, FleetSimulator, ModelProfile, OpenLoopTraffic
 from repro.mapping.capacity import CapacityModel
 from repro.nn.workloads import ConvLayerSpec, NetworkSpec, resnet18_spec, small_cnn_spec
-from repro.serving import FixedServicePolicy, PoissonArrivals, ServingSimulator, TenantSpec
+from repro.serving import (
+    ElasticPolicy,
+    FixedServicePolicy,
+    PoissonArrivals,
+    ServiceModel,
+    ServingSimulator,
+    TenantSpec,
+)
+from repro.serving.scenarios import mixed_rate_overloaded_tenants
 from repro.sim import SimConfig, simulate
 from repro.sim.accounting import plan_network
 
@@ -322,6 +333,50 @@ def bench_serving_batched() -> dict:
         "throughput_unbatched_req_s": unbatched.total_completed * per_s,
         "throughput_batched_req_s": batched.total_completed * per_s,
         "throughput_gain": batched.total_completed / unbatched.total_completed,
+    }
+
+
+#: Host work of elastic re-planning: the service-model misses of one
+#: ``PARTITION_WINDOW_MS`` elastic window of the overloaded trio may make
+#: at most this many calls (:func:`op_count`).  On Python 3.11 they made
+#: 59,806 calls when every miss ran its tier, 24,573 when the tier runs
+#: once per distinct plan (38 misses, 9 plans), and 35,474 with the
+#: shared Eq. (1) memo but a tier run per miss; the budget sits between.
+PARTITION_OP_BUDGET = 30_000
+PARTITION_WINDOW_MS = 200.0
+
+
+def bench_partition_op_count() -> dict:
+    """Calls the elastic policy's re-planning makes in a short window.
+
+    Runs the ``mixed-rate-overloaded`` trio for ``PARTITION_WINDOW_MS``
+    under :class:`ElasticPolicy`, once on a fresh
+    ``ServiceModel(MultiDNNScheduler())`` and once more on the same,
+    now warm, service model, whose memo then answers every lookup.  The
+    gated value is the difference of the two runs' counts: the tiling,
+    planning, pre-flight and tier work of the misses, without the
+    serving loop both runs share.
+    """
+    def run(service: ServiceModel):
+        policy = ElasticPolicy(service, control_interval_ms=10.0)
+        return ServingSimulator(policy).run(
+            mixed_rate_overloaded_tenants(), PARTITION_WINDOW_MS
+        )
+
+    run(ServiceModel(MultiDNNScheduler()))  # warm lazy imports
+    service = ServiceModel(MultiDNNScheduler())
+    fresh = op_count(run, service)
+    warm = op_count(run, service)
+    return {
+        "workload": (
+            f"elastic serving of the overloaded trio, {PARTITION_WINDOW_MS:g} ms "
+            "sim window: a fresh service model's calls minus a warm one's"
+        ),
+        "calls_fresh": fresh,
+        "calls_warm": warm,
+        "calls": fresh - warm,
+        "budget_calls": PARTITION_OP_BUDGET,
+        "within_budget": fresh - warm <= PARTITION_OP_BUDGET,
     }
 
 
@@ -729,7 +784,8 @@ CASES: dict = {
     "serving": Case(lambda: {
         "serving_loop": bench_serving(),
         "serving_batched": bench_serving_batched(),
-    }, check=False),
+        "partition_op_count": bench_partition_op_count(),
+    }, check=True),
     "backends": Case(bench_backends, check=True),
     "obs": Case(lambda: {"attribution": bench_obs()}, check=True),
     "fleet": Case(bench_fleet, check=True),

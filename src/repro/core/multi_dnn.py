@@ -9,13 +9,26 @@ the whole array — so the benefit of spatial co-location can be quantified.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
+# The module, not its members: the repository benchmark's tracer
+# (bench/trace.py) wraps ``tile_network`` and ``plan_network`` on it.
+import repro.sim.backends as backends
 from repro.errors import MappingError, SimulationError
 from repro.sim import DEFAULT_BACKEND, RunReport, SimConfig, simulate
+from repro.sim.accounting import TimingMemo
 from repro.mapping.allocation import proportional_shares
 from repro.nn.workloads import NetworkSpec
+
+#: Bound on a serving session's memoized simulations: the scheduler's
+#: reports of distinct plans, and the default of
+#: :class:`repro.serving.ServiceModel`'s ``(network, cores, backend,
+#: batch_requests)`` memo.  A serving scenario revisits a few share
+#: sizes per tenant; 256 entries is generous for tens of tenants while
+#: bounding long-lived services.
+DEFAULT_CACHE_SIZE = 256
 
 
 @dataclass
@@ -94,6 +107,11 @@ class MultiDNNScheduler:
             SimConfig() if array_size is None else SimConfig(array_size=array_size)
         )
         self.backend = backend or DEFAULT_BACKEND
+        # One planning session over this machine: the Eq. (1) times every
+        # partition is planned on, and the report of each distinct plan
+        # run so far, least recently used first.
+        self._times: TimingMemo = {}
+        self._reports: "OrderedDict[tuple, RunReport]" = OrderedDict()
 
     @property
     def array_size(self) -> int:
@@ -149,6 +167,13 @@ class MultiDNNScheduler:
         cheap ``analytic`` tier this way); ``batch_requests`` streams a
         weight-stationary request batch through the partition
         (``SimConfig.batch_requests``).
+
+        Every call tiles, plans (on the scheduler's Eq. (1) memo) and
+        passes the :func:`~repro.sim.simulate` pre-flight gate on its own
+        partition size.  The tier then runs once per distinct plan, tier
+        and ``batch_requests``: apart from tiling and planning, no part
+        of a report reads the partition size, so every size that maps to
+        one plan gets the same report object.
         """
         config = replace(
             self.config,
@@ -156,7 +181,33 @@ class MultiDNNScheduler:
             strategy=strategy,
             batch_requests=batch_requests,
         )
-        return simulate(network, backend=backend or self.backend, config=config)
+        tier = backend or self.backend
+        engine = backends.get_backend(tier)
+        plan = backends.plan_network(
+            backends.tile_network(network, config.capacity, cores),
+            strategy,
+            config,
+            self._times,
+        )
+        backends.preflight(plan, config)
+        # All a tier run reads of the plan besides the machine: the
+        # strategy, the tiled network, and each segment's layers (its
+        # allocation's indices, in layer order) and their cores.
+        key = (
+            tier,
+            batch_requests,
+            plan.strategy,
+            plan.network,
+            tuple(tuple(s.allocation.nodes.items()) for s in plan.segments),
+        )
+        report = self._reports.get(key)
+        if report is not None:
+            self._reports.move_to_end(key)
+            return report
+        report = self._reports[key] = engine.run(plan.network, plan, config)
+        if len(self._reports) > DEFAULT_CACHE_SIZE:
+            self._reports.popitem(last=False)
+        return report
 
     def run(
         self,

@@ -53,7 +53,7 @@ from repro.errors import (
 from repro.mapping.segmentation import SegmentPlan
 from repro.mapping.tiling import tile_network
 from repro.nn.workloads import NetworkSpec
-from repro.sim.accounting import plan_network
+from repro.sim.accounting import TimingMemo, plan_network
 from repro.sim.backends import simulate
 from repro.sim.config import SimConfig
 from repro.utils.parallel import run_sharded
@@ -63,10 +63,13 @@ from repro.utils.parallel import run_sharded
 _MAPPING_ERRORS = (CapacityError, MappingError, ConfigurationError)
 
 
-def _plan(network: NetworkSpec, cfg: SimConfig) -> SegmentPlan:
-    """Tile and plan ``network`` on the chip ``cfg`` describes."""
+def _plan(
+    network: NetworkSpec, cfg: SimConfig, times: Optional[TimingMemo] = None
+) -> SegmentPlan:
+    """Tile and plan ``network`` on the chip ``cfg`` describes, on the
+    Eq. (1) memo ``times`` when one is given."""
     tiled = tile_network(network, cfg.capacity, cfg.array_size)
-    return plan_network(tiled, cfg.strategy, cfg)
+    return plan_network(tiled, cfg.strategy, cfg, times)
 
 
 def evaluate_point(
@@ -172,19 +175,27 @@ def network_baselines(networks: Sequence[str]) -> Dict[str, Dict[str, float]]:
 
 
 def _evaluate_chip(
-    points: Sequence[DesignPoint], *, keep_report: bool = False
+    points: Sequence[DesignPoint],
+    *,
+    keep_report: bool = False,
+    times: TimingMemo,
 ) -> List[PointResult]:
     """Evaluate the points of one chip on one shared plan.
 
-    ``points`` differ only in their backend.  When planning fails, no
-    plan is passed and each point records its own ``infeasible`` row.
+    ``points`` differ only in their backend; the chip is planned once,
+    on the sweep's Eq. (1) memo ``times``.  When tiling or planning
+    fails, every point records an ``infeasible`` row of that one error.
     """
     first = points[0]
-    plan: Optional[SegmentPlan]
+    network, cfg = first.build_network(), first.sim_config()
     try:
-        plan = _plan(first.build_network(), first.sim_config())
-    except _MAPPING_ERRORS:
-        plan = None
+        plan = _plan(network, cfg, times)
+    except _MAPPING_ERRORS as exc:
+        detail = f"{type(exc).__name__}: {exc}"
+        return [
+            PointResult(point=point, status="infeasible", detail=detail)
+            for point in points
+        ]
     return [
         evaluate_point(point, keep_report=keep_report, plan=plan)
         for point in points
@@ -212,8 +223,12 @@ def run_sweep(
     chips: Dict[DesignPoint, List[int]] = {}
     for i, point in enumerate(points):
         chips.setdefault(replace(point, backend=""), []).append(i)
+    # One Eq. (1) memo for the whole sweep: chips of one CMem geometry
+    # and timing share their layer times (a worker process plans on its
+    # own copy, so ``workers`` never changes a result).
+    times: TimingMemo = {}
     shards = run_sharded(
-        partial(_evaluate_chip, keep_report=keep_reports),
+        partial(_evaluate_chip, keep_report=keep_reports, times=times),
         [[points[i] for i in indices] for indices in chips.values()],
         workers=workers,
     )

@@ -10,10 +10,13 @@ knows how to compute:
   pipeline (:mod:`repro.mapping.allocation` via the segment planner, then
   the selected ``repro.sim`` backend) through
   :meth:`repro.core.multi_dnn.MultiDNNScheduler.simulate_partition`.
-  Results are memoized per ``(network, cores, backend)`` in a bounded LRU
-  — resizes revisit the same handful of share sizes, and
-  :class:`NetworkSpec` is hashable.  Cache traffic is observable at
-  ``serving/service/cache_hit`` / ``serving/service/cache_miss``.
+  Results are memoized per ``(network, cores, backend, batch_requests)``
+  in a bounded LRU — resizes revisit the same handful of share sizes,
+  and :class:`NetworkSpec` is hashable.  Cache traffic is observable at
+  ``serving/service/cache_hit`` / ``serving/service/cache_miss``.  A
+  miss still plans the partition, but the scheduler runs the tier once
+  per distinct plan: share sizes that map a model identically share
+  one report.
 
 * ``restage_ms(network)`` — the sim-time cost of re-staging the model's
   weights after its partition moved or changed size.  Weights stream
@@ -30,21 +33,18 @@ reads its ``decision_backend`` that way.
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from typing import Optional, Tuple
 
 from repro import telemetry
-from repro.core.multi_dnn import MultiDNNScheduler
+from repro.core.multi_dnn import DEFAULT_CACHE_SIZE, MultiDNNScheduler
+from repro.errors import ConfigurationError
 # Not called here: the repository benchmark's tracer (bench/trace.py)
 # wraps this module attribute as its ``mapping.placement`` boundary.
 from repro.mapping.placement import zigzag_placement  # noqa: F401
 from repro.nn.workloads import NetworkSpec
 from repro.sim import RunReport
-
-#: Default bound on memoized (network, cores, backend) simulations.  A
-#: serving scenario revisits a few share sizes per tenant; 256 entries is
-#: generous for tens of tenants while bounding long-lived services.
-DEFAULT_CACHE_SIZE = 256
 
 _CacheKey = Tuple[NetworkSpec, int, str, int]
 
@@ -58,6 +58,10 @@ class ServiceModel:
         *,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
+        if not isinstance(cache_size, numbers.Integral) or cache_size < 1:
+            raise ConfigurationError(
+                f"cache_size must be an integer >= 1, got {cache_size!r}"
+            )
         self.scheduler = scheduler or MultiDNNScheduler()
         self.cache_size = cache_size
         self._runs: "OrderedDict[_CacheKey, RunReport]" = OrderedDict()

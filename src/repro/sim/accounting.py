@@ -15,9 +15,9 @@ the pre-refactor output (``tests/sim/test_differential_pins.py``).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.perfmodel import LayerTiming, PerformanceModel
+from repro.core.perfmodel import LayerTiming, PerformanceModel, TimingParams
 from repro.errors import MappingError
 from repro.mapping.capacity import CapacityModel
 from repro.mapping.segmentation import (
@@ -39,19 +39,32 @@ _ROW_FLITS, _STORE_FLITS = (
 )
 
 
+#: The Eq. (1) standalone times of one planning session: the machine
+#: (``SimConfig.params``, ``SimConfig.capacity``), then a layer's
+#: ``(ConvLayerSpec.shape, computing cores)``, to cycles.  The times do
+#: not depend on the array size, so every partition size a session plans
+#: reads the same entries, and two machines never share one.
+TimingMemo = Dict[Tuple[TimingParams, CapacityModel], Dict[tuple, float]]
+
+
 def performance_model(config: SimConfig) -> PerformanceModel:
     """The Eq. (1) model for this machine description."""
     return PerformanceModel(config.params, config.capacity)
 
 
 def plan_network(
-    network: NetworkSpec, strategy: str, config: SimConfig
+    network: NetworkSpec,
+    strategy: str,
+    config: SimConfig,
+    memo: Optional[TimingMemo] = None,
 ) -> SegmentPlan:
     """Plan the segmentation of ``network`` with a named strategy.
 
     The network is planned as given: tile it first
     (:func:`~repro.mapping.tiling.tile_network`) when a layer is too
-    large for the whole array.
+    large for the whole array.  ``memo`` is the caller's planning
+    session (a scheduler's, or one sweep's): planning reads and extends
+    it.  Left out, the memo lasts this one call.
     """
     try:
         strategy_cls = STRATEGIES[strategy]
@@ -64,8 +77,12 @@ def plan_network(
     )
     layer_time = performance_model(config).layer_time_fn()
     # The allocator tries many core counts per layer, and repeated blocks
-    # and tiled passes repeat a shape: evaluate each (shape, cores) once.
-    times: Dict[tuple, float] = {}
+    # and tiled passes repeat a shape: evaluate each (shape, cores) once
+    # per session.
+    times = (
+        {} if memo is None
+        else memo.setdefault((config.params, config.capacity), {})
+    )
 
     def timing(spec: ConvLayerSpec, nodes: int) -> float:
         key = (spec.shape, nodes)

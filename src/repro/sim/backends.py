@@ -405,19 +405,27 @@ def simulate(
         raise MappingError(
             f"the plan maps {plan.network.name!r}, not {network.name!r}"
         )
-    if cfg.preflight:
-        # Static pre-flight: reject plans that violate capacity/budget
-        # invariants before the tier spends any cycles.  Runs only the
-        # closed-form ``plan`` family, so even the analytic tier pays
-        # well under 1% (docs/ANALYSIS.md).  Function-level import: the
-        # analysis package is only loaded when the gate is on.
-        from repro.analysis.system import analyze_plan
-
-        report = analyze_plan(plan=plan, config=cfg, families=("plan",))
-        if not report.ok:
-            raise PlanVerificationError(
-                "pre-flight plan verification failed:\n" + report.render(),
-                report,
-            )
+    preflight(plan, cfg)
     return tier.run(plan.network, plan, cfg)
 
+
+def preflight(plan: SegmentPlan, config: SimConfig) -> None:
+    """The :func:`simulate` gate: unless ``config.preflight`` is off,
+    raise :class:`~repro.errors.PlanVerificationError` on a plan that
+    violates the capacity and budget invariants, before a tier spends
+    any cycles on it.
+
+    Runs only the closed-form ``plan`` family, so even the analytic tier
+    pays well under 1% (docs/ANALYSIS.md).  Function-level import: the
+    analysis package is only loaded when the gate is on.
+    """
+    if not config.preflight:
+        return
+    from repro.analysis.system import analyze_plan
+
+    report = analyze_plan(plan=plan, config=config, families=("plan",))
+    if not report.ok:
+        raise PlanVerificationError(
+            "pre-flight plan verification failed:\n" + report.render(),
+            report,
+        )

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 import repro.dse.engine as engine
+from repro.core.perfmodel import PerformanceModel
 from repro.dse.engine import (
     evaluate_point,
     network_baselines,
@@ -172,6 +173,45 @@ class TestRunSweep:
     def test_infeasible_chip_rows_match_unshared_evaluation(self):
         result = run_sweep(MULTI_TIER, baselines=False)
         assert result.points == [evaluate_point(p) for p in MULTI_TIER.expand()]
+
+    def test_failing_chip_is_tiled_once(self, monkeypatch):
+        calls = []
+        tile_network = engine.tile_network
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tile_network(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "tile_network", counted)
+        result = run_sweep(MULTI_TIER, baselines=False)
+        # Two chips of three tiers each; the 12x12 one cannot map vgg11.
+        assert len(calls) == 2
+        assert [r.status for r in result.points].count("infeasible") == 3
+
+    def test_sweep_evaluates_each_layer_time_once(self, monkeypatch):
+        """Chips of one CMem geometry and timing share their Eq. (1)
+        times: no (machine, shape, cores) is evaluated twice a sweep."""
+        spec = SweepSpec(
+            name="shared-times", networks=("small_cnn",), backends=("analytic",),
+            meshes=((12, 12), (16, 16)), cmem_slices=(5, 7),
+        )
+        evaluations = []
+        layer_time_fn = PerformanceModel.layer_time_fn
+
+        def recording(model, **kwargs):
+            timing = layer_time_fn(model, **kwargs)
+
+            def counted(layer, nodes):
+                evaluations.append((model.params, model.capacity, layer.shape, nodes))
+                return timing(layer, nodes)
+
+            return counted
+
+        monkeypatch.setattr(PerformanceModel, "layer_time_fn", recording)
+        result = run_sweep(spec, baselines=False)
+        assert all(r.ok for r in result.points)
+        assert len({e[:2] for e in evaluations}) == 2
+        assert len(evaluations) == len(set(evaluations))
 
     def test_kept_reports_of_one_chip_share_the_plan(self):
         spec = SweepSpec(name="t", networks=("small_cnn",),

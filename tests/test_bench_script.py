@@ -83,7 +83,12 @@ def test_cases_registry(bench):
         "macc", "telemetry", "serving", "backends", "obs", "fleet", "dse",
     ]
     gated = {name for name, case in bench.CASES.items() if case.check}
-    assert gated == {"backends", "obs", "fleet", "dse"}
+    assert gated == {"serving", "backends", "obs", "fleet", "dse"}
+
+
+def test_partition_op_gate_counts_a_short_elastic_window(bench):
+    assert bench.PARTITION_WINDOW_MS == 200.0
+    assert bench.PARTITION_OP_BUDGET == 30_000
 
 
 def test_fleet_op_gate_compares_four_and_sixteen_chips(bench):
