@@ -7,16 +7,18 @@ bit-plane MAC engine), ``telemetry`` (simulated cycle counts and
 registry counters, deterministic), ``serving`` (the serving event loop,
 request batching, and the calls elastic re-planning makes), ``backends``
 (every ``repro.sim`` fidelity tier,
-how the queueing tiers' call count grows with feature-map size, and the
-calls one more pass of a tiled layer adds),
+how the queueing tiers' call count grows with feature-map size, the
+calls one more pass of a tiled layer adds, and the cycle tier's memory
+peak),
 ``obs`` (the latency-attribution overhead), ``fleet`` (the multi-chip
 fleet loop) and ``dse`` (the DSE smoke sweep, serial vs fork-pool).
 
 The last five are gated.  Each gated row carries its ``budget_s``,
-``budget_ratio``, ``budget_calls_per_pass`` or ``budget_calls`` (from
-``PARTITION_OP_BUDGET``, ``BACKEND_BUDGETS``, ``BACKEND_OP_BUDGET``,
-``PASS_OP_BUDGET``, ``OBS_OVERHEAD_CALLS``, ``FLEET_BUDGETS``,
-``FLEET_OP_BUDGET`` or ``DSE_BUDGETS``) and a ``within_budget`` flag;
+``budget_ratio``, ``budget_calls_per_pass``, ``budget_calls`` or
+``budget_mb`` (from ``PARTITION_OP_BUDGET``, ``BACKEND_BUDGETS``,
+``BACKEND_OP_BUDGET``, ``PASS_OP_BUDGET``, ``CYCLE_MEMORY_BUDGET_MB``,
+``OBS_OVERHEAD_CALLS``, ``FLEET_BUDGETS``, ``FLEET_OP_BUDGET`` or
+``DSE_BUDGETS``) and a ``within_budget`` flag;
 the ``dse`` section also
 records whether its serial and fork-pool JSON are ``identical_bytes``.
 A row with either flag false is printed by its path, e.g.
@@ -40,6 +42,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
@@ -386,7 +389,7 @@ def bench_partition_op_count() -> dict:
 #: station scans (see docs/SIMULATORS.md), so CI noise never trips them
 #: but a rewrite back to per-event Python dispatch (resnet18 event tier:
 #: 2.54 s per event, ~0.05 s with the scans) blows through immediately.  The
-#: resnet18 cycle budget is only ~5x its ~0.4 s so that a fall back to
+#: resnet18 cycle budget is only ~7x its ~0.3 s so that a fall back to
 #: int64 contractions off BLAS (~5 s) fails it.
 BACKEND_BUDGETS: dict = {
     "resnet18": {"analytic": 0.10, "streaming": 0.50, "event": 0.60, "cycle": 2.0},
@@ -428,6 +431,7 @@ def bench_backends() -> dict:
         out[name] = rows
     out["op_count"] = bench_backend_op_count()
     out["pass_op_count"] = bench_pass_op_count()
+    out["cycle_memory"] = bench_cycle_memory()
     return out
 
 
@@ -541,6 +545,37 @@ def bench_pass_op_count() -> dict:
         "calls_per_pass": per_pass,
         "budget_calls_per_pass": PASS_OP_BUDGET,
         "within_budget": max(per_pass.values()) <= PASS_OP_BUDGET,
+    }
+
+
+#: Host memory of the ``cycle`` tier: the ``tracemalloc`` peak (MiB) of
+#: one warm full-size resnet18 run.  With every weight and ifmap value
+#: drawn, stored and converted as int64 it read
+#: ``CYCLE_INT64_PEAK_MB``; held at their quantized width (int8) from
+#: draw to BLAS, 22.2 MiB on Python 3.11.  The budget sits between the
+#: two, so widening the operands again fails the gate.  Unlike wall
+#: clock, the peak repeats to within a few KiB from run to run.
+CYCLE_MEMORY_BUDGET_MB = 29.0
+CYCLE_INT64_PEAK_MB = 35.8
+
+
+def bench_cycle_memory() -> dict:
+    """``tracemalloc`` peak of one warm ``simulate(resnet18_spec(),
+    backend="cycle")``, gated at ``CYCLE_MEMORY_BUDGET_MB``."""
+    network = resnet18_spec()
+    simulate(network, backend="cycle")
+    tracemalloc.start()
+    try:
+        simulate(network, backend="cycle")
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    return {
+        "workload": "one warm full-size resnet18 simulate() on the cycle tier",
+        "peak_mb": peak_mb,
+        "int64_operands_peak_mb": CYCLE_INT64_PEAK_MB,
+        "budget_mb": CYCLE_MEMORY_BUDGET_MB,
+        "within_budget": peak_mb <= CYCLE_MEMORY_BUDGET_MB,
     }
 
 

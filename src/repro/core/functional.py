@@ -11,12 +11,14 @@ Two fidelity levels, selected per layer:
   NumPy: the accumulators come from one contraction per filter tap (and
   cache-sized block of filters) over every ofmap pixel the tap reaches,
   and the operation counts (vectors streamed, row transfers, per-core
-  MAC.Cs) from closed forms over the same tap ranges.  The contractions
-  run on float64 BLAS through :func:`~repro.utils.fixedpoint.exact_matmul`,
-  which is exact while ``max|w| * max|x| * C < 2**53`` and raises past
-  it; integer sums do not depend on order, so both equal what the
-  per-vector streaming would produce.  Used for ResNet18-scale
-  functional runs.
+  MAC.Cs) from closed forms over the same tap ranges.  Weights and
+  ifmap keep the caller's integer dtype (int8 at the paper's design
+  point) up to the contractions, which run on float64 BLAS through
+  :func:`~repro.utils.fixedpoint.exact_matmul`: exact while
+  ``max|w| * max|x| * C < 2**53``, proved from the dtypes alone for
+  int8 and int16 operands, and raising past it; integer sums do not
+  depend on order, so both equal what the per-vector streaming would
+  produce.  Used for ResNet18-scale functional runs.
 
 Either way the result must equal the quantized reference engine exactly.
 
@@ -82,6 +84,15 @@ def bit_true_min_nodes(spec: ConvLayerSpec, capacity: CapacityModel) -> int:
             f"{spec.name}: one filter does not fit a node without packing"
         )
     return max(1, math.ceil(spec.m / fpn))
+
+
+def _integer_operand(what: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as an array of its own integer dtype; anything else, a
+    float that would truncate included, is a :class:`ConfigurationError`."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iu":
+        raise ConfigurationError(f"{what} must be integers, got {array.dtype}")
+    return array
 
 
 def _tap_span(
@@ -160,7 +171,12 @@ def network_spec_of(qgraph: QuantizedGraph, name: str = "model") -> NetworkSpec:
 
 
 class FunctionalNodeGroup:
-    """One layer on a DC + chain of computing cores."""
+    """One layer on a DC + chain of computing cores.
+
+    Weights ``(m, c, r, s)``, bias ``(m,)`` and the ifmap given to
+    :meth:`run` must be integer arrays of those shapes; a float or
+    misshapen operand raises :class:`ConfigurationError`.
+    """
 
     def __init__(
         self,
@@ -174,8 +190,15 @@ class FunctionalNodeGroup:
         telemetry: Optional[TelemetrySink] = None,
     ) -> None:
         self.spec = spec
-        self.weights = np.asarray(weights, dtype=np.int64)
-        self.bias = np.asarray(bias, dtype=np.int64)
+        self.weights = _integer_operand("weights", weights)
+        if self.weights.shape != (spec.m, spec.c, spec.r, spec.s):
+            raise ConfigurationError(
+                f"weights shape {self.weights.shape} != "
+                f"({spec.m}, {spec.c}, {spec.r}, {spec.s})"
+            )
+        self.bias = _integer_operand("bias", bias).astype(np.int64)
+        if self.bias.shape != (spec.m,):
+            raise ConfigurationError(f"bias shape {self.bias.shape} != ({spec.m},)")
         self.num_computing = num_computing
         self.bit_true = bit_true
         self.capacity = capacity or CapacityModel()
@@ -311,8 +334,12 @@ class FunctionalNodeGroup:
         return acc
 
     def run(self, q_in: np.ndarray) -> np.ndarray:
-        """Stream the quantized ifmap through the group; returns int64 acc."""
-        q_in = np.asarray(q_in, dtype=np.int64)
+        """Stream the quantized ifmap through the group; returns int64 acc.
+
+        The ifmap and weights stay in their own integer dtype (int8 at the
+        paper's design point) all the way to the contractions.
+        """
+        q_in = _integer_operand("ifmap", q_in)
         if q_in.shape != (self.spec.c, self.spec.h, self.spec.w):
             raise ConfigurationError(
                 f"ifmap shape {q_in.shape} != "

@@ -51,7 +51,9 @@ def reference_accumulators(
     """Int64 conv accumulators: the oracle for the node and group simulations.
 
     One whole-layer im2col GEMM, exact on float64 BLAS
-    (:func:`~repro.utils.fixedpoint.exact_matmul`).
+    (:func:`~repro.utils.fixedpoint.exact_matmul`).  Weights and ifmap
+    keep their own integer dtype, so the im2col columns of an int8
+    ifmap take one byte per value; only the bias is widened.
     """
     m = weights.shape[0]
     cols = _im2col(ifmap, spec.r, spec.s, spec.stride, spec.padding)

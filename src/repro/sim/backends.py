@@ -33,8 +33,9 @@ and the ``--backend`` flag of ``scripts/serve.py`` / ``scripts/trace_run.py``
     independent whole-layer GEMM — bit-identical, or the run raises.
     Timing totals reuse the analytic roll-up; what this tier adds is
     executed-numerics evidence and exact operation counts.  The costliest
-    tier (about half a second on full-size ResNet18); used for numerics
-    checks and cross-checks (``repro.sim.xcheck``).
+    tier (about 0.3 s on full-size ResNet18, its operands held at their
+    quantized width); used for numerics checks and cross-checks
+    (``repro.sim.xcheck``).
 
 The cross-tier agreement envelope is asserted by :mod:`repro.sim.xcheck`
 and pinned in ``tests/sim/``; see ``docs/SIMULATORS.md`` for the matrix.
@@ -72,7 +73,7 @@ from repro.sim.accounting import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.report import LayerReport, RunReport, SegmentReport
-from repro.utils.fixedpoint import fixed_range
+from repro.utils.fixedpoint import fixed_dtype, fixed_range
 
 #: The production default tier (the pre-backend chip simulator's path).
 DEFAULT_BACKEND = "streaming"
@@ -290,7 +291,9 @@ class CycleBackend(ModeledBackend):
 
     Synthesizes a deterministic workload per layer (seeded by
     ``SimConfig.seed`` and the layer index; weights and ifmap span the
-    layer's full signed ``n_bits`` range), streams it through
+    layer's full signed ``n_bits`` range and are held in the narrowest
+    signed dtype of :func:`~repro.utils.fixedpoint.fixed_dtype`, int8 at
+    8 bits), streams it through
     :class:`FunctionalNodeGroup` with the plan's node allocation, and
     asserts the executed accumulators equal
     :func:`~repro.core.node.reference_accumulators` — one im2col GEMM
@@ -315,10 +318,19 @@ class CycleBackend(ModeledBackend):
         for lt in report.timings:
             spec = lt.spec
             lo, hi = fixed_range(spec.n_bits)
+            # Drawn at 32 bits, which yields the values (and leaves the
+            # generator where) the default int64 draw does, then stored
+            # at the layer's width; a draw at int8 or int16 would differ.
+            narrow = fixed_dtype(spec.n_bits)
+            draw = np.promote_types(narrow, np.int32)
             rng = np.random.default_rng((config.seed, spec.index))
-            weights = rng.integers(lo, hi + 1, (spec.m, spec.c, spec.r, spec.s))
-            bias = rng.integers(-1000, 1000, spec.m)
-            q_in = rng.integers(lo, hi + 1, (spec.c, spec.h, spec.w))
+            weights = rng.integers(
+                lo, hi + 1, (spec.m, spec.c, spec.r, spec.s), dtype=draw
+            ).astype(narrow, copy=False)
+            bias = rng.integers(-1000, 1000, spec.m, dtype=draw)
+            q_in = rng.integers(
+                lo, hi + 1, (spec.c, spec.h, spec.w), dtype=draw
+            ).astype(narrow, copy=False)
             group = FunctionalNodeGroup(
                 spec, weights, bias, lt.computing_nodes,
                 capacity=config.capacity,

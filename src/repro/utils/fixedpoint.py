@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -15,13 +16,22 @@ _EXACT_LIMIT = 1 << 53
 EXACT_BLOCK = 1 << 17
 
 
+@lru_cache(maxsize=None)
+def _dtype_magnitude(dtype: np.dtype) -> int:
+    """The largest magnitude an integer ``dtype`` holds."""
+    info = np.iinfo(dtype)
+    return max(-int(info.min), int(info.max))
+
+
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer ``a @ b`` as int64, computed on float64 BLAS.
 
     ``a`` is ``(m, k)`` and ``b`` is ``(k, n)``, of any integer dtype and
     any strides.  When ``max|a| * max|b| * k < 2**53`` every product and
     every partial sum is an integer float64 represents exactly, so the
-    result does not depend on the BLAS summation order.  ``a`` is
+    result does not depend on the BLAS summation order.  When the
+    operands' dtype ranges alone keep the bound (int8 or int16 operands
+    at any ``k`` below 2**23) no value is scanned.  Otherwise ``a`` is
     converted in row blocks of at most :data:`EXACT_BLOCK` elements, each
     checked against the bound before it is multiplied; past the bound
     this raises :class:`QuantizationError` rather than round.
@@ -40,11 +50,12 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if out.size == 0 or k == 0:
         return out
     fb = b.astype(np.float64)
-    b_max = int(max(-fb.min(), fb.max()))
+    scan = _dtype_magnitude(a.dtype) * _dtype_magnitude(b.dtype) * k >= _EXACT_LIMIT
+    b_max = int(max(-fb.min(), fb.max())) if scan else 0
     rows = max(1, EXACT_BLOCK // k)
     for lo in range(0, m, rows):
         fa = a[lo : lo + rows].astype(np.float64)
-        bound = int(max(-fa.min(), fa.max())) * b_max * k
+        bound = int(max(-fa.min(), fa.max())) * b_max * k if scan else 0
         if bound >= _EXACT_LIMIT:
             raise QuantizationError(
                 f"exact_matmul: max|a| * max|b| * k = {bound} reaches 2**53; "
@@ -118,3 +129,13 @@ def fixed_range(n_bits: int, *, signed: bool = True) -> Tuple[int, int]:
     if signed:
         return -(1 << (n_bits - 1)), (1 << (n_bits - 1)) - 1
     return 0, (1 << n_bits) - 1
+
+
+def fixed_dtype(n_bits: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds the signed
+    :func:`fixed_range` of ``n_bits``: int8 up to 8 bits, int16 up to 16."""
+    lo, _ = fixed_range(n_bits)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if np.iinfo(dtype).min <= lo:
+            return np.dtype(dtype)
+    raise QuantizationError(f"no integer dtype holds {n_bits}-bit values")

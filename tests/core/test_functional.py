@@ -13,12 +13,13 @@ from repro.core.functional import (
     bit_true_min_nodes,
     simulate_quantized_graph,
 )
+from repro.core.node import reference_accumulators
 from repro.errors import CMemError, ConfigurationError
 from repro.mapping.capacity import CapacityModel
 from repro.nn.models import build_residual_cnn
 from repro.nn.quantize import quantize_graph
 from repro.nn.workloads import ConvLayerSpec
-from repro.utils.fixedpoint import EXACT_BLOCK
+from repro.utils.fixedpoint import EXACT_BLOCK, fixed_range
 from tests.models import build_small_cnn
 
 
@@ -29,8 +30,6 @@ def group_setup(spec, num_nodes, seed=0, group_cls=FunctionalNodeGroup, **kw):
     bias = rng.integers(-200, 200, size=spec.m)
     q_in = rng.integers(-lim, lim, size=(spec.c, spec.h, spec.w))
     group = group_cls(spec, weights, bias, num_nodes, **kw)
-    from repro.core.node import reference_accumulators
-
     return group, q_in, reference_accumulators(spec, weights, bias, q_in)
 
 
@@ -213,6 +212,86 @@ class TestBitTrueMode:
         group.run(q_in)
         assert group.stats.cmem_energy_pj > 0
         assert group.stats.row_transfers > 0
+
+
+class TestOperandChecks:
+    SPEC = ConvLayerSpec(0, "t", h=4, w=4, c=16, m=4, padding=1)
+
+    def operands(self):
+        spec = self.SPEC
+        weights = np.ones((spec.m, spec.c, spec.r, spec.s), dtype=np.int64)
+        bias = np.zeros(spec.m, dtype=np.int64)
+        return weights, bias, np.ones((spec.c, spec.h, spec.w), dtype=np.int64)
+
+    def test_float_weights_rejected(self):
+        # Cast to int64 they would truncate 0.7 to zero: all-zero
+        # accumulators and no error.
+        weights, bias, _ = self.operands()
+        with pytest.raises(ConfigurationError, match="weights must be integers"):
+            FunctionalNodeGroup(self.SPEC, np.full(weights.shape, 0.7), bias, 1)
+
+    def test_float_bias_rejected(self):
+        weights, bias, _ = self.operands()
+        with pytest.raises(ConfigurationError, match="bias must be integers"):
+            FunctionalNodeGroup(self.SPEC, weights, bias + 0.5, 1)
+
+    @pytest.mark.parametrize("bit_true", [False, True])
+    def test_float_ifmap_rejected(self, bit_true):
+        weights, bias, q_in = self.operands()
+        group = FunctionalNodeGroup(self.SPEC, weights, bias, 1, bit_true=bit_true)
+        with pytest.raises(ConfigurationError, match="ifmap must be integers"):
+            group.run(np.full(q_in.shape, 0.9))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (4, 16, 5, 5),  # a 5x5 kernel: only its top-left taps would run
+            (6, 16, 3, 3),  # more filters than the spec's m
+            (4, 8, 3, 3),
+            (4, 16, 3),
+        ],
+    )
+    def test_weights_not_shaped_m_c_r_s_rejected(self, shape):
+        _, bias, _ = self.operands()
+        with pytest.raises(ConfigurationError, match="weights shape"):
+            FunctionalNodeGroup(self.SPEC, np.ones(shape, dtype=np.int64), bias, 1)
+
+    def test_bias_not_shaped_m_rejected(self):
+        weights, _, _ = self.operands()
+        with pytest.raises(ConfigurationError, match="bias shape"):
+            FunctionalNodeGroup(self.SPEC, weights, np.zeros(5, dtype=np.int64), 1)
+
+
+class TestOperandDtypes:
+    """Every integer operand dtype gives the int64 oracle's accumulators,
+    extremes included: no arithmetic runs in a narrow operand's own dtype,
+    where it would wrap."""
+
+    @pytest.mark.parametrize("bit_true", [False, True])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_group_and_reference_equal_the_int64_oracle(self, dtype, bit_true):
+        n_bits = 8 if dtype is np.int8 else 16
+        spec = ConvLayerSpec(0, "t", h=4, w=5, c=24, m=3, stride=1, padding=1,
+                             n_bits=n_bits)
+        lo, hi = fixed_range(n_bits)
+        rng = np.random.default_rng(5)
+        weights = rng.integers(lo, hi + 1, (spec.m, spec.c, spec.r, spec.s))
+        bias = rng.integers(lo, hi + 1, spec.m)
+        q_in = rng.integers(lo, hi + 1, (spec.c, spec.h, spec.w))
+        weights[0] = lo
+        q_in[:, 1:3] = lo
+        expected = reference_accumulators(spec, weights, bias, q_in)
+        narrow_w, narrow_x = weights.astype(dtype), q_in.astype(dtype)
+        nodes = bit_true_min_nodes(spec, CapacityModel()) if bit_true else 2
+        group = FunctionalNodeGroup(
+            spec, narrow_w, bias.astype(dtype), nodes, bit_true=bit_true
+        )
+        assert group.weights.dtype == dtype
+        assert np.array_equal(group.run(narrow_x), expected)
+        assert np.array_equal(
+            reference_accumulators(spec, narrow_w, bias.astype(dtype), narrow_x),
+            expected,
+        )
 
 
 class TestWholeNetworks:

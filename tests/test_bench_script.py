@@ -49,6 +49,10 @@ def green_doc() -> dict:
                 "calls_per_pass": {"analytic": 203.0, "event": 203.0},
                 "budget_calls_per_pass": 300, "within_budget": True,
             },
+            "cycle_memory": {
+                "peak_mb": 22.2, "int64_operands_peak_mb": 35.8,
+                "budget_mb": 29.0, "within_budget": True,
+            },
         },
         "obs": {
             "attribution": {
@@ -112,6 +116,13 @@ def test_pass_op_gate_compares_twenty_and_forty_passes(bench):
     assert bench.PASS_OP_BUDGET == 300
 
 
+def test_cycle_memory_budget_sits_between_int64_and_narrow_operands(bench):
+    # 22.2 MiB with the operands at their quantized width, 35.8 MiB with
+    # them drawn, stored and converted as int64.
+    assert bench.CYCLE_INT64_PEAK_MB == 35.8
+    assert 22.2 < bench.CYCLE_MEMORY_BUDGET_MB < bench.CYCLE_INT64_PEAK_MB
+
+
 def test_every_backend_row_is_budgeted(bench):
     tiers = {"analytic", "streaming", "event", "cycle"}
     assert {name: set(rows) for name, rows in bench.BACKEND_BUDGETS.items()} == {
@@ -129,6 +140,7 @@ def test_all_green_document_has_no_failures(bench):
         ("backends/small_cnn/cycle", "within_budget"),
         ("backends/op_count", "within_budget"),
         ("backends/pass_op_count", "within_budget"),
+        ("backends/cycle_memory", "within_budget"),
         ("obs/attribution", "within_budget"),
         ("fleet/scales/1", "within_budget"),
         ("fleet/op_count", "within_budget"),

@@ -10,6 +10,7 @@ from repro.utils.fixedpoint import (
     EXACT_BLOCK,
     choose_scale,
     exact_matmul,
+    fixed_dtype,
     fixed_range,
     quantize_linear,
     requantize,
@@ -35,6 +36,25 @@ class TestSaturate:
     def test_fixed_range_invalid(self):
         with pytest.raises(QuantizationError):
             fixed_range(0)
+
+    @pytest.mark.parametrize(
+        "n_bits, dtype",
+        [(1, np.int8), (8, np.int8), (9, np.int16), (16, np.int16),
+         (17, np.int32), (32, np.int32), (33, np.int64), (64, np.int64)],
+    )
+    def test_fixed_dtype_is_the_narrowest_that_holds_the_range(self, n_bits, dtype):
+        assert fixed_dtype(n_bits) == dtype
+        lo, hi = fixed_range(n_bits)
+        info = np.iinfo(dtype)
+        assert info.min <= lo and hi <= info.max
+        if dtype is not np.int8:
+            narrower = np.iinfo(np.dtype(f"int{info.bits // 2}"))
+            assert lo < narrower.min
+
+    @pytest.mark.parametrize("n_bits", [0, 65])
+    def test_fixed_dtype_outside_every_integer_dtype(self, n_bits):
+        with pytest.raises(QuantizationError):
+            fixed_dtype(n_bits)
 
 
 class TestQuantizeLinear:
@@ -136,6 +156,33 @@ class TestExactMatmul:
         assert np.array_equal(exact_matmul(a, b), a @ b)
         odd = (1 << 53) - 1
         assert exact_matmul(np.array([[odd]]), np.array([[1]]))[0, 0] == odd
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_dtype_proved_bound_is_exact_at_the_dtype_minimum(self, dtype):
+        # Every value at the dtype's minimum (-128 or -32768), the largest
+        # magnitude the dtype-proved bound admits, over several row blocks
+        # of ``a``: no value is scanned, and the result is still exact.
+        k = 3000
+        rows = EXACT_BLOCK // k
+        lo = np.iinfo(dtype).min
+        a = np.full((3 * rows + 1, k), lo, dtype=dtype)
+        b = np.full((k, 3), lo, dtype=dtype)
+        b[:, 1] = np.iinfo(dtype).max
+        b[::2, 2] = 0
+        out = exact_matmul(a, b)
+        assert np.array_equal(out, a.astype(np.int64) @ b.astype(np.int64))
+        assert out[0, 0] == lo * lo * k
+
+    def test_int32_operands_are_still_scanned(self):
+        # int32's range does not prove the bound, so the values are
+        # checked: 2**26 * 2**26 * 2 reaches 2**53 and must raise.
+        a = np.full((1, 2), 1 << 26, dtype=np.int32)
+        b = np.full((2, 1), 1 << 26, dtype=np.int32)
+        with pytest.raises(QuantizationError, match="2\\*\\*53"):
+            exact_matmul(a, b)
+        # One narrow operand does not prove the bound for a wide one.
+        with pytest.raises(QuantizationError):
+            exact_matmul(np.ones((1, 2), dtype=np.int8), np.full((2, 1), 1 << 52))
 
     def test_rejects_non_integer_or_mismatched_operands(self):
         with pytest.raises(QuantizationError):
